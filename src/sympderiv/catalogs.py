@@ -23,8 +23,8 @@ import numpy as np
 from .freelie import SymplecticContext
 from .trees import eta1, eta2, expand_symhalf, hl_zero, tree_bracket
 from .derivspace import (DerivationSpace, gl_embed, iota_matrix,
-                         lie_degree_matrix, symplectic_J)
-from .intlin import IntegerLattice
+                         lie_degree_matrix)
+from .intlin import IntegerLattice, safe_matmul
 
 
 class SymplecticFamilyError(ValueError):
@@ -48,8 +48,9 @@ class CatalogEntry:
 # -- vector helpers ------------------------------------------------------
 
 def _omega_vec(g, u, v):
-    return int(np.asarray(u, dtype=object) @ symplectic_J(g) @
-               np.asarray(v, dtype=object))
+    u = [int(x) for x in u]
+    v = [int(x) for x in v]
+    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 
 
 def pretty_vector(ctx, vec):
@@ -311,28 +312,39 @@ def goeritz_symmetries(g):
 
 
 def _transform_rows(ctx, m, rows, k):
-    """Apply the degree-k homology action to a stack of H (x) L_k vectors."""
-    rows = np.asarray(rows, dtype=object)
+    """Apply the degree-k homology action m (x) L_k(m) to a stack of
+    H (x) L_k vectors, as two exact products: first L_k(m) on the Lie
+    factor of every H-block, then m across the blocks."""
+    rows = np.asarray(rows)
+    n = len(rows)
+    h = 2 * ctx.g
     dk = ctx.dim(k)
     lk = lie_degree_matrix(ctx, m, k)
-    blocks = rows.reshape(len(rows), 2 * ctx.g, dk)
-    out = np.einsum("ph,nhd,qd->npq", np.asarray(m, dtype=object), blocks,
-                    np.asarray(lk, dtype=object))
-    return out.reshape(len(rows), 2 * ctx.g * dk)
+    lie = safe_matmul(rows.reshape(n * h, dk), lk.T)
+    by_block = lie.reshape(n, h, dk).transpose(1, 0, 2).reshape(h, n * dk)
+    out = safe_matmul(m, by_block)
+    return out.reshape(h, n, dk).transpose(1, 0, 2).reshape(n, h * dk)
 
 
 def orbit_closure(ctx, seed_rows, mats, k, max_rounds=20):
-    """Saturate the span of seed_rows under the given homology matrices."""
+    """Saturate the span of seed_rows under the given homology matrices.
+
+    Semi-naive: each round moves only the frontier, the rows that entered
+    the lattice in the previous round, since the images of the older part
+    are already inside.  The lattice after every round, and so the number
+    of rounds, is that of moving the whole basis each time.
+    """
     ambient = 2 * ctx.g * ctx.dim(k)
     lat = IntegerLattice(ambient, np.asarray(seed_rows))
+    frontier = lat.basis
     for _ in range(max_rounds):
-        new = lat
-        for m in mats:
-            moved = _transform_rows(ctx, m, lat.basis, k)
-            new = new.sum(IntegerLattice(ambient, moved))
-        if new == lat:
+        fresh = [row for m in mats
+                 for row in _transform_rows(ctx, m, frontier, k)
+                 if row not in lat]
+        if not fresh:
             return lat
-        lat = new
+        frontier = np.array(fresh)
+        lat = lat.sum(IntegerLattice(ambient, frontier))
     raise RuntimeError("orbit closure did not stabilize")
 
 

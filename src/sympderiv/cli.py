@@ -6,7 +6,7 @@ were observed/skipped), 1 at least one failure, 2 usage error.
 
 The JSON certificate is deterministic for fixed flags: keys are sorted,
 coordinate data is emitted as decimal strings, and wall times are kept out
-of the file (they go to stderr instead).
+of the file (they are printed on stdout instead).
 """
 
 import argparse

@@ -1,5 +1,6 @@
 """Derivation lattices D_1, D_2, D_2', generator coordinates, filtrations,
-quotient kernels, and the homology actions.
+quotient kernels, and the matrices of the symplectic homology action
+(``catalogs._transform_rows`` applies them).
 
 Generators of D_2(H) follow the tree/symmetric-half presentation: one
 (.)-generator per basis pair P = (p,q), one tree generator per unordered
@@ -97,14 +98,14 @@ class _GenSolver:
         h, u = hermite_normal_form(rows, transform=True)
         mask = np.array([bool(np.any(r)) for r in h])
         self.basis = h[mask]
-        self.trans = u[mask]
+        self.trans = u[mask].astype(object)
         self.pivots = _pivot_cols(self.basis)
 
     def solve(self, v):
         c = solve_over_hnf(self.basis, self.pivots, v)
         if c is None:
             return None
-        return c @ self.trans.astype(object)
+        return c @ self.trans
 
 
 class DerivationSpace:
@@ -257,21 +258,6 @@ class DerivationSpace:
             vecs = coeff.basis @ basis.astype(object) if coeff.rank else None
             self._ker_cache[key] = IntegerLattice(self.ambient_dim, vecs)
         return self._ker_cache[key]
-
-    # -- homology action ---------------------------------------------------
-    def apply_homology_action(self, m, v) -> np.ndarray:
-        m = as_int_matrix(m)
-        if not is_symplectic(self.g, m):
-            raise ValueError("matrix is not symplectic")
-        return self.action_matrix(m) @ np.asarray(v)
-
-    def action_matrix(self, m) -> np.ndarray:
-        l3 = lie_degree_matrix(self.ctx, m, 3)
-        return np.kron(as_int_matrix(m), l3)
-
-    def action_matrix_d1(self, m) -> np.ndarray:
-        l2 = lie_degree_matrix(self.ctx, m, 2)
-        return np.kron(as_int_matrix(m), l2)
 
 
 @lru_cache(maxsize=None)

@@ -326,14 +326,18 @@ class GF2Matrix:
 
 
 def safe_matmul(a, b) -> np.ndarray:
-    """Exact integer product, using int64 when a bound rules out overflow."""
+    """Exact integer product, using int64 when a bound rules out overflow.
+
+    The bound is applied whatever the operand dtypes, so object arrays with
+    small entries are multiplied in int64 too.  Each factor counts as at
+    least 1, which also keeps every entry of both operands castable.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if a.dtype != object and b.dtype != object:
-        bound = (int(np.abs(a).max()) * int(np.abs(b).max())
-                 * max(1, a.shape[1]))
-        if bound < 2 ** 62:
-            return a.astype(np.int64) @ b.astype(np.int64)
+    bound = (max(1, int(np.abs(a).max())) * max(1, int(np.abs(b).max()))
+             * max(1, a.shape[1]))
+    if bound < 2 ** 62:
+        return a.astype(np.int64) @ b.astype(np.int64)
     return a.astype(object) @ b.astype(object)

@@ -8,12 +8,14 @@ from sympderiv import catalogs, traces
 from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
                                 bscc_image, catalog_lattice,
                                 goeritz_symmetries, goeritz_tau1_lattice,
-                                gl_generators, johnson_catalog,
-                                mixed_wedge_lattice, orbit_closure,
-                                pretty_vector, realizable_catalog_A)
-from sympderiv.derivspace import is_symplectic, space
+                                goeritz_tau2_entries, gl_generators,
+                                johnson_catalog, mixed_wedge_lattice,
+                                orbit_closure, pretty_vector,
+                                realizable_catalog_A)
+from sympderiv.derivspace import is_symplectic, lie_degree_matrix, space
 from sympderiv.freelie import context
-from sympderiv.trees import eta2, expand_symhalf
+from sympderiv.intlin import IntegerLattice
+from sympderiv.trees import eta1, eta2, expand_symhalf
 
 
 def _e(ctx):
@@ -136,6 +138,88 @@ def test_orbit_closure_invariant_under_action():
         moved = catalogs._transform_rows(sp.ctx, m, lat.basis, 2)
         for row in moved:
             assert row in lat
+
+
+def _kron_action(ctx, m, rows, k):
+    """Reference action: rows times the full matrix m (x) L_k(m), exactly."""
+    full = np.kron(m, lie_degree_matrix(ctx, m, k)).astype(object)
+    return np.asarray(rows, dtype=object) @ full.T
+
+
+@pytest.mark.parametrize("g,k", [(2, 2), (2, 3), (3, 3)])
+def test_transform_rows_matches_kron_action(g, k):
+    ctx = context(g)
+    rng = np.random.default_rng(10 * g + k)
+    rows = rng.integers(-3, 4, size=(5, 2 * g * ctx.dim(k)))
+    for m in goeritz_symmetries(g):
+        assert np.array_equal(catalogs._transform_rows(ctx, m, rows, k),
+                              _kron_action(ctx, m, rows, k))
+
+
+def test_transform_rows_exact_at_int64_bound(monkeypatch):
+    # Entries c with c * max|L_k(m)| * dim L_k just below 2**62 keep the
+    # first product in int64; one more tips it into object dtype.
+    ctx = context(2)
+    k = 3
+    m = goeritz_symmetries(2)[-2]  # the shear, whose L_3 has entries > 1
+    lk = lie_degree_matrix(ctx, m, k)
+    c = (2 ** 62 - 1) // (int(np.abs(lk).max()) * ctx.dim(k))
+    real = catalogs.safe_matmul
+    dtypes = []
+
+    def recording(a, b):
+        out = real(a, b)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(catalogs, "safe_matmul", recording)
+    rng = np.random.default_rng(5)
+    signs = rng.choice([-1, 1], size=(3, 2 * ctx.g * ctx.dim(k)))
+    for entry, first_dtype in ((c, np.int64), (c + 1, object)):
+        rows = signs.astype(object) * entry
+        dtypes.clear()
+        out = catalogs._transform_rows(ctx, m, rows, k)
+        assert dtypes[0] == first_dtype
+        assert np.array_equal(out, _kron_action(ctx, m, rows, k))
+
+
+def _naive_closure(ctx, seed_rows, mats, k):
+    """Move the whole basis every round; returns (lattice, rounds)."""
+    ambient = 2 * ctx.g * ctx.dim(k)
+    lat = IntegerLattice(ambient, np.asarray(seed_rows))
+    rounds = 0
+    while True:
+        rounds += 1
+        new = lat
+        for m in mats:
+            moved = catalogs._transform_rows(ctx, m, lat.basis, k)
+            new = new.sum(IntegerLattice(ambient, moved))
+        if new == lat:
+            return lat, rounds
+        lat = new
+
+
+def _goeritz_seed(sp, which):
+    ctx = sp.ctx
+    if which == "tau1":
+        e = ctx.basis_vector
+        return [eta1(ctx, e(0), e(sp.g), e(sp.g + 1))], 2
+    return [entry.value for entry in goeritz_tau2_entries(sp)], 3
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("which", ["tau1", "tau2"])
+def test_orbit_closure_matches_naive_closure(g, which):
+    sp = space(g)
+    seed, k = _goeritz_seed(sp, which)
+    mats = goeritz_symmetries(g)
+    naive, rounds = _naive_closure(sp.ctx, seed, mats, k)
+    assert rounds > 1
+    assert orbit_closure(sp.ctx, seed, mats, k, max_rounds=rounds) == naive
+    # the same number of rounds: one fewer is not enough
+    for limit in {1, rounds - 1}:
+        with pytest.raises(RuntimeError):
+            orbit_closure(sp.ctx, seed, mats, k, max_rounds=limit)
 
 
 def test_pretty_vector():

@@ -115,3 +115,25 @@ def test_safe_matmul_wide_entries():
     assert safe_matmul(a, b)[0, 0] == 10 ** 24
     small = safe_matmul(np.array([[2, 3]]), np.array([[4], [5]]))
     assert small[0, 0] == 23
+
+
+def test_safe_matmul_int64_bound():
+    # object operands with small entries are multiplied in int64
+    small = safe_matmul(np.array([[2, 3]], dtype=object),
+                        np.array([[4], [5]], dtype=object))
+    assert small.dtype == np.int64 and small[0, 0] == 23
+    # max|a| * max|b| * inner just below 2**62: int64, exact
+    a = np.array([[2 ** 30, -2 ** 30]], dtype=object)
+    below = safe_matmul(a, np.array([[2 ** 31 - 1], [-(2 ** 31 - 1)]]))
+    assert below.dtype == np.int64
+    assert below[0, 0] == 2 * 2 ** 30 * (2 ** 31 - 1)
+    # at the bound and past int64 itself: object, exact
+    at = safe_matmul(a, np.array([[2 ** 31], [-2 ** 31]]))
+    assert at.dtype == object and at[0, 0] == 2 ** 62
+    huge = np.array([[2 ** 40, 2 ** 40]], dtype=object)
+    past = safe_matmul(huge, huge.T)
+    assert past.dtype == object and past[0, 0] == 2 ** 81
+    # a zero operand does not admit an entry too wide for int64
+    zero = safe_matmul(np.array([[2 ** 70]], dtype=object),
+                       np.zeros((1, 1), dtype=np.int64))
+    assert zero[0, 0] == 0
