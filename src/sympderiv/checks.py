@@ -15,6 +15,7 @@ Statuses:
 """
 
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -414,13 +415,13 @@ class CheckSpec:
 ALL_CHECKS = [
     CheckSpec("d2-rank",
               "rank of the degree-2 derivation lattice, two ways",
-              _check_d2_rank, (2, 3, 4), {2: 1, 3: 1, 4: 5}),
+              _check_d2_rank, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("dprime-index",
               "index of the integral tree sublattice is 2^C(2g,2)",
               _check_dprime_index, (2, 3), {2: 1, 3: 1}),
     CheckSpec("trace-surjectivity",
               "trace images fill the omega-kernels over GF(2)",
-              _check_trace_surjectivity, (2, 3, 4), {2: 1, 3: 1, 4: 6}),
+              _check_trace_surjectivity, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("trace-kernels",
               "trace kernels match the bounding-curve and bracket lattices",
               _check_trace_kernels, (2, 3), {2: 1, 3: 2}),
@@ -432,7 +433,7 @@ ALL_CHECKS = [
               _check_well_definedness, (2,), {2: 1}),
     CheckSpec("levine-counterexample",
               "one-sided kernel elements with nonzero A-side trace",
-              _check_levine, (2, 3, 4), {2: 1, 3: 1, 4: 4}),
+              _check_levine, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("casson-bridge",
               "re-gluing invariant equals the pairing with the A-side trace",
               _check_casson_bridge, (2, 3), {2: 1, 3: 2}),
@@ -441,16 +442,16 @@ ALL_CHECKS = [
               _check_quartic_vanishing, (2, 3), {2: 1, 3: 1}),
     CheckSpec("realizable-kernel",
               "A-side realizable catalog spans the double trace kernel",
-              _check_realizable_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 8}),
+              _check_realizable_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 2}),
     CheckSpec("realizable-sum",
               "catalog plus its quarter-turn image spans the full kernel",
-              _check_realizable_sum, (2, 3, 4), {2: 1, 3: 1, 4: 5}),
+              _check_realizable_sum, (2, 3, 4), {2: 1, 3: 1, 4: 2}),
     CheckSpec("goeritz-degree1",
               "two-sided degree-1 orbit equals the mixed wedge lattice",
               _check_goeritz_degree1, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("goeritz-kernel",
               "two-sided degree-2 catalog spans the triple trace kernel",
-              _check_goeritz_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 11}),
+              _check_goeritz_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 3}),
     CheckSpec("core-values",
               "core of the re-gluing invariant on bounding-curve twists",
               _check_core_values, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
@@ -470,9 +471,15 @@ def run_check(check_id: str, genus: int, seed: int = 0,
                            {"reason": "budget"})
     rng = np.random.default_rng(seed)
     t0 = time.time()
-    out = entry.fn(genus, rng)
+    try:
+        status, witness = entry.fn(genus, rng)
+    except Exception as exc:
+        # a raising check is a reported failure, not the end of the run;
+        # the traceback goes to stderr, the certificate gets type and text
+        traceback.print_exc()
+        status = "fail"
+        witness = {"exception": type(exc).__name__, "message": str(exc)}
     dt = time.time() - t0
-    status, witness = out
     if isinstance(status, bool):
         status = "pass" if status else "fail"
     return CheckReport(entry.id, entry.anchor, genus, status, witness, dt)

@@ -19,8 +19,8 @@ import numpy as np
 from . import trees
 from .freelie import SymplecticContext, context
 from .intlin import (IntegerLattice, as_int_matrix, hermite_normal_form,
-                     kernel_lattice, left_kernel, solve_over_hnf,
-                     _nonzero_rows, _pivot_cols)
+                     kernel_lattice, safe_matmul, solve_over_hnf,
+                     _pivot_cols)
 
 
 class MembershipError(ValueError):
@@ -57,16 +57,13 @@ def iota_matrix(g: int) -> np.ndarray:
 
 def gl_embed(g: int, p: np.ndarray) -> np.ndarray:
     """diag(P, (P^T)^{-1}) for P in GL(g, Z)."""
-    p = as_int_matrix(p)
-    det = round(float(np.linalg.det(p)))
-    if det not in (1, -1):
+    # P is unimodular iff its HNF is the identity, and then u = P^{-1}.
+    h, u = hermite_normal_form(p, transform=True)
+    if not np.array_equal(h, np.eye(g, dtype=np.int64)):
         raise ValueError("matrix is not in GL(g, Z)")
-    pinv_t = np.rint(np.linalg.inv(p.astype(float)).T).astype(np.int64)
-    if not np.array_equal(p.T @ pinv_t, np.eye(g, dtype=np.int64)):
-        raise ValueError("integer inverse check failed")
     m = np.zeros((2 * g, 2 * g), dtype=np.int64)
     m[:g, :g] = p
-    m[g:, g:] = pinv_t
+    m[g:, g:] = u.T
     return m
 
 
@@ -96,16 +93,17 @@ class _GenSolver:
 
     def __init__(self, rows: np.ndarray):
         h, u = hermite_normal_form(rows, transform=True)
-        mask = np.array([bool(np.any(r)) for r in h])
+        mask = (h != 0).any(axis=1)
         self.basis = h[mask]
-        self.trans = u[mask].astype(object)
+        self.trans = u[mask]
         self.pivots = _pivot_cols(self.basis)
 
     def solve(self, v):
+        """Coefficients of one vector, or of each row of a stack, or None."""
         c = solve_over_hnf(self.basis, self.pivots, v)
         if c is None:
             return None
-        return c @ self.trans
+        return safe_matmul(c, self.trans)
 
 
 class DerivationSpace:
@@ -200,13 +198,15 @@ class DerivationSpace:
         return self._solver_tree
 
     def express_in_generators(self, v) -> np.ndarray:
+        """Coefficients over all generators of v, or of each row of a stack."""
         c = self._full_solver().solve(v)
         if c is None:
             raise MembershipError("element is not in D_2")
         return c
 
     def express_in_tree_generators(self, v) -> np.ndarray:
-        """Coefficients over tree generators only; requires v in D_2'."""
+        """Coefficients over tree generators only; requires v (every row of
+        a stack) in D_2'."""
         c = self._tree_solver().solve(v)
         if c is None:
             raise MembershipError("element is not in the tree sublattice D_2'")
@@ -254,8 +254,8 @@ class DerivationSpace:
         if key not in self._ker_cache:
             basis = self.d2().basis
             m = self.quotient_map_matrix(killed)
-            coeff = kernel_lattice(m @ basis.T)
-            vecs = coeff.basis @ basis.astype(object) if coeff.rank else None
+            coeff = kernel_lattice(safe_matmul(m, basis.T))
+            vecs = safe_matmul(coeff.basis, basis) if coeff.rank else None
             self._ker_cache[key] = IntegerLattice(self.ambient_dim, vecs)
         return self._ker_cache[key]
 

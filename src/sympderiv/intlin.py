@@ -14,10 +14,6 @@ import math
 
 import numpy as np
 
-# int64 row operations are safe as long as every entry stays below this
-# bound: |q| * |entry| + |entry| < 2**63 for |q|, |entry| < 2**31.
-_INT64_SAFE = 2 ** 31
-
 
 class NotSublatticeError(ValueError):
     """Raised when an index [L1 : L2] is requested but L2 is not inside L1."""
@@ -29,13 +25,35 @@ def as_int_matrix(m) -> np.ndarray:
         raise ValueError("expected a 2-d matrix")
     if a.dtype == object:
         return a
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
 
 
 def _widen(a: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape, dtype=object)
-    out[...] = [[int(x) for x in row] for row in a]
+    out[...] = a.tolist()
     return out
+
+
+def _int64_ok(bound: int) -> bool:
+    return bound < 2 ** 62
+
+
+def _eliminate(w: np.ndarray, rows: np.ndarray, r: int, c: int) -> np.ndarray:
+    """Subtract from each of ``rows`` the multiple of row r that reduces its
+    column-c entry modulo w[r, c].  Row r is zero left of column c, so only
+    columns c: change; widens w to object first if int64 could overflow."""
+    block = w[rows, c:]
+    prow = w[r, c:]
+    qs = block[:, 0] // prow[0]
+    if w.dtype != object and not _int64_ok(
+            int(np.abs(qs).max()) * int(np.abs(prow).max())
+            + int(np.abs(block).max())):
+        w = _widen(w)
+        block, prow = w[rows, c:], w[r, c:]
+        qs = block[:, 0] // prow[0]
+    block -= qs[:, None] * prow[None, :]
+    w[rows, c:] = block
+    return w
 
 
 def hermite_normal_form(m, transform: bool = False):
@@ -61,57 +79,37 @@ def hermite_normal_form(m, transform: bool = False):
             live = r + np.flatnonzero(w[r:, c])
             if live.size == 0:
                 break
-            piv = live[np.argmin(np.abs(w[live, c]).astype(object))]
+            piv = live[np.argmin(np.abs(w[live, c]))]
             if piv != r:
                 w[[r, piv]] = w[[piv, r]]
             live = (r + 1) + np.flatnonzero(w[r + 1:, c])
             if live.size == 0:
                 break
-            p = w[r, c]
-            qs = w[live, c] // p
-            if w.dtype != object:
-                bound = int(np.abs(qs).max()) * int(np.abs(w[r]).max()) \
-                    + int(np.abs(w[live]).max())
-                if bound >= 2 ** 62:
-                    w = _widen(w)
-                    qs = w[live, c] // p
-            w[live] -= qs[:, None] * w[r][None, :]
+            w = _eliminate(w, live, r, c)
             if not np.any(w[live, c]):
                 break
         if not w[r, c]:
             continue
         if w[r, c] < 0:
-            w[r] = -w[r]
+            w[r, c:] = -w[r, c:]
         above = np.flatnonzero(w[:r, c])
         if above.size:
-            p = w[r, c]
-            qs = w[above, c] // p
-            if w.dtype != object:
-                bound = int(np.abs(qs).max()) * int(np.abs(w[r]).max()) \
-                    + int(np.abs(w[above]).max())
-                if bound >= 2 ** 62:
-                    w = _widen(w)
-                    qs = w[above, c] // p
-            w[above] -= qs[:, None] * w[r][None, :]
+            w = _eliminate(w, above, r, c)
         r += 1
-        if w.dtype != object and np.abs(w).max() >= _INT64_SAFE:
-            w = _widen(w)
     if transform:
         return w[:, :ncols], w[:, ncols:]
     return w
 
 
 def _nonzero_rows(h: np.ndarray) -> np.ndarray:
-    mask = np.array([bool(np.any(row)) for row in h])
-    return h[mask]
+    return h[(h != 0).any(axis=1)]
 
 
 def left_kernel(m) -> np.ndarray:
     """Basis (HNF rows) of {v : v @ m == 0}, saturated by construction."""
     a = as_int_matrix(m)
     h, u = hermite_normal_form(a, transform=True)
-    zero = np.array([not np.any(row) for row in h])
-    basis = u[zero]
+    basis = u[~(h != 0).any(axis=1)]
     if basis.shape[0] == 0:
         return np.zeros((0, a.shape[0]), dtype=np.int64)
     return _nonzero_rows(hermite_normal_form(basis))
@@ -123,29 +121,48 @@ def kernel_lattice(m) -> "IntegerLattice":
     return IntegerLattice(a.shape[1], left_kernel(a.T), canonical=True)
 
 
-def solve_over_hnf(basis: np.ndarray, pivots: list[int], v):
-    """Coefficients y with y @ basis == v, or None.  basis must be HNF rows."""
+def solve_over_hnf(basis: np.ndarray, pivots, v):
+    """Coefficients y with y @ basis == v, or None.  basis must be HNF rows.
+
+    v is one vector or a stack of rows, solved together by substitution on
+    the pivot columns.  HNF reduces the entries above a pivot modulo it, so
+    above a pivot 1 they are all 0 and its coefficient is the entry of v
+    itself.  The other pivots are solved in waves: each wave takes those
+    with no unsolved pivot row above them that is nonzero in their column,
+    dividing by the pivot with floor.  One product then checks every column,
+    which also rejects a remainder; None means some row is not in the span.
+    Products go through ``safe_matmul`` and widen under its bound.
+    """
     v = np.asarray(v)
-    if basis.dtype == object or v.dtype == object:
-        rem = v.astype(object)
-    else:
-        rem = v.astype(np.int64)
-    coeffs = []
-    for i, c in enumerate(pivots):
-        p = basis[i, c]
-        q, r = divmod(int(rem[c]), int(p))
-        if r:
-            return None
-        coeffs.append(q)
-        if q:
-            rem = rem - q * basis[i]
-    if np.any(rem):
+    rows = np.atleast_2d(v)
+    pivots = np.asarray(pivots, dtype=np.intp)
+    wide = basis.dtype == object or not _int64_ok(
+        int(np.abs(rows).max(initial=0)))
+    target = rows[:, pivots].astype(object if wide else np.int64, copy=False)
+    heads = basis[np.arange(len(pivots)), pivots]
+    todo = np.flatnonzero(heads != 1)
+    coeffs = target.copy()
+    coeffs[:, todo] = 0
+    while todo.size:
+        cols = pivots[todo]
+        ready = ~np.triu(basis[todo][:, cols] != 0, 1).any(axis=0)
+        rest = (target[:, todo[ready]]
+                - safe_matmul(coeffs, basis[:, cols[ready]]))
+        if rest.dtype == object:
+            coeffs = coeffs.astype(object)
+        coeffs[:, todo[ready]] = rest // heads[todo[ready]]
+        todo = todo[~ready]
+    used = np.flatnonzero((coeffs != 0).any(axis=0))
+    if (safe_matmul(coeffs[:, used], basis[used]) != rows).any():
         return None
-    return np.array(coeffs, dtype=object)
+    return coeffs if v.ndim == 2 else coeffs[0]
 
 
-def _pivot_cols(basis: np.ndarray) -> list[int]:
-    return [int(np.flatnonzero(row)[0]) for row in basis]
+def _pivot_cols(basis: np.ndarray) -> np.ndarray:
+    """Column of the first nonzero entry of each row (rows are nonzero)."""
+    if basis.size == 0:
+        return np.zeros(len(basis), dtype=np.intp)
+    return np.argmax(basis != 0, axis=1)
 
 
 class IntegerLattice:
@@ -195,38 +212,29 @@ class IntegerLattice:
             return other
         if other.rank == 0:
             return self
-        stacked = np.vstack([self.basis.astype(object),
-                             other.basis.astype(object)])
-        return IntegerLattice(self.ambient_dim, stacked)
+        return IntegerLattice(self.ambient_dim,
+                              np.vstack([self.basis, other.basis]))
 
     def intersection(self, other: "IntegerLattice") -> "IntegerLattice":
         self._check(other)
         if self.rank == 0 or other.rank == 0:
             return IntegerLattice(self.ambient_dim)
-        stacked = np.vstack([self.basis.astype(object),
-                             -other.basis.astype(object)])
-        ker = left_kernel(stacked)
+        ker = left_kernel(np.vstack([self.basis, -other.basis]))
         if ker.shape[0] == 0:
             return IntegerLattice(self.ambient_dim)
-        vecs = ker[:, :self.rank] @ self.basis.astype(object)
-        return IntegerLattice(self.ambient_dim, vecs)
+        return IntegerLattice(self.ambient_dim,
+                              safe_matmul(ker[:, :self.rank], self.basis))
 
     def index(self, sub: "IntegerLattice"):
         """[self : sub]; math.inf when ranks differ, error if sub not inside."""
         self._check(sub)
-        coeff_rows = []
-        for row in sub.basis:
-            c = self.membership(row)
-            if c is None:
-                raise NotSublatticeError("not a sublattice")
-            coeff_rows.append(c)
+        coeffs = self.membership(sub.basis)
+        if coeffs is None:
+            raise NotSublatticeError("not a sublattice")
         if sub.rank < self.rank:
             return math.inf
-        h = _nonzero_rows(hermite_normal_form(np.array(coeff_rows, dtype=object)))
-        idx = 1
-        for i in range(h.shape[0]):
-            idx *= int(h[i, _pivot_cols(h)[i]])
-        return idx
+        h = _nonzero_rows(hermite_normal_form(coeffs))
+        return math.prod(int(h[i, c]) for i, c in enumerate(_pivot_cols(h)))
 
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -235,17 +243,6 @@ class IntegerLattice:
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on int bitsets (bit i of a row <-> column i).
-
-def gf2_from_rows(rows, ncols: int) -> "GF2Matrix":
-    packed = []
-    for row in rows:
-        x = 0
-        for i, v in enumerate(row):
-            if int(v) & 1:
-                x |= 1 << i
-        packed.append(x)
-    return GF2Matrix(packed, ncols)
-
 
 class GF2Matrix:
     __slots__ = ("rows", "ncols")
@@ -276,68 +273,25 @@ class GF2Matrix:
             pivots.append(c)
         return pivots, echelon
 
-    def solve(self, target) -> list[int] | None:
-        """x with x @ rows == target (row-combination solve), or None."""
-        t = 0
-        for i, v in enumerate(target):
-            if int(v) & 1:
-                t |= 1 << i
-        work = [(r, 1 << i) for i, r in enumerate(self.rows)]
-        acc = (t, 0)
-        reduced = []
-        for c in range(self.ncols):
-            piv = None
-            for i, (r, _) in enumerate(work):
-                if (r >> c) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            prow = work.pop(piv)
-            work = [(r ^ prow[0], k ^ prow[1]) if (r >> c) & 1 else (r, k)
-                    for r, k in work]
-            if (acc[0] >> c) & 1:
-                acc = (acc[0] ^ prow[0], acc[1] ^ prow[1])
-            reduced.append(prow)
-        if acc[0]:
-            return None
-        return [(acc[1] >> i) & 1 for i in range(len(self.rows))]
-
-    def kernel_basis(self) -> list[list[int]]:
-        """Basis of {x : x @ rows == 0} over GF(2)."""
-        n = len(self.rows)
-        work = [(r, 1 << i) for i, r in enumerate(self.rows)]
-        out = []
-        for c in range(self.ncols):
-            piv = None
-            for i, (r, _) in enumerate(work):
-                if (r >> c) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            prow = work.pop(piv)
-            work = [(r ^ prow[0], k ^ prow[1]) if (r >> c) & 1 else (r, k)
-                    for r, k in work]
-        for r, k in work:
-            if r == 0:
-                out.append([(k >> i) & 1 for i in range(n)])
-        return out
-
 
 def safe_matmul(a, b) -> np.ndarray:
     """Exact integer product, using int64 when a bound rules out overflow.
 
     The bound is applied whatever the operand dtypes, so object arrays with
     small entries are multiplied in int64 too.  Each factor counts as at
-    least 1, which also keeps every entry of both operands castable.
+    least 1, which also keeps every entry of both operands castable.  a may
+    be a single row vector.  Under the bound the product runs through
+    numpy's integer einsum loops (faster than integer matmul), in int32
+    when the bound is below 2**31.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
     bound = (max(1, int(np.abs(a).max())) * max(1, int(np.abs(b).max()))
-             * max(1, a.shape[1]))
-    if bound < 2 ** 62:
-        return a.astype(np.int64) @ b.astype(np.int64)
+             * max(1, a.shape[-1]))
+    if _int64_ok(bound):
+        dtype = np.int32 if bound < 2 ** 31 else np.int64
+        out = np.einsum("...j,jk->...k", a.astype(dtype), b.astype(dtype))
+        return out.astype(np.int64, copy=False)
     return a.astype(object) @ b.astype(object)

@@ -14,8 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .derivspace import DerivationSpace, FiltrationError, space
-from .intlin import (GF2Matrix, IntegerLattice, gf2_from_rows, kernel_lattice,
-                     safe_matmul)
+from .intlin import GF2Matrix, IntegerLattice, kernel_lattice, safe_matmul
 
 
 # -- GF(2) targets ----------------------------------------------------------
@@ -106,22 +105,33 @@ def tr_as_gen(g: int, gen) -> int:
     return bits
 
 
+def _trace_bits(sp: DerivationSpace, which: str, vecs) -> list[int]:
+    """tr_as or tr_sym bitmasks of each row of vecs, from one batched
+    generator solve: XOR of the generator images with odd coefficients."""
+    if which == "as":
+        coeffs = sp.express_in_generators(vecs)
+        gens, fn = sp.generators, tr_as_gen
+    else:
+        coeffs = sp.express_in_tree_generators(vecs)
+        gens = [sp.generators[i] for i in sp.tree_indices]
+        fn = tr_sym_gen
+    odd = np.atleast_2d(coeffs % 2).astype(bool)
+    masks = {j: fn(sp.g, gens[j]) for j in np.flatnonzero(odd.any(axis=0))}
+    out = []
+    for row in odd:
+        bits = 0
+        for j in np.flatnonzero(row):
+            bits ^= masks[j]
+        out.append(bits)
+    return out
+
+
 def tr_sym(sp: DerivationSpace, v) -> int:
-    coeffs = sp.express_in_tree_generators(v)
-    bits = 0
-    for c, i in zip(coeffs, sp.tree_indices):
-        if int(c) % 2:
-            bits ^= tr_sym_gen(sp.g, sp.generators[i])
-    return bits
+    return _trace_bits(sp, "sym", v)[0]
 
 
 def tr_as(sp: DerivationSpace, v) -> int:
-    coeffs = sp.express_in_generators(v)
-    bits = 0
-    for c, gen in zip(coeffs, sp.generators):
-        if int(c) % 2:
-            bits ^= tr_as_gen(sp.g, gen)
-    return bits
+    return _trace_bits(sp, "as", v)[0]
 
 
 # -- the A-side and B-side traces ------------------------------------------
@@ -234,15 +244,19 @@ def _coeffs_to_ambient(sp: DerivationSpace, coeff_basis,
     return IntegerLattice(sp.ambient_dim, vecs)
 
 
-def _gf2_image_rows(sp: DerivationSpace, which: str, lattice: IntegerLattice):
-    fn = tr_as if which == "as" else tr_sym
-    return [fn(sp, row) for row in lattice.basis]
+def _gf2_image_rows(sp: DerivationSpace, which: str) -> list[int]:
+    """Trace bitmasks of the basis of D_2 ("as") or of D_2' ("sym")."""
+    key = "_gf2_rows_" + which
+    if not hasattr(sp, key):
+        lattice = sp.d2() if which == "as" else sp.dprime2()
+        setattr(sp, key, _trace_bits(sp, which, lattice.basis))
+    return getattr(sp, key)
 
 
 def ker_tr_as(sp: DerivationSpace) -> IntegerLattice:
     if not hasattr(sp, "_ker_tr_as"):
         d2 = sp.d2()
-        rows = _gf2_image_rows(sp, "as", d2)
+        rows = _gf2_image_rows(sp, "as")
         t = np.array([[(r >> j) & 1 for r in rows]
                       for j in range(len(ext2_pairs(2 * sp.g)))], dtype=np.int64)
         sp._ker_tr_as = _coeffs_to_ambient(sp, _mod2_preimage(t).basis, d2)
@@ -253,7 +267,7 @@ def ker_tr_sym(sp: DerivationSpace) -> IntegerLattice:
     """Kernel of tr_sym inside D_2'."""
     if not hasattr(sp, "_ker_tr_sym"):
         dp = sp.dprime2()
-        rows = _gf2_image_rows(sp, "sym", dp)
+        rows = _gf2_image_rows(sp, "sym")
         t = np.array([[(r >> j) & 1 for r in rows]
                       for j in range(len(sym2_pairs(2 * sp.g)))], dtype=np.int64)
         sp._ker_tr_sym = _coeffs_to_ambient(sp, _mod2_preimage(t).basis, dp)
@@ -289,20 +303,20 @@ def ker_tr_B(sp: DerivationSpace) -> IntegerLattice:
 # -- image ranks over GF(2) -------------------------------------------------
 
 def image_rank_as(sp: DerivationSpace) -> int:
-    rows = _gf2_image_rows(sp, "as", sp.d2())
+    rows = _gf2_image_rows(sp, "as")
     return GF2Matrix(rows, len(ext2_pairs(2 * sp.g))).rank()
 
 
 def image_rank_sym(sp: DerivationSpace) -> int:
-    rows = _gf2_image_rows(sp, "sym", sp.dprime2())
+    rows = _gf2_image_rows(sp, "sym")
     return GF2Matrix(rows, len(sym2_pairs(2 * sp.g))).rank()
 
 
 def image_in_omega_kernel(sp: DerivationSpace, which: str) -> bool:
     if which == "as":
-        rows = _gf2_image_rows(sp, "as", sp.d2())
+        rows = _gf2_image_rows(sp, "as")
         func = omega_functional_ext(sp.g)
     else:
-        rows = _gf2_image_rows(sp, "sym", sp.dprime2())
+        rows = _gf2_image_rows(sp, "sym")
         func = omega_functional_sym(sp.g)
     return all(bin(r & func).count("1") % 2 == 0 for r in rows)

@@ -1,5 +1,6 @@
 """Command-line driver: selection, exit codes, and certificate output."""
 
+import dataclasses
 import json
 
 import pytest
@@ -69,3 +70,19 @@ def test_seed_recorded_in_certificate(tmp_path, capsys):
     assert main(["--check", "core-values", "--seed", "7",
                  "--json", str(p)]) == 0
     assert json.loads(p.read_text())["seed"] == 7
+
+
+def test_raising_check_is_reported_as_failure(tmp_path, capsys, monkeypatch):
+    def boom(genus, rng):
+        raise ZeroDivisionError("no luck")
+
+    spec = dataclasses.replace(checks.CHECKS["core-values"], fn=boom)
+    monkeypatch.setitem(checks.CHECKS, "core-values", spec)
+    p = tmp_path / "cert.json"
+    args = ["--check", "d2-rank", "--check", "core-values", "--json", str(p)]
+    assert main(args) == 1
+    doc = json.loads(p.read_text())
+    assert [c["status"] for c in doc["checks"]] == ["pass", "fail"]
+    assert doc["checks"][1]["witness"] == {"exception": "ZeroDivisionError",
+                                           "message": "no luck"}
+    assert "Traceback" in capsys.readouterr().err

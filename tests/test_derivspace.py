@@ -99,6 +99,16 @@ def test_symplectic_predicates():
     assert is_symplectic(g, gl_embed(g, p))
 
 
+def test_gl_embed_inverts_exactly():
+    p = np.array([[2, 1, 0], [1, 1, 0], [3, 0, 1]])
+    m = gl_embed(3, p)
+    assert np.array_equal(p.T @ m[3:, 3:], np.eye(3, dtype=np.int64))
+    assert is_symplectic(3, m)
+    for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
+        with pytest.raises(ValueError):
+            gl_embed(2, np.array(bad))
+
+
 def test_iota_swaps_sides():
     g = 2
     m = iota_matrix(g)

@@ -1,11 +1,13 @@
 """Exact integer / GF(2) linear algebra primitives."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from sympderiv.intlin import (GF2Matrix, IntegerLattice, NotSublatticeError,
-                              gf2_from_rows, hermite_normal_form,
-                              kernel_lattice, left_kernel, safe_matmul)
+                              hermite_normal_form, kernel_lattice, left_kernel,
+                              safe_matmul, solve_over_hnf)
 
 
 def random_matrix(rng, shape, lo=-5, hi=6):
@@ -83,30 +85,9 @@ def test_lattice_equality_ignores_generator_choice():
     assert IntegerLattice(5, m) == IntegerLattice(5, doubled)
 
 
-def test_gf2_rank_and_solve():
-    rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
-    m = gf2_from_rows(rows, 3)
-    assert m.rank() == 2
-    sol = m.solve([0, 1, 1])
-    assert sol is not None
-    acc = 0
-    masks = [0b101, 0b110, 0b011]
-    for c, mask in zip(sol, masks):
-        if c:
-            acc ^= mask
-    assert acc == 0b110
-    assert m.solve([1, 1, 1]) is None
-
-
-def test_gf2_kernel_basis():
-    m = gf2_from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3)
-    for v in m.kernel_basis():
-        acc = 0
-        rows = [0b011, 0b110, 0b101]
-        for i, c in enumerate(v):
-            if c:
-                acc ^= rows[i]
-        assert acc == 0
+def test_gf2_rank():
+    assert GF2Matrix([0b101, 0b110, 0b011], 3).rank() == 2
+    assert GF2Matrix([0b001, 0b010, 0b100], 3).rank() == 3
 
 
 def test_safe_matmul_wide_entries():
@@ -137,3 +118,137 @@ def test_safe_matmul_int64_bound():
     zero = safe_matmul(np.array([[2 ** 70]], dtype=object),
                        np.zeros((1, 1), dtype=np.int64))
     assert zero[0, 0] == 0
+
+
+def test_safe_matmul_int32_tier():
+    # max|a| * max|b| * inner just below 2**31: the int32 loop, exact
+    a = np.array([[2 ** 15, 2 ** 15]])
+    below = safe_matmul(a, np.array([[2 ** 15 - 1], [2 ** 15 - 1]]))
+    assert below.dtype == np.int64 and below[0, 0] == 2 ** 31 - 2 ** 16
+    # at 2**31 the sum would wrap in int32; int64 keeps it exact
+    at = safe_matmul(a, np.array([[2 ** 15], [2 ** 15]]))
+    assert at.dtype == np.int64 and at[0, 0] == 2 ** 31
+    # a single row vector on the left
+    assert safe_matmul(np.array([1, 2]), np.array([[3], [4]])).tolist() == [11]
+
+
+def exact_det(m):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(int(x)) for x in row] for row in m]
+    det = Fraction(1)
+    for i in range(len(a)):
+        piv = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+def check_hnf(m, h, u):
+    m = np.asarray(m, dtype=object)
+    assert np.array_equal(np.asarray(u, dtype=object) @ m, h)
+    assert exact_det(u) in (1, -1)
+    # the object path is exact by construction; the int64 path must agree
+    assert np.array_equal(h, hermite_normal_form(m))
+
+
+def test_hnf_entries_past_2_31_stay_exact():
+    # entries above 2**31, but every update stays below 2**62: int64
+    # throughout, and exact
+    m = np.array([[1, 0, 2 ** 40], [0, 1, 2 ** 35],
+                  [1, 1, 2 ** 40 + 2 ** 35 + 3]])
+    h, u = hermite_normal_form(m, transform=True)
+    assert h.dtype == np.int64 and h[2, 2] == 3
+    check_hnf(m, h, u)
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        m = rng.integers(-2 ** 34, 2 ** 34, size=(4, 6))
+        h, u = hermite_normal_form(m, transform=True)
+        check_hnf(m, h, u)
+
+
+def test_hnf_widens_past_update_bound():
+    # the second row minus 5 times the first has -2**63 in column 1: the
+    # update bound crosses 2**62, so the HNF must widen before the update
+    m = np.array([[1, 2 ** 61, 0], [5, 2 ** 61, 1], [0, 3, 7]])
+    h, u = hermite_normal_form(m, transform=True)
+    assert h.dtype == object
+    check_hnf(m, h, u)
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        m = rng.integers(-2 ** 60, 2 ** 60, size=(3, 4))
+        h, u = hermite_normal_form(m, transform=True)
+        check_hnf(m, h, u)
+
+
+def test_solve_over_hnf_batched_matches_rows():
+    rng = np.random.default_rng(15)
+    lat = IntegerLattice(6, random_matrix(rng, (4, 6)))
+    basis, pivots = lat.basis, lat._pivots
+    rows = rng.integers(-3, 4, size=(7, lat.rank)) @ basis
+    batch = solve_over_hnf(basis, pivots, rows)
+    assert batch.shape == (7, lat.rank)
+    for row, coeffs in zip(rows, batch):
+        assert np.array_equal(solve_over_hnf(basis, pivots, row), coeffs)
+    assert np.array_equal(batch @ basis, rows)
+    # one row outside the span makes the whole batch fail
+    outside = rows.copy()
+    outside[3, -1] += 1
+    assert solve_over_hnf(basis, pivots, outside) is None
+    # pivots 2, 2, 3 whose columns hold entries of the rows above: each
+    # coefficient waits for those above it
+    chain = np.array([[2, 1, 1], [0, 2, 1], [0, 0, 3]])
+    ys = rng.integers(-5, 6, size=(6, 3))
+    assert np.array_equal(solve_over_hnf(chain, [0, 1, 2], ys @ chain), ys)
+    assert solve_over_hnf(chain, [0, 1, 2], [[2, 1, 2]]) is None
+    # a non-integer coefficient: (1, 0) is half of a basis vector of 2Z + 3Z
+    small = IntegerLattice(2, np.array([[2, 0], [0, 3]]))
+    assert solve_over_hnf(small.basis, small._pivots, [[4, 3], [1, 0]]) is None
+    assert small.membership([4, 3]).tolist() == [2, 1]
+
+
+def test_solve_over_hnf_widens_exactly():
+    # row 1: y = (2**30, -2**30); the step at the second pivot subtracts
+    # 2**30 * (2**40 - 1), past the int64 bound, so it runs in object
+    basis = np.array([[1, 2 ** 40 - 1], [0, 2 ** 40]])
+    rows = [[2 ** 30, -2 ** 30], [1, 2 ** 41 - 1]]
+    coeffs = solve_over_hnf(basis, [0, 1], rows)
+    assert coeffs.dtype == object
+    assert coeffs.tolist() == [[2 ** 30, -2 ** 30], [1, 1]]
+    assert solve_over_hnf(basis, [0, 1], [2 ** 30, 1 - 2 ** 30]) is None
+
+
+def test_sum_and_intersection_agree_across_dtypes():
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        a = random_matrix(rng, (3, 5))
+        b = random_matrix(rng, (4, 5))
+        la, lb = IntegerLattice(5, a), IntegerLattice(5, b)
+        oa = IntegerLattice(5, a.astype(object))
+        ob = IntegerLattice(5, b.astype(object))
+        assert oa.basis.dtype == object
+        assert la.sum(lb) == oa.sum(ob)
+        assert la.intersection(lb) == oa.intersection(ob)
+
+
+def test_index_matches_smith_normal_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        lat = IntegerLattice(6, random_matrix(rng, (4, 6)))
+        c = random_matrix(rng, (lat.rank, lat.rank), -3, 4)
+        snf = smith_normal_form(sympy.Matrix(c.tolist()), domain=sympy.ZZ)
+        expected = abs(int(sympy.prod(snf.diagonal())))
+        sub = IntegerLattice(6, c @ lat.basis)
+        if expected == 0:
+            assert lat.index(sub) == float("inf")
+        else:
+            assert lat.index(sub) == expected
+    assert IntegerLattice(3).index(IntegerLattice(3)) == 1
