@@ -15,6 +15,7 @@ import numpy as np
 
 from .derivspace import DerivationSpace
 from .freelie import SymplecticContext
+from .traces import tr_omegaS
 
 # mu(v, S) := eps_base(theta(v)) - eps_twisted(theta(v)); this sign makes
 # (1/2 omega_S + omega_delta) o tr_omegaS = mu(-, S) hold on the nose
@@ -158,14 +159,8 @@ def dbar_of_coeffs(sp: DerivationSpace, coeffs) -> int:
                for c, gen in zip(coeffs, sp.generators) if int(c))
 
 
-def qbar(sp: DerivationSpace, v) -> Fraction:
-    """eps_j(theta) + (1/3) dbar on a generator expression of v."""
-    coeffs = sp.express_in_generators(v)
-    th = eps_eval(theta_of_coeffs(sp, coeffs), lk_base(sp.g))
-    return Fraction(th) + Fraction(dbar_of_coeffs(sp, coeffs), 3)
-
-
 def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> Fraction:
+    """eps_j(theta) + (1/3) dbar on a generator expression."""
     th = eps_eval(theta_of_coeffs(sp, coeffs), lk_base(sp.g))
     return Fraction(th) + Fraction(dbar_of_coeffs(sp, coeffs), 3)
 
@@ -211,7 +206,6 @@ def omega_delta_of_tensor(g: int, t: np.ndarray) -> int:
 
 def half_omegaS_plus_delta(sp: DerivationSpace, v, s) -> Fraction:
     """(1/2 omega_S + omega_delta) applied to tr_omegaS(v, S)."""
-    from .traces import tr_omegaS
     t = tr_omegaS(sp, v, s)
     return Fraction(omega_S_of_tensor(s, t), 2) \
         + Fraction(omega_delta_of_tensor(sp.g, t))

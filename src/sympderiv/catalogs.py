@@ -47,12 +47,6 @@ class CatalogEntry:
 
 # -- vector helpers ------------------------------------------------------
 
-def _omega_vec(g, u, v):
-    u = [int(x) for x in u]
-    v = [int(x) for x in v]
-    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
-
-
 def pretty_vector(ctx, vec):
     """Human-readable form of an H-vector, e.g. 'a1-b2'."""
     parts = []
@@ -73,11 +67,6 @@ def pretty_vector(ctx, vec):
     return s[1:] if s.startswith("+") else s
 
 
-def classify_type(sp, gen):
-    """Leaf count (A-colored, B-colored) of a generator; delegates to the space."""
-    return sp.classify_type(gen)
-
-
 # -- bounding-curve images -----------------------------------------------
 
 def bscc_image(ctx: SymplecticContext, pairs):
@@ -86,14 +75,13 @@ def bscc_image(ctx: SymplecticContext, pairs):
 
     Requires omega(u_i, v_j) = delta_ij and omega(u_i, u_j) = omega(v_i, v_j) = 0.
     """
-    g = ctx.g
+    w = ctx.omega
     pairs = [(np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
              for u, v in pairs]
     for i, (u1, v1) in enumerate(pairs):
         for j, (u2, v2) in enumerate(pairs):
-            if (_omega_vec(g, u1, v2) != (1 if i == j else 0)
-                    or _omega_vec(g, u1, u2) != 0
-                    or _omega_vec(g, v1, v2) != 0):
+            if (w(u1, v2) != (1 if i == j else 0)
+                    or w(u1, u2) != 0 or w(v1, v2) != 0):
                 raise SymplecticFamilyError(
                     "pairs %d,%d are not omega-orthonormal" % (i, j))
     out = hl_zero(ctx, 3)
@@ -154,9 +142,6 @@ def tripod_bracket_entries(sp: DerivationSpace, side):
 def realizable_catalog_A(sp: DerivationSpace):
     """The family R_g: bounding-curve images for A-meridian-bounding curves
     plus brackets of tripods that each carry an A-leaf.
-
-    Returns (entries, full) where full is False for g < 4; below four
-    handles some index choices degenerate and the family is only partial.
     """
     ctx = sp.ctx
     g = sp.g
@@ -197,7 +182,7 @@ def realizable_catalog_A(sp: DerivationSpace):
                 ctx, [(a[k], b[k] + a[i])],
                 "bscc:(a%d,b%d+a%d)" % (k + 1, k + 1, i + 1)))
     entries.extend(tripod_bracket_entries(sp, side="A"))
-    return entries, g >= 4
+    return entries
 
 
 # -- the Johnson catalog -------------------------------------------------
@@ -223,11 +208,11 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
     three-term sums when ``three_term``), deduplicated up to sign.
     """
     ctx = sp.ctx
-    g = sp.g
-    colors = _color_set(g, three_term)
+    omega = ctx.omega
+    colors = _color_set(sp.g, three_term)
     sympl_pairs = []
     for u, v in itertools.combinations(colors, 2):
-        w = _omega_vec(g, u, v)
+        w = omega(u, v)
         if w == 1:
             sympl_pairs.append((u, v))
         elif w == -1:
@@ -244,8 +229,7 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
             "odot(%s,%s)" % (pretty_vector(ctx, u), pretty_vector(ctx, v)),
             "symmetric half of a genus-1 bounding curve", val))
     for (u1, v1), (u2, v2) in itertools.combinations(sympl_pairs, 2):
-        if (_omega_vec(g, u1, u2) or _omega_vec(g, u1, v2)
-                or _omega_vec(g, v1, u2) or _omega_vec(g, v1, v2)):
+        if omega(u1, u2) or omega(u1, v2) or omega(v1, u2) or omega(v1, v2):
             continue
         val = eta2(ctx, u1, v1, u2, v2)
         key = val.tobytes()
@@ -389,10 +373,3 @@ def goeritz_tau2_lattice(sp: DerivationSpace):
     """Orbit closure of the degree-2 two-sided family."""
     rows = [e.value for e in goeritz_tau2_entries(sp)]
     return orbit_closure(sp.ctx, rows, goeritz_symmetries(sp.g), 3)
-
-
-def goeritz_catalogs(sp: DerivationSpace):
-    """(degree-1 seed tripods, degree-2 entries) for the two-sided group."""
-    ctx = sp.ctx
-    seed = [(0, sp.g, sp.g + 1)]
-    return seed, goeritz_tau2_entries(sp)

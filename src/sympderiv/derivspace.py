@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import trees
-from .freelie import SymplecticContext, context
+from .freelie import SymplecticContext, context, standard_factorization
 from .intlin import (IntegerLattice, as_int_matrix, hermite_normal_form,
                      kernel_lattice, safe_matmul, solve_over_hnf,
                      _pivot_cols)
@@ -35,20 +35,8 @@ class InconsistencyError(RuntimeError):
     pass
 
 
-def symplectic_J(g: int) -> np.ndarray:
-    j = np.zeros((2 * g, 2 * g), dtype=np.int64)
-    j[:g, g:] = np.eye(g, dtype=np.int64)
-    j[g:, :g] = -np.eye(g, dtype=np.int64)
-    return j
-
-
-def is_symplectic(g: int, m: np.ndarray) -> bool:
-    j = symplectic_J(g)
-    return bool(np.array_equal(m.T @ j @ m, j))
-
-
 def iota_matrix(g: int) -> np.ndarray:
-    """a_i -> -b_i, b_i -> a_i."""
+    """a_i -> -b_i, b_i -> a_i; also the Gram matrix J of omega."""
     m = np.zeros((2 * g, 2 * g), dtype=np.int64)
     m[:g, g:] = np.eye(g, dtype=np.int64)
     m[g:, :g] = -np.eye(g, dtype=np.int64)
@@ -77,7 +65,6 @@ def lie_degree_matrix(ctx: SymplecticContext, m: np.ndarray, k: int) -> np.ndarr
             if len(w) == 1:
                 cache[w] = m[:, w[0]].copy()
             else:
-                from .freelie import standard_factorization
                 u, v = standard_factorization(w)
                 cache[w] = ctx.lie_bracket(len(u), img(u), len(v), img(v))
         return cache[w]
@@ -146,21 +133,19 @@ class DerivationSpace:
         return trees.eta2(self.ctx, e(p), e(q), e(r), e(s))
 
     # -- main lattices ----------------------------------------------------
+    @lru_cache(maxsize=None)
     def gen_matrix(self) -> np.ndarray:
-        if not hasattr(self, "_gen_matrix"):
-            cols = [self.gen_value(gen) for gen in self.generators]
-            self._gen_matrix = np.array(cols, dtype=np.int64).T
-        return self._gen_matrix
+        cols = [self.gen_value(gen) for gen in self.generators]
+        return np.array(cols, dtype=np.int64).T
 
+    @lru_cache(maxsize=None)
     def d2(self) -> IntegerLattice:
-        if not hasattr(self, "_d2"):
-            ker = kernel_lattice(self.ctx.bracket_matrix(2))
-            span = IntegerLattice(self.ambient_dim, self.gen_matrix().T)
-            if span != ker:
-                raise InconsistencyError(
-                    "generator span differs from the bracket-map kernel")
-            self._d2 = ker
-        return self._d2
+        ker = kernel_lattice(self.ctx.bracket_matrix(2))
+        span = IntegerLattice(self.ambient_dim, self.gen_matrix().T)
+        if span != ker:
+            raise InconsistencyError(
+                "generator span differs from the bracket-map kernel")
+        return ker
 
     def d2_rank_by_count(self) -> int:
         """Independent rank count: pairs-of-pairs minus the quartic piece."""
@@ -168,16 +153,14 @@ class DerivationSpace:
         npairs = math.comb(n, 2)
         return math.comb(npairs + 1, 2) - math.comb(n, 4)
 
+    @lru_cache(maxsize=None)
     def dprime2(self) -> IntegerLattice:
-        if not hasattr(self, "_dprime2"):
-            cols = self.gen_matrix()[:, self.tree_indices]
-            self._dprime2 = IntegerLattice(self.ambient_dim, cols.T)
-        return self._dprime2
+        cols = self.gen_matrix()[:, self.tree_indices]
+        return IntegerLattice(self.ambient_dim, cols.T)
 
+    @lru_cache(maxsize=None)
     def d1(self) -> IntegerLattice:
-        if not hasattr(self, "_d1"):
-            self._d1 = kernel_lattice(self.ctx.bracket_matrix(1))
-        return self._d1
+        return kernel_lattice(self.ctx.bracket_matrix(1))
 
     def d1_tree_basis(self) -> list[tuple[int, int, int]]:
         return list(itertools.combinations(range(self.ctx.n), 3))
@@ -187,15 +170,13 @@ class DerivationSpace:
         return trees.eta1(self.ctx, e(triple[0]), e(triple[1]), e(triple[2]))
 
     # -- expressing elements over generators ------------------------------
+    @lru_cache(maxsize=None)
     def _full_solver(self) -> _GenSolver:
-        if not hasattr(self, "_solver_full"):
-            self._solver_full = _GenSolver(self.gen_matrix().T)
-        return self._solver_full
+        return _GenSolver(self.gen_matrix().T)
 
+    @lru_cache(maxsize=None)
     def _tree_solver(self) -> _GenSolver:
-        if not hasattr(self, "_solver_tree"):
-            self._solver_tree = _GenSolver(self.gen_matrix()[:, self.tree_indices].T)
-        return self._solver_tree
+        return _GenSolver(self.gen_matrix()[:, self.tree_indices].T)
 
     def express_in_generators(self, v) -> np.ndarray:
         """Coefficients over all generators of v, or of each row of a stack."""
@@ -213,22 +194,16 @@ class DerivationSpace:
         return c
 
     # -- filtration by A-leaves (or B-leaves) ------------------------------
+    @lru_cache(maxsize=None)
     def filtration(self, level: int, side: str = "A") -> IntegerLattice:
         if not -1 <= level <= 3:
             raise ValueError("filtration level must be in -1..3")
-        key = ("_filt", level, side)
-        if not hasattr(self, "_filt_cache"):
-            self._filt_cache = {}
-        if key not in self._filt_cache:
-            if level == -1:
-                self._filt_cache[key] = self.d2()
-            else:
-                which = 0 if side == "A" else 1
-                cols = [i for i, gen in enumerate(self.generators)
-                        if self.classify_type(gen)[which] >= level + 1]
-                self._filt_cache[key] = IntegerLattice(
-                    self.ambient_dim, self.gen_matrix()[:, cols].T)
-        return self._filt_cache[key]
+        if level == -1:
+            return self.d2()
+        which = 0 if side == "A" else 1
+        cols = [i for i, gen in enumerate(self.generators)
+                if self.classify_type(gen)[which] >= level + 1]
+        return IntegerLattice(self.ambient_dim, self.gen_matrix()[:, cols].T)
 
     # -- kernels of quotient coordinate maps ------------------------------
     def quotient_map_matrix(self, killed: str) -> np.ndarray:
@@ -246,18 +221,14 @@ class DerivationSpace:
             out[qi * qd3:(qi + 1) * qd3, h * d3:(h + 1) * d3] = proj
         return out
 
+    @lru_cache(maxsize=None)
     def ker_projection(self, killed: str = "A") -> IntegerLattice:
         """Kernel of D_2(H) -> D_2(H/killed) as a sublattice of D_2."""
-        key = ("_kerproj", killed)
-        if not hasattr(self, "_ker_cache"):
-            self._ker_cache = {}
-        if key not in self._ker_cache:
-            basis = self.d2().basis
-            m = self.quotient_map_matrix(killed)
-            coeff = kernel_lattice(safe_matmul(m, basis.T))
-            vecs = safe_matmul(coeff.basis, basis) if coeff.rank else None
-            self._ker_cache[key] = IntegerLattice(self.ambient_dim, vecs)
-        return self._ker_cache[key]
+        basis = self.d2().basis
+        m = self.quotient_map_matrix(killed)
+        coeff = kernel_lattice(safe_matmul(m, basis.T))
+        vecs = safe_matmul(coeff.basis, basis) if coeff.rank else None
+        return IntegerLattice(self.ambient_dim, vecs)
 
 
 @lru_cache(maxsize=None)

@@ -92,19 +92,14 @@ class SymplecticContext:
         return 0
 
     def omega(self, u, v) -> int:
-        u = self._vec(u)
-        v = self._vec(v)
-        g = self.g
-        tot = 0
-        for i in range(g):
-            tot += u[i] * v[g + i] - u[g + i] * v[i]
-        return tot
-
-    def _vec(self, u):
-        u = tuple(int(x) for x in u)
-        if len(u) != self.n:
+        if not self._symplectic:
+            raise ContextError("no symplectic form on a quotient alphabet")
+        u = np.asarray(u).tolist()
+        v = np.asarray(v).tolist()
+        if len(u) != self.n or len(v) != self.n:
             raise ContextError("vector length does not match the context")
-        return u
+        g = self.g
+        return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 
     def basis_vector(self, p: int) -> tuple[int, ...]:
         return tuple(1 if i == p else 0 for i in range(self.n))
@@ -205,12 +200,6 @@ class SymplecticContext:
             return range(self.g, self.n)
         raise ContextError("lagrangian must be 'A' or 'B'")
 
-    def project_vector(self, v, lagrangian: str) -> tuple[int, ...]:
-        v = self._vec(v)
-        if lagrangian == "A":
-            return tuple(v[self.g:])
-        return tuple(v[: self.g])
-
     def project_lyndon(self, k: int, coords, lagrangian: str) -> np.ndarray:
         """L_k(H) -> L_k(H/A or H/B) in the quotient Lyndon coordinates."""
         killed = set(self.kill_letters(lagrangian))
@@ -245,7 +234,6 @@ def context(genus: int) -> SymplecticContext:
 
 def witt_dimension(n_letters: int, k: int) -> int:
     """Rank of L_k on n free generators (Mobius / necklace count)."""
-    from math import gcd
     total = 0
     for d in range(1, k + 1):
         if k % d:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .freelie import SymplecticContext
+from .freelie import SymplecticContext, standard_factorization
 
 # in a tripod (x1,x2,x3), contracting leaf i against leaf j of (y1,y2,y3)
 # leaves the ordered pairs (x_{i+1},x_{i+2}) and (y_{j+1},y_{j+2}); the
@@ -117,7 +117,6 @@ def derivation_on_lyndon(ctx: SymplecticContext, letter_images: np.ndarray,
         if len(w) == 1:
             val = letter_images[:, w[0]].copy()
         else:
-            from .freelie import standard_factorization
             u, v = standard_factorization(w)
             pu = ctx.tensor_to_lyndon(len(u), ctx.bracketing_tensor(u))
             pv = ctx.tensor_to_lyndon(len(v), ctx.bracketing_tensor(v))

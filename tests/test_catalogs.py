@@ -12,10 +12,18 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
                                 johnson_catalog, mixed_wedge_lattice,
                                 orbit_closure, pretty_vector,
                                 realizable_catalog_A)
-from sympderiv.derivspace import is_symplectic, lie_degree_matrix, space
+from sympderiv.derivspace import lie_degree_matrix, space
 from sympderiv.freelie import context
 from sympderiv.intlin import IntegerLattice
 from sympderiv.trees import eta1, eta2, expand_symhalf
+
+
+def is_symplectic(m):
+    """m^T J m == J for the Gram matrix J = [[0, I], [-I, 0]] of omega."""
+    g = len(m) // 2
+    z, i = np.zeros((g, g), dtype=np.int64), np.eye(g, dtype=np.int64)
+    j = np.block([[z, i], [-i, z]])
+    return bool(np.array_equal(m.T @ j @ m, j))
 
 
 def _e(ctx):
@@ -87,8 +95,7 @@ def test_basis_tripod_counts():
 
 def test_realizable_catalog_genus2():
     sp = space(2)
-    entries, full = realizable_catalog_A(sp)
-    assert not full  # below four handles the family is declared partial
+    entries = realizable_catalog_A(sp)
     ker = traces.ker_tr_A(sp).intersection(traces.ker_tr_as(sp))
     lat = catalog_lattice(sp, entries, target=ker)
     assert lat.rank == 13
@@ -99,7 +106,7 @@ def test_realizable_catalog_genus2():
 
 def test_realizable_entries_are_kernel_elements():
     sp = space(2)
-    entries, _ = realizable_catalog_A(sp)
+    entries = realizable_catalog_A(sp)
     for e in entries[:10]:
         assert not traces.tr_A(sp, e.value, check_domain=False).any()
         assert traces.tr_as(sp, e.value) == 0
@@ -120,7 +127,7 @@ def test_gl_generators_generate_symplectically():
         for p in gl_generators(g):
             assert abs(round(float(np.linalg.det(p.astype(float))))) == 1
         for m in goeritz_symmetries(g):
-            assert is_symplectic(g, m)
+            assert is_symplectic(m)
 
 
 def test_orbit_closure_stabilizes():
@@ -227,8 +234,3 @@ def test_pretty_vector():
     v = np.array([1, 0, 0, -1])
     assert pretty_vector(ctx, v) == "a1-b2"
     assert pretty_vector(ctx, np.array([0, 2, 1, 0])) == "2a2+b1"
-
-
-def test_classify_type_delegates():
-    sp = space(2)
-    assert catalogs.classify_type(sp, ("odot", (0, 1))) == (4, 0)

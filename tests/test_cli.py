@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,17 @@ def test_json_certificate_is_deterministic(tmp_path, capsys):
     for c in doc["checks"]:
         assert c["status"] == "pass"
         assert "seconds" not in c  # timings stay out of the certificate
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_certificate_matches_golden(g, tmp_path, capsys):
+    """The full-suite certificate is the behaviour contract: it must stay
+    byte-identical to the committed one written by `verify --all --genus g
+    --json` (seed 0)."""
+    out = tmp_path / "cert.json"
+    assert main(["--all", "--genus", str(g), "--json", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / ("certificate-g%d.json" % g)
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_seed_recorded_in_certificate(tmp_path, capsys):

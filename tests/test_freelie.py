@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from sympderiv.freelie import (SymplecticContext, UnsupportedDegreeError,
-                               context, lyndon_words, standard_factorization,
+from sympderiv.freelie import (ContextError, SymplecticContext,
+                               UnsupportedDegreeError, context, lyndon_words,
+                               standard_factorization,
                                tensor_concat_commutator, witt_dimension)
 
 WITT = {2: [4, 6, 20, 60], 3: [6, 15, 70, 315], 4: [8, 28, 168, 1008]}
@@ -102,6 +103,18 @@ def test_omega_symplectic_basis():
         else:
             assert val == 0
         assert val == ctx.omega_letters(p, q)
+
+
+def test_omega_rejects_quotient_alphabet_and_bad_lengths():
+    ctx = context(2)
+    qctx = ctx.quotient_context()
+    e = qctx.basis_vector(0)
+    for form in (lambda: qctx.omega(e, e), lambda: qctx.omega_letters(0, 1)):
+        with pytest.raises(ContextError):
+            form()
+    with pytest.raises(ContextError):
+        ctx.omega((1, 0, 0), ctx.basis_vector(0))
+    assert ctx.omega(np.array([1, 2, 0, 0]), [0, 0, 3, 5]) == 13
 
 
 def test_letter_names():

@@ -252,3 +252,59 @@ def test_index_matches_smith_normal_form():
         else:
             assert lat.index(sub) == expected
     assert IntegerLattice(3).index(IntegerLattice(3)) == 1
+
+
+def _int_matrices(st):
+    """Hypothesis strategy: small integer matrices, now and then with
+    entries past 2^31 so that the widening paths run too."""
+    entry = st.one_of(st.integers(-6, 6), st.integers(-2 ** 40, 2 ** 40))
+    return st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.lists(entry, min_size=c, max_size=c),
+                           min_size=r, max_size=r)))
+
+
+def _as_array(rows):
+    a = np.array(rows, dtype=object)
+    return a if max(abs(x) for x in a.flat) >= 2 ** 31 else a.astype(np.int64)
+
+
+def test_hnf_matches_sympy_hermite_normal_form():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(_int_matrices(hypothesis.strategies))
+    def check(rows):
+        m = _as_array(rows)
+        hypothesis.assume(m.any())
+        h = hermite_normal_form(m)
+        ours = [[int(x) for x in row] for row in h if any(row)]
+        # sympy's form is column-style with pivots read from the right:
+        # transpose and reverse both axes to get the row HNF used here
+        ref = sympy_hnf(sympy.Matrix(m[:, ::-1].T.tolist())).T[::-1, ::-1]
+        assert ours == ref.tolist()
+
+    check()
+
+
+def test_left_kernel_is_saturated_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(_int_matrices(hypothesis.strategies))
+    def check(rows):
+        m = _as_array(rows)
+        k = left_kernel(m)
+        a = sympy.Matrix(m.tolist())
+        assert len(k) == a.rows - a.rank()
+        if len(k):
+            kk = sympy.Matrix([[int(x) for x in row] for row in k])
+            assert (kk * a).is_zero_matrix
+            # saturated: Z^n / span(k) is torsion-free
+            snf = smith_normal_form(kk, domain=sympy.ZZ)
+            assert all(abs(snf[i, i]) == 1 for i in range(kk.rows))
+
+    check()
