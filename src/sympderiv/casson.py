@@ -10,11 +10,13 @@ symmetric S is [[0,0],[Id,S]].
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .derivspace import DerivationSpace
 from .freelie import SymplecticContext
+from .intlin import safe_matmul
 from .traces import tr_omegaS
 
 # mu(v, S) := eps_base(theta(v)) - eps_twisted(theta(v)); this sign makes
@@ -115,9 +117,12 @@ def dbar_gen(sp: DerivationSpace, gen) -> int:
 
 # -- linking forms and evaluations -----------------------------------------
 
+@lru_cache(maxsize=None)
 def lk_base(g: int) -> np.ndarray:
+    """The base linking matrix [[0,0],[Id,0]] (read-only, one per genus)."""
     m = np.zeros((2 * g, 2 * g), dtype=np.int64)
     m[g:, :g] = np.eye(g, dtype=np.int64)
+    m.setflags(write=False)
     return m
 
 
@@ -125,8 +130,7 @@ def lk_twisted(g: int, s) -> np.ndarray:
     s = np.asarray(s, dtype=np.int64)
     if not np.array_equal(s, s.T):
         raise ValueError("S must be symmetric")
-    m = lk_base(g)
-    m = m.copy()
+    m = lk_base(g).copy()
     m[g:, g:] = s
     return m
 
@@ -154,6 +158,35 @@ def theta_of_coeffs(sp: DerivationSpace, coeffs) -> Poly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _theta_table(sp: DerivationSpace):
+    """theta of every generator over the l-monomials, as a (generators x
+    monomials) integer matrix, with each monomial's variables as two
+    indices into a flattened linking matrix extended by a 1 (a monomial
+    of theta has at most two variables; a missing one reads the 1)."""
+    polys = [theta_gen(sp, gen) for gen in sp.generators]
+    monos = sorted({m for p in polys for m in p})
+    col = {m: i for i, m in enumerate(monos)}
+    table = np.zeros((len(polys), len(monos)), dtype=np.int64)
+    for i, p in enumerate(polys):
+        for m, c in p.items():
+            table[i, col[m]] = c
+    n = sp.ctx.n
+    slots = np.full((len(monos), 2), n * n)
+    for i, m in enumerate(monos):
+        for j, (p, q) in enumerate(m):
+            slots[i, j] = p * n + q
+    return table, slots
+
+
+def _eps_monomials(slots: np.ndarray, lk: np.ndarray) -> np.ndarray:
+    """Value of every tabulated monomial at the linking matrix lk."""
+    flat = np.append(lk.ravel(), 1)
+    if int(np.abs(flat).max()) >= 2 ** 31:
+        flat = flat.astype(object)
+    return flat[slots[:, 0]] * flat[slots[:, 1]]
+
+
 def dbar_of_coeffs(sp: DerivationSpace, coeffs) -> int:
     return sum(int(c) * dbar_gen(sp, gen)
                for c, gen in zip(coeffs, sp.generators) if int(c))
@@ -165,31 +198,30 @@ def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> Fraction:
     return Fraction(th) + Fraction(dbar_of_coeffs(sp, coeffs), 3)
 
 
-def mu(sp: DerivationSpace, v, s) -> int:
-    """Casson-difference value of v against the symmetric matrix S."""
-    coeffs = sp.express_in_generators(v)
-    return mu_of_coeffs(sp, coeffs, s)
+def mu_of_coeffs(sp: DerivationSpace, coeffs, s):
+    """Casson-difference value against the symmetric matrix S of the
+    element with the given generator coefficients: an int for one row, an
+    exact integer array for a stack of rows.
+
+    One exact product of the coefficients with the per-generator
+    difference eps_base(theta) - eps_twisted(theta), read from the theta
+    table."""
+    table, slots = _theta_table(sp)
+    diff = (_eps_monomials(slots, lk_base(sp.g))
+            - _eps_monomials(slots, lk_twisted(sp.g, s)))
+    per_gen = safe_matmul(table, diff[:, None])
+    out = MU_SIGN * safe_matmul(coeffs, per_gen)[..., 0]
+    return int(out) if out.ndim == 0 else out
 
 
-def mu_of_coeffs(sp: DerivationSpace, coeffs, s) -> int:
-    th = theta_of_coeffs(sp, coeffs)
-    base = eps_eval(th, lk_base(sp.g))
-    tw = eps_eval(th, lk_twisted(sp.g, s))
-    return MU_SIGN * (base - tw)
-
-
-def r_pairing(s, q) -> int:
+def r_pairing(s, q):
     """Half of the r-map pairing between a symmetric S and an S^2(H')
-    vector over the basis {b'_i b'_j, i <= j}."""
+    vector over the basis {b'_i b'_j, i <= j}: an int, or an exact integer
+    array for a stack of vectors."""
     s = np.asarray(s, dtype=np.int64)
-    g = s.shape[0]
-    total = 0
-    k = 0
-    for i in range(g):
-        for j in range(i, g):
-            total += int(s[i, j]) * int(q[k])
-            k += 1
-    return total
+    upper = s[np.triu_indices(s.shape[0])]  # row-major i <= j, the basis order
+    out = safe_matmul(q, upper[:, None])[..., 0]
+    return int(out) if out.ndim == 0 else out
 
 
 def omega_S_of_tensor(s, t: np.ndarray) -> int:
@@ -204,11 +236,14 @@ def omega_delta_of_tensor(g: int, t: np.ndarray) -> int:
     return int(np.trace(t[g:, :g]))
 
 
-def half_omegaS_plus_delta(sp: DerivationSpace, v, s) -> Fraction:
-    """(1/2 omega_S + omega_delta) applied to tr_omegaS(v, S)."""
-    t = tr_omegaS(sp, v, s)
-    return Fraction(omega_S_of_tensor(s, t), 2) \
-        + Fraction(omega_delta_of_tensor(sp.g, t))
+def half_omegaS_plus_delta(sp: DerivationSpace, coeffs, s):
+    """(1/2 omega_S + omega_delta) applied to tr_omegaS(coeffs, S): a
+    Fraction for one row of generator coefficients, a list for a stack."""
+    t = tr_omegaS(sp, coeffs, s)
+    vals = [Fraction(omega_S_of_tensor(s, x), 2)
+            + Fraction(omega_delta_of_tensor(sp.g, x))
+            for x in t.reshape(-1, 2 * sp.g, 2 * sp.g)]
+    return vals if np.ndim(coeffs) == 2 else vals[0]
 
 
 def d_core(h: int) -> int:

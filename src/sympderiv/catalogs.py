@@ -27,6 +27,11 @@ from .derivspace import (DerivationSpace, gl_embed, iota_matrix,
 from .intlin import IntegerLattice, safe_matmul
 
 
+# candidates expanded per batch: bounds the temporaries of a stacked
+# expansion, and so the peak memory of catalog building
+CHUNK = 128
+
+
 class SymplecticFamilyError(ValueError):
     """Raised when a proposed curve system fails the omega-orthogonality test."""
 
@@ -122,18 +127,22 @@ def _tripod_name(ctx, t):
 
 
 def tripod_bracket_entries(sp: DerivationSpace, side):
-    """Brackets of all distinct pairs of basis tripods from the given side."""
+    """Brackets of all distinct pairs of basis tripods from the given side,
+    expanded in chunks of CHUNK pairs; zero brackets are skipped."""
     ctx = sp.ctx
-    tripods = basis_tripods(sp.g, side)
-    vecs = {t: [np.asarray(ctx.basis_vector(p)) for p in t] for t in tripods}
+    e = np.eye(ctx.n, dtype=np.int64)
+    pairs = list(itertools.combinations(basis_tripods(sp.g, side), 2))
     entries = []
-    for t1, t2 in itertools.combinations(tripods, 2):
-        val = tree_bracket(ctx, vecs[t1], vecs[t2])
-        if not val.any():
-            continue
-        name = "bracket[%s,%s]" % (_tripod_name(ctx, t1), _tripod_name(ctx, t2))
-        entries.append(CatalogEntry(
-            name, "bracket of degree-1 tripods", val))
+    for start in range(0, len(pairs), CHUNK):
+        chunk = pairs[start:start + CHUNK]
+        leaves = np.array([t1 + t2 for t1, t2 in chunk]).T
+        vals = tree_bracket(ctx, e[leaves[:3]], e[leaves[3:]])
+        for (t1, t2), val in zip(chunk, vals):
+            if not val.any():
+                continue
+            name = "bracket[%s,%s]" % (_tripod_name(ctx, t1), _tripod_name(ctx, t2))
+            entries.append(CatalogEntry(
+                name, "bracket of degree-1 tripods", val.copy()))
     return entries
 
 
@@ -200,46 +209,55 @@ def _color_set(g, three_term=False):
     return colors
 
 
+def _unique_entries(ctx, seen, colors, cands, expand, name, description):
+    """Entries for the rows of colors[cands] (leaf tuples) whose expansion
+    is new up to sign, in order.  Expansions run in chunks of CHUNK
+    candidates, and kept values are copied out of the chunk."""
+    entries = []
+    for start in range(0, len(cands), CHUNK):
+        chunk = colors[cands[start:start + CHUNK]]
+        for leaves, val in zip(chunk, expand(ctx, *chunk.transpose(1, 0, 2))):
+            key = val.tobytes()
+            if key in seen or (-val).tobytes() in seen:
+                continue
+            seen.add(key)
+            entries.append(CatalogEntry(
+                name % tuple(pretty_vector(ctx, x) for x in leaves),
+                description, val.copy()))
+    return entries
+
+
 def johnson_catalog(sp: DerivationSpace, three_term=False):
     """Symmetric halves and genus-2 bounding trees with short integral colors.
 
     Emits every u(.)v with omega(u, v) = 1 and every tree on a pair of
     omega-orthonormal pairs, colors drawn from {e_p, e_p +- e_q} (plus
-    three-term sums when ``three_term``), deduplicated up to sign.
+    three-term sums when ``three_term``), deduplicated up to sign.  Every
+    omega-test reads the Gram matrix of the colors.
     """
     ctx = sp.ctx
-    omega = ctx.omega
-    colors = _color_set(sp.g, three_term)
-    sympl_pairs = []
-    for u, v in itertools.combinations(colors, 2):
-        w = omega(u, v)
-        if w == 1:
-            sympl_pairs.append((u, v))
-        elif w == -1:
-            sympl_pairs.append((v, u))
-    entries = []
+    colors = np.array(_color_set(sp.g, three_term))
+    gram = safe_matmul(safe_matmul(colors, iota_matrix(sp.g)), colors.T)
+    i, j = np.triu_indices(len(colors), 1)  # itertools.combinations order
+    w = gram[i, j]
+    sympl = np.abs(w) == 1
+    u = np.where(w == 1, i, j)[sympl]
+    v = np.where(w == 1, j, i)[sympl]
     seen = set()
-    for u, v in sympl_pairs:
-        val = expand_symhalf(ctx, u, v)
-        key = val.tobytes()
-        if key in seen or (-val).tobytes() in seen:
-            continue
-        seen.add(key)
-        entries.append(CatalogEntry(
-            "odot(%s,%s)" % (pretty_vector(ctx, u), pretty_vector(ctx, v)),
-            "symmetric half of a genus-1 bounding curve", val))
-    for (u1, v1), (u2, v2) in itertools.combinations(sympl_pairs, 2):
-        if omega(u1, u2) or omega(u1, v2) or omega(v1, u2) or omega(v1, v2):
-            continue
-        val = eta2(ctx, u1, v1, u2, v2)
-        key = val.tobytes()
-        if key in seen or (-val).tobytes() in seen:
-            continue
-        seen.add(key)
-        entries.append(CatalogEntry(
-            "tree(%s,%s|%s,%s)" % (pretty_vector(ctx, u1), pretty_vector(ctx, v1),
-                                   pretty_vector(ctx, u2), pretty_vector(ctx, v2)),
-            "cross tree of a genus-2 bounding curve", val))
+    entries = _unique_entries(
+        ctx, seen, colors, np.column_stack([u, v]), expand_symhalf,
+        "odot(%s,%s)", "symmetric half of a genus-1 bounding curve")
+    # pairs of pairs k < l whose four cross omegas vanish
+    quads = []
+    for k in range(len(u)):
+        l = np.arange(k + 1, len(u))
+        l = l[(gram[u[k], u[l]] == 0) & (gram[u[k], v[l]] == 0)
+              & (gram[v[k], u[l]] == 0) & (gram[v[k], v[l]] == 0)]
+        quads.append(np.column_stack([np.full(len(l), u[k]),
+                                      np.full(len(l), v[k]), u[l], v[l]]))
+    entries += _unique_entries(
+        ctx, seen, colors, np.vstack(quads), eta2,
+        "tree(%s,%s|%s,%s)", "cross tree of a genus-2 bounding curve")
     return entries
 
 

@@ -19,6 +19,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -161,20 +162,14 @@ def _check_well_definedness(g, rng):
     ctx = sp.ctx
     failures = []
     # ambient IHX on every basis coloring
-    basis = [np.asarray(ctx.basis_vector(p)) for p in range(2 * g)]
-    ihx_ok = 0
-    for p in range(2 * g):
-        for q in range(2 * g):
-            for r in range(2 * g):
-                for s in range(2 * g):
-                    a, b, c, d = basis[p], basis[q], basis[r], basis[s]
-                    combo = (trees.eta2(ctx, a, b, c, d)
-                             + trees.eta2(ctx, b, c, a, d)
-                             + trees.eta2(ctx, c, a, b, d))
-                    if combo.any():
-                        failures.append(("ihx-ambient", (p, q, r, s)))
-                    else:
-                        ihx_ok += 1
+    colorings = list(itertools.product(range(2 * g), repeat=4))
+    a, b, c, d = np.eye(2 * g, dtype=np.int64)[np.array(colorings).T]
+    combo = (trees.eta2(ctx, a, b, c, d) + trees.eta2(ctx, b, c, a, d)
+             + trees.eta2(ctx, c, a, b, d))
+    nonzero = combo.any(axis=1)
+    failures.extend(("ihx-ambient", colorings[i])
+                    for i in np.flatnonzero(nonzero))
+    ihx_ok = int(np.sum(~nonzero))
     # randomized relation instances against the generator-level formulas
     n_rel = 0
     for _ in range(200):
@@ -248,29 +243,32 @@ def _check_casson_bridge(g, rng):
     f0_gens = [i for i, gen in enumerate(sp.generators)
                if sp.classify_type(gen)[0] >= 1]
     mats = [_random_sym_matrix(g, rng) for _ in range(100)]
-    n_bridge = 0
-    for gi in f0_gens:
-        coeffs = np.zeros(len(sp.generators), dtype=np.int64)
-        coeffs[gi] = 1
-        q = traces.tr_A(sp, sp.gen_value(sp.generators[gi]))
-        for s in mats:
-            lhs = casson.mu_of_coeffs(sp, coeffs, s)
-            rhs = casson.r_pairing(s, q)
-            if lhs != rhs:
-                return False, {"generator": str(sp.generators[gi]),
-                               "mu": str(lhs), "pairing": str(rhs),
-                               "s": _dec(s)}
-            n_bridge += 1
-    n_full = 0
-    for row in sp.d2().basis:
-        for s in mats[:10]:
-            lhs = casson.mu(sp, row, s)
-            rhs = casson.half_omegaS_plus_delta(sp, row, s)
-            if Fraction(lhs) != rhs:
-                return False, {"element": _dec(row), "mu": str(lhs),
-                               "composite": str(rhs)}
-            n_full += 1
-    return True, {"bridge_instances": n_bridge, "composite_instances": n_full}
+    # every (generator, S) instance at once, generators down, S across
+    units = np.eye(len(sp.generators), dtype=np.int64)[f0_gens]
+    qs = np.array([traces.tr_A(sp, sp.gen_value(sp.generators[gi]))
+                   for gi in f0_gens])
+    lhs = np.array([casson.mu_of_coeffs(sp, units, s) for s in mats]).T
+    rhs = np.array([casson.r_pairing(s, qs) for s in mats]).T
+    bad = np.argwhere(lhs != rhs)  # row-major: the first failing instance
+    if len(bad):
+        i, j = bad[0]
+        return False, {"generator": str(sp.generators[f0_gens[i]]),
+                       "mu": str(lhs[i, j]), "pairing": str(rhs[i, j]),
+                       "s": _dec(mats[j])}
+    n_bridge = lhs.size
+    # every (D_2 basis row, S) instance, from one generator expression
+    basis = sp.d2().basis
+    coeffs = sp.express_in_generators(basis)
+    mus = [casson.mu_of_coeffs(sp, coeffs, s) for s in mats[:10]]
+    composites = [casson.half_omegaS_plus_delta(sp, coeffs, s)
+                  for s in mats[:10]]
+    for i, row in enumerate(basis):
+        for mu, comp in zip(mus, composites):
+            if Fraction(int(mu[i])) != comp[i]:
+                return False, {"element": _dec(row), "mu": str(mu[i]),
+                               "composite": str(comp[i])}
+    return True, {"bridge_instances": n_bridge,
+                  "composite_instances": len(basis) * len(mus)}
 
 
 def quartic_relation(sp, quad):
@@ -306,19 +304,29 @@ def _check_quartic_vanishing(g, rng):
     return True, {"spanning_vectors": rank, "expected": expected_dim}
 
 
+@lru_cache(maxsize=None)
+def _double_kernel(g):
+    """The intersection of ker tr_as and ker tr_A, built once per genus."""
+    sp = space(g)
+    return traces.ker_tr_as(sp).intersection(traces.ker_tr_A(sp))
+
+
+@lru_cache(maxsize=None)
 def _realizable_lattices(g):
+    """Catalog size, catalog span and double trace kernel, built once per
+    genus for the two checks that read them (the entries are not kept)."""
     sp = space(g)
     ents = catalogs.realizable_catalog_A(sp)
-    target = traces.ker_tr_as(sp).intersection(traces.ker_tr_A(sp))
+    target = _double_kernel(g)
     lat = catalogs.catalog_lattice(sp, ents, target=target)
-    return sp, ents, lat, target
+    return sp, len(ents), lat, target
 
 
 def _check_realizable_kernel(g, rng):
-    sp, ents, lat, target = _realizable_lattices(g)
+    sp, size, lat, target = _realizable_lattices(g)
     included = target.membership(lat.basis) is not None
     equal = lat == target
-    wit = {"catalog_size": len(ents), "catalog_rank": lat.rank,
+    wit = {"catalog_size": size, "catalog_rank": lat.rank,
            "kernel_rank": target.rank, "included": included, "equal": equal}
     if g < 4:
         if equal:
@@ -351,9 +359,7 @@ def _check_goeritz_degree1(g, rng):
 
 def _check_goeritz_kernel(g, rng):
     sp = space(g)
-    target = (traces.ker_tr_as(sp)
-              .intersection(traces.ker_tr_A(sp))
-              .intersection(traces.ker_tr_B(sp)))
+    target = _double_kernel(g).intersection(traces.ker_tr_B(sp))
     lat = catalogs.goeritz_tau2_lattice(sp)
     included = target.membership(lat.basis) is not None
     equal = lat == target
@@ -398,7 +404,7 @@ ALL_CHECKS = [
               _check_trace_surjectivity, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("trace-kernels",
               "trace kernels match the bounding-curve and bracket lattices",
-              _check_trace_kernels, (2, 3), {2: 1, 3: 2}),
+              _check_trace_kernels, (2, 3), {2: 1, 3: 1}),
     CheckSpec("kernel-index",
               "index between the two trace kernels is 2^(2g+C(2g,2))",
               _check_kernel_index, (2, 3), {2: 1, 3: 1}),
@@ -410,22 +416,22 @@ ALL_CHECKS = [
               _check_levine, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("casson-bridge",
               "re-gluing invariant equals the pairing with the A-side trace",
-              _check_casson_bridge, (2, 3), {2: 1, 3: 2}),
+              _check_casson_bridge, (2, 3), {2: 1, 3: 1}),
     CheckSpec("quartic-vanishing",
               "quadratic re-gluing form kills the quartic wedge relations",
               _check_quartic_vanishing, (2, 3), {2: 1, 3: 1}),
     CheckSpec("realizable-kernel",
               "A-side realizable catalog spans the double trace kernel",
-              _check_realizable_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 2}),
+              _check_realizable_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("realizable-sum",
               "catalog plus its quarter-turn image spans the full kernel",
-              _check_realizable_sum, (2, 3, 4), {2: 1, 3: 1, 4: 2}),
+              _check_realizable_sum, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("goeritz-degree1",
               "two-sided degree-1 orbit equals the mixed wedge lattice",
               _check_goeritz_degree1, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("goeritz-kernel",
               "two-sided degree-2 catalog spans the triple trace kernel",
-              _check_goeritz_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 3}),
+              _check_goeritz_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 2}),
     CheckSpec("core-values",
               "core of the re-gluing invariant on bounding-curve twists",
               _check_core_values, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
@@ -444,7 +450,7 @@ def run_check(check_id: str, genus: int, seed: int = 0,
         return CheckReport(entry.id, entry.anchor, genus, "skipped",
                            {"reason": "budget"})
     rng = np.random.default_rng(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         status, witness = entry.fn(genus, rng)
     except Exception as exc:
@@ -453,7 +459,7 @@ def run_check(check_id: str, genus: int, seed: int = 0,
         traceback.print_exc()
         status = "fail"
         witness = {"exception": type(exc).__name__, "message": str(exc)}
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     if isinstance(status, bool):
         status = "pass" if status else "fail"
     return CheckReport(entry.id, entry.anchor, genus, status, witness, dt)

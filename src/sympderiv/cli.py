@@ -96,10 +96,10 @@ def main(argv=None) -> int:
 
     selected = [c.id for c in checks.ALL_CHECKS] if args.all else args.check
     budget = None if args.max_minutes is None else args.max_minutes * 60.0
-    t_start = time.time()
+    t_start = time.perf_counter()
     reports = []
     for cid in selected:
-        left = None if budget is None else budget - (time.time() - t_start)
+        left = None if budget is None else budget - (time.perf_counter() - t_start)
         rep = checks.run_check(cid, args.genus, seed=args.seed,
                                budget_left=left)
         reports.append(rep)

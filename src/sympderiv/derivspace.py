@@ -56,23 +56,27 @@ def gl_embed(g: int, p: np.ndarray) -> np.ndarray:
 
 
 def lie_degree_matrix(ctx: SymplecticContext, m: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of L_k(m) over the Lyndon basis."""
-    m = as_int_matrix(m)
-    cache: dict[tuple[int, ...], np.ndarray] = {}
+    """Matrix of L_k(m) over the Lyndon basis.
 
-    def img(w):
-        if w not in cache:
-            if len(w) == 1:
-                cache[w] = m[:, w[0]].copy()
-            else:
-                u, v = standard_factorization(w)
-                cache[w] = ctx.lie_bracket(len(u), img(u), len(v), img(v))
-        return cache[w]
-
-    out = np.zeros((ctx.dim(k), ctx.dim(k)), dtype=np.int64)
-    for i, w in enumerate(ctx.lyndon(k)):
-        out[:, i] = img(w)
-    return out
+    Degree by degree, the image of each Lyndon word w = uv (standard
+    factorization) is the bracket of the images of u and v; the words of
+    one degree that split into the same pair of lengths share one batched
+    bracket."""
+    images = {1: as_int_matrix(m).T}  # degree -> rows L_d(m) e_w
+    for d in range(2, k + 1):
+        rows = [None] * ctx.dim(d)
+        split: dict[tuple[int, int], list] = {}
+        for i, w in enumerate(ctx.lyndon(d)):
+            u, v = standard_factorization(w)
+            split.setdefault((len(u), len(v)), []).append(
+                (i, ctx.lyndon_index(len(u))[u], ctx.lyndon_index(len(v))[v]))
+        for (lu, lv), group in split.items():
+            at, iu, iv = (list(c) for c in zip(*group))
+            brackets = ctx.lie_bracket(lu, images[lu][iu], lv, images[lv][iv])
+            for i, row in zip(at, brackets):
+                rows[i] = row
+        images[d] = np.array(rows)
+    return images[k].T
 
 
 class _GenSolver:
@@ -135,8 +139,15 @@ class DerivationSpace:
     # -- main lattices ----------------------------------------------------
     @lru_cache(maxsize=None)
     def gen_matrix(self) -> np.ndarray:
-        cols = [self.gen_value(gen) for gen in self.generators]
-        return np.array(cols, dtype=np.int64).T
+        """Generator values as columns: the (.)-generators, then the trees,
+        each kind expanded as one stack."""
+        e = np.eye(self.ctx.n, dtype=np.int64)
+        p, q = np.array(self.pairs).T
+        tree_leaves = np.array([self.gen_leaves(self.generators[i])
+                                for i in self.tree_indices]).T
+        rows = np.vstack([trees.expand_symhalf(self.ctx, e[p], e[q]),
+                          trees.eta2(self.ctx, *e[tree_leaves])])
+        return rows.astype(np.int64).T
 
     @lru_cache(maxsize=None)
     def d2(self) -> IntegerLattice:

@@ -3,7 +3,9 @@
 Letters are 0..2g-1 with a_1..a_g = 0..g-1 and b_1..b_g = g..2g-1; Lyndon
 words use that letter order.  Degrees are capped at 4, which is all the
 degree-2 derivation theory needs.  Tensor elements are dicts from letter
-tuples to integer coefficients.
+tuples to integer coefficients; they define the bracket once, in a
+structure-constant table per pair of degrees, and brackets in Lyndon
+coordinates are exact contractions against those tables.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .intlin import fits_int64, safe_einsum
 
 MAX_DEGREE = 4
 
@@ -91,15 +95,22 @@ class SymplecticContext:
             return -1
         return 0
 
-    def omega(self, u, v) -> int:
+    def omega(self, u, v):
+        """omega(u, v) of two vectors (an int), or row by row of two equal
+        stacks (an exact integer array)."""
         if not self._symplectic:
             raise ContextError("no symplectic form on a quotient alphabet")
-        u = np.asarray(u).tolist()
-        v = np.asarray(v).tolist()
-        if len(u) != self.n or len(v) != self.n:
+        u = np.asarray(u)
+        v = np.asarray(v)
+        if u.shape[-1:] != (self.n,) or v.shape[-1:] != (self.n,):
             raise ContextError("vector length does not match the context")
         g = self.g
-        return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
+        if u.ndim == v.ndim == 1:
+            u, v = u.tolist(), v.tolist()
+            return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
+        # omega(u, v) = u . Jv with Jv = (v_b, -v_a)
+        jv = np.concatenate([v[..., g:], -v[..., :g]], axis=-1)
+        return safe_einsum("mi,mi->m", u, jv)
 
     def basis_vector(self, p: int) -> tuple[int, ...]:
         return tuple(1 if i == p else 0 for i in range(self.n))
@@ -160,15 +171,64 @@ class SymplecticContext:
                 tensor_add(out, self.bracketing_tensor(w), c)
         return out
 
-    def lie_bracket(self, j: int, x, k: int, y) -> np.ndarray:
-        """Bracket L_j x L_k -> L_{j+k} in Lyndon coordinates."""
+    @lru_cache(maxsize=None)
+    def bracket_table(self, j: int, k: int) -> np.ndarray:
+        """Structure constants of L_j x L_k -> L_{j+k}: entry [a, b] holds
+        the bracket of the a-th and b-th Lyndon bracketings in Lyndon
+        coordinates, from their tensor expansions.  Read-only, and int8
+        when every entry fits (they are at most 2 in absolute value up to
+        degree 4), which keeps the genus-4 (1, 3) table at 1.4 MB."""
         if j + k > MAX_DEGREE:
             raise UnsupportedDegreeError("bracket would exceed the degree cap")
-        tx = self.lyndon_to_tensor(j, x)
-        ty = self.lyndon_to_tensor(k, y)
-        return self.tensor_to_lyndon(j + k, tensor_concat_commutator(tx, ty))
+        table = np.zeros((self.dim(j), self.dim(k), self.dim(j + k)),
+                         dtype=np.int64)
+        for a, u in enumerate(self.lyndon(j)):
+            tu = self.bracketing_tensor(u)
+            for b, v in enumerate(self.lyndon(k)):
+                comm = tensor_concat_commutator(tu, self.bracketing_tensor(v))
+                table[a, b] = self.tensor_to_lyndon(j + k, comm)
+        if np.abs(table).max(initial=0) < 2 ** 7:
+            table = table.astype(np.int8)
+        table.setflags(write=False)
+        return table
 
     @lru_cache(maxsize=None)
+    def _bracket_terms(self, j: int, k: int):
+        """The nonzero structure constants of ``bracket_table(j, k)`` as
+        triplets (a, b, c) grouped by target coordinate: the targets, where
+        each group starts, and the largest |c| times the largest group
+        (so a bound on one output entry per unit of |x| |y|)."""
+        table = self.bracket_table(j, k)
+        a, b, d = np.nonzero(table)
+        order = np.argsort(d, kind="stable")
+        a, b, d = a[order], b[order], d[order]
+        c = table[a, b, d]
+        targets, starts, counts = np.unique(d, return_index=True,
+                                            return_counts=True)
+        scale = int(np.abs(c).max(initial=0)) * int(counts.max(initial=0))
+        return a, b, c, targets, starts, scale
+
+    def lie_bracket(self, j: int, x, k: int, y) -> np.ndarray:
+        """Bracket L_j x L_k -> L_{j+k} in Lyndon coordinates, of one pair
+        or row by row of two stacks.
+
+        Sums x_a y_b c over the nonzero structure constants (a, b, c) of
+        each target coordinate, in int64 when a bound allows, else on
+        Python ints.
+        """
+        a, b, c, targets, starts, scale = self._bracket_terms(j, k)
+        x = np.asarray(x)
+        xs, ys = np.atleast_2d(x, y)
+        bound = (scale * max(1, int(np.abs(xs).max(initial=0)))
+                 * max(1, int(np.abs(ys).max(initial=0))))
+        dtype = np.int64 if fits_int64(bound) else object
+        xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
+        out = np.zeros((len(xs), self.dim(j + k)), dtype=xs.dtype)
+        if len(c):
+            out[:, targets] = np.add.reduceat(xs[:, a] * ys[:, b] * c, starts,
+                                              axis=1)
+        return out if x.ndim == 2 else out[0]
+
     def bracket_matrix(self, k: int) -> np.ndarray:
         """Matrix of H (x) L_{k+1} -> L_{k+2}, h (x) xi -> [h, xi].
 
@@ -177,15 +237,7 @@ class SymplecticContext:
         """
         if k not in (1, 2):
             raise UnsupportedDegreeError("bracket matrix only for degrees 1 and 2")
-        dk1 = self.dim(k + 1)
-        dk2 = self.dim(k + 2)
-        mat = np.zeros((dk2, self.n * dk1), dtype=np.int64)
-        for h in range(self.n):
-            th = {(h,): 1}
-            for i, w in enumerate(self.lyndon(k + 1)):
-                t = tensor_concat_commutator(th, self.bracketing_tensor(w))
-                mat[:, h * dk1 + i] = self.tensor_to_lyndon(k + 2, t)
-        return mat
+        return self.bracket_table(1, k + 1).reshape(-1, self.dim(k + 2)).T
 
     # -- Lagrangian quotients --------------------------------------------
     @lru_cache(maxsize=None)

@@ -34,7 +34,7 @@ def _widen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int64_ok(bound: int) -> bool:
+def fits_int64(bound: int) -> bool:
     return bound < 2 ** 62
 
 
@@ -45,7 +45,7 @@ def _eliminate(w: np.ndarray, rows: np.ndarray, r: int, c: int) -> np.ndarray:
     block = w[rows, c:]
     prow = w[r, c:]
     qs = block[:, 0] // prow[0]
-    if w.dtype != object and not _int64_ok(
+    if w.dtype != object and not fits_int64(
             int(np.abs(qs).max()) * int(np.abs(prow).max())
             + int(np.abs(block).max())):
         w = _widen(w)
@@ -136,7 +136,7 @@ def solve_over_hnf(basis: np.ndarray, pivots, v):
     v = np.asarray(v)
     rows = np.atleast_2d(v)
     pivots = np.asarray(pivots, dtype=np.intp)
-    wide = basis.dtype == object or not _int64_ok(
+    wide = basis.dtype == object or not fits_int64(
         int(np.abs(rows).max(initial=0)))
     target = rows[:, pivots].astype(object if wide else np.int64, copy=False)
     heads = basis[np.arange(len(pivots)), pivots]
@@ -274,24 +274,39 @@ class GF2Matrix:
         return pivots, echelon
 
 
-def safe_matmul(a, b) -> np.ndarray:
-    """Exact integer product, using int64 when a bound rules out overflow.
+def safe_einsum(subscripts: str, *operands) -> np.ndarray:
+    """Exact integer einsum over explicit subscripts such as "ab,bc->ac".
 
-    The bound is applied whatever the operand dtypes, so object arrays with
-    small entries are multiplied in int64 too.  Each factor counts as at
-    least 1, which also keeps every entry of both operands castable.  a may
-    be a single row vector.  Under the bound the product runs through
-    numpy's integer einsum loops (faster than integer matmul), in int32
-    when the bound is below 2**31.
+    Runs in int64 when the product of the operands' largest entries, times
+    the number of terms summed into one output entry, is under 2**62, and
+    in int32 when it is under 2**31; each factor counts as at least 1,
+    which also keeps every entry of every operand castable.  Otherwise it
+    runs on Python ints (dtype=object).  Under the bound the product goes
+    through numpy's integer einsum loops (faster than integer matmul).
     """
+    ops = [np.asarray(a) for a in operands]
+    inputs, output = subscripts.split("->")
+    sizes = {}
+    for sub, a in zip(inputs.split(","), ops):
+        sizes.update(zip(sub, a.shape))
+    if any(a.size == 0 for a in ops):
+        return np.zeros(tuple(sizes[c] for c in output), dtype=np.int64)
+    bound = max(1, math.prod(n for c, n in sizes.items() if c not in output))
+    for a in ops:
+        bound *= max(1, int(np.abs(a).max()))
+    if fits_int64(bound):
+        dtype = np.int32 if bound < 2 ** 31 else np.int64
+        out = np.einsum(subscripts, *(a.astype(dtype, copy=False) for a in ops))
+        return out.astype(np.int64, copy=False)
+    return np.einsum(subscripts, *(a.astype(object) for a in ops))
+
+
+def safe_matmul(a, b) -> np.ndarray:
+    """Exact integer product a @ b through ``safe_einsum``; a may be a
+    single row vector.  The bound is applied whatever the operand dtypes,
+    so object arrays with small entries are multiplied in int64 too."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.size == 0 or b.size == 0:
-        return np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    bound = (max(1, int(np.abs(a).max())) * max(1, int(np.abs(b).max()))
-             * max(1, a.shape[-1]))
-    if _int64_ok(bound):
-        dtype = np.int32 if bound < 2 ** 31 else np.int64
-        out = np.einsum("...j,jk->...k", a.astype(dtype), b.astype(dtype))
-        return out.astype(np.int64, copy=False)
-    return a.astype(object) @ b.astype(object)
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    out = safe_einsum("ij,jk->ik", rows, b)
+    return out.reshape(a.shape[:-1] + b.shape[1:])

@@ -160,8 +160,13 @@ def _side_trace(sp: DerivationSpace, v, side: str,
 
 # -- the S-twisted contraction ---------------------------------------------
 
-def tr_omegaS(sp: DerivationSpace, v, s) -> np.ndarray:
-    """Value in T_2(H) = H (x) H as a 2g x 2g integer matrix."""
+def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
+    """Value in T_2(H) = H (x) H, as a 2g x 2g integer matrix, of the
+    element with the given generator coefficients; a stack of coefficient
+    rows gives one matrix per row.
+
+    Each generator's contraction is tabulated once for S, then contracted
+    exactly with the coefficients."""
     s = np.asarray(s, dtype=np.int64)
     g = sp.g
     if not np.array_equal(s, s.T):
@@ -172,30 +177,26 @@ def tr_omegaS(sp: DerivationSpace, v, s) -> np.ndarray:
             return int(s[p - g, q - g])
         return 0
 
-    coeffs = sp.express_in_generators(v)
-    out = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    def add(out, x, y, c):
+        out[x, y] += c
+        out[y, x] += c
 
-    def add(x, y, c):
-        if c:
-            out[x, y] += c
-            out[y, x] += c
-
-    for c, gen in zip(coeffs, sp.generators):
-        c = int(c)
-        if not c:
-            continue
+    per_gen = np.zeros((len(sp.generators), 2 * g, 2 * g), dtype=np.int64)
+    for out, gen in zip(per_gen, sp.generators):
         if gen[0] == "tree":
             (p, q), (r, t) = gen[1], gen[2]
-            add(q, r, c * ws(p, t))
-            add(p, t, c * ws(q, r))
-            add(q, t, -c * ws(p, r))
-            add(p, r, -c * ws(q, t))
+            add(out, q, r, ws(p, t))
+            add(out, p, t, ws(q, r))
+            add(out, q, t, -ws(p, r))
+            add(out, p, r, -ws(q, t))
         else:
             p, q = gen[1]
-            add(p, q, c * ws(p, q))
-            out[q, q] -= c * ws(p, p)
-            out[p, p] -= c * ws(q, q)
-    return out
+            add(out, p, q, ws(p, q))
+            out[q, q] -= ws(p, p)
+            out[p, p] -= ws(q, q)
+    coeffs = np.asarray(coeffs)
+    out = safe_matmul(coeffs, per_gen.reshape(len(per_gen), -1))
+    return out.reshape(coeffs.shape[:-1] + (2 * g, 2 * g))
 
 
 # -- kernels as integer lattices -------------------------------------------

@@ -5,7 +5,9 @@ ordered left pair and right pair; symmetric halves u (.) v are primitive
 integral generators whose double expands like the tree (u,v|u,v).
 
 Elements of H (x) L_k are flat integer vectors: block h holds the Lyndon
-coordinates of the L_k factor tensored with the basis letter h.
+coordinates of the L_k factor tensored with the basis letter h.  Every
+expansion takes leaf vectors, or stacks of them giving one row per
+element; a single element is the one-row case.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .freelie import SymplecticContext, standard_factorization
+from .intlin import fits_int64, safe_einsum
 
 # in a tripod (x1,x2,x3), contracting leaf i against leaf j of (y1,y2,y3)
 # leaves the ordered pairs (x_{i+1},x_{i+2}) and (y_{j+1},y_{j+2}); the
@@ -25,65 +28,94 @@ def hl_zero(ctx: SymplecticContext, k: int) -> np.ndarray:
     return np.zeros(ctx.n * ctx.dim(k), dtype=np.int64)
 
 
-def hl_add_term(ctx: SymplecticContext, k: int, out: np.ndarray,
-                vec, lie_coords, scale: int = 1) -> None:
-    """Add vec (x) xi into a flat H (x) L_k vector."""
-    d = ctx.dim(k)
-    for h, c in enumerate(vec):
-        if c:
-            out[h * d:(h + 1) * d] += scale * c * lie_coords
+def _stacks(*vecs):
+    """Leaf vectors as equal-length stacks of rows (a single vector
+    broadcasts), and whether every argument was a single vector (the
+    one-row case)."""
+    arrs = [np.asarray(v) for v in vecs]
+    single = all(a.ndim == 1 for a in arrs)
+    return np.broadcast_arrays(*(np.atleast_2d(a) for a in arrs)), single
 
 
-def _deg1(ctx: SymplecticContext, vec) -> np.ndarray:
-    return np.asarray(vec, dtype=np.int64)
+def _hl_sum(terms, single: bool, weights=None) -> np.ndarray:
+    """Flat H (x) L_k rows of sum_t vec_t (x) lie_t, times a weight per row
+    if given: one exact contraction over the stacked terms (int64 under
+    its bound, else Python ints)."""
+    vecs = np.stack([v for v, _ in terms], axis=1)
+    lies = np.stack([l for _, l in terms], axis=1)
+    if weights is None:
+        out = safe_einsum("mth,mtd->mhd", vecs, lies)
+    else:
+        out = safe_einsum("m,mth,mtd->mhd", weights, vecs, lies)
+    out = out.reshape(len(out), vecs.shape[2] * lies.shape[2])
+    return out[0] if single else out
+
+
+def _eta2_terms(ctx, a, b, c, d):
+    cd = ctx.lie_bracket(1, c, 1, d)
+    ab = ctx.lie_bracket(1, a, 1, b)
+    return [(a, ctx.lie_bracket(1, b, 2, cd)), (b, ctx.lie_bracket(2, cd, 1, a)),
+            (c, ctx.lie_bracket(1, d, 2, ab)), (d, ctx.lie_bracket(2, ab, 1, c))]
 
 
 def eta1(ctx: SymplecticContext, u, v, w) -> np.ndarray:
-    """Tripod expansion in H (x) L_2; the cherry (x,y) reads as [y,x]."""
-    out = hl_zero(ctx, 2)
-    for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
-        # a (x) [c,b]
-        hl_add_term(ctx, 2, out, a,
-                    ctx.lie_bracket(1, _deg1(ctx, c), 1, _deg1(ctx, b)))
-    return out
+    """Tripod expansion in H (x) L_2; the cherry (x,y) reads as [y,x].
+
+    Leaves are vectors, or stacks giving one row per tripod."""
+    (u, v, w), single = _stacks(u, v, w)
+    # a (x) [c,b] for the cyclic rotations (a,b,c) of (u,v,w)
+    return _hl_sum([(a, ctx.lie_bracket(1, c, 1, b))
+                    for a, b, c in ((u, v, w), (v, w, u), (w, u, v))], single)
 
 
 def eta2(ctx: SymplecticContext, a, b, c, d) -> np.ndarray:
-    """H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a] + c(x)[d,[a,b]] + d(x)[[a,b],c]."""
-    out = hl_zero(ctx, 3)
-    cd = ctx.lie_bracket(1, _deg1(ctx, c), 1, _deg1(ctx, d))
-    ab = ctx.lie_bracket(1, _deg1(ctx, a), 1, _deg1(ctx, b))
-    hl_add_term(ctx, 3, out, a, ctx.lie_bracket(1, _deg1(ctx, b), 2, cd))
-    hl_add_term(ctx, 3, out, b, ctx.lie_bracket(2, cd, 1, _deg1(ctx, a)))
-    hl_add_term(ctx, 3, out, c, ctx.lie_bracket(1, _deg1(ctx, d), 2, ab))
-    hl_add_term(ctx, 3, out, d, ctx.lie_bracket(2, ab, 1, _deg1(ctx, c)))
-    return out
+    """H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a] + c(x)[d,[a,b]] + d(x)[[a,b],c].
+
+    Leaves are vectors, or stacks giving one row per tree."""
+    leaves, single = _stacks(a, b, c, d)
+    return _hl_sum(_eta2_terms(ctx, *leaves), single)
 
 
 def expand_symhalf(ctx: SymplecticContext, u, v) -> np.ndarray:
-    """u (.) v expands to u(x)[v,[u,v]] + v(x)[[u,v],u]; its double is eta2(u,v|u,v)."""
-    out = hl_zero(ctx, 3)
-    uv = ctx.lie_bracket(1, _deg1(ctx, u), 1, _deg1(ctx, v))
-    hl_add_term(ctx, 3, out, u, ctx.lie_bracket(1, _deg1(ctx, v), 2, uv))
-    hl_add_term(ctx, 3, out, v, ctx.lie_bracket(2, uv, 1, _deg1(ctx, u)))
-    return out
+    """u (.) v expands to u(x)[v,[u,v]] + v(x)[[u,v],u]; its double is eta2(u,v|u,v).
+
+    Leaves are vectors, or stacks giving one row per pair."""
+    (u, v), single = _stacks(u, v)
+    uv = ctx.lie_bracket(1, u, 1, v)
+    return _hl_sum([(u, ctx.lie_bracket(1, v, 2, uv)),
+                    (v, ctx.lie_bracket(2, uv, 1, u))], single)
 
 
 def tree_bracket(ctx: SymplecticContext, s, t) -> np.ndarray:
     """Bracket of two tripods: all nine omega-contractions, in H (x) L_3.
 
-    s and t are triples of H-vectors.  Equals the derivation bracket of the
-    eta1 images (see derivation_bracket).
+    s and t are triples of H-vectors, or of stacks giving one row per pair
+    of tripods.  Equals the derivation bracket of the eta1 images (see
+    derivation_bracket).  The H-trees of every nonzero contraction of every
+    row are expanded as one stack, then summed into their rows.
     """
-    out = hl_zero(ctx, 3)
+    leaves, single = _stacks(*s, *t)
+    s, t = leaves[:3], leaves[3:]
+    owner, weight, quads = [], [], []
     for i in range(3):
         for j in range(3):
             w = ctx.omega(s[i], t[j])
-            if w:
-                out += TREE_BRACKET_SIGN * w * eta2(
-                    ctx, s[(i + 1) % 3], s[(i + 2) % 3],
-                    t[(j + 1) % 3], t[(j + 2) % 3])
-    return out
+            rows = np.flatnonzero(w)
+            owner.append(rows)
+            weight.append(TREE_BRACKET_SIGN * w[rows])
+            quads.append([x[rows] for x in (s[(i + 1) % 3], s[(i + 2) % 3],
+                                            t[(j + 1) % 3], t[(j + 2) % 3])])
+    owner = np.concatenate(owner)
+    weight = np.concatenate(weight)
+    quad = [np.concatenate(x) for x in zip(*quads)]
+    vals = _hl_sum(_eta2_terms(ctx, *quad), False, weight)
+    # at most nine contractions land in one row
+    wide = vals.dtype == object or not fits_int64(
+        9 * int(np.abs(vals).max(initial=0)))
+    out = np.zeros((len(s[0]), vals.shape[1]),
+                   dtype=object if wide else np.int64)
+    np.add.at(out, owner, vals)
+    return out[0] if single else out
 
 
 # -- honest derivation-algebra oracle ------------------------------------

@@ -80,7 +80,8 @@ def test_mu_vanishes_at_zero_twist():
     rng = np.random.default_rng(33)
     basis = sp.d2().basis
     v = basis.T @ rng.integers(-2, 3, size=len(basis))
-    assert casson.mu(sp, v, np.zeros((2, 2), dtype=np.int64)) == 0
+    c = sp.express_in_generators(v)
+    assert casson.mu_of_coeffs(sp, c, np.zeros((2, 2), dtype=np.int64)) == 0
 
 
 def test_mu_matches_r_pairing_on_filtered_part():
@@ -94,7 +95,8 @@ def test_mu_matches_r_pairing_on_filtered_part():
         t = traces.tr_A(sp, v)
         s = rng.integers(-3, 4, size=(2, 2))
         s = s + s.T
-        assert casson.mu(sp, v, s) == casson.r_pairing(s, t)
+        c = sp.express_in_generators(v)
+        assert casson.mu_of_coeffs(sp, c, s) == casson.r_pairing(s, t)
 
 
 def test_mu_matches_half_omegaS_plus_delta():
@@ -105,8 +107,44 @@ def test_mu_matches_half_omegaS_plus_delta():
         v = basis.T @ rng.integers(-2, 3, size=len(basis))
         s = rng.integers(-3, 4, size=(2, 2))
         s = s + s.T
-        assert Fraction(casson.mu(sp, v, s)) \
-            == casson.half_omegaS_plus_delta(sp, v, s)
+        c = sp.express_in_generators(v)
+        assert Fraction(casson.mu_of_coeffs(sp, c, s)) \
+            == casson.half_omegaS_plus_delta(sp, c, s)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_tabulated_mu_matches_polynomial_evaluation(g):
+    """mu_of_coeffs (theta table) against the polynomial route: expand
+    theta of the coefficients, then evaluate it at both linking forms."""
+    sp = space(g)
+    rng = np.random.default_rng(40 + g)
+    coeffs = rng.integers(-3, 4, size=(6, len(sp.generators)))
+    coeffs[2] = 0
+    coeffs[4] = rng.integers(-(2 ** 20), 2 ** 20, size=len(sp.generators))
+    for _ in range(3):
+        s = rng.integers(-3, 4, size=(g, g))
+        s = s + s.T
+        stacked = casson.mu_of_coeffs(sp, coeffs, s)
+        assert stacked.shape == (len(coeffs),)
+        for row, got in zip(coeffs, stacked):
+            th = casson.theta_of_coeffs(sp, row)
+            want = casson.MU_SIGN * (
+                casson.eps_eval(th, casson.lk_base(g))
+                - casson.eps_eval(th, casson.lk_twisted(g, s)))
+            assert got == want
+            assert casson.mu_of_coeffs(sp, row, s) == want
+
+
+def test_omegaS_composite_stack_matches_rows():
+    sp = space(2)
+    rng = np.random.default_rng(36)
+    coeffs = rng.integers(-2, 3, size=(4, len(sp.generators)))
+    s = np.array([[2, -1], [-1, 0]])
+    stacked = casson.half_omegaS_plus_delta(sp, coeffs, s)
+    assert stacked == [casson.half_omegaS_plus_delta(sp, row, s)
+                       for row in coeffs]
+    assert np.array_equal(traces.tr_omegaS(sp, coeffs, s)[1],
+                          traces.tr_omegaS(sp, coeffs[1], s))
 
 
 def test_lk_twisted_requires_symmetric():

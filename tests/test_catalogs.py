@@ -122,6 +122,46 @@ def test_johnson_catalog_spans_as_kernel():
     assert three == ker
 
 
+def _johnson_reference(ctx, colors):
+    """The Johnson catalog as nested loops over colors with scalar omega
+    tests and one expansion per candidate: (name, value) pairs."""
+    omega = ctx.omega
+    pairs = []
+    for i, u in enumerate(colors):
+        for v in colors[i + 1:]:
+            if omega(u, v) in (1, -1):
+                pairs.append((u, v) if omega(u, v) == 1 else (v, u))
+    out, seen = [], set()
+
+    def add(name, val):
+        if val.tobytes() not in seen and (-val).tobytes() not in seen:
+            seen.add(val.tobytes())
+            out.append((name, val))
+
+    for u, v in pairs:
+        add("odot(%s,%s)" % (pretty_vector(ctx, u), pretty_vector(ctx, v)),
+            expand_symhalf(ctx, u, v))
+    for k, (u1, v1) in enumerate(pairs):
+        for u2, v2 in pairs[k + 1:]:
+            if any(omega(x, y) for x in (u1, v1) for y in (u2, v2)):
+                continue
+            add("tree(%s,%s|%s,%s)" % tuple(
+                pretty_vector(ctx, x) for x in (u1, v1, u2, v2)),
+                eta2(ctx, u1, v1, u2, v2))
+    return out
+
+
+@pytest.mark.parametrize("three_term", [False, True])
+def test_johnson_catalog_matches_loop_reference(three_term):
+    sp = space(2)
+    got = johnson_catalog(sp, three_term=three_term)
+    want = _johnson_reference(sp.ctx, catalogs._color_set(2, three_term))
+    assert [e.name for e in got] == [name for name, _ in want]
+    for e, (_, val) in zip(got, want):
+        assert np.array_equal(e.value, val)
+        assert e.value.base is None  # owns its data, not a view of a chunk
+
+
 def test_gl_generators_generate_symplectically():
     for g in (2, 3):
         for p in gl_generators(g):

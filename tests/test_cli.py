@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,17 @@ def test_raising_check_is_reported_as_failure(tmp_path, capsys, monkeypatch):
     assert doc["checks"][1]["witness"] == {"exception": "ZeroDivisionError",
                                            "message": "no luck"}
     assert "Traceback" in capsys.readouterr().err
+
+
+def test_budget_ignores_wall_clock_steps(capsys, monkeypatch):
+    """The budget runs on a monotonic clock: a wall clock that steps an
+    hour ahead at every reading neither skips a check that fits nor
+    gives a check negative seconds."""
+    steps = iter(range(0, 10 ** 9, 3600))
+    monkeypatch.setattr(time, "time", lambda: next(steps))
+    rc = main(["--check", "core-values", "--check", "d2-rank",
+               "--max-minutes", "5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "skipped" not in out
+    assert checks.run_check("core-values", 2).seconds < 60

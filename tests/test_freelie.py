@@ -91,6 +91,66 @@ def test_bracket_matrix_columns():
             assert np.array_equal(m[:, h * d2 + i], col)
 
 
+def _commutator(x: dict, y: dict) -> dict:
+    """xy - yx of tensor dicts, written out here on Python ints."""
+    out: dict = {}
+    for wx, cx in x.items():
+        for wy, cy in y.items():
+            out[wx + wy] = out.get(wx + wy, 0) + cx * cy
+            out[wy + wx] = out.get(wy + wx, 0) - cx * cy
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_bracket_table_matches_tensor_commutator(g):
+    ctx = SymplecticContext(g)  # fresh, so every table is built here
+    for j in range(1, 4):
+        for k in range(1, 5 - j):
+            table = ctx.bracket_table(j, k)
+            assert table.shape == (ctx.dim(j), ctx.dim(k), ctx.dim(j + k))
+            assert not table.flags.writeable
+            for a, u in enumerate(ctx.lyndon(j)):
+                for b, v in enumerate(ctx.lyndon(k)):
+                    want = _commutator(ctx.bracketing_tensor(u),
+                                       ctx.bracketing_tensor(v))
+                    assert ctx.lyndon_to_tensor(j + k, table[a, b]) == want
+    with pytest.raises(UnsupportedDegreeError):
+        ctx.bracket_table(2, 3)
+    for k in (1, 2):
+        assert np.array_equal(
+            ctx.bracket_matrix(k),
+            ctx.bracket_table(1, k + 1).reshape(-1, ctx.dim(k + 2)).T)
+
+
+def test_lie_bracket_stack_matches_rows():
+    ctx = context(3)
+    rng = np.random.default_rng(8)
+    x = rng.integers(-3, 4, size=(5, ctx.dim(1)))
+    y = rng.integers(-3, 4, size=(5, ctx.dim(2)))
+    x[1] = 0
+    y[3, :] = 0
+    y[:, 4] = 0
+    rows = ctx.lie_bracket(1, x, 2, y)
+    assert rows.shape == (5, ctx.dim(3))
+    for xi, yi, row in zip(x, y, rows):
+        assert np.array_equal(ctx.lie_bracket(1, xi, 2, yi), row)
+    assert not rows[1].any() and not rows[3].any()
+
+
+def test_omega_of_stacks_matches_rows():
+    ctx = context(3)
+    rng = np.random.default_rng(9)
+    u = rng.integers(-5, 6, size=(6, ctx.n))
+    v = rng.integers(-5, 6, size=(6, ctx.n))
+    assert ctx.omega(u, v).tolist() == [ctx.omega(a, b) for a, b in zip(u, v)]
+    ones = np.full(ctx.n, 2 ** 40, dtype=np.int64)
+    big = ones.copy()
+    big[0] = -big[0]
+    # past int64: only the (a1, b1) term survives, -2**80 - 2**80
+    assert ctx.omega(big[None], ones[None]).tolist() == [-2 ** 81]
+    assert ctx.omega(big, ones) == -2 ** 81
+
+
 def test_omega_symplectic_basis():
     ctx = context(3)
     g = ctx.g

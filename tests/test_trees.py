@@ -3,8 +3,9 @@
 import itertools
 
 import numpy as np
+import pytest
 
-from sympderiv.freelie import context
+from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
 from sympderiv.trees import (derivation_bracket, eta1, eta2, expand_symhalf,
                              tree_bracket)
 
@@ -114,3 +115,87 @@ def test_lagrangian_tripods_commute():
     s = (e0, e1, e0 + e1)
     t = (e1, e0, e0 - e1)
     assert not tree_bracket(ctx, s, t).any()
+
+
+def _stacks(ctx, rng, n, rows, scale=3):
+    """n leaf stacks; row 1 of the first stack is zero, and row 2 is zero
+    in every stack."""
+    out = [rng.integers(-scale, scale + 1, size=(rows, ctx.n)) for _ in range(n)]
+    out[0][1] = 0
+    for x in out:
+        x[2] = 0
+    return out
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_batched_expansions_match_rows(g):
+    ctx = context(g)
+    rng = np.random.default_rng(10 + g)
+    a, b, c, d, e, f = _stacks(ctx, rng, 6, 5)
+    cases = [(eta1, (a, b, c)), (eta2, (a, b, c, d)),
+             (expand_symhalf, (a, b))]
+    for fn, leaves in cases:
+        rows = fn(ctx, *leaves)
+        assert rows.shape[0] == 5 and rows.dtype == np.int64
+        for i, row in enumerate(rows):
+            assert np.array_equal(fn(ctx, *(x[i] for x in leaves)), row)
+        assert not rows[2].any()
+    rows = tree_bracket(ctx, (a, b, c), (d, e, f))
+    for i, row in enumerate(rows):
+        single = tree_bracket(ctx, (a[i], b[i], c[i]), (d[i], e[i], f[i]))
+        assert np.array_equal(single, row)
+    assert not rows[2].any()
+
+
+def _tensor(vec):
+    return {(p,): int(c) for p, c in enumerate(vec) if int(c)}
+
+
+def _eta2_tensors(ctx, a, b, c, d):
+    """Per H-letter tensors of eta2 on Python ints: a reference that never
+    leaves the dict algebra."""
+    br = tensor_concat_commutator
+    ta, tb, tc, td = (_tensor(x) for x in (a, b, c, d))
+    cd, ab = br(tc, td), br(ta, tb)
+    out = [{} for _ in range(ctx.n)]
+    for vec, lie in ((a, br(tb, cd)), (b, br(cd, ta)),
+                     (c, br(td, ab)), (d, br(ab, tc))):
+        for h in range(ctx.n):
+            tensor_add(out[h], lie, int(vec[h]))
+    return out
+
+
+def _as_tensors(ctx, row):
+    d = ctx.dim(3)
+    return [ctx.lyndon_to_tensor(3, row[h * d:(h + 1) * d])
+            for h in range(ctx.n)]
+
+
+def test_expansions_exact_with_leaves_near_2_20():
+    """Degree-4 and degree-6 expansions of leaves near 2**20 leave int64;
+    they must widen and agree with Python-int dict algebra."""
+    ctx = context(2)
+    rng = np.random.default_rng(12)
+    big = [2 ** 20 - rng.integers(0, 9, size=(3, ctx.n)) for _ in range(6)]
+    for x in big:
+        x[:, ::2] *= -1
+    a, b, c, d, e, f = big
+    rows = eta2(ctx, a, b, c, d)
+    assert rows.dtype == object
+    for i, row in enumerate(rows):
+        assert _as_tensors(ctx, row) == _eta2_tensors(ctx, a[i], b[i], c[i], d[i])
+    assert np.array_equal(2 * expand_symhalf(ctx, a, b), eta2(ctx, a, b, a, b))
+    rows = tree_bracket(ctx, (a, b, c), (d, e, f))
+    for i, row in enumerate(rows):
+        s, t = (a[i], b[i], c[i]), (d[i], e[i], f[i])
+        want = [{} for _ in range(ctx.n)]
+        for p in range(3):
+            for q in range(3):
+                w = ctx.omega(s[p], t[q])
+                quad = (s[(p + 1) % 3], s[(p + 2) % 3],
+                        t[(q + 1) % 3], t[(q + 2) % 3])
+                for h, tens in enumerate(_eta2_tensors(ctx, *quad)):
+                    tensor_add(want[h], tens, w)
+        assert _as_tensors(ctx, row) == want
+    # small leaves keep int64 (under the safe_einsum bound)
+    assert eta2(ctx, *(x % 3 for x in (a, b, c, d))).dtype == np.int64
