@@ -340,12 +340,12 @@ def orbit_closure(ctx, seed_rows, mats, k, max_rounds=20):
     lat = IntegerLattice(ambient, np.asarray(seed_rows))
     frontier = lat.basis
     for _ in range(max_rounds):
-        fresh = [row for m in mats
-                 for row in _transform_rows(ctx, m, frontier, k)
-                 if row not in lat]
-        if not fresh:
+        # one membership test per matrix: stacking every moved row of the
+        # round in one test held several times their size at once
+        moved = (_transform_rows(ctx, m, frontier, k) for m in mats)
+        frontier = np.vstack([rows[~lat.contains_rows(rows)] for rows in moved])
+        if not len(frontier):
             return lat
-        frontier = np.array(fresh)
         lat = lat.sum(IntegerLattice(ambient, frontier))
     raise RuntimeError("orbit closure did not stabilize")
 

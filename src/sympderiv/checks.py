@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from . import casson, catalogs, traces, trees
-from .derivspace import iota_matrix, space
+from .derivspace import FiltrationError, iota_matrix, space
 from .intlin import IntegerLattice
 
 VERSION = "0.1.0"
@@ -51,9 +51,15 @@ def _dec(v):
 
 # -- individual checks ---------------------------------------------------
 
+def d2_rank_closed_form(g: int) -> int:
+    """n^2 (n^2 - 1) / 12 with n = 2g: 20, 105, 336, 825 at genus 2-5."""
+    n2 = (2 * g) ** 2
+    return n2 * (n2 - 1) // 12
+
+
 def _check_d2_rank(g, rng):
     sp = space(g)
-    expected = {2: 20, 3: 105, 4: 336}[g]
+    expected = d2_rank_closed_form(g)
     kernel_rank = sp.d2().rank
     count_rank = sp.d2_rank_by_count()
     ok = kernel_rank == count_rank == expected
@@ -202,32 +208,56 @@ def _check_levine(g, rng):
     proj_kernel = sp.ker_projection("A")
     pairs = traces.sym2_pairs(g)
     idx = {p: i for i, p in enumerate(pairs)}
-    checked = 0
+    # per (i, j): the one-handle element and the two-handle elements, from
+    # one eta2 stack: (a_i, b_j | b_j, b_i), then (a_k, b_i | b_j, b_k)
+    families = []
     for i in range(g):
         for j in range(g):
             if i == j:
                 continue
-            t1 = trees.eta2(ctx, a[i], b[j], b[j], b[i])
-            want = np.zeros(len(pairs), dtype=np.int64)
-            want[idx[(j, j)]] = 1
-            if (t1 not in proj_kernel or traces.tr_as(sp, t1) != 0
-                    or not np.array_equal(traces.tr_A(sp, t1), want)
-                    or not want.any()):
-                return False, {"element": "one-handle, i=%d j=%d" % (i, j),
-                               "trace": _dec(traces.tr_A(sp, t1))}
+            ks = [k for k in range(g) if k != j]
+            rows = trees.eta2(ctx, [a[i]] + [a[k] for k in ks],
+                              [b[j]] + [b[i]] * len(ks), [b[j]] * (1 + len(ks)),
+                              [b[i]] + [b[k] for k in ks])
+            one = dict(zip(ks, rows[1:]))
+            two = [((k, k2), one[k] + one[k2])
+                   for k in ks for k2 in ks if k2 >= k]
+            families.append((i, j, rows[0], two))
+    # every test on one stack; the loop reads the results in order, so the
+    # witness is that of the first failing element
+    one_handle = np.array([t1 for _, _, t1, _ in families])
+    in_kernel = proj_kernel.contains_rows(one_handle)
+    as_bits = traces.tr_as(sp, one_handle)
+    every = np.vstack([row for _, _, t1, two in families
+                       for row in [t1] + [t2 for _, t2 in two]])
+    in_domain = sp.filtration(0, "A").contains_rows(every)
+
+    def trace_A(n):
+        # n: the element's row of `every`, the count of elements checked
+        # before it, since the loop stops at the first failure
+        if not in_domain[n]:
+            raise FiltrationError(
+                "element is not in the A-side filtration level 0")
+        return traces.tr_A(sp, every[n], check_domain=False)
+
+    checked = 0
+    for (i, j, _, two), kernel_ok, bits in zip(families, in_kernel, as_bits):
+        want = np.zeros(len(pairs), dtype=np.int64)
+        want[idx[(j, j)]] = 1
+        tr1 = trace_A(checked)
+        if (not kernel_ok or bits != 0 or not np.array_equal(tr1, want)
+                or not want.any()):
+            return False, {"element": "one-handle, i=%d j=%d" % (i, j),
+                           "trace": _dec(tr1)}
+        checked += 1
+        want2 = np.zeros(len(pairs), dtype=np.int64)
+        want2[idx[(min(i, j), max(i, j))]] = 2
+        for key, _ in two:
+            tr2 = trace_A(checked)
+            if not np.array_equal(tr2, want2):
+                return False, {"element": "two-handle %s" % str(key + (i, j)),
+                               "trace": _dec(tr2)}
             checked += 1
-            for k in range(g):
-                for k2 in range(k, g):
-                    if k == j or k2 == j:
-                        continue
-                    t2 = (trees.eta2(ctx, a[k], b[i], b[j], b[k])
-                          + trees.eta2(ctx, a[k2], b[i], b[j], b[k2]))
-                    want2 = np.zeros(len(pairs), dtype=np.int64)
-                    want2[idx[(min(i, j), max(i, j))]] = 2
-                    if not np.array_equal(traces.tr_A(sp, t2), want2):
-                        return False, {"element": "two-handle %s" % str((k, k2, i, j)),
-                                       "trace": _dec(traces.tr_A(sp, t2))}
-                    checked += 1
     return True, {"elements_checked": checked,
                   "strictness_witness": "tr_A = b'_j b'_j != 0 on an element "
                                         "of the projection kernel"}
@@ -431,7 +461,7 @@ ALL_CHECKS = [
               _check_goeritz_degree1, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("goeritz-kernel",
               "two-sided degree-2 catalog spans the triple trace kernel",
-              _check_goeritz_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 2}),
+              _check_goeritz_kernel, (2, 3, 4), {2: 1, 3: 1, 4: 1}),
     CheckSpec("core-values",
               "core of the re-gluing invariant on bounding-curve twists",
               _check_core_values, (2, 3, 4), {2: 1, 3: 1, 4: 1}),

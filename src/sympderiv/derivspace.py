@@ -91,10 +91,11 @@ class _GenSolver:
 
     def solve(self, v):
         """Coefficients of one vector, or of each row of a stack, or None."""
-        c = solve_over_hnf(self.basis, self.pivots, v)
-        if c is None:
+        v = np.asarray(v)
+        c, solved = solve_over_hnf(self.basis, self.pivots, np.atleast_2d(v))
+        if not solved.all():
             return None
-        return safe_matmul(c, self.trans)
+        return safe_matmul(c if v.ndim == 2 else c[0], self.trans)
 
 
 class DerivationSpace:

@@ -6,6 +6,13 @@ entries threaten to overflow; everything downstream only ever sees exact
 results.  Lattices are stored by their row-style HNF basis, which is the
 unique canonical representative, so structural equality of bases is lattice
 equality.
+
+Most lattices here are very sparse (a few nonzeros per row), and the input's
+density alone selects the path: ``safe_matmul`` multiplies over the
+nonzeros of a left operand with fewer than 1/SPARSE_PRODUCT of its entries
+nonzero, and ``hermite_normal_form`` runs a sparse-row loop on Python ints
+for inputs with at most 1/SPARSE_HNF nonzero.  The dense paths serve the
+rest.  Every path returns the same values.
 """
 
 from __future__ import annotations
@@ -56,13 +63,32 @@ def _eliminate(w: np.ndarray, rows: np.ndarray, r: int, c: int) -> np.ndarray:
     return w
 
 
+# The sparse-row HNF pays per entry in Python where the dense loop pays per
+# pivot in numpy.  On the HNF inputs of the genus-3 and genus-4 suites up to
+# 2.8 % nonzero (most pivots 1) it took 0.2-0.7x the dense time; on the
+# Johnson catalog chunks at 5-13 % nonzero, whose rows fill in, 2-13x.
+# 1/32 (3.1 %) sits between the two.
+SPARSE_HNF = 32
+
+
 def hermite_normal_form(m, transform: bool = False):
     """Row-style HNF with positive pivots and reduced entries above pivots.
 
     Returns ``hnf`` or ``(hnf, u)`` with ``u`` unimodular and ``u @ m == hnf``.
     Rows of the result are *not* trimmed: zero rows sink to the bottom.
+
+    Inputs with at most one nonzero entry in SPARSE_HNF run the sparse-row
+    loop, the others the dense one; both make the same row operations, so
+    ``hnf`` and ``u`` do not depend on the path taken.
     """
     a = as_int_matrix(m)
+    if SPARSE_HNF * np.count_nonzero(a) <= a.size:
+        return _sparse_hnf(a, transform)
+    return _dense_hnf(a, transform)
+
+
+def _dense_hnf(a: np.ndarray, transform: bool):
+    """The HNF loop on a dense int64 (widening to object) work matrix."""
     nrows, ncols = a.shape
     if transform:
         w = np.zeros((nrows, ncols + nrows), dtype=a.dtype)
@@ -101,6 +127,90 @@ def hermite_normal_form(m, transform: bool = False):
     return w
 
 
+def _sparse_hnf(a: np.ndarray, transform: bool):
+    """The HNF loop of ``_dense_hnf`` on rows held as {column: int} dicts.
+
+    Each row keeps its identity while ``order`` maps positions to rows, and
+    ``cols[c]`` holds the rows nonzero in column c, so a pivot step touches
+    only the rows live in its column and their nonzero entries.  Pivot
+    choice (least absolute value, first position on ties), floor quotients,
+    sign and reduction above the pivot follow the dense loop, so the result
+    is the same.  Python ints never overflow; the result is int64 when
+    every entry fits, else object.
+    """
+    nrows, ncols = a.shape
+    rows = [{} for _ in range(nrows)]
+    cols = [set() for _ in range(ncols)]
+    ii, jj = np.divmod(np.flatnonzero(a != 0), ncols)
+    for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+        rows[i][j] = x
+        cols[j].add(i)
+    if transform:
+        for i in range(nrows):
+            rows[i][ncols + i] = 1
+    order = list(range(nrows))
+    pos = list(range(nrows))
+
+    def subtract(t, q, p):
+        """Row t -= q * row p (q nonzero)."""
+        rt = rows[t]
+        for k, x in rows[p].items():
+            y = rt.get(k, 0) - q * x
+            if y:
+                if k < ncols and k not in rt:
+                    cols[k].add(t)
+                rt[k] = y
+            else:
+                del rt[k]
+                if k < ncols:
+                    cols[k].discard(t)
+
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        # Euclidean reduction of column c below position r.
+        while True:
+            live = [t for t in cols[c] if pos[t] >= r]
+            if not live:
+                break
+            piv = min(live, key=lambda t: (abs(rows[t][c]), pos[t]))
+            if pos[piv] != r:
+                top = order[r]
+                order[r], order[pos[piv]] = piv, top
+                pos[top], pos[piv] = pos[piv], r
+            live.remove(piv)
+            if not live:
+                break
+            p = rows[piv][c]
+            for t in live:
+                subtract(t, rows[t][c] // p, piv)
+            if not any(c in rows[t] for t in live):
+                break
+        prow = rows[order[r]]
+        if c not in prow:
+            continue
+        if prow[c] < 0:
+            for k in prow:
+                prow[k] = -prow[k]
+        p = prow[c]
+        for t in [t for t in cols[c] if pos[t] < r]:
+            q = rows[t][c] // p
+            if q:
+                subtract(t, q, order[r])
+        r += 1
+    width = ncols + nrows if transform else ncols
+    entries = [(i, k, x) for i, t in enumerate(order) for k, x in rows[t].items()]
+    wide = any(not -2 ** 63 <= x < 2 ** 63 for _, _, x in entries)
+    w = np.zeros((nrows, width), dtype=object if wide else np.int64)
+    if entries:
+        ii, kk, xs = zip(*entries)
+        w[list(ii), list(kk)] = xs
+    if transform:
+        return w[:, :ncols], w[:, ncols:]
+    return w
+
+
 def _nonzero_rows(h: np.ndarray) -> np.ndarray:
     return h[(h != 0).any(axis=1)]
 
@@ -121,23 +231,24 @@ def kernel_lattice(m) -> "IntegerLattice":
     return IntegerLattice(a.shape[1], left_kernel(a.T), canonical=True)
 
 
-def solve_over_hnf(basis: np.ndarray, pivots, v):
-    """Coefficients y with y @ basis == v, or None.  basis must be HNF rows.
+def solve_over_hnf(basis: np.ndarray, pivots, rows):
+    """Coefficients y with y @ basis == row for each row of a stack, over
+    HNF rows, and a boolean mask of the rows they solve (the coefficients
+    of the other rows are junk).
 
-    v is one vector or a stack of rows, solved together by substitution on
-    the pivot columns.  HNF reduces the entries above a pivot modulo it, so
-    above a pivot 1 they are all 0 and its coefficient is the entry of v
-    itself.  The other pivots are solved in waves: each wave takes those
-    with no unsolved pivot row above them that is nonzero in their column,
-    dividing by the pivot with floor.  One product then checks every column,
-    which also rejects a remainder; None means some row is not in the span.
-    Products go through ``safe_matmul`` and widen under its bound.
+    The rows are solved together by substitution on the pivot columns.  HNF
+    reduces the entries above a pivot modulo it, so above a pivot 1 they
+    are all 0 and its coefficient is the entry of the row itself.  The
+    other pivots are solved in waves: each wave takes those with no
+    unsolved pivot row above them that is nonzero in their column, dividing
+    by the pivot with floor.  One product then checks every column of every
+    row, which also rejects a remainder.  Products go through
+    ``safe_matmul`` and widen under its bound.
     """
-    v = np.asarray(v)
-    rows = np.atleast_2d(v)
+    rows = np.asarray(rows)
     pivots = np.asarray(pivots, dtype=np.intp)
-    wide = basis.dtype == object or not fits_int64(
-        int(np.abs(rows).max(initial=0)))
+    wide = basis.dtype == object or (rows.size and not fits_int64(
+        max(int(rows.max()), -int(rows.min()))))
     target = rows[:, pivots].astype(object if wide else np.int64, copy=False)
     heads = basis[np.arange(len(pivots)), pivots]
     todo = np.flatnonzero(heads != 1)
@@ -153,9 +264,8 @@ def solve_over_hnf(basis: np.ndarray, pivots, v):
         coeffs[:, todo[ready]] = rest // heads[todo[ready]]
         todo = todo[~ready]
     used = np.flatnonzero((coeffs != 0).any(axis=0))
-    if (safe_matmul(coeffs[:, used], basis[used]) != rows).any():
-        return None
-    return coeffs if v.ndim == 2 else coeffs[0]
+    solved = ~(safe_matmul(coeffs[:, used], basis[used]) != rows).any(axis=1)
+    return coeffs, solved
 
 
 def _pivot_cols(basis: np.ndarray) -> np.ndarray:
@@ -186,11 +296,21 @@ class IntegerLattice:
         return self.basis.shape[0]
 
     def membership(self, v):
-        """Integer coefficients of v over the stored basis, or None."""
-        return solve_over_hnf(self.basis, self._pivots, v)
+        """Integer coefficients of v, or of each row of a stack, over the
+        stored basis, or None if some row is outside."""
+        v = np.asarray(v)
+        coeffs, solved = solve_over_hnf(self.basis, self._pivots,
+                                        np.atleast_2d(v))
+        if not solved.all():
+            return None
+        return coeffs if v.ndim == 2 else coeffs[0]
 
     def __contains__(self, v) -> bool:
         return self.membership(v) is not None
+
+    def contains_rows(self, rows) -> np.ndarray:
+        """Boolean mask of the rows of a stack that lie in the lattice."""
+        return solve_over_hnf(self.basis, self._pivots, rows)[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerLattice):
@@ -200,8 +320,9 @@ class IntegerLattice:
                 and bool(np.all(self.basis == other.basis)))
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis.tobytes()
-                     if self.basis.dtype != object else str(self.basis)))
+        # from Python ints, so that bases equal in int64 and in object
+        # dtype hash alike, as __eq__ calls them equal
+        return hash((self.ambient_dim, tuple(map(tuple, self.basis.tolist()))))
 
     def __repr__(self):
         return f"IntegerLattice(dim={self.ambient_dim}, rank={self.rank})"
@@ -301,12 +422,64 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
     return np.einsum(subscripts, *(a.astype(object) for a in ops))
 
 
+# A left operand with fewer than 1/SPARSE_PRODUCT of its entries nonzero is
+# multiplied over its nonzeros only.  Of the products of `verify --all`,
+# 454 of 668 at genus 3 and 125 of 222 at genus 4 take that path.  It wins
+# on the large ones (genus-4 (336x336).(336x1344): 2-3 ms against 50-60 ms
+# for einsum) and loses 1.1-1.9x per call between 1/16 and 1/8 nonzero, on
+# 30 calls of about 2 ms together.  Any threshold from 1/6 to 1/32 gives the
+# same total within 3 ms (genus 3: 31-32 ms, genus 4: 74-78 ms; all einsum:
+# 46 and 836 ms); a cap of 4 or 8 on the fullest row would add 20-57 ms at
+# genus 4, so none is set.
+SPARSE_PRODUCT = 8
+
+
 def safe_matmul(a, b) -> np.ndarray:
-    """Exact integer product a @ b through ``safe_einsum``; a may be a
-    single row vector.  The bound is applied whatever the operand dtypes,
-    so object arrays with small entries are multiplied in int64 too."""
+    """Exact integer product a @ b; a may be a single row vector.
+
+    A left operand with fewer than one nonzero entry in SPARSE_PRODUCT is
+    multiplied over its nonzeros only (``_sparse_matmul``); any other goes
+    through ``safe_einsum``.  Either bound is applied whatever the operand
+    dtypes, so object arrays with small entries are multiplied in int64."""
     a = np.asarray(a)
     b = np.asarray(b)
     rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-    out = safe_einsum("ij,jk->ik", rows, b)
+    if SPARSE_PRODUCT * np.count_nonzero(rows) < rows.size:
+        out = _sparse_matmul(rows, b)
+    else:
+        out = safe_einsum("ij,jk->ik", rows, b)
     return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the nonzeros a[i, j] of a, adding a[i, j] * b[j] into row
+    i: the t-th nonzero of every row at once, for t = 0, 1, ..., so each
+    step forms at most one term per output row.  (Faster here than one
+    ``np.add.reduceat`` over all terms, which also holds them all at once.)
+    Runs in int64 when the most nonzeros in one row, times max|a| times
+    max|b|, is under 2**62, else on Python ints."""
+    out_shape = (a.shape[0], b.shape[1])
+    # (much faster than a 2-d np.nonzero)
+    ii, jj = np.divmod(np.flatnonzero(a != 0), a.shape[1])
+    if ii.size == 0 or b.size == 0:
+        return np.zeros(out_shape, dtype=np.int64)
+    vals = a[ii, jj]
+    # ii is sorted: place of each nonzero within its row
+    rank = np.arange(ii.size) - np.searchsorted(ii, ii)
+    per_row = int(rank.max()) + 1
+    bound = (per_row * int(np.abs(vals).max())
+             * max(1, int(np.abs(b).max())))
+    dtype = np.int64 if fits_int64(bound) else object
+    vals = vals.astype(dtype)
+    out = np.zeros(out_shape, dtype=dtype)
+    # the nonzeros grouped by place, so that a step touches its own only
+    # (a few full rows would otherwise rescan every nonzero at each step)
+    order = np.argsort(rank, kind="stable")
+    steps = np.split(order, np.searchsorted(rank[order], np.arange(1, per_row)))
+    for t, sel in enumerate(steps):
+        terms = b[jj[sel]].astype(dtype, copy=False)  # a fresh array
+        terms *= vals[sel, None]
+        if t:
+            terms += out[ii[sel]]
+        out[ii[sel]] = terms
+    return out

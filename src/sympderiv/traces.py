@@ -114,8 +114,9 @@ def _trace_bits(sp: DerivationSpace, which: str, vecs) -> list[int]:
     return out
 
 
-def tr_as(sp: DerivationSpace, v) -> int:
-    return _trace_bits(sp, "as", v)[0]
+def tr_as(sp: DerivationSpace, rows) -> list[int]:
+    """Bitmask of each row of a stack."""
+    return _trace_bits(sp, "as", rows)
 
 
 # -- the A-side and B-side traces ------------------------------------------

@@ -1,0 +1,58 @@
+"""Expected values and failure witnesses of individual checks."""
+
+import numpy as np
+import pytest
+
+from sympderiv import checks, traces, trees
+from sympderiv.derivspace import DerivationSpace, FiltrationError, space
+from sympderiv.intlin import IntegerLattice
+
+
+def test_d2_rank_closed_form():
+    assert [checks.d2_rank_closed_form(g) for g in (2, 3, 4, 5)] \
+        == [20, 105, 336, 825]
+    # the independent count agrees past the genera the suite runs
+    assert checks.d2_rank_closed_form(5) == DerivationSpace(5).d2_rank_by_count()
+
+
+def test_levine_stack_failure_keeps_first_witness(monkeypatch):
+    # a projection kernel holding only the first one-handle element: the
+    # check reports the first element outside, after the two it checked
+    sp = space(2)
+    e = [np.asarray(sp.ctx.basis_vector(p)) for p in range(4)]
+    first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
+    lat = IntegerLattice(sp.ambient_dim, first[None, :])
+    monkeypatch.setattr(DerivationSpace, "ker_projection",
+                        lambda self, killed="A": lat)
+    ok, witness = checks._check_levine(2, None)
+    assert not ok
+    # tr_A of (a_1, b_0 | b_0, b_1) is b'_0 b'_0
+    assert witness == {"element": "one-handle, i=1 j=0",
+                       "trace": ["1", "0", "0"]}
+    assert traces.sym2_pairs(2)[0] == (0, 0)
+
+
+def test_levine_raises_at_first_element_outside_domain(monkeypatch):
+    # a filtration holding only the first one-handle element: that element
+    # passes, and tr_A of the next one (a two-handle element) raises
+    sp = space(2)
+    proj_kernel = sp.ker_projection("A")
+    e = [np.asarray(sp.ctx.basis_vector(p)) for p in range(4)]
+    first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
+    lat = IntegerLattice(sp.ambient_dim, first[None, :])
+    monkeypatch.setattr(DerivationSpace, "ker_projection",
+                        lambda self, killed="A": proj_kernel)
+    monkeypatch.setattr(DerivationSpace, "filtration",
+                        lambda self, k, side: lat)
+    with pytest.raises(FiltrationError, match="A-side"):
+        checks._check_levine(2, None)
+
+
+def test_levine_reports_first_element_with_tr_as(monkeypatch):
+    # only the second one-handle element has a nonzero tr_as
+    monkeypatch.setattr(traces, "tr_as",
+                        lambda sp, rows: [0, 1] + [0] * (len(rows) - 2))
+    ok, witness = checks._check_levine(2, None)
+    assert not ok
+    assert witness == {"element": "one-handle, i=1 j=0",
+                       "trace": ["1", "0", "0"]}

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sympderiv import intlin
 from sympderiv.intlin import (GF2Matrix, IntegerLattice, NotSublatticeError,
                               hermite_normal_form, kernel_lattice, left_kernel,
                               safe_matmul, solve_over_hnf)
@@ -192,24 +193,30 @@ def test_solve_over_hnf_batched_matches_rows():
     lat = IntegerLattice(6, random_matrix(rng, (4, 6)))
     basis, pivots = lat.basis, lat._pivots
     rows = rng.integers(-3, 4, size=(7, lat.rank)) @ basis
-    batch = solve_over_hnf(basis, pivots, rows)
-    assert batch.shape == (7, lat.rank)
+    batch, solved = solve_over_hnf(basis, pivots, rows)
+    assert batch.shape == (7, lat.rank) and solved.all()
     for row, coeffs in zip(rows, batch):
-        assert np.array_equal(solve_over_hnf(basis, pivots, row), coeffs)
+        assert np.array_equal(solve_over_hnf(basis, pivots, row[None])[0][0],
+                              coeffs)
+        assert np.array_equal(lat.membership(row), coeffs)
     assert np.array_equal(batch @ basis, rows)
-    # one row outside the span makes the whole batch fail
+    assert np.array_equal(lat.membership(rows), batch)
+    # one row outside the span is masked, and fails the whole membership
     outside = rows.copy()
     outside[3, -1] += 1
-    assert solve_over_hnf(basis, pivots, outside) is None
+    assert solve_over_hnf(basis, pivots, outside)[1].tolist() \
+        == [True] * 3 + [False] + [True] * 3
+    assert lat.membership(outside) is None
     # pivots 2, 2, 3 whose columns hold entries of the rows above: each
     # coefficient waits for those above it
     chain = np.array([[2, 1, 1], [0, 2, 1], [0, 0, 3]])
     ys = rng.integers(-5, 6, size=(6, 3))
-    assert np.array_equal(solve_over_hnf(chain, [0, 1, 2], ys @ chain), ys)
-    assert solve_over_hnf(chain, [0, 1, 2], [[2, 1, 2]]) is None
+    coeffs, solved = solve_over_hnf(chain, [0, 1, 2], ys @ chain)
+    assert np.array_equal(coeffs, ys) and solved.all()
+    assert not solve_over_hnf(chain, [0, 1, 2], [[2, 1, 2]])[1].any()
     # a non-integer coefficient: (1, 0) is half of a basis vector of 2Z + 3Z
     small = IntegerLattice(2, np.array([[2, 0], [0, 3]]))
-    assert solve_over_hnf(small.basis, small._pivots, [[4, 3], [1, 0]]) is None
+    assert small.membership([[4, 3], [1, 0]]) is None
     assert small.membership([4, 3]).tolist() == [2, 1]
 
 
@@ -218,10 +225,10 @@ def test_solve_over_hnf_widens_exactly():
     # 2**30 * (2**40 - 1), past the int64 bound, so it runs in object
     basis = np.array([[1, 2 ** 40 - 1], [0, 2 ** 40]])
     rows = [[2 ** 30, -2 ** 30], [1, 2 ** 41 - 1]]
-    coeffs = solve_over_hnf(basis, [0, 1], rows)
-    assert coeffs.dtype == object
+    coeffs, solved = solve_over_hnf(basis, [0, 1], rows)
+    assert coeffs.dtype == object and solved.all()
     assert coeffs.tolist() == [[2 ** 30, -2 ** 30], [1, 1]]
-    assert solve_over_hnf(basis, [0, 1], [2 ** 30, 1 - 2 ** 30]) is None
+    assert not solve_over_hnf(basis, [0, 1], [[2 ** 30, 1 - 2 ** 30]])[1][0]
 
 
 def test_sum_and_intersection_agree_across_dtypes():
@@ -268,22 +275,39 @@ def _as_array(rows):
     return a if max(abs(x) for x in a.flat) >= 2 ** 31 else a.astype(np.int64)
 
 
+def assert_hnf_matches_sympy(sympy, m):
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+    h = hermite_normal_form(m)
+    ours = [[int(x) for x in row] for row in h if any(row)]
+    # sympy's form is column-style with pivots read from the right:
+    # transpose and reverse both axes to get the row HNF used here
+    ref = sympy_hnf(sympy.Matrix(m[:, ::-1].T.tolist())).T[::-1, ::-1]
+    assert ours == ref.tolist()
+
+
+def assert_left_kernel_saturated(sympy, m):
+    from sympy.matrices.normalforms import smith_normal_form
+    k = left_kernel(m)
+    a = sympy.Matrix(m.tolist())
+    assert len(k) == a.rows - a.rank()
+    if len(k):
+        kk = sympy.Matrix([[int(x) for x in row] for row in k])
+        assert (kk * a).is_zero_matrix
+        # saturated: Z^n / span(k) is torsion-free
+        snf = smith_normal_form(kk, domain=sympy.ZZ)
+        assert all(abs(snf[i, i]) == 1 for i in range(kk.rows))
+
+
 def test_hnf_matches_sympy_hermite_normal_form():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
-    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(_int_matrices(hypothesis.strategies))
     def check(rows):
         m = _as_array(rows)
         hypothesis.assume(m.any())
-        h = hermite_normal_form(m)
-        ours = [[int(x) for x in row] for row in h if any(row)]
-        # sympy's form is column-style with pivots read from the right:
-        # transpose and reverse both axes to get the row HNF used here
-        ref = sympy_hnf(sympy.Matrix(m[:, ::-1].T.tolist())).T[::-1, ::-1]
-        assert ours == ref.tolist()
+        assert_hnf_matches_sympy(sympy, m)
 
     check()
 
@@ -291,20 +315,148 @@ def test_hnf_matches_sympy_hermite_normal_form():
 def test_left_kernel_is_saturated_against_sympy():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
-    from sympy.matrices.normalforms import smith_normal_form
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(_int_matrices(hypothesis.strategies))
     def check(rows):
-        m = _as_array(rows)
-        k = left_kernel(m)
-        a = sympy.Matrix(m.tolist())
-        assert len(k) == a.rows - a.rank()
-        if len(k):
-            kk = sympy.Matrix([[int(x) for x in row] for row in k])
-            assert (kk * a).is_zero_matrix
-            # saturated: Z^n / span(k) is torsion-free
-            snf = smith_normal_form(kk, domain=sympy.ZZ)
-            assert all(abs(snf[i, i]) == 1 for i in range(kk.rows))
+        assert_left_kernel_saturated(sympy, _as_array(rows))
 
     check()
+
+
+# -- the sparse paths ---------------------------------------------------------
+
+def _sparse_matrices(st):
+    """Hypothesis strategy: 20-60 rows of 20-60 columns with 1.5-3 %
+    nonzero entries (so the sparse HNF runs), mostly small, and in some
+    matrices a few past 2^31 or past 2^62."""
+    small = st.integers(-6, 6).filter(bool)
+
+    def fill(r, c, big):
+        entry = st.one_of(small, small, small,
+                          st.integers(-big, big).filter(bool))
+        cells = st.tuples(st.integers(0, r - 1), st.integers(0, c - 1), entry)
+        return st.lists(cells, min_size=r * c // 66, max_size=r * c // 33).map(
+            lambda cs: _sparse_array(r, c, cs))
+
+    return st.tuples(st.integers(20, 60), st.integers(20, 60),
+                     st.sampled_from([6, 2 ** 40, 2 ** 70])).flatmap(
+        lambda args: fill(*args))
+
+
+def _sparse_array(r, c, cells):
+    """int64 when every entry fits, else object."""
+    a = np.zeros((r, c), dtype=object)
+    for i, j, x in cells:
+        a[i, j] = x
+    return a if any(abs(x) >= 2 ** 63 for *_, x in cells) else a.astype(np.int64)
+
+
+def test_sparse_hnf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(_sparse_matrices(hypothesis.strategies))
+    def check(m):
+        assert intlin.SPARSE_HNF * np.count_nonzero(m) <= m.size
+        hypothesis.assume(m.any())
+        assert_hnf_matches_sympy(sympy, m)
+
+    check()
+
+
+def test_sparse_left_kernel_is_saturated_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(_sparse_matrices(hypothesis.strategies))
+    def check(m):
+        assert_left_kernel_saturated(sympy, m)
+
+    check()
+
+
+@pytest.mark.parametrize("density", [0.01, 0.05, 0.3, 1.0])
+def test_sparse_and_dense_hnf_agree(density):
+    # the same row operations in the same order: equal h and u, whatever
+    # the density and the path the selection would take
+    rng = np.random.default_rng(18)
+    for shape in [(30, 40), (40, 25), (12, 12)]:
+        m = rng.integers(-4, 5, size=shape) * (rng.random(shape) < density)
+        for transform in (False, True):
+            dense = intlin._dense_hnf(m, transform)
+            sparse = intlin._sparse_hnf(m, transform)
+            for d, s in zip(dense if transform else (dense,),
+                            sparse if transform else (sparse,)):
+                assert d.shape == s.shape and np.array_equal(d, s)
+    # an update past 2^62: the dense loop widens to object, the sparse one
+    # is exact on Python ints
+    m = np.array([[1, 2 ** 61, 0, 0], [5, 2 ** 61, 1, 0], [0, 3, 7, 0],
+                  [0, 0, 0, 0]])
+    dense_h, dense_u = intlin._dense_hnf(m, True)
+    sparse_h, sparse_u = intlin._sparse_hnf(m, True)
+    assert sparse_h.dtype == object
+    assert np.array_equal(dense_h, sparse_h)
+    assert np.array_equal(dense_u, sparse_u)
+    check_hnf(m, sparse_h, sparse_u)
+
+
+def test_sparse_safe_matmul_int64_bound():
+    # a is sparse (3 nonzeros in 50): the product over its nonzeros
+    a = np.zeros((10, 5), dtype=object)
+    a[0, 1], a[0, 3], a[2, 4] = 2 ** 30, -2 ** 30, 3
+    assert intlin.SPARSE_PRODUCT * np.count_nonzero(a) < a.size
+
+    def check(b):
+        out = safe_matmul(a, b)
+        assert np.array_equal(out, a @ b.astype(object))
+        return out
+
+    # nonzeros per row (2) * max|a| * max|b| just below 2**62: int64, exact
+    b = np.full((5, 3), 2 ** 31 - 1, dtype=np.int64)
+    b[3] = -(2 ** 31 - 1)
+    assert check(b).dtype == np.int64
+    # at the bound, and past int64 itself: object, exact
+    assert check(np.where(b > 0, 2 ** 31, -2 ** 31)).dtype == object
+    assert check(b.astype(object) * 2 ** 40).dtype == object
+    # a row vector and a zero operand
+    row = np.zeros(20, dtype=np.int64)
+    row[3] = 1
+    assert safe_matmul(row, np.arange(40).reshape(20, 2)).tolist() == [6, 7]
+    assert not safe_matmul(np.zeros((3, 40), dtype=object),
+                           np.full((40, 1), 2 ** 70, dtype=object)).any()
+    # rows with up to a dozen nonzeros, some empty
+    rng = np.random.default_rng(19)
+    m = rng.integers(-9, 10, size=(30, 40)) * (rng.random((30, 40)) < 0.1)
+    wide = rng.integers(-2 ** 40, 2 ** 40, size=(40, 3))
+    assert np.array_equal(safe_matmul(m, wide),
+                          m.astype(object) @ wide.astype(object))
+    # two full rows among rows of one nonzero: the steps past the first
+    # take the full rows' nonzeros only
+    m = np.zeros((200, 60), dtype=np.int64)
+    m[np.arange(200), rng.integers(0, 60, 200)] = rng.integers(1, 5, 200)
+    m[[7, 150]] = rng.integers(-3, 4, size=(2, 60))
+    assert intlin.SPARSE_PRODUCT * np.count_nonzero(m) < m.size
+    b = rng.integers(-50, 50, size=(60, 4))
+    assert np.array_equal(safe_matmul(m, b), m @ b)
+
+
+def test_lattice_hash_agrees_with_equality_across_dtypes():
+    basis = np.array([[1, 0, 2], [0, 3, 5]])
+    small = IntegerLattice(3, basis)
+    wide = IntegerLattice(3, basis.astype(object), canonical=True)
+    assert wide.basis.dtype == object and small.basis.dtype == np.int64
+    assert small == wide and hash(small) == hash(wide)
+    assert len({small, wide}) == 1
+
+
+def test_contains_rows_masks_each_row():
+    lat = IntegerLattice(2, np.array([[2, 0], [0, 3]]))
+    rows = np.array([[4, 3], [1, 0], [0, -6], [2, 1]])
+    assert lat.contains_rows(rows).tolist() == [True, False, True, False]
+    coeffs, solved = solve_over_hnf(lat.basis, lat._pivots, rows)
+    assert coeffs[solved].tolist() == [[2, 1], [0, -2]]
+    assert lat.membership(rows) is None and rows[1] not in lat
+    assert IntegerLattice(2).contains_rows(rows).tolist() == [False] * 4
