@@ -4,7 +4,9 @@ Polynomials live in variables l_{pq} = l(e_p, e_q) for ordered basis pairs
 p <= q; the relation l(v,u) = l(u,v) + omega(u,v) is applied eagerly, so
 equality of polynomials is equality of dicts.  Evaluations substitute a
 linking matrix; the base form is [[0,0],[Id,0]] and the form twisted by a
-symmetric S is [[0,0],[Id,S]].
+symmetric S is [[0,0],[Id,S]].  The theta polynomial of every generator is
+tabulated once per genus, so q-bar and mu are exact products with that
+table, mu at every matrix of a stack of S at once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .derivspace import DerivationSpace
 from .freelie import SymplecticContext
-from .intlin import safe_matmul
+from .intlin import safe_einsum, safe_matmul
 from .traces import tr_omegaS
 
 # mu(v, S) := eps_base(theta(v)) - eps_twisted(theta(v)); this sign makes
@@ -25,10 +27,6 @@ from .traces import tr_omegaS
 MU_SIGN = 1
 
 Poly = dict  # monomial (sorted tuple of (p,q) vars) -> int coefficient
-
-
-def poly_zero() -> Poly:
-    return {}
 
 
 def poly_const(c: int) -> Poly:
@@ -127,36 +125,17 @@ def lk_base(g: int) -> np.ndarray:
 
 
 def lk_twisted(g: int, s) -> np.ndarray:
+    """The twisted linking matrix [[0,0],[Id,S]], or one per matrix of a
+    stack of symmetric S."""
     s = np.asarray(s, dtype=np.int64)
-    if not np.array_equal(s, s.T):
+    if not np.array_equal(s, np.swapaxes(s, -1, -2)):
         raise ValueError("S must be symmetric")
-    m = lk_base(g).copy()
-    m[g:, g:] = s
+    m = np.broadcast_to(lk_base(g), s.shape[:-2] + (2 * g, 2 * g)).copy()
+    m[..., g:, g:] = s
     return m
 
 
-def eps_eval(poly: Poly, lk: np.ndarray) -> int:
-    total = 0
-    for mono, c in poly.items():
-        term = c
-        for p, q in mono:
-            term *= int(lk[p, q])
-            if not term:
-                break
-        total += term
-    return total
-
-
 # -- the derived maps -------------------------------------------------------
-
-def theta_of_coeffs(sp: DerivationSpace, coeffs) -> Poly:
-    out: Poly = {}
-    for c, gen in zip(coeffs, sp.generators):
-        c = int(c)
-        if c:
-            out = poly_add(out, theta_gen(sp, gen), c)
-    return out
-
 
 @lru_cache(maxsize=None)
 def _theta_table(sp: DerivationSpace):
@@ -180,70 +159,88 @@ def _theta_table(sp: DerivationSpace):
 
 
 def _eps_monomials(slots: np.ndarray, lk: np.ndarray) -> np.ndarray:
-    """Value of every tabulated monomial at the linking matrix lk."""
-    flat = np.append(lk.ravel(), 1)
+    """Value of every tabulated monomial at the linking matrix lk, or one
+    row of values per matrix of a stack."""
+    flat = lk.reshape(lk.shape[:-2] + (-1,))
+    flat = np.concatenate([flat, np.ones(flat.shape[:-1] + (1,), flat.dtype)],
+                          axis=-1)
     if int(np.abs(flat).max()) >= 2 ** 31:
         flat = flat.astype(object)
-    return flat[slots[:, 0]] * flat[slots[:, 1]]
+    return flat[..., slots[:, 0]] * flat[..., slots[:, 1]]
 
 
-def dbar_of_coeffs(sp: DerivationSpace, coeffs) -> int:
-    return sum(int(c) * dbar_gen(sp, gen)
-               for c, gen in zip(coeffs, sp.generators) if int(c))
+@lru_cache(maxsize=None)
+def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
+    """3 qbar of every generator: 3 eps_j(theta), read from the theta table
+    at the base linking matrix, plus dbar."""
+    table, slots = _theta_table(sp)
+    eps = safe_matmul(table, _eps_monomials(slots, lk_base(sp.g))[:, None])
+    dbar = np.array([dbar_gen(sp, gen) for gen in sp.generators])
+    return 3 * eps[:, 0] + dbar
 
 
-def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> Fraction:
-    """eps_j(theta) + (1/3) dbar on a generator expression."""
-    th = eps_eval(theta_of_coeffs(sp, coeffs), lk_base(sp.g))
-    return Fraction(th) + Fraction(dbar_of_coeffs(sp, coeffs), 3)
+def qbar_of_coeffs(sp: DerivationSpace, coeffs):
+    """eps_j(theta) + (1/3) dbar on a generator expression: a Fraction for
+    one row of coefficients, a list of them for a stack."""
+    thrice = safe_matmul(coeffs, _thrice_qbar_column(sp)[:, None])[..., 0]
+    if thrice.ndim == 0:
+        return Fraction(int(thrice), 3)
+    return [Fraction(int(x), 3) for x in thrice]
+
+
+def _per_s(out: np.ndarray, s: np.ndarray):
+    """A result with one column per matrix of a stack of S, its last axis,
+    back to the caller's shape: that axis dropped for a single S, and an
+    int for a single row."""
+    if s.ndim == 2:
+        out = out[..., 0]
+    return int(out) if out.ndim == 0 else out
 
 
 def mu_of_coeffs(sp: DerivationSpace, coeffs, s):
     """Casson-difference value against the symmetric matrix S of the
-    element with the given generator coefficients: an int for one row, an
-    exact integer array for a stack of rows.
+    element with the given generator coefficients, of shape
+    coeffs.shape[:-1] + s.shape[:-2]: an int for one row and one S, an
+    exact integer array for a stack of rows or of matrices.
 
-    One exact product of the coefficients with the per-generator
-    difference eps_base(theta) - eps_twisted(theta), read from the theta
-    table."""
+    Every tabulated monomial is evaluated at every twisted linking matrix
+    at once; one exact product with the theta table gives each generator's
+    difference eps_base(theta) - eps_twisted(theta) at each S, and one
+    more the coefficients' values."""
+    s = np.asarray(s)
     table, slots = _theta_table(sp)
     diff = (_eps_monomials(slots, lk_base(sp.g))
             - _eps_monomials(slots, lk_twisted(sp.g, s)))
-    per_gen = safe_matmul(table, diff[:, None])
-    out = MU_SIGN * safe_matmul(coeffs, per_gen)[..., 0]
-    return int(out) if out.ndim == 0 else out
+    per_gen = safe_matmul(table, diff.reshape(-1, len(slots)).T)
+    return _per_s(MU_SIGN * safe_matmul(coeffs, per_gen), s)
 
 
 def r_pairing(s, q):
     """Half of the r-map pairing between a symmetric S and an S^2(H')
-    vector over the basis {b'_i b'_j, i <= j}: an int, or an exact integer
-    array for a stack of vectors."""
+    vector over the basis {b'_i b'_j, i <= j}, of shape
+    q.shape[:-1] + s.shape[:-2]: an int, or an exact integer array for a
+    stack of vectors or of matrices."""
     s = np.asarray(s, dtype=np.int64)
-    upper = s[np.triu_indices(s.shape[0])]  # row-major i <= j, the basis order
-    out = safe_matmul(q, upper[:, None])[..., 0]
-    return int(out) if out.ndim == 0 else out
-
-
-def omega_S_of_tensor(s, t: np.ndarray) -> int:
-    """omega_S contracted against a 2g x 2g tensor (sum over both slots)."""
-    s = np.asarray(s, dtype=np.int64)
-    g = s.shape[0]
-    return int(np.sum(s * t[g:, g:]))
-
-
-def omega_delta_of_tensor(g: int, t: np.ndarray) -> int:
-    """omega_delta (matrix [[0,0],[Id,0]]) contracted against a tensor."""
-    return int(np.trace(t[g:, :g]))
+    i, j = np.triu_indices(s.shape[-1])
+    upper = s[..., i, j]  # row-major i <= j, the basis order
+    return _per_s(safe_matmul(q, upper.reshape(-1, upper.shape[-1]).T), s)
 
 
 def half_omegaS_plus_delta(sp: DerivationSpace, coeffs, s):
-    """(1/2 omega_S + omega_delta) applied to tr_omegaS(coeffs, S): a
-    Fraction for one row of generator coefficients, a list for a stack."""
+    """(1/2 omega_S + omega_delta) applied to tr_omegaS(coeffs, S), counted
+    in halves: the exact integers omega_S(t) + 2 omega_delta(t), twice the
+    composite, of shape coeffs.shape[:-1] + s.shape[:-2] (an int for one
+    row and one S).
+
+    Both forms are read off one weight matrix per S, [[0,0],[2 Id,S]],
+    contracted exactly with t over all 2g x 2g slots."""
+    s = np.asarray(s, dtype=np.int64)
     t = tr_omegaS(sp, coeffs, s)
-    vals = [Fraction(omega_S_of_tensor(s, x), 2)
-            + Fraction(omega_delta_of_tensor(sp.g, x))
-            for x in t.reshape(-1, 2 * sp.g, 2 * sp.g)]
-    return vals if np.ndim(coeffs) == 2 else vals[0]
+    n2 = (2 * sp.g) ** 2
+    weights = (lk_base(sp.g) + lk_twisted(sp.g, s)).reshape(-1, n2)
+    t = t.reshape(-1, len(weights), n2)
+    out = safe_einsum("rmk,mk->rm", t, weights)
+    return _per_s(out.reshape(np.shape(coeffs)[:-1] + (len(weights),)), s)
 
 
 def d_core(h: int) -> int:

@@ -360,8 +360,9 @@ def goeritz_tau1_lattice(sp: DerivationSpace):
 
 def mixed_wedge_lattice(sp: DerivationSpace):
     """Span of the degree-1 tripods with at least one leaf on each side."""
-    rows = [sp.d1_tree_value(t) for t in basis_tripods(sp.g, "mixed")]
-    return IntegerLattice(2 * sp.g * sp.ctx.dim(2), np.array(rows))
+    e = np.eye(sp.ctx.n, dtype=np.int64)
+    leaves = e[np.array(basis_tripods(sp.g, "mixed")).T]
+    return IntegerLattice(2 * sp.g * sp.ctx.dim(2), eta1(sp.ctx, *leaves))
 
 
 def goeritz_tau2_entries(sp: DerivationSpace):

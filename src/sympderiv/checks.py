@@ -26,7 +26,7 @@ import numpy as np
 
 from . import casson, catalogs, traces, trees
 from .derivspace import FiltrationError, iota_matrix, space
-from .intlin import IntegerLattice
+from .intlin import IntegerLattice, safe_matmul
 
 VERSION = "0.1.0"
 
@@ -231,6 +231,7 @@ def _check_levine(g, rng):
     every = np.vstack([row for _, _, t1, two in families
                        for row in [t1] + [t2 for _, t2 in two]])
     in_domain = sp.filtration(0, "A").contains_rows(every)
+    traces_A = traces.tr_A(sp, every, check_domain=False)
 
     def trace_A(n):
         # n: the element's row of `every`, the count of elements checked
@@ -238,7 +239,7 @@ def _check_levine(g, rng):
         if not in_domain[n]:
             raise FiltrationError(
                 "element is not in the A-side filtration level 0")
-        return traces.tr_A(sp, every[n], check_domain=False)
+        return traces_A[n]
 
     checked = 0
     for (i, j, _, two), kernel_ok, bits in zip(families, in_kernel, as_bits):
@@ -272,13 +273,12 @@ def _check_casson_bridge(g, rng):
     sp = space(g)
     f0_gens = [i for i, gen in enumerate(sp.generators)
                if sp.classify_type(gen)[0] >= 1]
-    mats = [_random_sym_matrix(g, rng) for _ in range(100)]
+    mats = np.array([_random_sym_matrix(g, rng) for _ in range(100)])
     # every (generator, S) instance at once, generators down, S across
     units = np.eye(len(sp.generators), dtype=np.int64)[f0_gens]
-    qs = np.array([traces.tr_A(sp, sp.gen_value(sp.generators[gi]))
-                   for gi in f0_gens])
-    lhs = np.array([casson.mu_of_coeffs(sp, units, s) for s in mats]).T
-    rhs = np.array([casson.r_pairing(s, qs) for s in mats]).T
+    qs = traces.tr_A(sp, sp.gen_matrix()[:, f0_gens].T)
+    lhs = casson.mu_of_coeffs(sp, units, mats)
+    rhs = casson.r_pairing(mats, qs)
     bad = np.argwhere(lhs != rhs)  # row-major: the first failing instance
     if len(bad):
         i, j = bad[0]
@@ -286,19 +286,19 @@ def _check_casson_bridge(g, rng):
                        "mu": str(lhs[i, j]), "pairing": str(rhs[i, j]),
                        "s": _dec(mats[j])}
     n_bridge = lhs.size
-    # every (D_2 basis row, S) instance, from one generator expression
+    # every (D_2 basis row, S) instance, from one generator expression;
+    # the composite is counted in halves, so it is compared with 2 mu
     basis = sp.d2().basis
     coeffs = sp.express_in_generators(basis)
-    mus = [casson.mu_of_coeffs(sp, coeffs, s) for s in mats[:10]]
-    composites = [casson.half_omegaS_plus_delta(sp, coeffs, s)
-                  for s in mats[:10]]
-    for i, row in enumerate(basis):
-        for mu, comp in zip(mus, composites):
-            if Fraction(int(mu[i])) != comp[i]:
-                return False, {"element": _dec(row), "mu": str(mu[i]),
-                               "composite": str(comp[i])}
+    mus = casson.mu_of_coeffs(sp, coeffs, mats[:10])
+    halves = casson.half_omegaS_plus_delta(sp, coeffs, mats[:10])
+    bad = np.argwhere(2 * mus != halves)
+    if len(bad):
+        i, j = bad[0]
+        return False, {"element": _dec(basis[i]), "mu": str(mus[i, j]),
+                       "composite": str(Fraction(int(halves[i, j]), 2))}
     return True, {"bridge_instances": n_bridge,
-                  "composite_instances": len(basis) * len(mus)}
+                  "composite_instances": mus.size}
 
 
 def quartic_relation(sp, quad):
@@ -317,18 +317,20 @@ def _check_quartic_vanishing(g, rng):
     quads = list(itertools.combinations(range(2 * g), 4))
     expected_dim = comb(2 * g, 4)
     s = _random_sym_matrix(g, rng)
-    gm = sp.gen_matrix()
-    rows = []
-    for quad in quads:
-        row = quartic_relation(sp, quad)
-        rows.append(row)
-        if np.asarray(gm @ row).any():
+    rows = np.array([quartic_relation(sp, quad) for quad in quads])
+    # every test on the whole stack; the loop reports the first failing
+    # quad, with its first failing test
+    images = safe_matmul(rows, sp.gen_matrix().T)
+    qbars = casson.qbar_of_coeffs(sp, rows)
+    mus = casson.mu_of_coeffs(sp, rows, s)
+    for quad, image, qbar, mu in zip(quads, images, qbars, mus):
+        if image.any():
             return False, {"quad": list(quad), "reason": "not a relation"}
-        if casson.qbar_of_coeffs(sp, row) != 0:
+        if qbar != 0:
             return False, {"quad": list(quad), "qbar": "nonzero"}
-        if casson.mu_of_coeffs(sp, row, s) != 0:
+        if mu != 0:
             return False, {"quad": list(quad), "mu": "nonzero"}
-    rank = IntegerLattice(len(sp.generators), np.array(rows)).rank
+    rank = IntegerLattice(len(sp.generators), rows).rank
     if rank != expected_dim:
         return False, {"rank": rank, "expected": expected_dim}
     return True, {"spanning_vectors": rank, "expected": expected_dim}

@@ -129,14 +129,6 @@ class DerivationSpace:
         na = sum(1 for l in leaves if l < self.g)
         return na, len(leaves) - na
 
-    def gen_value(self, gen) -> np.ndarray:
-        e = self.ctx.basis_vector
-        if gen[0] == "odot":
-            p, q = gen[1]
-            return trees.expand_symhalf(self.ctx, e(p), e(q))
-        (p, q), (r, s) = gen[1], gen[2]
-        return trees.eta2(self.ctx, e(p), e(q), e(r), e(s))
-
     # -- main lattices ----------------------------------------------------
     @lru_cache(maxsize=None)
     def gen_matrix(self) -> np.ndarray:
@@ -173,13 +165,6 @@ class DerivationSpace:
     @lru_cache(maxsize=None)
     def d1(self) -> IntegerLattice:
         return kernel_lattice(self.ctx.bracket_matrix(1))
-
-    def d1_tree_basis(self) -> list[tuple[int, int, int]]:
-        return list(itertools.combinations(range(self.ctx.n), 3))
-
-    def d1_tree_value(self, triple) -> np.ndarray:
-        e = self.ctx.basis_vector
-        return trees.eta1(self.ctx, e(triple[0]), e(triple[1]), e(triple[2]))
 
     # -- expressing elements over generators ------------------------------
     @lru_cache(maxsize=None)

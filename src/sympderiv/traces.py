@@ -1,9 +1,13 @@
 """The trace operators on the degree-2 derivation lattice.
 
 The mod-2 traces tr_sym and tr_as land in GF(2) quadratic spaces over
-H/2H and are computed through generator expressions; tr_A, tr_B and the
-S-twisted contraction tr_omegaS are direct coordinate formulas.  Kernels
-are returned as exact sublattices of the ambient H (x) L_3 coordinates.
+H/2H and are computed through generator expressions.  The integer traces
+are linear maps tabulated once per genus and applied to whole stacks as
+one exact product: tr_A and tr_B through an (ambient x S^2(H')) matrix
+built from the tensor expansions of the degree-3 Lyndon words, and the
+S-twisted contraction tr_omegaS through each generator's contraction,
+tabulated over the entries of S.  Kernels are returned as exact
+sublattices of the ambient H (x) L_3 coordinates.
 """
 
 from __future__ import annotations
@@ -122,7 +126,8 @@ def tr_as(sp: DerivationSpace, rows) -> list[int]:
 # -- the A-side and B-side traces ------------------------------------------
 
 def tr_A(sp: DerivationSpace, v, check_domain: bool = True) -> np.ndarray:
-    """Integer vector over the S^2(H') basis {b'_i b'_j, i <= j}."""
+    """Integer vector over the S^2(H') basis {b'_i b'_j, i <= j} of one
+    element, or one row per element of a stack."""
     return _side_trace(sp, v, "A", check_domain)
 
 
@@ -130,74 +135,93 @@ def tr_B(sp: DerivationSpace, v, check_domain: bool = True) -> np.ndarray:
     return _side_trace(sp, v, "B", check_domain)
 
 
-def _side_trace(sp: DerivationSpace, v, side: str,
-                check_domain: bool) -> np.ndarray:
-    """Keep H-factors in the side Lagrangian, kill that side in the Lie
+@lru_cache(maxsize=None)
+def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
+    """The side trace as a read-only (ambient x S^2(H')) integer matrix.
+
+    Row h * dim(L_3) + i is the trace of e_h (x) (i-th Lyndon bracketing):
+    keep H-factors in the side Lagrangian, kill that side in the Lie
     factor, contract the first two tensor slots by omega, and symmetrize
     the last two into S^2 of the quotient."""
-    v = np.asarray(v)
-    if check_domain and v not in sp.filtration(0, side):
-        raise FiltrationError(
-            "element is not in the %s-side filtration level 0" % side)
     ctx = sp.ctx
     d3 = ctx.dim(3)
     side_letters = ctx.kill_letters(side)
     shift = ctx.g if side == "A" else 0
     index = _pair_index(ctx.g, "sym")
-    out = np.zeros(len(index), dtype=np.int64)
+    table = np.zeros((sp.ambient_dim, len(index)), dtype=np.int64)
     for h in side_letters:
-        block = v[h * d3:(h + 1) * d3]
-        if not np.any(block):
-            continue
-        for word, c in ctx.lyndon_to_tensor(3, block).items():
-            if any(l in side_letters for l in word):
-                continue
-            w = ctx.omega_letters(h, word[0])
-            if w:
-                x, y = word[1] - shift, word[2] - shift
-                out[index[(min(x, y), max(x, y))]] += w * int(c)
-    return out
+        for i, w in enumerate(ctx.lyndon(3)):
+            for word, c in ctx.bracketing_tensor(w).items():
+                if any(l in side_letters for l in word):
+                    continue
+                om = ctx.omega_letters(h, word[0])
+                if om:
+                    x, y = word[1] - shift, word[2] - shift
+                    table[h * d3 + i, index[(min(x, y), max(x, y))]] += om * c
+    table.setflags(write=False)
+    return table
+
+
+def _side_trace(sp: DerivationSpace, v, side: str,
+                check_domain: bool) -> np.ndarray:
+    v = np.asarray(v)
+    if check_domain and not sp.filtration(0, side).contains_rows(
+            np.atleast_2d(v)).all():
+        raise FiltrationError(
+            "element is not in the %s-side filtration level 0" % side)
+    return safe_matmul(v, _side_table(sp, side))
 
 
 # -- the S-twisted contraction ---------------------------------------------
 
-def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
-    """Value in T_2(H) = H (x) H, as a 2g x 2g integer matrix, of the
-    element with the given generator coefficients; a stack of coefficient
-    rows gives one matrix per row.
-
-    Each generator's contraction is tabulated once for S, then contracted
-    exactly with the coefficients."""
-    s = np.asarray(s, dtype=np.int64)
+@lru_cache(maxsize=None)
+def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
+    """Each generator's S-twisted contraction as a linear map of S: a
+    read-only int8 array (g*g, generators * 2g * 2g) whose row i*g + j
+    holds the coefficients of S_ij in every generator's 2g x 2g value.
+    A generator has at most 8 terms."""
     g = sp.g
-    if not np.array_equal(s, s.T):
-        raise ValueError("S must be symmetric")
-
-    def ws(p, q):
-        if p >= g and q >= g:
-            return int(s[p - g, q - g])
-        return 0
-
-    def add(out, x, y, c):
-        out[x, y] += c
-        out[y, x] += c
-
-    per_gen = np.zeros((len(sp.generators), 2 * g, 2 * g), dtype=np.int64)
-    for out, gen in zip(per_gen, sp.generators):
+    n = 2 * g
+    table = np.zeros((g * g, len(sp.generators), n, n), dtype=np.int8)
+    for k, gen in enumerate(sp.generators):
+        # terms (x, y, p, q, c): c * S[p - g, q - g] at (x, y)
         if gen[0] == "tree":
             (p, q), (r, t) = gen[1], gen[2]
-            add(out, q, r, ws(p, t))
-            add(out, p, t, ws(q, r))
-            add(out, q, t, -ws(p, r))
-            add(out, p, r, -ws(q, t))
+            terms = [(q, r, p, t, 1), (p, t, q, r, 1),
+                     (q, t, p, r, -1), (p, r, q, t, -1)]
+            terms += [(y, x, a, b, c) for x, y, a, b, c in terms]
         else:
             p, q = gen[1]
-            add(out, p, q, ws(p, q))
-            out[q, q] -= ws(p, p)
-            out[p, p] -= ws(q, q)
+            terms = [(p, q, p, q, 1), (q, p, p, q, 1),
+                     (q, q, p, p, -1), (p, p, q, q, -1)]
+        for x, y, a, b, c in terms:
+            if a >= g and b >= g:  # S lives on the B block only
+                table[(a - g) * g + b - g, k, x, y] += c
+    table = table.reshape(g * g, -1)
+    table.setflags(write=False)
+    return table
+
+
+def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
+    """Value in T_2(H) = H (x) H, as a 2g x 2g integer matrix, of the
+    element with the given generator coefficients against the symmetric
+    matrix S: shape coeffs.shape[:-1] + s.shape[:-2] + (2g, 2g), so a
+    stack of coefficient rows and a stack of matrices give one matrix per
+    (row, S) pair.
+
+    The contraction of every generator at every S is one product with the
+    tabulated map, then one exact product with the coefficients."""
+    s = np.asarray(s, dtype=np.int64)
+    g = sp.g
+    if not np.array_equal(s, np.swapaxes(s, -1, -2)):
+        raise ValueError("S must be symmetric")
+    mats = s.reshape(-1, g * g)
+    per_gen = safe_matmul(mats, _omegaS_table(sp))
+    per_gen = per_gen.reshape(len(mats), len(sp.generators), -1)
     coeffs = np.asarray(coeffs)
-    out = safe_matmul(coeffs, per_gen.reshape(len(per_gen), -1))
-    return out.reshape(coeffs.shape[:-1] + (2 * g, 2 * g))
+    out = safe_matmul(coeffs,
+                      per_gen.transpose(1, 0, 2).reshape(len(sp.generators), -1))
+    return out.reshape(coeffs.shape[:-1] + s.shape[:-2] + (2 * g, 2 * g))
 
 
 # -- kernels as integer lattices -------------------------------------------
@@ -248,9 +272,7 @@ def ker_tr_sym(sp: DerivationSpace) -> IntegerLattice:
 @lru_cache(maxsize=None)
 def _side_kernel(sp: DerivationSpace, side: str) -> IntegerLattice:
     f0 = sp.filtration(0, side)
-    t = np.array([_side_trace(sp, row, side, False) for row in f0.basis],
-                 dtype=np.int64).T
-    coeff = kernel_lattice(t)
+    coeff = kernel_lattice(safe_matmul(f0.basis, _side_table(sp, side)).T)
     if coeff.rank == 0:
         return IntegerLattice(sp.ambient_dim)
     return _coeffs_to_ambient(sp, coeff.basis, f0)

@@ -6,10 +6,50 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sympderiv import casson, traces
+from sympderiv import casson, checks, traces
 from sympderiv.checks import quartic_relation
 from sympderiv.derivspace import space
 from sympderiv.freelie import context
+
+
+# -- the polynomial reference: theta expanded, then evaluated -------------
+
+def eps_eval(poly, lk):
+    total = 0
+    for mono, c in poly.items():
+        term = c
+        for p, q in mono:
+            term *= int(lk[p, q])
+            if not term:
+                break
+        total += term
+    return total
+
+
+def theta_of_coeffs(sp, coeffs):
+    out = {}
+    for c, gen in zip(coeffs, sp.generators):
+        c = int(c)
+        if c:
+            out = casson.poly_add(out, casson.theta_gen(sp, gen), c)
+    return out
+
+
+def dbar_of_coeffs(sp, coeffs):
+    return sum(int(c) * casson.dbar_gen(sp, gen)
+               for c, gen in zip(coeffs, sp.generators) if int(c))
+
+
+def mu_by_polynomial(sp, coeffs, s):
+    th = theta_of_coeffs(sp, coeffs)
+    return casson.MU_SIGN * (eps_eval(th, casson.lk_base(sp.g))
+                             - eps_eval(th, casson.lk_twisted(sp.g, s)))
+
+
+def qbar_by_polynomial(sp, coeffs):
+    th = theta_of_coeffs(sp, coeffs)
+    return (Fraction(eps_eval(th, casson.lk_base(sp.g)))
+            + Fraction(dbar_of_coeffs(sp, coeffs), 3))
 
 
 def test_l_symbol_rewrite_rule():
@@ -39,7 +79,7 @@ def test_eps_eval_on_base_linking():
     # lk(b_i, a_i) = 1, lk(a_i, b_i) = 0 in the base form
     assert lk[2, 0] == 1 and lk[0, 2] == 0
     p = casson.l_symbol(ctx, ctx.basis_vector(2), ctx.basis_vector(0))
-    assert casson.eps_eval(p, lk) == 1
+    assert eps_eval(p, lk) == 1
 
 
 def test_dbar_vanishes_on_odot():
@@ -108,8 +148,9 @@ def test_mu_matches_half_omegaS_plus_delta():
         s = rng.integers(-3, 4, size=(2, 2))
         s = s + s.T
         c = sp.express_in_generators(v)
+        # the composite is counted in halves
         assert Fraction(casson.mu_of_coeffs(sp, c, s)) \
-            == casson.half_omegaS_plus_delta(sp, c, s)
+            == Fraction(casson.half_omegaS_plus_delta(sp, c, s), 2)
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -127,10 +168,7 @@ def test_tabulated_mu_matches_polynomial_evaluation(g):
         stacked = casson.mu_of_coeffs(sp, coeffs, s)
         assert stacked.shape == (len(coeffs),)
         for row, got in zip(coeffs, stacked):
-            th = casson.theta_of_coeffs(sp, row)
-            want = casson.MU_SIGN * (
-                casson.eps_eval(th, casson.lk_base(g))
-                - casson.eps_eval(th, casson.lk_twisted(g, s)))
+            want = mu_by_polynomial(sp, row, s)
             assert got == want
             assert casson.mu_of_coeffs(sp, row, s) == want
 
@@ -141,8 +179,8 @@ def test_omegaS_composite_stack_matches_rows():
     coeffs = rng.integers(-2, 3, size=(4, len(sp.generators)))
     s = np.array([[2, -1], [-1, 0]])
     stacked = casson.half_omegaS_plus_delta(sp, coeffs, s)
-    assert stacked == [casson.half_omegaS_plus_delta(sp, row, s)
-                       for row in coeffs]
+    assert stacked.tolist() == [casson.half_omegaS_plus_delta(sp, row, s)
+                                for row in coeffs]
     assert np.array_equal(traces.tr_omegaS(sp, coeffs, s)[1],
                           traces.tr_omegaS(sp, coeffs[1], s))
 
@@ -154,3 +192,93 @@ def test_lk_twisted_requires_symmetric():
 
 def test_d_core_values():
     assert [casson.d_core(h) for h in range(1, 5)] == [0, 8, 24, 48]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_tabulated_qbar_matches_polynomial_evaluation(g):
+    sp = space(g)
+    rng = np.random.default_rng(60 + g)
+    coeffs = rng.integers(-3, 4, size=(5, len(sp.generators)))
+    coeffs[1] = 0
+    coeffs[3] = rng.integers(-(2 ** 40), 2 ** 40, size=len(sp.generators))
+    stacked = casson.qbar_of_coeffs(sp, coeffs)
+    assert len(stacked) == len(coeffs)
+    for row, got in zip(coeffs, stacked):
+        assert got == qbar_by_polynomial(sp, row)
+        assert casson.qbar_of_coeffs(sp, row) == got
+
+
+def _sym_stack(rng, g, count):
+    """Small symmetric matrices, then entries near 2^31 and near 2^62."""
+    m = rng.integers(-3, 4, size=(count, g, g))
+    mats = m + np.swapaxes(m, 1, 2)
+    near31 = mats[0] + (2 ** 31 - 1)
+    near62 = np.full((g, g), 2 ** 62 - 5, dtype=np.int64)
+    near62[-1, -1] = -(2 ** 62) + 9
+    return np.concatenate([mats, near31[None], near62[None]])
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_stacked_s_matches_per_s_loop(g):
+    sp = space(g)
+    rng = np.random.default_rng(70 + g)
+    mats = _sym_stack(rng, g, 3)
+    coeffs = rng.integers(-3, 4, size=(4, len(sp.generators)))
+    qs = rng.integers(-5, 6, size=(4, len(traces.sym2_pairs(g))))
+    mus = casson.mu_of_coeffs(sp, coeffs, mats)
+    pairings = casson.r_pairing(mats, qs)
+    halves = casson.half_omegaS_plus_delta(sp, coeffs, mats)
+    tensors = traces.tr_omegaS(sp, coeffs, mats)
+    for got in (mus, pairings, halves):
+        assert got.shape == (len(coeffs), len(mats))
+    iu = np.triu_indices(g)
+    for j, s in enumerate(mats):
+        assert np.array_equal(casson.mu_of_coeffs(sp, coeffs, s), mus[:, j])
+        assert np.array_equal(casson.r_pairing(s, qs), pairings[:, j])
+        assert np.array_equal(casson.half_omegaS_plus_delta(sp, coeffs, s),
+                              halves[:, j])
+        assert np.array_equal(traces.tr_omegaS(sp, coeffs, s), tensors[:, j])
+        for r, row in enumerate(coeffs):
+            # single row, single S, against references on Python ints
+            assert casson.mu_of_coeffs(sp, row, s) == mus[r, j] \
+                == mu_by_polynomial(sp, row, s)
+            assert casson.r_pairing(s, qs[r]) == pairings[r, j] == sum(
+                int(a) * int(b) for a, b in zip(qs[r], s[iu]))
+            t = [[int(x) for x in line] for line in tensors[r, j]]
+            omega_s = sum(int(s[a, b]) * t[g + a][g + b]
+                          for a in range(g) for b in range(g))
+            omega_delta = sum(t[g + a][a] for a in range(g))
+            assert casson.half_omegaS_plus_delta(sp, row, s) \
+                == halves[r, j] == omega_s + 2 * omega_delta
+
+
+def test_flipped_mu_sign_fails_bridge_at_first_loop_witness(monkeypatch):
+    """With the sign of mu flipped, casson-bridge reports the first
+    (generator, S) instance that a plain loop over generators, then S,
+    finds unequal."""
+    g = 2
+    monkeypatch.setattr(casson, "MU_SIGN", -1)
+    sp = space(g)
+    rng = np.random.default_rng(0)
+    mats = [checks._random_sym_matrix(g, rng) for _ in range(100)]
+    want = None
+    for k, gen in enumerate(sp.generators):
+        if sp.classify_type(gen)[0] < 1:
+            continue
+        unit = np.zeros(len(sp.generators), dtype=np.int64)
+        unit[k] = 1
+        q = traces.tr_A(sp, sp.gen_matrix()[:, k])
+        for s in mats:
+            mu = mu_by_polynomial(sp, unit, s)
+            pairing = casson.r_pairing(s, q)
+            if mu != pairing:
+                want = {"generator": str(gen), "mu": str(mu),
+                        "pairing": str(pairing),
+                        "s": [str(int(x)) for x in s.ravel()]}
+                break
+        if want:
+            break
+    assert want is not None
+    ok, witness = checks._check_casson_bridge(g, np.random.default_rng(0))
+    assert not ok
+    assert witness == want

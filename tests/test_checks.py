@@ -1,9 +1,11 @@
 """Expected values and failure witnesses of individual checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from sympderiv import checks, traces, trees
+from sympderiv import casson, checks, traces, trees
 from sympderiv.derivspace import DerivationSpace, FiltrationError, space
 from sympderiv.intlin import IntegerLattice
 
@@ -56,3 +58,23 @@ def test_levine_reports_first_element_with_tr_as(monkeypatch):
     assert not ok
     assert witness == {"element": "one-handle, i=1 j=0",
                        "trace": ["1", "0", "0"]}
+
+
+def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
+    # a composite one half too large everywhere: the first basis row and
+    # the first S fail, and the witness prints the composite as a fraction
+    real = casson.half_omegaS_plus_delta
+    monkeypatch.setattr(casson, "half_omegaS_plus_delta",
+                        lambda sp, coeffs, s: real(sp, coeffs, s) + 1)
+    sp = space(2)
+    rng = np.random.default_rng(0)
+    mats = [checks._random_sym_matrix(2, rng) for _ in range(100)]
+    row = sp.d2().basis[0]
+    coeffs = sp.express_in_generators(row)
+    mu = casson.mu_of_coeffs(sp, coeffs, mats[0])
+    ok, witness = checks._check_casson_bridge(2, np.random.default_rng(0))
+    assert not ok
+    assert witness == {"element": [str(int(x)) for x in row],
+                       "mu": str(mu),
+                       "composite": str(Fraction(2 * mu + 1, 2))}
+    assert witness["composite"].endswith("/2")

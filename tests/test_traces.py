@@ -78,7 +78,8 @@ def test_tr_A_unit_value():
 
 def test_tr_A_domain_check():
     sp = space(2)
-    v = sp.gen_value(("odot", (2, 3)))  # b1 . b2 -- no A leaves at all
+    # b1 . b2 -- no A leaves at all
+    v = sp.gen_matrix()[:, sp.generators.index(("odot", (2, 3)))]
     with pytest.raises(FiltrationError):
         traces.tr_A(sp, v)
     # B-side trace accepts it
@@ -108,3 +109,135 @@ def test_pair_bases():
     assert len(traces.sym2_pairs(4)) == 10
     assert len(traces.ext2_pairs(4)) == 6
     assert traces.sym2_pairs(2) == [(0, 0), (0, 1), (1, 1)]
+
+
+def side_trace_by_dicts(sp, v, side):
+    """Reference side trace, one vector through dict algebra: keep
+    H-factors in the side Lagrangian, kill that side in the Lie factor,
+    contract the first two tensor slots by omega, and symmetrize the last
+    two into S^2 of the quotient."""
+    ctx = sp.ctx
+    d3 = ctx.dim(3)
+    side_letters = ctx.kill_letters(side)
+    shift = ctx.g if side == "A" else 0
+    index = {p: i for i, p in enumerate(traces.sym2_pairs(ctx.g))}
+    out = [0] * len(index)
+    for h in side_letters:
+        block = v[h * d3:(h + 1) * d3]
+        if not np.any(block):
+            continue
+        for word, c in ctx.lyndon_to_tensor(3, block).items():
+            if any(l in side_letters for l in word):
+                continue
+            w = ctx.omega_letters(h, word[0])
+            if w:
+                x, y = word[1] - shift, word[2] - shift
+                out[index[(min(x, y), max(x, y))]] += w * int(c)
+    return out
+
+
+def _side_f0_columns(sp, side):
+    which = 0 if side == "A" else 1
+    cols = [i for i, gen in enumerate(sp.generators)
+            if sp.classify_type(gen)[which] >= 1]
+    return sp.gen_matrix()[:, cols].T
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_side_table_matches_dict_trace_on_generators(g, side):
+    sp = space(g)
+    rows = _side_f0_columns(sp, side)
+    fn = traces.tr_A if side == "A" else traces.tr_B
+    stacked = fn(sp, rows)
+    assert stacked.shape == (len(rows), len(traces.sym2_pairs(g)))
+    for row, got in zip(rows, stacked):
+        assert got.tolist() == side_trace_by_dicts(sp, row, side)
+        assert np.array_equal(fn(sp, row), got)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_side_table_matches_dict_trace_on_combinations(g, side):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sp = space(g)
+    basis = sp.filtration(0, side).basis
+    fn = traces.tr_A if side == "A" else traces.tr_B
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                               min_size=len(basis), max_size=len(basis)))
+    def check(coeffs):
+        v = np.array(coeffs, dtype=object) @ basis
+        got = fn(sp, v)
+        assert [int(x) for x in got] == side_trace_by_dicts(sp, v, side)
+
+    check()
+
+
+def test_tr_A_stack_raises_when_any_row_is_outside():
+    sp = space(2)
+    inside = _side_f0_columns(sp, "A")[:3]
+    outside = sp.gen_matrix()[:, sp.generators.index(("odot", (2, 3)))]
+    traces.tr_A(sp, inside)
+    with pytest.raises(FiltrationError,
+                       match="element is not in the A-side filtration level 0"):
+        traces.tr_A(sp, np.vstack([inside, outside[None, :]]))
+    # unchecked, the same stack is traced row by row
+    rows = np.vstack([inside, outside[None, :]])
+    got = traces.tr_A(sp, rows, check_domain=False)
+    assert [r.tolist() for r in got] \
+        == [side_trace_by_dicts(sp, r, "A") for r in rows]
+
+
+def tr_omegaS_by_generators(sp, coeffs, s):
+    """Reference S-twisted contraction on Python ints: each generator's
+    2g x 2g contraction against S, then the coefficients' sum."""
+    g = sp.g
+    out = [[0] * (2 * g) for _ in range(2 * g)]
+
+    def ws(p, q):
+        return int(s[p - g][q - g]) if p >= g and q >= g else 0
+
+    def add(x, y, c):
+        out[x][y] += c
+        out[y][x] += c
+
+    for k, gen in zip(coeffs, sp.generators):
+        k = int(k)
+        if not k:
+            continue
+        if gen[0] == "tree":
+            (p, q), (r, t) = gen[1], gen[2]
+            add(q, r, k * ws(p, t))
+            add(p, t, k * ws(q, r))
+            add(q, t, -k * ws(p, r))
+            add(p, r, -k * ws(q, t))
+        else:
+            p, q = gen[1]
+            add(p, q, k * ws(p, q))
+            out[q][q] -= k * ws(p, p)
+            out[p][p] -= k * ws(q, q)
+    return out
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_omegaS_table_matches_generator_loop(g):
+    sp = space(g)
+    rng = np.random.default_rng(50 + g)
+    coeffs = rng.integers(-3, 4, size=(4, len(sp.generators)))
+    m = rng.integers(-3, 4, size=(3, g, g))
+    mats = m + np.swapaxes(m, 1, 2)
+    big = np.full((g, g), 2 ** 62 - 7, dtype=np.int64)
+    big[0, 0] = -(2 ** 62) + 3
+    mats = np.concatenate([mats, big[None], mats[:1] + 2 ** 31])
+    got = traces.tr_omegaS(sp, coeffs, mats)
+    assert got.shape == (len(coeffs), len(mats), 2 * g, 2 * g)
+    for r, row in enumerate(coeffs):
+        for j, s in enumerate(mats):
+            want = tr_omegaS_by_generators(sp, row, s)
+            assert [[int(x) for x in line] for line in got[r, j]] == want
+            assert np.array_equal(traces.tr_omegaS(sp, row, s), got[r, j])
+    with pytest.raises(ValueError, match="symmetric"):
+        traces.tr_omegaS(sp, coeffs, np.triu(np.ones((g, g), dtype=np.int64)))
