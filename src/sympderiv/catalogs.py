@@ -3,7 +3,8 @@
 Three catalogs are built here, all with exact integer coordinates:
 
 * the Johnson catalog: symmetric halves u(.)v with omega(u,v) = 1 and
-  genus-2 bounding-curve trees, colored by short integral vectors;
+  genus-2 bounding-curve trees, colored by short integral vectors
+  (e_p and e_p +- e_q, and optionally three-term sums);
 * the handlebody-realizable catalog R_g: bounding-curve images for curves
   that are meridian-bounding on the A-side, together with brackets of
   degree-1 tripods having at least one A-colored leaf;
@@ -12,8 +13,11 @@ Three catalogs are built here, all with exact integer coordinates:
   that preserve both Lagrangians (GL(g,Z) block-embedded, and the quarter
   turn iota).
 
-Entries carry a printable name so certificates can cite the element that
-witnessed a rank or membership claim.
+A catalog is its row values only: an int64 matrix with one element per
+row, or, for the Johnson catalog, whose rows outnumber those its span needs,
+a stream of row blocks.  ``catalog_lattice`` decides a span with a known
+target in the target's coordinates and stops pulling blocks once the span
+is the whole target.
 """
 
 import itertools
@@ -21,7 +25,8 @@ import itertools
 import numpy as np
 
 from .freelie import SymplecticContext
-from .trees import eta1, eta2, expand_symhalf, hl_zero, tree_bracket
+from .trees import (_stacks, eta1, eta2, expand_symhalf, hl_zero,
+                    tree_bracket)
 from .derivspace import (DerivationSpace, gl_embed, iota_matrix,
                          lie_degree_matrix)
 from .intlin import IntegerLattice, safe_matmul
@@ -36,57 +41,43 @@ class SymplecticFamilyError(ValueError):
     """Raised when a proposed curve system fails the omega-orthogonality test."""
 
 
-class CatalogEntry:
-    """A named element of the degree-2 derivation lattice."""
+class BlockStream:
+    """An iterator over the row blocks of a catalog that counts the rows it
+    has handed out; ``len`` is that count (the benchmark's tracer takes the
+    length of what each catalog function returns)."""
 
-    __slots__ = ("name", "description", "value")
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+        self.rows = 0
 
-    def __init__(self, name, description, value):
-        self.name = name
-        self.description = description
-        self.value = np.asarray(value)
+    def __iter__(self):
+        return self
 
-    def __repr__(self):
-        return "CatalogEntry(%s)" % self.name
+    def __next__(self):
+        block = next(self._blocks)
+        self.rows += len(block)
+        return block
 
-
-# -- vector helpers ------------------------------------------------------
-
-def pretty_vector(ctx, vec):
-    """Human-readable form of an H-vector, e.g. 'a1-b2'."""
-    parts = []
-    for p, c in enumerate(np.asarray(vec)):
-        c = int(c)
-        if c == 0:
-            continue
-        name = ctx.letter_name(p)
-        if c == 1:
-            parts.append("+" + name)
-        elif c == -1:
-            parts.append("-" + name)
-        else:
-            parts.append("%+d%s" % (c, name))
-    if not parts:
-        return "0"
-    s = "".join(parts)
-    return s[1:] if s.startswith("+") else s
+    def __len__(self):
+        return self.rows
 
 
 # -- bounding-curve images -----------------------------------------------
 
 def bscc_image(ctx: SymplecticContext, pairs):
     """Image of a twist along a curve bounding a subsurface with symplectic
-    system ``pairs``: sum of u_i(.)v_i plus all cross trees.
+    system ``pairs``: sum of u_i(.)v_i plus all cross trees.  Each u_i and
+    v_i is a vector, or a stack giving one row per curve.
 
     Requires omega(u_i, v_j) = delta_ij and omega(u_i, u_j) = omega(v_i, v_j) = 0.
     """
+    stacks, single = _stacks(*(x for pair in pairs for x in pair))
+    pairs = list(zip(stacks[::2], stacks[1::2]))
     w = ctx.omega
-    pairs = [(np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
-             for u, v in pairs]
     for i, (u1, v1) in enumerate(pairs):
         for j, (u2, v2) in enumerate(pairs):
-            if (w(u1, v2) != (1 if i == j else 0)
-                    or w(u1, u2) != 0 or w(v1, v2) != 0):
+            if ((w(u1, v2) != (i == j)).any()
+                    or w(u1, u2).any() or w(v1, v2).any()):
                 raise SymplecticFamilyError(
                     "pairs %d,%d are not omega-orthonormal" % (i, j))
     out = hl_zero(ctx, 3)
@@ -94,14 +85,7 @@ def bscc_image(ctx: SymplecticContext, pairs):
         out = out + expand_symhalf(ctx, u, v)
     for (u1, v1), (u2, v2) in itertools.combinations(pairs, 2):
         out = out + eta2(ctx, u1, v1, u2, v2)
-    return out
-
-
-def _bscc_entry(ctx, pairs, label):
-    desc = "bounding-curve image of " + "; ".join(
-        "(%s, %s)" % (pretty_vector(ctx, u), pretty_vector(ctx, v))
-        for u, v in pairs)
-    return CatalogEntry(label, desc, bscc_image(ctx, pairs))
+    return out[0] if single else out
 
 
 # -- tripod inventories --------------------------------------------------
@@ -122,76 +106,41 @@ def basis_tripods(g, side=None):
     return out
 
 
-def _tripod_name(ctx, t):
-    return "(" + ",".join(ctx.letter_name(p) for p in t) + ")"
-
-
 def tripod_bracket_entries(sp: DerivationSpace, side):
     """Brackets of all distinct pairs of basis tripods from the given side,
-    expanded in chunks of CHUNK pairs; zero brackets are skipped."""
-    ctx = sp.ctx
-    e = np.eye(ctx.n, dtype=np.int64)
+    one row each, expanded in chunks of CHUNK pairs; zero brackets are
+    skipped."""
+    e = np.eye(sp.ctx.n, dtype=np.int64)
     pairs = list(itertools.combinations(basis_tripods(sp.g, side), 2))
-    entries = []
-    for start in range(0, len(pairs), CHUNK):
-        chunk = pairs[start:start + CHUNK]
-        leaves = np.array([t1 + t2 for t1, t2 in chunk]).T
-        vals = tree_bracket(ctx, e[leaves[:3]], e[leaves[3:]])
-        for (t1, t2), val in zip(chunk, vals):
-            if not val.any():
-                continue
-            name = "bracket[%s,%s]" % (_tripod_name(ctx, t1), _tripod_name(ctx, t2))
-            entries.append(CatalogEntry(
-                name, "bracket of degree-1 tripods", val.copy()))
-    return entries
+    leaves = e[np.array(pairs).reshape(len(pairs), 6).T]
+    vals = np.vstack([tree_bracket(sp.ctx, x[:3], x[3:]) for x in np.split(
+        leaves, range(CHUNK, len(pairs), CHUNK), axis=1)])
+    return vals[vals.any(axis=1)]
 
 
 # -- the handlebody-realizable catalog -----------------------------------
 
 def realizable_catalog_A(sp: DerivationSpace):
-    """The family R_g: bounding-curve images for A-meridian-bounding curves
-    plus brackets of tripods that each carry an A-leaf.
+    """The family R_g, one element per row: bounding-curve images for
+    A-meridian-bounding curves plus brackets of tripods that each carry an
+    A-leaf.
     """
-    ctx = sp.ctx
     g = sp.g
-    a = [np.asarray(ctx.basis_vector(i)) for i in range(g)]
-    b = [np.asarray(ctx.basis_vector(g + i)) for i in range(g)]
-    entries = []
-    for i in range(g):
-        entries.append(_bscc_entry(ctx, [(a[i], b[i])], "bscc:gamma_%d" % (i + 1)))
-    for i, j in itertools.combinations(range(g), 2):
-        entries.append(_bscc_entry(
-            ctx, [(a[i], b[i]), (a[j], b[j])],
-            "bscc:gamma_%d,%d" % (i + 1, j + 1)))
-    for j in range(g):
-        for l in range(g):
-            if l == j:
-                continue
-            entries.append(_bscc_entry(
-                ctx, [(a[j] - a[l], b[j])],
-                "bscc:(a%d-a%d,b%d)" % (j + 1, l + 1, j + 1)))
-    for i in range(g):
-        for l in range(g):
-            if l == i:
-                continue
-            entries.append(_bscc_entry(
-                ctx, [(a[i] - b[l], a[l])],
-                "bscc:(a%d-b%d,a%d)" % (i + 1, l + 1, l + 1)))
-            entries.append(_bscc_entry(
-                ctx, [(a[l], a[i] + b[l])],
-                "bscc:(a%d,a%d+b%d)" % (l + 1, i + 1, l + 1)))
-    for i in range(g):
-        for k in range(g):
-            if k == i:
-                continue
-            entries.append(_bscc_entry(
-                ctx, [(a[i] + a[k], b[k] + a[i])],
-                "bscc:(a%d+a%d,b%d+a%d)" % (i + 1, k + 1, k + 1, i + 1)))
-            entries.append(_bscc_entry(
-                ctx, [(a[k], b[k] + a[i])],
-                "bscc:(a%d,b%d+a%d)" % (k + 1, k + 1, i + 1)))
-    entries.extend(tripod_bracket_entries(sp, side="A"))
-    return entries
+    e = np.eye(2 * g, dtype=np.int64)
+    a, b = e[:g], e[g:]
+    p, q = np.array(list(itertools.combinations(range(g), 2))).T
+    # the other single-pair curves, over the ordered pairs i != l
+    perm = list(itertools.permutations(range(g), 2))
+    curves = ([(a[i] - a[l], b[i]) for i, l in perm]
+              + [c for i, l in perm
+                 for c in ((a[i] - b[l], a[l]), (a[l], a[i] + b[l]))]
+              + [c for i, l in perm
+                 for c in ((a[i] + a[l], b[l] + a[i]), (a[l], b[l] + a[i]))])
+    u, v = map(np.array, zip(*curves))
+    return np.vstack([bscc_image(sp.ctx, [(a, b)]),
+                      bscc_image(sp.ctx, [(a[p], b[p]), (a[q], b[q])]),
+                      bscc_image(sp.ctx, [(u, v)]),
+                      tripod_bracket_entries(sp, side="A")])
 
 
 # -- the Johnson catalog -------------------------------------------------
@@ -209,73 +158,115 @@ def _color_set(g, three_term=False):
     return colors
 
 
-def _unique_entries(ctx, seen, colors, cands, expand, name, description):
-    """Entries for the rows of colors[cands] (leaf tuples) whose expansion
-    is new up to sign, in order.  Expansions run in chunks of CHUNK
-    candidates, and kept values are copied out of the chunk."""
-    entries = []
+def _unique_blocks(ctx, seen, colors, cands, expand):
+    """Blocks of the expansions of colors[cands] (leaf tuples) that are new
+    up to sign, in order: one block per CHUNK candidates, none when all of
+    them are old.  ``seen`` holds the bytes of each kept row times the sign
+    of its first nonzero entry, as int8 when every entry fits (a key's
+    length tells its dtype, so equal keys are equal rows)."""
     for start in range(0, len(cands), CHUNK):
         chunk = colors[cands[start:start + CHUNK]]
-        for leaves, val in zip(chunk, expand(ctx, *chunk.transpose(1, 0, 2))):
-            key = val.tobytes()
-            if key in seen or (-val).tobytes() in seen:
-                continue
-            seen.add(key)
-            entries.append(CatalogEntry(
-                name % tuple(pretty_vector(ctx, x) for x in leaves),
-                description, val.copy()))
-    return entries
+        vals = expand(ctx, *chunk.transpose(1, 0, 2))
+        first = vals[np.arange(len(vals)), np.argmax(vals != 0, axis=1)]
+        signed = vals * np.sign(first)[:, None]
+        narrow = np.abs(signed).max(axis=1) < 128
+        keys = [(row.astype(np.int8) if fits else row).tobytes()
+                for row, fits in zip(signed, narrow)]
+        keep = []
+        for n, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                keep.append(n)
+        if keep:
+            yield vals[keep]
 
 
-def johnson_catalog(sp: DerivationSpace, three_term=False):
-    """Symmetric halves and genus-2 bounding trees with short integral colors.
-
-    Emits every u(.)v with omega(u, v) = 1 and every tree on a pair of
-    omega-orthonormal pairs, colors drawn from {e_p, e_p +- e_q} (plus
-    three-term sums when ``three_term``), deduplicated up to sign.  Every
-    omega-test reads the Gram matrix of the colors.
-    """
-    ctx = sp.ctx
-    colors = np.array(_color_set(sp.g, three_term))
-    gram = safe_matmul(safe_matmul(colors, iota_matrix(sp.g)), colors.T)
+def _johnson_blocks(ctx, g, three_term):
+    colors = np.array(_color_set(g, three_term))
+    gram = safe_matmul(safe_matmul(colors, iota_matrix(g)), colors.T)
     i, j = np.triu_indices(len(colors), 1)  # itertools.combinations order
     w = gram[i, j]
     sympl = np.abs(w) == 1
     u = np.where(w == 1, i, j)[sympl]
     v = np.where(w == 1, j, i)[sympl]
     seen = set()
-    entries = _unique_entries(
-        ctx, seen, colors, np.column_stack([u, v]), expand_symhalf,
-        "odot(%s,%s)", "symmetric half of a genus-1 bounding curve")
-    # pairs of pairs k < l whose four cross omegas vanish
+    yield from _unique_blocks(ctx, seen, colors, np.column_stack([u, v]),
+                              expand_symhalf)
+    # pairs of pairs k < l whose four cross omegas vanish, in row-major
+    # (k, l) order, for CHUNK values of k at a time
     quads = []
-    for k in range(len(u)):
-        l = np.arange(k + 1, len(u))
-        l = l[(gram[u[k], u[l]] == 0) & (gram[u[k], v[l]] == 0)
-              & (gram[v[k], u[l]] == 0) & (gram[v[k], v[l]] == 0)]
-        quads.append(np.column_stack([np.full(len(l), u[k]),
-                                      np.full(len(l), v[k]), u[l], v[l]]))
-    entries += _unique_entries(
-        ctx, seen, colors, np.vstack(quads), eta2,
-        "tree(%s,%s|%s,%s)", "cross tree of a genus-2 bounding curve")
-    return entries
+    for start in range(0, len(u), CHUNK):
+        ks = np.arange(start, min(start + CHUNK, len(u)))
+        ok = ((gram[np.ix_(u[ks], u)] == 0) & (gram[np.ix_(u[ks], v)] == 0)
+              & (gram[np.ix_(v[ks], u)] == 0) & (gram[np.ix_(v[ks], v)] == 0)
+              & (np.arange(len(u)) > ks[:, None]))
+        k, l = np.nonzero(ok)
+        k = ks[k]
+        quads.append(np.column_stack([u[k], v[k], u[l], v[l]]))
+    yield from _unique_blocks(ctx, seen, colors, np.vstack(quads), eta2)
+
+
+def johnson_catalog(sp: DerivationSpace, three_term=False):
+    """Symmetric halves and genus-2 bounding trees with short integral colors,
+    as a ``BlockStream`` of int64 row blocks built as they are pulled.
+
+    Emits every u(.)v with omega(u, v) = 1 and every tree on a pair of
+    omega-orthonormal pairs, colors drawn from {e_p, e_p +- e_q} (plus
+    three-term sums when ``three_term``), deduplicated up to sign.  Every
+    omega-test reads the Gram matrix of the colors.
+    """
+    return BlockStream(_johnson_blocks(sp.ctx, sp.g, three_term))
 
 
 # -- lattices from catalogs ----------------------------------------------
 
-def catalog_lattice(sp: DerivationSpace, entries, target=None, chunk=256):
-    """Integer span of the entry values.  With a ``target`` lattice the rows
-    are absorbed in chunks and the scan stops as soon as the span equals the
-    target (spans here typically saturate long before the list is exhausted).
+def _batches(blocks, n):
+    """Consecutive row blocks stacked until each stack holds at least n rows
+    (the last may hold fewer), pulling each block only when a stack needs
+    it."""
+    pending, size = [], 0
+    for block in blocks:
+        pending.append(block)
+        size += len(block)
+        if size >= n:
+            yield pending[0] if len(pending) == 1 else np.vstack(pending)
+            pending, size = [], 0
+    if pending:
+        yield np.vstack(pending)
+
+
+def catalog_lattice(sp: DerivationSpace, blocks, target=None, chunk=256):
+    """Integer span of catalog rows, given as one matrix or as an iterable
+    of row blocks, taken ``chunk`` rows at a time.
+
+    With a ``target`` lattice of rank r, each batch is solved over the
+    target's basis, and the span is reduced in those rank-r coordinates,
+    where it is the whole target exactly when its HNF is the r x r
+    identity; blocks are pulled only until then.  A row is inside only if
+    the exact check product of the target's ``membership`` confirms it; if
+    one is not, the result is the ambient span of every row.
     """
     ambient = sp.ambient_dim
+    if isinstance(blocks, np.ndarray):
+        blocks = np.split(blocks, range(chunk, len(blocks), chunk))
+    batches = _batches(blocks, chunk)
     lat = IntegerLattice(ambient)
-    rows = [e.value for e in entries]
-    for start in range(0, len(rows), chunk):
-        block = IntegerLattice(ambient, np.array(rows[start:start + chunk]))
-        lat = lat.sum(block)
-        if target is not None and lat == target:
-            break
+    if target is not None:
+        basis, r = target.basis, target.rank
+        coords = IntegerLattice(r)
+        for batch in batches:
+            y = target.membership(batch)
+            if y is None:
+                lat = IntegerLattice(ambient, np.vstack(
+                    [safe_matmul(coords.basis, basis), batch]))
+                break
+            coords = IntegerLattice(r, np.vstack([coords.basis, y]))
+            if np.array_equal(coords.basis, np.eye(r, dtype=np.int64)):
+                return target
+        else:
+            return IntegerLattice(ambient, safe_matmul(coords.basis, basis))
+    for batch in batches:
+        lat = lat.sum(IntegerLattice(ambient, batch))
     return lat
 
 
@@ -366,29 +357,24 @@ def mixed_wedge_lattice(sp: DerivationSpace):
 
 
 def goeritz_tau2_entries(sp: DerivationSpace):
-    """Degree-2 elements fixing both sides: the two bounding-curve values,
-    mixed-tripod brackets, and two first-round orbit shifts."""
+    """Degree-2 elements fixing both sides, one per row: the two
+    bounding-curve values, mixed-tripod brackets, and two first-round orbit
+    shifts."""
     ctx = sp.ctx
     g = sp.g
-    a = [np.asarray(ctx.basis_vector(i)) for i in range(g)]
-    b = [np.asarray(ctx.basis_vector(g + i)) for i in range(g)]
-    entries = [
-        _bscc_entry(ctx, [(a[0], b[0])], "bscc:gamma_1"),
-        _bscc_entry(ctx, [(a[0], b[0]), (a[1], b[1])], "bscc:gamma_1,2"),
-    ]
-    entries.extend(tripod_bracket_entries(sp, side="mixed"))
+    e = np.eye(2 * g, dtype=np.int64)
+    a, b = e[:g], e[g:]
     base = expand_symhalf(ctx, a[0], b[0])
     shear = gl_embed(g, gl_generators(g)[-1])
     shift = _transform_rows(ctx, shear, [base], 3)[0] - base
-    entries.append(CatalogEntry(
-        "shear(a1(.)b1)-a1(.)b1", "first-round orbit shift of a1(.)b1", shift))
-    entries.append(CatalogEntry(
-        "iota-image", "quarter-turn image of the orbit shift",
-        _transform_rows(ctx, iota_matrix(g), [shift], 3)[0]))
-    return entries
+    return np.vstack([bscc_image(ctx, [(a[0], b[0])]),
+                      bscc_image(ctx, [(a[0], b[0]), (a[1], b[1])]),
+                      tripod_bracket_entries(sp, side="mixed"),
+                      shift,
+                      _transform_rows(ctx, iota_matrix(g), [shift], 3)[0]])
 
 
 def goeritz_tau2_lattice(sp: DerivationSpace):
     """Orbit closure of the degree-2 two-sided family."""
-    rows = [e.value for e in goeritz_tau2_entries(sp)]
-    return orbit_closure(sp.ctx, rows, goeritz_symmetries(sp.g), 3)
+    return orbit_closure(sp.ctx, goeritz_tau2_entries(sp),
+                         goeritz_symmetries(sp.g), 3)

@@ -9,10 +9,10 @@ equality.
 
 Most lattices here are very sparse (a few nonzeros per row), and the input's
 density alone selects the path: ``safe_matmul`` multiplies over the
-nonzeros of a left operand with fewer than 1/SPARSE_PRODUCT of its entries
-nonzero, and ``hermite_normal_form`` runs a sparse-row loop on Python ints
-for inputs with at most 1/SPARSE_HNF nonzero.  The dense paths serve the
-rest.  Every path returns the same values.
+nonzeros of an operand (the right one if it forms fewer terms) with fewer
+than 1/SPARSE_PRODUCT of its entries nonzero, and ``hermite_normal_form``
+runs a sparse-row loop on Python ints for inputs with at most 1/SPARSE_HNF
+nonzero.  The dense paths serve the rest.  Every path returns the same values.
 """
 
 from __future__ import annotations
@@ -430,21 +430,29 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
 # 30 calls of about 2 ms together.  Any threshold from 1/6 to 1/32 gives the
 # same total within 3 ms (genus 3: 31-32 ms, genus 4: 74-78 ms; all einsum:
 # 46 and 836 ms); a cap of 4 or 8 on the fullest row would add 20-57 ms at
-# genus 4, so none is set.
+# genus 4, so none is set.  A sparse right operand, when it forms fewer terms:
+# the check product of the genus-4 Johnson span, (304x194, 4 % nonzero) times
+# (194x1344, 0.45 %), took 2 ms over its nonzeros, 15 ms over the left's.
 SPARSE_PRODUCT = 8
 
 
 def safe_matmul(a, b) -> np.ndarray:
     """Exact integer product a @ b; a may be a single row vector.
 
-    A left operand with fewer than one nonzero entry in SPARSE_PRODUCT is
-    multiplied over its nonzeros only (``_sparse_matmul``); any other goes
-    through ``safe_einsum``.  Either bound is applied whatever the operand
-    dtypes, so object arrays with small entries are multiplied in int64."""
+    An operand with fewer than one nonzero entry in SPARSE_PRODUCT is
+    multiplied over its nonzeros only (``_sparse_matmul``): the right one,
+    as (b.T @ a.T).T, if nnz(b) rows(a) < nnz(a) cols(b) (fewer terms), else
+    the left one; other products go through ``safe_einsum``.  Every bound is
+    applied whatever the operand dtypes, so object arrays with small entries
+    are multiplied in int64."""
     a = np.asarray(a)
     b = np.asarray(b)
     rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-    if SPARSE_PRODUCT * np.count_nonzero(rows) < rows.size:
+    nnz_a, nnz_b = np.count_nonzero(rows), np.count_nonzero(b)
+    if (SPARSE_PRODUCT * nnz_b < b.size
+            and nnz_b * len(rows) < nnz_a * b.shape[1]):
+        out = _sparse_matmul(b.T, rows.T).T
+    elif SPARSE_PRODUCT * nnz_a < rows.size:
         out = _sparse_matmul(rows, b)
     else:
         out = safe_einsum("ij,jk->ik", rows, b)

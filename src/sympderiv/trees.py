@@ -114,7 +114,12 @@ def tree_bracket(ctx: SymplecticContext, s, t) -> np.ndarray:
         9 * int(np.abs(vals).max(initial=0)))
     out = np.zeros((len(s[0]), vals.shape[1]),
                    dtype=object if wide else np.int64)
-    np.add.at(out, owner, vals)
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    if starts.size:
+        out[owner[starts]] = np.add.reduceat(
+            vals[order].astype(out.dtype, copy=False), starts)
     return out[0] if single else out
 
 

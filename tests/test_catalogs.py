@@ -1,6 +1,8 @@
 """Generator catalogs: bounding-curve images, tripod brackets, and the
 symmetry-orbit lattices."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,7 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
                                 goeritz_symmetries, goeritz_tau1_lattice,
                                 goeritz_tau2_entries, gl_generators,
                                 johnson_catalog, mixed_wedge_lattice,
-                                orbit_closure, pretty_vector,
-                                realizable_catalog_A)
+                                orbit_closure, realizable_catalog_A)
 from sympderiv.derivspace import lie_degree_matrix, space
 from sympderiv.freelie import context
 from sympderiv.intlin import IntegerLattice
@@ -106,10 +107,10 @@ def test_realizable_catalog_genus2():
 
 def test_realizable_entries_are_kernel_elements():
     sp = space(2)
-    entries = realizable_catalog_A(sp)
-    for e in entries[:10]:
-        assert not traces.tr_A(sp, e.value, check_domain=False).any()
-        assert traces.tr_as(sp, e.value[None]) == [0]
+    rows = realizable_catalog_A(sp)
+    for row in rows[:10]:
+        assert not traces.tr_A(sp, row, check_domain=False).any()
+        assert traces.tr_as(sp, row[None]) == [0]
 
 
 def test_johnson_catalog_spans_as_kernel():
@@ -120,6 +121,33 @@ def test_johnson_catalog_spans_as_kernel():
     three = catalog_lattice(sp, johnson_catalog(sp, three_term=True),
                             target=ker)
     assert three == ker
+
+
+def pretty_vector(ctx, vec):
+    """Human-readable form of an H-vector, e.g. 'a1-b2'."""
+    parts = []
+    for p, c in enumerate(np.asarray(vec)):
+        c = int(c)
+        if c == 0:
+            continue
+        name = ctx.letter_name(p)
+        if c == 1:
+            parts.append("+" + name)
+        elif c == -1:
+            parts.append("-" + name)
+        else:
+            parts.append("%+d%s" % (c, name))
+    if not parts:
+        return "0"
+    s = "".join(parts)
+    return s[1:] if s.startswith("+") else s
+
+
+def test_pretty_vector():
+    ctx = context(2)
+    v = np.array([1, 0, 0, -1])
+    assert pretty_vector(ctx, v) == "a1-b2"
+    assert pretty_vector(ctx, np.array([0, 2, 1, 0])) == "2a2+b1"
 
 
 def _johnson_reference(ctx, colors):
@@ -154,12 +182,89 @@ def _johnson_reference(ctx, colors):
 @pytest.mark.parametrize("three_term", [False, True])
 def test_johnson_catalog_matches_loop_reference(three_term):
     sp = space(2)
-    got = johnson_catalog(sp, three_term=three_term)
+    blocks = list(johnson_catalog(sp, three_term=three_term))
     want = _johnson_reference(sp.ctx, catalogs._color_set(2, three_term))
-    assert [e.name for e in got] == [name for name, _ in want]
-    for e, (_, val) in zip(got, want):
-        assert np.array_equal(e.value, val)
-        assert e.value.base is None  # owns its data, not a view of a chunk
+    for block in blocks:
+        assert block.dtype == np.int64
+        assert block.base is None  # owns its data, not a view of a chunk
+    got = np.vstack(blocks)
+    assert len(got) == len(want)
+    for row, (name, val) in zip(got, want):
+        assert np.array_equal(row, val), name
+
+
+def test_catalog_lattice_stops_pulling_at_saturation():
+    # genus 3: the two-term colors span ker tr_as before the last block
+    sp = space(3)
+    ker = traces.ker_tr_as(sp)
+    total = sum(map(len, johnson_catalog(sp)))
+    stream = johnson_catalog(sp)
+    assert catalog_lattice(sp, stream, target=ker) is ker
+    assert 0 < len(stream) < total
+    assert next(stream, None) is not None  # rows were left unexpanded
+
+
+def _target_and_rows(draw, st):
+    """A random lattice of full rank r, its generators (echelon rows whose
+    pivots, and so those of its HNF, are past 2^31 when the scale 2^33 is
+    drawn), and row blocks of integer combinations of them."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(1, n))
+    scale = draw(st.sampled_from([1, 2 ** 33]))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n * r,
+                            max_size=n * r))
+    gens = np.triu(np.array(entries, dtype=np.int64).reshape(r, n), 1)
+    gens[np.arange(r), np.arange(r)] = scale * np.arange(1, r + 1)
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=r * sum(sizes),
+                           max_size=r * sum(sizes)))
+    rows = np.array(coeffs, dtype=np.int64).reshape(-1, r) @ gens
+    blocks = np.split(rows, np.cumsum(sizes)[:-1])
+    return n, IntegerLattice(n, gens), gens, blocks
+
+
+@pytest.mark.parametrize("case", ["early", "never", "outside"])
+def test_catalog_lattice_with_target_equals_ambient_span(case):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n, target, gens, blocks = _target_and_rows(data.draw, st)
+        assert target.rank == len(gens)
+        chunk = 3
+        if case == "early":
+            # the generators first, as one batch: saturated after it
+            blocks, chunk = [gens] + blocks, len(gens)
+        elif case == "never":
+            # twice the generators: a sublattice of index 2^rank, never all
+            blocks = [2 * gens] + [2 * b for b in blocks]
+        else:
+            # one row outside the target, after rows that cannot saturate
+            row = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=n,
+                                              max_size=n)), dtype=np.int64)
+            hypothesis.assume(row not in target)
+            at = data.draw(st.integers(0, len(blocks)))
+            blocks = ([2 * b for b in blocks[:at]]
+                      + [np.vstack([row, gens[:1]])] + blocks[at:])
+        rows = np.vstack(blocks)
+        want = IntegerLattice(n, rows)
+        sp = SimpleNamespace(ambient_dim=n)
+        stream = catalogs.BlockStream(blocks)
+        got = catalog_lattice(sp, stream, target=target, chunk=chunk)
+        assert got == want
+        if case == "early":
+            assert got is target and len(stream) == len(gens)
+        elif case == "never":
+            assert got != target and len(stream) == len(rows)
+        else:
+            assert target.membership(got.basis) is None
+        # one matrix, and no target: the same span
+        assert catalog_lattice(sp, rows, target=target, chunk=chunk) == want
+        assert catalog_lattice(sp, rows, chunk=chunk) == want
+
+    check()
 
 
 def test_gl_generators_generate_symplectically():
@@ -251,7 +356,7 @@ def _goeritz_seed(sp, which):
     if which == "tau1":
         e = ctx.basis_vector
         return [eta1(ctx, e(0), e(sp.g), e(sp.g + 1))], 2
-    return [entry.value for entry in goeritz_tau2_entries(sp)], 3
+    return goeritz_tau2_entries(sp), 3
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -267,10 +372,3 @@ def test_orbit_closure_matches_naive_closure(g, which):
     for limit in {1, rounds - 1}:
         with pytest.raises(RuntimeError):
             orbit_closure(sp.ctx, seed, mats, k, max_rounds=limit)
-
-
-def test_pretty_vector():
-    ctx = context(2)
-    v = np.array([1, 0, 0, -1])
-    assert pretty_vector(ctx, v) == "a1-b2"
-    assert pretty_vector(ctx, np.array([0, 2, 1, 0])) == "2a2+b1"

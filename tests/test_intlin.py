@@ -443,6 +443,71 @@ def test_sparse_safe_matmul_int64_bound():
     assert np.array_equal(safe_matmul(m, b), m @ b)
 
 
+def _record_sparse_operands(monkeypatch):
+    """Shapes of the left operands ``_sparse_matmul`` is called with."""
+    shapes = []
+    real = intlin._sparse_matmul
+
+    def recording(a, b):
+        shapes.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(intlin, "_sparse_matmul", recording)
+    return shapes
+
+
+def test_right_sparse_safe_matmul_int64_bound(monkeypatch):
+    # a is dense, b has one nonzero in each of two columns of 40: the
+    # product over b's nonzeros, as (b.T @ a.T).T
+    shapes = _record_sparse_operands(monkeypatch)
+    b = np.zeros((4, 40), dtype=np.int64)
+    a = np.full((6, 4), 2 ** 31 - 1, dtype=np.int64)
+    a[1] = -(2 ** 31 - 1)
+    b[0, 3], b[2, 17] = 2 ** 31 - 1, -(2 ** 31 - 1)
+    assert intlin.SPARSE_PRODUCT * np.count_nonzero(b) < b.size
+
+    def check(a, b):
+        shapes.clear()
+        out = safe_matmul(a, b)
+        assert shapes == [b.T.shape]
+        assert np.array_equal(out, a.astype(object) @ b.astype(object))
+        return out
+
+    # nonzeros per column (1) * max|a| * max|b| just below 2**62: int64
+    assert check(a, b).dtype == np.int64
+    # at the bound: object, exact; so too past int64 itself
+    assert check(np.sign(a) * 2 ** 31, np.sign(b) * 2 ** 31).dtype == object
+    assert check(a.astype(object) * 2 ** 40, b).dtype == object
+    # a row vector on the left
+    assert np.array_equal(safe_matmul(a[0], b), (a[:1] @ b)[0])
+
+
+def test_right_sparse_safe_matmul_matches_object_product(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shapes = _record_sparse_operands(monkeypatch)
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(_sparse_matrices(st), st.integers(1, 30),
+                      st.sampled_from([5, 2 ** 31, 2 ** 62]),
+                      st.integers(0, 2 ** 32 - 1))
+    def check(b, rows, big, seed):
+        # a dense left operand, its entries up to a bound that takes the
+        # product to int64, to the 2^62 bound, or past it
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-5, 6, size=(rows, b.shape[0])).astype(object)
+        a[rng.random(a.shape) < 0.1] = big
+        shapes.clear()
+        out = safe_matmul(a, b)
+        want = a @ b.astype(object)
+        assert np.array_equal(out, want)
+        nnz_a, nnz_b = np.count_nonzero(a), np.count_nonzero(b)
+        if nnz_b * rows < nnz_a * b.shape[1]:
+            assert shapes == [b.T.shape]
+
+    check()
+
+
 def test_lattice_hash_agrees_with_equality_across_dtypes():
     basis = np.array([[1, 0, 2], [0, 3, 5]])
     small = IntegerLattice(3, basis)
