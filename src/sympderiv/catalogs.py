@@ -14,10 +14,11 @@ Three catalogs are built here, all with exact integer coordinates:
   turn iota).
 
 A catalog is its row values only: an int64 matrix with one element per
-row, or, for the Johnson catalog, whose rows outnumber those its span needs,
-a stream of row blocks.  ``catalog_lattice`` decides a span with a known
-target in the target's coordinates and stops pulling blocks once the span
-is the whole target.
+row, or, for the Johnson catalog, a stream of row blocks built as they are
+pulled, so that the whole catalog is never held at once.
+``catalog_lattice`` decides a span with a known target in the target's
+coordinates until the span is the whole target, and tests every later row
+for membership in it.
 """
 
 import itertools
@@ -242,9 +243,10 @@ def catalog_lattice(sp: DerivationSpace, blocks, target=None, chunk=256):
     With a ``target`` lattice of rank r, each batch is solved over the
     target's basis, and the span is reduced in those rank-r coordinates,
     where it is the whole target exactly when its HNF is the r x r
-    identity; blocks are pulled only until then.  A row is inside only if
-    the exact check product of the target's ``membership`` confirms it; if
-    one is not, the result is the ambient span of every row.
+    identity.  After that, the later batches are only tested for
+    membership in the target, with no further reduction.  A row is inside
+    only if the exact check product of the target's ``membership`` confirms
+    it; if one is not, the result is the ambient span of every row.
     """
     ambient = sp.ambient_dim
     if isinstance(blocks, np.ndarray):
@@ -254,17 +256,20 @@ def catalog_lattice(sp: DerivationSpace, blocks, target=None, chunk=256):
     if target is not None:
         basis, r = target.basis, target.rank
         coords = IntegerLattice(r)
+        saturated = False
         for batch in batches:
-            y = target.membership(batch)
+            if saturated and target.contains_rows(batch).all():
+                continue
+            y = None if saturated else target.membership(batch)
             if y is None:
                 lat = IntegerLattice(ambient, np.vstack(
                     [safe_matmul(coords.basis, basis), batch]))
                 break
             coords = IntegerLattice(r, np.vstack([coords.basis, y]))
-            if np.array_equal(coords.basis, np.eye(r, dtype=np.int64)):
-                return target
+            saturated = np.array_equal(coords.basis, np.eye(r, dtype=np.int64))
         else:
-            return IntegerLattice(ambient, safe_matmul(coords.basis, basis))
+            return target if saturated else IntegerLattice(
+                ambient, safe_matmul(coords.basis, basis))
     for batch in batches:
         lat = lat.sum(IntegerLattice(ambient, batch))
     return lat

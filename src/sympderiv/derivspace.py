@@ -19,8 +19,7 @@ import numpy as np
 from . import trees
 from .freelie import SymplecticContext, context, standard_factorization
 from .intlin import (IntegerLattice, as_int_matrix, hermite_normal_form,
-                     kernel_lattice, safe_matmul, solve_over_hnf,
-                     _pivot_cols)
+                     kernel_lattice, safe_matmul)
 
 
 class MembershipError(ValueError):
@@ -80,22 +79,19 @@ def lie_degree_matrix(ctx: SymplecticContext, m: np.ndarray, k: int) -> np.ndarr
 
 
 class _GenSolver:
-    """Solve integer systems x @ rows = v once the HNF is precomputed."""
+    """Solve integer systems x @ rows = v once the HNF is precomputed: the
+    coefficients over the HNF rows, times the transform rows that form them."""
 
     def __init__(self, rows: np.ndarray):
         h, u = hermite_normal_form(rows, transform=True)
         mask = (h != 0).any(axis=1)
-        self.basis = h[mask]
+        self.span = IntegerLattice(h.shape[1], h[mask], canonical=True)
         self.trans = u[mask]
-        self.pivots = _pivot_cols(self.basis)
 
     def solve(self, v):
         """Coefficients of one vector, or of each row of a stack, or None."""
-        v = np.asarray(v)
-        c, solved = solve_over_hnf(self.basis, self.pivots, np.atleast_2d(v))
-        if not solved.all():
-            return None
-        return safe_matmul(c if v.ndim == 2 else c[0], self.trans)
+        c = self.span.membership(v)
+        return None if c is None else safe_matmul(c, self.trans)
 
 
 class DerivationSpace:

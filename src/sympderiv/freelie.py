@@ -115,12 +115,6 @@ class SymplecticContext:
     def basis_vector(self, p: int) -> tuple[int, ...]:
         return tuple(1 if i == p else 0 for i in range(self.n))
 
-    def letter_name(self, p: int) -> str:
-        g = self.g
-        if self._symplectic:
-            return f"a{p + 1}" if p < g else f"b{p - g + 1}"
-        return f"x{p + 1}"
-
     # -- Lyndon tables ----------------------------------------------------
     @lru_cache(maxsize=None)
     def lyndon(self, k: int) -> list[tuple[int, ...]]:
@@ -162,14 +156,6 @@ class SymplecticContext:
             coords[i] += c
             tensor_add(rem, self.bracketing_tensor(w), -c)
         return coords
-
-    def lyndon_to_tensor(self, k: int, coords) -> dict:
-        out: dict = {}
-        for i, w in enumerate(self.lyndon(k)):
-            c = int(coords[i])
-            if c:
-                tensor_add(out, self.bracketing_tensor(w), c)
-        return out
 
     @lru_cache(maxsize=None)
     def bracket_table(self, j: int, k: int) -> np.ndarray:

@@ -1,18 +1,19 @@
 """Exact integer and GF(2) linear algebra.
 
-Integer matrices are numpy arrays.  The Hermite normal form engine works on
-int64 for speed and transparently widens to Python ints (dtype=object) when
-entries threaten to overflow; everything downstream only ever sees exact
+Integer matrices are numpy arrays, int64 where every entry fits and Python
+ints (dtype=object) otherwise.  Products run in int64 under an overflow
+bound and widen past it; the Hermite normal form computes on Python ints
+and returns int64 when it can.  Everything downstream only ever sees exact
 results.  Lattices are stored by their row-style HNF basis, which is the
 unique canonical representative, so structural equality of bases is lattice
 equality.
 
-Most lattices here are very sparse (a few nonzeros per row), and the input's
-density alone selects the path: ``safe_matmul`` multiplies over the
+Most lattices here are very sparse (a few nonzeros per row).
+``hermite_normal_form`` is one loop over rows held as sparse dicts of Python
+ints, whatever the input's density.  ``safe_matmul`` multiplies over the
 nonzeros of an operand (the right one if it forms fewer terms) with fewer
-than 1/SPARSE_PRODUCT of its entries nonzero, and ``hermite_normal_form``
-runs a sparse-row loop on Python ints for inputs with at most 1/SPARSE_HNF
-nonzero.  The dense paths serve the rest.  Every path returns the same values.
+than 1/SPARSE_PRODUCT of its entries nonzero, and through ``safe_einsum``
+otherwise; both return the same values.
 """
 
 from __future__ import annotations
@@ -35,40 +36,8 @@ def as_int_matrix(m) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _widen(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    out[...] = a.tolist()
-    return out
-
-
 def fits_int64(bound: int) -> bool:
     return bound < 2 ** 62
-
-
-def _eliminate(w: np.ndarray, rows: np.ndarray, r: int, c: int) -> np.ndarray:
-    """Subtract from each of ``rows`` the multiple of row r that reduces its
-    column-c entry modulo w[r, c].  Row r is zero left of column c, so only
-    columns c: change; widens w to object first if int64 could overflow."""
-    block = w[rows, c:]
-    prow = w[r, c:]
-    qs = block[:, 0] // prow[0]
-    if w.dtype != object and not fits_int64(
-            int(np.abs(qs).max()) * int(np.abs(prow).max())
-            + int(np.abs(block).max())):
-        w = _widen(w)
-        block, prow = w[rows, c:], w[r, c:]
-        qs = block[:, 0] // prow[0]
-    block -= qs[:, None] * prow[None, :]
-    w[rows, c:] = block
-    return w
-
-
-# The sparse-row HNF pays per entry in Python where the dense loop pays per
-# pivot in numpy.  On the HNF inputs of the genus-3 and genus-4 suites up to
-# 2.8 % nonzero (most pivots 1) it took 0.2-0.7x the dense time; on the
-# Johnson catalog chunks at 5-13 % nonzero, whose rows fill in, 2-13x.
-# 1/32 (3.1 %) sits between the two.
-SPARSE_HNF = 32
 
 
 def hermite_normal_form(m, transform: bool = False):
@@ -77,67 +46,17 @@ def hermite_normal_form(m, transform: bool = False):
     Returns ``hnf`` or ``(hnf, u)`` with ``u`` unimodular and ``u @ m == hnf``.
     Rows of the result are *not* trimmed: zero rows sink to the bottom.
 
-    Inputs with at most one nonzero entry in SPARSE_HNF run the sparse-row
-    loop, the others the dense one; both make the same row operations, so
-    ``hnf`` and ``u`` do not depend on the path taken.
+    Rows are held as {column: int} dicts of Python ints, so no entry
+    overflows.  Each row keeps its identity while ``order`` maps positions
+    to rows, and ``cols[c]`` holds the rows nonzero in column c, so a pivot
+    step touches only the rows live in its column and their nonzero
+    entries.  Column by column, the row of least absolute value (first
+    position on ties) is the pivot, the rows below are reduced by floor
+    quotients until it is alone, its sign is made positive, and the rows
+    above are reduced modulo it.  The result is int64 when every entry
+    fits, else object.
     """
     a = as_int_matrix(m)
-    if SPARSE_HNF * np.count_nonzero(a) <= a.size:
-        return _sparse_hnf(a, transform)
-    return _dense_hnf(a, transform)
-
-
-def _dense_hnf(a: np.ndarray, transform: bool):
-    """The HNF loop on a dense int64 (widening to object) work matrix."""
-    nrows, ncols = a.shape
-    if transform:
-        w = np.zeros((nrows, ncols + nrows), dtype=a.dtype)
-        w[:, :ncols] = a
-        w[np.arange(nrows), ncols + np.arange(nrows)] = 1
-    else:
-        w = a.copy()
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        # Euclidean reduction of column c below row r.
-        while True:
-            live = r + np.flatnonzero(w[r:, c])
-            if live.size == 0:
-                break
-            piv = live[np.argmin(np.abs(w[live, c]))]
-            if piv != r:
-                w[[r, piv]] = w[[piv, r]]
-            live = (r + 1) + np.flatnonzero(w[r + 1:, c])
-            if live.size == 0:
-                break
-            w = _eliminate(w, live, r, c)
-            if not np.any(w[live, c]):
-                break
-        if not w[r, c]:
-            continue
-        if w[r, c] < 0:
-            w[r, c:] = -w[r, c:]
-        above = np.flatnonzero(w[:r, c])
-        if above.size:
-            w = _eliminate(w, above, r, c)
-        r += 1
-    if transform:
-        return w[:, :ncols], w[:, ncols:]
-    return w
-
-
-def _sparse_hnf(a: np.ndarray, transform: bool):
-    """The HNF loop of ``_dense_hnf`` on rows held as {column: int} dicts.
-
-    Each row keeps its identity while ``order`` maps positions to rows, and
-    ``cols[c]`` holds the rows nonzero in column c, so a pivot step touches
-    only the rows live in its column and their nonzero entries.  Pivot
-    choice (least absolute value, first position on ties), floor quotients,
-    sign and reduction above the pivot follow the dense loop, so the result
-    is the same.  Python ints never overflow; the result is int64 when
-    every entry fits, else object.
-    """
     nrows, ncols = a.shape
     rows = [{} for _ in range(nrows)]
     cols = [set() for _ in range(ncols)]
@@ -155,15 +74,18 @@ def _sparse_hnf(a: np.ndarray, transform: bool):
         """Row t -= q * row p (q nonzero)."""
         rt = rows[t]
         for k, x in rows[p].items():
-            y = rt.get(k, 0) - q * x
-            if y:
-                if k < ncols and k not in rt:
-                    cols[k].add(t)
-                rt[k] = y
+            if k in rt:
+                y = rt[k] - q * x
+                if y:
+                    rt[k] = y
+                else:
+                    del rt[k]
+                    if k < ncols:
+                        cols[k].discard(t)
             else:
-                del rt[k]
+                rt[k] = -q * x
                 if k < ncols:
-                    cols[k].discard(t)
+                    cols[k].add(t)
 
     r = 0
     for c in range(ncols):
@@ -366,33 +288,23 @@ class IntegerLattice:
 # GF(2) linear algebra on int bitsets (bit i of a row <-> column i).
 
 class GF2Matrix:
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: list[int], ncols: int):
+    def __init__(self, rows: list[int]):
         self.rows = list(rows)
-        self.ncols = ncols
 
     def rank(self) -> int:
-        return len(self._rref()[0])
-
-    def _rref(self):
-        work = self.rows[:]
-        pivots = []
-        echelon = []
-        for c in range(self.ncols):
-            piv = None
-            for i, r in enumerate(work):
-                if (r >> c) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            row = work.pop(piv)
-            work = [r ^ row if (r >> c) & 1 else r for r in work]
-            echelon = [r ^ row if (r >> c) & 1 else r for r in echelon]
-            echelon.append(row)
-            pivots.append(c)
-        return pivots, echelon
+        """Rank by elimination: each pivot row clears its lowest set bit
+        from the rows left, and only the count of pivots is kept."""
+        work = [r for r in self.rows if r]
+        rank = 0
+        while work:
+            row = work.pop()
+            low = row & -row
+            work = [r ^ row if r & low else r for r in work]
+            work = [r for r in work if r]
+            rank += 1
+        return rank
 
 
 def safe_einsum(subscripts: str, *operands) -> np.ndarray:

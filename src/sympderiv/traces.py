@@ -131,10 +131,6 @@ def tr_A(sp: DerivationSpace, v, check_domain: bool = True) -> np.ndarray:
     return _side_trace(sp, v, "A", check_domain)
 
 
-def tr_B(sp: DerivationSpace, v, check_domain: bool = True) -> np.ndarray:
-    return _side_trace(sp, v, "B", check_domain)
-
-
 @lru_cache(maxsize=None)
 def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
     """The side trace as a read-only (ambient x S^2(H')) integer matrix.
@@ -290,11 +286,11 @@ def ker_tr_B(sp: DerivationSpace) -> IntegerLattice:
 # -- image ranks over GF(2) -------------------------------------------------
 
 def image_rank_as(sp: DerivationSpace) -> int:
-    return GF2Matrix(_gf2_image_rows(sp, "as"), _width(sp.g, "as")).rank()
+    return GF2Matrix(_gf2_image_rows(sp, "as")).rank()
 
 
 def image_rank_sym(sp: DerivationSpace) -> int:
-    return GF2Matrix(_gf2_image_rows(sp, "sym"), _width(sp.g, "sym")).rank()
+    return GF2Matrix(_gf2_image_rows(sp, "sym")).rank()
 
 
 def image_in_omega_kernel(sp: DerivationSpace, which: str) -> bool:

@@ -17,6 +17,7 @@ from sympderiv.derivspace import lie_degree_matrix, space
 from sympderiv.freelie import context
 from sympderiv.intlin import IntegerLattice
 from sympderiv.trees import eta1, eta2, expand_symhalf
+from test_freelie import letter_name
 
 
 def is_symplectic(m):
@@ -130,7 +131,7 @@ def pretty_vector(ctx, vec):
         c = int(c)
         if c == 0:
             continue
-        name = ctx.letter_name(p)
+        name = letter_name(ctx, p)
         if c == 1:
             parts.append("+" + name)
         elif c == -1:
@@ -193,15 +194,24 @@ def test_johnson_catalog_matches_loop_reference(three_term):
         assert np.array_equal(row, val), name
 
 
-def test_catalog_lattice_stops_pulling_at_saturation():
-    # genus 3: the two-term colors span ker tr_as before the last block
+def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):
+    # genus 3: the two-term colors span ker tr_as before the last block;
+    # the rows after that are pulled too, and tested for membership only
     sp = space(3)
     ker = traces.ker_tr_as(sp)
     total = sum(map(len, johnson_catalog(sp)))
+    tested = []
+    real = IntegerLattice.contains_rows
+
+    def recording(self, rows):
+        tested.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(IntegerLattice, "contains_rows", recording)
     stream = johnson_catalog(sp)
     assert catalog_lattice(sp, stream, target=ker) is ker
-    assert 0 < len(stream) < total
-    assert next(stream, None) is not None  # rows were left unexpanded
+    assert len(stream) == total and next(stream, None) is None
+    assert 0 < sum(tested) < total
 
 
 def _target_and_rows(draw, st):
@@ -223,7 +233,7 @@ def _target_and_rows(draw, st):
     return n, IntegerLattice(n, gens), gens, blocks
 
 
-@pytest.mark.parametrize("case", ["early", "never", "outside"])
+@pytest.mark.parametrize("case", ["early", "never", "outside", "late"])
 def test_catalog_lattice_with_target_equals_ambient_span(case):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -234,30 +244,37 @@ def test_catalog_lattice_with_target_equals_ambient_span(case):
         n, target, gens, blocks = _target_and_rows(data.draw, st)
         assert target.rank == len(gens)
         chunk = 3
+        if case in ("outside", "late"):
+            row = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=n,
+                                              max_size=n)), dtype=np.int64)
+            hypothesis.assume(row not in target)
+            at = data.draw(st.integers(0, len(blocks)))
         if case == "early":
             # the generators first, as one batch: saturated after it
             blocks, chunk = [gens] + blocks, len(gens)
         elif case == "never":
             # twice the generators: a sublattice of index 2^rank, never all
             blocks = [2 * gens] + [2 * b for b in blocks]
-        else:
+        elif case == "outside":
             # one row outside the target, after rows that cannot saturate
-            row = np.array(data.draw(st.lists(st.integers(-5, 5), min_size=n,
-                                              max_size=n)), dtype=np.int64)
-            hypothesis.assume(row not in target)
-            at = data.draw(st.integers(0, len(blocks)))
             blocks = ([2 * b for b in blocks[:at]]
                       + [np.vstack([row, gens[:1]])] + blocks[at:])
+        else:
+            # one row outside the target, after the saturating batch
+            blocks = [gens] + blocks[:at] + [row[None]] + blocks[at:]
+            chunk = len(gens)
         rows = np.vstack(blocks)
         want = IntegerLattice(n, rows)
         sp = SimpleNamespace(ambient_dim=n)
         stream = catalogs.BlockStream(blocks)
         got = catalog_lattice(sp, stream, target=target, chunk=chunk)
         assert got == want
+        # every row is pulled, whether or not the span saturates
+        assert len(stream) == len(rows)
         if case == "early":
-            assert got is target and len(stream) == len(gens)
+            assert got is target
         elif case == "never":
-            assert got != target and len(stream) == len(rows)
+            assert got != target
         else:
             assert target.membership(got.basis) is None
         # one matrix, and no target: the same span

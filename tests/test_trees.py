@@ -8,6 +8,7 @@ import pytest
 from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
 from sympderiv.trees import (derivation_bracket, eta1, eta2, expand_symhalf,
                              tree_bracket)
+from test_freelie import lyndon_to_tensor
 
 
 def _rand_vecs(ctx, rng, n):
@@ -167,7 +168,7 @@ def _eta2_tensors(ctx, a, b, c, d):
 
 def _as_tensors(ctx, row):
     d = ctx.dim(3)
-    return [ctx.lyndon_to_tensor(3, row[h * d:(h + 1) * d])
+    return [lyndon_to_tensor(ctx, 3, row[h * d:(h + 1) * d])
             for h in range(ctx.n)]
 
 
