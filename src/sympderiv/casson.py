@@ -1,12 +1,14 @@
-"""Formal linking algebra and the Casson-difference machinery.
+"""Linking forms and the Casson-difference machinery.
 
-Polynomials live in variables l_{pq} = l(e_p, e_q) for ordered basis pairs
-p <= q; the relation l(v,u) = l(u,v) + omega(u,v) is applied eagerly, so
-equality of polynomials is equality of dicts.  Evaluations substitute a
-linking matrix; the base form is [[0,0],[Id,0]] and the form twisted by a
-symmetric S is [[0,0],[Id,S]].  The theta polynomial of every generator is
-tabulated once per genus, so q-bar and mu are exact products with that
-table, mu at every matrix of a stack of S at once.
+Each generator's theta is a quadratic in the linking symbols l(e_p, e_q)
+of its four leaf letters (p, q, p, q for a (.)-generator), and its dbar a
+quadratic in the Gram matrix J of omega.  At a linking matrix lk the
+symbol l(e_p, e_q) takes the value of its normal form, lk[p, q] for
+p <= q and lk[q, p] + omega(e_q, e_p) otherwise, so theta of every
+generator is read off that one matrix by index.  The base form is
+[[0,0],[Id,0]] and the form twisted by a symmetric S is [[0,0],[Id,S]];
+q-bar and mu are exact products of those values with the coefficients,
+mu at every matrix of a stack of S at once.
 """
 
 from __future__ import annotations
@@ -16,101 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .derivspace import DerivationSpace
-from .freelie import SymplecticContext
-from .intlin import safe_einsum, safe_matmul
+from .derivspace import DerivationSpace, iota_matrix
+from .intlin import fits_int64, safe_einsum, safe_matmul
 from .traces import tr_omegaS
 
 # mu(v, S) := eps_base(theta(v)) - eps_twisted(theta(v)); this sign makes
 # (1/2 omega_S + omega_delta) o tr_omegaS = mu(-, S) hold on the nose
 # (verified exactly in the acceptance suite)
 MU_SIGN = 1
-
-Poly = dict  # monomial (sorted tuple of (p,q) vars) -> int coefficient
-
-
-def poly_const(c: int) -> Poly:
-    return {(): c} if c else {}
-
-
-def poly_add(p: Poly, q: Poly, scale: int = 1) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        nc = out.get(m, 0) + scale * c
-        if nc:
-            out[m] = nc
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            nc = out.get(m, 0) + c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
-
-
-def l_symbol(ctx: SymplecticContext, u, v) -> Poly:
-    """Bilinear expansion of l(u, v) into normal form."""
-    out: Poly = {}
-    for p, cu in enumerate(u):
-        if not cu:
-            continue
-        for q, cv in enumerate(v):
-            if not cv:
-                continue
-            c = int(cu) * int(cv)
-            if p <= q:
-                out = poly_add(out, {((p, q),): c})
-            else:
-                # l(e_p, e_q) = l(e_q, e_p) + omega(e_q, e_p)
-                out = poly_add(out, {((q, p),): c})
-                w = ctx.omega_letters(q, p)
-                if w:
-                    out = poly_add(out, poly_const(w * c))
-    return out
-
-
-def theta_tree(ctx, a, b, c, d) -> Poly:
-    l = lambda x, y: l_symbol(ctx, x, y)
-    out = poly_mul(l(a, c), l(b, d))
-    out = poly_add(out, poly_mul(l(a, d), l(b, c)), -1)
-    out = poly_add(out, poly_mul(l(d, a), l(c, b)), -1)
-    return poly_add(out, poly_mul(l(c, a), l(d, b)))
-
-
-def theta_odot(ctx, u, v) -> Poly:
-    out = poly_mul(l_symbol(ctx, u, u), l_symbol(ctx, v, v))
-    return poly_add(out, poly_mul(l_symbol(ctx, u, v), l_symbol(ctx, v, u)), -1)
-
-
-def dbar_tree(ctx, a, b, c, d) -> int:
-    w = ctx.omega
-    return w(a, b) * w(c, d) - w(a, c) * w(b, d) + w(a, d) * w(b, c)
-
-
-def theta_gen(sp: DerivationSpace, gen) -> Poly:
-    e = sp.ctx.basis_vector
-    if gen[0] == "odot":
-        p, q = gen[1]
-        return theta_odot(sp.ctx, e(p), e(q))
-    (p, q), (r, s) = gen[1], gen[2]
-    return theta_tree(sp.ctx, e(p), e(q), e(r), e(s))
-
-
-def dbar_gen(sp: DerivationSpace, gen) -> int:
-    if gen[0] == "odot":
-        return 0
-    e = sp.ctx.basis_vector
-    (p, q), (r, s) = gen[1], gen[2]
-    return dbar_tree(sp.ctx, e(p), e(q), e(r), e(s))
 
 
 # -- linking forms and evaluations -----------------------------------------
@@ -138,45 +53,40 @@ def lk_twisted(g: int, s) -> np.ndarray:
 # -- the derived maps -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _theta_table(sp: DerivationSpace):
-    """theta of every generator over the l-monomials, as a (generators x
-    monomials) integer matrix, with each monomial's variables as two
-    indices into a flattened linking matrix extended by a 1 (a monomial
-    of theta has at most two variables; a missing one reads the 1)."""
-    polys = [theta_gen(sp, gen) for gen in sp.generators]
-    monos = sorted({m for p in polys for m in p})
-    col = {m: i for i, m in enumerate(monos)}
-    table = np.zeros((len(polys), len(monos)), dtype=np.int64)
-    for i, p in enumerate(polys):
-        for m, c in p.items():
-            table[i, col[m]] = c
-    n = sp.ctx.n
-    slots = np.full((len(monos), 2), n * n)
-    for i, m in enumerate(monos):
-        for j, (p, q) in enumerate(m):
-            slots[i, j] = p * n + q
-    return table, slots
+def _leaves(sp: DerivationSpace):
+    """The leaf letters (a, b, c, d) of every generator as four index rows,
+    and each generator's divisor of the leaf formula for theta: 2 for a
+    (.)-generator, whose leaves (p, q, p, q) count theta(e_p, e_q) twice."""
+    leaves = np.array([sp.gen_leaves(gen) for gen in sp.generators]).T
+    halves = np.array([2 if gen[0] == "odot" else 1 for gen in sp.generators])
+    return leaves, halves
 
 
-def _eps_monomials(slots: np.ndarray, lk: np.ndarray) -> np.ndarray:
-    """Value of every tabulated monomial at the linking matrix lk, or one
-    row of values per matrix of a stack."""
-    flat = lk.reshape(lk.shape[:-2] + (-1,))
-    flat = np.concatenate([flat, np.ones(flat.shape[:-1] + (1,), flat.dtype)],
-                          axis=-1)
-    if int(np.abs(flat).max()) >= 2 ** 31:
-        flat = flat.astype(object)
-    return flat[..., slots[:, 0]] * flat[..., slots[:, 1]]
+def _theta(sp: DerivationSpace, lk: np.ndarray) -> np.ndarray:
+    """theta of every generator at the linking matrix lk, on the last axis,
+    one row per matrix of a stack: l(a,c) l(b,d) - l(a,d) l(b,c)
+    - l(d,a) l(c,b) + l(c,a) l(d,b) at the normal-form values
+    triu(lk) + tril(lk^T - J, -1)."""
+    lt = np.triu(lk) + np.tril(np.swapaxes(lk, -1, -2) - iota_matrix(sp.g), -1)
+    # theta sums four products of two entries; at the base linking matrix
+    # |theta| <= 4, so a base-minus-twisted difference fits as well
+    if not fits_int64(4 * max(int(lt.max()), -int(lt.min())) ** 2):
+        lt = lt.astype(object)
+    (a, b, c, d), halves = _leaves(sp)
+    theta = (lt[..., a, c] * lt[..., b, d] - lt[..., a, d] * lt[..., b, c]
+             - lt[..., d, a] * lt[..., c, b] + lt[..., c, a] * lt[..., d, b])
+    return theta // halves
 
 
 @lru_cache(maxsize=None)
 def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
-    """3 qbar of every generator: 3 eps_j(theta), read from the theta table
-    at the base linking matrix, plus dbar."""
-    table, slots = _theta_table(sp)
-    eps = safe_matmul(table, _eps_monomials(slots, lk_base(sp.g))[:, None])
-    dbar = np.array([dbar_gen(sp, gen) for gen in sp.generators])
-    return 3 * eps[:, 0] + dbar
+    """3 qbar of every generator: 3 eps_j(theta), theta at the base linking
+    matrix, plus dbar = J[a,b] J[c,d] - J[a,c] J[b,d] + J[a,d] J[b,c] of its
+    leaves (0 on a (.)-generator)."""
+    j = iota_matrix(sp.g)
+    (a, b, c, d), _ = _leaves(sp)
+    dbar = j[a, b] * j[c, d] - j[a, c] * j[b, d] + j[a, d] * j[b, c]
+    return 3 * _theta(sp, lk_base(sp.g)) + dbar
 
 
 def qbar_of_coeffs(sp: DerivationSpace, coeffs):
@@ -203,15 +113,12 @@ def mu_of_coeffs(sp: DerivationSpace, coeffs, s):
     coeffs.shape[:-1] + s.shape[:-2]: an int for one row and one S, an
     exact integer array for a stack of rows or of matrices.
 
-    Every tabulated monomial is evaluated at every twisted linking matrix
-    at once; one exact product with the theta table gives each generator's
-    difference eps_base(theta) - eps_twisted(theta) at each S, and one
-    more the coefficients' values."""
+    theta of every generator is read off the base and every twisted
+    linking matrix at once; one exact product of the coefficients with the
+    differences eps_base(theta) - eps_twisted(theta) gives the values."""
     s = np.asarray(s)
-    table, slots = _theta_table(sp)
-    diff = (_eps_monomials(slots, lk_base(sp.g))
-            - _eps_monomials(slots, lk_twisted(sp.g, s)))
-    per_gen = safe_matmul(table, diff.reshape(-1, len(slots)).T)
+    diff = _theta(sp, lk_base(sp.g)) - _theta(sp, lk_twisted(sp.g, s))
+    per_gen = diff.reshape(-1, diff.shape[-1]).T
     return _per_s(MU_SIGN * safe_matmul(coeffs, per_gen), s)
 
 

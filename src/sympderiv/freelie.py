@@ -238,31 +238,21 @@ class SymplecticContext:
             return range(self.g, self.n)
         raise ContextError("lagrangian must be 'A' or 'B'")
 
-    def project_lyndon(self, k: int, coords, lagrangian: str) -> np.ndarray:
-        """L_k(H) -> L_k(H/A or H/B) in the quotient Lyndon coordinates."""
+    @lru_cache(maxsize=None)
+    def lyndon_projection_matrix(self, k: int, lagrangian: str) -> np.ndarray:
+        """L_k(H) -> L_k(H/A or H/B) over the two Lyndon bases: column i is
+        the i-th bracketing tensor without its words through a killed
+        letter, in the quotient Lyndon coordinates."""
         killed = set(self.kill_letters(lagrangian))
         shift = self.g if lagrangian == "A" else 0
         qctx = self.quotient_context()
-        out: dict = {}
-        for i, w in enumerate(self.lyndon(k)):
-            c = int(coords[i])
-            if not c:
-                continue
-            for word, cc in self.bracketing_tensor(w).items():
-                if any(l in killed for l in word):
-                    continue
-                tensor_add(out, {tuple(l - shift for l in word): c * cc})
-        return qctx.tensor_to_lyndon(k, out)
-
-    @lru_cache(maxsize=None)
-    def lyndon_projection_matrix(self, k: int, lagrangian: str) -> np.ndarray:
-        qctx = self.quotient_context()
-        mat = np.zeros((qctx.dim(k), self.dim(k)), dtype=np.int64)
-        for i in range(self.dim(k)):
-            e = np.zeros(self.dim(k), dtype=np.int64)
-            e[i] = 1
-            mat[:, i] = self.project_lyndon(k, e, lagrangian)
-        return mat
+        cols = []
+        for w in self.lyndon(k):
+            kept = {tuple(l - shift for l in word): c
+                    for word, c in self.bracketing_tensor(w).items()
+                    if killed.isdisjoint(word)}
+            cols.append(qctx.tensor_to_lyndon(k, kept))
+        return np.array(cols, dtype=np.int64).T
 
 
 @lru_cache(maxsize=None)

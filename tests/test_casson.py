@@ -1,5 +1,5 @@
-"""Casson-difference polynomials, linking-form evaluation, and the bridge
-to the A-side trace."""
+"""Casson-difference maps, linking-form evaluation, and the bridge to
+the A-side trace."""
 
 from fractions import Fraction
 
@@ -13,6 +13,98 @@ from sympderiv.freelie import context
 
 
 # -- the polynomial reference: theta expanded, then evaluated -------------
+#
+# Polynomials live in variables l_{pq} = l(e_p, e_q) for ordered basis
+# pairs p <= q; the relation l(v,u) = l(u,v) + omega(u,v) is applied
+# eagerly, so equality of polynomials is equality of dicts.  None of this
+# calls the library's theta code.
+
+Poly = dict  # monomial (sorted tuple of (p,q) vars) -> int coefficient
+
+
+def poly_const(c: int) -> Poly:
+    return {(): c} if c else {}
+
+
+def poly_add(p: Poly, q: Poly, scale: int = 1) -> Poly:
+    out = dict(p)
+    for m, c in q.items():
+        nc = out.get(m, 0) + scale * c
+        if nc:
+            out[m] = nc
+        else:
+            out.pop(m, None)
+    return out
+
+
+def poly_mul(p: Poly, q: Poly) -> Poly:
+    out: Poly = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(sorted(m1 + m2))
+            nc = out.get(m, 0) + c1 * c2
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
+def l_symbol(ctx, u, v) -> Poly:
+    """Bilinear expansion of l(u, v) into normal form."""
+    out: Poly = {}
+    for p, cu in enumerate(u):
+        if not cu:
+            continue
+        for q, cv in enumerate(v):
+            if not cv:
+                continue
+            c = int(cu) * int(cv)
+            if p <= q:
+                out = poly_add(out, {((p, q),): c})
+            else:
+                # l(e_p, e_q) = l(e_q, e_p) + omega(e_q, e_p)
+                out = poly_add(out, {((q, p),): c})
+                w = ctx.omega_letters(q, p)
+                if w:
+                    out = poly_add(out, poly_const(w * c))
+    return out
+
+
+def theta_tree(ctx, a, b, c, d) -> Poly:
+    l = lambda x, y: l_symbol(ctx, x, y)
+    out = poly_mul(l(a, c), l(b, d))
+    out = poly_add(out, poly_mul(l(a, d), l(b, c)), -1)
+    out = poly_add(out, poly_mul(l(d, a), l(c, b)), -1)
+    return poly_add(out, poly_mul(l(c, a), l(d, b)))
+
+
+def theta_odot(ctx, u, v) -> Poly:
+    out = poly_mul(l_symbol(ctx, u, u), l_symbol(ctx, v, v))
+    return poly_add(out, poly_mul(l_symbol(ctx, u, v), l_symbol(ctx, v, u)), -1)
+
+
+def dbar_tree(ctx, a, b, c, d) -> int:
+    w = ctx.omega
+    return w(a, b) * w(c, d) - w(a, c) * w(b, d) + w(a, d) * w(b, c)
+
+
+def theta_gen(sp, gen) -> Poly:
+    e = sp.ctx.basis_vector
+    if gen[0] == "odot":
+        p, q = gen[1]
+        return theta_odot(sp.ctx, e(p), e(q))
+    (p, q), (r, s) = gen[1], gen[2]
+    return theta_tree(sp.ctx, e(p), e(q), e(r), e(s))
+
+
+def dbar_gen(sp, gen) -> int:
+    if gen[0] == "odot":
+        return 0
+    e = sp.ctx.basis_vector
+    (p, q), (r, s) = gen[1], gen[2]
+    return dbar_tree(sp.ctx, e(p), e(q), e(r), e(s))
+
 
 def eps_eval(poly, lk):
     total = 0
@@ -31,12 +123,12 @@ def theta_of_coeffs(sp, coeffs):
     for c, gen in zip(coeffs, sp.generators):
         c = int(c)
         if c:
-            out = casson.poly_add(out, casson.theta_gen(sp, gen), c)
+            out = poly_add(out, theta_gen(sp, gen), c)
     return out
 
 
 def dbar_of_coeffs(sp, coeffs):
-    return sum(int(c) * casson.dbar_gen(sp, gen)
+    return sum(int(c) * dbar_gen(sp, gen)
                for c, gen in zip(coeffs, sp.generators) if int(c))
 
 
@@ -57,20 +149,49 @@ def test_l_symbol_rewrite_rule():
     ctx = context(2)
     b1 = ctx.basis_vector(2)
     a1 = ctx.basis_vector(0)
-    p = casson.l_symbol(ctx, b1, a1)
+    p = l_symbol(ctx, b1, a1)
     assert p == {((0, 2),): 1, (): 1}
     # and l(a1, b1) itself is already normal
-    assert casson.l_symbol(ctx, a1, b1) == {((0, 2),): 1}
+    assert l_symbol(ctx, a1, b1) == {((0, 2),): 1}
 
 
 def test_l_symbol_bilinear():
     ctx = context(2)
     rng = np.random.default_rng(31)
     u, u2, v = (rng.integers(-2, 3, size=4) for _ in range(3))
-    lhs = casson.l_symbol(ctx, u + 3 * u2, v)
-    rhs = casson.poly_add(casson.l_symbol(ctx, u, v),
-                          casson.l_symbol(ctx, u2, v), 3)
+    lhs = l_symbol(ctx, u + 3 * u2, v)
+    rhs = poly_add(l_symbol(ctx, u, v),
+                          l_symbol(ctx, u2, v), 3)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_odot_theta_is_half_the_repeated_tree(g):
+    """Why casson halves the leaf formula on a (.)-generator with leaves
+    (p, q, p, q), and needs no dbar case for it: for all basis vectors
+    u, v, theta_tree(u, v, u, v) = 2 theta_odot(u, v) and
+    dbar_tree(u, v, u, v) = 0."""
+    ctx = context(g)
+    for p in range(ctx.n):
+        for q in range(ctx.n):
+            u, v = ctx.basis_vector(p), ctx.basis_vector(q)
+            assert poly_add(theta_tree(ctx, u, v, u, v),
+                            theta_odot(ctx, u, v), -2) == {}
+            assert dbar_tree(ctx, u, v, u, v) == 0
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_theta_matches_polynomial_at_any_linking_matrix(g):
+    """theta of every generator from its leaves, against the expanded
+    polynomial, at linking matrices with no zero block, one by one and as
+    a stack."""
+    sp = space(g)
+    rng = np.random.default_rng(80 + g)
+    lks = rng.integers(-7, 8, size=(4, 2 * g, 2 * g))
+    stacked = casson._theta(sp, lks)
+    for lk, row in zip(lks, stacked):
+        want = [eps_eval(theta_gen(sp, gen), lk) for gen in sp.generators]
+        assert row.tolist() == casson._theta(sp, lk).tolist() == want
 
 
 def test_eps_eval_on_base_linking():
@@ -78,14 +199,19 @@ def test_eps_eval_on_base_linking():
     lk = casson.lk_base(2)
     # lk(b_i, a_i) = 1, lk(a_i, b_i) = 0 in the base form
     assert lk[2, 0] == 1 and lk[0, 2] == 0
-    p = casson.l_symbol(ctx, ctx.basis_vector(2), ctx.basis_vector(0))
+    p = l_symbol(ctx, ctx.basis_vector(2), ctx.basis_vector(0))
     assert eps_eval(p, lk) == 1
 
 
 def test_dbar_vanishes_on_odot():
     sp = space(2)
     for pair in sp.pairs:
-        assert casson.dbar_gen(sp, ("odot", pair)) == 0
+        assert dbar_gen(sp, ("odot", pair)) == 0
+    # the library's dbar, 3 qbar - 3 theta at the base form, agrees
+    dbar = (casson._thrice_qbar_column(sp)
+            - 3 * casson._theta(sp, casson.lk_base(2)))
+    assert dbar[:len(sp.pairs)].tolist() == [0] * len(sp.pairs)
+    assert dbar.tolist() == [dbar_gen(sp, gen) for gen in sp.generators]
 
 
 def test_qbar_denominator_and_linearity():
@@ -155,8 +281,9 @@ def test_mu_matches_half_omegaS_plus_delta():
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_tabulated_mu_matches_polynomial_evaluation(g):
-    """mu_of_coeffs (theta table) against the polynomial route: expand
-    theta of the coefficients, then evaluate it at both linking forms."""
+    """mu_of_coeffs (theta from leaf indices) against the polynomial
+    route: expand theta of the coefficients, then evaluate it at both
+    linking forms."""
     sp = space(g)
     rng = np.random.default_rng(40 + g)
     coeffs = rng.integers(-3, 4, size=(6, len(sp.generators)))
@@ -209,13 +336,20 @@ def test_tabulated_qbar_matches_polynomial_evaluation(g):
 
 
 def _sym_stack(rng, g, count):
-    """Small symmetric matrices, then entries near 2^31 and near 2^62."""
+    """Small symmetric matrices, then entries near 2^31 and near 2^62, then
+    m times a sign pattern with leading 2x2 minor -2 m^2, where a repeated
+    tree generator's theta is -4 m^2: m = 2^30 - 1 (the largest theta
+    evaluates in int64), 2^30 (the least it widens for) and 2^31 - 1
+    (past int64)."""
     m = rng.integers(-3, 4, size=(count, g, g))
     mats = m + np.swapaxes(m, 1, 2)
     near31 = mats[0] + (2 ** 31 - 1)
     near62 = np.full((g, g), 2 ** 62 - 5, dtype=np.int64)
     near62[-1, -1] = -(2 ** 62) + 9
-    return np.concatenate([mats, near31[None], near62[None]])
+    signs = -np.ones((g, g), dtype=np.int64)
+    signs[0, 0] = 1
+    edges = [m * signs for m in (2 ** 30 - 1, 2 ** 30, 2 ** 31 - 1)]
+    return np.concatenate([mats, near31[None], near62[None], edges])
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -250,6 +384,9 @@ def test_stacked_s_matches_per_s_loop(g):
             omega_delta = sum(t[g + a][a] for a in range(g))
             assert casson.half_omegaS_plus_delta(sp, row, s) \
                 == halves[r, j] == omega_s + 2 * omega_delta
+    # both sides of theta's int64 edge run
+    assert casson._theta(sp, casson.lk_twisted(g, mats[-3])).dtype == np.int64
+    assert casson._theta(sp, casson.lk_twisted(g, mats[-2])).dtype == object
 
 
 def test_flipped_mu_sign_fails_bridge_at_first_loop_witness(monkeypatch):
