@@ -15,7 +15,12 @@ Three catalogs are built here, all with exact integer coordinates:
 
 A catalog is its row values only: an int64 matrix with one element per
 row, or, for the Johnson catalog, a stream of row blocks built as they are
-pulled, so that the whole catalog is never held at once.
+pulled, so that the whole catalog is never held at once.  Every degree-2
+row is a signed sum of generator columns: eta2(a, b | c, d) depends on its
+leaves only through the wedge coordinates of a^b and c^d over the basis
+pairs P, and is sum_{P,Q} (a^b)_P (c^d)_Q tree(P, Q).  The rows are read
+that way, as (row, generator, weight) triplets that
+``DerivationSpace.gen_rows`` scatters, instead of through Lie brackets.
 ``catalog_lattice`` decides a span with a known target in the target's
 coordinates until the span is the whole target, and tests every later row
 for membership in it.
@@ -25,17 +30,19 @@ import itertools
 
 import numpy as np
 
-from .freelie import SymplecticContext
-from .trees import (_stacks, eta1, eta2, expand_symhalf, hl_zero,
-                    tree_bracket)
+from .trees import TREE_BRACKET_SIGN, _stacks, eta1
 from .derivspace import (DerivationSpace, gl_embed, iota_matrix,
-                         lie_degree_matrix)
-from .intlin import IntegerLattice, safe_matmul
+                         lie_degree_matrix, runs)
+from .intlin import IntegerLattice, safe_einsum, safe_matmul
 
 
-# candidates expanded per batch: bounds the temporaries of a stacked
-# expansion, and so the peak memory of catalog building
+# Johnson candidates per block: bounds the rows built and deduplicated at
+# once, and so the peak memory of catalog building
 CHUNK = 128
+
+
+def _chunks(n):
+    return [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
 
 
 class SymplecticFamilyError(ValueError):
@@ -63,9 +70,58 @@ class BlockStream:
         return self.rows
 
 
+# -- rows from wedge coordinates -----------------------------------------
+
+def _wedge(sp: DerivationSpace, x, y):
+    """Wedge coordinates x_p y_q - x_q y_p of two leaf stacks, over the
+    basis pairs (p, q), p < q; exact, as each product is under 2**62 in
+    magnitude when int64."""
+    p, q = np.array(sp.pairs).T
+    xy = safe_einsum("mp,mq->mpq", x, y)
+    return xy[:, p, q] - xy[:, q, p]
+
+
+def _tree_terms(sp: DerivationSpace, w1, w2, half=False):
+    """(row, generator, weight) triplets, one row per row of the wedge
+    stacks w1 = a^b and w2 = c^d: eta2(a, b | c, d), which is
+    sum_{P,Q} (w1)_P (w2)_Q tree(P, Q) over the nonzeros of both.  With
+    ``half`` (w1 = w2 = u^v, w), the symmetric half u(.)v:
+    sum_P w_P^2 odot(P) + sum_{P<Q} w_P w_Q tree(P, Q)."""
+    r1, p = np.nonzero(w1)
+    r2, q = np.nonzero(w2)
+    # each nonzero of w1 against every nonzero of w2 in its row
+    lo = np.searchsorted(r2, r1)
+    i, j = runs(lo, np.searchsorted(r2, r1, side="right") - lo)
+    tree, odot = sp.pair_tables()
+    if half:
+        keep = p[i] <= q[j]
+        i, j, tree = i[keep], j[keep], odot
+    return (r1[i], tree[p[i], q[j]],
+            safe_einsum("t,t->t", w1[r1, p][i], w2[r2, q][j]))
+
+
+def _tripod_brackets(sp: DerivationSpace, s, t):
+    """Brackets of tripods s = (s1, s2, s3) and t = (t1, t2, t3), leaf stacks
+    giving one row per pair: the sum over the nine omega-contractions of
+    sign times omega(s_i, t_j) times eta2(s_{i+1}, s_{i+2} | t_{j+1},
+    t_{j+2}), the contractions stacked and kept where omega is nonzero.
+    Equals the derivation bracket of the eta1 images (see
+    derivation_bracket)."""
+    nrows = len(s[0])
+    ij = [(i, j) for i in range(3) for j in range(3)]
+    s = [np.concatenate([s[(i + k) % 3] for i, _ in ij]) for k in range(3)]
+    t = [np.concatenate([t[(j + k) % 3] for _, j in ij]) for k in range(3)]
+    w = TREE_BRACKET_SIGN * sp.ctx.omega(s[0], t[0])
+    at = np.flatnonzero(w)
+    m, gen, weight = _tree_terms(
+        sp, safe_einsum("m,mP->mP", w[at], _wedge(sp, s[1][at], s[2][at])),
+        _wedge(sp, t[1][at], t[2][at]))
+    return sp.gen_rows(nrows, at[m] % nrows, gen, weight)
+
+
 # -- bounding-curve images -----------------------------------------------
 
-def bscc_image(ctx: SymplecticContext, pairs):
+def bscc_image(sp: DerivationSpace, pairs):
     """Image of a twist along a curve bounding a subsurface with symplectic
     system ``pairs``: sum of u_i(.)v_i plus all cross trees.  Each u_i and
     v_i is a vector, or a stack giving one row per curve.
@@ -74,18 +130,19 @@ def bscc_image(ctx: SymplecticContext, pairs):
     """
     stacks, single = _stacks(*(x for pair in pairs for x in pair))
     pairs = list(zip(stacks[::2], stacks[1::2]))
-    w = ctx.omega
+    w = sp.ctx.omega
     for i, (u1, v1) in enumerate(pairs):
         for j, (u2, v2) in enumerate(pairs):
             if ((w(u1, v2) != (i == j)).any()
                     or w(u1, u2).any() or w(v1, v2).any()):
                 raise SymplecticFamilyError(
                     "pairs %d,%d are not omega-orthonormal" % (i, j))
-    out = hl_zero(ctx, 3)
-    for u, v in pairs:
-        out = out + expand_symhalf(ctx, u, v)
-    for (u1, v1), (u2, v2) in itertools.combinations(pairs, 2):
-        out = out + eta2(ctx, u1, v1, u2, v2)
+    wedges = [_wedge(sp, u, v) for u, v in pairs]
+    terms = [_tree_terms(sp, x, x, half=True) for x in wedges]
+    terms += [_tree_terms(sp, x, y)
+              for x, y in itertools.combinations(wedges, 2)]
+    out = sp.gen_rows(len(stacks[0]),
+                      *(np.concatenate(x) for x in zip(*terms)))
     return out[0] if single else out
 
 
@@ -109,13 +166,12 @@ def basis_tripods(g, side=None):
 
 def tripod_bracket_entries(sp: DerivationSpace, side):
     """Brackets of all distinct pairs of basis tripods from the given side,
-    one row each, expanded in chunks of CHUNK pairs; zero brackets are
+    one row each, built in chunks of CHUNK pairs; zero brackets are
     skipped."""
     e = np.eye(sp.ctx.n, dtype=np.int64)
     pairs = list(itertools.combinations(basis_tripods(sp.g, side), 2))
     leaves = e[np.array(pairs).reshape(len(pairs), 6).T]
-    vals = np.vstack([tree_bracket(sp.ctx, x[:3], x[3:]) for x in np.split(
-        leaves, range(CHUNK, len(pairs), CHUNK), axis=1)])
+    vals = _tripod_brackets(sp, leaves[:3], leaves[3:])
     return vals[vals.any(axis=1)]
 
 
@@ -138,9 +194,9 @@ def realizable_catalog_A(sp: DerivationSpace):
               + [c for i, l in perm
                  for c in ((a[i] + a[l], b[l] + a[i]), (a[l], b[l] + a[i]))])
     u, v = map(np.array, zip(*curves))
-    return np.vstack([bscc_image(sp.ctx, [(a, b)]),
-                      bscc_image(sp.ctx, [(a[p], b[p]), (a[q], b[q])]),
-                      bscc_image(sp.ctx, [(u, v)]),
+    return np.vstack([bscc_image(sp, [(a, b)]),
+                      bscc_image(sp, [(a[p], b[p]), (a[q], b[q])]),
+                      bscc_image(sp, [(u, v)]),
                       tripod_bracket_entries(sp, side="A")])
 
 
@@ -159,15 +215,14 @@ def _color_set(g, three_term=False):
     return colors
 
 
-def _unique_blocks(ctx, seen, colors, cands, expand):
-    """Blocks of the expansions of colors[cands] (leaf tuples) that are new
-    up to sign, in order: one block per CHUNK candidates, none when all of
-    them are old.  ``seen`` holds the bytes of each kept row times the sign
-    of its first nonzero entry, as int8 when every entry fits (a key's
-    length tells its dtype, so equal keys are equal rows)."""
-    for start in range(0, len(cands), CHUNK):
-        chunk = colors[cands[start:start + CHUNK]]
-        vals = expand(ctx, *chunk.transpose(1, 0, 2))
+def _unique_blocks(blocks):
+    """The rows of each block that are new up to sign, in order, one block
+    per block, none when all of its rows are old.  ``seen`` holds the bytes
+    of each kept row times the sign of its first nonzero entry, as int8
+    when every entry fits (a key's length tells its dtype, so equal keys
+    are equal rows)."""
+    seen = set()
+    for vals in blocks:
         first = vals[np.arange(len(vals)), np.argmax(vals != 0, axis=1)]
         signed = vals * np.sign(first)[:, None]
         narrow = np.abs(signed).max(axis=1) < 128
@@ -182,7 +237,11 @@ def _unique_blocks(ctx, seen, colors, cands, expand):
             yield vals[keep]
 
 
-def _johnson_blocks(ctx, g, three_term):
+def _johnson_candidates(g, three_term):
+    """The colors, the symplectic pairs (u[i], v[i]) of color indices with
+    omega = 1, in ``itertools.combinations`` order, and the pairs of those
+    pairs (k[i], l[i]), k < l, whose four cross omegas vanish, in row-major
+    order; every omega-test reads the Gram matrix of the colors."""
     colors = np.array(_color_set(g, three_term))
     gram = safe_matmul(safe_matmul(colors, iota_matrix(g)), colors.T)
     i, j = np.triu_indices(len(colors), 1)  # itertools.combinations order
@@ -190,21 +249,27 @@ def _johnson_blocks(ctx, g, three_term):
     sympl = np.abs(w) == 1
     u = np.where(w == 1, i, j)[sympl]
     v = np.where(w == 1, j, i)[sympl]
-    seen = set()
-    yield from _unique_blocks(ctx, seen, colors, np.column_stack([u, v]),
-                              expand_symhalf)
-    # pairs of pairs k < l whose four cross omegas vanish, in row-major
-    # (k, l) order, for CHUNK values of k at a time
-    quads = []
-    for start in range(0, len(u), CHUNK):
-        ks = np.arange(start, min(start + CHUNK, len(u)))
+    k, l = [], []
+    for c in _chunks(len(u)):  # CHUNK values of k at a time
+        ks = np.arange(len(u))[c]
         ok = ((gram[np.ix_(u[ks], u)] == 0) & (gram[np.ix_(u[ks], v)] == 0)
               & (gram[np.ix_(v[ks], u)] == 0) & (gram[np.ix_(v[ks], v)] == 0)
               & (np.arange(len(u)) > ks[:, None]))
-        k, l = np.nonzero(ok)
-        k = ks[k]
-        quads.append(np.column_stack([u[k], v[k], u[l], v[l]]))
-    yield from _unique_blocks(ctx, seen, colors, np.vstack(quads), eta2)
+        kc, lc = np.nonzero(ok)
+        k.append(ks[kc])
+        l.append(lc)
+    return colors, u, v, np.concatenate(k), np.concatenate(l)
+
+
+def _johnson_rows(sp, three_term):
+    """The rows of the Johnson candidates, CHUNK at a time: the symmetric
+    halves, then the trees."""
+    colors, u, v, k, l = _johnson_candidates(sp.g, three_term)
+    w = _wedge(sp, colors[u], colors[v])  # of each symplectic pair
+    for c in _chunks(len(u)):
+        yield sp.gen_rows(len(w[c]), *_tree_terms(sp, w[c], w[c], half=True))
+    for c in _chunks(len(k)):
+        yield sp.gen_rows(len(k[c]), *_tree_terms(sp, w[k[c]], w[l[c]]))
 
 
 def johnson_catalog(sp: DerivationSpace, three_term=False):
@@ -213,10 +278,11 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
 
     Emits every u(.)v with omega(u, v) = 1 and every tree on a pair of
     omega-orthonormal pairs, colors drawn from {e_p, e_p +- e_q} (plus
-    three-term sums when ``three_term``), deduplicated up to sign.  Every
-    omega-test reads the Gram matrix of the colors.
+    three-term sums when ``three_term``), deduplicated up to sign.  Each
+    block is CHUNK candidates read from the wedge coordinates of their
+    pairs, less the rows already seen.
     """
-    return BlockStream(_johnson_blocks(sp.ctx, sp.g, three_term))
+    return BlockStream(_unique_blocks(_johnson_rows(sp, three_term)))
 
 
 # -- lattices from catalogs ----------------------------------------------
@@ -309,15 +375,17 @@ def goeritz_symmetries(g):
     return mats
 
 
-def _transform_rows(ctx, m, rows, k):
+def _transform_rows(ctx, m, rows, k, lk=None):
     """Apply the degree-k homology action m (x) L_k(m) to a stack of
     H (x) L_k vectors, as two exact products: first L_k(m) on the Lie
-    factor of every H-block, then m across the blocks."""
+    factor of every H-block, then m across the blocks.  ``lk`` is L_k(m)
+    if the caller already holds it."""
     rows = np.asarray(rows)
     n = len(rows)
     h = 2 * ctx.g
     dk = ctx.dim(k)
-    lk = lie_degree_matrix(ctx, m, k)
+    if lk is None:
+        lk = lie_degree_matrix(ctx, m, k)
     lie = safe_matmul(rows.reshape(n * h, dk), lk.T)
     by_block = lie.reshape(n, h, dk).transpose(1, 0, 2).reshape(h, n * dk)
     out = safe_matmul(m, by_block)
@@ -335,10 +403,12 @@ def orbit_closure(ctx, seed_rows, mats, k, max_rounds=20):
     ambient = 2 * ctx.g * ctx.dim(k)
     lat = IntegerLattice(ambient, np.asarray(seed_rows))
     frontier = lat.basis
+    lks = [lie_degree_matrix(ctx, m, k) for m in mats]
     for _ in range(max_rounds):
         # one membership test per matrix: stacking every moved row of the
         # round in one test held several times their size at once
-        moved = (_transform_rows(ctx, m, frontier, k) for m in mats)
+        moved = (_transform_rows(ctx, m, frontier, k, lk)
+                 for m, lk in zip(mats, lks))
         frontier = np.vstack([rows[~lat.contains_rows(rows)] for rows in moved])
         if not len(frontier):
             return lat
@@ -369,11 +439,11 @@ def goeritz_tau2_entries(sp: DerivationSpace):
     g = sp.g
     e = np.eye(2 * g, dtype=np.int64)
     a, b = e[:g], e[g:]
-    base = expand_symhalf(ctx, a[0], b[0])
+    base = bscc_image(sp, [(a[0], b[0])])  # a1 (.) b1
     shear = gl_embed(g, gl_generators(g)[-1])
     shift = _transform_rows(ctx, shear, [base], 3)[0] - base
-    return np.vstack([bscc_image(ctx, [(a[0], b[0])]),
-                      bscc_image(ctx, [(a[0], b[0]), (a[1], b[1])]),
+    return np.vstack([base,
+                      bscc_image(sp, [(a[0], b[0]), (a[1], b[1])]),
                       tripod_bracket_entries(sp, side="mixed"),
                       shift,
                       _transform_rows(ctx, iota_matrix(g), [shift], 3)[0]])

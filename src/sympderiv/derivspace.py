@@ -5,7 +5,9 @@ quotient kernels, and the matrices of the symplectic homology action
 Generators of D_2(H) follow the tree/symmetric-half presentation: one
 (.)-generator per basis pair P = (p,q), one tree generator per unordered
 pair of basis pairs P <= Q.  Arbitrary elements live in ambient H (x) L_3
-coordinates; generator coefficients are recovered by an HNF solve.
+coordinates; generator coefficients are recovered by an HNF solve, and
+sums of generator columns are scattered from (row, generator, weight)
+triplets by ``gen_rows``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import trees
 from .freelie import SymplecticContext, context, standard_factorization
-from .intlin import (IntegerLattice, as_int_matrix, hermite_normal_form,
-                     kernel_lattice, safe_matmul)
+from .intlin import (IntegerLattice, as_int_matrix, fits_int64,
+                     hermite_normal_form, kernel_lattice, safe_matmul)
 
 
 class MembershipError(ValueError):
@@ -76,6 +78,14 @@ def lie_degree_matrix(ctx: SymplecticContext, m: np.ndarray, k: int) -> np.ndarr
                 rows[i] = row
         images[d] = np.array(rows)
     return images[k].T
+
+
+def runs(start, count):
+    """The positions start_i + k, k < count_i, of every run i in order, and
+    the run of each."""
+    owner = np.repeat(np.arange(len(count)), count)
+    first = (np.cumsum(count) - count)[owner]
+    return owner, start[owner] + np.arange(len(owner)) - first
 
 
 class _GenSolver:
@@ -138,11 +148,49 @@ class DerivationSpace:
                           trees.eta2(self.ctx, *e[tree_leaves])])
         return rows.astype(np.int64).T
 
+    # -- rows as sums of generator columns --------------------------------
+    @lru_cache(maxsize=None)
+    def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Generator indices over pairs (P, Q) of basis pairs: ``tree`` holds
+        tree(P, Q) at [P, Q] and at [Q, P]; ``half`` holds odot(P), which is
+        generator P, at [P, P] and tree(P, Q) above the diagonal."""
+        m = len(self.pairs)
+        tree = np.zeros((m, m), dtype=np.intp)
+        i, j = np.triu_indices(m)  # the order of the tree generators
+        tree[i, j] = tree[j, i] = m + np.arange(len(i))
+        return tree, np.triu(tree, 1) + np.diag(np.arange(m))
+
+    @lru_cache(maxsize=None)
+    def _gen_columns(self):
+        """The nonzeros of the generator columns, generator by generator:
+        where each generator's run starts, and the positions and values."""
+        cols = self.gen_matrix().T
+        gen, pos = np.nonzero(cols)
+        start = np.searchsorted(gen, np.arange(len(cols) + 1))
+        return start, pos, cols[gen, pos]
+
+    def gen_rows(self, nrows: int, row, gen, weight) -> np.ndarray:
+        """Rows r < nrows, each the sum of weight_t times generator column
+        gen_t over the triplets t with row_t = r, scattered over the nonzeros
+        of the columns.  In int64 when the most triplets of one row, times
+        max|weight| times max|gen_matrix()|, is under 2**62, else on Python
+        ints."""
+        start, pos, val = self._gen_columns()
+        per_row = int(np.bincount(row, minlength=1).max())
+        bound = (per_row * int(np.abs(weight).max(initial=0))
+                 * int(np.abs(val).max()))
+        dtype = np.int64 if fits_int64(bound) else object
+        # each triplet once per nonzero of its column
+        t, at = runs(start[gen], start[gen + 1] - start[gen])
+        out = np.zeros(nrows * self.ambient_dim, dtype=dtype)
+        np.add.at(out, row[t] * self.ambient_dim + pos[at],
+                  weight.astype(dtype)[t] * val[at])
+        return out.reshape(nrows, self.ambient_dim)
+
     @lru_cache(maxsize=None)
     def d2(self) -> IntegerLattice:
         ker = kernel_lattice(self.ctx.bracket_matrix(2))
-        span = IntegerLattice(self.ambient_dim, self.gen_matrix().T)
-        if span != ker:
+        if self._full_solver().span != ker:
             raise InconsistencyError(
                 "generator span differs from the bracket-map kernel")
         return ker
@@ -153,10 +201,8 @@ class DerivationSpace:
         npairs = math.comb(n, 2)
         return math.comb(npairs + 1, 2) - math.comb(n, 4)
 
-    @lru_cache(maxsize=None)
     def dprime2(self) -> IntegerLattice:
-        cols = self.gen_matrix()[:, self.tree_indices]
-        return IntegerLattice(self.ambient_dim, cols.T)
+        return self._tree_solver().span
 
     @lru_cache(maxsize=None)
     def d1(self) -> IntegerLattice:

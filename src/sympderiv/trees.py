@@ -4,6 +4,11 @@ Degree-1 trees are tripods (u,v,w); degree-2 trees are H-shaped with an
 ordered left pair and right pair; symmetric halves u (.) v are primitive
 integral generators whose double expands like the tree (u,v|u,v).
 
+These expansions are the definitions, through Lie brackets.  They give the
+generator columns of ``DerivationSpace.gen_matrix``; the catalogs, whose
+rows are sums of those columns, are read from wedge coordinates instead
+(``catalogs._tree_terms``).
+
 Elements of H (x) L_k are flat integer vectors: block h holds the Lyndon
 coordinates of the L_k factor tensored with the basis letter h.  Every
 expansion takes leaf vectors, or stacks of them giving one row per
@@ -15,17 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 from .freelie import SymplecticContext, standard_factorization
-from .intlin import fits_int64, safe_einsum
+from .intlin import safe_einsum
 
-# in a tripod (x1,x2,x3), contracting leaf i against leaf j of (y1,y2,y3)
-# leaves the ordered pairs (x_{i+1},x_{i+2}) and (y_{j+1},y_{j+2}); the
-# overall sign below makes eta2 of the result agree with the derivation
-# bracket d1 d2 - d2 d1 (pinned by tests against derivation_bracket)
+# in the bracket of tripods (x1,x2,x3) and (y1,y2,y3), contracting leaf i
+# against leaf j leaves the ordered pairs (x_{i+1},x_{i+2}) and
+# (y_{j+1},y_{j+2}); the overall sign below makes the sum of the eta2 of
+# every contraction agree with the derivation bracket d1 d2 - d2 d1
+# (pinned by tests against derivation_bracket)
 TREE_BRACKET_SIGN = 1
-
-
-def hl_zero(ctx: SymplecticContext, k: int) -> np.ndarray:
-    return np.zeros(ctx.n * ctx.dim(k), dtype=np.int64)
 
 
 def _stacks(*vecs):
@@ -37,25 +39,14 @@ def _stacks(*vecs):
     return np.broadcast_arrays(*(np.atleast_2d(a) for a in arrs)), single
 
 
-def _hl_sum(terms, single: bool, weights=None) -> np.ndarray:
-    """Flat H (x) L_k rows of sum_t vec_t (x) lie_t, times a weight per row
-    if given: one exact contraction over the stacked terms (int64 under
-    its bound, else Python ints)."""
+def _hl_sum(terms, single: bool) -> np.ndarray:
+    """Flat H (x) L_k rows of sum_t vec_t (x) lie_t: one exact contraction
+    over the stacked terms (int64 under its bound, else Python ints)."""
     vecs = np.stack([v for v, _ in terms], axis=1)
     lies = np.stack([l for _, l in terms], axis=1)
-    if weights is None:
-        out = safe_einsum("mth,mtd->mhd", vecs, lies)
-    else:
-        out = safe_einsum("m,mth,mtd->mhd", weights, vecs, lies)
+    out = safe_einsum("mth,mtd->mhd", vecs, lies)
     out = out.reshape(len(out), vecs.shape[2] * lies.shape[2])
     return out[0] if single else out
-
-
-def _eta2_terms(ctx, a, b, c, d):
-    cd = ctx.lie_bracket(1, c, 1, d)
-    ab = ctx.lie_bracket(1, a, 1, b)
-    return [(a, ctx.lie_bracket(1, b, 2, cd)), (b, ctx.lie_bracket(2, cd, 1, a)),
-            (c, ctx.lie_bracket(1, d, 2, ab)), (d, ctx.lie_bracket(2, ab, 1, c))]
 
 
 def eta1(ctx: SymplecticContext, u, v, w) -> np.ndarray:
@@ -72,8 +63,13 @@ def eta2(ctx: SymplecticContext, a, b, c, d) -> np.ndarray:
     """H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a] + c(x)[d,[a,b]] + d(x)[[a,b],c].
 
     Leaves are vectors, or stacks giving one row per tree."""
-    leaves, single = _stacks(a, b, c, d)
-    return _hl_sum(_eta2_terms(ctx, *leaves), single)
+    (a, b, c, d), single = _stacks(a, b, c, d)
+    cd = ctx.lie_bracket(1, c, 1, d)
+    ab = ctx.lie_bracket(1, a, 1, b)
+    return _hl_sum([(a, ctx.lie_bracket(1, b, 2, cd)),
+                    (b, ctx.lie_bracket(2, cd, 1, a)),
+                    (c, ctx.lie_bracket(1, d, 2, ab)),
+                    (d, ctx.lie_bracket(2, ab, 1, c))], single)
 
 
 def expand_symhalf(ctx: SymplecticContext, u, v) -> np.ndarray:
@@ -84,43 +80,6 @@ def expand_symhalf(ctx: SymplecticContext, u, v) -> np.ndarray:
     uv = ctx.lie_bracket(1, u, 1, v)
     return _hl_sum([(u, ctx.lie_bracket(1, v, 2, uv)),
                     (v, ctx.lie_bracket(2, uv, 1, u))], single)
-
-
-def tree_bracket(ctx: SymplecticContext, s, t) -> np.ndarray:
-    """Bracket of two tripods: all nine omega-contractions, in H (x) L_3.
-
-    s and t are triples of H-vectors, or of stacks giving one row per pair
-    of tripods.  Equals the derivation bracket of the eta1 images (see
-    derivation_bracket).  The H-trees of every nonzero contraction of every
-    row are expanded as one stack, then summed into their rows.
-    """
-    leaves, single = _stacks(*s, *t)
-    s, t = leaves[:3], leaves[3:]
-    owner, weight, quads = [], [], []
-    for i in range(3):
-        for j in range(3):
-            w = ctx.omega(s[i], t[j])
-            rows = np.flatnonzero(w)
-            owner.append(rows)
-            weight.append(TREE_BRACKET_SIGN * w[rows])
-            quads.append([x[rows] for x in (s[(i + 1) % 3], s[(i + 2) % 3],
-                                            t[(j + 1) % 3], t[(j + 2) % 3])])
-    owner = np.concatenate(owner)
-    weight = np.concatenate(weight)
-    quad = [np.concatenate(x) for x in zip(*quads)]
-    vals = _hl_sum(_eta2_terms(ctx, *quad), False, weight)
-    # at most nine contractions land in one row
-    wide = vals.dtype == object or not fits_int64(
-        9 * int(np.abs(vals).max(initial=0)))
-    out = np.zeros((len(s[0]), vals.shape[1]),
-                   dtype=object if wide else np.int64)
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    if starts.size:
-        out[owner[starts]] = np.add.reduceat(
-            vals[order].astype(out.dtype, copy=False), starts)
-    return out[0] if single else out
 
 
 # -- honest derivation-algebra oracle ------------------------------------
@@ -179,7 +138,7 @@ def derivation_bracket(ctx: SymplecticContext, e1: np.ndarray,
     # invert h -> omega(x, h) xi : coefficients eta with D(a_i) = -eta_{b_i},
     # D(b_i) = eta_{a_i}
     g, d = ctx.g, ctx.dim(3)
-    out = hl_zero(ctx, 3)
+    out = np.zeros(ctx.n * d, dtype=np.int64)
     for i in range(g):
         out[i * d:(i + 1) * d] = comm[:, g + i]
         out[(g + i) * d:(g + i + 1) * d] = -comm[:, i]

@@ -1,6 +1,8 @@
 """Generator catalogs: bounding-curve images, tripod brackets, and the
 symmetry-orbit lattices."""
 
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,12 +14,14 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
                                 goeritz_symmetries, goeritz_tau1_lattice,
                                 goeritz_tau2_entries, gl_generators,
                                 johnson_catalog, mixed_wedge_lattice,
-                                orbit_closure, realizable_catalog_A)
-from sympderiv.derivspace import lie_degree_matrix, space
+                                orbit_closure, realizable_catalog_A,
+                                tripod_bracket_entries)
+from sympderiv.derivspace import DerivationSpace, lie_degree_matrix, space
 from sympderiv.freelie import context
 from sympderiv.intlin import IntegerLattice
-from sympderiv.trees import eta1, eta2, expand_symhalf
+from sympderiv.trees import derivation_bracket, eta1, eta2, expand_symhalf
 from test_freelie import letter_name
+from test_trees import tree_bracket
 
 
 def is_symplectic(m):
@@ -33,18 +37,20 @@ def _e(ctx):
 
 
 def test_single_pair_is_symhalf():
-    ctx = context(2)
+    sp = space(2)
+    ctx = sp.ctx
     e = _e(ctx)
-    v = bscc_image(ctx, [(e[0], e[2])])
+    v = bscc_image(sp, [(e[0], e[2])])
     assert np.array_equal(v, expand_symhalf(ctx, e[0], e[2]))
 
 
 def test_two_handle_image():
     # per-handle terms plus the single cross tree between the handles
-    ctx = context(2)
+    sp = space(2)
+    ctx = sp.ctx
     e = _e(ctx)
     a1, a2, b1, b2 = e[0], e[1], e[2], e[3]
-    v = bscc_image(ctx, [(a1, b1), (a2, b2)])
+    v = bscc_image(sp, [(a1, b1), (a2, b2)])
     expect = (expand_symhalf(ctx, a1, b1) + expand_symhalf(ctx, a2, b2)
               + eta2(ctx, a1, b1, a2, b2))
     assert np.array_equal(v, expect)
@@ -54,25 +60,26 @@ def test_two_handle_image():
 
 
 def test_sheared_pair_image():
-    ctx = context(2)
+    sp = space(2)
+    ctx = sp.ctx
     e = _e(ctx)
     a1, a2, b2 = e[0], e[1], e[3]
-    v = bscc_image(ctx, [(a1 - b2, a2)])
+    v = bscc_image(sp, [(a1 - b2, a2)])
     expect = (expand_symhalf(ctx, a1, a2) - eta2(ctx, a1, a2, b2, a2)
               + expand_symhalf(ctx, b2, a2))
     assert np.array_equal(v, expect)
 
 
 def test_rejects_non_orthonormal_families():
-    ctx = context(2)
-    e = _e(ctx)
+    sp = space(2)
+    e = _e(sp.ctx)
     with pytest.raises(SymplecticFamilyError):
-        bscc_image(ctx, [(e[0], -e[2])])  # omega = -1
+        bscc_image(sp, [(e[0], -e[2])])  # omega = -1
     with pytest.raises(SymplecticFamilyError):
-        bscc_image(ctx, [(e[0], e[1])])  # omega = 0
+        bscc_image(sp, [(e[0], e[1])])  # omega = 0
     with pytest.raises(SymplecticFamilyError):
         # cross pairing between the two handles
-        bscc_image(ctx, [(e[0], e[2]), (e[0] + e[1], e[3])])
+        bscc_image(sp, [(e[0], e[2]), (e[0] + e[1], e[3])])
 
 
 def test_bscc_images_have_trivial_traces():
@@ -80,7 +87,7 @@ def test_bscc_images_have_trivial_traces():
     ctx = sp.ctx
     e = _e(ctx)
     for pairs in ([(e[0], e[2])], [(e[0], e[2]), (e[1], e[3])]):
-        v = bscc_image(ctx, pairs)
+        v = bscc_image(sp, pairs)
         assert v in sp.d2()
         assert traces.tr_as(sp, v[None]) == [0]
 
@@ -192,6 +199,104 @@ def test_johnson_catalog_matches_loop_reference(three_term):
     assert len(got) == len(want)
     for row, (name, val) in zip(got, want):
         assert np.array_equal(row, val), name
+
+
+def lie_path_rows(sp, three_term):
+    """The Johnson candidates, CHUNK at a time, each expanded through Lie
+    brackets: expand_symhalf of every symplectic pair of colors, then eta2
+    of every pair of those pairs."""
+    ctx = sp.ctx
+    colors, u, v, k, l = catalogs._johnson_candidates(sp.g, three_term)
+    for c in catalogs._chunks(len(u)):
+        yield expand_symhalf(ctx, colors[u[c]], colors[v[c]])
+    for c in catalogs._chunks(len(k)):
+        yield eta2(ctx, colors[u[k[c]]], colors[v[k[c]]],
+                   colors[u[l[c]]], colors[v[l[c]]])
+
+
+def johnson_rows_match_lie_path(sp, three_term):
+    """Assert that every block of candidate rows the Johnson stream reads
+    from generator columns, before deduplication, equals the Lie-path
+    expansion of its candidates in value and dtype; return how many
+    candidates were compared."""
+    count = 0
+    for got, want in itertools.zip_longest(
+            catalogs._johnson_rows(sp, three_term),
+            lie_path_rows(sp, three_term)):
+        assert got is not None and want is not None
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        count += len(got)
+    return count
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("three_term", [False, True])
+def test_johnson_rows_match_lie_path(g, three_term):
+    sp = space(g)
+    _, u, _, k, _ = catalogs._johnson_candidates(g, three_term)
+    assert johnson_rows_match_lie_path(sp, three_term) == len(u) + len(k)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_tripod_brackets_match_lie_path_and_oracle(g):
+    """Every side's bracket rows equal the reference brackets through Lie
+    brackets (zero rows dropped), and each basis-tripod bracket equals the
+    derivation bracket of the two eta1 images."""
+    sp = space(g)
+    ctx = sp.ctx
+    e = np.eye(ctx.n, dtype=np.int64)
+    oracle = {}
+    for side in (None, "A", "mixed"):
+        pairs = list(itertools.combinations(basis_tripods(g, side), 2))
+        idx = np.array(pairs)
+        want = tree_bracket(ctx, [e[idx[:, 0, i]] for i in range(3)],
+                            [e[idx[:, 1, i]] for i in range(3)])
+        got = tripod_bracket_entries(sp, side)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[(want != 0).any(axis=1)])
+        for (p, q), row in zip(pairs, want):
+            if (p, q) not in oracle:
+                oracle[p, q] = derivation_bracket(
+                    ctx, eta1(ctx, *e[list(p)]), eta1(ctx, *e[list(q)]))
+            assert np.array_equal(row, oracle[p, q])
+
+
+def test_scatter_exact_at_int64_bound(monkeypatch):
+    """Leaf entries c near 2**31 put the scatter's bound (the most triplets
+    of one row, times max|weight|, times max|gen_matrix()|) just under
+    2**62, then at it: int64 rows, then Python ints, both equal to the Lie
+    path."""
+    sp = space(2)
+    ctx = sp.ctx
+    a1, a2, b1, b2 = _e(ctx)
+    dtypes = []
+    real = DerivationSpace.gen_rows
+
+    def recording(self, nrows, row, gen, weight):
+        out = real(self, nrows, row, gen, weight)
+        bound = (int(np.bincount(row).max()) * int(np.abs(weight).max())
+                 * int(np.abs(self.gen_matrix()).max()))
+        assert (out.dtype == np.int64) == (bound < 2 ** 62)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(DerivationSpace, "gen_rows", recording)
+    # u ^ v = a1^b1 + c a2^b1: weights 1, c and c^2 in one row, bound 6 c^2
+    c = math.isqrt((2 ** 62 - 1) // 6)
+    for x in (c, c + 1):
+        u, v = a1 + x * a2, b1
+        assert np.array_equal(bscc_image(sp, [(u, v)]),
+                              expand_symhalf(ctx, u, v))
+    # two contractions, omega(c a1, c b1) = c^2 and omega(b2, a2) = -1
+    # against wedges c a1^a2 and -c a1^b1: weight c^2 each, bound 4 c^2
+    c = math.isqrt((2 ** 62 - 1) // 4)
+    for x in (c, c + 1):
+        s, t = (x * a1, a2, b2), (x * b1, a1, a2)
+        got = catalogs._tripod_brackets(sp, [y[None] for y in s],
+                                        [y[None] for y in t])
+        assert np.array_equal(got[0], tree_bracket(ctx, s, t))
+    assert dtypes == [np.int64, object, np.int64, object]
 
 
 def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):

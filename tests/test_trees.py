@@ -1,14 +1,45 @@
-"""Tripod and H-tree expansions: symmetries, IHX, and the bracket oracle."""
+"""Tripod and H-tree expansions: symmetries, IHX, and the bracket oracle.
 
-import itertools
+``tree_bracket`` is the reference for the tripod brackets of the library,
+which read each contraction from wedge coordinates
+(``catalogs._tripod_brackets``): it expands every contraction through Lie
+brackets with ``eta2`` and sums on Python ints.
+"""
 
 import numpy as np
 import pytest
 
+from sympderiv.catalogs import _tripod_brackets
+from sympderiv.derivspace import space
 from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
-from sympderiv.trees import (derivation_bracket, eta1, eta2, expand_symhalf,
-                             tree_bracket)
+from sympderiv.trees import TREE_BRACKET_SIGN
+from sympderiv.trees import _stacks as leaf_stacks
+from sympderiv.trees import derivation_bracket, eta1, eta2, expand_symhalf
 from test_freelie import lyndon_to_tensor
+
+
+def tree_bracket(ctx, s, t):
+    """Bracket of two tripods: the sum over all nine omega-contractions of
+    sign times omega(s_i, t_j) times eta2(s_{i+1}, s_{i+2} | t_{j+1},
+    t_{j+2}), on Python ints.  s and t are triples of H-vectors, or of
+    stacks giving one row per pair of tripods."""
+    leaves, single = leaf_stacks(*s, *t)
+    s, t = leaves[:3], leaves[3:]
+    out = 0
+    for i in range(3):
+        for j in range(3):
+            w = TREE_BRACKET_SIGN * ctx.omega(s[i], t[j]).astype(object)
+            tree = eta2(ctx, s[(i + 1) % 3], s[(i + 2) % 3],
+                        t[(j + 1) % 3], t[(j + 2) % 3])
+            out = out + w[:, None] * tree.astype(object)
+    return out[0] if single else out
+
+
+def table_bracket(ctx, s, t):
+    """The library's tripod bracket, one vector or one row per pair."""
+    leaves, single = leaf_stacks(*s, *t)
+    out = _tripod_brackets(space(ctx.g), leaves[:3], leaves[3:])
+    return out[0] if single else out
 
 
 def _rand_vecs(ctx, rng, n):
@@ -82,6 +113,7 @@ def test_tree_bracket_antisymmetric():
     s = tuple(_rand_vecs(ctx, rng, 3))
     t = tuple(_rand_vecs(ctx, rng, 3))
     assert np.array_equal(tree_bracket(ctx, s, t), -tree_bracket(ctx, t, s))
+    assert np.array_equal(table_bracket(ctx, s, t), -table_bracket(ctx, t, s))
 
 
 def test_tree_bracket_matches_derivation_oracle():
@@ -95,6 +127,7 @@ def test_tree_bracket_matches_derivation_oracle():
         via_trees = tree_bracket(ctx, s, t)
         via_derivations = derivation_bracket(ctx, eta1(ctx, *s), eta1(ctx, *t))
         assert np.array_equal(via_trees, via_derivations)
+        assert np.array_equal(table_bracket(ctx, s, t), via_derivations)
 
 
 def test_tree_bracket_on_basis_tripods_genus3():
@@ -105,6 +138,7 @@ def test_tree_bracket_on_basis_tripods_genus3():
     via_trees = tree_bracket(ctx, s, t)
     via_derivations = derivation_bracket(ctx, eta1(ctx, *s), eta1(ctx, *t))
     assert np.array_equal(via_trees, via_derivations)
+    assert np.array_equal(table_bracket(ctx, s, t), via_derivations)
     assert via_trees.any()
 
 
@@ -116,6 +150,7 @@ def test_lagrangian_tripods_commute():
     s = (e0, e1, e0 + e1)
     t = (e1, e0, e0 - e1)
     assert not tree_bracket(ctx, s, t).any()
+    assert not table_bracket(ctx, s, t).any()
 
 
 def _stacks(ctx, rng, n, rows, scale=3):
@@ -146,6 +181,8 @@ def test_batched_expansions_match_rows(g):
         single = tree_bracket(ctx, (a[i], b[i], c[i]), (d[i], e[i], f[i]))
         assert np.array_equal(single, row)
     assert not rows[2].any()
+    table = table_bracket(ctx, (a, b, c), (d, e, f))
+    assert table.dtype == np.int64 and np.array_equal(table, rows)
 
 
 def _tensor(vec):
@@ -198,5 +235,7 @@ def test_expansions_exact_with_leaves_near_2_20():
                 for h, tens in enumerate(_eta2_tensors(ctx, *quad)):
                     tensor_add(want[h], tens, w)
         assert _as_tensors(ctx, row) == want
+    table = table_bracket(ctx, (a, b, c), (d, e, f))
+    assert table.dtype == object and np.array_equal(table, rows)
     # small leaves keep int64 (under the safe_einsum bound)
     assert eta2(ctx, *(x % 3 for x in (a, b, c, d))).dtype == np.int64
