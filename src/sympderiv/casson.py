@@ -52,16 +52,6 @@ def lk_twisted(g: int, s) -> np.ndarray:
 
 # -- the derived maps -------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _leaves(sp: DerivationSpace):
-    """The leaf letters (a, b, c, d) of every generator as four index rows,
-    and each generator's divisor of the leaf formula for theta: 2 for a
-    (.)-generator, whose leaves (p, q, p, q) count theta(e_p, e_q) twice."""
-    leaves = np.array([sp.gen_leaves(gen) for gen in sp.generators]).T
-    halves = np.array([2 if gen[0] == "odot" else 1 for gen in sp.generators])
-    return leaves, halves
-
-
 def _theta(sp: DerivationSpace, lk: np.ndarray) -> np.ndarray:
     """theta of every generator at the linking matrix lk, on the last axis,
     one row per matrix of a stack: l(a,c) l(b,d) - l(a,d) l(b,c)
@@ -72,10 +62,12 @@ def _theta(sp: DerivationSpace, lk: np.ndarray) -> np.ndarray:
     # |theta| <= 4, so a base-minus-twisted difference fits as well
     if not fits_int64(4 * max(int(lt.max()), -int(lt.min())) ** 2):
         lt = lt.astype(object)
-    (a, b, c, d), halves = _leaves(sp)
+    a, b, c, d = sp.leaves.T
     theta = (lt[..., a, c] * lt[..., b, d] - lt[..., a, d] * lt[..., b, c]
              - lt[..., d, a] * lt[..., c, b] + lt[..., c, a] * lt[..., d, b])
-    return theta // halves
+    # a (.)-generator's leaves (p, q, p, q) count theta(e_p, e_q) twice
+    theta[..., :len(sp.pairs)] //= 2
+    return theta
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +76,7 @@ def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
     matrix, plus dbar = J[a,b] J[c,d] - J[a,c] J[b,d] + J[a,d] J[b,c] of its
     leaves (0 on a (.)-generator)."""
     j = iota_matrix(sp.g)
-    (a, b, c, d), _ = _leaves(sp)
+    a, b, c, d = sp.leaves.T
     dbar = j[a, b] * j[c, d] - j[a, c] * j[b, d] + j[a, d] * j[b, c]
     return 3 * _theta(sp, lk_base(sp.g)) + dbar
 

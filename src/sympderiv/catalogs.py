@@ -22,8 +22,7 @@ pairs P, and is sum_{P,Q} (a^b)_P (c^d)_Q tree(P, Q).  The rows are read
 that way, as (row, generator, weight) triplets that
 ``DerivationSpace.gen_rows`` scatters, instead of through Lie brackets.
 ``catalog_lattice`` decides a span with a known target in the target's
-coordinates until the span is the whole target, and tests every later row
-for membership in it.
+coordinates, reducing only the rows not yet in the span.
 """
 
 import itertools
@@ -309,10 +308,11 @@ def catalog_lattice(sp: DerivationSpace, blocks, target=None, chunk=256):
     With a ``target`` lattice of rank r, each batch is solved over the
     target's basis, and the span is reduced in those rank-r coordinates,
     where it is the whole target exactly when its HNF is the r x r
-    identity.  After that, the later batches are only tested for
-    membership in the target, with no further reduction.  A row is inside
-    only if the exact check product of the target's ``membership`` confirms
-    it; if one is not, the result is the ambient span of every row.
+    identity.  Only the coordinates of rows not yet in the span enter that
+    reduction, so once the span is the whole target no row does.  A row is
+    inside only if the exact check product of the target's ``membership``
+    confirms it; if one is not, the result is the ambient span of every
+    row.
     """
     ambient = sp.ambient_dim
     if isinstance(blocks, np.ndarray):
@@ -322,20 +322,19 @@ def catalog_lattice(sp: DerivationSpace, blocks, target=None, chunk=256):
     if target is not None:
         basis, r = target.basis, target.rank
         coords = IntegerLattice(r)
-        saturated = False
         for batch in batches:
-            if saturated and target.contains_rows(batch).all():
-                continue
-            y = None if saturated else target.membership(batch)
+            y = target.membership(batch)
             if y is None:
                 lat = IntegerLattice(ambient, np.vstack(
                     [safe_matmul(coords.basis, basis), batch]))
                 break
-            coords = IntegerLattice(r, np.vstack([coords.basis, y]))
-            saturated = np.array_equal(coords.basis, np.eye(r, dtype=np.int64))
+            new = y[~coords.contains_rows(y)]
+            if len(new):
+                coords = IntegerLattice(r, np.vstack([coords.basis, new]))
         else:
-            return target if saturated else IntegerLattice(
-                ambient, safe_matmul(coords.basis, basis))
+            if np.array_equal(coords.basis, np.eye(r, dtype=np.int64)):
+                return target
+            return IntegerLattice(ambient, safe_matmul(coords.basis, basis))
     for batch in batches:
         lat = lat.sum(IntegerLattice(ambient, batch))
     return lat

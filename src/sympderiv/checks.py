@@ -206,8 +206,8 @@ def _check_levine(g, rng):
     a = [np.asarray(ctx.basis_vector(i)) for i in range(g)]
     b = [np.asarray(ctx.basis_vector(g + i)) for i in range(g)]
     proj_kernel = sp.ker_projection("A")
-    pairs = traces.sym2_pairs(g)
-    idx = {p: i for i, p in enumerate(pairs)}
+    # the S^2(H') basis vector b'_i b'_j at [i, j]
+    sym2 = np.eye(g * (g + 1) // 2, dtype=np.int64)[traces._pair_columns(g, 0)]
     # per (i, j): the one-handle element and the two-handle elements, from
     # one eta2 stack: (a_i, b_j | b_j, b_i), then (a_k, b_i | b_j, b_k)
     families = []
@@ -227,7 +227,7 @@ def _check_levine(g, rng):
     # witness is that of the first failing element
     one_handle = np.array([t1 for _, _, t1, _ in families])
     in_kernel = proj_kernel.contains_rows(one_handle)
-    as_bits = traces.tr_as(sp, one_handle)
+    as_rows = traces.tr_as(sp, one_handle)
     every = np.vstack([row for _, _, t1, two in families
                        for row in [t1] + [t2 for _, t2 in two]])
     in_domain = sp.filtration(0, "A").contains_rows(every)
@@ -242,17 +242,16 @@ def _check_levine(g, rng):
         return traces_A[n]
 
     checked = 0
-    for (i, j, _, two), kernel_ok, bits in zip(families, in_kernel, as_bits):
-        want = np.zeros(len(pairs), dtype=np.int64)
-        want[idx[(j, j)]] = 1
+    for (i, j, _, two), kernel_ok, as_row in zip(families, in_kernel,
+                                                 as_rows):
+        want = sym2[j, j]
         tr1 = trace_A(checked)
-        if (not kernel_ok or bits != 0 or not np.array_equal(tr1, want)
+        if (not kernel_ok or as_row.any() or not np.array_equal(tr1, want)
                 or not want.any()):
             return False, {"element": "one-handle, i=%d j=%d" % (i, j),
                            "trace": _dec(tr1)}
         checked += 1
-        want2 = np.zeros(len(pairs), dtype=np.int64)
-        want2[idx[(min(i, j), max(i, j))]] = 2
+        want2 = 2 * sym2[i, j]
         for key, _ in two:
             tr2 = trace_A(checked)
             if not np.array_equal(tr2, want2):
@@ -271,8 +270,7 @@ def _random_sym_matrix(g, rng):
 
 def _check_casson_bridge(g, rng):
     sp = space(g)
-    f0_gens = [i for i, gen in enumerate(sp.generators)
-               if sp.classify_type(gen)[0] >= 1]
+    f0_gens = np.flatnonzero((sp.leaves < g).any(axis=1))  # an A-leaf
     mats = np.array([_random_sym_matrix(g, rng) for _ in range(100)])
     # every (generator, S) instance at once, generators down, S across
     units = np.eye(len(sp.generators), dtype=np.int64)[f0_gens]
@@ -305,10 +303,11 @@ def quartic_relation(sp, quad):
     """Coefficient vector of the image of e_p^e_q^e_r^e_s in the tree
     coordinates: (pq|rs) - (pr|qs) + (ps|qr)."""
     p, q, r, s = quad
+    tree, _ = sp.pair_tables()
     coeffs = np.zeros(len(sp.generators), dtype=np.int64)
     for pair1, pair2, sign in (((p, q), (r, s), 1), ((p, r), (q, s), -1),
                                ((p, s), (q, r), 1)):
-        coeffs[sp.generators.index(("tree", pair1, pair2))] += sign
+        coeffs[tree[sp.pair_index[pair1], sp.pair_index[pair2]]] += sign
     return coeffs
 
 

@@ -1,13 +1,15 @@
-"""Derivation lattices D_1, D_2, D_2', generator coordinates, filtrations,
+"""Derivation lattices D_2, D_2', generator coordinates, filtrations,
 quotient kernels, and the matrices of the symplectic homology action
 (``catalogs._transform_rows`` applies them).
 
 Generators of D_2(H) follow the tree/symmetric-half presentation: one
-(.)-generator per basis pair P = (p,q), one tree generator per unordered
-pair of basis pairs P <= Q.  Arbitrary elements live in ambient H (x) L_3
-coordinates; generator coefficients are recovered by an HNF solve, and
-sums of generator columns are scattered from (row, generator, weight)
-triplets by ``gen_rows``.
+(.)-generator per basis pair P = (p,q), then one tree generator per
+unordered pair of basis pairs P <= Q.  Their format is decided here alone:
+every per-generator map reads the leaf table ``DerivationSpace.leaves``,
+and ``generators`` only names them.  Arbitrary elements live in ambient
+H (x) L_3 coordinates; generator coefficients are recovered by an HNF
+solve, and sums of generator columns are scattered from (row, generator,
+weight) triplets by ``gen_rows``.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class _GenSolver:
 
 
 class DerivationSpace:
-    """All degree-1/degree-2 lattice data for one genus (built lazily)."""
+    """All degree-2 lattice data for one genus (built lazily)."""
 
     def __init__(self, genus: int):
         if genus < 2:
@@ -115,37 +117,29 @@ class DerivationSpace:
         n = self.ctx.n
         self.pairs: list[tuple[int, int]] = list(itertools.combinations(range(n), 2))
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.generators: list[tuple] = [("odot", p) for p in self.pairs]
-        for i, p in enumerate(self.pairs):
-            for q in self.pairs[i:]:
-                self.generators.append(("tree", p, q))
-        self.tree_indices = [i for i, gen in enumerate(self.generators)
-                             if gen[0] == "tree"]
+        m = len(self.pairs)
+        i, j = np.triu_indices(m)  # the order of the tree generators
+        self.generators: list[tuple] = (
+            [("odot", p) for p in self.pairs]
+            + [("tree", self.pairs[a], self.pairs[b]) for a, b in zip(i, j)])
+        self.tree_indices = list(range(m, len(self.generators)))
+        # the leaf table: the letters (a, b, c, d) of every generator, one
+        # row each, p (.) q read as (p, q, p, q) and tree(P, Q) as P + Q
+        pairs = np.array(self.pairs)
+        self.leaves = np.vstack([np.hstack([pairs, pairs]),
+                                 np.hstack([pairs[i], pairs[j]])])
+        self.leaves.setflags(write=False)
         self.ambient_dim = n * self.ctx.dim(3)
-
-    # -- generator geometry ----------------------------------------------
-    def gen_leaves(self, gen) -> tuple[int, ...]:
-        if gen[0] == "odot":
-            p, q = gen[1]
-            return (p, q, p, q)
-        return gen[1] + gen[2]
-
-    def classify_type(self, gen) -> tuple[int, int]:
-        leaves = self.gen_leaves(gen)
-        na = sum(1 for l in leaves if l < self.g)
-        return na, len(leaves) - na
 
     # -- main lattices ----------------------------------------------------
     @lru_cache(maxsize=None)
     def gen_matrix(self) -> np.ndarray:
         """Generator values as columns: the (.)-generators, then the trees,
-        each kind expanded as one stack."""
-        e = np.eye(self.ctx.n, dtype=np.int64)
-        p, q = np.array(self.pairs).T
-        tree_leaves = np.array([self.gen_leaves(self.generators[i])
-                                for i in self.tree_indices]).T
-        rows = np.vstack([trees.expand_symhalf(self.ctx, e[p], e[q]),
-                          trees.eta2(self.ctx, *e[tree_leaves])])
+        each kind expanded as one stack from its leaves."""
+        m = len(self.pairs)
+        a, b, c, d = np.eye(self.ctx.n, dtype=np.int64)[self.leaves.T]
+        rows = np.vstack([trees.expand_symhalf(self.ctx, a[:m], b[:m]),
+                          trees.eta2(self.ctx, a[m:], b[m:], c[m:], d[m:])])
         return rows.astype(np.int64).T
 
     # -- rows as sums of generator columns --------------------------------
@@ -204,10 +198,6 @@ class DerivationSpace:
     def dprime2(self) -> IntegerLattice:
         return self._tree_solver().span
 
-    @lru_cache(maxsize=None)
-    def d1(self) -> IntegerLattice:
-        return kernel_lattice(self.ctx.bracket_matrix(1))
-
     # -- expressing elements over generators ------------------------------
     @lru_cache(maxsize=None)
     def _full_solver(self) -> _GenSolver:
@@ -239,9 +229,9 @@ class DerivationSpace:
             raise ValueError("filtration level must be in -1..3")
         if level == -1:
             return self.d2()
-        which = 0 if side == "A" else 1
-        cols = [i for i, gen in enumerate(self.generators)
-                if self.classify_type(gen)[which] >= level + 1]
+        on_a = self.leaves < self.g
+        on_side = on_a if side == "A" else ~on_a
+        cols = np.flatnonzero(on_side.sum(axis=1) >= level + 1)
         return IntegerLattice(self.ambient_dim, self.gen_matrix()[:, cols].T)
 
     # -- kernels of quotient coordinate maps ------------------------------

@@ -86,15 +86,6 @@ class SymplecticContext:
         self._symplectic = letters is None
 
     # -- the intersection form -------------------------------------------
-    def omega_letters(self, p: int, q: int) -> int:
-        if not self._symplectic:
-            raise ContextError("no symplectic form on a quotient alphabet")
-        if q == p + self.g:
-            return 1
-        if p == q + self.g:
-            return -1
-        return 0
-
     def omega(self, u, v):
         """omega(u, v) of two vectors (an int), or row by row of two equal
         stacks (an exact integer array)."""

@@ -1,13 +1,16 @@
 """The trace operators on the degree-2 derivation lattice.
 
-The mod-2 traces tr_sym and tr_as land in GF(2) quadratic spaces over
-H/2H and are computed through generator expressions.  The integer traces
-are linear maps tabulated once per genus and applied to whole stacks as
-one exact product: tr_A and tr_B through an (ambient x S^2(H')) matrix
-built from the tensor expansions of the degree-3 Lyndon words, and the
-S-twisted contraction tr_omegaS through each generator's contraction,
-tabulated over the entries of S.  Kernels are returned as exact
-sublattices of the ambient H (x) L_3 coordinates.
+Every trace is a linear map of the generators, tabulated once per genus
+from the leaf table ``DerivationSpace.leaves`` and the Gram matrix J of
+omega, and applied to whole stacks as one exact product.  The mod-2 traces
+tr_as (on every generator) and tr_sym (on the tree generators) are 0/1
+tables over the pairs i < j (Lambda^2(H/2H)) and i <= j (S^2(H/2H)), in
+``np.triu_indices`` order, read through the generator coefficients mod 2.
+tr_A and tr_B go through an (ambient x S^2(H')) matrix built from the
+tensor expansions of the degree-3 Lyndon words, and the S-twisted
+contraction tr_omegaS through each generator's contraction, tabulated
+over the entries of S.  Kernels are returned as exact sublattices of the
+ambient H (x) L_3 coordinates.
 """
 
 from __future__ import annotations
@@ -16,41 +19,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .derivspace import DerivationSpace, FiltrationError
-from .freelie import context
+from .derivspace import DerivationSpace, FiltrationError, iota_matrix
 from .intlin import GF2Matrix, IntegerLattice, kernel_lattice, safe_matmul
 
 
-# -- GF(2) targets ----------------------------------------------------------
-
-def sym2_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def ext2_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-@lru_cache(maxsize=None)
-def _pair_index(n: int, which: str) -> dict[tuple[int, int], int]:
-    """Bit of each pair in S^2 ("sym") or Lambda^2 ("as") on n letters."""
-    pairs = sym2_pairs(n) if which == "sym" else ext2_pairs(n)
-    return {p: i for i, p in enumerate(pairs)}
-
-
-def _width(g: int, which: str) -> int:
-    return len(_pair_index(2 * g, which))
-
-
-def omega_functional(g: int, which: str) -> int:
-    """Bitmask of the mod-2 functional S^2(H/2H) ("sym") or
-    Lambda^2(H/2H) ("as") -> Z_2 induced by omega."""
-    w = context(g).omega_letters
-    bits = 0
-    for (p, q), i in _pair_index(2 * g, which).items():
-        if w(p, q) % 2:
-            bits |= 1 << i
-    return bits
+def _pair_columns(n: int, k: int) -> np.ndarray:
+    """The column of each unordered pair {x, y} of n letters among the
+    pairs i <= j (k = 0) or i < j (k = 1) in ``np.triu_indices(n, k)``
+    order, as a symmetric n x n index matrix (0 on the diagonal for k = 1)."""
+    i, j = np.triu_indices(n, k)
+    col = np.zeros((n, n), dtype=np.intp)
+    col[i, j] = col[j, i] = np.arange(len(i))
+    return col
 
 
 def omega_kernel_dim_sym(g: int) -> int:
@@ -61,66 +41,50 @@ def omega_kernel_dim_ext(g: int) -> int:
     return (g - 1) * (2 * g + 1)
 
 
-# -- generator-level formulas ----------------------------------------------
+# -- the mod-2 traces --------------------------------------------------------
 
-def _tree_trace_terms(g: int, tree_gen):
-    (p, q), (r, s) = tree_gen[1], tree_gen[2]
-    w = context(g).omega_letters
-    return [(w(p, s), (q, r)), (w(p, r), (q, s)),
-            (w(q, s), (p, r)), (w(q, r), (p, s))]
+@lru_cache(maxsize=None)
+def _gf2_table(sp: DerivationSpace, which: str) -> np.ndarray:
+    """tr_as ("as", every generator) or tr_sym ("sym", the tree generators)
+    as a read-only 0/1 table, one row per generator.
 
-
-def tr_sym_gen(g: int, gen) -> int:
-    """Bitmask in S^2(H/2H); defined on tree generators only."""
-    if gen[0] != "tree":
-        raise ValueError("tr_sym is only defined on tree generators")
-    sym = _pair_index(2 * g, "sym")
-    bits = 0
-    for w, (x, y) in _tree_trace_terms(g, gen):
-        if w % 2:
-            bits ^= 1 << sym[(min(x, y), max(x, y))]
-    return bits
-
-
-def tr_as_gen(g: int, gen) -> int:
-    """Bitmask in Lambda^2(H/2H); defined on all generators."""
-    ext = _pair_index(2 * g, "as")
-    bits = 0
-    if gen[0] == "odot":
-        p, q = gen[1]
-        if (1 + context(g).omega_letters(p, q)) % 2:
-            bits ^= 1 << ext[(p, q)]
-        return bits
-    for w, (x, y) in _tree_trace_terms(g, gen):
-        if w % 2 and x != y:
-            bits ^= 1 << ext[(min(x, y), max(x, y))]
-    return bits
-
-
-def _trace_bits(sp: DerivationSpace, which: str, vecs) -> list[int]:
-    """tr_as or tr_sym bitmasks of each row of vecs, from one batched
-    generator solve: XOR of the generator images with odd coefficients."""
+    A tree with leaves (p, q, r, s) traces to the classes of its four
+    contractions omega(p,s) qr + omega(p,r) qs + omega(q,s) pr
+    + omega(q,r) ps; tr_as drops the diagonal classes, and on p (.) q,
+    whose leaves are (p, q, p, q), it is (1 + omega(p,q)) p^q instead."""
+    j = iota_matrix(sp.g)
+    p, q, r, s = sp.leaves.T
+    w = np.stack([j[p, s], j[p, r], j[q, s], j[q, r]], axis=1) % 2
+    x = np.stack([q, q, p, p], axis=1)
+    y = np.stack([r, s, r, s], axis=1)
+    m = len(sp.pairs)
     if which == "as":
-        coeffs = sp.express_in_generators(vecs)
-        gens, fn = sp.generators, tr_as_gen
+        # the first contraction of p (.) q's leaves is the class of q, p
+        w[:m] = 0
+        w[:m, 0] = (1 + j[p[:m], q[:m]]) % 2
+        w[x == y] = 0
     else:
-        coeffs = sp.express_in_tree_generators(vecs)
-        gens = [sp.generators[i] for i in sp.tree_indices]
-        fn = tr_sym_gen
-    odd = np.atleast_2d(coeffs % 2).astype(bool)
-    masks = {j: fn(sp.g, gens[j]) for j in np.flatnonzero(odd.any(axis=0))}
-    out = []
-    for row in odd:
-        bits = 0
-        for j in np.flatnonzero(row):
-            bits ^= masks[j]
-        out.append(bits)
-    return out
+        w, x, y = w[m:], x[m:], y[m:]
+    col = _pair_columns(sp.ctx.n, 1 if which == "as" else 0)
+    table = np.zeros((len(w), col.max() + 1), dtype=np.int64)
+    np.add.at(table, (np.arange(len(w))[:, None], col[x, y]), w)
+    table %= 2
+    table.setflags(write=False)
+    return table
 
 
-def tr_as(sp: DerivationSpace, rows) -> list[int]:
-    """Bitmask of each row of a stack."""
-    return _trace_bits(sp, "as", rows)
+def _mod2_trace(sp: DerivationSpace, which: str, rows) -> np.ndarray:
+    """tr_as or tr_sym of each row of a stack as 0/1 rows: one batched
+    generator solve, then the coefficients mod 2 times the table, mod 2."""
+    solve = (sp.express_in_generators if which == "as"
+             else sp.express_in_tree_generators)
+    coeffs = np.asarray(solve(rows) % 2, dtype=np.int64)
+    return safe_matmul(coeffs, _gf2_table(sp, which)) % 2
+
+
+def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
+    """tr_as of each row of a stack, as 0/1 rows over the pairs i < j."""
+    return _mod2_trace(sp, "as", rows)
 
 
 # -- the A-side and B-side traces ------------------------------------------
@@ -143,17 +107,18 @@ def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
     d3 = ctx.dim(3)
     side_letters = ctx.kill_letters(side)
     shift = ctx.g if side == "A" else 0
-    index = _pair_index(ctx.g, "sym")
-    table = np.zeros((sp.ambient_dim, len(index)), dtype=np.int64)
+    j = iota_matrix(ctx.g)
+    col = _pair_columns(ctx.g, 0)
+    table = np.zeros((sp.ambient_dim, col.max() + 1), dtype=np.int64)
     for h in side_letters:
         for i, w in enumerate(ctx.lyndon(3)):
             for word, c in ctx.bracketing_tensor(w).items():
                 if any(l in side_letters for l in word):
                     continue
-                om = ctx.omega_letters(h, word[0])
+                om = j[h, word[0]]
                 if om:
                     x, y = word[1] - shift, word[2] - shift
-                    table[h * d3 + i, index[(min(x, y), max(x, y))]] += om * c
+                    table[h * d3 + i, col[x, y]] += om * c
     table.setflags(write=False)
     return table
 
@@ -173,27 +138,29 @@ def _side_trace(sp: DerivationSpace, v, side: str,
 @lru_cache(maxsize=None)
 def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
     """Each generator's S-twisted contraction as a linear map of S: a
-    read-only int8 array (g*g, generators * 2g * 2g) whose row i*g + j
-    holds the coefficients of S_ij in every generator's 2g x 2g value.
-    A generator has at most 8 terms."""
+    read-only int8 array (g(g+1)/2, generators * 2g * 2g) whose row holds
+    the coefficients of the entry S_ij, i <= j in ``np.triu_indices``
+    order, in every generator's 2g x 2g value.
+
+    A tree with leaves (p, q, r, t) has the terms S_pt (qr) + S_qr (pt)
+    - S_pr (qt) - S_qt (pr), each with its transpose, where S_xy counts
+    only on B-letters (S[x - g, y - g]); on the leaves (p, q, p, q) of
+    p (.) q they give twice its contraction, so those columns are halved."""
     g = sp.g
     n = 2 * g
-    table = np.zeros((g * g, len(sp.generators), n, n), dtype=np.int8)
-    for k, gen in enumerate(sp.generators):
-        # terms (x, y, p, q, c): c * S[p - g, q - g] at (x, y)
-        if gen[0] == "tree":
-            (p, q), (r, t) = gen[1], gen[2]
-            terms = [(q, r, p, t, 1), (p, t, q, r, 1),
-                     (q, t, p, r, -1), (p, r, q, t, -1)]
-            terms += [(y, x, a, b, c) for x, y, a, b, c in terms]
-        else:
-            p, q = gen[1]
-            terms = [(p, q, p, q, 1), (q, p, p, q, 1),
-                     (q, q, p, p, -1), (p, p, q, q, -1)]
-        for x, y, a, b, c in terms:
-            if a >= g and b >= g:  # S lives on the B block only
-                table[(a - g) * g + b - g, k, x, y] += c
-    table = table.reshape(g * g, -1)
+    p, q, r, t = sp.leaves.T
+    col = _pair_columns(g, 0)
+    k = np.arange(len(sp.leaves))
+    table = np.zeros((col.max() + 1, len(k), n, n), dtype=np.int8)
+    # terms (x, y, a, b, c): c * S[a - g, b - g] at (x, y), then transposed
+    for x, y, a, b, c in [(q, r, p, t, 1), (p, t, q, r, 1),
+                          (q, t, p, r, -1), (p, r, q, t, -1)]:
+        on_b = np.minimum(a, b) >= g  # S lives on the B block only
+        np.add.at(table, (col[a[on_b] - g, b[on_b] - g], k[on_b], x[on_b],
+                          y[on_b]), c)
+    table = table + np.swapaxes(table, 2, 3)
+    table[:, :len(sp.pairs)] //= 2
+    table = table.reshape(len(table), -1)
     table.setflags(write=False)
     return table
 
@@ -211,7 +178,8 @@ def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
     g = sp.g
     if not np.array_equal(s, np.swapaxes(s, -1, -2)):
         raise ValueError("S must be symmetric")
-    mats = s.reshape(-1, g * g)
+    i, j = np.triu_indices(g)
+    mats = s[..., i, j].reshape(-1, len(i))
     per_gen = safe_matmul(mats, _omegaS_table(sp))
     per_gen = per_gen.reshape(len(mats), len(sp.generators), -1)
     coeffs = np.asarray(coeffs)
@@ -241,16 +209,16 @@ def _gf2_domain(sp: DerivationSpace, which: str) -> IntegerLattice:
 
 
 @lru_cache(maxsize=None)
-def _gf2_image_rows(sp: DerivationSpace, which: str) -> list[int]:
-    """Trace bitmasks of the basis of D_2 ("as") or of D_2' ("sym")."""
-    return _trace_bits(sp, which, _gf2_domain(sp, which).basis)
+def _gf2_image_rows(sp: DerivationSpace, which: str) -> np.ndarray:
+    """Trace rows of the basis of D_2 ("as") or of D_2' ("sym"), read-only."""
+    rows = _mod2_trace(sp, which, _gf2_domain(sp, which).basis)
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def _gf2_kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
-    rows = _gf2_image_rows(sp, which)
-    t = np.array([[(r >> j) & 1 for r in rows]
-                  for j in range(_width(sp.g, which))], dtype=np.int64)
+    t = _gf2_image_rows(sp, which).T
     return _coeffs_to_ambient(sp, _mod2_preimage(t).basis,
                               _gf2_domain(sp, which))
 
@@ -285,15 +253,25 @@ def ker_tr_B(sp: DerivationSpace) -> IntegerLattice:
 
 # -- image ranks over GF(2) -------------------------------------------------
 
+def _image_rank(sp: DerivationSpace, which: str) -> int:
+    """GF(2) rank of the trace rows, each packed into one int."""
+    packed = np.packbits(_gf2_image_rows(sp, which).astype(np.uint8), axis=1)
+    return GF2Matrix([int.from_bytes(r.tobytes(), "big")
+                      for r in packed]).rank()
+
+
 def image_rank_as(sp: DerivationSpace) -> int:
-    return GF2Matrix(_gf2_image_rows(sp, "as")).rank()
+    return _image_rank(sp, "as")
 
 
 def image_rank_sym(sp: DerivationSpace) -> int:
-    return GF2Matrix(_gf2_image_rows(sp, "sym")).rank()
+    return _image_rank(sp, "sym")
 
 
 def image_in_omega_kernel(sp: DerivationSpace, which: str) -> bool:
-    func = omega_functional(sp.g, which)
-    return all(bin(r & func).count("1") % 2 == 0
-               for r in _gf2_image_rows(sp, which))
+    """Whether every trace row pairs evenly with the functional omega mod 2
+    on S^2(H/2H) ("sym") or Lambda^2(H/2H) ("as"): J's entries at the
+    pairs i <= j or i < j."""
+    k = 1 if which == "as" else 0
+    func = iota_matrix(sp.g)[np.triu_indices(sp.ctx.n, k)][:, None]
+    return not (safe_matmul(_gf2_image_rows(sp, which), func) % 2).any()

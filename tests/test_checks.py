@@ -31,7 +31,7 @@ def test_levine_stack_failure_keeps_first_witness(monkeypatch):
     # tr_A of (a_1, b_0 | b_0, b_1) is b'_0 b'_0
     assert witness == {"element": "one-handle, i=1 j=0",
                        "trace": ["1", "0", "0"]}
-    assert traces.sym2_pairs(2)[0] == (0, 0)
+    assert list(zip(*np.triu_indices(2)))[0] == (0, 0)
 
 
 def test_levine_raises_at_first_element_outside_domain(monkeypatch):
@@ -52,8 +52,13 @@ def test_levine_raises_at_first_element_outside_domain(monkeypatch):
 
 def test_levine_reports_first_element_with_tr_as(monkeypatch):
     # only the second one-handle element has a nonzero tr_as
-    monkeypatch.setattr(traces, "tr_as",
-                        lambda sp, rows: [0, 1] + [0] * (len(rows) - 2))
+
+    def second_odd(sp, rows):
+        out = np.zeros((len(rows), 6), dtype=np.int64)
+        out[1, 0] = 1
+        return out
+
+    monkeypatch.setattr(traces, "tr_as", second_odd)
     ok, witness = checks._check_levine(2, None)
     assert not ok
     assert witness == {"element": "one-handle, i=1 j=0",

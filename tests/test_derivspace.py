@@ -26,10 +26,15 @@ def test_d2_rank_two_ways(g):
     assert sp.d2().rank == D2_RANK[g] == sp.d2_rank_by_count()
 
 
+def d1(sp):
+    """D_1, the kernel of the degree-1 bracket map H (x) L_2 -> L_3."""
+    return kernel_lattice(sp.ctx.bracket_matrix(1))
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_d1_rank(g):
     sp = space(g)
-    assert sp.d1().rank == math.comb(2 * g, 3) == D1_RANK[g]
+    assert d1(sp).rank == math.comb(2 * g, 3) == D1_RANK[g]
 
 
 def test_d1_equals_tripod_span():
@@ -37,7 +42,7 @@ def test_d1_equals_tripod_span():
     e = np.eye(sp.ctx.n, dtype=np.int64)
     triples = np.array(list(itertools.combinations(range(sp.ctx.n), 3)))
     tripods = eta1(sp.ctx, *e[triples.T])
-    assert IntegerLattice(sp.ctx.n * sp.ctx.dim(2), tripods) == sp.d1()
+    assert IntegerLattice(sp.ctx.n * sp.ctx.dim(2), tripods) == d1(sp)
 
 
 def test_dprime_index():
@@ -77,11 +82,32 @@ def test_tree_expression_requires_dprime():
 
 
 def test_classify_type():
+    """A generator's type, its counts of A- and B-leaves, read from the
+    leaf table."""
     sp = space(2)
-    assert sp.classify_type(("odot", (0, 1))) == (4, 0)
-    assert sp.classify_type(("odot", (0, 2))) == (2, 2)
-    assert sp.classify_type(("tree", (0, 1), (2, 3))) == (2, 2)
-    assert sp.classify_type(("tree", (2, 3), (2, 3))) == (0, 4)
+
+    def counts(gen):
+        leaves = sp.leaves[sp.generators.index(gen)]
+        return int((leaves < sp.g).sum()), int((leaves >= sp.g).sum())
+
+    assert counts(("odot", (0, 1))) == (4, 0)
+    assert counts(("odot", (0, 2))) == (2, 2)
+    assert counts(("tree", (0, 1), (2, 3))) == (2, 2)
+    assert counts(("tree", (2, 3), (2, 3))) == (0, 4)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_leaf_table_reads_generator_names(g):
+    """Row k of the leaf table holds the letters of generator k: p (.) q
+    as (p, q, p, q) and tree(P, Q) as P + Q."""
+    sp = space(g)
+    assert not sp.leaves.flags.writeable
+    assert sp.leaves.shape == (len(sp.generators), 4)
+    for gen, row in zip(sp.generators, sp.leaves.tolist()):
+        want = gen[1] + gen[1] if gen[0] == "odot" else gen[1] + gen[2]
+        assert tuple(row) == want
+    assert sp.tree_indices == [k for k, gen in enumerate(sp.generators)
+                               if gen[0] == "tree"]
 
 
 def test_filtration_is_nested():

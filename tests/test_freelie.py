@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sympderiv.derivspace import iota_matrix
 from sympderiv.freelie import (ContextError, SymplecticContext,
                                UnsupportedDegreeError, context, lyndon_words,
                                standard_factorization, tensor_add,
@@ -178,16 +179,15 @@ def test_omega_symplectic_basis():
             assert val == -1
         else:
             assert val == 0
-        assert val == ctx.omega_letters(p, q)
+        assert val == iota_matrix(3)[p, q]  # the Gram matrix J of omega
 
 
 def test_omega_rejects_quotient_alphabet_and_bad_lengths():
     ctx = context(2)
     qctx = ctx.quotient_context()
     e = qctx.basis_vector(0)
-    for form in (lambda: qctx.omega(e, e), lambda: qctx.omega_letters(0, 1)):
-        with pytest.raises(ContextError):
-            form()
+    with pytest.raises(ContextError):
+        qctx.omega(e, e)
     with pytest.raises(ContextError):
         ctx.omega((1, 0, 0), ctx.basis_vector(0))
     assert ctx.omega(np.array([1, 2, 0, 0]), [0, 0, 3, 5]) == 13
