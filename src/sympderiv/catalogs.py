@@ -21,11 +21,16 @@ leaves only through the wedge coordinates of a^b and c^d over the basis
 pairs P, and is sum_{P,Q} (a^b)_P (c^d)_Q tree(P, Q).  The rows are read
 that way, as (row, generator, weight) triplets that
 ``DerivationSpace.gen_rows`` scatters, instead of through Lie brackets.
-``catalog_lattice`` decides a span with a known target in the target's
-coordinates, reducing only the rows not yet in the span.
+
+The degree-2 rows, their spans and orbit closure live in Z^r over D_2's
+HNF basis (``DerivationSpace.coords``), where each Goeritz symmetry acts
+as one r x r integer matrix.  ``catalog_lattice`` decides a span with a
+known target in the target's own coordinates, reducing only the rows not
+yet in the span.
 """
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,6 +219,13 @@ def _color_set(g, three_term=False):
     return colors
 
 
+def _row_bytes(rows):
+    """The bytes of each row of a 2-d array, as a list."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
+
+
 def _unique_blocks(blocks):
     """The rows of each block that are new up to sign, in order, one block
     per block, none when all of its rows are old.  ``seen`` holds the bytes
@@ -225,10 +237,11 @@ def _unique_blocks(blocks):
         first = vals[np.arange(len(vals)), np.argmax(vals != 0, axis=1)]
         signed = vals * np.sign(first)[:, None]
         narrow = np.abs(signed).max(axis=1) < 128
-        keys = [(row.astype(np.int8) if fits else row).tobytes()
-                for row, fits in zip(signed, narrow)]
+        keys = np.empty(len(vals), dtype=object)
+        keys[narrow] = _row_bytes(signed[narrow].astype(np.int8))
+        keys[~narrow] = _row_bytes(signed[~narrow])
         keep = []
-        for n, key in enumerate(keys):
+        for n, key in enumerate(keys.tolist()):
             if key not in seen:
                 seen.add(key)
                 keep.append(n)
@@ -302,41 +315,40 @@ def _batches(blocks, n):
 
 
 def catalog_lattice(sp: DerivationSpace, blocks, target=None, chunk=256):
-    """Integer span of catalog rows, given as one matrix or as an iterable
-    of row blocks, taken ``chunk`` rows at a time.
+    """Integer span in Z^(sp.rank) of catalog rows, given as one matrix or
+    as an iterable of row blocks, taken ``chunk`` rows at a time.
 
-    With a ``target`` lattice of rank r, each batch is solved over the
-    target's basis, and the span is reduced in those rank-r coordinates,
-    where it is the whole target exactly when its HNF is the r x r
+    With a ``target`` lattice of rank t, each batch is solved over the
+    target's basis, and the span is reduced in those rank-t coordinates,
+    where it is the whole target exactly when its HNF is the t x t
     identity.  Only the coordinates of rows not yet in the span enter that
     reduction, so once the span is the whole target no row does.  A row is
     inside only if the exact check product of the target's ``membership``
-    confirms it; if one is not, the result is the ambient span of every
-    row.
+    confirms it; if one is not, the result is the span of every row.
     """
-    ambient = sp.ambient_dim
+    width = sp.rank
     if isinstance(blocks, np.ndarray):
         blocks = np.split(blocks, range(chunk, len(blocks), chunk))
     batches = _batches(blocks, chunk)
-    lat = IntegerLattice(ambient)
+    lat = IntegerLattice(width)
     if target is not None:
-        basis, r = target.basis, target.rank
-        coords = IntegerLattice(r)
+        basis, t = target.basis, target.rank
+        coords = IntegerLattice(t)
         for batch in batches:
             y = target.membership(batch)
             if y is None:
-                lat = IntegerLattice(ambient, np.vstack(
+                lat = IntegerLattice(width, np.vstack(
                     [safe_matmul(coords.basis, basis), batch]))
                 break
             new = y[~coords.contains_rows(y)]
             if len(new):
-                coords = IntegerLattice(r, np.vstack([coords.basis, new]))
+                coords = IntegerLattice(t, np.vstack([coords.basis, new]))
         else:
-            if np.array_equal(coords.basis, np.eye(r, dtype=np.int64)):
+            if np.array_equal(coords.basis, np.eye(t, dtype=np.int64)):
                 return target
-            return IntegerLattice(ambient, safe_matmul(coords.basis, basis))
+            return IntegerLattice(width, safe_matmul(coords.basis, basis))
     for batch in batches:
-        lat = lat.sum(IntegerLattice(ambient, batch))
+        lat = lat.sum(IntegerLattice(width, batch))
     return lat
 
 
@@ -368,7 +380,7 @@ def gl_generators(g):
 
 def goeritz_symmetries(g):
     """Homology matrices generating the split-preserving symmetries used for
-    orbit closures: the GL(g, Z) block embedding and the quarter turn."""
+    orbit closures: the GL(g, Z) block embedding, then the quarter turn."""
     mats = [gl_embed(g, p) for p in gl_generators(g)]
     mats.append(iota_matrix(g))
     return mats
@@ -391,36 +403,59 @@ def _transform_rows(ctx, m, rows, k, lk=None):
     return out.reshape(h, n, dk).transpose(1, 0, 2).reshape(n, h * dk)
 
 
-def orbit_closure(ctx, seed_rows, mats, k, max_rounds=20):
-    """Saturate the span of seed_rows under the given homology matrices.
+@lru_cache(maxsize=None)
+def coordinate_action(sp: DerivationSpace, i: int) -> np.ndarray:
+    """The degree-2 action of ``goeritz_symmetries(g)[i]``, i >= 0, as a
+    read-only r x r integer matrix on D_2 coordinates, acting on rows from
+    the right: D_2's basis moved by ``_transform_rows`` and read back
+    through ``DerivationSpace.coords``.  D_2 is Sp-invariant, so the images
+    are in D_2 and the coordinates exact."""
+    m = goeritz_symmetries(sp.g)[i]
+    a = sp.coords(_transform_rows(sp.ctx, m, sp.d2().basis, 3))
+    a.setflags(write=False)
+    return a
+
+
+def coordinate_actions(sp: DerivationSpace) -> list:
+    """``coordinate_action`` of every Goeritz symmetry, in order."""
+    return [coordinate_action(sp, i)
+            for i in range(len(goeritz_symmetries(sp.g)))]
+
+
+def orbit_closure(seed_rows, actions, max_rounds=20):
+    """Saturate the span of seed_rows under the given integer matrices,
+    each acting on rows from the right.
 
     Semi-naive: each round moves only the frontier, the rows that entered
     the lattice in the previous round, since the images of the older part
     are already inside.  The lattice after every round, and so the number
     of rounds, is that of moving the whole basis each time.
     """
-    ambient = 2 * ctx.g * ctx.dim(k)
-    lat = IntegerLattice(ambient, np.asarray(seed_rows))
+    width = len(actions[0])
+    lat = IntegerLattice(width, np.asarray(seed_rows))
     frontier = lat.basis
-    lks = [lie_degree_matrix(ctx, m, k) for m in mats]
     for _ in range(max_rounds):
         # one membership test per matrix: stacking every moved row of the
         # round in one test held several times their size at once
-        moved = (_transform_rows(ctx, m, frontier, k, lk)
-                 for m, lk in zip(mats, lks))
+        moved = (safe_matmul(frontier, a) for a in actions)
         frontier = np.vstack([rows[~lat.contains_rows(rows)] for rows in moved])
         if not len(frontier):
             return lat
-        lat = lat.sum(IntegerLattice(ambient, frontier))
+        lat = lat.sum(IntegerLattice(width, frontier))
     raise RuntimeError("orbit closure did not stabilize")
 
 
 def goeritz_tau1_lattice(sp: DerivationSpace):
-    """Orbit closure of the seed tripod (a1, b1, b2) in degree 1."""
+    """Orbit closure of the seed tripod (a1, b1, b2) in degree 1, each
+    symmetry acting on H (x) L_2 as the matrix ``_transform_rows`` makes
+    of the unit rows."""
     ctx = sp.ctx
     seed = eta1(ctx, ctx.basis_vector(0), ctx.basis_vector(sp.g),
                 ctx.basis_vector(sp.g + 1))
-    return orbit_closure(ctx, [seed], goeritz_symmetries(sp.g), 2)
+    units = np.eye(2 * sp.g * ctx.dim(2), dtype=np.int64)
+    actions = [_transform_rows(ctx, m, units, 2)
+               for m in goeritz_symmetries(sp.g)]
+    return orbit_closure([seed], actions)
 
 
 def mixed_wedge_lattice(sp: DerivationSpace):
@@ -431,24 +466,23 @@ def mixed_wedge_lattice(sp: DerivationSpace):
 
 
 def goeritz_tau2_entries(sp: DerivationSpace):
-    """Degree-2 elements fixing both sides, one per row: the two
+    """Degree-2 elements fixing both sides, one coordinate row each: the two
     bounding-curve values, mixed-tripod brackets, and two first-round orbit
-    shifts."""
-    ctx = sp.ctx
+    shifts (by the shear, the last GL(g, Z) generator, then the quarter
+    turn)."""
     g = sp.g
     e = np.eye(2 * g, dtype=np.int64)
     a, b = e[:g], e[g:]
+    *_, shear, iota = coordinate_actions(sp)
     base = bscc_image(sp, [(a[0], b[0])])  # a1 (.) b1
-    shear = gl_embed(g, gl_generators(g)[-1])
-    shift = _transform_rows(ctx, shear, [base], 3)[0] - base
+    shift = safe_matmul(base, shear) - base
     return np.vstack([base,
                       bscc_image(sp, [(a[0], b[0]), (a[1], b[1])]),
                       tripod_bracket_entries(sp, side="mixed"),
                       shift,
-                      _transform_rows(ctx, iota_matrix(g), [shift], 3)[0]])
+                      safe_matmul(shift, iota)])
 
 
 def goeritz_tau2_lattice(sp: DerivationSpace):
-    """Orbit closure of the degree-2 two-sided family."""
-    return orbit_closure(sp.ctx, goeritz_tau2_entries(sp),
-                         goeritz_symmetries(sp.g), 3)
+    """Orbit closure in Z^r of the degree-2 two-sided family."""
+    return orbit_closure(goeritz_tau2_entries(sp), coordinate_actions(sp))

@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from . import casson, catalogs, traces, trees
-from .derivspace import FiltrationError, iota_matrix, space
+from .derivspace import FiltrationError, space
 from .intlin import IntegerLattice, safe_matmul
 
 VERSION = "0.1.0"
@@ -69,7 +69,7 @@ def _check_d2_rank(g, rng):
 
 def _check_dprime_index(g, rng):
     sp = space(g)
-    idx = sp.d2().index(sp.dprime2())
+    idx = sp.filtration(-1).index(sp.dprime2())
     expected = 2 ** comb(2 * g, 2)
     return idx == expected, {"index": str(idx), "expected": str(expected)}
 
@@ -223,13 +223,14 @@ def _check_levine(g, rng):
             two = [((k, k2), one[k] + one[k2])
                    for k in ks for k2 in ks if k2 >= k]
             families.append((i, j, rows[0], two))
-    # every test on one stack; the loop reads the results in order, so the
-    # witness is that of the first failing element
-    one_handle = np.array([t1 for _, _, t1, _ in families])
+    # every test on one stack, in D_2 coordinates; the loop reads the
+    # results in order, so the witness is that of the first failing element
+    every = sp.coords(np.vstack([row for _, _, t1, two in families
+                                 for row in [t1] + [t2 for _, t2 in two]]))
+    firsts = np.cumsum([0] + [1 + len(two) for *_, two in families[:-1]])
+    one_handle = every[firsts]
     in_kernel = proj_kernel.contains_rows(one_handle)
     as_rows = traces.tr_as(sp, one_handle)
-    every = np.vstack([row for _, _, t1, two in families
-                       for row in [t1] + [t2 for _, t2 in two]])
     in_domain = sp.filtration(0, "A").contains_rows(every)
     traces_A = traces.tr_A(sp, every, check_domain=False)
 
@@ -274,7 +275,7 @@ def _check_casson_bridge(g, rng):
     mats = np.array([_random_sym_matrix(g, rng) for _ in range(100)])
     # every (generator, S) instance at once, generators down, S across
     units = np.eye(len(sp.generators), dtype=np.int64)[f0_gens]
-    qs = traces.tr_A(sp, sp.gen_matrix()[:, f0_gens].T)
+    qs = traces.tr_A(sp, sp.gen_coords()[:, f0_gens].T)
     lhs = casson.mu_of_coeffs(sp, units, mats)
     rhs = casson.r_pairing(mats, qs)
     bad = np.argwhere(lhs != rhs)  # row-major: the first failing instance
@@ -284,10 +285,11 @@ def _check_casson_bridge(g, rng):
                        "mu": str(lhs[i, j]), "pairing": str(rhs[i, j]),
                        "s": _dec(mats[j])}
     n_bridge = lhs.size
-    # every (D_2 basis row, S) instance, from one generator expression;
-    # the composite is counted in halves, so it is compared with 2 mu
+    # every (D_2 basis row, S) instance, from one generator expression of
+    # their coordinates, the unit rows; the composite is counted in halves,
+    # so it is compared with 2 mu
     basis = sp.d2().basis
-    coeffs = sp.express_in_generators(basis)
+    coeffs = sp.express_in_generators(np.eye(sp.rank, dtype=np.int64))
     mus = casson.mu_of_coeffs(sp, coeffs, mats[:10])
     halves = casson.half_omegaS_plus_delta(sp, coeffs, mats[:10])
     bad = np.argwhere(2 * mus != halves)
@@ -319,7 +321,7 @@ def _check_quartic_vanishing(g, rng):
     rows = np.array([quartic_relation(sp, quad) for quad in quads])
     # every test on the whole stack; the loop reports the first failing
     # quad, with its first failing test
-    images = safe_matmul(rows, sp.gen_matrix().T)
+    images = safe_matmul(rows, sp.gen_coords().T)
     qbars = casson.qbar_of_coeffs(sp, rows)
     mus = casson.mu_of_coeffs(sp, rows, s)
     for quad, image, qbar, mu in zip(quads, images, qbars, mus):
@@ -369,8 +371,9 @@ def _check_realizable_kernel(g, rng):
 def _check_realizable_sum(g, rng):
     sp, _, lat, _ = _realizable_lattices(g)
     ka = traces.ker_tr_as(sp)
-    moved = catalogs._transform_rows(sp.ctx, iota_matrix(g), lat.basis, 3)
-    total = lat.sum(IntegerLattice(sp.ambient_dim, moved))
+    quarter_turn = len(catalogs.goeritz_symmetries(g)) - 1
+    iota = catalogs.coordinate_action(sp, quarter_turn)
+    total = lat.sum(IntegerLattice(sp.rank, safe_matmul(lat.basis, iota)))
     equal = total == ka
     wit = {"sum_rank": total.rank, "ker_as_rank": ka.rank, "equal": equal}
     if g < 4:

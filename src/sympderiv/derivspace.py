@@ -6,10 +6,15 @@ Generators of D_2(H) follow the tree/symmetric-half presentation: one
 (.)-generator per basis pair P = (p,q), then one tree generator per
 unordered pair of basis pairs P <= Q.  Their format is decided here alone:
 every per-generator map reads the leaf table ``DerivationSpace.leaves``,
-and ``generators`` only names them.  Arbitrary elements live in ambient
-H (x) L_3 coordinates; generator coefficients are recovered by an HNF
-solve, and sums of generator columns are scattered from (row, generator,
-weight) triplets by ``gen_rows``.
+and ``generators`` only names them.
+
+D_2 itself, the bracket-map kernel, is the one degree-2 lattice held in
+ambient H (x) L_3 coordinates.  Every other degree-2 element and lattice,
+D_2', the filtrations and the projection kernel among them, lives in Z^r,
+r = rank D_2, over D_2's HNF basis (``coords``, ``gen_coords``).
+Generator coefficients of coordinate rows are recovered by an HNF solve,
+and sums of generator columns are scattered from (row, generator, weight)
+triplets by ``gen_rows``.
 """
 
 from __future__ import annotations
@@ -134,13 +139,43 @@ class DerivationSpace:
     # -- main lattices ----------------------------------------------------
     @lru_cache(maxsize=None)
     def gen_matrix(self) -> np.ndarray:
-        """Generator values as columns: the (.)-generators, then the trees,
-        each kind expanded as one stack from its leaves."""
+        """Generator values in H (x) L_3 as columns: the (.)-generators,
+        then the trees, each kind expanded as one stack from its leaves."""
         m = len(self.pairs)
         a, b, c, d = np.eye(self.ctx.n, dtype=np.int64)[self.leaves.T]
         rows = np.vstack([trees.expand_symhalf(self.ctx, a[:m], b[:m]),
                           trees.eta2(self.ctx, a[m:], b[m:], c[m:], d[m:])])
         return rows.astype(np.int64).T
+
+    @lru_cache(maxsize=None)
+    def _bracket_kernel(self) -> IntegerLattice:
+        return kernel_lattice(self.ctx.bracket_matrix(2))
+
+    @lru_cache(maxsize=None)
+    def gen_coords(self) -> np.ndarray:
+        """Generator values in D_2 coordinates as columns (r x generators),
+        exact by the check product of the membership solve."""
+        c = self._bracket_kernel().membership(self.gen_matrix().T)
+        if c is None:
+            raise InconsistencyError(
+                "a generator is outside the bracket-map kernel")
+        c.setflags(write=False)
+        return c.T
+
+    @property
+    def rank(self) -> int:
+        """r = rank D_2, the width of every coordinate row."""
+        return self.d2().rank
+
+    def coords(self, v) -> np.ndarray:
+        """D_2 coordinates of an element of H (x) L_3, or of each row of a
+        stack: its coefficients over D_2's HNF basis.  Every pivot of that
+        basis is 1, so they are v's entries at the pivot columns, and one
+        check product confirms them; an element outside D_2 raises."""
+        c = self.d2().membership(v)
+        if c is None:
+            raise MembershipError("element is not in D_2")
+        return c
 
     # -- rows as sums of generator columns --------------------------------
     @lru_cache(maxsize=None)
@@ -158,17 +193,17 @@ class DerivationSpace:
     def _gen_columns(self):
         """The nonzeros of the generator columns, generator by generator:
         where each generator's run starts, and the positions and values."""
-        cols = self.gen_matrix().T
+        cols = self.gen_coords().T
         gen, pos = np.nonzero(cols)
         start = np.searchsorted(gen, np.arange(len(cols) + 1))
         return start, pos, cols[gen, pos]
 
     def gen_rows(self, nrows: int, row, gen, weight) -> np.ndarray:
-        """Rows r < nrows, each the sum of weight_t times generator column
-        gen_t over the triplets t with row_t = r, scattered over the nonzeros
-        of the columns.  In int64 when the most triplets of one row, times
-        max|weight| times max|gen_matrix()|, is under 2**62, else on Python
-        ints."""
+        """Coordinate rows i < nrows, each the sum of weight_t times
+        generator column gen_t of ``gen_coords`` over the triplets t with
+        row_t = i, scattered over the nonzeros of the columns.  In int64
+        when the most triplets of one row, times max|weight| times
+        max|gen_coords()|, is under 2**62, else on Python ints."""
         start, pos, val = self._gen_columns()
         per_row = int(np.bincount(row, minlength=1).max())
         bound = (per_row * int(np.abs(weight).max(initial=0))
@@ -176,15 +211,18 @@ class DerivationSpace:
         dtype = np.int64 if fits_int64(bound) else object
         # each triplet once per nonzero of its column
         t, at = runs(start[gen], start[gen + 1] - start[gen])
-        out = np.zeros(nrows * self.ambient_dim, dtype=dtype)
-        np.add.at(out, row[t] * self.ambient_dim + pos[at],
-                  weight.astype(dtype)[t] * val[at])
-        return out.reshape(nrows, self.ambient_dim)
+        r = self.rank
+        out = np.zeros(nrows * r, dtype=dtype)
+        np.add.at(out, row[t] * r + pos[at], weight.astype(dtype)[t] * val[at])
+        return out.reshape(nrows, r)
 
     @lru_cache(maxsize=None)
     def d2(self) -> IntegerLattice:
-        ker = kernel_lattice(self.ctx.bracket_matrix(2))
-        if self._full_solver().span != ker:
+        """The kernel of the bracket map H (x) L_3 -> L_4, checked to be the
+        span of the generators: their coordinates span all of Z^r."""
+        ker = self._bracket_kernel()
+        if not np.array_equal(self._full_solver().span.basis,
+                              np.eye(ker.rank, dtype=np.int64)):
             raise InconsistencyError(
                 "generator span differs from the bracket-map kernel")
         return ker
@@ -196,27 +234,29 @@ class DerivationSpace:
         return math.comb(npairs + 1, 2) - math.comb(n, 4)
 
     def dprime2(self) -> IntegerLattice:
+        """D_2', the span of the tree generators, in Z^r."""
         return self._tree_solver().span
 
-    # -- expressing elements over generators ------------------------------
+    # -- expressing coordinate rows over generators -----------------------
     @lru_cache(maxsize=None)
     def _full_solver(self) -> _GenSolver:
-        return _GenSolver(self.gen_matrix().T)
+        return _GenSolver(self.gen_coords().T)
 
     @lru_cache(maxsize=None)
     def _tree_solver(self) -> _GenSolver:
-        return _GenSolver(self.gen_matrix()[:, self.tree_indices].T)
+        return _GenSolver(self.gen_coords()[:, self.tree_indices].T)
 
     def express_in_generators(self, v) -> np.ndarray:
-        """Coefficients over all generators of v, or of each row of a stack."""
+        """Coefficients over all generators of the coordinate row v, or of
+        each row of a stack."""
         c = self._full_solver().solve(v)
         if c is None:
             raise MembershipError("element is not in D_2")
         return c
 
     def express_in_tree_generators(self, v) -> np.ndarray:
-        """Coefficients over tree generators only; requires v (every row of
-        a stack) in D_2'."""
+        """Coefficients over tree generators only of coordinate rows;
+        requires v (every row of a stack) in D_2'."""
         c = self._tree_solver().solve(v)
         if c is None:
             raise MembershipError("element is not in the tree sublattice D_2'")
@@ -225,14 +265,17 @@ class DerivationSpace:
     # -- filtration by A-leaves (or B-leaves) ------------------------------
     @lru_cache(maxsize=None)
     def filtration(self, level: int, side: str = "A") -> IntegerLattice:
+        """The span in Z^r of the generators with more than ``level``
+        leaves on the side; level -1 is all of D_2, Z^r itself."""
         if not -1 <= level <= 3:
             raise ValueError("filtration level must be in -1..3")
         if level == -1:
-            return self.d2()
+            return IntegerLattice(self.rank, np.eye(self.rank, dtype=np.int64),
+                                  canonical=True)
         on_a = self.leaves < self.g
         on_side = on_a if side == "A" else ~on_a
         cols = np.flatnonzero(on_side.sum(axis=1) >= level + 1)
-        return IntegerLattice(self.ambient_dim, self.gen_matrix()[:, cols].T)
+        return IntegerLattice(self.rank, self.gen_coords()[:, cols].T)
 
     # -- kernels of quotient coordinate maps ------------------------------
     def quotient_map_matrix(self, killed: str) -> np.ndarray:
@@ -252,12 +295,10 @@ class DerivationSpace:
 
     @lru_cache(maxsize=None)
     def ker_projection(self, killed: str = "A") -> IntegerLattice:
-        """Kernel of D_2(H) -> D_2(H/killed) as a sublattice of D_2."""
-        basis = self.d2().basis
+        """Kernel of D_2(H) -> D_2(H/killed) in Z^r: the kernel of the
+        quotient map on D_2's basis."""
         m = self.quotient_map_matrix(killed)
-        coeff = kernel_lattice(safe_matmul(m, basis.T))
-        vecs = safe_matmul(coeff.basis, basis) if coeff.rank else None
-        return IntegerLattice(self.ambient_dim, vecs)
+        return kernel_lattice(safe_matmul(m, self.d2().basis.T))
 
 
 @lru_cache(maxsize=None)

@@ -171,20 +171,21 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
     pivots = np.asarray(pivots, dtype=np.intp)
     wide = basis.dtype == object or (rows.size and not fits_int64(
         max(int(rows.max()), -int(rows.min()))))
-    target = rows[:, pivots].astype(object if wide else np.int64, copy=False)
+    # a fresh array: the indexing copies the pivot columns
+    coeffs = rows[:, pivots].astype(object if wide else np.int64, copy=False)
     heads = basis[np.arange(len(pivots)), pivots]
     todo = np.flatnonzero(heads != 1)
-    coeffs = target.copy()
+    target = coeffs[:, todo]  # the row entries at the unsolved pivots
     coeffs[:, todo] = 0
     while todo.size:
         cols = pivots[todo]
         ready = ~np.triu(basis[todo][:, cols] != 0, 1).any(axis=0)
-        rest = (target[:, todo[ready]]
+        rest = (target[:, ready]
                 - safe_matmul(coeffs, basis[:, cols[ready]]))
         if rest.dtype == object:
             coeffs = coeffs.astype(object)
         coeffs[:, todo[ready]] = rest // heads[todo[ready]]
-        todo = todo[~ready]
+        todo, target = todo[~ready], target[:, ~ready]
     used = np.flatnonzero((coeffs != 0).any(axis=0))
     solved = ~(safe_matmul(coeffs[:, used], basis[used]) != rows).any(axis=1)
     return coeffs, solved

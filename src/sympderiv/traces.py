@@ -6,11 +6,12 @@ omega, and applied to whole stacks as one exact product.  The mod-2 traces
 tr_as (on every generator) and tr_sym (on the tree generators) are 0/1
 tables over the pairs i < j (Lambda^2(H/2H)) and i <= j (S^2(H/2H)), in
 ``np.triu_indices`` order, read through the generator coefficients mod 2.
-tr_A and tr_B go through an (ambient x S^2(H')) matrix built from the
-tensor expansions of the degree-3 Lyndon words, and the S-twisted
-contraction tr_omegaS through each generator's contraction, tabulated
-over the entries of S.  Kernels are returned as exact sublattices of the
-ambient H (x) L_3 coordinates.
+tr_A and tr_B go through an (r x S^2(H')) matrix: the traces of the
+ambient H (x) L_3 basis, built from the tensor expansions of the degree-3
+Lyndon words, times D_2's basis once.  The S-twisted contraction tr_omegaS
+goes through each generator's contraction, tabulated over the entries of
+S.  Elements are D_2 coordinate rows (``DerivationSpace.coords``), and
+kernels are exact sublattices of Z^r, r = rank D_2.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ def _gf2_table(sp: DerivationSpace, which: str) -> np.ndarray:
 
 
 def _mod2_trace(sp: DerivationSpace, which: str, rows) -> np.ndarray:
-    """tr_as or tr_sym of each row of a stack as 0/1 rows: one batched
-    generator solve, then the coefficients mod 2 times the table, mod 2."""
+    """tr_as or tr_sym of each coordinate row of a stack as 0/1 rows: one
+    batched generator solve, then the coefficients mod 2 times the table,
+    mod 2."""
     solve = (sp.express_in_generators if which == "as"
              else sp.express_in_tree_generators)
     coeffs = np.asarray(solve(rows) % 2, dtype=np.int64)
@@ -83,7 +85,8 @@ def _mod2_trace(sp: DerivationSpace, which: str, rows) -> np.ndarray:
 
 
 def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
-    """tr_as of each row of a stack, as 0/1 rows over the pairs i < j."""
+    """tr_as of each coordinate row of a stack, as 0/1 rows over the pairs
+    i < j."""
     return _mod2_trace(sp, "as", rows)
 
 
@@ -91,18 +94,19 @@ def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
 
 def tr_A(sp: DerivationSpace, v, check_domain: bool = True) -> np.ndarray:
     """Integer vector over the S^2(H') basis {b'_i b'_j, i <= j} of one
-    element, or one row per element of a stack."""
+    coordinate row, or one row per row of a stack."""
     return _side_trace(sp, v, "A", check_domain)
 
 
 @lru_cache(maxsize=None)
 def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
-    """The side trace as a read-only (ambient x S^2(H')) integer matrix.
+    """The side trace as a read-only (r x S^2(H')) integer matrix: D_2's
+    basis times the trace of the ambient basis.
 
-    Row h * dim(L_3) + i is the trace of e_h (x) (i-th Lyndon bracketing):
-    keep H-factors in the side Lagrangian, kill that side in the Lie
-    factor, contract the first two tensor slots by omega, and symmetrize
-    the last two into S^2 of the quotient."""
+    The trace of e_h (x) (i-th Lyndon bracketing), ambient row
+    h * dim(L_3) + i: keep H-factors in the side Lagrangian, kill that side
+    in the Lie factor, contract the first two tensor slots by omega, and
+    symmetrize the last two into S^2 of the quotient."""
     ctx = sp.ctx
     d3 = ctx.dim(3)
     side_letters = ctx.kill_letters(side)
@@ -119,6 +123,7 @@ def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
                 if om:
                     x, y = word[1] - shift, word[2] - shift
                     table[h * d3 + i, col[x, y]] += om * c
+    table = safe_matmul(sp.d2().basis, table)
     table.setflags(write=False)
     return table
 
@@ -198,14 +203,8 @@ def _mod2_preimage(t: np.ndarray) -> IntegerLattice:
     return IntegerLattice(n, ker.basis[:, :n])
 
 
-def _coeffs_to_ambient(sp: DerivationSpace, coeff_basis,
-                       lattice: IntegerLattice) -> IntegerLattice:
-    vecs = safe_matmul(np.asarray(coeff_basis), lattice.basis)
-    return IntegerLattice(sp.ambient_dim, vecs)
-
-
 def _gf2_domain(sp: DerivationSpace, which: str) -> IntegerLattice:
-    return sp.d2() if which == "as" else sp.dprime2()
+    return sp.filtration(-1) if which == "as" else sp.dprime2()
 
 
 @lru_cache(maxsize=None)
@@ -218,9 +217,12 @@ def _gf2_image_rows(sp: DerivationSpace, which: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gf2_kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
-    t = _gf2_image_rows(sp, which).T
-    return _coeffs_to_ambient(sp, _mod2_preimage(t).basis,
-                              _gf2_domain(sp, which))
+    """The mod-2 preimage over the domain's basis: for tr_as, whose domain
+    basis is the identity, that preimage is the kernel itself."""
+    pre = _mod2_preimage(_gf2_image_rows(sp, which).T)
+    if which == "as":
+        return pre
+    return IntegerLattice(sp.rank, safe_matmul(pre.basis, sp.dprime2().basis))
 
 
 def ker_tr_as(sp: DerivationSpace) -> IntegerLattice:
@@ -237,9 +239,7 @@ def ker_tr_sym(sp: DerivationSpace) -> IntegerLattice:
 def _side_kernel(sp: DerivationSpace, side: str) -> IntegerLattice:
     f0 = sp.filtration(0, side)
     coeff = kernel_lattice(safe_matmul(f0.basis, _side_table(sp, side)).T)
-    if coeff.rank == 0:
-        return IntegerLattice(sp.ambient_dim)
-    return _coeffs_to_ambient(sp, coeff.basis, f0)
+    return IntegerLattice(sp.rank, safe_matmul(coeff.basis, f0.basis))
 
 
 def ker_tr_A(sp: DerivationSpace) -> IntegerLattice:

@@ -246,7 +246,7 @@ def test_mu_vanishes_at_zero_twist():
     rng = np.random.default_rng(33)
     basis = sp.d2().basis
     v = basis.T @ rng.integers(-2, 3, size=len(basis))
-    c = sp.express_in_generators(v)
+    c = sp.express_in_generators(sp.coords(v))
     assert casson.mu_of_coeffs(sp, c, np.zeros((2, 2), dtype=np.int64)) == 0
 
 
@@ -273,7 +273,7 @@ def test_mu_matches_half_omegaS_plus_delta():
         v = basis.T @ rng.integers(-2, 3, size=len(basis))
         s = rng.integers(-3, 4, size=(2, 2))
         s = s + s.T
-        c = sp.express_in_generators(v)
+        c = sp.express_in_generators(sp.coords(v))
         # the composite is counted in halves
         assert Fraction(casson.mu_of_coeffs(sp, c, s)) \
             == Fraction(casson.half_omegaS_plus_delta(sp, c, s), 2)
@@ -404,7 +404,7 @@ def test_flipped_mu_sign_fails_bridge_at_first_loop_witness(monkeypatch):
             continue  # no A-leaf
         unit = np.zeros(len(sp.generators), dtype=np.int64)
         unit[k] = 1
-        q = traces.tr_A(sp, sp.gen_matrix()[:, k])
+        q = traces.tr_A(sp, sp.coords(sp.gen_matrix()[:, k]))
         for s in mats:
             mu = mu_by_polynomial(sp, unit, s)
             pairing = casson.r_pairing(s, q)

@@ -18,7 +18,7 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
                                 tripod_bracket_entries)
 from sympderiv.derivspace import DerivationSpace, lie_degree_matrix, space
 from sympderiv.freelie import context
-from sympderiv.intlin import IntegerLattice
+from sympderiv.intlin import IntegerLattice, safe_matmul
 from sympderiv.trees import derivation_bracket, eta1, eta2, expand_symhalf
 from test_freelie import letter_name
 from test_trees import tree_bracket
@@ -41,7 +41,7 @@ def test_single_pair_is_symhalf():
     ctx = sp.ctx
     e = _e(ctx)
     v = bscc_image(sp, [(e[0], e[2])])
-    assert np.array_equal(v, expand_symhalf(ctx, e[0], e[2]))
+    assert np.array_equal(v, sp.coords(expand_symhalf(ctx, e[0], e[2])))
 
 
 def test_two_handle_image():
@@ -53,7 +53,7 @@ def test_two_handle_image():
     v = bscc_image(sp, [(a1, b1), (a2, b2)])
     expect = (expand_symhalf(ctx, a1, b1) + expand_symhalf(ctx, a2, b2)
               + eta2(ctx, a1, b1, a2, b2))
-    assert np.array_equal(v, expect)
+    assert np.array_equal(v, sp.coords(expect))
     # the cross tree equals minus tree(a1 b1 | b2 a2)
     assert np.array_equal(eta2(ctx, a1, b1, a2, b2),
                           -eta2(ctx, a1, b1, b2, a2))
@@ -67,7 +67,7 @@ def test_sheared_pair_image():
     v = bscc_image(sp, [(a1 - b2, a2)])
     expect = (expand_symhalf(ctx, a1, a2) - eta2(ctx, a1, a2, b2, a2)
               + expand_symhalf(ctx, b2, a2))
-    assert np.array_equal(v, expect)
+    assert np.array_equal(v, sp.coords(expect))
 
 
 def test_rejects_non_orthonormal_families():
@@ -88,7 +88,8 @@ def test_bscc_images_have_trivial_traces():
     e = _e(ctx)
     for pairs in ([(e[0], e[2])], [(e[0], e[2]), (e[1], e[3])]):
         v = bscc_image(sp, pairs)
-        assert v in sp.d2()
+        assert v.shape == (sp.rank,)
+        assert safe_matmul(v, sp.d2().basis) in sp.d2()
         assert not traces.tr_as(sp, v[None]).any()
 
 
@@ -198,7 +199,7 @@ def test_johnson_catalog_matches_loop_reference(three_term):
     got = np.vstack(blocks)
     assert len(got) == len(want)
     for row, (name, val) in zip(got, want):
-        assert np.array_equal(row, val), name
+        assert np.array_equal(row, sp.coords(val)), name
 
 
 def lie_path_rows(sp, three_term):
@@ -217,15 +218,15 @@ def lie_path_rows(sp, three_term):
 def johnson_rows_match_lie_path(sp, three_term):
     """Assert that every block of candidate rows the Johnson stream reads
     from generator columns, before deduplication, equals the Lie-path
-    expansion of its candidates in value and dtype; return how many
-    candidates were compared."""
+    expansion of its candidates, read in D_2 coordinates, in value and
+    dtype; return how many candidates were compared."""
     count = 0
     for got, want in itertools.zip_longest(
             catalogs._johnson_rows(sp, three_term),
             lie_path_rows(sp, three_term)):
         assert got is not None and want is not None
         assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, sp.coords(want))
         count += len(got)
     return count
 
@@ -254,7 +255,7 @@ def test_tripod_brackets_match_lie_path_and_oracle(g):
                             [e[idx[:, 1, i]] for i in range(3)])
         got = tripod_bracket_entries(sp, side)
         assert got.dtype == np.int64
-        assert np.array_equal(got, want[(want != 0).any(axis=1)])
+        assert np.array_equal(got, sp.coords(want[(want != 0).any(axis=1)]))
         for (p, q), row in zip(pairs, want):
             if (p, q) not in oracle:
                 oracle[p, q] = derivation_bracket(
@@ -264,9 +265,9 @@ def test_tripod_brackets_match_lie_path_and_oracle(g):
 
 def test_scatter_exact_at_int64_bound(monkeypatch):
     """Leaf entries c near 2**31 put the scatter's bound (the most triplets
-    of one row, times max|weight|, times max|gen_matrix()|) just under
+    of one row, times max|weight|, times max|gen_coords()|) just under
     2**62, then at it: int64 rows, then Python ints, both equal to the Lie
-    path."""
+    path read in D_2 coordinates."""
     sp = space(2)
     ctx = sp.ctx
     a1, a2, b1, b2 = _e(ctx)
@@ -276,7 +277,7 @@ def test_scatter_exact_at_int64_bound(monkeypatch):
     def recording(self, nrows, row, gen, weight):
         out = real(self, nrows, row, gen, weight)
         bound = (int(np.bincount(row).max()) * int(np.abs(weight).max())
-                 * int(np.abs(self.gen_matrix()).max()))
+                 * int(np.abs(self.gen_coords()).max()))
         assert (out.dtype == np.int64) == (bound < 2 ** 62)
         dtypes.append(out.dtype)
         return out
@@ -287,7 +288,7 @@ def test_scatter_exact_at_int64_bound(monkeypatch):
     for x in (c, c + 1):
         u, v = a1 + x * a2, b1
         assert np.array_equal(bscc_image(sp, [(u, v)]),
-                              expand_symhalf(ctx, u, v))
+                              sp.coords(expand_symhalf(ctx, u, v)))
     # two contractions, omega(c a1, c b1) = c^2 and omega(b2, a2) = -1
     # against wedges c a1^a2 and -c a1^b1: weight c^2 each, bound 4 c^2
     c = math.isqrt((2 ** 62 - 1) // 4)
@@ -295,7 +296,7 @@ def test_scatter_exact_at_int64_bound(monkeypatch):
         s, t = (x * a1, a2, b2), (x * b1, a1, a2)
         got = catalogs._tripod_brackets(sp, [y[None] for y in s],
                                         [y[None] for y in t])
-        assert np.array_equal(got[0], tree_bracket(ctx, s, t))
+        assert np.array_equal(got[0], sp.coords(tree_bracket(ctx, s, t)))
     assert dtypes == [np.int64, object, np.int64, object]
 
 
@@ -373,7 +374,7 @@ def test_catalog_lattice_with_target_equals_ambient_span(case):
             chunk = len(gens)
         rows = np.vstack(blocks)
         want = IntegerLattice(n, rows)
-        sp = SimpleNamespace(ambient_dim=n)
+        sp = SimpleNamespace(rank=n)
         stream = catalogs.BlockStream(blocks)
         got = catalog_lattice(sp, stream, target=target, chunk=chunk)
         assert got == want
@@ -477,23 +478,68 @@ def _naive_closure(ctx, seed_rows, mats, k):
 
 
 def _goeritz_seed(sp, which):
+    """The seed rows and the degree k of a Goeritz orbit closure in
+    H (x) L_k, then what ``orbit_closure`` takes for it: the seed rows and
+    the actions in the closure's own coordinates, and the matrix that maps
+    those coordinates to H (x) L_k."""
     ctx = sp.ctx
     if which == "tau1":
         e = ctx.basis_vector
-        return [eta1(ctx, e(0), e(sp.g), e(sp.g + 1))], 2
-    return goeritz_tau2_entries(sp), 3
+        seed = [eta1(ctx, e(0), e(sp.g), e(sp.g + 1))]
+        units = np.eye(2 * sp.g * ctx.dim(2), dtype=np.int64)
+        actions = [catalogs._transform_rows(ctx, m, units, 2)
+                   for m in goeritz_symmetries(sp.g)]
+        return seed, 2, seed, actions, units
+    rows = goeritz_tau2_entries(sp)
+    basis = sp.d2().basis
+    return (safe_matmul(rows, basis), 3, rows, catalogs.coordinate_actions(sp),
+            basis)
 
 
 @pytest.mark.parametrize("g", [2, 3])
 @pytest.mark.parametrize("which", ["tau1", "tau2"])
 def test_orbit_closure_matches_naive_closure(g, which):
+    """The closure equals, mapped to H (x) L_k, a naive closure there that
+    moves the whole basis by ``_transform_rows`` every round."""
     sp = space(g)
-    seed, k = _goeritz_seed(sp, which)
+    ambient_seed, k, seed, actions, to_ambient = _goeritz_seed(sp, which)
     mats = goeritz_symmetries(g)
-    naive, rounds = _naive_closure(sp.ctx, seed, mats, k)
+    naive, rounds = _naive_closure(sp.ctx, ambient_seed, mats, k)
     assert rounds > 1
-    assert orbit_closure(sp.ctx, seed, mats, k, max_rounds=rounds) == naive
+    lat = orbit_closure(seed, actions, max_rounds=rounds)
+    assert IntegerLattice(naive.ambient_dim,
+                          safe_matmul(lat.basis, to_ambient)) == naive
     # the same number of rounds: one fewer is not enough
     for limit in {1, rounds - 1}:
         with pytest.raises(RuntimeError):
-            orbit_closure(sp.ctx, seed, mats, k, max_rounds=limit)
+            orbit_closure(seed, actions, max_rounds=limit)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_coordinate_actions_match_transform_rows(g):
+    """Each symmetry's r x r matrix, on random D_2 elements (one row past
+    int64), agrees with ``_transform_rows`` in H (x) L_3."""
+    sp = space(g)
+    basis = sp.d2().basis
+    rng = np.random.default_rng(60 + g)
+    y = rng.integers(-5, 6, size=(4, sp.rank)).astype(object)
+    y[0] *= 2 ** 61 + 1
+    v = safe_matmul(y, basis)
+    mats = goeritz_symmetries(g)
+    actions = catalogs.coordinate_actions(sp)
+    assert len(actions) == len(mats)
+    for m, a in zip(mats, actions):
+        assert a.shape == (sp.rank, sp.rank) and not a.flags.writeable
+        moved = catalogs._transform_rows(sp.ctx, m, v, 3)
+        assert np.array_equal(safe_matmul(safe_matmul(y, a), basis), moved)
+
+
+def test_johnson_stream_deduplicates_as_in_the_ambient():
+    """Deduplicating coordinate rows up to sign keeps the rows that
+    deduplicating their H (x) L_3 values keeps, in the same order: 1,134 at
+    genus 3 (16,954 at genus 4, compared in CI)."""
+    sp = space(3)
+    got = np.vstack(list(johnson_catalog(sp)))
+    want = np.vstack(list(catalogs._unique_blocks(lie_path_rows(sp, False))))
+    assert len(got) == 1134
+    assert np.array_equal(got, sp.coords(want))

@@ -23,7 +23,7 @@ def test_levine_stack_failure_keeps_first_witness(monkeypatch):
     sp = space(2)
     e = [np.asarray(sp.ctx.basis_vector(p)) for p in range(4)]
     first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
-    lat = IntegerLattice(sp.ambient_dim, first[None, :])
+    lat = IntegerLattice(sp.rank, sp.coords(first[None, :]))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": lat)
     ok, witness = checks._check_levine(2, None)
@@ -41,7 +41,7 @@ def test_levine_raises_at_first_element_outside_domain(monkeypatch):
     proj_kernel = sp.ker_projection("A")
     e = [np.asarray(sp.ctx.basis_vector(p)) for p in range(4)]
     first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
-    lat = IntegerLattice(sp.ambient_dim, first[None, :])
+    lat = IntegerLattice(sp.rank, sp.coords(first[None, :]))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": proj_kernel)
     monkeypatch.setattr(DerivationSpace, "filtration",
@@ -75,7 +75,7 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
     rng = np.random.default_rng(0)
     mats = [checks._random_sym_matrix(2, rng) for _ in range(100)]
     row = sp.d2().basis[0]
-    coeffs = sp.express_in_generators(row)
+    coeffs = sp.express_in_generators(sp.coords(row))
     mu = casson.mu_of_coeffs(sp, coeffs, mats[0])
     ok, witness = checks._check_casson_bridge(2, np.random.default_rng(0))
     assert not ok

@@ -47,7 +47,8 @@ def test_d1_equals_tripod_span():
 
 def test_dprime_index():
     sp = space(2)
-    assert sp.d2().index(sp.dprime2()) == 2 ** 6  # 2^{C(2g,2)}
+    # all of D_2 in its coordinates, Z^r
+    assert sp.filtration(-1).index(sp.dprime2()) == 2 ** 6  # 2^{C(2g,2)}
 
 
 def test_generator_values_live_in_d2():
@@ -62,21 +63,21 @@ def test_express_roundtrip():
     rng = np.random.default_rng(11)
     basis = sp.d2().basis
     v = basis.T @ rng.integers(-2, 3, size=sp.d2().rank)
-    c = sp.express_in_generators(v)
+    c = sp.express_in_generators(sp.coords(v))
     assert np.array_equal(sp.gen_matrix() @ c, v)
     with pytest.raises(MembershipError):
         bad = np.asarray(v).copy()
         bad[0] += 1
-        sp.express_in_generators(bad)
+        sp.express_in_generators(sp.coords(bad))
 
 
 def test_tree_expression_requires_dprime():
     sp = space(2)
     odot = gen_column(sp, ("odot", (0, 2)))
     with pytest.raises(MembershipError):
-        sp.express_in_tree_generators(odot)
+        sp.express_in_tree_generators(sp.coords(odot))
     tree = gen_column(sp, ("tree", (0, 2), (1, 3)))
-    c = sp.express_in_tree_generators(tree)
+    c = sp.express_in_tree_generators(sp.coords(tree))
     gm = sp.gen_matrix()[:, sp.tree_indices]
     assert np.array_equal(gm @ c, tree)
 
@@ -187,8 +188,76 @@ def test_ker_projection_inside_d2():
     sp = space(2)
     ka = sp.ker_projection("A")
     d2 = sp.d2()
+    assert ka.ambient_dim == d2.rank
     assert 0 < ka.rank < d2.rank
-    for row in ka.basis:
+    for row in safe_matmul(ka.basis, d2.basis):
         assert row in d2
         # the quotient coordinate map really kills it
         assert not (sp.quotient_map_matrix("A") @ row).any()
+
+
+# -- D_2 coordinates ---------------------------------------------------------
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_every_d2_pivot_is_one(g):
+    """The coordinates of D_2's HNF basis are read off its pivot columns."""
+    basis = space(g).d2().basis
+    pivots = np.argmax(basis != 0, axis=1)
+    assert (basis[np.arange(len(basis)), pivots] == 1).all()
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_coords_round_trip_past_int64(g):
+    """coords(c @ basis) == c, exactly, for coordinates up to and past
+    2**62, one row and stacks."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sp = space(g)
+    basis = sp.d2().basis
+    r = len(basis)
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                      st.sampled_from([2 ** 62 - 1, 2 ** 62, -2 ** 62,
+                                       2 ** 63, -2 ** 63 - 1]))
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.lists(entry, min_size=r, max_size=r),
+                               min_size=1, max_size=3))
+    def check(rows):
+        c = np.array(rows, dtype=object)
+        got = sp.coords(safe_matmul(c, basis))
+        assert [[int(x) for x in row] for row in got] == rows
+        assert [int(x) for x in sp.coords(safe_matmul(c[0], basis))] \
+            == rows[0]
+
+    check()
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_coords_reject_rows_outside_d2(g):
+    """A row outside D_2 raises, never read off the pivot columns alone,
+    even when it agrees with an element of D_2 there."""
+    sp = space(g)
+    basis = sp.d2().basis
+    pivots = np.argmax(basis != 0, axis=1)
+    off = np.setdiff1d(np.arange(sp.ambient_dim), pivots)
+    rng = np.random.default_rng(g)
+    v = safe_matmul(rng.integers(-3, 4, size=len(basis)), basis)
+    for col in off[:: max(1, len(off) // 20)]:
+        bad = v.copy()
+        bad[col] += 1
+        with pytest.raises(MembershipError):
+            sp.coords(bad)
+        with pytest.raises(MembershipError):
+            sp.coords(np.vstack([v, bad]))
+    # twice a non-member is a non-member: D_2 is a kernel, so saturated
+    with pytest.raises(MembershipError):
+        sp.coords(2 * np.eye(sp.ambient_dim, dtype=np.int64)[off[0]])
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_gen_coords_are_generator_coordinates(g):
+    sp = space(g)
+    m = sp.gen_coords()
+    assert not m.flags.writeable
+    assert m.shape == (sp.rank, len(sp.generators))
+    assert np.array_equal(safe_matmul(m.T, sp.d2().basis), sp.gen_matrix().T)

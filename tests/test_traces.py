@@ -83,7 +83,8 @@ def test_mod2_images_fill_omega_kernels(g):
 
 def test_kernel_indices_match_image_sizes():
     sp = space(2)
-    assert sp.d2().index(traces.ker_tr_as(sp)) == 2 ** traces.image_rank_as(sp)
+    d2 = sp.filtration(-1)  # all of D_2, in its coordinates
+    assert d2.index(traces.ker_tr_as(sp)) == 2 ** traces.image_rank_as(sp)
     assert sp.dprime2().index(traces.ker_tr_sym(sp)) \
         == 2 ** traces.image_rank_sym(sp)
 
@@ -165,7 +166,7 @@ def test_tr_A_unit_value():
     e = [np.array(ctx.basis_vector(p)) for p in range(4)]
     # eta2(a1, b2 | b2, b1) traces to the single class b'_2 b'_2
     v = eta2(ctx, e[0], e[3], e[3], e[2])
-    t = traces.tr_A(sp, v)
+    t = traces.tr_A(sp, sp.coords(v))
     expect = np.zeros(len(sym2_pairs(2)), dtype=np.int64)
     expect[sym2_pairs(2).index((1, 1))] = 1
     assert np.array_equal(np.abs(t), expect)
@@ -174,7 +175,7 @@ def test_tr_A_unit_value():
 def test_tr_A_domain_check():
     sp = space(2)
     # b1 . b2 -- no A leaves at all
-    v = sp.gen_matrix()[:, sp.generators.index(("odot", (2, 3)))]
+    v = sp.coords(sp.gen_matrix()[:, sp.generators.index(("odot", (2, 3)))])
     with pytest.raises(FiltrationError):
         traces.tr_A(sp, v)
     # B-side trace accepts it
@@ -240,7 +241,8 @@ def side_trace_by_dicts(sp, v, side):
 
 
 def _side_f0_columns(sp, side):
-    """The generators with a leaf on the side, from their names."""
+    """The generators with a leaf on the side, from their names, as
+    H (x) L_3 rows."""
     on_side = (lambda l: l < sp.g) if side == "A" else (lambda l: l >= sp.g)
     cols = [i for i, gen in enumerate(sp.generators)
             if any(on_side(l) for pair in gen[1:] for l in pair)]
@@ -252,12 +254,13 @@ def _side_f0_columns(sp, side):
 def test_side_table_matches_dict_trace_on_generators(g, side):
     sp = space(g)
     rows = _side_f0_columns(sp, side)
+    coords = sp.coords(rows)
     fn = traces.tr_A if side == "A" else tr_B
-    stacked = fn(sp, rows)
+    stacked = fn(sp, coords)
     assert stacked.shape == (len(rows), len(sym2_pairs(g)))
-    for row, got in zip(rows, stacked):
+    for row, y, got in zip(rows, coords, stacked):
         assert got.tolist() == side_trace_by_dicts(sp, row, side)
-        assert np.array_equal(fn(sp, row), got)
+        assert np.array_equal(fn(sp, y), got)
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -275,7 +278,8 @@ def test_side_table_matches_dict_trace_on_combinations(g, side):
     def check(coeffs):
         v = np.array(coeffs, dtype=object) @ basis
         got = fn(sp, v)
-        assert [int(x) for x in got] == side_trace_by_dicts(sp, v, side)
+        ambient = v @ sp.d2().basis.astype(object)
+        assert [int(x) for x in got] == side_trace_by_dicts(sp, ambient, side)
 
     check()
 
@@ -284,13 +288,14 @@ def test_tr_A_stack_raises_when_any_row_is_outside():
     sp = space(2)
     inside = _side_f0_columns(sp, "A")[:3]
     outside = sp.gen_matrix()[:, sp.generators.index(("odot", (2, 3)))]
-    traces.tr_A(sp, inside)
+    rows = np.vstack([inside, outside[None, :]])
+    coords = sp.coords(rows)
+    traces.tr_A(sp, coords[:3])
     with pytest.raises(FiltrationError,
                        match="element is not in the A-side filtration level 0"):
-        traces.tr_A(sp, np.vstack([inside, outside[None, :]]))
+        traces.tr_A(sp, coords)
     # unchecked, the same stack is traced row by row
-    rows = np.vstack([inside, outside[None, :]])
-    got = traces.tr_A(sp, rows, check_domain=False)
+    got = traces.tr_A(sp, coords, check_domain=False)
     assert [r.tolist() for r in got] \
         == [side_trace_by_dicts(sp, r, "A") for r in rows]
 

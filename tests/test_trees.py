@@ -12,6 +12,7 @@ import pytest
 from sympderiv.catalogs import _tripod_brackets
 from sympderiv.derivspace import space
 from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
+from sympderiv.intlin import safe_matmul
 from sympderiv.trees import TREE_BRACKET_SIGN
 from sympderiv.trees import _stacks as leaf_stacks
 from sympderiv.trees import derivation_bracket, eta1, eta2, expand_symhalf
@@ -36,9 +37,12 @@ def tree_bracket(ctx, s, t):
 
 
 def table_bracket(ctx, s, t):
-    """The library's tripod bracket, one vector or one row per pair."""
+    """The library's tripod bracket, one vector or one row per pair, mapped
+    from D_2 coordinates back to H (x) L_3."""
     leaves, single = leaf_stacks(*s, *t)
-    out = _tripod_brackets(space(ctx.g), leaves[:3], leaves[3:])
+    sp = space(ctx.g)
+    out = safe_matmul(_tripod_brackets(sp, leaves[:3], leaves[3:]),
+                      sp.d2().basis)
     return out[0] if single else out
 
 
@@ -235,7 +239,8 @@ def test_expansions_exact_with_leaves_near_2_20():
                 for h, tens in enumerate(_eta2_tensors(ctx, *quad)):
                     tensor_add(want[h], tens, w)
         assert _as_tensors(ctx, row) == want
-    table = table_bracket(ctx, (a, b, c), (d, e, f))
-    assert table.dtype == object and np.array_equal(table, rows)
+    # the library's coordinate rows widen; mapped back, they are the rows
+    assert _tripod_brackets(space(2), [a, b, c], [d, e, f]).dtype == object
+    assert np.array_equal(table_bracket(ctx, (a, b, c), (d, e, f)), rows)
     # small leaves keep int64 (under the safe_einsum bound)
     assert eta2(ctx, *(x % 3 for x in (a, b, c, d))).dtype == np.int64
