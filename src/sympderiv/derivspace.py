@@ -9,9 +9,11 @@ every per-generator map reads the leaf table ``DerivationSpace.leaves``,
 and ``generators`` only names them.
 
 D_2 itself, the bracket-map kernel, is the one degree-2 lattice held in
-ambient H (x) L_3 coordinates.  Every other degree-2 element and lattice,
-D_2', the filtrations and the projection kernel among them, lives in Z^r,
-r = rank D_2, over D_2's HNF basis (``coords``, ``gen_coords``).
+ambient H (x) L_3 coordinates; the bracket map is read at the Lyndon words
+of length 4 (``bracket_word_matrix``), which keeps its kernel.  Every other
+degree-2 element and lattice, D_2', the filtrations and the projection
+kernel among them, lives in Z^r, r = rank D_2, over D_2's HNF basis
+(``coords``, ``gen_coords``).
 Generator coefficients of coordinate rows are recovered by an HNF solve,
 and sums of generator columns are scattered from (row, generator, weight)
 triplets by ``gen_rows``.
@@ -137,7 +139,6 @@ class DerivationSpace:
         self.ambient_dim = n * self.ctx.dim(3)
 
     # -- main lattices ----------------------------------------------------
-    @lru_cache(maxsize=None)
     def gen_matrix(self) -> np.ndarray:
         """Generator values in H (x) L_3 as columns: the (.)-generators,
         then the trees, each kind expanded as one stack from its leaves."""
@@ -145,11 +146,11 @@ class DerivationSpace:
         a, b, c, d = np.eye(self.ctx.n, dtype=np.int64)[self.leaves.T]
         rows = np.vstack([trees.expand_symhalf(self.ctx, a[:m], b[:m]),
                           trees.eta2(self.ctx, a[m:], b[m:], c[m:], d[m:])])
-        return rows.astype(np.int64).T
+        return rows.astype(np.int64, copy=False).T
 
     @lru_cache(maxsize=None)
     def _bracket_kernel(self) -> IntegerLattice:
-        return kernel_lattice(self.ctx.bracket_matrix(2))
+        return kernel_lattice(self.ctx.bracket_word_matrix())
 
     @lru_cache(maxsize=None)
     def gen_coords(self) -> np.ndarray:

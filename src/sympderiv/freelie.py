@@ -5,7 +5,11 @@ words use that letter order.  Degrees are capped at 4, which is all the
 degree-2 derivation theory needs.  Tensor elements are dicts from letter
 tuples to integer coefficients; they define the bracket once, in a
 structure-constant table per pair of degrees, and brackets in Lyndon
-coordinates are exact contractions against those tables.
+coordinates are exact contractions against those tables.  The bracket map
+H (x) L_3 -> L_4 is read instead at the Lyndon words of T_4, with no
+degree-4 table: the Lyndon-word block of the bracketings' expansions is
+unitriangular (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, 5.1), so
+that reading is injective on L_4.
 """
 
 from __future__ import annotations
@@ -154,7 +158,8 @@ class SymplecticContext:
         the bracket of the a-th and b-th Lyndon bracketings in Lyndon
         coordinates, from their tensor expansions.  Read-only, and int8
         when every entry fits (they are at most 2 in absolute value up to
-        degree 4), which keeps the genus-4 (1, 3) table at 1.4 MB."""
+        degree 4); the bracket map into degree 4 needs none of them
+        (``bracket_word_matrix``)."""
         if j + k > MAX_DEGREE:
             raise UnsupportedDegreeError("bracket would exceed the degree cap")
         table = np.zeros((self.dim(j), self.dim(k), self.dim(j + k)),
@@ -206,15 +211,33 @@ class SymplecticContext:
                                               axis=1)
         return out if x.ndim == 2 else out[0]
 
-    def bracket_matrix(self, k: int) -> np.ndarray:
-        """Matrix of H (x) L_{k+1} -> L_{k+2}, h (x) xi -> [h, xi].
+    def bracket_word_matrix(self) -> np.ndarray:
+        """Matrix of H (x) L_3 -> T_4, h (x) xi -> [h, xi], read at the
+        Lyndon words of length 4: column h * dim(3) + i holds the
+        coefficients of those words in x P - P x, with x = e_h and P the
+        expansion of the i-th Lyndon bracketing; rows follow ``lyndon(4)``.
 
-        Columns are indexed by h * dim(k+1) + lyndon_index; rows by the
-        Lyndon basis of degree k+2.
-        """
-        if k not in (1, 2):
-            raise UnsupportedDegreeError("bracket matrix only for degrees 1 and 2")
-        return self.bracket_table(1, k + 1).reshape(-1, self.dim(k + 2)).T
+        It is the map in Lyndon coordinates times the unitriangular
+        Lyndon-word block of the degree-4 expansions, so it has the same
+        kernel.  Words are base-n codes, shifted by one letter for x P and
+        P x.  An entry sums at most two expansion terms (x w = w' x), each
+        at most 2, so the matrix is int8."""
+        n, d = self.n, self.dim(3)
+        terms = [(i, (a * n + b) * n + c, coeff)
+                 for i, w in enumerate(self.lyndon(3))
+                 for (a, b, c), coeff in self.bracketing_tensor(w).items()]
+        owner, code, coeff = np.array(terms).T
+        place = np.full(n ** 4, -1)  # word code -> Lyndon index
+        place[np.array(self.lyndon(4)) @ n ** np.arange(3, -1, -1)] = \
+            np.arange(self.dim(4))
+        out = np.zeros((self.dim(4), n * d), dtype=np.int8)
+        for h in range(n):
+            for words, sign in ((h * n ** 3 + code, 1), (code * n + h, -1)):
+                row = place[words]
+                keep = row >= 0
+                np.add.at(out, (row[keep], h * d + owner[keep]),
+                          sign * coeff[keep])
+        return out
 
     # -- Lagrangian quotients --------------------------------------------
     @lru_cache(maxsize=None)

@@ -8,12 +8,18 @@ results.  Lattices are stored by their row-style HNF basis, which is the
 unique canonical representative, so structural equality of bases is lattice
 equality.
 
-Most lattices here are very sparse (a few nonzeros per row).
-``hermite_normal_form`` is one loop over rows held as sparse dicts of Python
-ints, whatever the input's density.  ``safe_matmul`` multiplies over the
-nonzeros of an operand (the right one if it forms fewer terms) with fewer
-than 1/SPARSE_PRODUCT of its entries nonzero, and through ``safe_einsum``
-otherwise; both return the same values.
+Most lattices here are very sparse (a few nonzeros per row).  Every HNF is
+one loop (``_hnf_rows``) over rows held as sparse dicts of Python ints,
+read from the nonzeros of an input of any integer dtype, whatever its
+density; only what a caller needs is assembled densely from those rows.
+``hermite_normal_form`` assembles all of them, ``left_kernel`` only the
+transform parts of the zero rows, and ``IntegerLattice.intersection`` only
+the right halves of the rows of one Zassenhaus HNF.
+
+``safe_matmul`` multiplies over the nonzeros of an operand (the right one
+if it forms fewer terms) with fewer than 1/SPARSE_PRODUCT of its entries
+nonzero, and through ``safe_einsum`` otherwise; both return the same
+values.
 """
 
 from __future__ import annotations
@@ -28,12 +34,14 @@ class NotSublatticeError(ValueError):
 
 
 def as_int_matrix(m) -> np.ndarray:
+    """m as a 2-d array: object and integer dtypes as they are (so a small
+    int8 map is never copied), anything else cast to int64."""
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if a.dtype == object:
+    if a.dtype == object or a.dtype.kind in "iu":
         return a
-    return a.astype(np.int64, copy=False)
+    return a.astype(np.int64)
 
 
 def fits_int64(bound: int) -> bool:
@@ -45,18 +53,34 @@ def hermite_normal_form(m, transform: bool = False):
 
     Returns ``hnf`` or ``(hnf, u)`` with ``u`` unimodular and ``u @ m == hnf``.
     Rows of the result are *not* trimmed: zero rows sink to the bottom.
-
-    Rows are held as {column: int} dicts of Python ints, so no entry
-    overflows.  Each row keeps its identity while ``order`` maps positions
-    to rows, and ``cols[c]`` holds the rows nonzero in column c, so a pivot
-    step touches only the rows live in its column and their nonzero
-    entries.  Column by column, the row of least absolute value (first
-    position on ties) is the pivot, the rows below are reduced by floor
-    quotients until it is alone, its sign is made positive, and the rows
-    above are reduced modulo it.  The result is int64 when every entry
-    fits, else object.
+    The rows of ``_hnf_rows`` assembled densely: int64 when every entry of
+    ``hnf`` and ``u`` fits, else object.
     """
     a = as_int_matrix(m)
+    nrows, ncols = a.shape
+    rows, _ = _hnf_rows(a, transform)
+    w = _assemble(rows, ncols + nrows if transform else ncols)
+    if transform:
+        return w[:, :ncols], w[:, ncols:]
+    return w
+
+
+def _hnf_rows(a: np.ndarray, transform: bool = False):
+    """The one HNF loop: the rows of the HNF of ``a`` (any integer dtype)
+    in order, as {column: int} dicts, and the rank.  With ``transform``,
+    row i starts as a_i plus 1 in column ncols + i, so each row also holds
+    its row of the transform past column ncols; the zero rows of the HNF,
+    the last nrows - rank, then hold nothing before it.
+
+    Rows are read from the nonzeros of ``a`` into dicts of Python ints, so
+    no entry overflows.  Each row keeps its identity while ``order`` maps
+    positions to rows, and ``cols[c]`` holds the rows nonzero in column c,
+    so a pivot step touches only the rows live in its column and their
+    nonzero entries.  Column by column, the row of least absolute value
+    (first position on ties) is the pivot, the rows below are reduced by
+    floor quotients until it is alone, its sign is made positive, and the
+    rows above are reduced modulo it.
+    """
     nrows, ncols = a.shape
     rows = [{} for _ in range(nrows)]
     cols = [set() for _ in range(ncols)]
@@ -121,15 +145,19 @@ def hermite_normal_form(m, transform: bool = False):
             if q:
                 subtract(t, q, order[r])
         r += 1
-    width = ncols + nrows if transform else ncols
-    entries = [(i, k, x) for i, t in enumerate(order) for k, x in rows[t].items()]
+    return [rows[t] for t in order], r
+
+
+def _assemble(rows, width: int, shift: int = 0) -> np.ndarray:
+    """Row dicts whose columns all lie in shift .. shift + width - 1 as one
+    dense matrix of that width: int64 when every entry fits, else object."""
+    entries = [(i, k - shift, x) for i, row in enumerate(rows)
+               for k, x in row.items()]
     wide = any(not -2 ** 63 <= x < 2 ** 63 for _, _, x in entries)
-    w = np.zeros((nrows, width), dtype=object if wide else np.int64)
+    w = np.zeros((len(rows), width), dtype=object if wide else np.int64)
     if entries:
         ii, kk, xs = zip(*entries)
         w[list(ii), list(kk)] = xs
-    if transform:
-        return w[:, :ncols], w[:, ncols:]
     return w
 
 
@@ -138,13 +166,14 @@ def _nonzero_rows(h: np.ndarray) -> np.ndarray:
 
 
 def left_kernel(m) -> np.ndarray:
-    """Basis (HNF rows) of {v : v @ m == 0}, saturated by construction."""
+    """Basis (HNF rows) of {v : v @ m == 0}, saturated by construction:
+    the transform parts of the zero rows of the HNF loop, assembled alone
+    (so never the dense [h | u]), then put in HNF.  They are rows of a
+    unimodular matrix, so that HNF has no zero row."""
     a = as_int_matrix(m)
-    h, u = hermite_normal_form(a, transform=True)
-    basis = u[~(h != 0).any(axis=1)]
-    if basis.shape[0] == 0:
-        return np.zeros((0, a.shape[0]), dtype=np.int64)
-    return _nonzero_rows(hermite_normal_form(basis))
+    nrows, ncols = a.shape
+    rows, rank = _hnf_rows(a, transform=True)
+    return hermite_normal_form(_assemble(rows[rank:], nrows, shift=ncols))
 
 
 def kernel_lattice(m) -> "IntegerLattice":
@@ -260,14 +289,18 @@ class IntegerLattice:
                               np.vstack([self.basis, other.basis]))
 
     def intersection(self, other: "IntegerLattice") -> "IntegerLattice":
+        """Zassenhaus: the HNF of [[A, A], [B, 0]] spans the pairs
+        (a + b, a), and its rows whose left half is zero, those with a
+        pivot in the right half, hold the HNF of A & B in their right half
+        (a = -b lies in both)."""
         self._check(other)
         if self.rank == 0 or other.rank == 0:
             return IntegerLattice(self.ambient_dim)
-        ker = left_kernel(np.vstack([self.basis, -other.basis]))
-        if ker.shape[0] == 0:
-            return IntegerLattice(self.ambient_dim)
-        return IntegerLattice(self.ambient_dim,
-                              safe_matmul(ker[:, :self.rank], self.basis))
+        n = self.ambient_dim
+        a, b = self.basis, other.basis
+        rows, rank = _hnf_rows(np.block([[a, a], [b, np.zeros_like(b)]]))
+        meet = [row for row in rows[:rank] if min(row) >= n]
+        return IntegerLattice(n, _assemble(meet, n, shift=n), canonical=True)
 
     def index(self, sub: "IntegerLattice"):
         """[self : sub]; math.inf when ranks differ, error if sub not inside."""

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from sympderiv import derivspace
 from sympderiv.catalogs import _transform_rows
 from sympderiv.derivspace import MembershipError, gl_embed, iota_matrix, space
+from sympderiv.freelie import SymplecticContext
 from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
 from sympderiv.trees import eta1
+from test_freelie import bracket_matrix
 
 D2_RANK = {2: 20, 3: 105}
 D1_RANK = {2: 4, 3: 20}  # C(2g, 3)
@@ -28,7 +31,41 @@ def test_d2_rank_two_ways(g):
 
 def d1(sp):
     """D_1, the kernel of the degree-1 bracket map H (x) L_2 -> L_3."""
-    return kernel_lattice(sp.ctx.bracket_matrix(1))
+    return kernel_lattice(bracket_matrix(sp.ctx, 1))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_d2_is_the_kernel_in_lyndon_coordinates(g):
+    # D_2 is built from the bracket map at the Lyndon words; the kernel of
+    # the map in Lyndon coordinates, from the structure constants, is the
+    # same lattice, so the same HNF basis
+    sp = space(g)
+    ref = kernel_lattice(bracket_matrix(SymplecticContext(g), 2))
+    assert ref.rank == sp.d2_rank_by_count()
+    assert ref == kernel_lattice(sp.ctx.bracket_word_matrix()) == sp.d2()
+
+
+def test_d2_never_asks_for_degree_4_structure_constants(monkeypatch):
+    # on a fresh context, so that no table is cached: building D_2 and the
+    # generator coordinates asks for no bracket or table into degree 4
+    asked = []
+    table = SymplecticContext.bracket_table
+    bracket = SymplecticContext.lie_bracket
+
+    def record_table(self, j, k):
+        asked.append((j, k))
+        return table(self, j, k)
+
+    def record_bracket(self, j, x, k, y):
+        asked.append((j, k))
+        return bracket(self, j, x, k, y)
+
+    monkeypatch.setattr(SymplecticContext, "bracket_table", record_table)
+    monkeypatch.setattr(SymplecticContext, "lie_bracket", record_bracket)
+    monkeypatch.setattr(derivspace, "context", SymplecticContext)
+    sp = derivspace.DerivationSpace(2)
+    assert sp.d2().rank == sp.gen_coords().shape[0] == 20
+    assert asked and max(j + k for j, k in asked) == 3
 
 
 @pytest.mark.parametrize("g", [2, 3])

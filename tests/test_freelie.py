@@ -22,6 +22,26 @@ def lyndon_to_tensor(ctx, k, coords) -> dict:
     return out
 
 
+def bracket_matrix(ctx, k):
+    """Matrix of H (x) L_{k+1} -> L_{k+2}, h (x) xi -> [h, xi], in Lyndon
+    coordinates, from the structure constants: columns h * dim(k+1) + i,
+    rows the Lyndon basis of degree k+2.  The reference for the library's
+    map at the Lyndon words, ``bracket_word_matrix``."""
+    return ctx.bracket_table(1, k + 1).reshape(-1, ctx.dim(k + 2)).T
+
+
+def lyndon_word_block(ctx, k):
+    """The coefficient of the Lyndon word u in the expansion of the Lyndon
+    bracketing v, at [u, v], over the length-k Lyndon words in order."""
+    index = ctx.lyndon_index(k)
+    block = np.zeros((ctx.dim(k), ctx.dim(k)), dtype=np.int64)
+    for j, v in enumerate(ctx.lyndon(k)):
+        for word, c in ctx.bracketing_tensor(v).items():
+            if word in index:
+                block[index[word], j] = c
+    return block
+
+
 def letter_name(ctx, p) -> str:
     """Name of a basis letter of a symplectic context: a1.., then b1.."""
     return f"a{p + 1}" if p < ctx.g else f"b{p - ctx.g + 1}"
@@ -97,7 +117,7 @@ def test_degree_cap_enforced():
 
 def test_bracket_matrix_columns():
     ctx = context(2)
-    m = ctx.bracket_matrix(1)
+    m = bracket_matrix(ctx, 1)
     d2 = ctx.dim(2)
     for h in range(ctx.n):
         eh = ctx.basis_vector(h)
@@ -133,10 +153,37 @@ def test_bracket_table_matches_tensor_commutator(g):
                     assert lyndon_to_tensor(ctx, j + k, table[a, b]) == want
     with pytest.raises(UnsupportedDegreeError):
         ctx.bracket_table(2, 3)
-    for k in (1, 2):
-        assert np.array_equal(
-            ctx.bracket_matrix(k),
-            ctx.bracket_table(1, k + 1).reshape(-1, ctx.dim(k + 2)).T)
+    # the map at the Lyndon words is the map in Lyndon coordinates read
+    # through the expansions' Lyndon-word block
+    assert np.array_equal(ctx.bracket_word_matrix(),
+                          lyndon_word_block(ctx, 4) @ bracket_matrix(ctx, 2))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_lyndon_word_block_is_unitriangular(g):
+    # each Lyndon bracketing expands to its own word plus larger words, so
+    # reading a Lie element at the Lyndon words is injective over Z: the
+    # map at the words has the kernel of the map in Lyndon coordinates
+    ctx = context(g)
+    for k in (3, 4):
+        block = lyndon_word_block(ctx, k)
+        assert np.array_equal(block, np.tril(block))
+        assert (np.diag(block) == 1).all()
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_bracket_word_matrix_columns_are_commutators(g):
+    # column h * dim(3) + i against e_h P - P e_h written out on dicts, read
+    # at every Lyndon word of length 4, for P the i-th bracketing's expansion
+    ctx = context(g)
+    m = ctx.bracket_word_matrix()
+    d = ctx.dim(3)
+    assert m.dtype == np.int8 and m.shape == (ctx.dim(4), ctx.n * d)
+    for h in range(ctx.n):
+        for i, w in enumerate(ctx.lyndon(3)):
+            comm = _commutator({(h,): 1}, ctx.bracketing_tensor(w))
+            want = [comm.get(u, 0) for u in ctx.lyndon(4)]
+            assert m[:, h * d + i].tolist() == want
 
 
 def test_lie_bracket_stack_matches_rows():

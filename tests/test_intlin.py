@@ -301,14 +301,45 @@ def _as_array(rows):
     return a if max(abs(x) for x in a.flat) >= 2 ** 31 else a.astype(np.int64)
 
 
-def assert_hnf_matches_sympy(sympy, m):
+def sympy_row_hnf(sympy, m):
+    """sympy's HNF of the rows of a nonzero matrix, as the row-style form
+    used here (nonzero rows only), in lists of ints."""
     from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
-    h = hermite_normal_form(m)
-    ours = [[int(x) for x in row] for row in h if any(row)]
     # sympy's form is column-style with pivots read from the right:
     # transpose and reverse both axes to get the row HNF used here
-    ref = sympy_hnf(sympy.Matrix(m[:, ::-1].T.tolist())).T[::-1, ::-1]
-    assert ours == ref.tolist()
+    ref = sympy_hnf(sympy.Matrix(m[:, ::-1].T.tolist()))
+    return ref.T[::-1, ::-1].tolist()
+
+
+def assert_hnf_matches_sympy(sympy, m):
+    h = hermite_normal_form(m)
+    ours = [[int(x) for x in row] for row in h if any(row)]
+    assert ours == sympy_row_hnf(sympy, m)
+
+
+def assert_intersection_matches_sympy(sympy, m):
+    """A & B for A spanned by the first two thirds of the rows of m and B
+    by the last two, the shared third doubled in B, against two routes
+    from the generators: the rows of sympy's HNF of [[A, A], [B, 0]] with
+    a zero left half, and the left kernel of [A; -B] mapped through A, in
+    sympy's HNF."""
+    n = m.shape[1]
+    r = len(m)
+    a = m[:(2 * r + 2) // 3]
+    b = np.vstack([2 * m[r // 3:(2 * r + 2) // 3], m[(2 * r + 2) // 3:]])
+    meet = IntegerLattice(n, a).intersection(IntegerLattice(n, b))
+    ours = [[int(x) for x in row] for row in meet.basis]
+    fits = all(-2 ** 63 <= x < 2 ** 63 for row in ours for x in row)
+    assert meet.basis.dtype == (np.int64 if fits else object)
+    assert meet.basis.shape == (len(ours), n)
+    zassenhaus = np.block([[a, a], [b, np.zeros_like(b)]])
+    ref = [row[n:] for row in sympy_row_hnf(sympy, zassenhaus)
+           if not any(row[:n])] if m.any() else []
+    assert ours == ref
+    ker = left_kernel(np.vstack([a, -b]))
+    through_a = safe_matmul(ker[:, :len(a)], np.asarray(a, dtype=object))
+    assert ours == (sympy_row_hnf(sympy, through_a)
+                    if through_a.any() else [])
 
 
 def assert_left_kernel_saturated(sympy, m):
@@ -348,6 +379,50 @@ def test_left_kernel_is_saturated_against_sympy():
         assert_left_kernel_saturated(sympy, _as_array(rows))
 
     check()
+
+
+def test_intersection_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(_int_matrices(hypothesis.strategies))
+    def check(rows):
+        assert_intersection_matches_sympy(sympy, _as_array(rows))
+
+    check()
+
+
+@pytest.mark.parametrize("entry, dtype", [
+    (2 ** 63 - 1, np.int64), (2 ** 63, object),
+    (-2 ** 63, np.int64), (-2 ** 63 - 1, object)])
+def test_left_kernel_dtype_at_the_int64_boundary(entry, dtype):
+    # the kernel of v -> (v1 - entry v0, 2^70 v2) is the line (1, entry, 0):
+    # its basis is assembled from the transform parts of the zero rows
+    # alone, so its dtype follows its own entries, not the 2^70 of a
+    # nonzero row
+    m = np.array([[-entry, 0], [1, 0], [0, 2 ** 70]], dtype=object)
+    k = left_kernel(m)
+    assert k.dtype == dtype
+    assert k.tolist() == [[1, entry, 0]]
+    assert not safe_matmul(k.astype(object), m).any()
+    # and with the large row left out, in int64 when every entry fits
+    small = m[:2]
+    if all(-2 ** 63 <= x < 2 ** 63 for x in small.flat):
+        small = small.astype(np.int64)
+    k = left_kernel(small)
+    assert k.dtype == dtype and k.tolist() == [[1, entry]]
+    assert not safe_matmul(k.astype(object), small.astype(object)).any()
+
+
+def test_left_kernel_reads_small_integer_dtypes():
+    # an int8 map gives the kernel of the same map in int64
+    rng = np.random.default_rng(21)
+    m = rng.integers(-2, 3, size=(30, 12)) * (rng.random((30, 12)) < 0.2)
+    k = left_kernel(m.astype(np.int8))
+    assert k.dtype == np.int64
+    assert np.array_equal(k, left_kernel(m))
+    assert IntegerLattice(12, m.astype(np.int8)) == IntegerLattice(12, m)
 
 
 # -- sparse inputs and products -----------------------------------------------
@@ -399,6 +474,18 @@ def test_sparse_left_kernel_is_saturated_against_sympy():
     @hypothesis.given(_sparse_matrices(hypothesis.strategies))
     def check(m):
         assert_left_kernel_saturated(sympy, m)
+
+    check()
+
+
+def test_sparse_intersection_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(_sparse_matrices(hypothesis.strategies))
+    def check(m):
+        assert_intersection_matches_sympy(sympy, m)
 
     check()
 
