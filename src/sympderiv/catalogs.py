@@ -24,9 +24,8 @@ that way, as (row, generator, weight) triplets that
 
 The degree-2 rows, their spans and orbit closure live in Z^r over D_2's
 HNF basis (``DerivationSpace.coords``), where each Goeritz symmetry acts
-as one r x r integer matrix.  ``catalog_lattice`` decides a span with a
-known target in the target's own coordinates, reducing only the rows not
-yet in the span.
+as one r x r integer matrix.  ``catalog_lattice`` builds a catalog's span
+batch by batch, reducing only the rows not yet in the span.
 """
 
 import itertools
@@ -170,8 +169,8 @@ def basis_tripods(g, side=None):
 
 def tripod_bracket_entries(sp: DerivationSpace, side):
     """Brackets of all distinct pairs of basis tripods from the given side,
-    one row each, built in chunks of CHUNK pairs; zero brackets are
-    skipped."""
+    one row each, built in one ``_tripod_brackets`` call over every pair;
+    zero brackets are skipped."""
     e = np.eye(sp.ctx.n, dtype=np.int64)
     pairs = list(itertools.combinations(basis_tripods(sp.g, side), 2))
     leaves = e[np.array(pairs).reshape(len(pairs), 6).T]
@@ -314,47 +313,23 @@ def _batches(blocks, n):
         yield np.vstack(pending)
 
 
-def catalog_lattice(sp: DerivationSpace, blocks, target=None, chunk=256):
+def catalog_lattice(sp: DerivationSpace, blocks, chunk=256):
     """Integer span in Z^(sp.rank) of catalog rows, given as one matrix or
     as an iterable of row blocks, taken ``chunk`` rows at a time.
 
-    With a ``target`` lattice of rank t, each batch is solved over the
-    target's basis, and the span is reduced in those rank-t coordinates,
-    where it is the whole target exactly when its HNF is the t x t
-    identity.  Only the coordinates of rows not yet in the span enter that
-    reduction, so once the span is the whole target no row does.  A row is
-    inside only if the exact check product of the target's ``membership``
-    confirms it; if one is not, the result is the span of every row.
+    Every row is pulled and tested against the span so far; only the rows
+    of a batch outside it join the span, through one lattice sum, as in
+    ``orbit_closure``.
     """
     width = sp.rank
     if isinstance(blocks, np.ndarray):
         blocks = np.split(blocks, range(chunk, len(blocks), chunk))
-    batches = _batches(blocks, chunk)
     lat = IntegerLattice(width)
-    if target is not None:
-        basis, t = target.basis, target.rank
-        coords = IntegerLattice(t)
-        for batch in batches:
-            y = target.membership(batch)
-            if y is None:
-                lat = IntegerLattice(width, np.vstack(
-                    [safe_matmul(coords.basis, basis), batch]))
-                break
-            new = y[~coords.contains_rows(y)]
-            if len(new):
-                coords = IntegerLattice(t, np.vstack([coords.basis, new]))
-        else:
-            if np.array_equal(coords.basis, np.eye(t, dtype=np.int64)):
-                return target
-            return IntegerLattice(width, safe_matmul(coords.basis, basis))
-    for batch in batches:
-        lat = lat.sum(IntegerLattice(width, batch))
+    for batch in _batches(blocks, chunk):
+        new = batch[~lat.contains_rows(batch)]
+        if len(new):
+            lat = lat.sum(IntegerLattice(width, new))
     return lat
-
-
-def all_bracket_lattice(sp: DerivationSpace):
-    """Span of brackets of every pair of degree-1 basis tripods."""
-    return catalog_lattice(sp, tripod_bracket_entries(sp, side=None))
 
 
 # -- Goeritz catalogs ----------------------------------------------------

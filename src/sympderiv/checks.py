@@ -91,15 +91,16 @@ def _check_trace_kernels(g, rng):
     sp = space(g)
     ka = traces.ker_tr_as(sp)
     ents = catalogs.johnson_catalog(sp)
-    lat = catalogs.catalog_lattice(sp, ents, target=ka)
+    lat = catalogs.catalog_lattice(sp, ents)
     enlarged = False
     if lat != ka:
         ents = catalogs.johnson_catalog(sp, three_term=True)
-        lat = catalogs.catalog_lattice(sp, ents, target=ka)
+        lat = catalogs.catalog_lattice(sp, ents)
         enlarged = True
     as_equal = lat == ka
     ks = traces.ker_tr_sym(sp)
-    bl = catalogs.all_bracket_lattice(sp)
+    bl = catalogs.catalog_lattice(
+        sp, catalogs.tripod_bracket_entries(sp, side=None))
     included = ks.membership(bl.basis) is not None
     sym_equal = bl == ks
     wit = {"johnson_rank": lat.rank, "ker_as_rank": ka.rank,
@@ -351,7 +352,7 @@ def _realizable_lattices(g):
     sp = space(g)
     ents = catalogs.realizable_catalog_A(sp)
     target = _double_kernel(g)
-    lat = catalogs.catalog_lattice(sp, ents, target=target)
+    lat = catalogs.catalog_lattice(sp, ents)
     return sp, len(ents), lat, target
 
 

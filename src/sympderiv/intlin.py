@@ -34,14 +34,23 @@ class NotSublatticeError(ValueError):
 
 
 def as_int_matrix(m) -> np.ndarray:
-    """m as a 2-d array: object and integer dtypes as they are (so a small
-    int8 map is never copied), anything else cast to int64."""
+    """m as a 2-d integer array.  Integer and object arrays are returned as
+    they are (so a small int8 map is never copied); nested Python ints are
+    read exactly, as int64 when every entry fits and as object otherwise.
+    Any other entry, such as a float, raises ValueError."""
     a = np.asarray(m)
+    if a.dtype.kind not in "iu" and not isinstance(m, np.ndarray):
+        # numpy reads an int past int64 as a float or an object
+        a = np.array(m, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in a.flat):
+            raise ValueError("expected integer entries")
+        if all(-2 ** 63 <= x < 2 ** 63 for x in a.flat):
+            a = a.astype(np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if a.dtype == object or a.dtype.kind in "iu":
-        return a
-    return a.astype(np.int64)
+    if a.dtype != object and a.dtype.kind not in "iu":
+        raise ValueError(f"expected an integer matrix, not {a.dtype}")
+    return a
 
 
 def fits_int64(bound: int) -> bool:

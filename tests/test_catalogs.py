@@ -107,7 +107,7 @@ def test_realizable_catalog_genus2():
     sp = space(2)
     entries = realizable_catalog_A(sp)
     ker = traces.ker_tr_A(sp).intersection(traces.ker_tr_as(sp))
-    lat = catalog_lattice(sp, entries, target=ker)
+    lat = catalog_lattice(sp, entries)
     assert lat.rank == 13
     assert ker.rank == 16
     for row in lat.basis:
@@ -125,10 +125,9 @@ def test_realizable_entries_are_kernel_elements():
 def test_johnson_catalog_spans_as_kernel():
     sp = space(2)
     ker = traces.ker_tr_as(sp)
-    two = catalog_lattice(sp, johnson_catalog(sp), target=ker)
+    two = catalog_lattice(sp, johnson_catalog(sp))
     assert two.rank == 19  # two-term colors stop one short at genus 2
-    three = catalog_lattice(sp, johnson_catalog(sp, three_term=True),
-                            target=ker)
+    three = catalog_lattice(sp, johnson_catalog(sp, three_term=True))
     assert three == ker
 
 
@@ -302,9 +301,9 @@ def test_scatter_exact_at_int64_bound(monkeypatch):
 
 def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):
     # genus 3: the two-term colors span ker tr_as before the last block;
-    # every row is pulled and solved over the target, but only the rows
-    # not yet in the span reach the coordinate HNFs, so those see fewer
-    # rows than the stream held
+    # every row is pulled and tested against the span so far, but only the
+    # rows not yet in it reach an HNF, so the HNFs see fewer rows than the
+    # stream held
     sp = space(3)
     ker = traces.ker_tr_as(sp)
     total = sum(map(len, johnson_catalog(sp)))
@@ -312,15 +311,15 @@ def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):
     real = intlin.hermite_normal_form
 
     def recording(m, transform=False):
-        if np.shape(m)[1] == ker.rank:  # in the target's coordinates
-            reduced.append(len(m))
+        reduced.append(len(m))
         return real(m, transform)
 
     monkeypatch.setattr(intlin, "hermite_normal_form", recording)
     stream = johnson_catalog(sp)
-    assert catalog_lattice(sp, stream, target=ker) is ker
+    got = catalog_lattice(sp, stream)
     assert len(stream) == total and next(stream, None) is None
     assert 0 < sum(reduced) < total
+    assert got == ker and got is not ker
 
 
 def _target_and_rows(draw, st):
@@ -376,18 +375,17 @@ def test_catalog_lattice_with_target_equals_ambient_span(case):
         want = IntegerLattice(n, rows)
         sp = SimpleNamespace(rank=n)
         stream = catalogs.BlockStream(blocks)
-        got = catalog_lattice(sp, stream, target=target, chunk=chunk)
+        got = catalog_lattice(sp, stream, chunk=chunk)
         assert got == want
         # every row is pulled, whether or not the span saturates
         assert len(stream) == len(rows)
         if case == "early":
-            assert got is target
+            assert got == target and got is not target
         elif case == "never":
             assert got != target
         else:
             assert target.membership(got.basis) is None
-        # one matrix, and no target: the same span
-        assert catalog_lattice(sp, rows, target=target, chunk=chunk) == want
+        # one matrix: the same span
         assert catalog_lattice(sp, rows, chunk=chunk) == want
 
     check()

@@ -65,6 +65,30 @@ def test_lattice_membership_and_index():
         lat.index(full)
 
 
+def test_as_int_matrix_reads_ints_exactly_and_rejects_floats():
+    # numpy reads 2^63 + 1 in a nested list as a float64, whose int64 cast
+    # is wrong; the lattice keeps it exactly, in object dtype
+    big = 2 ** 63 + 1
+    lat = IntegerLattice(3, [[big, 0, 0]])
+    assert lat.basis.dtype == object
+    assert lat.basis.tolist() == [[big, 0, 0]]
+    wide = intlin.as_int_matrix([[-2 ** 63 - 1, 2 ** 70], [1, 0]])
+    assert wide.dtype == object
+    assert wide.tolist() == [[-2 ** 63 - 1, 2 ** 70], [1, 0]]
+    assert intlin.as_int_matrix([[2 ** 62, -1]]).dtype == np.int64
+    assert intlin.as_int_matrix([[]]).dtype == np.int64
+    small = np.ones((2, 2), dtype=np.int8)
+    assert intlin.as_int_matrix(small) is small
+    for bad in ([[1.5, 2]], [[2 ** 64, 0.5]], np.array([[1.0, 2.0]]),
+                [["1", "2"]], np.ones((1, 2), dtype=bool)):
+        with pytest.raises(ValueError):
+            intlin.as_int_matrix(bad)
+    with pytest.raises(ValueError):
+        IntegerLattice(2, [[1.5, 2]])
+    with pytest.raises(ValueError):
+        hermite_normal_form(np.array([[0.5, 1.0]]))
+
+
 def test_lattice_sum_and_intersection():
     a = IntegerLattice(2, np.array([[2, 0]]))
     b = IntegerLattice(2, np.array([[0, 2]]))

@@ -33,10 +33,9 @@ def digest(lat):
 def coordinate_lattices(g):
     """Every degree-2 lattice besides D_2 itself, in Z^r."""
     sp = space(g)
-    ka = traces.ker_tr_as(sp)
     double = checks._double_kernel(g)
     return {
-        "ker_tr_as": ka,
+        "ker_tr_as": traces.ker_tr_as(sp),
         "ker_tr_sym": traces.ker_tr_sym(sp),
         "ker_tr_A": traces.ker_tr_A(sp),
         "ker_tr_B": traces.ker_tr_B(sp),
@@ -47,8 +46,9 @@ def coordinate_lattices(g):
         "ker_projection_A": sp.ker_projection("A"),
         "dprime2": sp.dprime2(),
         "johnson_span": catalogs.catalog_lattice(
-            sp, catalogs.johnson_catalog(sp), target=ka),
-        "bracket_span": catalogs.all_bracket_lattice(sp),
+            sp, catalogs.johnson_catalog(sp)),
+        "bracket_span": catalogs.catalog_lattice(
+            sp, catalogs.tripod_bracket_entries(sp, side=None)),
         "realizable_span": checks._realizable_lattices(g)[2],
         "tau2_orbit_closure": catalogs.goeritz_tau2_lattice(sp),
     }
