@@ -227,18 +227,26 @@ def _row_bytes(rows):
 
 def _unique_blocks(blocks):
     """The rows of each block that are new up to sign, in order, one block
-    per block, none when all of its rows are old.  ``seen`` holds the bytes
-    of each kept row times the sign of its first nonzero entry, as int8
-    when every entry fits (a key's length tells its dtype, so equal keys
-    are equal rows)."""
+    per block, none when all of its rows are old.  ``seen`` holds each kept
+    row times the sign of its first nonzero entry, keyed by its exact
+    values whatever the block's dtype: its bytes as int8 when every entry
+    fits, else as int64 when every entry fits, else (an object row past
+    int64) its tuple of Python ints.  A key's type and length tell which,
+    so equal keys are equal rows."""
     seen = set()
     for vals in blocks:
         first = vals[np.arange(len(vals)), np.argmax(vals != 0, axis=1)]
         signed = vals * np.sign(first)[:, None]
-        narrow = np.abs(signed).max(axis=1) < 128
+        lo, hi = signed.min(axis=1), signed.max(axis=1)
+        narrow = (lo > -2 ** 7) & (hi < 2 ** 7)
+        within = ((lo >= -2 ** 63) & (hi < 2 ** 63) if vals.dtype == object
+                  else np.ones(len(vals), dtype=bool))
         keys = np.empty(len(vals), dtype=object)
         keys[narrow] = _row_bytes(signed[narrow].astype(np.int8))
-        keys[~narrow] = _row_bytes(signed[~narrow])
+        keys[within & ~narrow] = _row_bytes(
+            signed[within & ~narrow].astype(np.int64, copy=False))
+        for n in np.flatnonzero(~within):
+            keys[n] = tuple(signed[n].tolist())
         keep = []
         for n, key in enumerate(keys.tolist()):
             if key not in seen:

@@ -13,7 +13,8 @@ ambient H (x) L_3 coordinates; the bracket map is read at the Lyndon words
 of length 4 (``bracket_word_matrix``), which keeps its kernel.  Every other
 degree-2 element and lattice, D_2', the filtrations and the projection
 kernel among them, lives in Z^r, r = rank D_2, over D_2's HNF basis
-(``coords``, ``gen_coords``).
+(``coords``); ``gen_coords`` reads the generators there from sparse
+expansions, with no dense ambient generator matrix.
 Generator coefficients of coordinate rows are recovered by an HNF solve,
 and sums of generator columns are scattered from (row, generator, weight)
 triplets by ``gen_rows``.
@@ -27,10 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import trees
 from .freelie import SymplecticContext, context, standard_factorization
 from .intlin import (IntegerLattice, as_int_matrix, fits_int64,
-                     hermite_normal_form, kernel_lattice, safe_matmul)
+                     hermite_normal_form, kernel_lattice, nonzeros,
+                     safe_matmul)
 
 
 class MembershipError(ValueError):
@@ -89,6 +90,16 @@ def lie_degree_matrix(ctx: SymplecticContext, m: np.ndarray, k: int) -> np.ndarr
     return images[k].T
 
 
+def _summed(keys, vals):
+    """Sparse triplets with equal keys summed and zero sums dropped: the
+    keys in order and their values."""
+    keys, at = np.unique(keys, return_inverse=True)
+    out = np.zeros(len(keys), dtype=vals.dtype)
+    np.add.at(out, at, vals)
+    nonzero = out != 0
+    return keys[nonzero], out[nonzero]
+
+
 def runs(start, count):
     """The positions start_i + k, k < count_i, of every run i in order, and
     the run of each."""
@@ -139,27 +150,72 @@ class DerivationSpace:
         self.ambient_dim = n * self.ctx.dim(3)
 
     # -- main lattices ----------------------------------------------------
-    def gen_matrix(self) -> np.ndarray:
-        """Generator values in H (x) L_3 as columns: the (.)-generators,
-        then the trees, each kind expanded as one stack from its leaves."""
-        m = len(self.pairs)
-        a, b, c, d = np.eye(self.ctx.n, dtype=np.int64)[self.leaves.T]
-        rows = np.vstack([trees.expand_symhalf(self.ctx, a[:m], b[:m]),
-                          trees.eta2(self.ctx, a[m:], b[m:], c[m:], d[m:])])
-        return rows.astype(np.int64, copy=False).T
-
     @lru_cache(maxsize=None)
     def _bracket_kernel(self) -> IntegerLattice:
         return kernel_lattice(self.ctx.bracket_word_matrix())
 
+    def _expansions(self):
+        """The generators in H (x) L_3, sparsely: keys generator *
+        ambient_dim + column of their nonzeros, in order, and the values.
+        eta2(a, b | c, d) = a (x) [b, [c, d]] - b (x) [a, [c, d]]
+        + c (x) [d, [a, b]] - d (x) [c, [a, b]], and p (.) q is its first two
+        terms at (p, q, p, q).  The letters of a pair increase, so [c, d]
+        and [a, b] are Lyndon words and each term is one row of
+        ``bracket_table(1, 2)`` in the block of its first letter."""
+        ctx, ambient = self.ctx, self.ambient_dim
+        n, d3, m = ctx.n, ctx.dim(3), len(self.pairs)
+        table = ctx.bracket_table(1, 2)
+        pair = np.zeros((n, n), dtype=np.intp)
+        pair[tuple(np.array(self.pairs).T)] = np.arange(m)
+        a, b, c, d = self.leaves.T
+        gen = np.arange(len(self.leaves))
+        ab, cd = pair[a, b], pair[c, d]
+        tree = slice(m, None)  # the last two terms of the trees only
+        keys, vals = [], []
+        for at, x, y, inner, sign in (
+                (gen, a, b, cd, 1), (gen, b, a, cd, -1),
+                (gen[tree], c[tree], d[tree], ab[tree], 1),
+                (gen[tree], d[tree], c[tree], ab[tree], -1)):
+            block = table[y, inner]
+            k, col = nonzeros(block)
+            keys.append(at[k] * ambient + x[k] * d3 + col)
+            vals.append(sign * block[k, col].astype(np.int64))
+        return _summed(np.concatenate(keys), np.concatenate(vals))
+
     @lru_cache(maxsize=None)
     def gen_coords(self) -> np.ndarray:
-        """Generator values in D_2 coordinates as columns (r x generators),
-        exact by the check product of the membership solve."""
-        c = self._bracket_kernel().membership(self.gen_matrix().T)
-        if c is None:
+        """Generator values in D_2 coordinates as columns (r x generators):
+        every pivot of D_2's HNF basis is 1, so they are the expansions'
+        entries at the pivot columns.  Exact by the check product, formed
+        over the nonzeros of coordinates and basis (int64 when the most
+        coordinates of a generator times max|coordinate| times max|basis|
+        is under 2**62, else on Python ints), which must equal every
+        expansion entry by entry."""
+        basis = self._bracket_kernel().basis
+        r, ambient = basis.shape
+        keys, vals = self._expansions()
+        gen, col = np.divmod(keys, ambient)
+        # the nonzeros of the basis row by row, the first of each its pivot
+        bj, bcol = nonzeros(basis)
+        bval = basis[bj, bcol]
+        start = np.searchsorted(bj, np.arange(r + 1))
+        coord = np.full(ambient, -1)  # the coordinate read at a column
+        coord[bcol[start[:-1]]] = np.arange(r)
+        at = coord[col] >= 0
+        cg, cj, cval = gen[at], coord[col[at]], vals[at]
+        # each nonzero coordinate times each nonzero of its basis row
+        t, nz = runs(start[cj], start[cj + 1] - start[cj])
+        bound = (int(np.bincount(cg, minlength=1).max())
+                 * int(np.abs(cval).max(initial=0))
+                 * int(np.abs(bval).max(initial=0)))
+        dtype = np.int64 if fits_int64(bound) else object
+        pkeys, pvals = _summed(cg[t] * ambient + bcol[nz],
+                               cval.astype(dtype)[t] * bval.astype(dtype)[nz])
+        if not (np.array_equal(pkeys, keys) and np.array_equal(pvals, vals)):
             raise InconsistencyError(
                 "a generator is outside the bracket-map kernel")
+        c = np.zeros((len(self.leaves), r), dtype=np.int64)
+        c[cg, cj] = cval
         c.setflags(write=False)
         return c.T
 
@@ -195,7 +251,7 @@ class DerivationSpace:
         """The nonzeros of the generator columns, generator by generator:
         where each generator's run starts, and the positions and values."""
         cols = self.gen_coords().T
-        gen, pos = np.nonzero(cols)
+        gen, pos = nonzeros(cols)
         start = np.searchsorted(gen, np.arange(len(cols) + 1))
         return start, pos, cols[gen, pos]
 

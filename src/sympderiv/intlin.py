@@ -57,6 +57,12 @@ def fits_int64(bound: int) -> bool:
     return bound < 2 ** 62
 
 
+def nonzeros(a: np.ndarray):
+    """Row and column indices of the nonzeros of a 2-d array, in row-major
+    order (much faster than a 2-d ``np.nonzero``)."""
+    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
+
+
 def hermite_normal_form(m, transform: bool = False):
     """Row-style HNF with positive pivots and reduced entries above pivots.
 
@@ -93,7 +99,7 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
     nrows, ncols = a.shape
     rows = [{} for _ in range(nrows)]
     cols = [set() for _ in range(ncols)]
-    ii, jj = np.divmod(np.flatnonzero(a != 0), ncols)
+    ii, jj = nonzeros(a)
     for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
         rows[i][j] = x
         cols[j].add(i)
@@ -422,8 +428,7 @@ def _sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Runs in int64 when the most nonzeros in one row, times max|a| times
     max|b|, is under 2**62, else on Python ints."""
     out_shape = (a.shape[0], b.shape[1])
-    # (much faster than a 2-d np.nonzero)
-    ii, jj = np.divmod(np.flatnonzero(a != 0), a.shape[1])
+    ii, jj = nonzeros(a)
     if ii.size == 0 or b.size == 0:
         return np.zeros(out_shape, dtype=np.int64)
     vals = a[ii, jj]

@@ -4,10 +4,10 @@ Degree-1 trees are tripods (u,v,w); degree-2 trees are H-shaped with an
 ordered left pair and right pair; symmetric halves u (.) v are primitive
 integral generators whose double expands like the tree (u,v|u,v).
 
-These expansions are the definitions, through Lie brackets.  They give the
-generator columns of ``DerivationSpace.gen_matrix``; the catalogs, whose
-rows are sums of those columns, are read from wedge coordinates instead
-(``catalogs._tree_terms``).
+These expansions are the definitions, through Lie brackets.  The generators
+are read term by term from a bracket table instead
+(``DerivationSpace._expansions``), and the catalogs, whose rows are sums of
+generator columns, from wedge coordinates (``catalogs._tree_terms``).
 
 Elements of H (x) L_k are flat integer vectors: block h holds the Lyndon
 coordinates of the L_k factor tensored with the basis letter h.  Every
@@ -70,16 +70,6 @@ def eta2(ctx: SymplecticContext, a, b, c, d) -> np.ndarray:
                     (b, ctx.lie_bracket(2, cd, 1, a)),
                     (c, ctx.lie_bracket(1, d, 2, ab)),
                     (d, ctx.lie_bracket(2, ab, 1, c))], single)
-
-
-def expand_symhalf(ctx: SymplecticContext, u, v) -> np.ndarray:
-    """u (.) v expands to u(x)[v,[u,v]] + v(x)[[u,v],u]; its double is eta2(u,v|u,v).
-
-    Leaves are vectors, or stacks giving one row per pair."""
-    (u, v), single = _stacks(u, v)
-    uv = ctx.lie_bracket(1, u, 1, v)
-    return _hl_sum([(u, ctx.lie_bracket(1, v, 2, uv)),
-                    (v, ctx.lie_bracket(2, uv, 1, u))], single)
 
 
 # -- honest derivation-algebra oracle ------------------------------------

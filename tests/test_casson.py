@@ -10,6 +10,7 @@ from sympderiv import casson, checks, traces
 from sympderiv.checks import quartic_relation
 from sympderiv.derivspace import space
 from sympderiv.freelie import context
+from test_derivspace import gen_matrix
 
 
 # -- the polynomial reference: theta expanded, then evaluated -------------
@@ -404,7 +405,7 @@ def test_flipped_mu_sign_fails_bridge_at_first_loop_witness(monkeypatch):
             continue  # no A-leaf
         unit = np.zeros(len(sp.generators), dtype=np.int64)
         unit[k] = 1
-        q = traces.tr_A(sp, sp.coords(sp.gen_matrix()[:, k]))
+        q = traces.tr_A(sp, sp.coords(gen_matrix(sp)[:, k]))
         for s in mats:
             mu = mu_by_polynomial(sp, unit, s)
             pairing = casson.r_pairing(s, q)

@@ -19,9 +19,9 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
 from sympderiv.derivspace import DerivationSpace, lie_degree_matrix, space
 from sympderiv.freelie import context
 from sympderiv.intlin import IntegerLattice, safe_matmul
-from sympderiv.trees import derivation_bracket, eta1, eta2, expand_symhalf
+from sympderiv.trees import derivation_bracket, eta1, eta2
 from test_freelie import letter_name
-from test_trees import tree_bracket
+from test_trees import expand_symhalf, tree_bracket
 
 
 def is_symplectic(m):
@@ -342,7 +342,7 @@ def _target_and_rows(draw, st):
 
 
 @pytest.mark.parametrize("case", ["early", "never", "outside", "late"])
-def test_catalog_lattice_with_target_equals_ambient_span(case):
+def test_catalog_lattice_equals_ambient_span(case):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -541,3 +541,29 @@ def test_johnson_stream_deduplicates_as_in_the_ambient():
     want = np.vstack(list(catalogs._unique_blocks(lie_path_rows(sp, False))))
     assert len(got) == 1134
     assert np.array_equal(got, sp.coords(want))
+
+
+def test_unique_blocks_keys_rows_past_int64_by_value():
+    """Rows are new or old up to sign by their exact values, whatever the
+    dtype of their block: object rows past int64 by their Python ints,
+    object rows that fit by the int64 or int8 keys an int64 block gives the
+    same row."""
+    big = 2 ** 70 + 1
+    blocks = [
+        np.array([[big, 3], [0, 2 ** 63], [-1, -200]], dtype=object),
+        # the first block's rows negated (a distinct object equal to -big
+        # among them), and -2**63 leading a row whose sign flip is past
+        # int64
+        np.array([[-(2 ** 70) - 1, -3], [0, -2 ** 63], [2 ** 62, 1],
+                  [1, 200], [-2 ** 63, 5]], dtype=object),
+        # an int64 block repeating an object row that fits, negated
+        np.array([[-2 ** 62, -1], [2 ** 63 - 1, -128], [3, 4]],
+                 dtype=np.int64),
+        # object rows repeating int64 rows, and the flipped -2**63 row
+        np.array([[-(2 ** 63) + 1, 128], [-3, -4], [2 ** 63, -5]],
+                 dtype=object),
+    ]
+    got = [block.tolist() for block in catalogs._unique_blocks(blocks)]
+    assert got == [[[big, 3], [0, 2 ** 63], [-1, -200]],
+                   [[2 ** 62, 1], [-2 ** 63, 5]],
+                   [[2 ** 63 - 1, -128], [3, 4]]]

@@ -8,19 +8,32 @@ import pytest
 
 from sympderiv import derivspace
 from sympderiv.catalogs import _transform_rows
-from sympderiv.derivspace import MembershipError, gl_embed, iota_matrix, space
+from sympderiv.derivspace import (InconsistencyError, MembershipError,
+                                  gl_embed, iota_matrix, space)
 from sympderiv.freelie import SymplecticContext
 from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
-from sympderiv.trees import eta1
+from sympderiv.trees import eta1, eta2
 from test_freelie import bracket_matrix
+from test_trees import expand_symhalf
 
 D2_RANK = {2: 20, 3: 105}
 D1_RANK = {2: 4, 3: 20}  # C(2g, 3)
 
 
+def gen_matrix(sp):
+    """The dense reference: generator values in H (x) L_3 as columns, the
+    (.)-generators then the trees, each kind expanded as one stack from its
+    leaves through Lie brackets."""
+    m = len(sp.pairs)
+    a, b, c, d = np.eye(sp.ctx.n, dtype=np.int64)[sp.leaves.T]
+    rows = np.vstack([expand_symhalf(sp.ctx, a[:m], b[:m]),
+                      eta2(sp.ctx, a[m:], b[m:], c[m:], d[m:])])
+    return rows.astype(np.int64, copy=False).T
+
+
 def gen_column(sp, gen):
     """The value of one generator: its column of the generator matrix."""
-    return sp.gen_matrix()[:, sp.generators.index(gen)]
+    return gen_matrix(sp)[:, sp.generators.index(gen)]
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -101,7 +114,7 @@ def test_express_roundtrip():
     basis = sp.d2().basis
     v = basis.T @ rng.integers(-2, 3, size=sp.d2().rank)
     c = sp.express_in_generators(sp.coords(v))
-    assert np.array_equal(sp.gen_matrix() @ c, v)
+    assert np.array_equal(gen_matrix(sp) @ c, v)
     with pytest.raises(MembershipError):
         bad = np.asarray(v).copy()
         bad[0] += 1
@@ -115,7 +128,7 @@ def test_tree_expression_requires_dprime():
         sp.express_in_tree_generators(sp.coords(odot))
     tree = gen_column(sp, ("tree", (0, 2), (1, 3)))
     c = sp.express_in_tree_generators(sp.coords(tree))
-    gm = sp.gen_matrix()[:, sp.tree_indices]
+    gm = gen_matrix(sp)[:, sp.tree_indices]
     assert np.array_equal(gm @ c, tree)
 
 
@@ -235,9 +248,10 @@ def test_ker_projection_inside_d2():
 
 # -- D_2 coordinates ---------------------------------------------------------
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [2, 3, 4])
 def test_every_d2_pivot_is_one(g):
-    """The coordinates of D_2's HNF basis are read off its pivot columns."""
+    """The coordinates of D_2's HNF basis, those of ``coords`` and those
+    of ``gen_coords``, are read off its pivot columns."""
     basis = space(g).d2().basis
     pivots = np.argmax(basis != 0, axis=1)
     assert (basis[np.arange(len(basis)), pivots] == 1).all()
@@ -297,4 +311,71 @@ def test_gen_coords_are_generator_coordinates(g):
     m = sp.gen_coords()
     assert not m.flags.writeable
     assert m.shape == (sp.rank, len(sp.generators))
-    assert np.array_equal(safe_matmul(m.T, sp.d2().basis), sp.gen_matrix().T)
+    assert np.array_equal(safe_matmul(m.T, sp.d2().basis), gen_matrix(sp).T)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_gen_coords_equal_the_dense_reference(g):
+    """The sparse expansions read at D_2's pivots give what the membership
+    solve of the dense generator matrix gives: same values, same dtype."""
+    sp = space(g)
+    want = sp.d2().membership(gen_matrix(sp).T).T
+    got = sp.gen_coords()
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("entry", ["first", "middle", "last"])
+def test_gen_coords_check_finds_a_wrong_table_entry(monkeypatch, entry):
+    """One nonzero of the degree-(1, 2) bracket table off by one, on a
+    fresh context: every (letter, pair) row of it is a term of some
+    generator, and D_2's map does not read it, so the check product finds
+    the expansions outside D_2."""
+    table = SymplecticContext.bracket_table
+
+    def corrupt(self, j, k):
+        t = table(self, j, k)
+        if (j, k) == (1, 2):
+            t = t.copy()
+            nz = np.flatnonzero(t)
+            at = {"first": 0, "middle": len(nz) // 2, "last": -1}[entry]
+            t.flat[nz[at]] += 1
+        return t
+
+    monkeypatch.setattr(SymplecticContext, "bracket_table", corrupt)
+    monkeypatch.setattr(derivspace, "context", SymplecticContext)
+    with pytest.raises(InconsistencyError):
+        derivspace.DerivationSpace(2).gen_coords()
+
+
+def test_gen_coords_check_finds_a_wrong_basis_entry(monkeypatch):
+    """A basis entry off a pivot column, off by one, leaves every
+    coordinate read at the pivots as it was, and the check product finds
+    it."""
+    sp = derivspace.DerivationSpace(2)
+    basis = space(2).d2().basis.copy()
+    pivots = np.argmax(basis != 0, axis=1)
+    basis[0, np.setdiff1d(np.arange(pivots[0], len(basis.T)), pivots)[0]] += 1
+    monkeypatch.setattr(derivspace.DerivationSpace, "_bracket_kernel",
+                        lambda self: IntegerLattice(sp.ambient_dim, basis,
+                                                    canonical=True))
+    with pytest.raises(InconsistencyError):
+        sp.gen_coords()
+
+
+def test_gen_coords_check_product_past_the_bound(monkeypatch):
+    """With the bound taken as exceeded, the check product runs on Python
+    ints and gives the same coordinates."""
+    dtypes = []
+    summed = derivspace._summed
+
+    def recording(keys, vals):
+        dtypes.append(vals.dtype)
+        return summed(keys, vals)
+
+    monkeypatch.setattr(derivspace, "fits_int64", lambda bound: False)
+    monkeypatch.setattr(derivspace, "_summed", recording)
+    got = derivspace.DerivationSpace(3).gen_coords()
+    assert dtypes == [np.int64, object]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, space(3).gen_coords())

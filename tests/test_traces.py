@@ -9,6 +9,7 @@ from sympderiv.derivspace import FiltrationError, space
 from sympderiv.freelie import context
 from sympderiv.trees import eta2
 from sympderiv import traces
+from test_derivspace import gen_matrix
 from test_freelie import lyndon_to_tensor
 
 
@@ -175,7 +176,7 @@ def test_tr_A_unit_value():
 def test_tr_A_domain_check():
     sp = space(2)
     # b1 . b2 -- no A leaves at all
-    v = sp.coords(sp.gen_matrix()[:, sp.generators.index(("odot", (2, 3)))])
+    v = sp.coords(gen_matrix(sp)[:, sp.generators.index(("odot", (2, 3)))])
     with pytest.raises(FiltrationError):
         traces.tr_A(sp, v)
     # B-side trace accepts it
@@ -246,7 +247,7 @@ def _side_f0_columns(sp, side):
     on_side = (lambda l: l < sp.g) if side == "A" else (lambda l: l >= sp.g)
     cols = [i for i, gen in enumerate(sp.generators)
             if any(on_side(l) for pair in gen[1:] for l in pair)]
-    return sp.gen_matrix()[:, cols].T
+    return gen_matrix(sp)[:, cols].T
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -287,7 +288,7 @@ def test_side_table_matches_dict_trace_on_combinations(g, side):
 def test_tr_A_stack_raises_when_any_row_is_outside():
     sp = space(2)
     inside = _side_f0_columns(sp, "A")[:3]
-    outside = sp.gen_matrix()[:, sp.generators.index(("odot", (2, 3)))]
+    outside = gen_matrix(sp)[:, sp.generators.index(("odot", (2, 3)))]
     rows = np.vstack([inside, outside[None, :]])
     coords = sp.coords(rows)
     traces.tr_A(sp, coords[:3])

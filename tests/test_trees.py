@@ -1,9 +1,11 @@
 """Tripod and H-tree expansions: symmetries, IHX, and the bracket oracle.
 
-``tree_bracket`` is the reference for the tripod brackets of the library,
-which read each contraction from wedge coordinates
-(``catalogs._tripod_brackets``): it expands every contraction through Lie
-brackets with ``eta2`` and sums on Python ints.
+``expand_symhalf`` is the reference expansion of a symmetric half u (.) v,
+which the library reads term by term from a bracket table
+(``DerivationSpace._expansions``).  ``tree_bracket`` is the reference for
+the tripod brackets of the library, which read each contraction from wedge
+coordinates (``catalogs._tripod_brackets``): it expands every contraction
+through Lie brackets with ``eta2`` and sums on Python ints.
 """
 
 import numpy as np
@@ -14,9 +16,19 @@ from sympderiv.derivspace import space
 from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
 from sympderiv.intlin import safe_matmul
 from sympderiv.trees import TREE_BRACKET_SIGN
+from sympderiv.trees import _hl_sum
 from sympderiv.trees import _stacks as leaf_stacks
-from sympderiv.trees import derivation_bracket, eta1, eta2, expand_symhalf
+from sympderiv.trees import derivation_bracket, eta1, eta2
 from test_freelie import lyndon_to_tensor
+
+
+def expand_symhalf(ctx, u, v):
+    """u (.) v expands to u(x)[v,[u,v]] + v(x)[[u,v],u]; its double is
+    eta2(u,v|u,v).  Leaves are vectors, or stacks giving one row per pair."""
+    (u, v), single = leaf_stacks(u, v)
+    uv = ctx.lie_bracket(1, u, 1, v)
+    return _hl_sum([(u, ctx.lie_bracket(1, v, 2, uv)),
+                    (v, ctx.lie_bracket(2, uv, 1, u))], single)
 
 
 def tree_bracket(ctx, s, t):
