@@ -23,9 +23,12 @@ that way, as (row, generator, weight) triplets that
 ``DerivationSpace.gen_rows`` scatters, instead of through Lie brackets.
 
 The degree-2 rows, their spans and orbit closure live in Z^r over D_2's
-HNF basis (``DerivationSpace.coords``), where each Goeritz symmetry acts
-as one r x r integer matrix.  ``catalog_lattice`` builds a catalog's span
-batch by batch, reducing only the rows not yet in the span.
+HNF basis, where each Goeritz symmetry acts as one r x r integer matrix,
+read from the generators with their leaves moved.  The degree-1 orbit
+closure runs in Lambda^3 H coordinates, where a symmetry acts by the
+minors of the moved tripod letters.  No element of H (x) L_k is moved by
+m (x) L_k(m).  ``catalog_lattice`` builds a catalog's span batch by batch,
+reducing only the rows not yet in the span.
 """
 
 import itertools
@@ -34,8 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .trees import TREE_BRACKET_SIGN, _stacks, eta1
-from .derivspace import (DerivationSpace, gl_embed, iota_matrix,
-                         lie_degree_matrix, runs)
+from .derivspace import DerivationSpace, gl_embed, iota_matrix, runs
 from .intlin import IntegerLattice, safe_einsum, safe_matmul
 
 
@@ -369,34 +371,28 @@ def goeritz_symmetries(g):
     return mats
 
 
-def _transform_rows(ctx, m, rows, k, lk=None):
-    """Apply the degree-k homology action m (x) L_k(m) to a stack of
-    H (x) L_k vectors, as two exact products: first L_k(m) on the Lie
-    factor of every H-block, then m across the blocks.  ``lk`` is L_k(m)
-    if the caller already holds it."""
-    rows = np.asarray(rows)
-    n = len(rows)
-    h = 2 * ctx.g
-    dk = ctx.dim(k)
-    if lk is None:
-        lk = lie_degree_matrix(ctx, m, k)
-    lie = safe_matmul(rows.reshape(n * h, dk), lk.T)
-    by_block = lie.reshape(n, h, dk).transpose(1, 0, 2).reshape(h, n * dk)
-    out = safe_matmul(m, by_block)
-    return out.reshape(h, n, dk).transpose(1, 0, 2).reshape(n, h * dk)
-
-
 @lru_cache(maxsize=None)
 def coordinate_action(sp: DerivationSpace, i: int) -> np.ndarray:
     """The degree-2 action of ``goeritz_symmetries(g)[i]``, i >= 0, as a
     read-only r x r integer matrix on D_2 coordinates, acting on rows from
-    the right: D_2's basis moved by ``_transform_rows`` and read back
-    through ``DerivationSpace.coords``.  D_2 is Sp-invariant, so the images
-    are in D_2 and the coordinates exact."""
+    the right.  eta2 uses no omega, so m moves a generator by moving its
+    leaves: m eta2(a, b | c, d) = eta2(ma, mb | mc, md), and m (p (.) q) =
+    (m e_p) (.) (m e_q), as 2 u (.) v = eta2(u, v | u, v) and D_2 is
+    torsion-free.  With G_m the moved generators, one row each, and U
+    ``express_in_generators`` of the unit rows, the matrix is U G_m."""
     m = goeritz_symmetries(sp.g)[i]
-    a = sp.coords(_transform_rows(sp.ctx, m, sp.d2().basis, 3))
-    a.setflags(write=False)
-    return a
+    n_odot = len(sp.pairs)
+    a, b, c, d = m[:, sp.leaves].T  # the moved leaves, one row per generator
+    ab = _wedge(sp, a, b)
+    half = _tree_terms(sp, ab[:n_odot], ab[:n_odot], half=True)
+    row, gen, weight = _tree_terms(sp, ab[n_odot:],
+                                   _wedge(sp, c[n_odot:], d[n_odot:]))
+    moved = sp.gen_rows(len(sp.leaves), *(
+        np.concatenate(x) for x in zip(half, (row + n_odot, gen, weight))))
+    out = safe_matmul(
+        sp.express_in_generators(np.eye(sp.rank, dtype=np.int64)), moved)
+    out.setflags(write=False)
+    return out
 
 
 def coordinate_actions(sp: DerivationSpace) -> list:
@@ -428,17 +424,32 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
     raise RuntimeError("orbit closure did not stabilize")
 
 
+def _tripod_action(sp: DerivationSpace, m):
+    """m on Lambda^3 H coordinates over ``basis_tripods(g)``, acting on
+    rows from the right: its third compound matrix.  Row S holds
+    m e_s1 ^ m e_s2 ^ m e_s3 over the tripods T, the 3 x 3 minors of the
+    moved letters x, y, z at T, each expanded along x as
+    x_t1 (y^z)_t2t3 - x_t2 (y^z)_t1t3 + x_t3 (y^z)_t1t2."""
+    t = np.array(basis_tripods(sp.g))
+    x, y, z = m[:, t].T
+    rest = np.array([[sp.pair_index[q, r], sp.pair_index[p, r],
+                      sp.pair_index[p, q]] for p, q, r in t.tolist()])
+    return safe_einsum("stk,stk->st", x[:, t] * np.array([1, -1, 1]),
+                       _wedge(sp, y, z)[:, rest])
+
+
 def goeritz_tau1_lattice(sp: DerivationSpace):
-    """Orbit closure of the seed tripod (a1, b1, b2) in degree 1, each
-    symmetry acting on H (x) L_2 as the matrix ``_transform_rows`` makes
-    of the unit rows."""
-    ctx = sp.ctx
-    seed = eta1(ctx, ctx.basis_vector(0), ctx.basis_vector(sp.g),
-                ctx.basis_vector(sp.g + 1))
-    units = np.eye(2 * sp.g * ctx.dim(2), dtype=np.int64)
-    actions = [_transform_rows(ctx, m, units, 2)
-               for m in goeritz_symmetries(sp.g)]
-    return orbit_closure([seed], actions)
+    """Orbit closure of the seed tripod (a1, b1, b2) in degree 1, run in
+    Lambda^3 H coordinates, each symmetry acting as ``_tripod_action``;
+    eta1 uses no omega, so it maps the closure into H (x) L_2 once."""
+    tripods = basis_tripods(sp.g)
+    seed = np.eye(len(tripods), dtype=np.int64)[
+        tripods.index((0, sp.g, sp.g + 1))]
+    lat = orbit_closure([seed], [_tripod_action(sp, m)
+                                 for m in goeritz_symmetries(sp.g)])
+    e = np.eye(sp.ctx.n, dtype=np.int64)
+    return IntegerLattice(2 * sp.g * sp.ctx.dim(2), safe_matmul(
+        lat.basis, eta1(sp.ctx, *e[np.array(tripods).T])))
 
 
 def mixed_wedge_lattice(sp: DerivationSpace):

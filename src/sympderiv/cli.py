@@ -36,9 +36,15 @@ def _witness_jsonable(obj):
 
 
 def _write_atomic(path, text):
+    """Write text to path through a temporary file in its directory, given
+    the mode a plain open would (mkstemp makes it 0600, which the replace
+    keeps)."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".certificate-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)

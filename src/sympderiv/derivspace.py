@@ -1,6 +1,6 @@
 """Derivation lattices D_2, D_2', generator coordinates, filtrations,
-quotient kernels, and the matrices of the symplectic homology action
-(``catalogs._transform_rows`` applies them).
+quotient kernels, and the homology matrices of the Goeritz symmetries
+(``catalogs`` moves generator leaves and tripod letters by them).
 
 Generators of D_2(H) follow the tree/symmetric-half presentation: one
 (.)-generator per basis pair P = (p,q), then one tree generator per
@@ -15,8 +15,10 @@ degree-2 element and lattice, D_2', the filtrations and the projection
 kernel among them, lives in Z^r, r = rank D_2, over D_2's HNF basis
 (``coords``); ``gen_coords`` reads the generators there from sparse
 expansions, with no dense ambient generator matrix.
-Generator coefficients of coordinate rows are recovered by an HNF solve,
-and sums of generator columns are scattered from (row, generator, weight)
+The generator coefficients of a coordinate row are the row times one
+transform, as the HNF of the generator coordinates is the identity (``d2``
+checks it), and those over the tree generators come from an HNF solve;
+sums of generator columns are scattered from (row, generator, weight)
 triplets by ``gen_rows``.
 """
 
@@ -28,10 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .freelie import SymplecticContext, context, standard_factorization
-from .intlin import (IntegerLattice, as_int_matrix, fits_int64,
-                     hermite_normal_form, kernel_lattice, nonzeros,
-                     safe_matmul)
+from .freelie import context
+from .intlin import (IntegerLattice, fits_int64, hermite_normal_form,
+                     kernel_lattice, nonzeros, safe_matmul)
 
 
 class MembershipError(ValueError):
@@ -64,30 +65,6 @@ def gl_embed(g: int, p: np.ndarray) -> np.ndarray:
     m[:g, :g] = p
     m[g:, g:] = u.T
     return m
-
-
-def lie_degree_matrix(ctx: SymplecticContext, m: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of L_k(m) over the Lyndon basis.
-
-    Degree by degree, the image of each Lyndon word w = uv (standard
-    factorization) is the bracket of the images of u and v; the words of
-    one degree that split into the same pair of lengths share one batched
-    bracket."""
-    images = {1: as_int_matrix(m).T}  # degree -> rows L_d(m) e_w
-    for d in range(2, k + 1):
-        rows = [None] * ctx.dim(d)
-        split: dict[tuple[int, int], list] = {}
-        for i, w in enumerate(ctx.lyndon(d)):
-            u, v = standard_factorization(w)
-            split.setdefault((len(u), len(v)), []).append(
-                (i, ctx.lyndon_index(len(u))[u], ctx.lyndon_index(len(v))[v]))
-        for (lu, lv), group in split.items():
-            at, iu, iv = (list(c) for c in zip(*group))
-            brackets = ctx.lie_bracket(lu, images[lu][iu], lv, images[lv][iv])
-            for i, row in zip(at, brackets):
-                rows[i] = row
-        images[d] = np.array(rows)
-    return images[k].T
 
 
 def _summed(keys, vals):
@@ -305,11 +282,10 @@ class DerivationSpace:
 
     def express_in_generators(self, v) -> np.ndarray:
         """Coefficients over all generators of the coordinate row v, or of
-        each row of a stack."""
-        c = self._full_solver().solve(v)
-        if c is None:
-            raise MembershipError("element is not in D_2")
-        return c
+        each row of a stack: v times the transform of the generators' HNF,
+        which ``d2`` checks to be the identity."""
+        self.d2()
+        return safe_matmul(v, self._full_solver().trans)
 
     def express_in_tree_generators(self, v) -> np.ndarray:
         """Coefficients over tree generators only of coordinate rows;

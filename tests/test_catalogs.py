@@ -16,8 +16,8 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
                                 johnson_catalog, mixed_wedge_lattice,
                                 orbit_closure, realizable_catalog_A,
                                 tripod_bracket_entries)
-from sympderiv.derivspace import DerivationSpace, lie_degree_matrix, space
-from sympderiv.freelie import context
+from sympderiv.derivspace import DerivationSpace, space
+from sympderiv.freelie import context, standard_factorization
 from sympderiv.intlin import IntegerLattice, safe_matmul
 from sympderiv.trees import derivation_bracket, eta1, eta2
 from test_freelie import letter_name
@@ -411,9 +411,49 @@ def test_orbit_closure_invariant_under_action():
     sp = space(2)
     lat = goeritz_tau1_lattice(sp)
     for m in goeritz_symmetries(2):
-        moved = catalogs._transform_rows(sp.ctx, m, lat.basis, 2)
+        moved = transform_rows(sp.ctx, m, lat.basis, 2)
         for row in moved:
             assert row in lat
+
+
+# -- the reference homology action m (x) L_k(m) ---------------------------
+
+def lie_degree_matrix(ctx, m, k):
+    """Matrix of L_k(m) over the Lyndon basis.
+
+    Degree by degree, the image of each Lyndon word w = uv (standard
+    factorization) is the bracket of the images of u and v; the words of
+    one degree that split into the same pair of lengths share one batched
+    bracket."""
+    images = {1: np.asarray(m).T}  # degree -> rows L_d(m) e_w
+    for d in range(2, k + 1):
+        rows = [None] * ctx.dim(d)
+        split = {}
+        for i, w in enumerate(ctx.lyndon(d)):
+            u, v = standard_factorization(w)
+            split.setdefault((len(u), len(v)), []).append(
+                (i, ctx.lyndon_index(len(u))[u], ctx.lyndon_index(len(v))[v]))
+        for (lu, lv), group in split.items():
+            at, iu, iv = (list(c) for c in zip(*group))
+            brackets = ctx.lie_bracket(lu, images[lu][iu], lv, images[lv][iv])
+            for i, row in zip(at, brackets):
+                rows[i] = row
+        images[d] = np.array(rows)
+    return images[k].T
+
+
+def transform_rows(ctx, m, rows, k):
+    """Apply the degree-k homology action m (x) L_k(m) to a stack of
+    H (x) L_k vectors, as two exact products: first L_k(m) on the Lie
+    factor of every H-block, then m across the blocks."""
+    rows = np.asarray(rows)
+    n = len(rows)
+    h = 2 * ctx.g
+    dk = ctx.dim(k)
+    lie = safe_matmul(rows.reshape(n * h, dk), lie_degree_matrix(ctx, m, k).T)
+    by_block = lie.reshape(n, h, dk).transpose(1, 0, 2).reshape(h, n * dk)
+    out = safe_matmul(m, by_block)
+    return out.reshape(h, n, dk).transpose(1, 0, 2).reshape(n, h * dk)
 
 
 def _kron_action(ctx, m, rows, k):
@@ -428,7 +468,7 @@ def test_transform_rows_matches_kron_action(g, k):
     rng = np.random.default_rng(10 * g + k)
     rows = rng.integers(-3, 4, size=(5, 2 * g * ctx.dim(k)))
     for m in goeritz_symmetries(g):
-        assert np.array_equal(catalogs._transform_rows(ctx, m, rows, k),
+        assert np.array_equal(transform_rows(ctx, m, rows, k),
                               _kron_action(ctx, m, rows, k))
 
 
@@ -440,7 +480,7 @@ def test_transform_rows_exact_at_int64_bound(monkeypatch):
     m = goeritz_symmetries(2)[-2]  # the shear, whose L_3 has entries > 1
     lk = lie_degree_matrix(ctx, m, k)
     c = (2 ** 62 - 1) // (int(np.abs(lk).max()) * ctx.dim(k))
-    real = catalogs.safe_matmul
+    real = safe_matmul
     dtypes = []
 
     def recording(a, b):
@@ -448,13 +488,14 @@ def test_transform_rows_exact_at_int64_bound(monkeypatch):
         dtypes.append(out.dtype)
         return out
 
-    monkeypatch.setattr(catalogs, "safe_matmul", recording)
+    # the reference's own products, read from this module's globals
+    monkeypatch.setitem(globals(), "safe_matmul", recording)
     rng = np.random.default_rng(5)
     signs = rng.choice([-1, 1], size=(3, 2 * ctx.g * ctx.dim(k)))
     for entry, first_dtype in ((c, np.int64), (c + 1, object)):
         rows = signs.astype(object) * entry
         dtypes.clear()
-        out = catalogs._transform_rows(ctx, m, rows, k)
+        out = transform_rows(ctx, m, rows, k)
         assert dtypes[0] == first_dtype
         assert np.array_equal(out, _kron_action(ctx, m, rows, k))
 
@@ -468,11 +509,31 @@ def _naive_closure(ctx, seed_rows, mats, k):
         rounds += 1
         new = lat
         for m in mats:
-            moved = catalogs._transform_rows(ctx, m, lat.basis, k)
+            moved = transform_rows(ctx, m, lat.basis, k)
             new = new.sum(IntegerLattice(ambient, moved))
         if new == lat:
             return lat, rounds
         lat = new
+
+
+def tripod_images(sp):
+    """E: eta1 of each basis tripod, one row each, which maps Lambda^3 H
+    coordinates over ``basis_tripods`` into H (x) L_2."""
+    e = np.eye(sp.ctx.n, dtype=np.int64)
+    return eta1(sp.ctx, *e[np.array(basis_tripods(sp.g)).T])
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_tripod_actions_match_the_kron_action(g):
+    """Each symmetry's third compound matrix C, on Lambda^3 H coordinates,
+    is the reference action through E: C E = E (m (x) L_2(m))^T."""
+    sp = space(g)
+    e_mat = tripod_images(sp)
+    for m in goeritz_symmetries(g):
+        c = catalogs._tripod_action(sp, m)
+        assert c.dtype == np.int64 and c.shape == (len(e_mat), len(e_mat))
+        assert np.array_equal(safe_matmul(c, e_mat),
+                              _kron_action(sp.ctx, m, e_mat, 2))
 
 
 def _goeritz_seed(sp, which):
@@ -484,10 +545,12 @@ def _goeritz_seed(sp, which):
     if which == "tau1":
         e = ctx.basis_vector
         seed = [eta1(ctx, e(0), e(sp.g), e(sp.g + 1))]
-        units = np.eye(2 * sp.g * ctx.dim(2), dtype=np.int64)
-        actions = [catalogs._transform_rows(ctx, m, units, 2)
+        tripods = basis_tripods(sp.g)
+        unit = np.eye(len(tripods), dtype=np.int64)[
+            [tripods.index((0, sp.g, sp.g + 1))]]
+        actions = [catalogs._tripod_action(sp, m)
                    for m in goeritz_symmetries(sp.g)]
-        return seed, 2, seed, actions, units
+        return seed, 2, unit, actions, tripod_images(sp)
     rows = goeritz_tau2_entries(sp)
     basis = sp.d2().basis
     return (safe_matmul(rows, basis), 3, rows, catalogs.coordinate_actions(sp),
@@ -498,7 +561,7 @@ def _goeritz_seed(sp, which):
 @pytest.mark.parametrize("which", ["tau1", "tau2"])
 def test_orbit_closure_matches_naive_closure(g, which):
     """The closure equals, mapped to H (x) L_k, a naive closure there that
-    moves the whole basis by ``_transform_rows`` every round."""
+    moves the whole basis by ``transform_rows`` every round."""
     sp = space(g)
     ambient_seed, k, seed, actions, to_ambient = _goeritz_seed(sp, which)
     mats = goeritz_symmetries(g)
@@ -513,22 +576,36 @@ def test_orbit_closure_matches_naive_closure(g, which):
             orbit_closure(seed, actions, max_rounds=limit)
 
 
-@pytest.mark.parametrize("g", [2, 3])
+def coordinate_actions_match_reference(sp):
+    """Assert that each symmetry's r x r matrix equals the reference, D_2's
+    basis moved by ``transform_rows`` and read back through ``coords``, in
+    value and dtype (int64), and is read-only; return how many were
+    compared."""
+    mats = goeritz_symmetries(sp.g)
+    actions = catalogs.coordinate_actions(sp)
+    assert len(actions) == len(mats)
+    for m, a in zip(mats, actions):
+        want = sp.coords(transform_rows(sp.ctx, m, sp.d2().basis, 3))
+        assert a.dtype == want.dtype == np.int64
+        assert not a.flags.writeable
+        assert np.array_equal(a, want)
+    return len(actions)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
 def test_coordinate_actions_match_transform_rows(g):
-    """Each symmetry's r x r matrix, on random D_2 elements (one row past
-    int64), agrees with ``_transform_rows`` in H (x) L_3."""
+    """Each symmetry's r x r matrix equals the reference, and on random D_2
+    elements (one row past int64) agrees with ``transform_rows`` in
+    H (x) L_3 (genus 5 in CI)."""
     sp = space(g)
+    assert coordinate_actions_match_reference(sp) == 5
     basis = sp.d2().basis
     rng = np.random.default_rng(60 + g)
     y = rng.integers(-5, 6, size=(4, sp.rank)).astype(object)
     y[0] *= 2 ** 61 + 1
     v = safe_matmul(y, basis)
-    mats = goeritz_symmetries(g)
-    actions = catalogs.coordinate_actions(sp)
-    assert len(actions) == len(mats)
-    for m, a in zip(mats, actions):
-        assert a.shape == (sp.rank, sp.rank) and not a.flags.writeable
-        moved = catalogs._transform_rows(sp.ctx, m, v, 3)
+    for m, a in zip(goeritz_symmetries(g), catalogs.coordinate_actions(sp)):
+        moved = transform_rows(sp.ctx, m, v, 3)
         assert np.array_equal(safe_matmul(safe_matmul(y, a), basis), moved)
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import stat
 import time
 from pathlib import Path
 
@@ -76,6 +78,18 @@ def test_certificate_matches_golden(g, tmp_path, capsys):
     assert main(["--all", "--genus", str(g), "--json", str(out)]) == 0
     golden = Path(__file__).parent / "data" / ("certificate-g%d.json" % g)
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_certificate_gets_the_mode_of_a_plain_file(tmp_path, capsys):
+    """Under umask 022 the certificate is 0644, as a plain open makes it,
+    not the 0600 of its temporary file."""
+    p = tmp_path / "cert.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["--check", "core-values", "--json", str(p)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(p.stat().st_mode) == 0o644
 
 
 def test_seed_recorded_in_certificate(tmp_path, capsys):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from sympderiv import derivspace
-from sympderiv.catalogs import _transform_rows
 from sympderiv.derivspace import (InconsistencyError, MembershipError,
                                   gl_embed, iota_matrix, space)
 from sympderiv.freelie import SymplecticContext
 from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
 from sympderiv.trees import eta1, eta2
+from test_catalogs import transform_rows
 from test_freelie import bracket_matrix
 from test_trees import expand_symhalf
 
@@ -220,7 +220,7 @@ def test_action_preserves_d2():
     p = np.array([[1, 2], [0, 1]])
     m = gl_embed(2, p)
     v = d2.basis.T @ rng.integers(-2, 3, size=d2.rank)
-    assert _transform_rows(sp.ctx, m, [v], 3)[0] in d2
+    assert transform_rows(sp.ctx, m, [v], 3)[0] in d2
 
 
 def test_action_is_functorial():
@@ -228,9 +228,9 @@ def test_action_is_functorial():
     m1 = gl_embed(2, np.array([[1, 1], [0, 1]]))
     m2 = gl_embed(2, np.array([[0, 1], [1, 0]]))
     rows = np.eye(sp.ambient_dim, dtype=np.int64)
-    a12 = _transform_rows(sp.ctx, safe_matmul(m1, m2), rows, 3)
-    composed = _transform_rows(sp.ctx, m1,
-                               _transform_rows(sp.ctx, m2, rows, 3), 3)
+    a12 = transform_rows(sp.ctx, safe_matmul(m1, m2), rows, 3)
+    composed = transform_rows(sp.ctx, m1,
+                              transform_rows(sp.ctx, m2, rows, 3), 3)
     assert np.array_equal(a12, composed)
 
 
