@@ -3,6 +3,9 @@
 Each check recomputes one statement about the degree-1/degree-2 derivation
 lattices from scratch and reports pass/fail with a witness.  Checks are pure
 functions of (genus, seed); the CLI and the acceptance tests share them.
+A check that draws numbers makes its own ``np.random.default_rng(seed)``
+(a Generator passed as the seed is used as it is), so the others never
+import ``numpy.random``.
 
 Statuses:
 
@@ -57,7 +60,7 @@ def d2_rank_closed_form(g: int) -> int:
     return n2 * (n2 - 1) // 12
 
 
-def _check_d2_rank(g, rng):
+def _check_d2_rank(g, seed):
     sp = space(g)
     expected = d2_rank_closed_form(g)
     kernel_rank = sp.d2().rank
@@ -67,14 +70,14 @@ def _check_d2_rank(g, rng):
                 "expected": expected}
 
 
-def _check_dprime_index(g, rng):
+def _check_dprime_index(g, seed):
     sp = space(g)
     idx = sp.filtration(-1).index(sp.dprime2())
     expected = 2 ** comb(2 * g, 2)
     return idx == expected, {"index": str(idx), "expected": str(expected)}
 
 
-def _check_trace_surjectivity(g, rng):
+def _check_trace_surjectivity(g, seed):
     r_as = traces.image_rank_as(sp := space(g))
     r_sym = traces.image_rank_sym(sp)
     e_as = traces.omega_kernel_dim_ext(g)
@@ -87,7 +90,7 @@ def _check_trace_surjectivity(g, rng):
                 "image_in_omega_kernel": bool(in_as and in_sym)}
 
 
-def _check_trace_kernels(g, rng):
+def _check_trace_kernels(g, seed):
     sp = space(g)
     ka = traces.ker_tr_as(sp)
     ents = catalogs.johnson_catalog(sp)
@@ -117,7 +120,7 @@ def _check_trace_kernels(g, rng):
     return as_equal and sym_equal, wit
 
 
-def _check_kernel_index(g, rng):
+def _check_kernel_index(g, seed):
     sp = space(g)
     idx = traces.ker_tr_as(sp).index(traces.ker_tr_sym(sp))
     expected = 2 ** (2 * g + comb(2 * g, 2))
@@ -164,7 +167,8 @@ def _ihx_quads(a, b, c, d):
     return [(a, b, c, d), (b, c, a, d), (c, a, b, d)]
 
 
-def _check_well_definedness(g, rng):
+def _check_well_definedness(g, seed):
+    rng = np.random.default_rng(seed)
     sp = space(g)
     ctx = sp.ctx
     failures = []
@@ -201,7 +205,7 @@ def _check_well_definedness(g, rng):
                 "failures": failures[:5]}
 
 
-def _check_levine(g, rng):
+def _check_levine(g, seed):
     sp = space(g)
     ctx = sp.ctx
     a = [np.asarray(ctx.basis_vector(i)) for i in range(g)]
@@ -270,7 +274,8 @@ def _random_sym_matrix(g, rng):
     return m + m.T
 
 
-def _check_casson_bridge(g, rng):
+def _check_casson_bridge(g, seed):
+    rng = np.random.default_rng(seed)
     sp = space(g)
     f0_gens = np.flatnonzero((sp.leaves < g).any(axis=1))  # an A-leaf
     mats = np.array([_random_sym_matrix(g, rng) for _ in range(100)])
@@ -314,7 +319,8 @@ def quartic_relation(sp, quad):
     return coeffs
 
 
-def _check_quartic_vanishing(g, rng):
+def _check_quartic_vanishing(g, seed):
+    rng = np.random.default_rng(seed)
     sp = space(g)
     quads = list(itertools.combinations(range(2 * g), 4))
     expected_dim = comb(2 * g, 4)
@@ -356,7 +362,7 @@ def _realizable_lattices(g):
     return sp, len(ents), lat, target
 
 
-def _check_realizable_kernel(g, rng):
+def _check_realizable_kernel(g, seed):
     sp, size, lat, target = _realizable_lattices(g)
     included = target.membership(lat.basis) is not None
     equal = lat == target
@@ -369,7 +375,7 @@ def _check_realizable_kernel(g, rng):
     return included and equal, wit
 
 
-def _check_realizable_sum(g, rng):
+def _check_realizable_sum(g, seed):
     sp, _, lat, _ = _realizable_lattices(g)
     ka = traces.ker_tr_as(sp)
     quarter_turn = len(catalogs.goeritz_symmetries(g)) - 1
@@ -382,7 +388,7 @@ def _check_realizable_sum(g, rng):
     return equal, wit
 
 
-def _check_goeritz_degree1(g, rng):
+def _check_goeritz_degree1(g, seed):
     sp = space(g)
     orb = catalogs.goeritz_tau1_lattice(sp)
     mw = catalogs.mixed_wedge_lattice(sp)
@@ -392,7 +398,7 @@ def _check_goeritz_degree1(g, rng):
                 "equals_mixed_wedge": orb == mw}
 
 
-def _check_goeritz_kernel(g, rng):
+def _check_goeritz_kernel(g, seed):
     sp = space(g)
     target = _double_kernel(g).intersection(traces.ker_tr_B(sp))
     lat = catalogs.goeritz_tau2_lattice(sp)
@@ -405,7 +411,7 @@ def _check_goeritz_kernel(g, rng):
     return included and equal, wit
 
 
-def _check_core_values(g, rng):
+def _check_core_values(g, seed):
     vals = {h: casson.d_core(h) for h in range(1, 6)}
     ok = vals[1] == 0 and vals[2] == 8 and all(
         vals[h] == 4 * h * (h - 1) for h in vals)
@@ -418,7 +424,7 @@ def _check_core_values(g, rng):
 class CheckSpec:
     id: str
     anchor: str
-    fn: object
+    fn: object               # fn(genus, seed) -> (status, witness)
     genera: tuple            # genera where the check runs
     estimate: dict           # genus -> rough wall seconds, for budgeting
 
@@ -484,10 +490,9 @@ def run_check(check_id: str, genus: int, seed: int = 0,
     if budget_left is not None and entry.estimate.get(genus, 0) > budget_left:
         return CheckReport(entry.id, entry.anchor, genus, "skipped",
                            {"reason": "budget"})
-    rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     try:
-        status, witness = entry.fn(genus, rng)
+        status, witness = entry.fn(genus, seed)
     except Exception as exc:
         # a raising check is a reported failure, not the end of the run;
         # the traceback goes to stderr, the certificate gets type and text

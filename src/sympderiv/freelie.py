@@ -65,13 +65,15 @@ def tensor_add(t: dict, other: dict, scale: int = 1) -> None:
 
 
 def tensor_concat_commutator(x: dict, y: dict) -> dict:
-    """xy - yx for homogeneous tensor elements."""
+    """xy - yx for homogeneous tensor elements: every term accumulated in
+    place, and the zero sums dropped once."""
     out: dict = {}
     for wx, cx in x.items():
         for wy, cy in y.items():
-            tensor_add(out, {wx + wy: cx * cy})
-            tensor_add(out, {wy + wx: -cx * cy})
-    return out
+            c = cx * cy
+            out[wx + wy] = out.get(wx + wy, 0) + c
+            out[wy + wx] = out.get(wy + wx, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
 class SymplecticContext:

@@ -14,7 +14,10 @@ read from the nonzeros of an input of any integer dtype, whatever its
 density; only what a caller needs is assembled densely from those rows.
 ``hermite_normal_form`` assembles all of them, ``left_kernel`` only the
 transform parts of the zero rows, and ``IntegerLattice.intersection`` only
-the right halves of the rows of one Zassenhaus HNF.
+the right halves of the rows of one Zassenhaus HNF.  The loop's pivot is
+a row of least entry in its column and, among those, of fewest nonzeros,
+so that the many dependent rows of a catalog batch, each reduced against
+the pivot, stay sparse.
 
 ``safe_matmul`` multiplies over the nonzeros of an operand (the right one
 if it forms fewer terms) with fewer than 1/SPARSE_PRODUCT of its entries
@@ -91,10 +94,16 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
     no entry overflows.  Each row keeps its identity while ``order`` maps
     positions to rows, and ``cols[c]`` holds the rows nonzero in column c,
     so a pivot step touches only the rows live in its column and their
-    nonzero entries.  Column by column, the row of least absolute value
-    (first position on ties) is the pivot, the rows below are reduced by
-    floor quotients until it is alone, its sign is made positive, and the
-    rows above are reduced modulo it.
+    nonzero entries.  Column by column, the row of least absolute value is
+    the pivot, the rows below are reduced by floor quotients until it is
+    alone, its sign is made positive, and the rows above are reduced
+    modulo it.  Ties go to the row with the fewest nonzeros, transform part
+    included, then to the first position (Markowitz's rule): each row
+    reduced by the pivot gains at most the pivot's entries, so a sparse
+    pivot fills in little, where a dense one fills in every dependent row
+    it reduces.  The HNF does not depend on the pivots taken (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4); only the
+    transform can.
     """
     nrows, ncols = a.shape
     rows = [{} for _ in range(nrows)]
@@ -135,7 +144,8 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
             live = [t for t in cols[c] if pos[t] >= r]
             if not live:
                 break
-            piv = min(live, key=lambda t: (abs(rows[t][c]), pos[t]))
+            piv = min(live, key=lambda t: (abs(rows[t][c]), len(rows[t]),
+                                           pos[t]))
             if pos[piv] != r:
                 top = order[r]
                 order[r], order[pos[piv]] = piv, top

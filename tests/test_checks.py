@@ -83,3 +83,15 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
                        "mu": str(mu),
                        "composite": str(Fraction(2 * mu + 1, 2))}
     assert witness["composite"].endswith("/2")
+
+
+def test_int_seed_and_generator_give_the_same_bridge_witness(monkeypatch):
+    # with the sign of mu flipped the check fails at a drawn S, so its
+    # witness shows the draws: an int seed and the Generator made from it
+    # draw the same S, and another seed draws another
+    monkeypatch.setattr(casson, "MU_SIGN", -1)
+    ok, witness = checks._check_casson_bridge(2, 0)
+    assert not ok
+    assert checks._check_casson_bridge(2, np.random.default_rng(0)) \
+        == (ok, witness)
+    assert checks._check_casson_bridge(2, 1)[1]["s"] != witness["s"]

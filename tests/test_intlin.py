@@ -538,6 +538,74 @@ def test_hnf_is_canonical_at_every_density(density):
     check_hnf(m, h, u)
 
 
+# -- pivot ties ---------------------------------------------------------------
+
+def _dependent_matrices(st):
+    """Hypothesis strategy: 4-14 rows, each a combination with coefficients
+    in -2..2 of the same 1-4 base rows of 3-10 columns.  Most rows are
+    dependent, so the Euclidean passes run long, and the base rows have
+    1 to all columns nonzero, so rows of equal least entry differ in
+    length and the tie-break decides the pivot."""
+    def base(c):
+        return st.lists(st.integers(0, c - 1), min_size=1, max_size=c,
+                        unique=True).flatmap(lambda cols: st.lists(
+                            st.integers(-3, 3).filter(bool),
+                            min_size=len(cols), max_size=len(cols)).map(
+                                lambda vals: (cols, vals)))
+
+    def build(c, k):
+        combos = st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                          min_size=4, max_size=14)
+        return st.tuples(st.just(c), st.lists(base(c), min_size=k, max_size=k),
+                         combos)
+
+    def assemble(args):
+        c, bases, combos = args
+        b = np.zeros((len(bases), c), dtype=np.int64)
+        for i, (cols, vals) in enumerate(bases):
+            b[i, cols] = vals
+        return np.array(combos, dtype=np.int64) @ b
+
+    return st.tuples(st.integers(3, 10), st.integers(1, 4)).flatmap(
+        lambda args: build(*args)).map(assemble)
+
+
+def test_dependent_rows_hnf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(_dependent_matrices(hypothesis.strategies))
+    def check(m):
+        hypothesis.assume(m.any())
+        h, u = hermite_normal_form(m, transform=True)
+        check_hnf(m, h, u)
+        assert_hnf_matches_sympy(sympy, m)
+        assert_left_kernel_saturated(sympy, m)
+
+    check()
+
+
+def test_tie_break_moves_the_pivot_past_a_remainder():
+    # column 0 holds 2 in the dense row 0 and -2 in the sparse row 2: row 2
+    # is the pivot, and reducing row 1 by it leaves the remainder -1, so a
+    # second pass runs with row 2 still live and row 1 as pivot.  Row 0
+    # then equals row 3 in column 1 on, and loses the tie there to row 3,
+    # whose transform part is shorter
+    m = np.array([[2, 1, 1, 1], [3, 0, 0, 0], [-2, 1, 0, 0], [0, 2, 1, 1]])
+    h, u = hermite_normal_form(m, transform=True)
+    assert h.tolist() == [[1, 0, 1, 1], [0, 1, 2, 2], [0, 0, 3, 3],
+                          [0, 0, 0, 0]]
+    check_hnf(m, h, u)
+    # the dense row is never a pivot: only the kernel row of u uses it
+    # (under first-position ties every row of u does)
+    assert not u[:3, 0].any()
+    assert u[3].tolist() == [1, 0, 1, -1]
+    sympy = pytest.importorskip("sympy")
+    assert_hnf_matches_sympy(sympy, m)
+    assert_left_kernel_saturated(sympy, m)
+
+
 def test_sparse_safe_matmul_int64_bound():
     # a is sparse (3 nonzeros in 50): the product over its nonzeros
     a = np.zeros((10, 5), dtype=object)
