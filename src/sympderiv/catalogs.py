@@ -331,14 +331,13 @@ def catalog_lattice(sp: DerivationSpace, blocks, chunk=256):
     of a batch outside it join the span, through one lattice sum, as in
     ``orbit_closure``.
     """
-    width = sp.rank
     if isinstance(blocks, np.ndarray):
         blocks = np.split(blocks, range(chunk, len(blocks), chunk))
-    lat = IntegerLattice(width)
+    lat = IntegerLattice(sp.rank)
     for batch in _batches(blocks, chunk):
         new = batch[~lat.contains_rows(batch)]
         if len(new):
-            lat = lat.sum(IntegerLattice(width, new))
+            lat = lat.sum(new)
     return lat
 
 
@@ -410,8 +409,7 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
     are already inside.  The lattice after every round, and so the number
     of rounds, is that of moving the whole basis each time.
     """
-    width = len(actions[0])
-    lat = IntegerLattice(width, np.asarray(seed_rows))
+    lat = IntegerLattice(len(actions[0]), np.asarray(seed_rows))
     frontier = lat.basis
     for _ in range(max_rounds):
         # one membership test per matrix: stacking every moved row of the
@@ -420,7 +418,7 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
         frontier = np.vstack([rows[~lat.contains_rows(rows)] for rows in moved])
         if not len(frontier):
             return lat
-        lat = lat.sum(IntegerLattice(width, frontier))
+        lat = lat.sum(frontier)
     raise RuntimeError("orbit closure did not stabilize")
 
 

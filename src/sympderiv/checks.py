@@ -210,12 +210,12 @@ def _check_levine(g, seed):
     ctx = sp.ctx
     a = [np.asarray(ctx.basis_vector(i)) for i in range(g)]
     b = [np.asarray(ctx.basis_vector(g + i)) for i in range(g)]
-    proj_kernel = sp.ker_projection("A")
     # the S^2(H') basis vector b'_i b'_j at [i, j]
     sym2 = np.eye(g * (g + 1) // 2, dtype=np.int64)[traces._pair_columns(g, 0)]
-    # per (i, j): the one-handle element and the two-handle elements, from
-    # one eta2 stack: (a_i, b_j | b_j, b_i), then (a_k, b_i | b_j, b_k)
-    families = []
+    # (label, element, its tr_A) in loop order: per (i, j), the one-handle
+    # element and the two-handle elements, from one eta2 stack:
+    # (a_i, b_j | b_j, b_i), then (a_k, b_i | b_j, b_k)
+    entries = []
     for i in range(g):
         for j in range(g):
             if i == j:
@@ -225,46 +225,30 @@ def _check_levine(g, seed):
                               [b[j]] + [b[i]] * len(ks), [b[j]] * (1 + len(ks)),
                               [b[i]] + [b[k] for k in ks])
             one = dict(zip(ks, rows[1:]))
-            two = [((k, k2), one[k] + one[k2])
-                   for k in ks for k2 in ks if k2 >= k]
-            families.append((i, j, rows[0], two))
-    # every test on one stack, in D_2 coordinates; the loop reads the
-    # results in order, so the witness is that of the first failing element
-    every = sp.coords(np.vstack([row for _, _, t1, two in families
-                                 for row in [t1] + [t2 for _, t2 in two]]))
-    firsts = np.cumsum([0] + [1 + len(two) for *_, two in families[:-1]])
-    one_handle = every[firsts]
-    in_kernel = proj_kernel.contains_rows(one_handle)
-    as_rows = traces.tr_as(sp, one_handle)
-    in_domain = sp.filtration(0, "A").contains_rows(every)
+            entries.append(("one-handle, i=%d j=%d" % (i, j), rows[0],
+                            sym2[j, j]))
+            entries.extend(("two-handle %s" % str((k, k2, i, j)),
+                            one[k] + one[k2], 2 * sym2[i, j])
+                           for k in ks for k2 in ks if k2 >= k)
+    # every test on one stack, in D_2 coordinates; the witness is that of
+    # the first failing element
+    labels, elements, want = zip(*entries)
+    every = sp.coords(np.vstack(elements))
+    want = np.array(want)
     traces_A = traces.tr_A(sp, every, check_domain=False)
-
-    def trace_A(n):
-        # n: the element's row of `every`, the count of elements checked
-        # before it, since the loop stops at the first failure
+    ok = (traces_A == want).all(axis=1) & want.any(axis=1)
+    first = np.array([label.startswith("one-handle") for label in labels])
+    ok[first] &= (sp.ker_projection().contains_rows(every[first])
+                  & ~traces.tr_as(sp, every[first]).any(axis=1))
+    in_domain = sp.filtration(0, "A").contains_rows(every)
+    bad = np.flatnonzero(~in_domain | ~ok)
+    if len(bad):
+        n = bad[0]
         if not in_domain[n]:
             raise FiltrationError(
                 "element is not in the A-side filtration level 0")
-        return traces_A[n]
-
-    checked = 0
-    for (i, j, _, two), kernel_ok, as_row in zip(families, in_kernel,
-                                                 as_rows):
-        want = sym2[j, j]
-        tr1 = trace_A(checked)
-        if (not kernel_ok or as_row.any() or not np.array_equal(tr1, want)
-                or not want.any()):
-            return False, {"element": "one-handle, i=%d j=%d" % (i, j),
-                           "trace": _dec(tr1)}
-        checked += 1
-        want2 = 2 * sym2[i, j]
-        for key, _ in two:
-            tr2 = trace_A(checked)
-            if not np.array_equal(tr2, want2):
-                return False, {"element": "two-handle %s" % str(key + (i, j)),
-                               "trace": _dec(tr2)}
-            checked += 1
-    return True, {"elements_checked": checked,
+        return False, {"element": labels[n], "trace": _dec(traces_A[n])}
+    return True, {"elements_checked": len(every),
                   "strictness_witness": "tr_A = b'_j b'_j != 0 on an element "
                                         "of the projection kernel"}
 
@@ -380,7 +364,7 @@ def _check_realizable_sum(g, seed):
     ka = traces.ker_tr_as(sp)
     quarter_turn = len(catalogs.goeritz_symmetries(g)) - 1
     iota = catalogs.coordinate_action(sp, quarter_turn)
-    total = lat.sum(IntegerLattice(sp.rank, safe_matmul(lat.basis, iota)))
+    total = lat.sum(safe_matmul(lat.basis, iota))
     equal = total == ka
     wit = {"sum_rank": total.rank, "ker_as_rank": ka.rank, "equal": equal}
     if g < 4:

@@ -1,5 +1,5 @@
 """Derivation lattices D_2, D_2', generator coordinates, filtrations,
-quotient kernels, and the homology matrices of the Goeritz symmetries
+the kernel of killing A, and the homology matrices of the Goeritz symmetries
 (``catalogs`` moves generator leaves and tripod letters by them).
 
 Generators of D_2(H) follow the tree/symmetric-half presentation: one
@@ -12,7 +12,8 @@ D_2 itself, the bracket-map kernel, is the one degree-2 lattice held in
 ambient H (x) L_3 coordinates; the bracket map is read at the Lyndon words
 of length 4 (``bracket_word_matrix``), which keeps its kernel.  Every other
 degree-2 element and lattice, D_2', the filtrations and the projection
-kernel among them, lives in Z^r, r = rank D_2, over D_2's HNF basis
+kernel among them (a kernel of D_2's basis read at the coordinates that
+killing A keeps), lives in Z^r, r = rank D_2, over D_2's HNF basis
 (``coords``); ``gen_coords`` reads the generators there from sparse
 expansions, with no dense ambient generator matrix.
 The generator coefficients of a coordinate row are the row times one
@@ -310,28 +311,17 @@ class DerivationSpace:
         cols = np.flatnonzero(on_side.sum(axis=1) >= level + 1)
         return IntegerLattice(self.rank, self.gen_coords()[:, cols].T)
 
-    # -- kernels of quotient coordinate maps ------------------------------
-    def quotient_map_matrix(self, killed: str) -> np.ndarray:
-        """Matrix of the coordinate map H (x) L_3(H) -> H_q (x) L_3(H_q)
-        induced by killing one Lagrangian; its kernel on D_2 is the kernel
-        of D_2(H) -> D_2(H_q)."""
-        ctx = self.ctx
-        g = ctx.g
-        d3 = ctx.dim(3)
-        proj = ctx.lyndon_projection_matrix(3, killed)
-        qd3 = proj.shape[0]
-        survivors = [h for h in range(ctx.n) if h not in ctx.kill_letters(killed)]
-        out = np.zeros((g * qd3, ctx.n * d3), dtype=np.int64)
-        for qi, h in enumerate(survivors):
-            out[qi * qd3:(qi + 1) * qd3, h * d3:(h + 1) * d3] = proj
-        return out
-
+    # -- the kernel of killing A ------------------------------------------
     @lru_cache(maxsize=None)
-    def ker_projection(self, killed: str = "A") -> IntegerLattice:
-        """Kernel of D_2(H) -> D_2(H/killed) in Z^r: the kernel of the
-        quotient map on D_2's basis."""
-        m = self.quotient_map_matrix(killed)
-        return kernel_lattice(safe_matmul(m, self.d2().basis.T))
+    def ker_projection(self) -> IntegerLattice:
+        """Kernel of D_2(H) -> D_2(H/A) in Z^r.  Killing A selects the
+        ambient coordinates h (x) w with h on B and w a Lyndon word with no
+        A-letter (``SymplecticContext.avoiding``), so this is the kernel of
+        D_2's basis read at those columns."""
+        ctx = self.ctx
+        on_b = np.arange(ctx.n) >= self.g
+        keep = np.outer(on_b, ctx.avoiding("A")).ravel()
+        return kernel_lattice(self.d2().basis[:, keep].T)
 
 
 @lru_cache(maxsize=None)

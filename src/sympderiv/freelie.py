@@ -9,7 +9,9 @@ coordinates are exact contractions against those tables.  The bracket map
 H (x) L_3 -> L_4 is read instead at the Lyndon words of T_4, with no
 degree-4 table: the Lyndon-word block of the bracketings' expansions is
 unitriangular (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, 5.1), so
-that reading is injective on L_4.
+that reading is injective on L_4.  Killing a Lagrangian of H is a
+selection of degree-3 Lyndon coordinates (``avoiding``), with no quotient
+alphabet.
 """
 
 from __future__ import annotations
@@ -83,20 +85,16 @@ class SymplecticContext:
     derived from a context are immutable.
     """
 
-    def __init__(self, genus: int, letters: int | None = None):
+    def __init__(self, genus: int):
         if genus < 1:
             raise ContextError("genus must be >= 1")
         self.g = genus
-        # quotient contexts reuse the machinery with a smaller free alphabet
-        self.n = 2 * genus if letters is None else letters
-        self._symplectic = letters is None
+        self.n = 2 * genus
 
     # -- the intersection form -------------------------------------------
     def omega(self, u, v):
         """omega(u, v) of two vectors (an int), or row by row of two equal
         stacks (an exact integer array)."""
-        if not self._symplectic:
-            raise ContextError("no symplectic form on a quotient alphabet")
         u = np.asarray(u)
         v = np.asarray(v)
         if u.shape[-1:] != (self.n,) or v.shape[-1:] != (self.n,):
@@ -241,12 +239,7 @@ class SymplecticContext:
                           sign * coeff[keep])
         return out
 
-    # -- Lagrangian quotients --------------------------------------------
-    @lru_cache(maxsize=None)
-    def quotient_context(self) -> "SymplecticContext":
-        """A free alphabet of g letters for H/A or H/B coordinates."""
-        return SymplecticContext(self.g, letters=self.g)
-
+    # -- Lagrangians -------------------------------------------------------
     def kill_letters(self, lagrangian: str) -> range:
         if lagrangian == "A":
             return range(0, self.g)
@@ -255,20 +248,20 @@ class SymplecticContext:
         raise ContextError("lagrangian must be 'A' or 'B'")
 
     @lru_cache(maxsize=None)
-    def lyndon_projection_matrix(self, k: int, lagrangian: str) -> np.ndarray:
-        """L_k(H) -> L_k(H/A or H/B) over the two Lyndon bases: column i is
-        the i-th bracketing tensor without its words through a killed
-        letter, in the quotient Lyndon coordinates."""
-        killed = set(self.kill_letters(lagrangian))
-        shift = self.g if lagrangian == "A" else 0
-        qctx = self.quotient_context()
-        cols = []
-        for w in self.lyndon(k):
-            kept = {tuple(l - shift for l in word): c
-                    for word, c in self.bracketing_tensor(w).items()
-                    if killed.isdisjoint(word)}
-            cols.append(qctx.tensor_to_lyndon(k, kept))
-        return np.array(cols, dtype=np.int64).T
+    def avoiding(self, lagrangian: str) -> np.ndarray:
+        """Read-only boolean mask over ``lyndon(3)`` of the words with no
+        letter of the Lagrangian.
+
+        Killing the Lagrangian is a selection of these coordinates.  Every
+        word of a Lyndon bracketing's expansion rearranges that Lyndon
+        word's letters, so the bracketing of a word through a killed letter
+        goes to 0, and that of any other word is the quotient's own Lyndon
+        bracketing, its letters renumbered in order (Reutenauer, Free Lie
+        Algebras, ch. 4-5)."""
+        killed = list(self.kill_letters(lagrangian))
+        mask = ~np.isin(np.array(self.lyndon(3)), killed).any(axis=1)
+        mask.setflags(write=False)
+        return mask
 
 
 @lru_cache(maxsize=None)

@@ -304,14 +304,11 @@ class IntegerLattice:
     def __repr__(self):
         return f"IntegerLattice(dim={self.ambient_dim}, rank={self.rank})"
 
-    def sum(self, other: "IntegerLattice") -> "IntegerLattice":
-        self._check(other)
-        if self.rank == 0:
-            return other
-        if other.rank == 0:
-            return self
+    def sum(self, rows) -> "IntegerLattice":
+        """The span of the lattice and a stack of rows: one HNF of the
+        basis stacked on them."""
         return IntegerLattice(self.ambient_dim,
-                              np.vstack([self.basis, other.basis]))
+                              np.vstack([self.basis, rows]))
 
     def intersection(self, other: "IntegerLattice") -> "IntegerLattice":
         """Zassenhaus: the HNF of [[A, A], [B, 0]] spans the pairs

@@ -105,20 +105,20 @@ def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
 
     The trace of e_h (x) (i-th Lyndon bracketing), ambient row
     h * dim(L_3) + i: keep H-factors in the side Lagrangian, kill that side
-    in the Lie factor, contract the first two tensor slots by omega, and
-    symmetrize the last two into S^2 of the quotient."""
+    in the Lie factor (only the Lyndon words ``avoiding`` it survive),
+    contract the first two tensor slots by omega, and symmetrize the last
+    two into S^2 of the quotient."""
     ctx = sp.ctx
     d3 = ctx.dim(3)
     side_letters = ctx.kill_letters(side)
     shift = ctx.g if side == "A" else 0
     j = iota_matrix(ctx.g)
     col = _pair_columns(ctx.g, 0)
+    words = ctx.lyndon(3)
     table = np.zeros((sp.ambient_dim, col.max() + 1), dtype=np.int64)
     for h in side_letters:
-        for i, w in enumerate(ctx.lyndon(3)):
-            for word, c in ctx.bracketing_tensor(w).items():
-                if any(l in side_letters for l in word):
-                    continue
+        for i in np.flatnonzero(ctx.avoiding(side)):
+            for word, c in ctx.bracketing_tensor(words[i]).items():
                 om = j[h, word[0]]
                 if om:
                     x, y = word[1] - shift, word[2] - shift

@@ -510,7 +510,7 @@ def _naive_closure(ctx, seed_rows, mats, k):
         new = lat
         for m in mats:
             moved = transform_rows(ctx, m, lat.basis, k)
-            new = new.sum(IntegerLattice(ambient, moved))
+            new = new.sum(moved)
         if new == lat:
             return lat, rounds
         lat = new

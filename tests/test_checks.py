@@ -38,7 +38,7 @@ def test_levine_raises_at_first_element_outside_domain(monkeypatch):
     # a filtration holding only the first one-handle element: that element
     # passes, and tr_A of the next one (a two-handle element) raises
     sp = space(2)
-    proj_kernel = sp.ker_projection("A")
+    proj_kernel = sp.ker_projection()
     e = [np.asarray(sp.ctx.basis_vector(p)) for p in range(4)]
     first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
     lat = IntegerLattice(sp.rank, sp.coords(first[None, :]))

@@ -13,7 +13,7 @@ from sympderiv.freelie import SymplecticContext
 from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
 from sympderiv.trees import eta1, eta2
 from test_catalogs import transform_rows
-from test_freelie import bracket_matrix
+from test_freelie import bracket_matrix, lyndon_projection
 from test_trees import expand_symhalf
 
 D2_RANK = {2: 20, 3: 105}
@@ -234,16 +234,32 @@ def test_action_is_functorial():
     assert np.array_equal(a12, composed)
 
 
+def quotient_map(sp):
+    """The reference map H (x) L_3(H) -> H/A (x) L_3(H/A): the B-letter
+    blocks, each through ``lyndon_projection``."""
+    ctx = sp.ctx
+    proj = lyndon_projection(ctx, 3, "A")
+    return np.kron(np.eye(ctx.n, dtype=np.int64)[sp.g:], proj)
+
+
 def test_ker_projection_inside_d2():
     sp = space(2)
-    ka = sp.ker_projection("A")
+    ka = sp.ker_projection()
     d2 = sp.d2()
     assert ka.ambient_dim == d2.rank
     assert 0 < ka.rank < d2.rank
+    keep = np.outer(np.arange(sp.ctx.n) >= sp.g, sp.ctx.avoiding("A")).ravel()
     for row in safe_matmul(ka.basis, d2.basis):
         assert row in d2
-        # the quotient coordinate map really kills it
-        assert not (sp.quotient_map_matrix("A") @ row).any()
+        # the selected quotient coordinates really vanish
+        assert not row[keep].any()
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_ker_projection_is_the_kernel_of_the_quotient_map(g):
+    sp = space(g)
+    ref = kernel_lattice(safe_matmul(quotient_map(sp), sp.d2().basis.T))
+    assert sp.ker_projection() == ref
 
 
 # -- D_2 coordinates ---------------------------------------------------------

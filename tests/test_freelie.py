@@ -229,12 +229,8 @@ def test_omega_symplectic_basis():
         assert val == iota_matrix(3)[p, q]  # the Gram matrix J of omega
 
 
-def test_omega_rejects_quotient_alphabet_and_bad_lengths():
+def test_omega_rejects_bad_lengths():
     ctx = context(2)
-    qctx = ctx.quotient_context()
-    e = qctx.basis_vector(0)
-    with pytest.raises(ContextError):
-        qctx.omega(e, e)
     with pytest.raises(ContextError):
         ctx.omega((1, 0, 0), ctx.basis_vector(0))
     assert ctx.omega(np.array([1, 2, 0, 0]), [0, 0, 3, 5]) == 13
@@ -245,20 +241,59 @@ def test_letter_names():
     assert [letter_name(ctx, p) for p in range(4)] == ["a1", "a2", "b1", "b2"]
 
 
+def lyndon_projection(ctx, k, lagrangian):
+    """The reference for killing a Lagrangian: L_k(H) -> L_k(H/A or H/B)
+    over the Lyndon bases on 2g and on g letters.  Column i is the i-th
+    bracketing tensor without its words through a killed letter, the
+    others renumbered onto the letters 0..g-1, read over
+    ``lyndon_words(g, k)`` by triangularity (each bracketing is its word
+    plus larger words)."""
+    killed = set(ctx.kill_letters(lagrangian))
+    shift = ctx.g if lagrangian == "A" else 0
+    index = {w: i for i, w in enumerate(lyndon_words(ctx.g, k))}
+    out = np.zeros((len(index), ctx.dim(k)), dtype=np.int64)
+    for i, w in enumerate(ctx.lyndon(k)):
+        rem = {tuple(l - shift for l in word): c
+               for word, c in ctx.bracketing_tensor(w).items()
+               if killed.isdisjoint(word)}
+        while rem:
+            u = min(rem)
+            c = rem[u]
+            out[index[u], i] += c
+            tensor_add(rem, ctx.bracketing_tensor(u), -c)
+    return out
+
+
 def test_projection_kills_lagrangian():
     ctx = context(2)
-    qctx = ctx.quotient_context()
     rng = np.random.default_rng(5)
     for k in (2, 3):
         x = rng.integers(-3, 4, size=ctx.dim(k))
-        proj = ctx.lyndon_projection_matrix(k, "A") @ x
-        assert proj.shape == (qctx.dim(k),)
+        proj = lyndon_projection(ctx, k, "A") @ x
+        assert proj.shape == (witt_dimension(2, k),)
         # projecting a bracket that involves an A-letter in every term gives 0
     ea = ctx.basis_vector(0)
     eb = ctx.basis_vector(2)
     br = ctx.lie_bracket(1, ea, 1, ea + np.array(eb))
-    assert (ctx.lyndon_projection_matrix(2, "A") @ br).tolist() \
-        == [0] * qctx.dim(2)
+    assert (lyndon_projection(ctx, 2, "A") @ br).tolist() \
+        == [0] * witt_dimension(2, 2)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_killing_a_lagrangian_selects_the_avoiding_words(g, side):
+    """The quotient map on L_3 is the 0/1 selection of the Lyndon words
+    with no letter of the side, in order."""
+    ctx = context(g)
+    keep = ctx.avoiding(side)
+    assert np.array_equal(lyndon_projection(ctx, 3, side),
+                          np.eye(ctx.dim(3), dtype=np.int64)[keep])
+    assert not keep.flags.writeable
+
+
+def test_avoiding_rejects_a_bad_side():
+    with pytest.raises(ContextError):
+        context(2).avoiding("C")
 
 
 def test_tensor_commutator_is_bilinear_bracket():

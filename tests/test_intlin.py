@@ -92,7 +92,7 @@ def test_as_int_matrix_reads_ints_exactly_and_rejects_floats():
 def test_lattice_sum_and_intersection():
     a = IntegerLattice(2, np.array([[2, 0]]))
     b = IntegerLattice(2, np.array([[0, 2]]))
-    s = a.sum(b)
+    s = a.sum(b.basis)
     assert s.rank == 2
     assert a.intersection(b).rank == 0
     c = IntegerLattice(2, np.array([[1, 1]]))
@@ -284,11 +284,12 @@ def test_sum_and_intersection_agree_across_dtypes():
         oa = IntegerLattice(5, la.basis.astype(object), canonical=True)
         ob = IntegerLattice(5, lb.basis.astype(object), canonical=True)
         assert oa.basis.dtype == object
-        assert la.sum(lb) == oa.sum(ob)
+        assert la.sum(lb.basis) == oa.sum(ob.basis)
         assert la.intersection(lb) == oa.intersection(ob)
         wa, wb = IntegerLattice(5, a * scale), IntegerLattice(5, b * scale)
         assert wa.basis.dtype == object
-        assert wa.sum(wb) == IntegerLattice(5, la.sum(lb).basis * scale)
+        assert wa.sum(wb.basis) == IntegerLattice(
+            5, la.sum(lb.basis).basis * scale)
         meet = la.intersection(lb)
         assert wa.intersection(wb) == IntegerLattice(
             5, meet.basis * scale if meet.rank else None)

@@ -43,7 +43,7 @@ def coordinate_lattices(g):
         "triple_kernel": double.intersection(traces.ker_tr_B(sp)),
         "filtration_0_A": sp.filtration(0, "A"),
         "filtration_0_B": sp.filtration(0, "B"),
-        "ker_projection_A": sp.ker_projection("A"),
+        "ker_projection_A": sp.ker_projection(),
         "dprime2": sp.dprime2(),
         "johnson_span": catalogs.catalog_lattice(
             sp, catalogs.johnson_catalog(sp)),
