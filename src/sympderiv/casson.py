@@ -7,8 +7,9 @@ symbol l(e_p, e_q) takes the value of its normal form, lk[p, q] for
 p <= q and lk[q, p] + omega(e_q, e_p) otherwise, so theta of every
 generator is read off that one matrix by index.  The base form is
 [[0,0],[Id,0]] and the form twisted by a symmetric S is [[0,0],[Id,S]];
-q-bar and mu are exact products of those values with the coefficients,
-mu at every matrix of a stack of S at once.
+q-bar and mu are exact products of those values with the coefficients.
+Every map takes a stack of coefficient rows, and mu and the pairings a
+stack of matrices S, giving one row per input row and one column per S.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .derivspace import DerivationSpace, iota_matrix
+from .derivspace import DerivationSpace
+from .freelie import iota_matrix
 from .intlin import fits_int64, safe_einsum, safe_matmul
 from .traces import tr_omegaS
 
@@ -81,65 +83,48 @@ def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
     return 3 * _theta(sp, lk_base(sp.g)) + dbar
 
 
-def qbar_of_coeffs(sp: DerivationSpace, coeffs):
-    """eps_j(theta) + (1/3) dbar on a generator expression: a Fraction for
-    one row of coefficients, a list of them for a stack."""
-    thrice = safe_matmul(coeffs, _thrice_qbar_column(sp)[:, None])[..., 0]
-    if thrice.ndim == 0:
-        return Fraction(int(thrice), 3)
-    return [Fraction(int(x), 3) for x in thrice]
+def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> list:
+    """eps_j(theta) + (1/3) dbar on each row of a stack of generator
+    coefficients, as a list of Fractions."""
+    thrice = safe_matmul(coeffs, _thrice_qbar_column(sp)[:, None])
+    return [Fraction(int(x), 3) for x in thrice[:, 0]]
 
 
-def _per_s(out: np.ndarray, s: np.ndarray):
-    """A result with one column per matrix of a stack of S, its last axis,
-    back to the caller's shape: that axis dropped for a single S, and an
-    int for a single row."""
-    if s.ndim == 2:
-        out = out[..., 0]
-    return int(out) if out.ndim == 0 else out
-
-
-def mu_of_coeffs(sp: DerivationSpace, coeffs, s):
-    """Casson-difference value against the symmetric matrix S of the
-    element with the given generator coefficients, of shape
-    coeffs.shape[:-1] + s.shape[:-2]: an int for one row and one S, an
-    exact integer array for a stack of rows or of matrices.
+def mu_of_coeffs(sp: DerivationSpace, coeffs, s) -> np.ndarray:
+    """Casson-difference values of the elements with the given stack of
+    generator coefficients against each matrix of a stack of symmetric S:
+    an exact integer array, one row per element and one column per S.
 
     theta of every generator is read off the base and every twisted
     linking matrix at once; one exact product of the coefficients with the
     differences eps_base(theta) - eps_twisted(theta) gives the values."""
-    s = np.asarray(s)
     diff = _theta(sp, lk_base(sp.g)) - _theta(sp, lk_twisted(sp.g, s))
-    per_gen = diff.reshape(-1, diff.shape[-1]).T
-    return _per_s(MU_SIGN * safe_matmul(coeffs, per_gen), s)
+    return MU_SIGN * safe_matmul(coeffs, diff.T)
 
 
-def r_pairing(s, q):
-    """Half of the r-map pairing between a symmetric S and an S^2(H')
-    vector over the basis {b'_i b'_j, i <= j}, of shape
-    q.shape[:-1] + s.shape[:-2]: an int, or an exact integer array for a
-    stack of vectors or of matrices."""
+def r_pairing(s, q) -> np.ndarray:
+    """Half of the r-map pairing between each matrix of a stack of
+    symmetric S and each row of a stack of S^2(H') vectors over the basis
+    {b'_i b'_j, i <= j}: an exact integer array, one row per vector and one
+    column per S."""
     s = np.asarray(s, dtype=np.int64)
     i, j = np.triu_indices(s.shape[-1])
-    upper = s[..., i, j]  # row-major i <= j, the basis order
-    return _per_s(safe_matmul(q, upper.reshape(-1, upper.shape[-1]).T), s)
+    return safe_matmul(q, s[:, i, j].T)  # row-major i <= j, the basis order
 
 
-def half_omegaS_plus_delta(sp: DerivationSpace, coeffs, s):
+def half_omegaS_plus_delta(sp: DerivationSpace, coeffs, s) -> np.ndarray:
     """(1/2 omega_S + omega_delta) applied to tr_omegaS(coeffs, S), counted
     in halves: the exact integers omega_S(t) + 2 omega_delta(t), twice the
-    composite, of shape coeffs.shape[:-1] + s.shape[:-2] (an int for one
-    row and one S).
+    composite, one row per row of coefficients and one column per matrix
+    of a stack of S.
 
     Both forms are read off one weight matrix per S, [[0,0],[2 Id,S]],
     contracted exactly with t over all 2g x 2g slots."""
     s = np.asarray(s, dtype=np.int64)
     t = tr_omegaS(sp, coeffs, s)
     n2 = (2 * sp.g) ** 2
-    weights = (lk_base(sp.g) + lk_twisted(sp.g, s)).reshape(-1, n2)
-    t = t.reshape(-1, len(weights), n2)
-    out = safe_einsum("rmk,mk->rm", t, weights)
-    return _per_s(out.reshape(np.shape(coeffs)[:-1] + (len(weights),)), s)
+    weights = (lk_base(sp.g) + lk_twisted(sp.g, s)).reshape(len(s), n2)
+    return safe_einsum("rmk,mk->rm", t.reshape(len(t), len(s), n2), weights)
 
 
 def d_core(h: int) -> int:

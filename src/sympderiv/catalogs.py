@@ -36,8 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .trees import TREE_BRACKET_SIGN, _stacks, eta1
-from .derivspace import DerivationSpace, gl_embed, iota_matrix, runs
+from .trees import TREE_BRACKET_SIGN, eta1
+from .derivspace import DerivationSpace, gl_embed, runs
+from .freelie import iota_matrix
 from .intlin import IntegerLattice, safe_einsum, safe_matmul
 
 
@@ -129,12 +130,10 @@ def _tripod_brackets(sp: DerivationSpace, s, t):
 def bscc_image(sp: DerivationSpace, pairs):
     """Image of a twist along a curve bounding a subsurface with symplectic
     system ``pairs``: sum of u_i(.)v_i plus all cross trees.  Each u_i and
-    v_i is a vector, or a stack giving one row per curve.
+    v_i is a stack of vectors, and the images are one row per curve.
 
     Requires omega(u_i, v_j) = delta_ij and omega(u_i, u_j) = omega(v_i, v_j) = 0.
     """
-    stacks, single = _stacks(*(x for pair in pairs for x in pair))
-    pairs = list(zip(stacks[::2], stacks[1::2]))
     w = sp.ctx.omega
     for i, (u1, v1) in enumerate(pairs):
         for j, (u2, v2) in enumerate(pairs):
@@ -146,9 +145,8 @@ def bscc_image(sp: DerivationSpace, pairs):
     terms = [_tree_terms(sp, x, x, half=True) for x in wedges]
     terms += [_tree_terms(sp, x, y)
               for x, y in itertools.combinations(wedges, 2)]
-    out = sp.gen_rows(len(stacks[0]),
-                      *(np.concatenate(x) for x in zip(*terms)))
-    return out[0] if single else out
+    return sp.gen_rows(len(wedges[0]),
+                       *(np.concatenate(x) for x in zip(*terms)))
 
 
 # -- tripod inventories --------------------------------------------------
@@ -466,10 +464,10 @@ def goeritz_tau2_entries(sp: DerivationSpace):
     e = np.eye(2 * g, dtype=np.int64)
     a, b = e[:g], e[g:]
     *_, shear, iota = coordinate_actions(sp)
-    base = bscc_image(sp, [(a[0], b[0])])  # a1 (.) b1
+    base = bscc_image(sp, [(a[:1], b[:1])])  # a1 (.) b1
     shift = safe_matmul(base, shear) - base
     return np.vstack([base,
-                      bscc_image(sp, [(a[0], b[0]), (a[1], b[1])]),
+                      bscc_image(sp, [(a[:1], b[:1]), (a[1:2], b[1:2])]),
                       tripod_bracket_entries(sp, side="mixed"),
                       shift,
                       safe_matmul(shift, iota)])

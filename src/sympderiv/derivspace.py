@@ -1,6 +1,8 @@
 """Derivation lattices D_2, D_2', generator coordinates, filtrations,
-the kernel of killing A, and the homology matrices of the Goeritz symmetries
-(``catalogs`` moves generator leaves and tripod letters by them).
+the kernel of killing A, and the GL(g, Z) block embedding among the
+homology matrices of the Goeritz symmetries (the quarter turn is
+``freelie.iota_matrix``; ``catalogs`` moves generator leaves and tripod
+letters by them).  Every array method takes stacks, one row per element.
 
 Generators of D_2(H) follow the tree/symmetric-half presentation: one
 (.)-generator per basis pair P = (p,q), then one tree generator per
@@ -48,14 +50,6 @@ class InconsistencyError(RuntimeError):
     pass
 
 
-def iota_matrix(g: int) -> np.ndarray:
-    """a_i -> -b_i, b_i -> a_i; also the Gram matrix J of omega."""
-    m = np.zeros((2 * g, 2 * g), dtype=np.int64)
-    m[:g, g:] = np.eye(g, dtype=np.int64)
-    m[g:, :g] = -np.eye(g, dtype=np.int64)
-    return m
-
-
 def gl_embed(g: int, p: np.ndarray) -> np.ndarray:
     """diag(P, (P^T)^{-1}) for P in GL(g, Z)."""
     # P is unimodular iff its HNF is the identity, and then u = P^{-1}.
@@ -87,8 +81,9 @@ def runs(start, count):
 
 
 class _GenSolver:
-    """Solve integer systems x @ rows = v once the HNF is precomputed: the
-    coefficients over the HNF rows, times the transform rows that form them."""
+    """Solve integer systems x @ rows = v, v each row of a stack, once the
+    HNF is precomputed: the coefficients over the HNF rows, times the
+    transform rows that form them."""
 
     def __init__(self, rows: np.ndarray):
         h, u = hermite_normal_form(rows, transform=True)
@@ -97,7 +92,7 @@ class _GenSolver:
         self.trans = u[mask]
 
     def solve(self, v):
-        """Coefficients of one vector, or of each row of a stack, or None."""
+        """Coefficients of each row of a stack, or None if one is outside."""
         c = self.span.membership(v)
         return None if c is None else safe_matmul(c, self.trans)
 
@@ -203,10 +198,10 @@ class DerivationSpace:
         return self.d2().rank
 
     def coords(self, v) -> np.ndarray:
-        """D_2 coordinates of an element of H (x) L_3, or of each row of a
-        stack: its coefficients over D_2's HNF basis.  Every pivot of that
-        basis is 1, so they are v's entries at the pivot columns, and one
-        check product confirms them; an element outside D_2 raises."""
+        """D_2 coordinates of each row of a stack of elements of H (x) L_3:
+        its coefficients over D_2's HNF basis.  Every pivot of that basis is
+        1, so they are the row's entries at the pivot columns, and one check
+        product confirms them; a row outside D_2 raises."""
         c = self.d2().membership(v)
         if c is None:
             raise MembershipError("element is not in D_2")
@@ -282,15 +277,15 @@ class DerivationSpace:
         return _GenSolver(self.gen_coords()[:, self.tree_indices].T)
 
     def express_in_generators(self, v) -> np.ndarray:
-        """Coefficients over all generators of the coordinate row v, or of
-        each row of a stack: v times the transform of the generators' HNF,
-        which ``d2`` checks to be the identity."""
+        """Coefficients over all generators of each coordinate row of a
+        stack: the rows times the transform of the generators' HNF, which
+        ``d2`` checks to be the identity."""
         self.d2()
         return safe_matmul(v, self._full_solver().trans)
 
     def express_in_tree_generators(self, v) -> np.ndarray:
-        """Coefficients over tree generators only of coordinate rows;
-        requires v (every row of a stack) in D_2'."""
+        """Coefficients over tree generators only of each coordinate row of
+        a stack; requires every row in D_2'."""
         c = self._tree_solver().solve(v)
         if c is None:
             raise MembershipError("element is not in the tree sublattice D_2'")

@@ -5,13 +5,13 @@ words use that letter order.  Degrees are capped at 4, which is all the
 degree-2 derivation theory needs.  Tensor elements are dicts from letter
 tuples to integer coefficients; they define the bracket once, in a
 structure-constant table per pair of degrees, and brackets in Lyndon
-coordinates are exact contractions against those tables.  The bracket map
+coordinates are one exact product against those tables.  The bracket map
 H (x) L_3 -> L_4 is read instead at the Lyndon words of T_4, with no
 degree-4 table: the Lyndon-word block of the bracketings' expansions is
 unitriangular (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, 5.1), so
 that reading is injective on L_4.  Killing a Lagrangian of H is a
 selection of degree-3 Lyndon coordinates (``avoiding``), with no quotient
-alphabet.
+alphabet.  Every array function takes stacks, one row per element.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intlin import fits_int64, safe_einsum
+from .intlin import safe_einsum, safe_matmul
 
 MAX_DEGREE = 4
 
@@ -55,6 +55,17 @@ def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
         raise ValueError(f"not a bracketable word: {w}")
     i = min(range(1, len(w)), key=lambda j: w[j:])
     return w[:i], w[i:]
+
+
+@lru_cache(maxsize=None)
+def iota_matrix(g: int) -> np.ndarray:
+    """a_i -> -b_i, b_i -> a_i; also the Gram matrix J of omega,
+    J[p, q] = omega(e_p, e_q).  Read-only, one per genus."""
+    m = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    m[:g, g:] = np.eye(g, dtype=np.int64)
+    m[g:, :g] = -np.eye(g, dtype=np.int64)
+    m.setflags(write=False)
+    return m
 
 
 def tensor_add(t: dict, other: dict, scale: int = 1) -> None:
@@ -92,23 +103,14 @@ class SymplecticContext:
         self.n = 2 * genus
 
     # -- the intersection form -------------------------------------------
-    def omega(self, u, v):
-        """omega(u, v) of two vectors (an int), or row by row of two equal
-        stacks (an exact integer array)."""
+    def omega(self, u, v) -> np.ndarray:
+        """omega(u, v) row by row of two equal stacks, u_m J v_m: an exact
+        integer array."""
         u = np.asarray(u)
         v = np.asarray(v)
         if u.shape[-1:] != (self.n,) or v.shape[-1:] != (self.n,):
             raise ContextError("vector length does not match the context")
-        g = self.g
-        if u.ndim == v.ndim == 1:
-            u, v = u.tolist(), v.tolist()
-            return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
-        # omega(u, v) = u . Jv with Jv = (v_b, -v_a)
-        jv = np.concatenate([v[..., g:], -v[..., :g]], axis=-1)
-        return safe_einsum("mi,mi->m", u, jv)
-
-    def basis_vector(self, p: int) -> tuple[int, ...]:
-        return tuple(1 if i == p else 0 for i in range(self.n))
+        return safe_einsum("mi,ij,mj->m", u, iota_matrix(self.g), v)
 
     # -- Lyndon tables ----------------------------------------------------
     @lru_cache(maxsize=None)
@@ -174,42 +176,14 @@ class SymplecticContext:
         table.setflags(write=False)
         return table
 
-    @lru_cache(maxsize=None)
-    def _bracket_terms(self, j: int, k: int):
-        """The nonzero structure constants of ``bracket_table(j, k)`` as
-        triplets (a, b, c) grouped by target coordinate: the targets, where
-        each group starts, and the largest |c| times the largest group
-        (so a bound on one output entry per unit of |x| |y|)."""
-        table = self.bracket_table(j, k)
-        a, b, d = np.nonzero(table)
-        order = np.argsort(d, kind="stable")
-        a, b, d = a[order], b[order], d[order]
-        c = table[a, b, d]
-        targets, starts, counts = np.unique(d, return_index=True,
-                                            return_counts=True)
-        scale = int(np.abs(c).max(initial=0)) * int(counts.max(initial=0))
-        return a, b, c, targets, starts, scale
-
     def lie_bracket(self, j: int, x, k: int, y) -> np.ndarray:
-        """Bracket L_j x L_k -> L_{j+k} in Lyndon coordinates, of one pair
-        or row by row of two stacks.
-
-        Sums x_a y_b c over the nonzero structure constants (a, b, c) of
-        each target coordinate, in int64 when a bound allows, else on
-        Python ints.
-        """
-        a, b, c, targets, starts, scale = self._bracket_terms(j, k)
-        x = np.asarray(x)
-        xs, ys = np.atleast_2d(x, y)
-        bound = (scale * max(1, int(np.abs(xs).max(initial=0)))
-                 * max(1, int(np.abs(ys).max(initial=0))))
-        dtype = np.int64 if fits_int64(bound) else object
-        xs, ys = xs.astype(dtype, copy=False), ys.astype(dtype, copy=False)
-        out = np.zeros((len(xs), self.dim(j + k)), dtype=xs.dtype)
-        if len(c):
-            out[:, targets] = np.add.reduceat(xs[:, a] * ys[:, b] * c, starts,
-                                              axis=1)
-        return out if x.ndim == 2 else out[0]
+        """Bracket L_j x L_k -> L_{j+k} in Lyndon coordinates, row by row
+        of two stacks: the products x_a y_b of each row times the
+        structure constants, one exact product (``safe_matmul``)."""
+        table = self.bracket_table(j, k)
+        table = table.reshape(-1, table.shape[2])
+        xy = safe_einsum("ma,mb->mab", x, y)
+        return safe_matmul(xy.reshape(len(xy), len(table)), table)
 
     def bracket_word_matrix(self) -> np.ndarray:
         """Matrix of H (x) L_3 -> T_4, h (x) xi -> [h, xi], read at the

@@ -272,18 +272,15 @@ class IntegerLattice:
     def rank(self) -> int:
         return self.basis.shape[0]
 
-    def membership(self, v):
-        """Integer coefficients of v, or of each row of a stack, over the
-        stored basis, or None if some row is outside."""
-        v = np.asarray(v)
-        coeffs, solved = solve_over_hnf(self.basis, self._pivots,
-                                        np.atleast_2d(v))
-        if not solved.all():
-            return None
-        return coeffs if v.ndim == 2 else coeffs[0]
+    def membership(self, rows):
+        """Integer coefficients of each row of a stack over the stored
+        basis, or None if some row is outside."""
+        coeffs, solved = solve_over_hnf(self.basis, self._pivots, rows)
+        return coeffs if solved.all() else None
 
     def __contains__(self, v) -> bool:
-        return self.membership(v) is not None
+        """Whether the one row v lies in the lattice."""
+        return bool(self.contains_rows([v])[0])
 
     def contains_rows(self, rows) -> np.ndarray:
         """Boolean mask of the rows of a stack that lie in the lattice."""
@@ -405,7 +402,7 @@ SPARSE_PRODUCT = 8
 
 
 def safe_matmul(a, b) -> np.ndarray:
-    """Exact integer product a @ b; a may be a single row vector.
+    """Exact integer product a @ b of two 2-d operands.
 
     An operand with fewer than one nonzero entry in SPARSE_PRODUCT is
     multiplied over its nonzeros only (``_sparse_matmul``): the right one,
@@ -415,16 +412,13 @@ def safe_matmul(a, b) -> np.ndarray:
     are multiplied in int64."""
     a = np.asarray(a)
     b = np.asarray(b)
-    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-    nnz_a, nnz_b = np.count_nonzero(rows), np.count_nonzero(b)
+    nnz_a, nnz_b = np.count_nonzero(a), np.count_nonzero(b)
     if (SPARSE_PRODUCT * nnz_b < b.size
-            and nnz_b * len(rows) < nnz_a * b.shape[1]):
-        out = _sparse_matmul(b.T, rows.T).T
-    elif SPARSE_PRODUCT * nnz_a < rows.size:
-        out = _sparse_matmul(rows, b)
-    else:
-        out = safe_einsum("ij,jk->ik", rows, b)
-    return out.reshape(a.shape[:-1] + b.shape[1:])
+            and nnz_b * len(a) < nnz_a * b.shape[1]):
+        return _sparse_matmul(b.T, a.T).T
+    if SPARSE_PRODUCT * nnz_a < a.size:
+        return _sparse_matmul(a, b)
+    return safe_einsum("ij,jk->ik", a, b)
 
 
 def _sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

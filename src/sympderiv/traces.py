@@ -10,8 +10,9 @@ tr_A and tr_B go through an (r x S^2(H')) matrix: the traces of the
 ambient H (x) L_3 basis, built from the tensor expansions of the degree-3
 Lyndon words, times D_2's basis once.  The S-twisted contraction tr_omegaS
 goes through each generator's contraction, tabulated over the entries of
-S.  Elements are D_2 coordinate rows (``DerivationSpace.coords``), and
-kernels are exact sublattices of Z^r, r = rank D_2.
+S.  Elements are stacks of D_2 coordinate rows
+(``DerivationSpace.coords``), and kernels are exact sublattices of Z^r,
+r = rank D_2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .derivspace import DerivationSpace, FiltrationError, iota_matrix
+from .derivspace import DerivationSpace, FiltrationError
+from .freelie import iota_matrix
 from .intlin import GF2Matrix, IntegerLattice, kernel_lattice, safe_matmul
 
 
@@ -92,10 +94,14 @@ def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
 
 # -- the A-side and B-side traces ------------------------------------------
 
-def tr_A(sp: DerivationSpace, v, check_domain: bool = True) -> np.ndarray:
-    """Integer vector over the S^2(H') basis {b'_i b'_j, i <= j} of one
-    coordinate row, or one row per row of a stack."""
-    return _side_trace(sp, v, "A", check_domain)
+def tr_A(sp: DerivationSpace, rows) -> np.ndarray:
+    """Integer rows over the S^2(H') basis {b'_i b'_j, i <= j}, one per
+    coordinate row of a stack; a row outside the A-side filtration level 0,
+    the domain, raises."""
+    if not sp.filtration(0, "A").contains_rows(rows).all():
+        raise FiltrationError(
+            "element is not in the A-side filtration level 0")
+    return safe_matmul(rows, _side_table(sp, "A"))
 
 
 @lru_cache(maxsize=None)
@@ -126,16 +132,6 @@ def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
     table = safe_matmul(sp.d2().basis, table)
     table.setflags(write=False)
     return table
-
-
-def _side_trace(sp: DerivationSpace, v, side: str,
-                check_domain: bool) -> np.ndarray:
-    v = np.asarray(v)
-    if check_domain and not sp.filtration(0, side).contains_rows(
-            np.atleast_2d(v)).all():
-        raise FiltrationError(
-            "element is not in the %s-side filtration level 0" % side)
-    return safe_matmul(v, _side_table(sp, side))
 
 
 # -- the S-twisted contraction ---------------------------------------------
@@ -171,26 +167,23 @@ def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
 
 
 def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
-    """Value in T_2(H) = H (x) H, as a 2g x 2g integer matrix, of the
-    element with the given generator coefficients against the symmetric
-    matrix S: shape coeffs.shape[:-1] + s.shape[:-2] + (2g, 2g), so a
-    stack of coefficient rows and a stack of matrices give one matrix per
-    (row, S) pair.
+    """Values in T_2(H) = H (x) H, as 2g x 2g integer matrices, of the
+    elements with the given stack of generator coefficient rows against
+    each matrix of a stack of symmetric S: shape (rows, matrices, 2g, 2g),
+    one matrix per (row, S) pair.
 
     The contraction of every generator at every S is one product with the
     tabulated map, then one exact product with the coefficients."""
     s = np.asarray(s, dtype=np.int64)
     g = sp.g
-    if not np.array_equal(s, np.swapaxes(s, -1, -2)):
+    if not np.array_equal(s, np.swapaxes(s, 1, 2)):
         raise ValueError("S must be symmetric")
     i, j = np.triu_indices(g)
-    mats = s[..., i, j].reshape(-1, len(i))
-    per_gen = safe_matmul(mats, _omegaS_table(sp))
-    per_gen = per_gen.reshape(len(mats), len(sp.generators), -1)
-    coeffs = np.asarray(coeffs)
+    per_gen = safe_matmul(s[:, i, j], _omegaS_table(sp))
+    per_gen = per_gen.reshape(len(s), len(sp.generators), -1)
     out = safe_matmul(coeffs,
                       per_gen.transpose(1, 0, 2).reshape(len(sp.generators), -1))
-    return out.reshape(coeffs.shape[:-1] + s.shape[:-2] + (2 * g, 2 * g))
+    return out.reshape(len(out), len(s), 2 * g, 2 * g)
 
 
 # -- kernels as integer lattices -------------------------------------------

@@ -11,8 +11,8 @@ generator columns, from wedge coordinates (``catalogs._tree_terms``).
 
 Elements of H (x) L_k are flat integer vectors: block h holds the Lyndon
 coordinates of the L_k factor tensored with the basis letter h.  Every
-expansion takes leaf vectors, or stacks of them giving one row per
-element; a single element is the one-row case.
+expansion takes equal stacks of leaf vectors and gives one row per
+element; a single element is a one-row stack.
 """
 
 from __future__ import annotations
@@ -30,46 +30,32 @@ from .intlin import safe_einsum
 TREE_BRACKET_SIGN = 1
 
 
-def _stacks(*vecs):
-    """Leaf vectors as equal-length stacks of rows (a single vector
-    broadcasts), and whether every argument was a single vector (the
-    one-row case)."""
-    arrs = [np.asarray(v) for v in vecs]
-    single = all(a.ndim == 1 for a in arrs)
-    return np.broadcast_arrays(*(np.atleast_2d(a) for a in arrs)), single
-
-
-def _hl_sum(terms, single: bool) -> np.ndarray:
+def _hl_sum(terms) -> np.ndarray:
     """Flat H (x) L_k rows of sum_t vec_t (x) lie_t: one exact contraction
     over the stacked terms (int64 under its bound, else Python ints)."""
     vecs = np.stack([v for v, _ in terms], axis=1)
     lies = np.stack([l for _, l in terms], axis=1)
     out = safe_einsum("mth,mtd->mhd", vecs, lies)
-    out = out.reshape(len(out), vecs.shape[2] * lies.shape[2])
-    return out[0] if single else out
+    return out.reshape(len(out), vecs.shape[2] * lies.shape[2])
 
 
 def eta1(ctx: SymplecticContext, u, v, w) -> np.ndarray:
-    """Tripod expansion in H (x) L_2; the cherry (x,y) reads as [y,x].
-
-    Leaves are vectors, or stacks giving one row per tripod."""
-    (u, v, w), single = _stacks(u, v, w)
+    """Tripod expansion in H (x) L_2, one row per row of the leaf stacks;
+    the cherry (x,y) reads as [y,x]."""
     # a (x) [c,b] for the cyclic rotations (a,b,c) of (u,v,w)
     return _hl_sum([(a, ctx.lie_bracket(1, c, 1, b))
-                    for a, b, c in ((u, v, w), (v, w, u), (w, u, v))], single)
+                    for a, b, c in ((u, v, w), (v, w, u), (w, u, v))])
 
 
 def eta2(ctx: SymplecticContext, a, b, c, d) -> np.ndarray:
-    """H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a] + c(x)[d,[a,b]] + d(x)[[a,b],c].
-
-    Leaves are vectors, or stacks giving one row per tree."""
-    (a, b, c, d), single = _stacks(a, b, c, d)
+    """H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a] + c(x)[d,[a,b]] + d(x)[[a,b],c],
+    one row per row of the leaf stacks."""
     cd = ctx.lie_bracket(1, c, 1, d)
     ab = ctx.lie_bracket(1, a, 1, b)
     return _hl_sum([(a, ctx.lie_bracket(1, b, 2, cd)),
                     (b, ctx.lie_bracket(2, cd, 1, a)),
                     (c, ctx.lie_bracket(1, d, 2, ab)),
-                    (d, ctx.lie_bracket(2, ab, 1, c))], single)
+                    (d, ctx.lie_bracket(2, ab, 1, c))])
 
 
 # -- honest derivation-algebra oracle ------------------------------------
@@ -98,14 +84,15 @@ def derivation_on_lyndon(ctx: SymplecticContext, letter_images: np.ndarray,
     cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def d_word(w):
+        """The image of the bracketing of w, as a one-row stack."""
         if w in cache:
             return cache[w]
         if len(w) == 1:
-            val = letter_images[:, w[0]].copy()
+            val = letter_images[:, w[0]][None]
         else:
             u, v = standard_factorization(w)
-            pu = ctx.tensor_to_lyndon(len(u), ctx.bracketing_tensor(u))
-            pv = ctx.tensor_to_lyndon(len(v), ctx.bracketing_tensor(v))
+            pu = ctx.tensor_to_lyndon(len(u), ctx.bracketing_tensor(u))[None]
+            pv = ctx.tensor_to_lyndon(len(v), ctx.bracketing_tensor(v))[None]
             val = ctx.lie_bracket(len(u) + k, d_word(u), len(v), pv) \
                 + ctx.lie_bracket(len(u), pu, len(v) + k, d_word(v))
         cache[w] = val
@@ -113,7 +100,7 @@ def derivation_on_lyndon(ctx: SymplecticContext, letter_images: np.ndarray,
 
     mat = np.zeros((ctx.dim(j + k), ctx.dim(j)), dtype=np.int64)
     for i, w in enumerate(ctx.lyndon(j)):
-        mat[:, i] = d_word(w)
+        mat[:, i] = d_word(w)[0]
     return mat
 
 

@@ -51,8 +51,14 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
+def omega(ctx, u, v) -> int:
+    """omega of two vectors, as one-row stacks."""
+    return int(ctx.omega(np.asarray(u)[None], np.asarray(v)[None])[0])
+
+
 def l_symbol(ctx, u, v) -> Poly:
     """Bilinear expansion of l(u, v) into normal form."""
+    e = np.eye(ctx.n, dtype=np.int64)
     out: Poly = {}
     for p, cu in enumerate(u):
         if not cu:
@@ -66,7 +72,7 @@ def l_symbol(ctx, u, v) -> Poly:
             else:
                 # l(e_p, e_q) = l(e_q, e_p) + omega(e_q, e_p)
                 out = poly_add(out, {((q, p),): c})
-                w = ctx.omega(ctx.basis_vector(q), ctx.basis_vector(p))
+                w = omega(ctx, e[q], e[p])
                 if w:
                     out = poly_add(out, poly_const(w * c))
     return out
@@ -86,25 +92,27 @@ def theta_odot(ctx, u, v) -> Poly:
 
 
 def dbar_tree(ctx, a, b, c, d) -> int:
-    w = ctx.omega
+    def w(x, y):
+        return omega(ctx, x, y)
+
     return w(a, b) * w(c, d) - w(a, c) * w(b, d) + w(a, d) * w(b, c)
 
 
 def theta_gen(sp, gen) -> Poly:
-    e = sp.ctx.basis_vector
+    e = np.eye(sp.ctx.n, dtype=np.int64)
     if gen[0] == "odot":
         p, q = gen[1]
-        return theta_odot(sp.ctx, e(p), e(q))
+        return theta_odot(sp.ctx, e[p], e[q])
     (p, q), (r, s) = gen[1], gen[2]
-    return theta_tree(sp.ctx, e(p), e(q), e(r), e(s))
+    return theta_tree(sp.ctx, e[p], e[q], e[r], e[s])
 
 
 def dbar_gen(sp, gen) -> int:
     if gen[0] == "odot":
         return 0
-    e = sp.ctx.basis_vector
+    e = np.eye(sp.ctx.n, dtype=np.int64)
     (p, q), (r, s) = gen[1], gen[2]
-    return dbar_tree(sp.ctx, e(p), e(q), e(r), e(s))
+    return dbar_tree(sp.ctx, e[p], e[q], e[r], e[s])
 
 
 def eps_eval(poly, lk):
@@ -148,8 +156,7 @@ def qbar_by_polynomial(sp, coeffs):
 def test_l_symbol_rewrite_rule():
     # l(b1, a1) normalizes to l(a1, b1) + omega(a1, b1)
     ctx = context(2)
-    b1 = ctx.basis_vector(2)
-    a1 = ctx.basis_vector(0)
+    a1, _, b1, _ = np.eye(ctx.n, dtype=np.int64)
     p = l_symbol(ctx, b1, a1)
     assert p == {((0, 2),): 1, (): 1}
     # and l(a1, b1) itself is already normal
@@ -173,9 +180,10 @@ def test_odot_theta_is_half_the_repeated_tree(g):
     u, v, theta_tree(u, v, u, v) = 2 theta_odot(u, v) and
     dbar_tree(u, v, u, v) = 0."""
     ctx = context(g)
+    e = np.eye(ctx.n, dtype=np.int64)
     for p in range(ctx.n):
         for q in range(ctx.n):
-            u, v = ctx.basis_vector(p), ctx.basis_vector(q)
+            u, v = e[p], e[q]
             assert poly_add(theta_tree(ctx, u, v, u, v),
                             theta_odot(ctx, u, v), -2) == {}
             assert dbar_tree(ctx, u, v, u, v) == 0
@@ -200,7 +208,8 @@ def test_eps_eval_on_base_linking():
     lk = casson.lk_base(2)
     # lk(b_i, a_i) = 1, lk(a_i, b_i) = 0 in the base form
     assert lk[2, 0] == 1 and lk[0, 2] == 0
-    p = l_symbol(ctx, ctx.basis_vector(2), ctx.basis_vector(0))
+    e = np.eye(ctx.n, dtype=np.int64)
+    p = l_symbol(ctx, e[2], e[0])
     assert eps_eval(p, lk) == 1
 
 
@@ -220,35 +229,36 @@ def test_qbar_denominator_and_linearity():
     rng = np.random.default_rng(32)
     n = len(sp.generators)
     for _ in range(10):
-        c1 = rng.integers(-2, 3, size=n)
-        c2 = rng.integers(-2, 3, size=n)
-        q1 = casson.qbar_of_coeffs(sp, c1)
-        q2 = casson.qbar_of_coeffs(sp, c2)
+        c1 = rng.integers(-2, 3, size=(1, n))
+        c2 = rng.integers(-2, 3, size=(1, n))
+        [q1] = casson.qbar_of_coeffs(sp, c1)
+        [q2] = casson.qbar_of_coeffs(sp, c2)
         assert (3 * q1).denominator == 1  # only dbar contributes thirds
         # theta is quadratic in the linking symbols but qbar is evaluated
         # generator by generator, so it is additive in the coefficients
-        assert casson.qbar_of_coeffs(sp, c1 + c2) == q1 + q2
+        assert casson.qbar_of_coeffs(sp, c1 + c2) == [q1 + q2]
 
 
 def test_qbar_kills_quartic_relations():
     sp = space(2)
     for quad in [(0, 1, 2, 3)]:
-        row = quartic_relation(sp, quad)
-        assert casson.qbar_of_coeffs(sp, row) == 0
+        row = quartic_relation(sp, quad)[None]
+        assert casson.qbar_of_coeffs(sp, row) == [0]
         for s_seed in range(3):
             rng = np.random.default_rng(s_seed)
-            s = rng.integers(-3, 4, size=(2, 2))
-            s = s + s.T
-            assert casson.mu_of_coeffs(sp, row, s) == 0
+            s = rng.integers(-3, 4, size=(1, 2, 2))
+            s = s + np.swapaxes(s, 1, 2)
+            assert casson.mu_of_coeffs(sp, row, s).tolist() == [[0]]
 
 
 def test_mu_vanishes_at_zero_twist():
     sp = space(2)
     rng = np.random.default_rng(33)
     basis = sp.d2().basis
-    v = basis.T @ rng.integers(-2, 3, size=len(basis))
+    v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
     c = sp.express_in_generators(sp.coords(v))
-    assert casson.mu_of_coeffs(sp, c, np.zeros((2, 2), dtype=np.int64)) == 0
+    zero = np.zeros((1, 2, 2), dtype=np.int64)
+    assert casson.mu_of_coeffs(sp, c, zero).tolist() == [[0]]
 
 
 def test_mu_matches_r_pairing_on_filtered_part():
@@ -258,12 +268,13 @@ def test_mu_matches_r_pairing_on_filtered_part():
     rng = np.random.default_rng(34)
     basis = sp.filtration(0, "A").basis
     for _ in range(10):
-        v = basis.T @ rng.integers(-2, 3, size=len(basis))
+        v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
         t = traces.tr_A(sp, v)
-        s = rng.integers(-3, 4, size=(2, 2))
-        s = s + s.T
+        s = rng.integers(-3, 4, size=(1, 2, 2))
+        s = s + np.swapaxes(s, 1, 2)
         c = sp.express_in_generators(v)
-        assert casson.mu_of_coeffs(sp, c, s) == casson.r_pairing(s, t)
+        assert np.array_equal(casson.mu_of_coeffs(sp, c, s),
+                              casson.r_pairing(s, t))
 
 
 def test_mu_matches_half_omegaS_plus_delta():
@@ -271,13 +282,13 @@ def test_mu_matches_half_omegaS_plus_delta():
     rng = np.random.default_rng(35)
     basis = sp.d2().basis
     for _ in range(5):
-        v = basis.T @ rng.integers(-2, 3, size=len(basis))
-        s = rng.integers(-3, 4, size=(2, 2))
-        s = s + s.T
+        v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
+        s = rng.integers(-3, 4, size=(1, 2, 2))
+        s = s + np.swapaxes(s, 1, 2)
         c = sp.express_in_generators(sp.coords(v))
         # the composite is counted in halves
-        assert Fraction(casson.mu_of_coeffs(sp, c, s)) \
-            == Fraction(casson.half_omegaS_plus_delta(sp, c, s), 2)
+        assert np.array_equal(2 * casson.mu_of_coeffs(sp, c, s),
+                              casson.half_omegaS_plus_delta(sp, c, s))
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -291,26 +302,28 @@ def test_tabulated_mu_matches_polynomial_evaluation(g):
     coeffs[2] = 0
     coeffs[4] = rng.integers(-(2 ** 20), 2 ** 20, size=len(sp.generators))
     for _ in range(3):
-        s = rng.integers(-3, 4, size=(g, g))
-        s = s + s.T
+        s = rng.integers(-3, 4, size=(1, g, g))
+        s = s + np.swapaxes(s, 1, 2)
         stacked = casson.mu_of_coeffs(sp, coeffs, s)
-        assert stacked.shape == (len(coeffs),)
-        for row, got in zip(coeffs, stacked):
-            want = mu_by_polynomial(sp, row, s)
+        assert stacked.shape == (len(coeffs), 1)
+        for i, got in enumerate(stacked[:, 0]):
+            want = mu_by_polynomial(sp, coeffs[i], s[0])
             assert got == want
-            assert casson.mu_of_coeffs(sp, row, s) == want
+            assert casson.mu_of_coeffs(sp, coeffs[i:i + 1], s).tolist() \
+                == [[want]]
 
 
 def test_omegaS_composite_stack_matches_rows():
     sp = space(2)
     rng = np.random.default_rng(36)
     coeffs = rng.integers(-2, 3, size=(4, len(sp.generators)))
-    s = np.array([[2, -1], [-1, 0]])
+    s = np.array([[[2, -1], [-1, 0]]])
     stacked = casson.half_omegaS_plus_delta(sp, coeffs, s)
-    assert stacked.tolist() == [casson.half_omegaS_plus_delta(sp, row, s)
-                                for row in coeffs]
-    assert np.array_equal(traces.tr_omegaS(sp, coeffs, s)[1],
-                          traces.tr_omegaS(sp, coeffs[1], s))
+    assert stacked.tolist() == [
+        casson.half_omegaS_plus_delta(sp, coeffs[i:i + 1], s).tolist()[0]
+        for i in range(len(coeffs))]
+    assert np.array_equal(traces.tr_omegaS(sp, coeffs, s)[1:2],
+                          traces.tr_omegaS(sp, coeffs[1:2], s))
 
 
 def test_lk_twisted_requires_symmetric():
@@ -331,9 +344,9 @@ def test_tabulated_qbar_matches_polynomial_evaluation(g):
     coeffs[3] = rng.integers(-(2 ** 40), 2 ** 40, size=len(sp.generators))
     stacked = casson.qbar_of_coeffs(sp, coeffs)
     assert len(stacked) == len(coeffs)
-    for row, got in zip(coeffs, stacked):
-        assert got == qbar_by_polynomial(sp, row)
-        assert casson.qbar_of_coeffs(sp, row) == got
+    for i, got in enumerate(stacked):
+        assert got == qbar_by_polynomial(sp, coeffs[i])
+        assert casson.qbar_of_coeffs(sp, coeffs[i:i + 1]) == [got]
 
 
 def _sym_stack(rng, g, count):
@@ -368,22 +381,27 @@ def test_stacked_s_matches_per_s_loop(g):
         assert got.shape == (len(coeffs), len(mats))
     iu = np.triu_indices(g)
     for j, s in enumerate(mats):
-        assert np.array_equal(casson.mu_of_coeffs(sp, coeffs, s), mus[:, j])
-        assert np.array_equal(casson.r_pairing(s, qs), pairings[:, j])
-        assert np.array_equal(casson.half_omegaS_plus_delta(sp, coeffs, s),
-                              halves[:, j])
-        assert np.array_equal(traces.tr_omegaS(sp, coeffs, s), tensors[:, j])
+        one_s = mats[j:j + 1]
+        assert np.array_equal(casson.mu_of_coeffs(sp, coeffs, one_s),
+                              mus[:, j:j + 1])
+        assert np.array_equal(casson.r_pairing(one_s, qs), pairings[:, j:j + 1])
+        assert np.array_equal(casson.half_omegaS_plus_delta(sp, coeffs, one_s),
+                              halves[:, j:j + 1])
+        assert np.array_equal(traces.tr_omegaS(sp, coeffs, one_s),
+                              tensors[:, j:j + 1])
         for r, row in enumerate(coeffs):
-            # single row, single S, against references on Python ints
-            assert casson.mu_of_coeffs(sp, row, s) == mus[r, j] \
-                == mu_by_polynomial(sp, row, s)
-            assert casson.r_pairing(s, qs[r]) == pairings[r, j] == sum(
-                int(a) * int(b) for a, b in zip(qs[r], s[iu]))
+            # one-row stack, one S, against references on Python ints
+            one_row = coeffs[r:r + 1]
+            assert casson.mu_of_coeffs(sp, one_row, one_s)[0, 0] \
+                == mus[r, j] == mu_by_polynomial(sp, row, s)
+            assert casson.r_pairing(one_s, qs[r:r + 1])[0, 0] \
+                == pairings[r, j] == sum(
+                    int(a) * int(b) for a, b in zip(qs[r], s[iu]))
             t = [[int(x) for x in line] for line in tensors[r, j]]
             omega_s = sum(int(s[a, b]) * t[g + a][g + b]
                           for a in range(g) for b in range(g))
             omega_delta = sum(t[g + a][a] for a in range(g))
-            assert casson.half_omegaS_plus_delta(sp, row, s) \
+            assert casson.half_omegaS_plus_delta(sp, one_row, one_s)[0, 0] \
                 == halves[r, j] == omega_s + 2 * omega_delta
     # both sides of theta's int64 edge run
     assert casson._theta(sp, casson.lk_twisted(g, mats[-3])).dtype == np.int64
@@ -405,10 +423,10 @@ def test_flipped_mu_sign_fails_bridge_at_first_loop_witness(monkeypatch):
             continue  # no A-leaf
         unit = np.zeros(len(sp.generators), dtype=np.int64)
         unit[k] = 1
-        q = traces.tr_A(sp, sp.coords(gen_matrix(sp)[:, k]))
+        q = traces.tr_A(sp, sp.coords(gen_matrix(sp)[:, [k]].T))
         for s in mats:
             mu = mu_by_polynomial(sp, unit, s)
-            pairing = casson.r_pairing(s, q)
+            pairing = casson.r_pairing(s[None], q)[0, 0]
             if mu != pairing:
                 want = {"generator": str(gen), "mu": str(mu),
                         "pairing": str(pairing),

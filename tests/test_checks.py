@@ -21,9 +21,9 @@ def test_levine_stack_failure_keeps_first_witness(monkeypatch):
     # a projection kernel holding only the first one-handle element: the
     # check reports the first element outside, after the two it checked
     sp = space(2)
-    e = [np.asarray(sp.ctx.basis_vector(p)) for p in range(4)]
+    e = np.eye(sp.ctx.n, dtype=np.int64)[:, None]  # one-row stacks
     first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
-    lat = IntegerLattice(sp.rank, sp.coords(first[None, :]))
+    lat = IntegerLattice(sp.rank, sp.coords(first))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": lat)
     ok, witness = checks._check_levine(2, None)
@@ -35,13 +35,13 @@ def test_levine_stack_failure_keeps_first_witness(monkeypatch):
 
 
 def test_levine_raises_at_first_element_outside_domain(monkeypatch):
-    # a filtration holding only the first one-handle element: that element
-    # passes, and tr_A of the next one (a two-handle element) raises
+    # a filtration holding only the first one-handle element: the next
+    # one (a two-handle element) is outside it, so tr_A of the stack raises
     sp = space(2)
     proj_kernel = sp.ker_projection()
-    e = [np.asarray(sp.ctx.basis_vector(p)) for p in range(4)]
+    e = np.eye(sp.ctx.n, dtype=np.int64)[:, None]  # one-row stacks
     first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
-    lat = IntegerLattice(sp.rank, sp.coords(first[None, :]))
+    lat = IntegerLattice(sp.rank, sp.coords(first))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": proj_kernel)
     monkeypatch.setattr(DerivationSpace, "filtration",
@@ -74,12 +74,12 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
     sp = space(2)
     rng = np.random.default_rng(0)
     mats = [checks._random_sym_matrix(2, rng) for _ in range(100)]
-    row = sp.d2().basis[0]
+    row = sp.d2().basis[:1]
     coeffs = sp.express_in_generators(sp.coords(row))
-    mu = casson.mu_of_coeffs(sp, coeffs, mats[0])
+    mu = int(casson.mu_of_coeffs(sp, coeffs, mats[0][None])[0, 0])
     ok, witness = checks._check_casson_bridge(2, np.random.default_rng(0))
     assert not ok
-    assert witness == {"element": [str(int(x)) for x in row],
+    assert witness == {"element": [str(int(x)) for x in row[0]],
                        "mu": str(mu),
                        "composite": str(Fraction(2 * mu + 1, 2))}
     assert witness["composite"].endswith("/2")

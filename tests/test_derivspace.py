@@ -8,8 +8,8 @@ import pytest
 
 from sympderiv import derivspace
 from sympderiv.derivspace import (InconsistencyError, MembershipError,
-                                  gl_embed, iota_matrix, space)
-from sympderiv.freelie import SymplecticContext
+                                  gl_embed, space)
+from sympderiv.freelie import SymplecticContext, iota_matrix
 from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
 from sympderiv.trees import eta1, eta2
 from test_catalogs import transform_rows
@@ -112,12 +112,12 @@ def test_express_roundtrip():
     sp = space(2)
     rng = np.random.default_rng(11)
     basis = sp.d2().basis
-    v = basis.T @ rng.integers(-2, 3, size=sp.d2().rank)
+    v = rng.integers(-2, 3, size=(1, sp.d2().rank)) @ basis
     c = sp.express_in_generators(sp.coords(v))
-    assert np.array_equal(gen_matrix(sp) @ c, v)
+    assert np.array_equal(c @ gen_matrix(sp).T, v)
     with pytest.raises(MembershipError):
-        bad = np.asarray(v).copy()
-        bad[0] += 1
+        bad = v.copy()
+        bad[0, 0] += 1
         sp.express_in_generators(sp.coords(bad))
 
 
@@ -125,11 +125,11 @@ def test_tree_expression_requires_dprime():
     sp = space(2)
     odot = gen_column(sp, ("odot", (0, 2)))
     with pytest.raises(MembershipError):
-        sp.express_in_tree_generators(sp.coords(odot))
+        sp.express_in_tree_generators(sp.coords(odot[None]))
     tree = gen_column(sp, ("tree", (0, 2), (1, 3)))
-    c = sp.express_in_tree_generators(sp.coords(tree))
+    c = sp.express_in_tree_generators(sp.coords(tree[None]))
     gm = gen_matrix(sp)[:, sp.tree_indices]
-    assert np.array_equal(gm @ c, tree)
+    assert np.array_equal(gm @ c[0], tree)
 
 
 def test_classify_type():
@@ -293,8 +293,8 @@ def test_coords_round_trip_past_int64(g):
         c = np.array(rows, dtype=object)
         got = sp.coords(safe_matmul(c, basis))
         assert [[int(x) for x in row] for row in got] == rows
-        assert [int(x) for x in sp.coords(safe_matmul(c[0], basis))] \
-            == rows[0]
+        assert [[int(x) for x in row]
+                for row in sp.coords(safe_matmul(c[:1], basis))] == rows[:1]
 
     check()
 
@@ -308,17 +308,17 @@ def test_coords_reject_rows_outside_d2(g):
     pivots = np.argmax(basis != 0, axis=1)
     off = np.setdiff1d(np.arange(sp.ambient_dim), pivots)
     rng = np.random.default_rng(g)
-    v = safe_matmul(rng.integers(-3, 4, size=len(basis)), basis)
+    v = safe_matmul(rng.integers(-3, 4, size=(1, len(basis))), basis)
     for col in off[:: max(1, len(off) // 20)]:
         bad = v.copy()
-        bad[col] += 1
+        bad[0, col] += 1
         with pytest.raises(MembershipError):
             sp.coords(bad)
         with pytest.raises(MembershipError):
             sp.coords(np.vstack([v, bad]))
     # twice a non-member is a non-member: D_2 is a kernel, so saturated
     with pytest.raises(MembershipError):
-        sp.coords(2 * np.eye(sp.ambient_dim, dtype=np.int64)[off[0]])
+        sp.coords(2 * np.eye(sp.ambient_dim, dtype=np.int64)[off[:1]])
 
 
 @pytest.mark.parametrize("g", [2, 3])

@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from sympderiv.derivspace import iota_matrix
 from sympderiv.freelie import (ContextError, SymplecticContext,
-                               UnsupportedDegreeError, context, lyndon_words,
-                               standard_factorization, tensor_add,
-                               tensor_concat_commutator, witt_dimension)
+                               UnsupportedDegreeError, context, iota_matrix,
+                               lyndon_words, standard_factorization,
+                               tensor_add, tensor_concat_commutator,
+                               witt_dimension)
 
 
 def lyndon_to_tensor(ctx, k, coords) -> dict:
@@ -88,9 +88,9 @@ def test_tensor_roundtrip():
 def test_bracket_antisymmetry_and_jacobi():
     ctx = context(2)
     rng = np.random.default_rng(4)
-    x = rng.integers(-3, 4, size=ctx.dim(1))
-    y = rng.integers(-3, 4, size=ctx.dim(1))
-    z = rng.integers(-3, 4, size=ctx.dim(2))
+    x = rng.integers(-3, 4, size=(1, ctx.dim(1)))
+    y = rng.integers(-3, 4, size=(1, ctx.dim(1)))
+    z = rng.integers(-3, 4, size=(1, ctx.dim(2)))
     assert np.array_equal(ctx.lie_bracket(1, x, 1, y),
                           -ctx.lie_bracket(1, y, 1, x))
     jac = (ctx.lie_bracket(1, x, 3, ctx.lie_bracket(1, y, 2, z))
@@ -101,8 +101,8 @@ def test_bracket_antisymmetry_and_jacobi():
 
 def test_bracket_of_letter_with_itself_vanishes():
     ctx = context(2)
-    e = np.zeros(4, dtype=np.int64)
-    e[1] = 1
+    e = np.zeros((1, 4), dtype=np.int64)
+    e[0, 1] = 1
     assert not ctx.lie_bracket(1, e, 1, e).any()
 
 
@@ -110,22 +110,21 @@ def test_degree_cap_enforced():
     ctx = context(2)
     with pytest.raises(UnsupportedDegreeError):
         ctx.lyndon(5)
-    x = np.zeros(ctx.dim(2), dtype=np.int64)
+    x = np.zeros((1, ctx.dim(2)), dtype=np.int64)
     with pytest.raises(UnsupportedDegreeError):
-        ctx.lie_bracket(2, x, 3, np.zeros(ctx.dim(3), dtype=np.int64))
+        ctx.lie_bracket(2, x, 3, np.zeros((1, ctx.dim(3)), dtype=np.int64))
 
 
 def test_bracket_matrix_columns():
     ctx = context(2)
     m = bracket_matrix(ctx, 1)
     d2 = ctx.dim(2)
+    letters = np.eye(ctx.n, dtype=np.int64)
+    units = np.eye(d2, dtype=np.int64)
     for h in range(ctx.n):
-        eh = ctx.basis_vector(h)
         for i in range(d2):
-            e = np.zeros(d2, dtype=np.int64)
-            e[i] = 1
-            col = ctx.lie_bracket(1, eh, 2, e)
-            assert np.array_equal(m[:, h * d2 + i], col)
+            col = ctx.lie_bracket(1, letters[h:h + 1], 2, units[i:i + 1])
+            assert np.array_equal(m[:, h * d2 + i], col[0])
 
 
 def _commutator(x: dict, y: dict) -> dict:
@@ -196,9 +195,47 @@ def test_lie_bracket_stack_matches_rows():
     y[:, 4] = 0
     rows = ctx.lie_bracket(1, x, 2, y)
     assert rows.shape == (5, ctx.dim(3))
-    for xi, yi, row in zip(x, y, rows):
-        assert np.array_equal(ctx.lie_bracket(1, xi, 2, yi), row)
+    for i, row in enumerate(rows):
+        assert np.array_equal(ctx.lie_bracket(1, x[i:i + 1], 2, y[i:i + 1]),
+                              row[None])
     assert not rows[1].any() and not rows[3].any()
+    assert ctx.lie_bracket(1, x[:0], 2, y[:0]).shape == (0, ctx.dim(3))
+
+
+@pytest.mark.parametrize("j, k", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("x_scale, y_scale, dtype", [
+    (2 ** 31 - 1, 2 ** 31 + 1, np.int64),  # x_a y_b = 2**62 - 1
+    (2 ** 31, 2 ** 31, object),  # x_a y_b = 2**62
+    (2 ** 31 + 1, 2 ** 31 + 1, object),
+    (2 ** 40, -2 ** 40, object)])  # past int64 itself
+def test_lie_bracket_exact_at_the_int64_bound(j, k, x_scale, y_scale, dtype):
+    """Every pair of scaled basis elements of L_j and L_k, one row each:
+    each output entry is one product x_a y_b times a structure constant of
+    absolute value 1, so the result is int64 up to 2**62 - 1 and object
+    from 2**62 on.  A dense row sums every product into an entry, past
+    int64 even under the bound on one product, so it is object.  Every
+    value is the tensor path on Python ints: the commutator of the
+    bracketings' expansions, read in Lyndon coordinates, times x_a y_b."""
+    ctx = context(2)
+    assert np.abs(ctx.bracket_table(j, k)).max() == 1
+    unit = {}  # (a, b) -> [e_a, e_b] through the tensor path
+    for a, u in enumerate(ctx.lyndon(j)):
+        for b, v in enumerate(ctx.lyndon(k)):
+            comm = tensor_concat_commutator(ctx.bracketing_tensor(u),
+                                            ctx.bracketing_tensor(v))
+            unit[a, b] = ctx.tensor_to_lyndon(j + k, comm).tolist()
+    a, b = np.divmod(np.arange(len(unit)), ctx.dim(k))
+    x = x_scale * np.eye(ctx.dim(j), dtype=np.int64)[a]
+    y = y_scale * np.eye(ctx.dim(k), dtype=np.int64)[b]
+    got = ctx.lie_bracket(j, x, k, y)
+    assert got.dtype == dtype
+    for row, u, v in zip(got.tolist(), a, b):
+        assert row == [x_scale * y_scale * c for c in unit[u, v]]
+    dense = ctx.lie_bracket(j, np.full((1, ctx.dim(j)), x_scale), k,
+                            np.full((1, ctx.dim(k)), y_scale))
+    assert dense.dtype == object
+    assert dense[0].tolist() == [x_scale * y_scale * sum(col)
+                                 for col in zip(*unit.values())]
 
 
 def test_omega_of_stacks_matches_rows():
@@ -206,20 +243,21 @@ def test_omega_of_stacks_matches_rows():
     rng = np.random.default_rng(9)
     u = rng.integers(-5, 6, size=(6, ctx.n))
     v = rng.integers(-5, 6, size=(6, ctx.n))
-    assert ctx.omega(u, v).tolist() == [ctx.omega(a, b) for a, b in zip(u, v)]
-    ones = np.full(ctx.n, 2 ** 40, dtype=np.int64)
+    assert ctx.omega(u, v).tolist() \
+        == [ctx.omega(u[i:i + 1], v[i:i + 1])[0] for i in range(len(u))]
+    ones = np.full((1, ctx.n), 2 ** 40, dtype=np.int64)
     big = ones.copy()
-    big[0] = -big[0]
+    big[0, 0] = -big[0, 0]
     # past int64: only the (a1, b1) term survives, -2**80 - 2**80
-    assert ctx.omega(big[None], ones[None]).tolist() == [-2 ** 81]
-    assert ctx.omega(big, ones) == -2 ** 81
+    assert ctx.omega(big, ones).tolist() == [-2 ** 81]
 
 
 def test_omega_symplectic_basis():
     ctx = context(3)
     g = ctx.g
+    e = np.eye(ctx.n, dtype=np.int64)
     for p, q in itertools.product(range(ctx.n), repeat=2):
-        val = ctx.omega(ctx.basis_vector(p), ctx.basis_vector(q))
+        val = ctx.omega(e[p:p + 1], e[q:q + 1])[0]
         if q == p + g:
             assert val == 1
         elif p == q + g:
@@ -232,8 +270,8 @@ def test_omega_symplectic_basis():
 def test_omega_rejects_bad_lengths():
     ctx = context(2)
     with pytest.raises(ContextError):
-        ctx.omega((1, 0, 0), ctx.basis_vector(0))
-    assert ctx.omega(np.array([1, 2, 0, 0]), [0, 0, 3, 5]) == 13
+        ctx.omega([(1, 0, 0)], [(1, 0, 0, 0)])
+    assert ctx.omega(np.array([[1, 2, 0, 0]]), [[0, 0, 3, 5]]).tolist() == [13]
 
 
 def test_letter_names():
@@ -272,10 +310,9 @@ def test_projection_kills_lagrangian():
         proj = lyndon_projection(ctx, k, "A") @ x
         assert proj.shape == (witt_dimension(2, k),)
         # projecting a bracket that involves an A-letter in every term gives 0
-    ea = ctx.basis_vector(0)
-    eb = ctx.basis_vector(2)
-    br = ctx.lie_bracket(1, ea, 1, ea + np.array(eb))
-    assert (lyndon_projection(ctx, 2, "A") @ br).tolist() \
+    e = np.eye(ctx.n, dtype=np.int64)
+    br = ctx.lie_bracket(1, e[:1], 1, e[:1] + e[2:3])
+    assert (lyndon_projection(ctx, 2, "A") @ br[0]).tolist() \
         == [0] * witt_dimension(2, 2)
 
 

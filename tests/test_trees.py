@@ -15,29 +15,24 @@ from sympderiv.catalogs import _tripod_brackets
 from sympderiv.derivspace import space
 from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
 from sympderiv.intlin import safe_matmul
-from sympderiv.trees import TREE_BRACKET_SIGN
-from sympderiv.trees import _hl_sum
-from sympderiv.trees import _stacks as leaf_stacks
-from sympderiv.trees import derivation_bracket, eta1, eta2
+from sympderiv.trees import (TREE_BRACKET_SIGN, _hl_sum, derivation_bracket,
+                             eta1, eta2)
 from test_freelie import lyndon_to_tensor
 
 
 def expand_symhalf(ctx, u, v):
     """u (.) v expands to u(x)[v,[u,v]] + v(x)[[u,v],u]; its double is
-    eta2(u,v|u,v).  Leaves are vectors, or stacks giving one row per pair."""
-    (u, v), single = leaf_stacks(u, v)
+    eta2(u,v|u,v).  Leaves are stacks giving one row per pair."""
     uv = ctx.lie_bracket(1, u, 1, v)
     return _hl_sum([(u, ctx.lie_bracket(1, v, 2, uv)),
-                    (v, ctx.lie_bracket(2, uv, 1, u))], single)
+                    (v, ctx.lie_bracket(2, uv, 1, u))])
 
 
 def tree_bracket(ctx, s, t):
     """Bracket of two tripods: the sum over all nine omega-contractions of
     sign times omega(s_i, t_j) times eta2(s_{i+1}, s_{i+2} | t_{j+1},
-    t_{j+2}), on Python ints.  s and t are triples of H-vectors, or of
-    stacks giving one row per pair of tripods."""
-    leaves, single = leaf_stacks(*s, *t)
-    s, t = leaves[:3], leaves[3:]
+    t_{j+2}), on Python ints.  s and t are triples of stacks of H-vectors
+    giving one row per pair of tripods."""
     out = 0
     for i in range(3):
         for j in range(3):
@@ -45,21 +40,19 @@ def tree_bracket(ctx, s, t):
             tree = eta2(ctx, s[(i + 1) % 3], s[(i + 2) % 3],
                         t[(j + 1) % 3], t[(j + 2) % 3])
             out = out + w[:, None] * tree.astype(object)
-    return out[0] if single else out
+    return out
 
 
 def table_bracket(ctx, s, t):
-    """The library's tripod bracket, one vector or one row per pair, mapped
-    from D_2 coordinates back to H (x) L_3."""
-    leaves, single = leaf_stacks(*s, *t)
+    """The library's tripod bracket, one row per pair, mapped from D_2
+    coordinates back to H (x) L_3."""
     sp = space(ctx.g)
-    out = safe_matmul(_tripod_brackets(sp, leaves[:3], leaves[3:]),
-                      sp.d2().basis)
-    return out[0] if single else out
+    return safe_matmul(_tripod_brackets(sp, s, t), sp.d2().basis)
 
 
 def _rand_vecs(ctx, rng, n):
-    return [rng.integers(-3, 4, size=ctx.n) for _ in range(n)]
+    """n one-row stacks of H-vectors."""
+    return [rng.integers(-3, 4, size=(1, ctx.n)) for _ in range(n)]
 
 
 def test_eta1_cyclic_and_antisymmetric():
@@ -140,29 +133,30 @@ def test_tree_bracket_matches_derivation_oracle():
     for _ in range(8):
         s = tuple(_rand_vecs(ctx, rng, 3))
         t = tuple(_rand_vecs(ctx, rng, 3))
-        via_trees = tree_bracket(ctx, s, t)
-        via_derivations = derivation_bracket(ctx, eta1(ctx, *s), eta1(ctx, *t))
+        via_trees = tree_bracket(ctx, s, t)[0]
+        via_derivations = derivation_bracket(ctx, eta1(ctx, *s)[0],
+                                             eta1(ctx, *t)[0])
         assert np.array_equal(via_trees, via_derivations)
-        assert np.array_equal(table_bracket(ctx, s, t), via_derivations)
+        assert np.array_equal(table_bracket(ctx, s, t)[0], via_derivations)
 
 
 def test_tree_bracket_on_basis_tripods_genus3():
     ctx = context(3)
-    e = [np.array(ctx.basis_vector(p)) for p in range(ctx.n)]
+    e = np.eye(ctx.n, dtype=np.int64)[:, None]  # one-row stacks
     s = (e[0], e[1], e[3])
     t = (e[2], e[4], e[5])
-    via_trees = tree_bracket(ctx, s, t)
-    via_derivations = derivation_bracket(ctx, eta1(ctx, *s), eta1(ctx, *t))
+    via_trees = tree_bracket(ctx, s, t)[0]
+    via_derivations = derivation_bracket(ctx, eta1(ctx, *s)[0],
+                                         eta1(ctx, *t)[0])
     assert np.array_equal(via_trees, via_derivations)
-    assert np.array_equal(table_bracket(ctx, s, t), via_derivations)
+    assert np.array_equal(table_bracket(ctx, s, t)[0], via_derivations)
     assert via_trees.any()
 
 
 def test_lagrangian_tripods_commute():
     # all leaves on the A side: every omega-contraction vanishes
     ctx = context(2)
-    e0 = np.array(ctx.basis_vector(0))
-    e1 = np.array(ctx.basis_vector(1))
+    e0, e1 = np.eye(ctx.n, dtype=np.int64)[:2, None]
     s = (e0, e1, e0 + e1)
     t = (e1, e0, e0 - e1)
     assert not tree_bracket(ctx, s, t).any()
@@ -190,12 +184,14 @@ def test_batched_expansions_match_rows(g):
         rows = fn(ctx, *leaves)
         assert rows.shape[0] == 5 and rows.dtype == np.int64
         for i, row in enumerate(rows):
-            assert np.array_equal(fn(ctx, *(x[i] for x in leaves)), row)
+            one = fn(ctx, *(x[i:i + 1] for x in leaves))
+            assert np.array_equal(one, row[None])
         assert not rows[2].any()
     rows = tree_bracket(ctx, (a, b, c), (d, e, f))
     for i, row in enumerate(rows):
-        single = tree_bracket(ctx, (a[i], b[i], c[i]), (d[i], e[i], f[i]))
-        assert np.array_equal(single, row)
+        one = tree_bracket(ctx, (a[i:i + 1], b[i:i + 1], c[i:i + 1]),
+                           (d[i:i + 1], e[i:i + 1], f[i:i + 1]))
+        assert np.array_equal(one, row[None])
     assert not rows[2].any()
     table = table_bracket(ctx, (a, b, c), (d, e, f))
     assert table.dtype == np.int64 and np.array_equal(table, rows)
@@ -245,7 +241,7 @@ def test_expansions_exact_with_leaves_near_2_20():
         want = [{} for _ in range(ctx.n)]
         for p in range(3):
             for q in range(3):
-                w = ctx.omega(s[p], t[q])
+                w = int(ctx.omega(s[p][None], t[q][None])[0])
                 quad = (s[(p + 1) % 3], s[(p + 2) % 3],
                         t[(q + 1) % 3], t[(q + 2) % 3])
                 for h, tens in enumerate(_eta2_tensors(ctx, *quad)):
