@@ -76,11 +76,13 @@ def _theta(sp: DerivationSpace, lk: np.ndarray) -> np.ndarray:
 def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
     """3 qbar of every generator: 3 eps_j(theta), theta at the base linking
     matrix, plus dbar = J[a,b] J[c,d] - J[a,c] J[b,d] + J[a,d] J[b,c] of its
-    leaves (0 on a (.)-generator)."""
+    leaves (0 on a (.)-generator).  Read-only."""
     j = iota_matrix(sp.g)
     a, b, c, d = sp.leaves.T
     dbar = j[a, b] * j[c, d] - j[a, c] * j[b, d] + j[a, d] * j[b, c]
-    return 3 * _theta(sp, lk_base(sp.g)) + dbar
+    col = 3 * _theta(sp, lk_base(sp.g)) + dbar
+    col.setflags(write=False)
+    return col
 
 
 def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> list:

@@ -5,7 +5,11 @@ lattices from scratch and reports pass/fail with a witness.  Checks are pure
 functions of (genus, seed); the CLI and the acceptance tests share them.
 A check that draws numbers makes its own ``np.random.default_rng(seed)``
 (a Generator passed as the seed is used as it is), so the others never
-import ``numpy.random``.
+import ``numpy.random``, and draws all its numbers in one call.
+
+Every check tests its instances as one stack (or, for the ambient IHX
+colorings, fixed blocks of one), and a failure's witness is that of the
+first failing instance in the order of a loop over them, read from a mask.
 
 Statuses:
 
@@ -127,138 +131,118 @@ def _check_kernel_index(g, seed):
     return idx == expected, {"index": str(idx), "expected": str(expected)}
 
 
-def _rand_vec(g, rng):
-    return rng.integers(-2, 3, size=2 * g)
+# the ambient IHX test evaluates this many basis colorings at a time
+IHX_BLOCK = 1024
 
 
-def _formal_trace(ctx, quads, odots=(), sym=False):
-    """Sum over (coeff-free) trees of the symmetric (``sym``) or the
-    antisymmetric trace formula, as a GF(2) coefficient dict over monomials
-    e_i e_j, i <= j.  The antisymmetric one drops the diagonal and adds the
-    symmetric-half rule (1 + omega(a,b)) a^b for entries of ``odots``."""
-    out = {}
+def _residues(ctx, quads, odots=()):
+    """The mod-2 trace formulas of a sum of (coefficient-free) trees and
+    symmetric halves, one instance per row of the leaf stacks: the 0/1
+    matrix M = sum_t w_t x_t y_t^T mod 2 over the terms (x, y | u, v).
 
-    def add(x, y, w):
-        if w % 2 == 0:
-            return
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                if i == j and not sym:
-                    continue
-                c = int(x[i]) * int(y[j])
-                if c % 2:
-                    key = (min(i, j), max(i, j))
-                    out[key] = out.get(key, 0) ^ 1
-
-    # (x, y, u, v): x y weighted by omega(u, v), plus 1 for an odot; every
-    # omega of the call in one stacked product
+    A tree (a, b, c, d) has the terms (b, c | a, d), (b, d | a, c),
+    (a, c | b, d) and (a, d | b, c), weighted w = omega(u, v); a half
+    u (.) v has (u, v | u, v), weighted 1 + omega(u, v).  The symmetric
+    trace is M's classes of e_i e_j, i <= j; the antisymmetric one drops
+    the diagonal, so it is zero when M is symmetric."""
     terms = [t for a, b, c, d in quads
              for t in ((b, c, a, d), (b, d, a, c), (a, c, b, d), (a, d, b, c))]
     terms += [(u, v, u, v) for u, v in odots]
-    _, _, u, v = zip(*terms)
-    weights = ctx.omega(np.array(u), np.array(v))
-    weights[4 * len(quads):] += 1
-    for (x, y, _, _), w in zip(terms, weights.tolist()):
-        add(x, y, w)
-    return {k: v for k, v in out.items() if v}
-
-
-def _ihx_quads(a, b, c, d):
-    """The three plantings of the 4-leaf tree whose signed sum expands to
-    zero; mod 2 the signs are immaterial for the trace formulas."""
-    return [(a, b, c, d), (b, c, a, d), (c, a, b, d)]
+    x, y, u, v = (np.stack(side, axis=1) for side in zip(*terms))
+    m, t, n = x.shape
+    w = ctx.omega(u.reshape(-1, n), v.reshape(-1, n)).reshape(m, t)
+    w[:, 4 * len(quads):] += 1
+    return np.einsum("mt,mti,mtj->mij", w % 2, x % 2, y % 2) % 2
 
 
 def _check_well_definedness(g, seed):
     rng = np.random.default_rng(seed)
-    sp = space(g)
-    ctx = sp.ctx
+    a, b, c, d, u, v, w = np.moveaxis(
+        rng.integers(-2, 3, size=(200, 7, 2 * g)), 1, 0)
+    ctx = space(g).ctx
     failures = []
-    # ambient IHX on every basis coloring
-    colorings = list(itertools.product(range(2 * g), repeat=4))
-    a, b, c, d = np.eye(2 * g, dtype=np.int64)[np.array(colorings).T]
-    combo = (trees.eta2(ctx, a, b, c, d) + trees.eta2(ctx, b, c, a, d)
-             + trees.eta2(ctx, c, a, b, d))
-    nonzero = combo.any(axis=1)
-    failures.extend(("ihx-ambient", colorings[i])
-                    for i in np.flatnonzero(nonzero))
-    ihx_ok = int(np.sum(~nonzero))
-    # randomized relation instances against the generator-level formulas
-    n_rel = 0
-    for _ in range(200):
-        a, b, c, d = (_rand_vec(g, rng) for _ in range(4))
-        u, v, w = (_rand_vec(g, rng) for _ in range(3))
-        cases = [
-            ("ihx-sym", _formal_trace(ctx, _ihx_quads(a, b, c, d), sym=True)),
-            ("ihx-as", _formal_trace(ctx, _ihx_quads(a, b, c, d))),
-            ("as-flip",
-             _formal_trace(ctx, [(a, b, c, d), (b, a, c, d)], sym=True)),
-            ("square-tree-as", _formal_trace(ctx, [(a, b, a, b)])),
-            ("odot-multilinear",
-             _formal_trace(ctx, [(u, w, v, w)],
-                           odots=[(u + v, w), (u, w), (v, w)])),
-        ]
-        for label, residue in cases:
-            n_rel += 1
-            if residue:
-                failures.append((label, _dec(a) + _dec(b)))
-    ok = not failures
-    return ok, {"relation_instances": n_rel, "ihx_colorings": ihx_ok,
-                "failures": failures[:5]}
+    # ambient IHX on every basis coloring, a block at a time: the three
+    # plantings of the 4-leaf tree expand to a zero sum
+    colorings = np.indices((2 * g,) * 4).reshape(4, -1).T
+    eye = np.eye(2 * g, dtype=np.int64)
+    ihx_ok = 0
+    for start in range(0, len(colorings), IHX_BLOCK):
+        block = colorings[start:start + IHX_BLOCK]
+        p, q, r, s = eye[block.T]
+        nonzero = (trees.eta2(ctx, p, q, r, s) + trees.eta2(ctx, q, r, p, s)
+                   + trees.eta2(ctx, r, p, q, s)).any(axis=1)
+        failures += [("ihx-ambient", tuple(map(int, block[i])))
+                     for i in np.flatnonzero(nonzero)]
+        ihx_ok += int(np.sum(~nonzero))
+    # random relation instances against the generator-level formulas, every
+    # instance of every family at once; mod 2 the signs of the IHX
+    # plantings are immaterial
+    ihx = _residues(ctx, [(a, b, c, d), (b, c, a, d), (c, a, b, d)])
+    cases = [
+        ("ihx-sym", ihx, True),
+        ("ihx-as", ihx, False),
+        ("as-flip", _residues(ctx, [(a, b, c, d), (b, a, c, d)]), True),
+        ("square-tree-as", _residues(ctx, [(a, b, a, b)]), False),
+        ("odot-multilinear",
+         _residues(ctx, [(u, w, v, w)], [(u + v, w), (u, w), (v, w)]), False),
+    ]
+    labels, residues, sym = zip(*cases)
+    m = np.stack(residues, axis=1)  # instance, family, i, j
+    bad = ((m != np.swapaxes(m, 2, 3)).any(axis=(2, 3))
+           | (np.diagonal(m, axis1=2, axis2=3).any(axis=2) & np.array(sym)))
+    failures += [(labels[f], _dec(a[i]) + _dec(b[i]))
+                 for i, f in np.argwhere(bad)]
+    return not failures, {"relation_instances": bad.size,
+                          "ihx_colorings": ihx_ok, "failures": failures[:5]}
 
 
 def _check_levine(g, seed):
     sp = space(g)
-    ctx = sp.ctx
     a, b = np.split(np.eye(2 * g, dtype=np.int64), 2)
-    # the S^2(H') basis vector b'_i b'_j at [i, j]
+    # one eta2 stack: the rows (a_i, b_j | b_j, b_i) for every i != j, then
+    # the rows (a_k, b_i | b_j, b_k) for every (i, j) and k != j
+    i, j = np.nonzero(~np.eye(g, dtype=bool))
+    at, k = np.nonzero(np.arange(g) != j[:, None])
+    rows = trees.eta2(sp.ctx, a[np.r_[i, k]], b[np.r_[j, i[at]]],
+                      b[np.r_[j, j[at]]], b[np.r_[i, k]])
+    # per (i, j), in loop order: the one-handle element, then the two-handle
+    # elements, each the sum of the rows of k and k2, k <= k2 (both != j)
+    one, by_k = np.split(rows, [len(i)])
+    by_k = by_k.reshape(len(i), g - 1, -1)
+    s, t = np.triu_indices(g - 1)
+    elements = np.concatenate([one[:, None], by_k[:, s] + by_k[:, t]], axis=1)
+    first = np.tile(np.arange(1 + len(s)) == 0, len(i))  # the one-handle ones
+    # tr_A is b'_j b'_j on a one-handle element and 2 b'_i b'_j on a
+    # two-handle one, the S^2(H') basis vector b'_i b'_j being sym2[i, j]
     sym2 = np.eye(g * (g + 1) // 2, dtype=np.int64)[traces._pair_columns(g, 0)]
-    # (label, element, its tr_A) in loop order: per (i, j), the one-handle
-    # element and the two-handle elements, from one eta2 stack:
-    # (a_i, b_j | b_j, b_i), then (a_k, b_i | b_j, b_k)
-    entries = []
-    for i in range(g):
-        for j in range(g):
-            if i == j:
-                continue
-            ks = [k for k in range(g) if k != j]
-            rows = trees.eta2(ctx, [a[i]] + [a[k] for k in ks],
-                              [b[j]] + [b[i]] * len(ks), [b[j]] * (1 + len(ks)),
-                              [b[i]] + [b[k] for k in ks])
-            one = dict(zip(ks, rows[1:]))
-            entries.append(("one-handle, i=%d j=%d" % (i, j), rows[0],
-                            sym2[j, j]))
-            entries.extend(("two-handle %s" % str((k, k2, i, j)),
-                            one[k] + one[k2], 2 * sym2[i, j])
-                           for k in ks for k2 in ks if k2 >= k)
+    ip, jp = np.repeat(i, 1 + len(s)), np.repeat(j, 1 + len(s))
+    want = np.where(first[:, None], sym2[jp, jp], 2 * sym2[ip, jp])
     # every test on one stack, in D_2 coordinates; the witness is that of
     # the first failing element
-    labels, elements, want = zip(*entries)
-    every = sp.coords(np.vstack(elements))
-    want = np.array(want)
+    every = sp.coords(elements.reshape(len(first), -1))
     traces_A = traces.tr_A(sp, every)
     ok = (traces_A == want).all(axis=1) & want.any(axis=1)
-    first = np.array([label.startswith("one-handle") for label in labels])
     ok[first] &= (sp.ker_projection().contains_rows(every[first])
                   & ~traces.tr_as(sp, every[first]).any(axis=1))
     if not ok.all():
         n = np.flatnonzero(~ok)[0]
-        return False, {"element": labels[n], "trace": _dec(traces_A[n])}
+        p, e = divmod(int(n), 1 + len(s))
+        ks = k.reshape(len(i), g - 1)[p]  # the k != j of this (i, j)
+        ij = int(i[p]), int(j[p])
+        label = ("one-handle, i=%d j=%d" % ij if e == 0 else "two-handle %s"
+                 % str((int(ks[s[e - 1]]), int(ks[t[e - 1]])) + ij))
+        return False, {"element": label, "trace": _dec(traces_A[n])}
     return True, {"elements_checked": len(every),
                   "strictness_witness": "tr_A = b'_j b'_j != 0 on an element "
                                         "of the projection kernel"}
 
 
-def _random_sym_matrix(g, rng):
-    m = rng.integers(-3, 4, size=(g, g))
-    return m + m.T
-
-
 def _check_casson_bridge(g, seed):
     rng = np.random.default_rng(seed)
+    mats = rng.integers(-3, 4, size=(100, g, g))
+    mats += np.swapaxes(mats, 1, 2)  # symmetric S
     sp = space(g)
     f0_gens = np.flatnonzero((sp.leaves < g).any(axis=1))  # an A-leaf
-    mats = np.array([_random_sym_matrix(g, rng) for _ in range(100)])
     # every (generator, S) instance at once, generators down, S across
     units = np.eye(len(sp.generators), dtype=np.int64)[f0_gens]
     qs = traces.tr_A(sp, sp.gen_coords()[:, f0_gens].T)
@@ -287,37 +271,37 @@ def _check_casson_bridge(g, seed):
                   "composite_instances": mus.size}
 
 
-def quartic_relation(sp, quad):
-    """Coefficient vector of the image of e_p^e_q^e_r^e_s in the tree
-    coordinates: (pq|rs) - (pr|qs) + (ps|qr)."""
-    p, q, r, s = quad
+def quartic_relations(sp):
+    """The quads p < q < r < s of basis letters, and the coefficient rows of
+    the images of their e_p^e_q^e_r^e_s in the tree coordinates,
+    (pq|rs) - (pr|qs) + (ps|qr), from one scatter over ``pair_tables``."""
+    quads = np.array(list(itertools.combinations(range(2 * sp.g), 4)))
+    pair = traces._pair_columns(2 * sp.g, 1)  # the index of pair (x, y)
     tree, _ = sp.pair_tables()
-    coeffs = np.zeros(len(sp.generators), dtype=np.int64)
-    for pair1, pair2, sign in (((p, q), (r, s), 1), ((p, r), (q, s), -1),
-                               ((p, s), (q, r), 1)):
-        coeffs[tree[sp.pair_index[pair1], sp.pair_index[pair2]]] += sign
-    return coeffs
+    gens = tree[pair[quads[:, [0, 0, 0]], quads[:, [1, 2, 3]]],
+                pair[quads[:, [2, 1, 1]], quads[:, [3, 3, 2]]]]
+    rows = np.zeros((len(quads), len(sp.generators)), dtype=np.int64)
+    np.add.at(rows, (np.arange(len(quads))[:, None], gens), [1, -1, 1])
+    return quads, rows
 
 
 def _check_quartic_vanishing(g, seed):
     rng = np.random.default_rng(seed)
+    s = rng.integers(-3, 4, size=(1, g, g))
+    s += np.swapaxes(s, 1, 2)  # symmetric S
     sp = space(g)
-    quads = list(itertools.combinations(range(2 * g), 4))
+    quads, rows = quartic_relations(sp)
     expected_dim = comb(2 * g, 4)
-    s = _random_sym_matrix(g, rng)
-    rows = np.array([quartic_relation(sp, quad) for quad in quads])
-    # every test on the whole stack; the loop reports the first failing
-    # quad, with its first failing test
-    images = safe_matmul(rows, sp.gen_coords().T)
-    qbars = casson.qbar_of_coeffs(sp, rows)
-    mus = casson.mu_of_coeffs(sp, rows, s[None])[:, 0]
-    for quad, image, qbar, mu in zip(quads, images, qbars, mus):
-        if image.any():
-            return False, {"quad": list(quad), "reason": "not a relation"}
-        if qbar != 0:
-            return False, {"quad": list(quad), "qbar": "nonzero"}
-        if mu != 0:
-            return False, {"quad": list(quad), "mu": "nonzero"}
+    # every test on the whole stack; the witness is the first failing quad
+    # with its first failing test
+    fails = np.stack([safe_matmul(rows, sp.gen_coords().T).any(axis=1),
+                      np.array(casson.qbar_of_coeffs(sp, rows)) != 0,
+                      casson.mu_of_coeffs(sp, rows, s)[:, 0] != 0], axis=1)
+    if fails.any():
+        n, test = np.argwhere(fails)[0]
+        key, value = [("reason", "not a relation"), ("qbar", "nonzero"),
+                      ("mu", "nonzero")][test]
+        return False, {"quad": quads[n].tolist(), key: value}
     rank = IntegerLattice(len(sp.generators), rows).rank
     if rank != expected_dim:
         return False, {"rank": rank, "expected": expected_dim}

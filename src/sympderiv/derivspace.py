@@ -90,6 +90,7 @@ class _GenSolver:
         mask = (h != 0).any(axis=1)
         self.span = IntegerLattice(h.shape[1], h[mask], canonical=True)
         self.trans = u[mask]
+        self.trans.setflags(write=False)
 
     def solve(self, v):
         """Coefficients of each row of a stack, or None if one is outside."""
@@ -212,21 +213,29 @@ class DerivationSpace:
     def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Generator indices over pairs (P, Q) of basis pairs: ``tree`` holds
         tree(P, Q) at [P, Q] and at [Q, P]; ``half`` holds odot(P), which is
-        generator P, at [P, P] and tree(P, Q) above the diagonal."""
+        generator P, at [P, P] and tree(P, Q) above the diagonal.  Both are
+        read-only."""
         m = len(self.pairs)
         tree = np.zeros((m, m), dtype=np.intp)
         i, j = np.triu_indices(m)  # the order of the tree generators
         tree[i, j] = tree[j, i] = m + np.arange(len(i))
-        return tree, np.triu(tree, 1) + np.diag(np.arange(m))
+        tables = tree, np.triu(tree, 1) + np.diag(np.arange(m))
+        for t in tables:
+            t.setflags(write=False)
+        return tables
 
     @lru_cache(maxsize=None)
     def _gen_columns(self):
         """The nonzeros of the generator columns, generator by generator:
-        where each generator's run starts, and the positions and values."""
+        where each generator's run starts, and the positions and values,
+        read-only."""
         cols = self.gen_coords().T
         gen, pos = nonzeros(cols)
         start = np.searchsorted(gen, np.arange(len(cols) + 1))
-        return start, pos, cols[gen, pos]
+        out = start, pos, cols[gen, pos]
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     def gen_rows(self, nrows: int, row, gen, weight) -> np.ndarray:
         """Coordinate rows i < nrows, each the sum of weight_t times

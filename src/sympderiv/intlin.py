@@ -253,19 +253,23 @@ def _pivot_cols(basis: np.ndarray) -> np.ndarray:
 
 
 class IntegerLattice:
-    """A f.g. subgroup of Z^n held in canonical (row HNF) form."""
+    """A f.g. subgroup of Z^n held in canonical (row HNF) form, its basis a
+    read-only view."""
 
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, generators=None, canonical: bool = False):
         self.ambient_dim = ambient_dim
         if generators is None or len(generators) == 0:
-            self.basis = np.zeros((0, ambient_dim), dtype=np.int64)
+            basis = np.zeros((0, ambient_dim), dtype=np.int64)
         else:
             g = as_int_matrix(generators)
             if g.shape[1] != ambient_dim:
                 raise ValueError("generator length != ambient dimension")
-            self.basis = g if canonical else _nonzero_rows(hermite_normal_form(g))
+            basis = g if canonical else _nonzero_rows(hermite_normal_form(g))
+        # a read-only view, so that a caller's own array stays writable
+        self.basis = basis.view()
+        self.basis.setflags(write=False)
         self._pivots = _pivot_cols(self.basis)
 
     @property

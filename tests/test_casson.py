@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from sympderiv import casson, checks, traces
-from sympderiv.checks import quartic_relation
 from sympderiv.derivspace import space
 from sympderiv.freelie import context
+from test_checks import sym_matrices_by_loop
 from test_derivspace import gen_matrix
 
 
@@ -241,14 +241,14 @@ def test_qbar_denominator_and_linearity():
 
 def test_qbar_kills_quartic_relations():
     sp = space(2)
-    for quad in [(0, 1, 2, 3)]:
-        row = quartic_relation(sp, quad)[None]
-        assert casson.qbar_of_coeffs(sp, row) == [0]
-        for s_seed in range(3):
-            rng = np.random.default_rng(s_seed)
-            s = rng.integers(-3, 4, size=(1, 2, 2))
-            s = s + np.swapaxes(s, 1, 2)
-            assert casson.mu_of_coeffs(sp, row, s).tolist() == [[0]]
+    quads, rows = checks.quartic_relations(sp)
+    assert quads.tolist() == [[0, 1, 2, 3]]
+    assert casson.qbar_of_coeffs(sp, rows) == [0]
+    for s_seed in range(3):
+        rng = np.random.default_rng(s_seed)
+        s = rng.integers(-3, 4, size=(1, 2, 2))
+        s = s + np.swapaxes(s, 1, 2)
+        assert casson.mu_of_coeffs(sp, rows, s).tolist() == [[0]]
 
 
 def test_mu_vanishes_at_zero_twist():
@@ -416,7 +416,7 @@ def test_flipped_mu_sign_fails_bridge_at_first_loop_witness(monkeypatch):
     monkeypatch.setattr(casson, "MU_SIGN", -1)
     sp = space(g)
     rng = np.random.default_rng(0)
-    mats = [checks._random_sym_matrix(g, rng) for _ in range(100)]
+    mats = sym_matrices_by_loop(rng, g, 100)
     want = None
     for k, gen in enumerate(sp.generators):
         if all(l >= g for pair in gen[1:] for l in pair):

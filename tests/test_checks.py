@@ -1,5 +1,7 @@
-"""Expected values and failure witnesses of individual checks."""
+"""Expected values and failure witnesses of individual checks, and the
+per-instance loops that the stacked checks must agree with."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,115 @@ import pytest
 
 from sympderiv import casson, checks, traces, trees
 from sympderiv.derivspace import DerivationSpace, FiltrationError, space
+from sympderiv.freelie import SymplecticContext, context
 from sympderiv.intlin import IntegerLattice
+
+
+# -- per-instance references ----------------------------------------------
+
+def _dec(v):
+    return [str(int(x)) for x in v]
+
+
+def sym_matrices_by_loop(rng, g, k):
+    """k symmetric S = m + m^T, one g x g draw m at a time."""
+    return [m + m.T for m in (rng.integers(-3, 4, size=(g, g))
+                              for _ in range(k))]
+
+
+def relation_draws_by_loop(rng, g):
+    """The vectors a, b, c, d, u, v, w of 200 relation instances, drawn one
+    vector at a time, as a (200, 7, 2g) stack."""
+    return np.array([[rng.integers(-2, 3, size=2 * g) for _ in range(7)]
+                     for _ in range(200)])
+
+
+def _formal_trace(ctx, quads, odots=(), sym=False):
+    """Sum over (coeff-free) trees of the symmetric (``sym``) or the
+    antisymmetric trace formula, as a GF(2) coefficient dict over monomials
+    e_i e_j, i <= j.  The antisymmetric one drops the diagonal and adds the
+    symmetric-half rule (1 + omega(a,b)) a^b for entries of ``odots``."""
+    out = {}
+
+    def add(x, y, w):
+        if w % 2 == 0:
+            return
+        for i in range(ctx.n):
+            for j in range(ctx.n):
+                if i == j and not sym:
+                    continue
+                c = int(x[i]) * int(y[j])
+                if c % 2:
+                    key = (min(i, j), max(i, j))
+                    out[key] = out.get(key, 0) ^ 1
+
+    # (x, y, u, v): x y weighted by omega(u, v), plus 1 for an odot
+    terms = [t for a, b, c, d in quads
+             for t in ((b, c, a, d), (b, d, a, c), (a, c, b, d), (a, d, b, c))]
+    terms += [(u, v, u, v) for u, v in odots]
+    _, _, u, v = zip(*terms)
+    weights = ctx.omega(np.array(u), np.array(v))
+    weights[4 * len(quads):] += 1
+    for (x, y, _, _), w in zip(terms, weights.tolist()):
+        add(x, y, w)
+    return {k: v for k, v in out.items() if v}
+
+
+def well_definedness_failures_by_loop(g, rng):
+    """The relation-instance failures of well-definedness, one instance and
+    one family at a time through ``_formal_trace``."""
+    ctx = context(g)
+    failures = []
+    for a, b, c, d, u, v, w in relation_draws_by_loop(rng, g):
+        ihx = [(a, b, c, d), (b, c, a, d), (c, a, b, d)]
+        cases = [
+            ("ihx-sym", _formal_trace(ctx, ihx, sym=True)),
+            ("ihx-as", _formal_trace(ctx, ihx)),
+            ("as-flip",
+             _formal_trace(ctx, [(a, b, c, d), (b, a, c, d)], sym=True)),
+            ("square-tree-as", _formal_trace(ctx, [(a, b, a, b)])),
+            ("odot-multilinear",
+             _formal_trace(ctx, [(u, w, v, w)],
+                           odots=[(u + v, w), (u, w), (v, w)])),
+        ]
+        failures += [(label, _dec(a) + _dec(b))
+                     for label, residue in cases if residue]
+    return failures
+
+
+def quartic_relation(sp, quad):
+    """Coefficient vector of the image of e_p^e_q^e_r^e_s in the tree
+    coordinates: (pq|rs) - (pr|qs) + (ps|qr)."""
+    p, q, r, s = quad
+    tree, _ = sp.pair_tables()
+    coeffs = np.zeros(len(sp.generators), dtype=np.int64)
+    for pair1, pair2, sign in (((p, q), (r, s), 1), ((p, r), (q, s), -1),
+                               ((p, s), (q, r), 1)):
+        coeffs[tree[sp.pair_index[pair1], sp.pair_index[pair2]]] += sign
+    return coeffs
+
+
+def levine_elements_by_loop(sp):
+    """The labels and elements of levine-counterexample in loop order."""
+    g = sp.g
+    a, b = np.split(np.eye(2 * g, dtype=np.int64), 2)
+    labels, elements = [], []
+    for i in range(g):
+        for j in range(g):
+            if i == j:
+                continue
+            ks = [k for k in range(g) if k != j]
+            one = {k: trees.eta2(sp.ctx, a[k:k + 1], b[i:i + 1], b[j:j + 1],
+                                 b[k:k + 1])[0] for k in ks}
+            labels.append("one-handle, i=%d j=%d" % (i, j))
+            elements.append(trees.eta2(sp.ctx, a[i:i + 1], b[j:j + 1],
+                                       b[j:j + 1], b[i:i + 1])[0])
+            for k in ks:
+                for k2 in ks:
+                    if k2 >= k:
+                        labels.append("two-handle %s" % str((k, k2, i, j)))
+                        elements.append(one[k] + one[k2])
+    return labels, np.array(elements)
 
 
 def test_d2_rank_closed_form():
@@ -73,7 +183,7 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
                         lambda sp, coeffs, s: real(sp, coeffs, s) + 1)
     sp = space(2)
     rng = np.random.default_rng(0)
-    mats = [checks._random_sym_matrix(2, rng) for _ in range(100)]
+    mats = sym_matrices_by_loop(rng, 2, 100)
     row = sp.d2().basis[:1]
     coeffs = sp.express_in_generators(sp.coords(row))
     mu = int(casson.mu_of_coeffs(sp, coeffs, mats[0][None])[0, 0])
@@ -95,3 +205,142 @@ def test_int_seed_and_generator_give_the_same_bridge_witness(monkeypatch):
     assert checks._check_casson_bridge(2, np.random.default_rng(0)) \
         == (ok, witness)
     assert checks._check_casson_bridge(2, 1)[1]["s"] != witness["s"]
+
+
+# -- the stacked checks against their per-instance references -------------
+
+def _residue_dict(m, sym):
+    """A residue matrix M read as ``_formal_trace`` reports it."""
+    n = len(m)
+    out = {(i, j): int(m[i, j] + m[j, i]) % 2
+           for i in range(n) for j in range(i + 1, n)}
+    if sym:
+        out.update({(i, i): int(m[i, i]) for i in range(n)})
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_stacked_residues_match_the_formal_trace(g):
+    # 300 random sums of trees and halves, which are not relations: most of
+    # their 600 residues are nonzero, so the comparison is not of zeros only
+    ctx = context(g)
+    rng = np.random.default_rng(40 + g)
+    nonzero = 0
+    for n_quads, n_odots in [(1, 0), (2, 1), (3, 3)]:
+        vecs = rng.integers(-2, 3, size=(4 * n_quads + 2 * n_odots, 100, ctx.n))
+        quads = [tuple(vecs[4 * q:4 * q + 4]) for q in range(n_quads)]
+        odots = [tuple(vecs[4 * n_quads + 2 * h:4 * n_quads + 2 * h + 2])
+                 for h in range(n_odots)]
+        stacked = checks._residues(ctx, quads, odots)
+        for m in range(100):
+            one_quads = [tuple(x[m] for x in quad) for quad in quads]
+            one_odots = [tuple(x[m] for x in odot) for odot in odots]
+            for sym in (True, False):
+                want = _formal_trace(ctx, one_quads, one_odots, sym=sym)
+                assert _residue_dict(stacked[m], sym) == want
+                nonzero += bool(want)
+    assert nonzero > 300
+
+
+class Drawn(Exception):
+    pass
+
+
+class FirstDraw(np.random.Generator):
+    """A Generator that ends a check at its first draw, handing it over."""
+
+    def integers(self, *args, **kwargs):
+        raise Drawn(super().integers(*args, **kwargs))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_one_call_draws_equal_the_loop_draws(g, seed):
+    for cid, k in [("well-definedness", None), ("casson-bridge", 100),
+                   ("quartic-vanishing", 1)]:
+        with pytest.raises(Drawn) as drawn:
+            checks.CHECKS[cid].fn(g, FirstDraw(np.random.PCG64(seed)))
+        got = drawn.value.args[0]
+        rng = np.random.default_rng(seed)
+        if k is None:
+            assert np.array_equal(got, relation_draws_by_loop(rng, g))
+        else:
+            assert np.array_equal(got + np.swapaxes(got, 1, 2),
+                                  sym_matrices_by_loop(rng, g, k))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_stacked_quartic_rows_match_the_per_quad_rows(g):
+    sp = space(g)
+    quads, rows = checks.quartic_relations(sp)
+    assert quads.tolist() \
+        == [list(q) for q in itertools.combinations(range(2 * g), 4)]
+    assert np.array_equal(rows, [quartic_relation(sp, q) for q in quads])
+
+
+@pytest.mark.parametrize("shift", [
+    lambda u: 1,  # only odot-multilinear fails
+    lambda u: np.asarray(u)[:, 0],  # four of the five families fail
+], ids=["plus-1", "plus-u0"])
+def test_well_definedness_keeps_the_loop_order_of_failures(shift, monkeypatch):
+    # with a shifted omega the relation formulas fail; the check reports
+    # the failures that a loop over instances, then families, meets first
+    real = SymplecticContext.omega
+    monkeypatch.setattr(SymplecticContext, "omega",
+                        lambda self, u, v: real(self, u, v) + shift(u))
+    ok, witness = checks._check_well_definedness(2, 0)
+    want = well_definedness_failures_by_loop(2, np.random.default_rng(0))
+    assert not ok and len(want) >= 5
+    assert witness["ihx_colorings"] == 256
+    assert witness["failures"] == want[:5]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_levine_stack_matches_the_loop_elements(g, monkeypatch):
+    # the coordinate rows that tr_A reads are those of the loop's elements
+    sp = space(g)
+    seen = []
+    real = traces.tr_A
+
+    def recording(sp, rows):
+        seen.append(rows)
+        return real(sp, rows)
+
+    monkeypatch.setattr(traces, "tr_A", recording)
+    assert checks._check_levine(g, None)[0]
+    _, elements = levine_elements_by_loop(sp)
+    assert np.array_equal(seen[0], sp.coords(elements))
+
+
+def test_levine_labels_every_element_as_the_loop_does(monkeypatch):
+    # make each element in turn the only failing one: the witness names it
+    # with the loop's label
+    sp = space(3)
+    labels, _ = levine_elements_by_loop(sp)
+    real = traces.tr_A
+    for n, label in enumerate(labels):
+        def shifted(sp, rows, n=n):
+            out = real(sp, rows)
+            out[n] += 1
+            return out
+
+        monkeypatch.setattr(traces, "tr_A", shifted)
+        assert checks._check_levine(3, None)[1]["element"] == label
+
+
+def test_cached_values_are_read_only():
+    sp = space(2)
+    arrays = [*sp.pair_tables(), *sp._gen_columns(),
+              casson._thrice_qbar_column(sp), sp._full_solver().trans,
+              sp._tree_solver().trans]
+    lattices = [sp.d2(), sp.dprime2(), sp.ker_projection(),
+                traces.ker_tr_as(sp), traces.ker_tr_sym(sp),
+                traces.ker_tr_A(sp), traces.ker_tr_B(sp),
+                checks._double_kernel(2)]
+    lattices += [sp.filtration(k, side) for k in range(-1, 4) for side in "AB"]
+    for a in arrays + [lat.basis for lat in lattices]:
+        assert not a.flags.writeable
+    # the lattice freezes a view: the caller's own array stays writable
+    rows = np.eye(3, dtype=np.int64)
+    assert not IntegerLattice(3, rows, canonical=True).basis.flags.writeable
+    assert rows.flags.writeable
