@@ -3,9 +3,11 @@
 Each check recomputes one statement about the degree-1/degree-2 derivation
 lattices from scratch and reports pass/fail with a witness.  Checks are pure
 functions of (genus, seed); the CLI and the acceptance tests share them.
-A check that draws numbers makes its own ``np.random.default_rng(seed)``
-(a Generator passed as the seed is used as it is), so the others never
-import ``numpy.random``, and draws all its numbers in one call.
+A seed is a non-negative int.  A check that draws numbers draws all of
+them in one ``_draw`` call from ``random.Random(seed)``, whose ``random()``
+stream for an int seed Python keeps the same across versions (numpy's
+generators give no such promise across releases), and which loads no
+compiled generator or OpenSSL.
 
 Every check tests its instances as one stack (or, for the ambient IHX
 colorings, fixed blocks of one), and a failure's witness is that of the
@@ -22,12 +24,13 @@ Statuses:
 """
 
 import itertools
+import operator
+import random
 import time
 import traceback
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -54,6 +57,24 @@ class CheckReport:
 
 def _dec(v):
     return [str(int(x)) for x in np.asarray(v).reshape(-1)]
+
+
+def _half(h: int) -> str:
+    """h/2 as ``str(Fraction(h, 2))`` writes it: "-3", or "-7/2"."""
+    return str(h // 2) if h % 2 == 0 else f"{h}/2"
+
+
+def _draw(seed, low, high, shape) -> np.ndarray:
+    """An int64 array of the given shape, filled in C order with
+    low + int(r.random() * (high - low)) from r = random.Random(seed)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        # random.Random seeds with |seed|, so -n would draw n's instances
+        raise ValueError(f"seed must be a non-negative int, not {seed}")
+    r = random.Random(seed).random
+    n = high - low
+    return np.array([low + int(r() * n) for _ in range(prod(shape))],
+                    dtype=np.int64).reshape(shape)
 
 
 # -- individual checks ---------------------------------------------------
@@ -156,9 +177,8 @@ def _residues(ctx, quads, odots=()):
 
 
 def _check_well_definedness(g, seed):
-    rng = np.random.default_rng(seed)
-    a, b, c, d, u, v, w = np.moveaxis(
-        rng.integers(-2, 3, size=(200, 7, 2 * g)), 1, 0)
+    a, b, c, d, u, v, w = np.moveaxis(_draw(seed, -2, 3, (200, 7, 2 * g)),
+                                      1, 0)
     ctx = space(g).ctx
     failures = []
     # ambient IHX on every basis coloring, a block at a time: the three
@@ -238,8 +258,7 @@ def _check_levine(g, seed):
 
 
 def _check_casson_bridge(g, seed):
-    rng = np.random.default_rng(seed)
-    mats = rng.integers(-3, 4, size=(100, g, g))
+    mats = _draw(seed, -3, 4, (100, g, g))
     mats += np.swapaxes(mats, 1, 2)  # symmetric S
     sp = space(g)
     f0_gens = np.flatnonzero((sp.leaves < g).any(axis=1))  # an A-leaf
@@ -266,7 +285,7 @@ def _check_casson_bridge(g, seed):
     if len(bad):
         i, j = bad[0]
         return False, {"element": _dec(basis[i]), "mu": str(mus[i, j]),
-                       "composite": str(Fraction(int(halves[i, j]), 2))}
+                       "composite": _half(int(halves[i, j]))}
     return True, {"bridge_instances": n_bridge,
                   "composite_instances": mus.size}
 
@@ -286,8 +305,7 @@ def quartic_relations(sp):
 
 
 def _check_quartic_vanishing(g, seed):
-    rng = np.random.default_rng(seed)
-    s = rng.integers(-3, 4, size=(1, g, g))
+    s = _draw(seed, -3, 4, (1, g, g))
     s += np.swapaxes(s, 1, 2)  # symmetric S
     sp = space(g)
     quads, rows = quartic_relations(sp)

@@ -2,6 +2,7 @@
 per-instance loops that the stacked checks must agree with."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,17 +20,31 @@ def _dec(v):
     return [str(int(x)) for x in v]
 
 
-def sym_matrices_by_loop(rng, g, k):
-    """k symmetric S = m + m^T, one g x g draw m at a time."""
-    return [m + m.T for m in (rng.integers(-3, 4, size=(g, g))
-                              for _ in range(k))]
+def sym_matrices_by_loop(seed, g, k):
+    """k symmetric S = m + m^T, each entry of each g x g matrix m drawn in
+    [-3, 4) by one random.Random(seed).random() call."""
+    r = random.Random(seed)
+    out = []
+    for _ in range(k):
+        m = np.zeros((g, g), dtype=np.int64)
+        for i in range(g):
+            for j in range(g):
+                m[i, j] = -3 + int(r.random() * 7)
+        out.append(m + m.T)
+    return out
 
 
-def relation_draws_by_loop(rng, g):
-    """The vectors a, b, c, d, u, v, w of 200 relation instances, drawn one
-    vector at a time, as a (200, 7, 2g) stack."""
-    return np.array([[rng.integers(-2, 3, size=2 * g) for _ in range(7)]
-                     for _ in range(200)])
+def relation_draws_by_loop(seed, g):
+    """The vectors a, b, c, d, u, v, w of 200 relation instances, each entry
+    drawn in [-2, 3) by one random.Random(seed).random() call, as a
+    (200, 7, 2g) stack."""
+    r = random.Random(seed)
+    draws = np.zeros((200, 7, 2 * g), dtype=np.int64)
+    for n in range(200):
+        for vec in range(7):
+            for i in range(2 * g):
+                draws[n, vec, i] = -2 + int(r.random() * 5)
+    return draws
 
 
 def _formal_trace(ctx, quads, odots=(), sym=False):
@@ -63,12 +78,12 @@ def _formal_trace(ctx, quads, odots=(), sym=False):
     return {k: v for k, v in out.items() if v}
 
 
-def well_definedness_failures_by_loop(g, rng):
+def well_definedness_failures_by_loop(g, seed):
     """The relation-instance failures of well-definedness, one instance and
     one family at a time through ``_formal_trace``."""
     ctx = context(g)
     failures = []
-    for a, b, c, d, u, v, w in relation_draws_by_loop(rng, g):
+    for a, b, c, d, u, v, w in relation_draws_by_loop(seed, g):
         ihx = [(a, b, c, d), (b, c, a, d), (c, a, b, d)]
         cases = [
             ("ihx-sym", _formal_trace(ctx, ihx, sym=True)),
@@ -182,12 +197,11 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
     monkeypatch.setattr(casson, "half_omegaS_plus_delta",
                         lambda sp, coeffs, s: real(sp, coeffs, s) + 1)
     sp = space(2)
-    rng = np.random.default_rng(0)
-    mats = sym_matrices_by_loop(rng, 2, 100)
+    mats = sym_matrices_by_loop(0, 2, 100)
     row = sp.d2().basis[:1]
     coeffs = sp.express_in_generators(sp.coords(row))
     mu = int(casson.mu_of_coeffs(sp, coeffs, mats[0][None])[0, 0])
-    ok, witness = checks._check_casson_bridge(2, np.random.default_rng(0))
+    ok, witness = checks._check_casson_bridge(2, 0)
     assert not ok
     assert witness == {"element": [str(int(x)) for x in row[0]],
                        "mu": str(mu),
@@ -195,15 +209,19 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
     assert witness["composite"].endswith("/2")
 
 
-def test_int_seed_and_generator_give_the_same_bridge_witness(monkeypatch):
+@pytest.mark.parametrize("h", range(-9, 10))
+def test_half_matches_fraction(h):
+    assert checks._half(h) == str(Fraction(h, 2))
+
+
+def test_same_seed_gives_the_same_bridge_witness(monkeypatch):
     # with the sign of mu flipped the check fails at a drawn S, so its
-    # witness shows the draws: an int seed and the Generator made from it
-    # draw the same S, and another seed draws another
+    # witness shows the draws: the same seed draws the same S, and another
+    # seed draws another
     monkeypatch.setattr(casson, "MU_SIGN", -1)
     ok, witness = checks._check_casson_bridge(2, 0)
     assert not ok
-    assert checks._check_casson_bridge(2, np.random.default_rng(0)) \
-        == (ok, witness)
+    assert checks._check_casson_bridge(2, 0) == (ok, witness)
     assert checks._check_casson_bridge(2, 1)[1]["s"] != witness["s"]
 
 
@@ -246,27 +264,53 @@ class Drawn(Exception):
     pass
 
 
-class FirstDraw(np.random.Generator):
-    """A Generator that ends a check at its first draw, handing it over."""
+def first_draw(monkeypatch, cid, g, seed):
+    """The array a check draws first, the check ended at that draw."""
+    real = checks._draw
 
-    def integers(self, *args, **kwargs):
-        raise Drawn(super().integers(*args, **kwargs))
+    def draw(*args):
+        raise Drawn(real(*args))
+
+    monkeypatch.setattr(checks, "_draw", draw)
+    with pytest.raises(Drawn) as drawn:
+        checks.CHECKS[cid].fn(g, seed)
+    return drawn.value.args[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
-def test_one_call_draws_equal_the_loop_draws(g, seed):
+def test_one_call_draws_equal_the_loop_draws(g, seed, monkeypatch):
     for cid, k in [("well-definedness", None), ("casson-bridge", 100),
                    ("quartic-vanishing", 1)]:
-        with pytest.raises(Drawn) as drawn:
-            checks.CHECKS[cid].fn(g, FirstDraw(np.random.PCG64(seed)))
-        got = drawn.value.args[0]
-        rng = np.random.default_rng(seed)
+        got = first_draw(monkeypatch, cid, g, seed)
+        assert got.dtype == np.int64
         if k is None:
-            assert np.array_equal(got, relation_draws_by_loop(rng, g))
+            assert np.array_equal(got, relation_draws_by_loop(seed, g))
         else:
             assert np.array_equal(got + np.swapaxes(got, 1, 2),
-                                  sym_matrices_by_loop(rng, g, k))
+                                  sym_matrices_by_loop(seed, g, k))
+
+
+def test_seed_0_draws_at_genus_2_are_pinned(monkeypatch):
+    # random()'s stream for an int seed is the same on every Python
+    # version, and numpy does not enter it, so every supported Python and
+    # numpy draws these instances
+    wd = first_draw(monkeypatch, "well-definedness", 2, 0)
+    assert wd.shape == (200, 7, 4)
+    assert wd[0].tolist() == [[2, 1, 0, -1], [0, 0, 1, -1], [0, 0, 2, 0],
+                              [-1, 1, 1, -1], [2, 2, 2, 2], [-1, 1, 2, 1],
+                              [0, -2, 0, 1]]
+    cb = first_draw(monkeypatch, "casson-bridge", 2, 0)
+    assert cb.shape == (100, 2, 2)
+    assert cb[:3].tolist() == [[[2, 2], [-1, -2]], [[0, -1], [2, -1]],
+                               [[0, 1], [3, 0]]]
+    qv = first_draw(monkeypatch, "quartic-vanishing", 2, 0)
+    assert qv.tolist() == [[[2, 2], [-1, -2]]]
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        checks._draw(-1, -3, 4, (1, 2, 2))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -289,7 +333,7 @@ def test_well_definedness_keeps_the_loop_order_of_failures(shift, monkeypatch):
     monkeypatch.setattr(SymplecticContext, "omega",
                         lambda self, u, v: real(self, u, v) + shift(u))
     ok, witness = checks._check_well_definedness(2, 0)
-    want = well_definedness_failures_by_loop(2, np.random.default_rng(0))
+    want = well_definedness_failures_by_loop(2, 0)
     assert not ok and len(want) >= 5
     assert witness["ihx_colorings"] == 256
     assert witness["failures"] == want[:5]

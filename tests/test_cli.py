@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -99,8 +101,38 @@ def test_seed_recorded_in_certificate(tmp_path, capsys):
     assert json.loads(p.read_text())["seed"] == 7
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_is_usage_error_before_any_check(seed, capsys, monkeypatch):
+    # random.Random seeds with |seed|: -1 would draw the instances of 1
+    def run_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(checks, "run_check", run_check)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--all", "--seed", seed])
+    assert exit_.value.code == 2
+    assert "non-negative int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_verify_loads_neither_numpy_random_nor_openssl(g):
+    """Checks draw from Python's random, so a whole run leaves numpy's
+    random module, and OpenSSL through secrets and hashlib, unloaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from sympderiv.cli import main\n"
+            f"assert main(['--all', '--genus', '{g}']) == 0\n"
+            "print(sorted({'numpy.random', 'secrets', '_hashlib'}"
+            " & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_raising_check_is_reported_as_failure(tmp_path, capsys, monkeypatch):
-    def boom(genus, rng):
+    def boom(genus, seed):
         raise ZeroDivisionError("no luck")
 
     spec = dataclasses.replace(checks.CHECKS["core-values"], fn=boom)
