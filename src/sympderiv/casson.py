@@ -7,14 +7,14 @@ symbol l(e_p, e_q) takes the value of its normal form, lk[p, q] for
 p <= q and lk[q, p] + omega(e_q, e_p) otherwise, so theta of every
 generator is read off that one matrix by index.  The base form is
 [[0,0],[Id,0]] and the form twisted by a symmetric S is [[0,0],[Id,S]];
-q-bar and mu are exact products of those values with the coefficients.
+3 q-bar (an integer) and mu are exact products of those values with the
+coefficients.
 Every map takes a stack of coefficient rows, and mu and the pairings a
 stack of matrices S, giving one row per input row and one column per S.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -85,11 +85,10 @@ def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
     return col
 
 
-def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> list:
-    """eps_j(theta) + (1/3) dbar on each row of a stack of generator
-    coefficients, as a list of Fractions."""
-    thrice = safe_matmul(coeffs, _thrice_qbar_column(sp)[:, None])
-    return [Fraction(int(x), 3) for x in thrice[:, 0]]
+def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> np.ndarray:
+    """3 qbar = 3 eps_j(theta) + dbar on each row of a stack of generator
+    coefficients, one integer per row (only dbar contributes thirds)."""
+    return safe_matmul(coeffs, _thrice_qbar_column(sp)[:, None])[:, 0]
 
 
 def mu_of_coeffs(sp: DerivationSpace, coeffs, s) -> np.ndarray:

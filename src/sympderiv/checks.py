@@ -6,8 +6,9 @@ functions of (genus, seed); the CLI and the acceptance tests share them.
 A seed is a non-negative int.  A check that draws numbers draws all of
 them in one ``_draw`` call from ``random.Random(seed)``, whose ``random()``
 stream for an int seed Python keeps the same across versions (numpy's
-generators give no such promise across releases), and which loads no
-compiled generator or OpenSSL.
+generators give no such promise across releases).  So no check loads
+numpy's random module, nor OpenSSL through it; with numpy 2, which
+imports that module only on first use, no verify run loads either.
 
 Every check tests its instances as one stack (or, for the ambient IHX
 colorings, fixed blocks of one), and a failure's witness is that of the
@@ -313,7 +314,7 @@ def _check_quartic_vanishing(g, seed):
     # every test on the whole stack; the witness is the first failing quad
     # with its first failing test
     fails = np.stack([safe_matmul(rows, sp.gen_coords().T).any(axis=1),
-                      np.array(casson.qbar_of_coeffs(sp, rows)) != 0,
+                      casson.qbar_of_coeffs(sp, rows) != 0,
                       casson.mu_of_coeffs(sp, rows, s)[:, 0] != 0], axis=1)
     if fails.any():
         n, test = np.argwhere(fails)[0]

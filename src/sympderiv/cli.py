@@ -54,15 +54,6 @@ def _write_atomic(path, text):
         raise
 
 
-def _seed(text):
-    """A non-negative int: random.Random seeds with |seed|, so a negative
-    seed would silently draw the instances of its absolute value."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            "must be a non-negative int, not %r" % text)
-    return int(text)
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="verify",
@@ -76,7 +67,7 @@ def build_parser():
                    metavar="ID", help="run one named check (repeatable)")
     p.add_argument("--json", metavar="PATH",
                    help="write a JSON certificate to PATH")
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=int, default=0,
                    help="non-negative seed for randomized property checks "
                         "(default 0)")
     p.add_argument("--max-minutes", type=float, default=None,
@@ -90,6 +81,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        # random.Random seeds with |seed|: -1 would draw the instances of 1
+        parser.error("--seed must be a non-negative int")
 
     if args.list:
         for entry in checks.ALL_CHECKS:

@@ -144,8 +144,8 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
             live = [t for t in cols[c] if pos[t] >= r]
             if not live:
                 break
-            piv = live[0] if len(live) == 1 else min(
-                live, key=lambda t: (abs(rows[t][c]), len(rows[t]), pos[t]))
+            piv = min(live, key=lambda t: (abs(rows[t][c]), len(rows[t]),
+                                           pos[t]))
             if pos[piv] != r:
                 top = order[r]
                 order[r], order[pos[piv]] = piv, top
@@ -156,8 +156,7 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
             p = rows[piv][c]
             for t in live:
                 subtract(t, rows[t][c] // p, piv)
-            # a pivot of +-1 leaves every reduced row 0 in column c
-            if abs(p) == 1 or not any(c in rows[t] for t in live):
+            if not any(c in rows[t] for t in live):
                 break
         prow = rows[order[r]]
         if c not in prow:

@@ -101,8 +101,10 @@ def test_seed_recorded_in_certificate(tmp_path, capsys):
     assert json.loads(p.read_text())["seed"] == 7
 
 
-@pytest.mark.parametrize("seed", ["-1", "x"])
-def test_bad_seed_is_usage_error_before_any_check(seed, capsys, monkeypatch):
+@pytest.mark.parametrize("seed, message", [("-1", "non-negative int"),
+                                           ("x", "invalid int value")])
+def test_bad_seed_is_usage_error_before_any_check(seed, message, capsys,
+                                                  monkeypatch):
     # random.Random seeds with |seed|: -1 would draw the instances of 1
     def run_check(*args, **kwargs):
         raise AssertionError("a check ran")
@@ -111,21 +113,25 @@ def test_bad_seed_is_usage_error_before_any_check(seed, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         main(["--all", "--seed", seed])
     assert exit_.value.code == 2
-    assert "non-negative int" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_verify_loads_neither_numpy_random_nor_openssl(g):
-    """Checks draw from Python's random, so a whole run leaves numpy's
-    random module, and OpenSSL through secrets and hashlib, unloaded."""
+    """Checks draw from Python's random, so a whole run adds neither
+    numpy's random module nor OpenSSL, through secrets and hashlib, to
+    what importing numpy loads (numpy 1.x loads its random module on
+    import, numpy 2 only on first use).  Nor does a run load fractions."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
+            "import numpy\n"
+            "watched = {'numpy.random', 'secrets', '_hashlib', 'fractions'}\n"
+            "before = watched & set(sys.modules)\n"
             "from sympderiv.cli import main\n"
             f"assert main(['--all', '--genus', '{g}']) == 0\n"
-            "print(sorted({'numpy.random', 'secrets', '_hashlib'}"
-            " & set(sys.modules)))\n")
+            "print(sorted(watched & set(sys.modules) - before))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
