@@ -21,7 +21,7 @@ import numpy as np
 
 from .derivspace import DerivationSpace
 from .freelie import iota_matrix
-from .intlin import fits_int64, safe_einsum, safe_matmul
+from .intlin import fits_int64, max_abs, safe_einsum, safe_matmul
 from .traces import tr_omegaS
 
 # mu(v, S) := eps_base(theta(v)) - eps_twisted(theta(v)); this sign makes
@@ -62,7 +62,7 @@ def _theta(sp: DerivationSpace, lk: np.ndarray) -> np.ndarray:
     lt = np.triu(lk) + np.tril(np.swapaxes(lk, -1, -2) - iota_matrix(sp.g), -1)
     # theta sums four products of two entries; at the base linking matrix
     # |theta| <= 4, so a base-minus-twisted difference fits as well
-    if not fits_int64(4 * max(int(lt.max()), -int(lt.min())) ** 2):
+    if not fits_int64(4 * max_abs(lt) ** 2):
         lt = lt.astype(object)
     a, b, c, d = sp.leaves.T
     theta = (lt[..., a, c] * lt[..., b, d] - lt[..., a, d] * lt[..., b, c]

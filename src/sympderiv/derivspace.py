@@ -35,7 +35,7 @@ import numpy as np
 
 from .freelie import context
 from .intlin import (IntegerLattice, fits_int64, hermite_normal_form,
-                     kernel_lattice, nonzeros, safe_matmul)
+                     kernel_lattice, max_abs, narrowed, nonzeros, safe_matmul)
 
 
 class MembershipError(ValueError):
@@ -158,13 +158,13 @@ class DerivationSpace:
 
     @lru_cache(maxsize=None)
     def gen_coords(self) -> np.ndarray:
-        """Generator values in D_2 coordinates as columns (r x generators):
-        every pivot of D_2's HNF basis is 1, so they are the expansions'
-        entries at the pivot columns.  Exact by the check product, formed
-        over the nonzeros of coordinates and basis (int64 when the most
-        coordinates of a generator times max|coordinate| times max|basis|
-        is under 2**62, else on Python ints), which must equal every
-        expansion entry by entry."""
+        """Generator values in D_2 coordinates as ``narrowed`` columns (r x
+        generators): every pivot of D_2's HNF basis is 1, so they are the
+        expansions' entries at the pivot columns.  Exact by the check
+        product, formed over the nonzeros of coordinates and basis (int64
+        when the most coordinates of a generator times max|coordinate| times
+        max|basis| is under 2**62, else on Python ints), which must equal
+        every expansion entry by entry."""
         basis = self._bracket_kernel().basis
         r, ambient = basis.shape
         keys, vals = self._expansions()
@@ -180,15 +180,14 @@ class DerivationSpace:
         # each nonzero coordinate times each nonzero of its basis row
         t, nz = runs(start[cj], start[cj + 1] - start[cj])
         bound = (int(np.bincount(cg, minlength=1).max())
-                 * int(np.abs(cval).max(initial=0))
-                 * int(np.abs(bval).max(initial=0)))
+                 * max_abs(cval) * max_abs(bval))
         dtype = np.int64 if fits_int64(bound) else object
         pkeys, pvals = _summed(cg[t] * ambient + bcol[nz],
                                cval.astype(dtype)[t] * bval.astype(dtype)[nz])
         if not (np.array_equal(pkeys, keys) and np.array_equal(pvals, vals)):
             raise InconsistencyError(
                 "a generator is outside the bracket-map kernel")
-        c = np.zeros((len(self.leaves), r), dtype=np.int64)
+        c = np.zeros((len(self.leaves), r), dtype=narrowed(cval).dtype)
         c[cg, cj] = cval
         c.setflags(write=False)
         return c.T
@@ -245,8 +244,7 @@ class DerivationSpace:
         max|gen_coords()|, is under 2**62, else on Python ints."""
         start, pos, val = self._gen_columns()
         per_row = int(np.bincount(row, minlength=1).max())
-        bound = (per_row * int(np.abs(weight).max(initial=0))
-                 * int(np.abs(val).max()))
+        bound = per_row * max_abs(weight) * max_abs(val)
         dtype = np.int64 if fits_int64(bound) else object
         # each triplet once per nonzero of its column
         t, at = runs(start[gen], start[gen + 1] - start[gen])
@@ -308,7 +306,7 @@ class DerivationSpace:
         if not -1 <= level <= 3:
             raise ValueError("filtration level must be in -1..3")
         if level == -1:
-            return IntegerLattice(self.rank, np.eye(self.rank, dtype=np.int64),
+            return IntegerLattice(self.rank, np.eye(self.rank, dtype=np.int8),
                                   canonical=True)
         on_a = self.leaves < self.g
         on_side = on_a if side == "A" else ~on_a

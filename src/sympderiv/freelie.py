@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .intlin import safe_einsum, safe_matmul
+from .intlin import narrowed, safe_einsum, safe_matmul
 
 MAX_DEGREE = 4
 
@@ -158,9 +158,9 @@ class SymplecticContext:
     def bracket_table(self, j: int, k: int) -> np.ndarray:
         """Structure constants of L_j x L_k -> L_{j+k}: entry [a, b] holds
         the bracket of the a-th and b-th Lyndon bracketings in Lyndon
-        coordinates, from their tensor expansions.  Read-only, and int8
-        when every entry fits (they are at most 2 in absolute value up to
-        degree 4); the bracket map into degree 4 needs none of them
+        coordinates, from their tensor expansions.  Read-only, and
+        ``narrowed``: int8, as every entry is at most 2 in absolute value up
+        to degree 4; the bracket map into degree 4 needs none of them
         (``bracket_word_matrix``)."""
         if j + k > MAX_DEGREE:
             raise UnsupportedDegreeError("bracket would exceed the degree cap")
@@ -171,8 +171,7 @@ class SymplecticContext:
             for b, v in enumerate(self.lyndon(k)):
                 comm = tensor_concat_commutator(tu, self.bracketing_tensor(v))
                 table[a, b] = self.tensor_to_lyndon(j + k, comm)
-        if np.abs(table).max(initial=0) < 2 ** 7:
-            table = table.astype(np.int8)
+        table = narrowed(table)
         table.setflags(write=False)
         return table
 

@@ -1,12 +1,12 @@
 """Exact integer and GF(2) linear algebra.
 
-Integer matrices are numpy arrays, int64 where every entry fits and Python
-ints (dtype=object) otherwise.  Products run in int64 under an overflow
-bound and widen past it; the Hermite normal form computes on Python ints
-and returns int64 when it can.  Everything downstream only ever sees exact
-results.  Lattices are stored by their row-style HNF basis, which is the
-unique canonical representative, so structural equality of bases is lattice
-equality.
+Every integer matrix the program keeps is ``narrowed``: int8 when every
+entry lies in [-127, 127], as almost all do, int64 when every entry fits,
+Python ints (dtype=object) otherwise.  Products never run in int8 but in
+int64, under an overflow bound (``max_abs``), widening past it; the HNF
+computes on Python ints.  Everything downstream only ever sees exact
+results.  Lattices are stored by their row-style HNF basis, the unique
+canonical representative, so structural equality is lattice equality.
 
 Most lattices here are very sparse (a few nonzeros per row).  Every HNF is
 one loop (``_hnf_rows``) over rows held as sparse dicts of Python ints,
@@ -60,6 +60,23 @@ def fits_int64(bound: int) -> bool:
     return bound < 2 ** 62
 
 
+def max_abs(a) -> int:
+    """The largest |entry| as a Python int (0 if none), from the max and the
+    min: np.abs wraps at a dtype's minimum (np.abs(int8 -128) is -128)."""
+    a = np.asarray(a)
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def narrowed(a: np.ndarray) -> np.ndarray:
+    """a in the dtype of every stored array: int8 when every entry lies in
+    [-127, 127] (-128 is left out, so that negation and abs never wrap),
+    int64 when every entry lies in [-2**63, 2**63), object otherwise."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    dtype = (np.int8 if -127 <= lo and hi <= 127 else
+             np.int64 if -2 ** 63 <= lo and hi < 2 ** 63 else object)
+    return a.astype(dtype, copy=False)
+
+
 def nonzeros(a: np.ndarray):
     """Row and column indices of the nonzeros of a 2-d array, in row-major
     order (much faster than a 2-d ``np.nonzero``)."""
@@ -71,8 +88,8 @@ def hermite_normal_form(m, transform: bool = False):
 
     Returns ``hnf`` or ``(hnf, u)`` with ``u`` unimodular and ``u @ m == hnf``.
     Rows of the result are *not* trimmed: zero rows sink to the bottom.
-    The rows of ``_hnf_rows`` assembled densely: int64 when every entry of
-    ``hnf`` and ``u`` fits, else object.
+    The rows of ``_hnf_rows`` assembled densely, ``hnf`` and ``u`` in one
+    dtype, the ``narrowed`` one of their entries together.
     """
     a = as_int_matrix(m)
     nrows, ncols = a.shape
@@ -175,14 +192,13 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
 
 def _assemble(rows, width: int, shift: int = 0) -> np.ndarray:
     """Row dicts whose columns all lie in shift .. shift + width - 1 as one
-    dense matrix of that width: int64 when every entry fits, else object."""
+    dense matrix of that width, allocated in its ``narrowed`` dtype."""
     entries = [(i, k - shift, x) for i, row in enumerate(rows)
                for k, x in row.items()]
-    wide = any(not -2 ** 63 <= x < 2 ** 63 for _, _, x in entries)
-    w = np.zeros((len(rows), width), dtype=object if wide else np.int64)
-    if entries:
-        ii, kk, xs = zip(*entries)
-        w[list(ii), list(kk)] = xs
+    ii, kk, xs = zip(*entries) if entries else ((), (), ())
+    xs = narrowed(np.array(xs, dtype=object))
+    w = np.zeros((len(rows), width), dtype=xs.dtype)
+    w[list(ii), list(kk)] = xs
     return w
 
 
@@ -223,8 +239,7 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
     """
     rows = np.asarray(rows)
     pivots = np.asarray(pivots, dtype=np.intp)
-    wide = basis.dtype == object or (rows.size and not fits_int64(
-        max(int(rows.max()), -int(rows.min()))))
+    wide = basis.dtype == object or not fits_int64(max_abs(rows))
     # a fresh array: the indexing copies the pivot columns
     coeffs = rows[:, pivots].astype(object if wide else np.int64, copy=False)
     heads = basis[np.arange(len(pivots)), pivots]
@@ -261,7 +276,7 @@ class IntegerLattice:
     def __init__(self, ambient_dim: int, generators=None, canonical: bool = False):
         self.ambient_dim = ambient_dim
         if generators is None or len(generators) == 0:
-            basis = np.zeros((0, ambient_dim), dtype=np.int64)
+            basis = np.zeros((0, ambient_dim), dtype=np.int8)
         else:
             g = as_int_matrix(generators)
             if g.shape[1] != ambient_dim:
@@ -298,7 +313,7 @@ class IntegerLattice:
                 and bool(np.all(self.basis == other.basis)))
 
     def __hash__(self):
-        # from Python ints, so that bases equal in int64 and in object
+        # from Python ints, so that bases equal in int8, int64 and object
         # dtype hash alike, as __eq__ calls them equal
         return hash((self.ambient_dim, tuple(map(tuple, self.basis.tolist()))))
 
@@ -382,8 +397,7 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
     if any(a.size == 0 for a in ops):
         return np.zeros(tuple(sizes[c] for c in output), dtype=np.int64)
     bound = max(1, math.prod(n for c, n in sizes.items() if c not in output))
-    for a in ops:
-        bound *= max(1, int(np.abs(a).max()))
+    bound *= math.prod(max(1, max_abs(a)) for a in ops)
     if fits_int64(bound):
         dtype = np.int32 if bound < 2 ** 31 else np.int64
         out = np.einsum(subscripts, *(a.astype(dtype, copy=False) for a in ops))
@@ -440,8 +454,7 @@ def _sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # ii is sorted: place of each nonzero within its row
     rank = np.arange(ii.size) - np.searchsorted(ii, ii)
     per_row = int(rank.max()) + 1
-    bound = (per_row * int(np.abs(vals).max())
-             * max(1, int(np.abs(b).max())))
+    bound = per_row * max_abs(vals) * max(1, max_abs(b))
     dtype = np.int64 if fits_int64(bound) else object
     vals = vals.astype(dtype)
     out = np.zeros(out_shape, dtype=dtype)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sympderiv import derivspace
+from sympderiv import checks, derivspace, traces
 from sympderiv.derivspace import (InconsistencyError, MembershipError,
                                   gl_embed, space)
 from sympderiv.freelie import SymplecticContext, iota_matrix
@@ -333,12 +333,33 @@ def test_gen_coords_are_generator_coordinates(g):
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_gen_coords_equal_the_dense_reference(g):
     """The sparse expansions read at D_2's pivots give what the membership
-    solve of the dense generator matrix gives: same values, same dtype."""
+    solve of the dense generator matrix gives: the same values, stored in
+    int8, as every one lies in [-127, 127]."""
     sp = space(g)
     want = sp.d2().membership(gen_matrix(sp).T).T
     got = sp.gen_coords()
-    assert got.dtype == want.dtype
+    assert got.dtype == np.int8
+    assert np.abs(want).max() <= 127
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_kept_bases_and_coordinates_are_int8_and_read_only(g):
+    """The large arrays kept per genus, every entry of which lies in
+    [-127, 127] up to genus 4, are stored in int8 and cannot be written."""
+    sp = space(g)
+    kept = {"d2": sp.d2().basis, "gen_coords": sp.gen_coords(),
+            "filtration(-1)": sp.filtration(-1).basis,
+            "ker_tr_as": traces.ker_tr_as(sp).basis,
+            "ker_tr_A": traces.ker_tr_A(sp).basis,
+            "double_kernel": checks._double_kernel(g).basis}
+    for name, solver in [("full", sp._full_solver()),
+                         ("tree", sp._tree_solver())]:
+        kept[name + " span"] = solver.span.basis
+        kept[name + " trans"] = solver.trans
+    for name, a in kept.items():
+        assert a.dtype == np.int8, name
+        assert not a.flags.writeable, name
 
 
 @pytest.mark.parametrize("entry", ["first", "middle", "last"])
@@ -393,5 +414,5 @@ def test_gen_coords_check_product_past_the_bound(monkeypatch):
     monkeypatch.setattr(derivspace, "_summed", recording)
     got = derivspace.DerivationSpace(3).gen_coords()
     assert dtypes == [np.int64, object]
-    assert got.dtype == np.int64
+    assert got.dtype == np.int8
     assert np.array_equal(got, space(3).gen_coords())

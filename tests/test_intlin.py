@@ -15,6 +15,16 @@ def random_matrix(rng, shape, lo=-5, hi=6):
     return rng.integers(lo, hi, size=shape)
 
 
+def storage_dtype(entries):
+    """The dtype the storage rule gives an array with these entries: int8
+    when they all lie in [-127, 127], int64 when they all lie in
+    [-2^63, 2^63), object otherwise."""
+    entries = [int(x) for x in entries]
+    if all(-127 <= x <= 127 for x in entries):
+        return np.int8
+    return np.int64 if all(-2 ** 63 <= x < 2 ** 63 for x in entries) else object
+
+
 def test_hnf_preserves_row_span():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -169,6 +179,28 @@ def test_safe_matmul_int32_tier():
     # at 2**31 the sum would wrap in int32; int64 keeps it exact
     at = safe_matmul(a, np.array([[2 ** 15], [2 ** 15]]))
     assert at.dtype == np.int64 and at[0, 0] == 2 ** 31
+
+
+@pytest.mark.parametrize("dtype, other", [(np.int8, 2 ** 61), (np.int64, 2)])
+def test_safe_matmul_bound_at_a_dtypes_minimum(monkeypatch, dtype, other):
+    # np.abs of a dtype's minimum wraps to the minimum itself: a bound read
+    # through it takes the magnitude as 1 and runs -128 * 2^61 or -2^63 * 2
+    # in int64, where both wrap to 0.  The minimum on either side, through
+    # einsum (1 x 1 operands) and over the nonzeros of a 1 x 16 row
+    shapes = _record_sparse_operands(monkeypatch)
+    least = np.iinfo(dtype).min
+    for width, path in [(1, []), (16, [(1, 16)])]:
+        row = np.zeros((1, width), dtype=dtype)
+        col = np.zeros((width, 1), dtype=np.int64)
+        row[0, -1], col[-1, 0] = least, other
+        for a, b in [(row, col), (col.T, row.T)]:
+            shapes.clear()
+            out = safe_matmul(a, b)
+            assert shapes == path
+            assert out.dtype == object
+            assert out.tolist() == (a.astype(object)
+                                    @ b.astype(object)).tolist()
+            assert out[0, 0] == least * other
 
 
 def exact_det(m):
@@ -352,8 +384,7 @@ def assert_intersection_matches_sympy(sympy, m):
     b = np.vstack([2 * m[r // 3:(2 * r + 2) // 3], m[(2 * r + 2) // 3:]])
     meet = IntegerLattice(n, a).intersection(IntegerLattice(n, b))
     ours = [[int(x) for x in row] for row in meet.basis]
-    fits = all(-2 ** 63 <= x < 2 ** 63 for row in ours for x in row)
-    assert meet.basis.dtype == (np.int64 if fits else object)
+    assert meet.basis.dtype == storage_dtype(x for row in ours for x in row)
     assert meet.basis.shape == (len(ours), n)
     zassenhaus = np.block([[a, a], [b, np.zeros_like(b)]])
     ref = [row[n:] for row in sympy_row_hnf(sympy, zassenhaus)
@@ -418,12 +449,13 @@ def test_intersection_matches_sympy():
 
 @pytest.mark.parametrize("entry, dtype", [
     (2 ** 63 - 1, np.int64), (2 ** 63, object),
-    (-2 ** 63, np.int64), (-2 ** 63 - 1, object)])
+    (-2 ** 63, np.int64), (-2 ** 63 - 1, object),
+    (127, np.int8), (-127, np.int8), (128, np.int64), (-128, np.int64)])
 def test_left_kernel_dtype_at_the_int64_boundary(entry, dtype):
     # the kernel of v -> (v1 - entry v0, 2^70 v2) is the line (1, entry, 0):
     # its basis is assembled from the transform parts of the zero rows
     # alone, so its dtype follows its own entries, not the 2^70 of a
-    # nonzero row
+    # nonzero row: int8 down to -127, not -128, int64 down to -2^63
     m = np.array([[-entry, 0], [1, 0], [0, 2 ** 70]], dtype=object)
     k = left_kernel(m)
     assert k.dtype == dtype
@@ -439,11 +471,13 @@ def test_left_kernel_dtype_at_the_int64_boundary(entry, dtype):
 
 
 def test_left_kernel_reads_small_integer_dtypes():
-    # an int8 map gives the kernel of the same map in int64
+    # an int8 map gives the kernel of the same map in int64, both stored
+    # in int8, as every entry of the kernel lies in [-127, 127]
     rng = np.random.default_rng(21)
     m = rng.integers(-2, 3, size=(30, 12)) * (rng.random((30, 12)) < 0.2)
     k = left_kernel(m.astype(np.int8))
-    assert k.dtype == np.int64
+    assert k.dtype == np.int8 == storage_dtype(k.flat)
+    assert left_kernel(m).dtype == np.int8
     assert np.array_equal(k, left_kernel(m))
     assert IntegerLattice(12, m.astype(np.int8)) == IntegerLattice(12, m)
 
@@ -711,12 +745,22 @@ def test_right_sparse_safe_matmul_matches_object_product(monkeypatch):
 
 
 def test_lattice_hash_agrees_with_equality_across_dtypes():
-    basis = np.array([[1, 0, 2], [0, 3, 5]])
-    small = IntegerLattice(3, basis)
-    wide = IntegerLattice(3, basis.astype(object), canonical=True)
-    assert wide.basis.dtype == object and small.basis.dtype == np.int64
-    assert small == wide and hash(small) == hash(wide)
-    assert len({small, wide}) == 1
+    # a basis whose widest entry x puts it in each tier of the storage rule
+    # in turn, and the same canonical basis held in every dtype that holds
+    # it: all equal and hashed alike
+    for x, dtype in [(2, np.int8), (127, np.int8), (-127, np.int8),
+                     (128, np.int64), (-128, np.int64),
+                     (2 ** 63 - 1, np.int64), (-2 ** 63, np.int64),
+                     (2 ** 63, object), (-2 ** 63 - 1, object)]:
+        basis = np.array([[1, 0, x], [0, 3, 5]], dtype=object)
+        stored = IntegerLattice(3, basis)
+        assert stored.basis.dtype == dtype
+        tiers = [np.int8, np.int64, object]
+        held = [IntegerLattice(3, basis.astype(t), canonical=True)
+                for t in tiers[tiers.index(dtype):]]
+        for lat in held:
+            assert lat == stored and hash(lat) == hash(stored)
+        assert len({stored, *held}) == 1
 
 
 def test_contains_rows_masks_each_row():
