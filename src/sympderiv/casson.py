@@ -15,13 +15,11 @@ stack of matrices S, giving one row per input row and one column per S.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .derivspace import DerivationSpace
 from .freelie import iota_matrix
-from .intlin import fits_int64, max_abs, safe_einsum, safe_matmul
+from .intlin import cached, fits_int64, max_abs, safe_einsum, safe_matmul
 from .traces import tr_omegaS
 
 # mu(v, S) := eps_base(theta(v)) - eps_twisted(theta(v)); this sign makes
@@ -32,12 +30,11 @@ MU_SIGN = 1
 
 # -- linking forms and evaluations -----------------------------------------
 
-@lru_cache(maxsize=None)
+@cached
 def lk_base(g: int) -> np.ndarray:
     """The base linking matrix [[0,0],[Id,0]] (read-only, one per genus)."""
     m = np.zeros((2 * g, 2 * g), dtype=np.int64)
     m[g:, :g] = np.eye(g, dtype=np.int64)
-    m.setflags(write=False)
     return m
 
 
@@ -72,7 +69,7 @@ def _theta(sp: DerivationSpace, lk: np.ndarray) -> np.ndarray:
     return theta
 
 
-@lru_cache(maxsize=None)
+@cached
 def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
     """3 qbar of every generator: 3 eps_j(theta), theta at the base linking
     matrix, plus dbar = J[a,b] J[c,d] - J[a,c] J[b,d] + J[a,d] J[b,c] of its
@@ -80,9 +77,7 @@ def _thrice_qbar_column(sp: DerivationSpace) -> np.ndarray:
     j = iota_matrix(sp.g)
     a, b, c, d = sp.leaves.T
     dbar = j[a, b] * j[c, d] - j[a, c] * j[b, d] + j[a, d] * j[b, c]
-    col = 3 * _theta(sp, lk_base(sp.g)) + dbar
-    col.setflags(write=False)
-    return col
+    return 3 * _theta(sp, lk_base(sp.g)) + dbar
 
 
 def qbar_of_coeffs(sp: DerivationSpace, coeffs) -> np.ndarray:

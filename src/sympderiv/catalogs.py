@@ -32,14 +32,13 @@ reducing only the rows not yet in the span.
 """
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
 from .trees import TREE_BRACKET_SIGN, eta1
 from .derivspace import DerivationSpace, gl_embed, runs
 from .freelie import iota_matrix
-from .intlin import IntegerLattice, safe_einsum, safe_matmul
+from .intlin import IntegerLattice, cached, safe_einsum, safe_matmul
 
 
 # Johnson candidates per block: bounds the rows built and deduplicated at
@@ -360,15 +359,15 @@ def gl_generators(g):
     return gens
 
 
+@cached
 def goeritz_symmetries(g):
     """Homology matrices generating the split-preserving symmetries used for
-    orbit closures: the GL(g, Z) block embedding, then the quarter turn."""
-    mats = [gl_embed(g, p) for p in gl_generators(g)]
-    mats.append(iota_matrix(g))
-    return mats
+    orbit closures: the GL(g, Z) block embedding, then the quarter turn, as
+    a tuple of read-only matrices."""
+    return (*(gl_embed(g, p) for p in gl_generators(g)), iota_matrix(g))
 
 
-@lru_cache(maxsize=None)
+@cached
 def coordinate_action(sp: DerivationSpace, i: int) -> np.ndarray:
     """The degree-2 action of ``goeritz_symmetries(g)[i]``, i >= 0, as a
     read-only r x r integer matrix on D_2 coordinates, acting on rows from
@@ -386,10 +385,8 @@ def coordinate_action(sp: DerivationSpace, i: int) -> np.ndarray:
                                    _wedge(sp, c[n_odot:], d[n_odot:]))
     moved = sp.gen_rows(len(sp.leaves), *(
         np.concatenate(x) for x in zip(half, (row + n_odot, gen, weight))))
-    out = safe_matmul(
+    return safe_matmul(
         sp.express_in_generators(np.eye(sp.rank, dtype=np.int64)), moved)
-    out.setflags(write=False)
-    return out
 
 
 def coordinate_actions(sp: DerivationSpace) -> list:

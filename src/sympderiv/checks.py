@@ -30,14 +30,13 @@ import random
 import time
 import traceback
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
 
 from . import casson, catalogs, traces, trees
 from .derivspace import space
-from .intlin import IntegerLattice, safe_matmul
+from .intlin import IntegerLattice, cached, safe_matmul
 
 VERSION = "0.1.0"
 
@@ -327,14 +326,14 @@ def _check_quartic_vanishing(g, seed):
     return True, {"spanning_vectors": rank, "expected": expected_dim}
 
 
-@lru_cache(maxsize=None)
+@cached
 def _double_kernel(g):
     """The intersection of ker tr_as and ker tr_A, built once per genus."""
     sp = space(g)
     return traces.ker_tr_as(sp).intersection(traces.ker_tr_A(sp))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _realizable_lattices(g):
     """Catalog size, catalog span and double trace kernel, built once per
     genus for the two checks that read them (the entries are not kept)."""

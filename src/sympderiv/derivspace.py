@@ -18,24 +18,26 @@ kernel among them (a kernel of D_2's basis read at the coordinates that
 killing A keeps), lives in Z^r, r = rank D_2, over D_2's HNF basis
 (``coords``); ``gen_coords`` reads the generators there from sparse
 expansions, with no dense ambient generator matrix.
-The generator coefficients of a coordinate row are the row times one
-transform, as the HNF of the generator coordinates is the identity (``d2``
-checks it), and those over the tree generators come from an HNF solve;
-sums of generator columns are scattered from (row, generator, weight)
-triplets by ``gen_rows``.
+The span of the generator columns, of all of them or of the tree
+generators only (D_2'), and the transform rows that form its HNF basis
+from them are one cached HNF (``generator_span``).  The generator
+coefficients of a coordinate row are the row times the transform of all
+generators, as their HNF is the identity (``d2`` checks it); sums of
+generator columns are scattered from (row, generator, weight) triplets by
+``gen_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .freelie import context
-from .intlin import (IntegerLattice, fits_int64, hermite_normal_form,
-                     kernel_lattice, max_abs, narrowed, nonzeros, safe_matmul)
+from .intlin import (IntegerLattice, cached, fits_int64,
+                     hermite_normal_form, kernel_lattice, max_abs, narrowed,
+                     nonzeros, safe_matmul)
 
 
 class MembershipError(ValueError):
@@ -80,24 +82,6 @@ def runs(start, count):
     return owner, start[owner] + np.arange(len(owner)) - first
 
 
-class _GenSolver:
-    """Solve integer systems x @ rows = v, v each row of a stack, once the
-    HNF is precomputed: the coefficients over the HNF rows, times the
-    transform rows that form them."""
-
-    def __init__(self, rows: np.ndarray):
-        h, u = hermite_normal_form(rows, transform=True)
-        mask = (h != 0).any(axis=1)
-        self.span = IntegerLattice(h.shape[1], h[mask], canonical=True)
-        self.trans = u[mask]
-        self.trans.setflags(write=False)
-
-    def solve(self, v):
-        """Coefficients of each row of a stack, or None if one is outside."""
-        c = self.span.membership(v)
-        return None if c is None else safe_matmul(c, self.trans)
-
-
 class DerivationSpace:
     """All degree-2 lattice data for one genus (built lazily)."""
 
@@ -124,7 +108,7 @@ class DerivationSpace:
         self.ambient_dim = n * self.ctx.dim(3)
 
     # -- main lattices ----------------------------------------------------
-    @lru_cache(maxsize=None)
+    @cached
     def _bracket_kernel(self) -> IntegerLattice:
         return kernel_lattice(self.ctx.bracket_word_matrix())
 
@@ -156,7 +140,7 @@ class DerivationSpace:
             vals.append(sign * block[k, col].astype(np.int64))
         return _summed(np.concatenate(keys), np.concatenate(vals))
 
-    @lru_cache(maxsize=None)
+    @cached
     def gen_coords(self) -> np.ndarray:
         """Generator values in D_2 coordinates as ``narrowed`` columns (r x
         generators): every pivot of D_2's HNF basis is 1, so they are the
@@ -189,7 +173,6 @@ class DerivationSpace:
                 "a generator is outside the bracket-map kernel")
         c = np.zeros((len(self.leaves), r), dtype=narrowed(cval).dtype)
         c[cg, cj] = cval
-        c.setflags(write=False)
         return c.T
 
     @property
@@ -208,7 +191,7 @@ class DerivationSpace:
         return c
 
     # -- rows as sums of generator columns --------------------------------
-    @lru_cache(maxsize=None)
+    @cached
     def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Generator indices over pairs (P, Q) of basis pairs: ``tree`` holds
         tree(P, Q) at [P, Q] and at [Q, P]; ``half`` holds odot(P), which is
@@ -218,12 +201,9 @@ class DerivationSpace:
         tree = np.zeros((m, m), dtype=np.intp)
         i, j = np.triu_indices(m)  # the order of the tree generators
         tree[i, j] = tree[j, i] = m + np.arange(len(i))
-        tables = tree, np.triu(tree, 1) + np.diag(np.arange(m))
-        for t in tables:
-            t.setflags(write=False)
-        return tables
+        return tree, np.triu(tree, 1) + np.diag(np.arange(m))
 
-    @lru_cache(maxsize=None)
+    @cached
     def _gen_columns(self):
         """The nonzeros of the generator columns, generator by generator:
         where each generator's run starts, and the positions and values,
@@ -231,10 +211,7 @@ class DerivationSpace:
         cols = self.gen_coords().T
         gen, pos = nonzeros(cols)
         start = np.searchsorted(gen, np.arange(len(cols) + 1))
-        out = start, pos, cols[gen, pos]
-        for a in out:
-            a.setflags(write=False)
-        return out
+        return start, pos, cols[gen, pos]
 
     def gen_rows(self, nrows: int, row, gen, weight) -> np.ndarray:
         """Coordinate rows i < nrows, each the sum of weight_t times
@@ -253,12 +230,12 @@ class DerivationSpace:
         np.add.at(out, row[t] * r + pos[at], weight.astype(dtype)[t] * val[at])
         return out.reshape(nrows, r)
 
-    @lru_cache(maxsize=None)
+    @cached
     def d2(self) -> IntegerLattice:
         """The kernel of the bracket map H (x) L_3 -> L_4, checked to be the
         span of the generators: their coordinates span all of Z^r."""
         ker = self._bracket_kernel()
-        if not np.array_equal(self._full_solver().span.basis,
+        if not np.array_equal(self.generator_span(False)[0].basis,
                               np.eye(ker.rank, dtype=np.int64)):
             raise InconsistencyError(
                 "generator span differs from the bracket-map kernel")
@@ -272,34 +249,31 @@ class DerivationSpace:
 
     def dprime2(self) -> IntegerLattice:
         """D_2', the span of the tree generators, in Z^r."""
-        return self._tree_solver().span
+        return self.generator_span(True)[0]
 
     # -- expressing coordinate rows over generators -----------------------
-    @lru_cache(maxsize=None)
-    def _full_solver(self) -> _GenSolver:
-        return _GenSolver(self.gen_coords().T)
-
-    @lru_cache(maxsize=None)
-    def _tree_solver(self) -> _GenSolver:
-        return _GenSolver(self.gen_coords()[:, self.tree_indices].T)
+    @cached
+    def generator_span(self, trees: bool) -> tuple[IntegerLattice, np.ndarray]:
+        """The span in Z^r of the generator columns, of the tree generators
+        only if ``trees``, and the transform rows that form its HNF basis
+        from them: row i holds the coefficients of basis row i over those
+        generators."""
+        cols = self.gen_coords()
+        if trees:
+            cols = cols[:, self.tree_indices]
+        h, u = hermite_normal_form(cols.T, transform=True)
+        mask = (h != 0).any(axis=1)
+        return IntegerLattice(h.shape[1], h[mask], canonical=True), u[mask]
 
     def express_in_generators(self, v) -> np.ndarray:
         """Coefficients over all generators of each coordinate row of a
         stack: the rows times the transform of the generators' HNF, which
         ``d2`` checks to be the identity."""
         self.d2()
-        return safe_matmul(v, self._full_solver().trans)
-
-    def express_in_tree_generators(self, v) -> np.ndarray:
-        """Coefficients over tree generators only of each coordinate row of
-        a stack; requires every row in D_2'."""
-        c = self._tree_solver().solve(v)
-        if c is None:
-            raise MembershipError("element is not in the tree sublattice D_2'")
-        return c
+        return safe_matmul(v, self.generator_span(False)[1])
 
     # -- filtration by A-leaves (or B-leaves) ------------------------------
-    @lru_cache(maxsize=None)
+    @cached
     def filtration(self, level: int, side: str = "A") -> IntegerLattice:
         """The span in Z^r of the generators with more than ``level``
         leaves on the side; level -1 is all of D_2, Z^r itself."""
@@ -314,7 +288,7 @@ class DerivationSpace:
         return IntegerLattice(self.rank, self.gen_coords()[:, cols].T)
 
     # -- the kernel of killing A ------------------------------------------
-    @lru_cache(maxsize=None)
+    @cached
     def ker_projection(self) -> IntegerLattice:
         """Kernel of D_2(H) -> D_2(H/A) in Z^r.  Killing A selects the
         ambient coordinates h (x) w with h on B and w a Lyndon word with no
@@ -326,6 +300,6 @@ class DerivationSpace:
         return kernel_lattice(self.d2().basis[:, keep].T)
 
 
-@lru_cache(maxsize=None)
+@cached
 def space(genus: int) -> DerivationSpace:
     return DerivationSpace(genus)

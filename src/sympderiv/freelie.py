@@ -16,11 +16,9 @@ alphabet.  Every array function takes stacks, one row per element.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .intlin import narrowed, safe_einsum, safe_matmul
+from .intlin import cached, narrowed, safe_einsum, safe_matmul
 
 MAX_DEGREE = 4
 
@@ -57,14 +55,13 @@ def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
     return w[:i], w[i:]
 
 
-@lru_cache(maxsize=None)
+@cached
 def iota_matrix(g: int) -> np.ndarray:
     """a_i -> -b_i, b_i -> a_i; also the Gram matrix J of omega,
     J[p, q] = omega(e_p, e_q).  Read-only, one per genus."""
     m = np.zeros((2 * g, 2 * g), dtype=np.int64)
     m[:g, g:] = np.eye(g, dtype=np.int64)
     m[g:, :g] = -np.eye(g, dtype=np.int64)
-    m.setflags(write=False)
     return m
 
 
@@ -113,20 +110,20 @@ class SymplecticContext:
         return safe_einsum("mi,ij,mj->m", u, iota_matrix(self.g), v)
 
     # -- Lyndon tables ----------------------------------------------------
-    @lru_cache(maxsize=None)
+    @cached
     def lyndon(self, k: int) -> list[tuple[int, ...]]:
         if not 1 <= k <= MAX_DEGREE:
             raise UnsupportedDegreeError(f"degree {k} outside 1..{MAX_DEGREE}")
         return lyndon_words(self.n, k)
 
-    @lru_cache(maxsize=None)
+    @cached
     def lyndon_index(self, k: int) -> dict[tuple[int, ...], int]:
         return {w: i for i, w in enumerate(self.lyndon(k))}
 
     def dim(self, k: int) -> int:
         return len(self.lyndon(k))
 
-    @lru_cache(maxsize=None)
+    @cached
     def bracketing_tensor(self, w: tuple[int, ...]) -> dict:
         """Tensor expansion of the standard bracketing of a Lyndon word."""
         if len(w) == 1:
@@ -154,7 +151,7 @@ class SymplecticContext:
             tensor_add(rem, self.bracketing_tensor(w), -c)
         return coords
 
-    @lru_cache(maxsize=None)
+    @cached
     def bracket_table(self, j: int, k: int) -> np.ndarray:
         """Structure constants of L_j x L_k -> L_{j+k}: entry [a, b] holds
         the bracket of the a-th and b-th Lyndon bracketings in Lyndon
@@ -171,9 +168,7 @@ class SymplecticContext:
             for b, v in enumerate(self.lyndon(k)):
                 comm = tensor_concat_commutator(tu, self.bracketing_tensor(v))
                 table[a, b] = self.tensor_to_lyndon(j + k, comm)
-        table = narrowed(table)
-        table.setflags(write=False)
-        return table
+        return narrowed(table)
 
     def lie_bracket(self, j: int, x, k: int, y) -> np.ndarray:
         """Bracket L_j x L_k -> L_{j+k} in Lyndon coordinates, row by row
@@ -220,7 +215,7 @@ class SymplecticContext:
             return range(self.g, self.n)
         raise ContextError("lagrangian must be 'A' or 'B'")
 
-    @lru_cache(maxsize=None)
+    @cached
     def avoiding(self, lagrangian: str) -> np.ndarray:
         """Read-only boolean mask over ``lyndon(3)`` of the words with no
         letter of the Lagrangian.
@@ -232,12 +227,10 @@ class SymplecticContext:
         bracketing, its letters renumbered in order (Reutenauer, Free Lie
         Algebras, ch. 4-5)."""
         killed = list(self.kill_letters(lagrangian))
-        mask = ~np.isin(np.array(self.lyndon(3)), killed).any(axis=1)
-        mask.setflags(write=False)
-        return mask
+        return ~np.isin(np.array(self.lyndon(3)), killed).any(axis=1)
 
 
-@lru_cache(maxsize=None)
+@cached
 def context(genus: int) -> SymplecticContext:
     return SymplecticContext(genus)
 

@@ -28,6 +28,7 @@ values.
 from __future__ import annotations
 
 import math
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -75,6 +76,21 @@ def narrowed(a: np.ndarray) -> np.ndarray:
     dtype = (np.int8 if -127 <= lo and hi <= 127 else
              np.int64 if -2 ** 63 <= lo and hi < 2 ** 63 else object)
     return a.astype(dtype, copy=False)
+
+
+def cached(fn):
+    """fn memoized on its arguments, for the life of the process, with
+    every ndarray of a result, returned alone or in a tuple, made read-only:
+    the one rule for every value derived once and shared."""
+    @lru_cache(maxsize=None)
+    @wraps(fn)
+    def memo(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return out
+    return memo
 
 
 def nonzeros(a: np.ndarray):

@@ -5,7 +5,9 @@ from the leaf table ``DerivationSpace.leaves`` and the Gram matrix J of
 omega, and applied to whole stacks as one exact product.  The mod-2 traces
 tr_as (on every generator) and tr_sym (on the tree generators) are 0/1
 tables over the pairs i < j (Lambda^2(H/2H)) and i <= j (S^2(H/2H)), in
-``np.triu_indices`` order, read through the generator coefficients mod 2.
+``np.triu_indices`` order, read through the generator coefficients mod 2;
+those of the bases of their domains, D_2 and D_2', are the transform rows
+of ``DerivationSpace.generator_span``, so the image rows need no solve.
 tr_A and tr_B go through an (r x S^2(H')) matrix: the traces of the
 ambient H (x) L_3 basis, built from the tensor expansions of the degree-3
 Lyndon words, times D_2's basis once.  The S-twisted contraction tr_omegaS
@@ -17,13 +19,12 @@ r = rank D_2.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .derivspace import DerivationSpace, FiltrationError
 from .freelie import iota_matrix
-from .intlin import GF2Matrix, IntegerLattice, kernel_lattice, safe_matmul
+from .intlin import (GF2Matrix, IntegerLattice, cached, kernel_lattice,
+                     safe_matmul)
 
 
 def _pair_columns(n: int, k: int) -> np.ndarray:
@@ -46,7 +47,7 @@ def omega_kernel_dim_ext(g: int) -> int:
 
 # -- the mod-2 traces --------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@cached
 def _gf2_table(sp: DerivationSpace, which: str) -> np.ndarray:
     """tr_as ("as", every generator) or tr_sym ("sym", the tree generators)
     as a read-only 0/1 table, one row per generator.
@@ -71,25 +72,14 @@ def _gf2_table(sp: DerivationSpace, which: str) -> np.ndarray:
     col = _pair_columns(sp.ctx.n, 1 if which == "as" else 0)
     table = np.zeros((len(w), col.max() + 1), dtype=np.int64)
     np.add.at(table, (np.arange(len(w))[:, None], col[x, y]), w)
-    table %= 2
-    table.setflags(write=False)
-    return table
-
-
-def _mod2_trace(sp: DerivationSpace, which: str, rows) -> np.ndarray:
-    """tr_as or tr_sym of each coordinate row of a stack as 0/1 rows: one
-    batched generator solve, then the coefficients mod 2 times the table,
-    mod 2."""
-    solve = (sp.express_in_generators if which == "as"
-             else sp.express_in_tree_generators)
-    coeffs = np.asarray(solve(rows) % 2, dtype=np.int64)
-    return safe_matmul(coeffs, _gf2_table(sp, which)) % 2
+    return table % 2
 
 
 def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
     """tr_as of each coordinate row of a stack, as 0/1 rows over the pairs
-    i < j."""
-    return _mod2_trace(sp, "as", rows)
+    i < j: the generator coefficients mod 2 times the table, mod 2."""
+    coeffs = sp.express_in_generators(rows) % 2
+    return safe_matmul(coeffs, _gf2_table(sp, "as")) % 2
 
 
 # -- the A-side and B-side traces ------------------------------------------
@@ -104,7 +94,7 @@ def tr_A(sp: DerivationSpace, rows) -> np.ndarray:
     return safe_matmul(rows, _side_table(sp, "A"))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
     """The side trace as a read-only (r x S^2(H')) integer matrix: D_2's
     basis times the trace of the ambient basis.
@@ -129,14 +119,12 @@ def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
                 if om:
                     x, y = word[1] - shift, word[2] - shift
                     table[h * d3 + i, col[x, y]] += om * c
-    table = safe_matmul(sp.d2().basis, table)
-    table.setflags(write=False)
-    return table
+    return safe_matmul(sp.d2().basis, table)
 
 
 # -- the S-twisted contraction ---------------------------------------------
 
-@lru_cache(maxsize=None)
+@cached
 def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
     """Each generator's S-twisted contraction as a linear map of S: a
     read-only int8 array (g(g+1)/2, generators * 2g * 2g) whose row holds
@@ -161,9 +149,7 @@ def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
                           y[on_b]), c)
     table = table + np.swapaxes(table, 2, 3)
     table[:, :len(sp.pairs)] //= 2
-    table = table.reshape(len(table), -1)
-    table.setflags(write=False)
-    return table
+    return table.reshape(len(table), -1)
 
 
 def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
@@ -196,19 +182,19 @@ def _mod2_preimage(t: np.ndarray) -> IntegerLattice:
     return IntegerLattice(n, ker.basis[:, :n])
 
 
-def _gf2_domain(sp: DerivationSpace, which: str) -> IntegerLattice:
-    return sp.filtration(-1) if which == "as" else sp.dprime2()
-
-
-@lru_cache(maxsize=None)
+@cached
 def _gf2_image_rows(sp: DerivationSpace, which: str) -> np.ndarray:
-    """Trace rows of the basis of D_2 ("as") or of D_2' ("sym"), read-only."""
-    rows = _mod2_trace(sp, which, _gf2_domain(sp, which).basis)
-    rows.setflags(write=False)
-    return rows
+    """Trace rows of the basis of D_2 ("as") or of D_2' ("sym"), read-only.
+    The generator coefficients of those bases are the transform rows of
+    ``generator_span``: D_2's basis is the unit rows of Z^r, which ``d2``
+    checks to be the span of all generators, and D_2' is the span of the
+    tree generators itself."""
+    sp.d2()
+    trans = sp.generator_span(which == "sym")[1]
+    return safe_matmul(trans % 2, _gf2_table(sp, which)) % 2
 
 
-@lru_cache(maxsize=None)
+@cached
 def _gf2_kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
     """The mod-2 preimage over the domain's basis: for tr_as, whose domain
     basis is the identity, that preimage is the kernel itself."""
@@ -228,7 +214,7 @@ def ker_tr_sym(sp: DerivationSpace) -> IntegerLattice:
     return _gf2_kernel(sp, "sym")
 
 
-@lru_cache(maxsize=None)
+@cached
 def _side_kernel(sp: DerivationSpace, side: str) -> IntegerLattice:
     f0 = sp.filtration(0, side)
     coeff = kernel_lattice(safe_matmul(f0.basis, _side_table(sp, side)).T)

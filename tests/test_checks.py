@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sympderiv import casson, checks, traces, trees
+from sympderiv import casson, catalogs, checks, traces, trees
 from sympderiv.derivspace import DerivationSpace, FiltrationError, space
-from sympderiv.freelie import SymplecticContext, context
+from sympderiv.freelie import SymplecticContext, context, iota_matrix
 from sympderiv.intlin import IntegerLattice
 
 
@@ -373,10 +373,22 @@ def test_levine_labels_every_element_as_the_loop_does(monkeypatch):
 
 
 def test_cached_values_are_read_only():
+    """Every array that ``intlin.cached`` keeps, returned alone or in a
+    tuple, and every cached lattice's basis."""
     sp = space(2)
-    arrays = [*sp.pair_tables(), *sp._gen_columns(),
-              casson._thrice_qbar_column(sp), sp._full_solver().trans,
-              sp._tree_solver().trans]
+    arrays = [iota_matrix(2), casson.lk_base(2), sp.ctx.bracket_table(1, 2),
+              sp.ctx.avoiding("A"), sp.gen_coords(), *sp.pair_tables(),
+              *sp._gen_columns(), sp.generator_span(False)[1],
+              sp.generator_span(True)[1], casson._thrice_qbar_column(sp),
+              catalogs.coordinate_action(sp, 0),
+              *catalogs.goeritz_symmetries(2), traces._omegaS_table(sp)]
+    arrays += [f(sp, which) for f in (traces._gf2_table,
+                                      traces._gf2_image_rows)
+               for which in ("as", "sym")]
+    arrays += [traces._side_table(sp, side) for side in "AB"]
+    # built once per genus, as one tuple
+    assert catalogs.goeritz_symmetries(2) is catalogs.goeritz_symmetries(2)
+    assert isinstance(catalogs.goeritz_symmetries(2), tuple)
     lattices = [sp.d2(), sp.dprime2(), sp.ker_projection(),
                 traces.ker_tr_as(sp), traces.ker_tr_sym(sp),
                 traces.ker_tr_A(sp), traces.ker_tr_B(sp),

@@ -122,14 +122,18 @@ def test_express_roundtrip():
 
 
 def test_tree_expression_requires_dprime():
+    """The transform rows of each generator span form its HNF basis from
+    the generator columns: those of the tree generators give the basis of
+    D_2', and those of all generators the unit rows of Z^r."""
     sp = space(2)
-    odot = gen_column(sp, ("odot", (0, 2)))
-    with pytest.raises(MembershipError):
-        sp.express_in_tree_generators(sp.coords(odot[None]))
-    tree = gen_column(sp, ("tree", (0, 2), (1, 3)))
-    c = sp.express_in_tree_generators(sp.coords(tree[None]))
-    gm = gen_matrix(sp)[:, sp.tree_indices]
-    assert np.array_equal(gm @ c[0], tree)
+    cols = sp.gen_coords()
+    _, tree_trans = sp.generator_span(True)
+    assert np.array_equal(
+        safe_matmul(tree_trans, cols[:, sp.tree_indices].T),
+        sp.dprime2().basis)
+    _, full_trans = sp.generator_span(False)
+    assert np.array_equal(safe_matmul(full_trans, cols.T),
+                          np.eye(sp.rank, dtype=np.int64))
 
 
 def test_classify_type():
@@ -353,10 +357,10 @@ def test_kept_bases_and_coordinates_are_int8_and_read_only(g):
             "ker_tr_as": traces.ker_tr_as(sp).basis,
             "ker_tr_A": traces.ker_tr_A(sp).basis,
             "double_kernel": checks._double_kernel(g).basis}
-    for name, solver in [("full", sp._full_solver()),
-                         ("tree", sp._tree_solver())]:
-        kept[name + " span"] = solver.span.basis
-        kept[name + " trans"] = solver.trans
+    for name, trees in [("full", False), ("tree", True)]:
+        span, trans = sp.generator_span(trees)
+        kept[name + " span"] = span.basis
+        kept[name + " trans"] = trans
     for name, a in kept.items():
         assert a.dtype == np.int8, name
         assert not a.flags.writeable, name

@@ -25,6 +25,29 @@ def storage_dtype(entries):
     return np.int64 if all(-2 ** 63 <= x < 2 ** 63 for x in entries) else object
 
 
+def test_cached_freezes_every_array_and_returns_the_same_object():
+    """A lone array and each array of a tuple are made read-only, other
+    values are left as they are, and a repeated call, positional or by
+    keyword as before, returns the same object without a second build."""
+    calls = []
+
+    @intlin.cached
+    def build(kind, n=2):
+        calls.append((kind, n))
+        if kind == "alone":
+            return np.arange(n)
+        return np.arange(n), [n], np.ones(n, dtype=np.int8), "label"
+
+    alone = build("alone")
+    assert not alone.flags.writeable
+    out = build("tuple", n=3)
+    assert not out[0].flags.writeable and not out[2].flags.writeable
+    assert out[1] == [3] and out[3] == "label"
+    out[1].append(4)  # a list in the result stays a list, and mutable
+    assert build("alone") is alone and build("tuple", n=3) is out
+    assert calls == [("alone", 2), ("tuple", 3)]
+
+
 def test_hnf_preserves_row_span():
     rng = np.random.default_rng(7)
     for _ in range(20):

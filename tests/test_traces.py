@@ -7,7 +7,7 @@ import pytest
 
 from sympderiv.derivspace import FiltrationError, space
 from sympderiv.freelie import context
-from sympderiv.intlin import safe_matmul
+from sympderiv.intlin import IntegerLattice, hermite_normal_form, safe_matmul
 from sympderiv.trees import eta2
 from sympderiv import traces
 from test_derivspace import gen_matrix
@@ -136,6 +136,37 @@ def test_mod2_tables_match_generator_formulas(g):
         assert classes(row, ext2_pairs(n)) == tr_as_gen(g, gen)
     for k, row in zip(sp.tree_indices, sym_rows):
         assert classes(row, sym2_pairs(n)) == tr_sym_gen(g, sp.generators[k])
+
+
+def gf2_image_rows_by_solve(sp, which):
+    """Reference trace rows of the basis of D_2 ("as") or of D_2' ("sym"):
+    each basis row solved over the generator columns (all of them, or the
+    tree generators) by membership in the HNF of those columns, times the
+    HNF's transform, checked to give the basis row back; then the
+    coefficients mod 2 times the table, mod 2."""
+    cols = sp.gen_coords()
+    if which == "as":
+        domain = sp.filtration(-1)
+    else:
+        domain, cols = sp.dprime2(), cols[:, sp.tree_indices]
+    h, u = hermite_normal_form(cols.T, transform=True)
+    nonzero = (h != 0).any(axis=1)
+    span = IntegerLattice(h.shape[1], h[nonzero], canonical=True)
+    coeffs = safe_matmul(span.membership(domain.basis), u[nonzero])
+    assert np.array_equal(safe_matmul(coeffs, cols.T), domain.basis)
+    return safe_matmul(coeffs % 2, traces._gf2_table(sp, which)) % 2
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("which", ["as", "sym"])
+def test_gf2_image_rows_match_a_solve_over_the_generators(g, which):
+    """The image rows, read from the generator span's transform, are those
+    of a solve of the domain basis over the generators."""
+    sp = space(g)
+    got = traces._gf2_image_rows(sp, which)
+    want = gf2_image_rows_by_solve(sp, which)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_tr_sym_and_tr_as_agree_off_diagonal():
