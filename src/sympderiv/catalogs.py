@@ -14,13 +14,15 @@ Three catalogs are built here, all with exact integer coordinates:
   turn iota).
 
 A catalog is its row values only: an int64 matrix with one element per
-row, or, for the Johnson catalog, a stream of row blocks built as they are
-pulled, so that the whole catalog is never held at once.  Every degree-2
-row is a signed sum of generator columns: eta2(a, b | c, d) depends on its
-leaves only through the wedge coordinates of a^b and c^d over the basis
-pairs P, and is sum_{P,Q} (a^b)_P (c^d)_Q tree(P, Q).  The rows are read
-that way, as (row, generator, weight) triplets that
-``DerivationSpace.gen_rows`` scatters, instead of through Lie brackets.
+row, or, for the Johnson catalog, the tripod brackets and the realizable
+catalog, a stream of row blocks built as they are pulled, so that the
+whole catalog is never held at once.  Every degree-2 row is a signed sum
+of generator columns: eta2(a, b | c, d) depends on its leaves only through
+the wedge coordinates of a^b and c^d over the basis pairs P, and is
+sum_{P,Q} (a^b)_P (c^d)_Q tree(P, Q).  The rows are read that way, as
+(row, generator, weight) triplets that ``DerivationSpace.gen_rows``
+scatters, instead of through Lie brackets; a tripod bracket reads its
+basis pairs straight from the letter indices.
 
 The degree-2 rows, their spans and orbit closure live in Z^r over D_2's
 HNF basis, where each Goeritz symmetry acts as one r x r integer matrix,
@@ -41,8 +43,8 @@ from .freelie import iota_matrix
 from .intlin import IntegerLattice, cached, safe_einsum, safe_matmul
 
 
-# Johnson candidates per block: bounds the rows built and deduplicated at
-# once, and so the peak memory of catalog building
+# Johnson candidates or tripod pairs per block: bounds the rows built (and
+# deduplicated) at once, and so the peak memory of catalog building
 CHUNK = 128
 
 
@@ -56,8 +58,8 @@ class SymplecticFamilyError(ValueError):
 
 class BlockStream:
     """An iterator over the row blocks of a catalog that counts the rows it
-    has handed out; ``len`` is that count (the benchmark's tracer takes the
-    length of what each catalog function returns)."""
+    has handed out; ``len`` is that count, the catalog's size once every
+    block has been pulled."""
 
     def __init__(self, blocks):
         self._blocks = iter(blocks)
@@ -105,25 +107,6 @@ def _tree_terms(sp: DerivationSpace, w1, w2, half=False):
             safe_einsum("t,t->t", w1[r1, p][i], w2[r2, q][j]))
 
 
-def _tripod_brackets(sp: DerivationSpace, s, t):
-    """Brackets of tripods s = (s1, s2, s3) and t = (t1, t2, t3), leaf stacks
-    giving one row per pair: the sum over the nine omega-contractions of
-    sign times omega(s_i, t_j) times eta2(s_{i+1}, s_{i+2} | t_{j+1},
-    t_{j+2}), the contractions stacked and kept where omega is nonzero.
-    Equals the derivation bracket of the eta1 images (see
-    derivation_bracket)."""
-    nrows = len(s[0])
-    ij = [(i, j) for i in range(3) for j in range(3)]
-    s = [np.concatenate([s[(i + k) % 3] for i, _ in ij]) for k in range(3)]
-    t = [np.concatenate([t[(j + k) % 3] for _, j in ij]) for k in range(3)]
-    w = TREE_BRACKET_SIGN * sp.ctx.omega(s[0], t[0])
-    at = np.flatnonzero(w)
-    m, gen, weight = _tree_terms(
-        sp, safe_einsum("m,mP->mP", w[at], _wedge(sp, s[1][at], s[2][at])),
-        _wedge(sp, t[1][at], t[2][at]))
-    return sp.gen_rows(nrows, at[m] % nrows, gen, weight)
-
-
 # -- bounding-curve images -----------------------------------------------
 
 def bscc_image(sp: DerivationSpace, pairs):
@@ -167,23 +150,36 @@ def basis_tripods(g, side=None):
 
 
 def tripod_bracket_entries(sp: DerivationSpace, side):
-    """Brackets of all distinct pairs of basis tripods from the given side,
-    one row each, built in one ``_tripod_brackets`` call over every pair;
-    zero brackets are skipped."""
-    e = np.eye(sp.ctx.n, dtype=np.int64)
-    pairs = list(itertools.combinations(basis_tripods(sp.g, side), 2))
-    leaves = e[np.array(pairs).reshape(len(pairs), 6).T]
-    vals = _tripod_brackets(sp, leaves[:3], leaves[3:])
-    return vals[vals.any(axis=1)]
+    """Brackets of all distinct pairs s < t of basis tripods from the side,
+    in ``itertools.combinations`` order: a ``BlockStream`` of int64 rows,
+    one block per CHUNK pairs, built as pulled, zero brackets dropped.  A
+    bracket sums TREE_BRACKET_SIGN omega(s_i, t_j) eta2(s_{i+1}, s_{i+2} |
+    t_{j+1}, t_{j+2}) over the nine contractions i, j.  The letters of a
+    tripod increase, so each remaining pair is one basis pair, of sign -1
+    at i = 1, (s_2, s_0), else +1, and each contraction is one tree(P, Q)."""
+    tripods = np.array(basis_tripods(sp.g, side))
+    s, t = np.triu_indices(len(tripods), 1)  # combinations order
+    # the basis pair left by contracting letter i of each tripod
+    rest = sp.pair_index[tripods[:, [1, 2, 0]], tripods[:, [2, 0, 1]]]
+    i, j = np.divmod(np.arange(9), 3)  # the nine contractions
+    sign = TREE_BRACKET_SIGN * np.outer([1, -1, 1], [1, -1, 1]).ravel()
+    tree, _ = sp.pair_tables()
+
+    def block(c):
+        w = sign * iota_matrix(sp.g)[tripods[s[c]][:, i], tripods[t[c]][:, j]]
+        row, k = np.nonzero(w)
+        vals = sp.gen_rows(len(w), row, tree[rest[s[c][row], i[k]],
+                                             rest[t[c][row], j[k]]], w[row, k])
+        return vals[vals.any(axis=1)]
+    return BlockStream(map(block, _chunks(len(s))))
 
 
 # -- the handlebody-realizable catalog -----------------------------------
 
 def realizable_catalog_A(sp: DerivationSpace):
-    """The family R_g, one element per row: bounding-curve images for
-    A-meridian-bounding curves plus brackets of tripods that each carry an
-    A-leaf.
-    """
+    """The family R_g as a ``BlockStream``: three blocks of bounding-curve
+    images for A-meridian-bounding curves, then the blocks of brackets of
+    tripods that each carry an A-leaf (``tripod_bracket_entries``)."""
     g = sp.g
     e = np.eye(2 * g, dtype=np.int64)
     a, b = e[:g], e[g:]
@@ -196,10 +192,11 @@ def realizable_catalog_A(sp: DerivationSpace):
               + [c for i, l in perm
                  for c in ((a[i] + a[l], b[l] + a[i]), (a[l], b[l] + a[i]))])
     u, v = map(np.array, zip(*curves))
-    return np.vstack([bscc_image(sp, [(a, b)]),
-                      bscc_image(sp, [(a[p], b[p]), (a[q], b[q])]),
-                      bscc_image(sp, [(u, v)]),
-                      tripod_bracket_entries(sp, side="A")])
+    return BlockStream(itertools.chain(
+        [bscc_image(sp, [(a, b)]),
+         bscc_image(sp, [(a[p], b[p]), (a[q], b[q])]),
+         bscc_image(sp, [(u, v)])],
+        tripod_bracket_entries(sp, side="A")))
 
 
 # -- the Johnson catalog -------------------------------------------------
@@ -374,8 +371,9 @@ def coordinate_action(sp: DerivationSpace, i: int) -> np.ndarray:
     the right.  eta2 uses no omega, so m moves a generator by moving its
     leaves: m eta2(a, b | c, d) = eta2(ma, mb | mc, md), and m (p (.) q) =
     (m e_p) (.) (m e_q), as 2 u (.) v = eta2(u, v | u, v) and D_2 is
-    torsion-free.  With G_m the moved generators, one row each, and U
-    ``express_in_generators`` of the unit rows, the matrix is U G_m."""
+    torsion-free.  With G_m the moved generators, one row each, and U the
+    generator coefficients of the unit rows, which are the transform of
+    ``generator_span`` (``d2`` checks it), the matrix is U G_m."""
     m = goeritz_symmetries(sp.g)[i]
     n_odot = len(sp.pairs)
     a, b, c, d = m[:, sp.leaves].T  # the moved leaves, one row per generator
@@ -385,8 +383,8 @@ def coordinate_action(sp: DerivationSpace, i: int) -> np.ndarray:
                                    _wedge(sp, c[n_odot:], d[n_odot:]))
     moved = sp.gen_rows(len(sp.leaves), *(
         np.concatenate(x) for x in zip(half, (row + n_odot, gen, weight))))
-    return safe_matmul(
-        sp.express_in_generators(np.eye(sp.rank, dtype=np.int64)), moved)
+    sp.d2()
+    return safe_matmul(sp.generator_span(False)[1], moved)
 
 
 def coordinate_actions(sp: DerivationSpace) -> list:
@@ -425,8 +423,7 @@ def _tripod_action(sp: DerivationSpace, m):
     x_t1 (y^z)_t2t3 - x_t2 (y^z)_t1t3 + x_t3 (y^z)_t1t2."""
     t = np.array(basis_tripods(sp.g))
     x, y, z = m[:, t].T
-    rest = np.array([[sp.pair_index[q, r], sp.pair_index[p, r],
-                      sp.pair_index[p, q]] for p, q, r in t.tolist()])
+    rest = sp.pair_index[t[:, [1, 0, 0]], t[:, [2, 2, 1]]]
     return safe_einsum("stk,stk->st", x[:, t] * np.array([1, -1, 1]),
                        _wedge(sp, y, z)[:, rest])
 
@@ -465,7 +462,7 @@ def goeritz_tau2_entries(sp: DerivationSpace):
     shift = safe_matmul(base, shear) - base
     return np.vstack([base,
                       bscc_image(sp, [(a[:1], b[:1]), (a[1:2], b[1:2])]),
-                      tripod_bracket_entries(sp, side="mixed"),
+                      *tripod_bracket_entries(sp, side="mixed"),
                       shift,
                       safe_matmul(shift, iota)])
 

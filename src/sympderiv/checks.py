@@ -274,11 +274,11 @@ def _check_casson_bridge(g, seed):
                        "mu": str(lhs[i, j]), "pairing": str(rhs[i, j]),
                        "s": _dec(mats[j])}
     n_bridge = lhs.size
-    # every (D_2 basis row, S) instance, from one generator expression of
-    # their coordinates, the unit rows; the composite is counted in halves,
-    # so it is compared with 2 mu
+    # every (D_2 basis row, S) instance, from the coefficients of the unit
+    # rows, the generators' transform (d2 checks it); the composite is
+    # counted in halves, so it is compared with 2 mu
     basis = sp.d2().basis
-    coeffs = sp.express_in_generators(np.eye(sp.rank, dtype=np.int64))
+    coeffs = sp.generator_span(False)[1]
     mus = casson.mu_of_coeffs(sp, coeffs, mats[:10])
     halves = casson.half_omegaS_plus_delta(sp, coeffs, mats[:10])
     bad = np.argwhere(2 * mus != halves)
@@ -295,10 +295,9 @@ def quartic_relations(sp):
     the images of their e_p^e_q^e_r^e_s in the tree coordinates,
     (pq|rs) - (pr|qs) + (ps|qr), from one scatter over ``pair_tables``."""
     quads = np.array(list(itertools.combinations(range(2 * sp.g), 4)))
-    pair = traces._pair_columns(2 * sp.g, 1)  # the index of pair (x, y)
     tree, _ = sp.pair_tables()
-    gens = tree[pair[quads[:, [0, 0, 0]], quads[:, [1, 2, 3]]],
-                pair[quads[:, [2, 1, 1]], quads[:, [3, 3, 2]]]]
+    gens = tree[sp.pair_index[quads[:, [0, 0, 0]], quads[:, [1, 2, 3]]],
+                sp.pair_index[quads[:, [2, 1, 1]], quads[:, [3, 3, 2]]]]
     rows = np.zeros((len(quads), len(sp.generators)), dtype=np.int64)
     np.add.at(rows, (np.arange(len(quads))[:, None], gens), [1, -1, 1])
     return quads, rows
@@ -338,10 +337,10 @@ def _realizable_lattices(g):
     """Catalog size, catalog span and double trace kernel, built once per
     genus for the two checks that read them (the entries are not kept)."""
     sp = space(g)
-    ents = catalogs.realizable_catalog_A(sp)
     target = _double_kernel(g)
-    lat = catalogs.catalog_lattice(sp, ents)
-    return sp, len(ents), lat, target
+    ents = catalogs.realizable_catalog_A(sp)
+    lat = catalogs.catalog_lattice(sp, ents)  # pulls every row of ents
+    return sp, len(ents), lat, target  # so len counts the whole catalog
 
 
 def _check_realizable_kernel(g, seed):

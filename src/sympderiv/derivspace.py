@@ -92,8 +92,13 @@ class DerivationSpace:
         self.ctx = context(genus)
         n = self.ctx.n
         self.pairs: list[tuple[int, int]] = list(itertools.combinations(range(n), 2))
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        m = len(self.pairs)
+        pairs = np.array(self.pairs)
+        m = len(pairs)
+        # the index of basis pair {p, q} at [p, q] and at [q, p], read-only
+        self.pair_index = np.zeros((n, n), dtype=np.intp)
+        p, q = pairs.T
+        self.pair_index[p, q] = self.pair_index[q, p] = np.arange(m)
+        self.pair_index.setflags(write=False)
         i, j = np.triu_indices(m)  # the order of the tree generators
         self.generators: list[tuple] = (
             [("odot", p) for p in self.pairs]
@@ -101,7 +106,6 @@ class DerivationSpace:
         self.tree_indices = list(range(m, len(self.generators)))
         # the leaf table: the letters (a, b, c, d) of every generator, one
         # row each, p (.) q read as (p, q, p, q) and tree(P, Q) as P + Q
-        pairs = np.array(self.pairs)
         self.leaves = np.vstack([np.hstack([pairs, pairs]),
                                  np.hstack([pairs[i], pairs[j]])])
         self.leaves.setflags(write=False)
@@ -121,13 +125,11 @@ class DerivationSpace:
         and [a, b] are Lyndon words and each term is one row of
         ``bracket_table(1, 2)`` in the block of its first letter."""
         ctx, ambient = self.ctx, self.ambient_dim
-        n, d3, m = ctx.n, ctx.dim(3), len(self.pairs)
+        d3, m = ctx.dim(3), len(self.pairs)
         table = ctx.bracket_table(1, 2)
-        pair = np.zeros((n, n), dtype=np.intp)
-        pair[tuple(np.array(self.pairs).T)] = np.arange(m)
         a, b, c, d = self.leaves.T
         gen = np.arange(len(self.leaves))
-        ab, cd = pair[a, b], pair[c, d]
+        ab, cd = self.pair_index[a, b], self.pair_index[c, d]
         tree = slice(m, None)  # the last two terms of the trees only
         keys, vals = [], []
         for at, x, y, inner, sign in (

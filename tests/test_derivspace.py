@@ -152,6 +152,18 @@ def test_classify_type():
 
 
 @pytest.mark.parametrize("g", [2, 3])
+def test_pair_index_reads_both_orders(g):
+    """pair_index holds the index of basis pair (p, q), p < q, at [p, q]
+    and at [q, p], and is read-only."""
+    sp = space(g)
+    assert not sp.pair_index.flags.writeable
+    assert sp.pair_index.shape == (2 * g, 2 * g)
+    assert sp.pair_index.dtype == np.intp
+    for k, (p, q) in enumerate(sp.pairs):
+        assert sp.pair_index[p, q] == sp.pair_index[q, p] == k
+
+
+@pytest.mark.parametrize("g", [2, 3])
 def test_leaf_table_reads_generator_names(g):
     """Row k of the leaf table holds the letters of generator k: p (.) q
     as (p, q, p, q) and tree(P, Q) as P + Q."""

@@ -3,18 +3,21 @@
 ``expand_symhalf`` is the reference expansion of a symmetric half u (.) v,
 which the library reads term by term from a bracket table
 (``DerivationSpace._expansions``).  ``tree_bracket`` is the reference for
-the tripod brackets of the library, which read each contraction from wedge
-coordinates (``catalogs._tripod_brackets``): it expands every contraction
-through Lie brackets with ``eta2`` and sums on Python ints.
+tripod brackets with any leaves: it expands every contraction through Lie
+brackets with ``eta2`` and sums on Python ints.  ``tripod_brackets`` reads
+the same brackets from the wedge coordinates of vector leaves, through the
+library's ``_wedge``, ``_tree_terms`` and ``gen_rows``; it is the reference
+for ``catalogs.tripod_bracket_entries``, which reads basis tripods from
+their letter indices alone.
 """
 
 import numpy as np
 import pytest
 
-from sympderiv.catalogs import _tripod_brackets
+from sympderiv.catalogs import _tree_terms, _wedge
 from sympderiv.derivspace import space
 from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
-from sympderiv.intlin import safe_matmul
+from sympderiv.intlin import safe_einsum, safe_matmul
 from sympderiv.trees import (TREE_BRACKET_SIGN, _hl_sum, derivation_bracket,
                              eta1, eta2)
 from test_freelie import lyndon_to_tensor
@@ -43,11 +46,29 @@ def tree_bracket(ctx, s, t):
     return out
 
 
+def tripod_brackets(sp, s, t):
+    """Brackets of tripods s = (s1, s2, s3) and t = (t1, t2, t3), leaf stacks
+    giving one row per pair, in D_2 coordinates: the sum over the nine
+    omega-contractions of sign times omega(s_i, t_j) times eta2(s_{i+1},
+    s_{i+2} | t_{j+1}, t_{j+2}), the contractions stacked and kept where
+    omega is nonzero, each read from the wedge coordinates of its leaves."""
+    nrows = len(s[0])
+    ij = [(i, j) for i in range(3) for j in range(3)]
+    s = [np.concatenate([s[(i + k) % 3] for i, _ in ij]) for k in range(3)]
+    t = [np.concatenate([t[(j + k) % 3] for _, j in ij]) for k in range(3)]
+    w = TREE_BRACKET_SIGN * sp.ctx.omega(s[0], t[0])
+    at = np.flatnonzero(w)
+    m, gen, weight = _tree_terms(
+        sp, safe_einsum("m,mP->mP", w[at], _wedge(sp, s[1][at], s[2][at])),
+        _wedge(sp, t[1][at], t[2][at]))
+    return sp.gen_rows(nrows, at[m] % nrows, gen, weight)
+
+
 def table_bracket(ctx, s, t):
-    """The library's tripod bracket, one row per pair, mapped from D_2
-    coordinates back to H (x) L_3."""
+    """The wedge-coordinate tripod bracket, one row per pair, mapped from
+    D_2 coordinates back to H (x) L_3."""
     sp = space(ctx.g)
-    return safe_matmul(_tripod_brackets(sp, s, t), sp.d2().basis)
+    return safe_matmul(tripod_brackets(sp, s, t), sp.d2().basis)
 
 
 def _rand_vecs(ctx, rng, n):
@@ -247,8 +268,8 @@ def test_expansions_exact_with_leaves_near_2_20():
                 for h, tens in enumerate(_eta2_tensors(ctx, *quad)):
                     tensor_add(want[h], tens, w)
         assert _as_tensors(ctx, row) == want
-    # the library's coordinate rows widen; mapped back, they are the rows
-    assert _tripod_brackets(space(2), [a, b, c], [d, e, f]).dtype == object
+    # the wedge-coordinate rows widen; mapped back, they are the rows
+    assert tripod_brackets(space(2), [a, b, c], [d, e, f]).dtype == object
     assert np.array_equal(table_bracket(ctx, (a, b, c), (d, e, f)), rows)
     # small leaves keep int64 (under the safe_einsum bound)
     assert eta2(ctx, *(x % 3 for x in (a, b, c, d))).dtype == np.int64
