@@ -16,7 +16,9 @@ Three catalogs are built here, all with exact integer coordinates:
 A catalog is its row values only: an int64 matrix with one element per
 row, or, for the Johnson catalog, the tripod brackets and the realizable
 catalog, a stream of row blocks built as they are pulled, so that the
-whole catalog is never held at once.  Every degree-2 row is a signed sum
+whole catalog is never held at once; the Johnson candidates are
+deduplicated up to sign on the wedge coordinates of their pairs, before
+any row is built.  Every degree-2 row is a signed sum
 of generator columns: eta2(a, b | c, d) depends on its leaves only through
 the wedge coordinates of a^b and c^d over the basis pairs P, and is
 sum_{P,Q} (a^b)_P (c^d)_Q tree(P, Q).  The rows are read that way, as
@@ -43,8 +45,8 @@ from .freelie import iota_matrix
 from .intlin import IntegerLattice, cached, safe_einsum, safe_matmul
 
 
-# Johnson candidates or tripod pairs per block: bounds the rows built (and
-# deduplicated) at once, and so the peak memory of catalog building
+# Johnson candidates or tripod pairs per built block: bounds the rows built
+# at once, and so the peak memory of catalog building
 CHUNK = 128
 
 
@@ -214,44 +216,6 @@ def _color_set(g, three_term=False):
     return colors
 
 
-def _row_bytes(rows):
-    """The bytes of each row of a 2-d array, as a list."""
-    rows = np.ascontiguousarray(rows)
-    width = rows.shape[1] * rows.itemsize
-    return rows.view(np.dtype((np.void, width))).ravel().tolist()
-
-
-def _unique_blocks(blocks):
-    """The rows of each block that are new up to sign, in order, one block
-    per block, none when all of its rows are old.  ``seen`` holds each kept
-    row times the sign of its first nonzero entry, keyed by its exact
-    values whatever the block's dtype: its bytes as int8 when every entry
-    fits, else as int64 when every entry fits, else (an object row past
-    int64) its tuple of Python ints.  A key's type and length tell which,
-    so equal keys are equal rows."""
-    seen = set()
-    for vals in blocks:
-        first = vals[np.arange(len(vals)), np.argmax(vals != 0, axis=1)]
-        signed = vals * np.sign(first)[:, None]
-        lo, hi = signed.min(axis=1), signed.max(axis=1)
-        narrow = (lo > -2 ** 7) & (hi < 2 ** 7)
-        within = ((lo >= -2 ** 63) & (hi < 2 ** 63) if vals.dtype == object
-                  else np.ones(len(vals), dtype=bool))
-        keys = np.empty(len(vals), dtype=object)
-        keys[narrow] = _row_bytes(signed[narrow].astype(np.int8))
-        keys[within & ~narrow] = _row_bytes(
-            signed[within & ~narrow].astype(np.int64, copy=False))
-        for n in np.flatnonzero(~within):
-            keys[n] = tuple(signed[n].tolist())
-        keep = []
-        for n, key in enumerate(keys.tolist()):
-            if key not in seen:
-                seen.add(key)
-                keep.append(n)
-        if keep:
-            yield vals[keep]
-
-
 def _johnson_candidates(g, three_term):
     """The colors, the symplectic pairs (u[i], v[i]) of color indices with
     omega = 1, in ``itertools.combinations`` order, and the pairs of those
@@ -276,13 +240,12 @@ def _johnson_candidates(g, three_term):
     return colors, u, v, np.concatenate(k), np.concatenate(l)
 
 
-def _johnson_rows(sp, three_term):
-    """The rows of the Johnson candidates, CHUNK at a time: the symmetric
-    halves, then the trees."""
-    colors, u, v, k, l = _johnson_candidates(sp.g, three_term)
-    w = _wedge(sp, colors[u], colors[v])  # of each symplectic pair
-    for c in _chunks(len(u)):
-        yield sp.gen_rows(len(w[c]), *_tree_terms(sp, w[c], w[c], half=True))
+def _johnson_rows(sp, w, h, k, l):
+    """The rows of the halves over the wedges w[h], then of the trees over
+    the wedge pairs (w[k], w[l]), CHUNK candidates at a time."""
+    for c in _chunks(len(h)):
+        x = w[h[c]]
+        yield sp.gen_rows(len(x), *_tree_terms(sp, x, x, half=True))
     for c in _chunks(len(k)):
         yield sp.gen_rows(len(k[c]), *_tree_terms(sp, w[k[c]], w[l[c]]))
 
@@ -293,11 +256,27 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
 
     Emits every u(.)v with omega(u, v) = 1 and every tree on a pair of
     omega-orthonormal pairs, colors drawn from {e_p, e_p +- e_q} (plus
-    three-term sums when ``three_term``), deduplicated up to sign.  Each
-    block is CHUNK candidates read from the wedge coordinates of their
-    pairs, less the rows already seen.
+    three-term sums when ``three_term``), deduplicated up to sign before
+    any row is built, each block CHUNK kept candidates.
+
+    A candidate's row depends on its colors only through the wedges w = u^v
+    of its pairs.  A half is quadratic in w, so w and -w give one row; a
+    tree is bilinear in its two wedges and symmetric in them, as
+    ``pair_tables`` holds tree(P, Q) at [P, Q] and at [Q, P].  So a half is
+    keyed by its wedge times the sign of the wedge's first nonzero, a tree
+    by the unordered pair of its wedges' key ids, and candidates with equal
+    keys have rows equal up to sign: the first of each key is kept, and no
+    distinct row is lost.
     """
-    return BlockStream(_unique_blocks(_johnson_rows(sp, three_term)))
+    colors, u, v, k, l = _johnson_candidates(sp.g, three_term)
+    w = _wedge(sp, colors[u], colors[v])  # of each symplectic pair
+    first = w[np.arange(len(w)), np.argmax(w != 0, axis=1)]
+    _, h, ids = np.unique(w * np.sign(first)[:, None], axis=0,
+                          return_index=True, return_inverse=True)
+    ids = ids.ravel()  # its shape differs across numpy 2.0.x
+    pair = np.sort(np.stack([ids[k], ids[l]], axis=1), axis=1)
+    t = np.sort(np.unique(pair, axis=0, return_index=True)[1])
+    return BlockStream(_johnson_rows(sp, w, np.sort(h), k[t], l[t]))
 
 
 # -- lattices from catalogs ----------------------------------------------

@@ -234,7 +234,7 @@ def _check_levine(g, seed):
     first = np.tile(np.arange(1 + len(s)) == 0, len(i))  # the one-handle ones
     # tr_A is b'_j b'_j on a one-handle element and 2 b'_i b'_j on a
     # two-handle one, the S^2(H') basis vector b'_i b'_j being sym2[i, j]
-    sym2 = np.eye(g * (g + 1) // 2, dtype=np.int64)[traces._pair_columns(g, 0)]
+    sym2 = np.eye(g * (g + 1) // 2, dtype=np.int64)[traces._pair_columns(g)]
     ip, jp = np.repeat(i, 1 + len(s)), np.repeat(j, 1 + len(s))
     want = np.where(first[:, None], sym2[jp, jp], 2 * sym2[ip, jp])
     # every test on one stack, in D_2 coordinates; the witness is that of

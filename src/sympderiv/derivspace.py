@@ -228,9 +228,10 @@ class DerivationSpace:
         # each triplet once per nonzero of its column
         t, at = runs(start[gen], start[gen + 1] - start[gen])
         r = self.rank
-        out = np.zeros(nrows * r, dtype=dtype)
-        np.add.at(out, row[t] * r + pos[at], weight.astype(dtype)[t] * val[at])
-        return out.reshape(nrows, r)
+        out = np.zeros((nrows, r), dtype=dtype)
+        np.add.at(out.reshape(-1), row[t] * r + pos[at],
+                  weight.astype(dtype)[t] * val[at])
+        return out
 
     @cached
     def d2(self) -> IntegerLattice:

@@ -27,11 +27,11 @@ from .intlin import (GF2Matrix, IntegerLattice, cached, kernel_lattice,
                      safe_matmul)
 
 
-def _pair_columns(n: int, k: int) -> np.ndarray:
+def _pair_columns(n: int) -> np.ndarray:
     """The column of each unordered pair {x, y} of n letters among the
-    pairs i <= j (k = 0) or i < j (k = 1) in ``np.triu_indices(n, k)``
-    order, as a symmetric n x n index matrix (0 on the diagonal for k = 1)."""
-    i, j = np.triu_indices(n, k)
+    pairs i <= j in ``np.triu_indices(n)`` order, as a symmetric n x n
+    index matrix."""
+    i, j = np.triu_indices(n)
     col = np.zeros((n, n), dtype=np.intp)
     col[i, j] = col[j, i] = np.arange(len(i))
     return col
@@ -69,7 +69,7 @@ def _gf2_table(sp: DerivationSpace, which: str) -> np.ndarray:
         w[x == y] = 0
     else:
         w, x, y = w[m:], x[m:], y[m:]
-    col = _pair_columns(sp.ctx.n, 1 if which == "as" else 0)
+    col = sp.pair_index if which == "as" else _pair_columns(sp.ctx.n)
     table = np.zeros((len(w), col.max() + 1), dtype=np.int64)
     np.add.at(table, (np.arange(len(w))[:, None], col[x, y]), w)
     return table % 2
@@ -109,7 +109,7 @@ def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
     side_letters = ctx.kill_letters(side)
     shift = ctx.g if side == "A" else 0
     j = iota_matrix(ctx.g)
-    col = _pair_columns(ctx.g, 0)
+    col = _pair_columns(ctx.g)
     words = ctx.lyndon(3)
     table = np.zeros((sp.ambient_dim, col.max() + 1), dtype=np.int64)
     for h in side_letters:
@@ -138,7 +138,7 @@ def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
     g = sp.g
     n = 2 * g
     p, q, r, t = sp.leaves.T
-    col = _pair_columns(g, 0)
+    col = _pair_columns(g)
     k = np.arange(len(sp.leaves))
     table = np.zeros((col.max() + 1, len(k), n, n), dtype=np.int8)
     # terms (x, y, a, b, c): c * S[a - g, b - g] at (x, y), then transposed

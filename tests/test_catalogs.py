@@ -211,6 +211,52 @@ def test_johnson_catalog_matches_loop_reference(three_term):
         assert np.array_equal(row, sp.coords(val[None])[0]), name
 
 
+def _row_bytes(rows):
+    """The bytes of each row of a 2-d array, as a list."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
+
+
+def _unique_blocks(blocks):
+    """Reference deduplication by row values: the rows of each block that
+    are new up to sign, in order, one block per block, none when all of its
+    rows are old.  ``seen`` holds each kept row times the sign of its first
+    nonzero entry, keyed by its exact values whatever the block's dtype:
+    its bytes as int8 when every entry fits, else as int64 when every entry
+    fits, else (an object row past int64) its tuple of Python ints.  A
+    key's type and length tell which, so equal keys are equal rows."""
+    seen = set()
+    for vals in blocks:
+        first = vals[np.arange(len(vals)), np.argmax(vals != 0, axis=1)]
+        signed = vals * np.sign(first)[:, None]
+        lo, hi = signed.min(axis=1), signed.max(axis=1)
+        narrow = (lo > -2 ** 7) & (hi < 2 ** 7)
+        within = ((lo >= -2 ** 63) & (hi < 2 ** 63) if vals.dtype == object
+                  else np.ones(len(vals), dtype=bool))
+        keys = np.empty(len(vals), dtype=object)
+        keys[narrow] = _row_bytes(signed[narrow].astype(np.int8))
+        keys[within & ~narrow] = _row_bytes(
+            signed[within & ~narrow].astype(np.int64, copy=False))
+        for n in np.flatnonzero(~within):
+            keys[n] = tuple(signed[n].tolist())
+        keep = []
+        for n, key in enumerate(keys.tolist()):
+            if key not in seen:
+                seen.add(key)
+                keep.append(n)
+        if keep:
+            yield vals[keep]
+
+
+def candidate_rows(sp, three_term):
+    """The rows of every Johnson candidate, before deduplication, read from
+    generator columns, CHUNK at a time: the halves, then the trees."""
+    colors, u, v, k, l = catalogs._johnson_candidates(sp.g, three_term)
+    w = catalogs._wedge(sp, colors[u], colors[v])
+    return catalogs._johnson_rows(sp, w, np.arange(len(u)), k, l)
+
+
 def lie_path_rows(sp, three_term):
     """The Johnson candidates, CHUNK at a time, each expanded through Lie
     brackets: expand_symhalf of every symplectic pair of colors, then eta2
@@ -225,14 +271,13 @@ def lie_path_rows(sp, three_term):
 
 
 def johnson_rows_match_lie_path(sp, three_term):
-    """Assert that every block of candidate rows the Johnson stream reads
-    from generator columns, before deduplication, equals the Lie-path
+    """Assert that every block of candidate rows the Johnson row builder
+    reads from generator columns, over all candidates, equals the Lie-path
     expansion of its candidates, read in D_2 coordinates, in value and
     dtype; return how many candidates were compared."""
     count = 0
-    for got, want in itertools.zip_longest(
-            catalogs._johnson_rows(sp, three_term),
-            lie_path_rows(sp, three_term)):
+    for got, want in itertools.zip_longest(candidate_rows(sp, three_term),
+                                           lie_path_rows(sp, three_term)):
         assert got is not None and want is not None
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, sp.coords(want))
@@ -246,6 +291,37 @@ def test_johnson_rows_match_lie_path(g, three_term):
     sp = space(g)
     _, u, _, k, _ = catalogs._johnson_candidates(g, three_term)
     assert johnson_rows_match_lie_path(sp, three_term) == len(u) + len(k)
+
+
+def int64_rows(blocks):
+    """The rows of a stream of row blocks, one at a time, each block
+    asserted to be int64."""
+    for block in blocks:
+        assert block.dtype == np.int64
+        yield from block
+
+
+def johnson_stream_matches_reference(sp, three_term):
+    """Assert that the Johnson stream, deduplicated on wedge keys, holds the
+    rows that deduplicating every candidate's row by its values keeps
+    (``_unique_blocks``), in value, order and dtype (int64), one row at a
+    time, so neither side is held whole; return how many rows it holds."""
+    count = 0
+    for got, want in itertools.zip_longest(
+            int64_rows(johnson_catalog(sp, three_term)),
+            int64_rows(_unique_blocks(candidate_rows(sp, three_term)))):
+        assert got is not None and want is not None
+        assert np.array_equal(got, want)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("g, three_term, kept", [
+    (2, False, 43), (2, True, 143), (3, False, 1134), (3, True, 22914)])
+def test_johnson_stream_matches_row_value_dedup(g, three_term, kept):
+    """Wedge keys keep the rows that row-value keys keep (genus 4 and 5
+    with two-term colors in CI)."""
+    assert johnson_stream_matches_reference(space(g), three_term) == kept
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -692,7 +768,7 @@ def test_johnson_stream_deduplicates_as_in_the_ambient():
     genus 3 (16,954 at genus 4, compared in CI)."""
     sp = space(3)
     got = np.vstack(list(johnson_catalog(sp)))
-    want = np.vstack(list(catalogs._unique_blocks(lie_path_rows(sp, False))))
+    want = np.vstack(list(_unique_blocks(lie_path_rows(sp, False))))
     assert len(got) == 1134
     assert np.array_equal(got, sp.coords(want))
 
@@ -717,7 +793,7 @@ def test_unique_blocks_keys_rows_past_int64_by_value():
         np.array([[-(2 ** 63) + 1, 128], [-3, -4], [2 ** 63, -5]],
                  dtype=object),
     ]
-    got = [block.tolist() for block in catalogs._unique_blocks(blocks)]
+    got = [block.tolist() for block in _unique_blocks(blocks)]
     assert got == [[[big, 3], [0, 2 ** 63], [-1, -200]],
                    [[2 ** 62, 1], [-2 ** 63, 5]],
                    [[2 ** 63 - 1, -128], [3, 4]]]

@@ -244,9 +244,16 @@ def test_pair_bases():
     for n in (2, 4):
         for k, pairs in ((0, sym2_pairs(n)), (1, ext2_pairs(n))):
             assert list(zip(*np.triu_indices(n, k))) == pairs
-            col = traces._pair_columns(n, k)
-            assert [col[x, y] for x, y in pairs] == list(range(len(pairs)))
-            assert np.array_equal(col, col.T)
+        pairs = sym2_pairs(n)
+        col = traces._pair_columns(n)
+        assert [col[x, y] for x, y in pairs] == list(range(len(pairs)))
+        assert np.array_equal(col, col.T)
+    # the Lambda^2 columns of tr_as are the basis pairs of D_2's generators
+    for g in (2, 3):
+        pairs = ext2_pairs(2 * g)
+        col = space(g).pair_index
+        assert [col[x, y] for x, y in pairs] == list(range(len(pairs)))
+        assert np.array_equal(col, col.T)
 
 
 def side_trace_by_dicts(sp, v, side):
