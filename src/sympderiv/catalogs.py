@@ -297,15 +297,13 @@ def _batches(blocks, n):
 
 
 def catalog_lattice(sp: DerivationSpace, blocks, chunk=256):
-    """Integer span in Z^(sp.rank) of catalog rows, given as one matrix or
-    as an iterable of row blocks, taken ``chunk`` rows at a time.
+    """Integer span in Z^(sp.rank) of catalog rows, given as an iterable of
+    row blocks, stacked at least ``chunk`` rows at a time.
 
     Every row is pulled and tested against the span so far; only the rows
     of a batch outside it join the span, through one lattice sum, as in
     ``orbit_closure``.
     """
-    if isinstance(blocks, np.ndarray):
-        blocks = np.split(blocks, range(chunk, len(blocks), chunk))
     lat = IntegerLattice(sp.rank)
     for batch in _batches(blocks, chunk):
         new = batch[~lat.contains_rows(batch)]

@@ -20,8 +20,7 @@ Statuses:
 * ``observed``         -- the statement is outside its proved genus range
                           here, so the computed relationship is reported
                           without being asserted;
-* ``skipped``          -- the check does not apply at this genus, or was
-                          cut by the time budget.
+* ``skipped``          -- the check does not apply at this genus.
 """
 
 import itertools
@@ -407,7 +406,7 @@ class CheckSpec:
     anchor: str
     fn: object               # fn(genus, seed) -> (status, witness)
     genera: tuple            # genera where the check runs
-    estimate: dict           # genus -> rough wall seconds, for budgeting
+    estimate: dict           # genus -> rough wall seconds of one run
 
 
 # Estimates are the seconds each check took in suite order under
@@ -462,15 +461,11 @@ ALL_CHECKS = [
 CHECKS = {c.id: c for c in ALL_CHECKS}
 
 
-def run_check(check_id: str, genus: int, seed: int = 0,
-              budget_left: float | None = None) -> CheckReport:
+def run_check(check_id: str, genus: int, seed: int = 0) -> CheckReport:
     entry = CHECKS[check_id]
     if genus not in entry.genera:
         return CheckReport(entry.id, entry.anchor, genus, "skipped",
                            {"reason": "not applicable at this genus"})
-    if budget_left is not None and entry.estimate.get(genus, 0) > budget_left:
-        return CheckReport(entry.id, entry.anchor, genus, "skipped",
-                           {"reason": "budget"})
     t0 = time.perf_counter()
     try:
         status, witness = entry.fn(genus, seed)

@@ -538,8 +538,8 @@ def test_catalog_lattice_equals_ambient_span(case):
             assert got != target
         else:
             assert target.membership(got.basis) is None
-        # one matrix: the same span
-        assert catalog_lattice(sp, rows, chunk=chunk) == want
+        # all rows in one block: the same span
+        assert catalog_lattice(sp, [rows], chunk=chunk) == want
 
     check()
 
