@@ -254,7 +254,7 @@ class DerivationSpace:
         """D_2', the span of the tree generators, in Z^r."""
         return self.generator_span(True)[0]
 
-    # -- expressing coordinate rows over generators -----------------------
+    # -- the spans of the generator columns -------------------------------
     @cached
     def generator_span(self, trees: bool) -> tuple[IntegerLattice, np.ndarray]:
         """The span in Z^r of the generator columns, of the tree generators
@@ -268,25 +268,22 @@ class DerivationSpace:
         mask = (h != 0).any(axis=1)
         return IntegerLattice(h.shape[1], h[mask], canonical=True), u[mask]
 
-    def express_in_generators(self, v) -> np.ndarray:
-        """Coefficients over all generators of each coordinate row of a
-        stack: the rows times the transform of the generators' HNF, which
-        ``d2`` checks to be the identity."""
-        self.d2()
-        return safe_matmul(v, self.generator_span(False)[1])
-
     # -- filtration by A-leaves (or B-leaves) ------------------------------
+    def on_side(self, letters, side: str) -> np.ndarray:
+        """Whether each letter of an array is on the side, "A" or "B", as
+        ``SymplecticContext.kill_letters`` names it; any other side raises."""
+        return np.isin(letters, self.ctx.kill_letters(side))
+
     @cached
     def filtration(self, level: int, side: str = "A") -> IntegerLattice:
         """The span in Z^r of the generators with more than ``level``
         leaves on the side; level -1 is all of D_2, Z^r itself."""
         if not -1 <= level <= 3:
             raise ValueError("filtration level must be in -1..3")
+        on_side = self.on_side(self.leaves, side)
         if level == -1:
             return IntegerLattice(self.rank, np.eye(self.rank, dtype=np.int8),
                                   canonical=True)
-        on_a = self.leaves < self.g
-        on_side = on_a if side == "A" else ~on_a
         cols = np.flatnonzero(on_side.sum(axis=1) >= level + 1)
         return IntegerLattice(self.rank, self.gen_coords()[:, cols].T)
 

@@ -2,19 +2,15 @@
 
 Every trace is a linear map of the generators, tabulated once per genus
 from the leaf table ``DerivationSpace.leaves`` and the Gram matrix J of
-omega, and applied to whole stacks as one exact product.  The mod-2 traces
-tr_as (on every generator) and tr_sym (on the tree generators) are 0/1
-tables over the pairs i < j (Lambda^2(H/2H)) and i <= j (S^2(H/2H)), in
-``np.triu_indices`` order, read through the generator coefficients mod 2;
-those of the bases of their domains, D_2 and D_2', are the transform rows
-of ``DerivationSpace.generator_span``, so the image rows need no solve.
-tr_A and tr_B go through an (r x S^2(H')) matrix: the traces of the
-ambient H (x) L_3 basis, built from the tensor expansions of the degree-3
-Lyndon words, times D_2's basis once.  The S-twisted contraction tr_omegaS
-goes through each generator's contraction, tabulated over the entries of
-S.  Elements are stacks of D_2 coordinate rows
-(``DerivationSpace.coords``), and kernels are exact sublattices of Z^r,
-r = rank D_2.
+omega: tr_as (every generator) and tr_sym (the tree generators) as 0/1
+tables over the pairs i < j (Lambda^2(H/2H)) and i <= j (S^2(H/2H)), tr_A
+and tr_B as integer tables over S^2(H'), in ``np.triu_indices`` order.
+``_basis_traces`` reads each table at the generator coefficients of its
+domain's basis, the transform rows of ``DerivationSpace.generator_span``;
+stacks of D_2 coordinate rows (``DerivationSpace.coords``), the kernels,
+exact sublattices of Z^r (r = rank D_2), and the image ranks read those.
+The S-twisted contraction tr_omegaS goes through each generator's
+contraction, tabulated over the entries of S.
 """
 
 from __future__ import annotations
@@ -77,12 +73,37 @@ def _gf2_table(sp: DerivationSpace, which: str) -> np.ndarray:
 
 def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
     """tr_as of each coordinate row of a stack, as 0/1 rows over the pairs
-    i < j: the generator coefficients mod 2 times the table, mod 2."""
-    coeffs = sp.express_in_generators(rows) % 2
-    return safe_matmul(coeffs, _gf2_table(sp, "as")) % 2
+    i < j: the rows mod 2 times the traces of D_2's basis, mod 2."""
+    return safe_matmul(np.asarray(rows) % 2, _basis_traces(sp, "as")) % 2
 
 
 # -- the A-side and B-side traces ------------------------------------------
+
+@cached
+def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
+    """tr_A ("A") or tr_B ("B") as a read-only integer table over S^2 of
+    the other side's letters, one row per generator.
+
+    A tree (a, b | c, d) expands to a (x) [b, [c, d]] - b (x) [a, [c, d]]
+    + c (x) [d, [a, b]] - d (x) [c, [a, b]].  A term h (x) [x, [y, z]] with
+    h on the side and x, y, z off it traces to omega(h, z) xy
+    - omega(h, y) xz, and every other term to 0: so does each term of
+    p (.) q, whose leaves are (p, q, p, q)."""
+    # the terms (h, x, y, z) of every generator, one column each
+    terms = sp.leaves[:, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 2, 0, 0],
+                          [3, 3, 1, 1]]]
+    h, x, y, z = np.moveaxis(terms, 1, 0)
+    on = sp.on_side(terms, side)
+    sign = np.array([1, -1, 1, -1]) * (on[:, 0] & ~on[:, 1:].any(axis=1))
+    j = iota_matrix(sp.g)
+    col = _pair_columns(sp.g)
+    k = np.arange(len(sp.leaves))[:, None]
+    table = np.zeros((len(k), col.max() + 1), dtype=np.int64)
+    # the letters off the side are one block of g, read mod g
+    np.add.at(table, (k, col[x % sp.g, y % sp.g]), sign * j[h, z])
+    np.add.at(table, (k, col[x % sp.g, z % sp.g]), -sign * j[h, y])
+    return table
+
 
 def tr_A(sp: DerivationSpace, rows) -> np.ndarray:
     """Integer rows over the S^2(H') basis {b'_i b'_j, i <= j}, one per
@@ -91,35 +112,24 @@ def tr_A(sp: DerivationSpace, rows) -> np.ndarray:
     if not sp.filtration(0, "A").contains_rows(rows).all():
         raise FiltrationError(
             "element is not in the A-side filtration level 0")
-    return safe_matmul(rows, _side_table(sp, "A"))
+    return safe_matmul(rows, _basis_traces(sp, "A"))
 
+
+# -- the traces of the domain bases ----------------------------------------
 
 @cached
-def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
-    """The side trace as a read-only (r x S^2(H')) integer matrix: D_2's
-    basis times the trace of the ambient basis.
-
-    The trace of e_h (x) (i-th Lyndon bracketing), ambient row
-    h * dim(L_3) + i: keep H-factors in the side Lagrangian, kill that side
-    in the Lie factor (only the Lyndon words ``avoiding`` it survive),
-    contract the first two tensor slots by omega, and symmetrize the last
-    two into S^2 of the quotient."""
-    ctx = sp.ctx
-    d3 = ctx.dim(3)
-    side_letters = ctx.kill_letters(side)
-    shift = ctx.g if side == "A" else 0
-    j = iota_matrix(ctx.g)
-    col = _pair_columns(ctx.g)
-    words = ctx.lyndon(3)
-    table = np.zeros((sp.ambient_dim, col.max() + 1), dtype=np.int64)
-    for h in side_letters:
-        for i in np.flatnonzero(ctx.avoiding(side)):
-            for word, c in ctx.bracketing_tensor(words[i]).items():
-                om = j[h, word[0]]
-                if om:
-                    x, y = word[1] - shift, word[2] - shift
-                    table[h * d3 + i, col[x, y]] += om * c
-    return safe_matmul(sp.d2().basis, table)
+def _basis_traces(sp: DerivationSpace, which: str) -> np.ndarray:
+    """The trace rows of the domain's basis, read-only: the unit rows of
+    Z^r for tr_as ("as"), tr_A ("A") and tr_B ("B"), D_2''s for tr_sym
+    ("sym").  Their generator coefficients are the transform rows of
+    ``generator_span`` (``d2`` checks that all generators span Z^r), so
+    they are those rows times the generator table, mod 2 for the mod-2
+    traces."""
+    sp.d2()
+    if which in ("as", "sym"):
+        trans = sp.generator_span(which == "sym")[1]
+        return safe_matmul(trans % 2, _gf2_table(sp, which)) % 2
+    return safe_matmul(sp.generator_span(False)[1], _side_table(sp, which))
 
 
 # -- the S-twisted contraction ---------------------------------------------
@@ -183,22 +193,10 @@ def _mod2_preimage(t: np.ndarray) -> IntegerLattice:
 
 
 @cached
-def _gf2_image_rows(sp: DerivationSpace, which: str) -> np.ndarray:
-    """Trace rows of the basis of D_2 ("as") or of D_2' ("sym"), read-only.
-    The generator coefficients of those bases are the transform rows of
-    ``generator_span``: D_2's basis is the unit rows of Z^r, which ``d2``
-    checks to be the span of all generators, and D_2' is the span of the
-    tree generators itself."""
-    sp.d2()
-    trans = sp.generator_span(which == "sym")[1]
-    return safe_matmul(trans % 2, _gf2_table(sp, which)) % 2
-
-
-@cached
 def _gf2_kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
     """The mod-2 preimage over the domain's basis: for tr_as, whose domain
     basis is the identity, that preimage is the kernel itself."""
-    pre = _mod2_preimage(_gf2_image_rows(sp, which).T)
+    pre = _mod2_preimage(_basis_traces(sp, which).T)
     if which == "as":
         return pre
     return IntegerLattice(sp.rank, safe_matmul(pre.basis, sp.dprime2().basis))
@@ -217,7 +215,7 @@ def ker_tr_sym(sp: DerivationSpace) -> IntegerLattice:
 @cached
 def _side_kernel(sp: DerivationSpace, side: str) -> IntegerLattice:
     f0 = sp.filtration(0, side)
-    coeff = kernel_lattice(safe_matmul(f0.basis, _side_table(sp, side)).T)
+    coeff = kernel_lattice(safe_matmul(f0.basis, _basis_traces(sp, side)).T)
     return IntegerLattice(sp.rank, safe_matmul(coeff.basis, f0.basis))
 
 
@@ -234,7 +232,7 @@ def ker_tr_B(sp: DerivationSpace) -> IntegerLattice:
 
 def _image_rank(sp: DerivationSpace, which: str) -> int:
     """GF(2) rank of the trace rows, each packed into one int."""
-    packed = np.packbits(_gf2_image_rows(sp, which).astype(np.uint8), axis=1)
+    packed = np.packbits(_basis_traces(sp, which).astype(np.uint8), axis=1)
     return GF2Matrix([int.from_bytes(r.tobytes(), "big")
                       for r in packed]).rank()
 
@@ -253,4 +251,4 @@ def image_in_omega_kernel(sp: DerivationSpace, which: str) -> bool:
     pairs i <= j or i < j."""
     k = 1 if which == "as" else 0
     func = iota_matrix(sp.g)[np.triu_indices(sp.ctx.n, k)][:, None]
-    return not (safe_matmul(_gf2_image_rows(sp, which), func) % 2).any()
+    return not (safe_matmul(_basis_traces(sp, which), func) % 2).any()

@@ -10,7 +10,7 @@ from sympderiv import casson, checks, traces
 from sympderiv.derivspace import space
 from sympderiv.freelie import context
 from test_checks import sym_matrices_by_loop
-from test_derivspace import gen_matrix
+from test_derivspace import express, gen_matrix
 
 
 # -- the polynomial reference: theta expanded, then evaluated -------------
@@ -257,7 +257,7 @@ def test_mu_vanishes_at_zero_twist():
     rng = np.random.default_rng(33)
     basis = sp.d2().basis
     v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
-    c = sp.express_in_generators(sp.coords(v))
+    c = express(sp, sp.coords(v))
     zero = np.zeros((1, 2, 2), dtype=np.int64)
     assert casson.mu_of_coeffs(sp, c, zero).tolist() == [[0]]
 
@@ -273,7 +273,7 @@ def test_mu_matches_r_pairing_on_filtered_part():
         t = traces.tr_A(sp, v)
         s = rng.integers(-3, 4, size=(1, 2, 2))
         s = s + np.swapaxes(s, 1, 2)
-        c = sp.express_in_generators(v)
+        c = express(sp, v)
         assert np.array_equal(casson.mu_of_coeffs(sp, c, s),
                               casson.r_pairing(s, t))
 
@@ -286,7 +286,7 @@ def test_mu_matches_half_omegaS_plus_delta():
         v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
         s = rng.integers(-3, 4, size=(1, 2, 2))
         s = s + np.swapaxes(s, 1, 2)
-        c = sp.express_in_generators(sp.coords(v))
+        c = express(sp, sp.coords(v))
         # the composite is counted in halves
         assert np.array_equal(2 * casson.mu_of_coeffs(sp, c, s),
                               casson.half_omegaS_plus_delta(sp, c, s))

@@ -12,6 +12,7 @@ from sympderiv import casson, catalogs, checks, traces, trees
 from sympderiv.derivspace import DerivationSpace, FiltrationError, space
 from sympderiv.freelie import SymplecticContext, context, iota_matrix
 from sympderiv.intlin import IntegerLattice
+from test_derivspace import express
 
 
 # -- per-instance references ----------------------------------------------
@@ -199,7 +200,7 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
     sp = space(2)
     mats = sym_matrices_by_loop(0, 2, 100)
     row = sp.d2().basis[:1]
-    coeffs = sp.express_in_generators(sp.coords(row))
+    coeffs = express(sp, sp.coords(row))
     mu = int(casson.mu_of_coeffs(sp, coeffs, mats[0][None])[0, 0])
     ok, witness = checks._check_casson_bridge(2, 0)
     assert not ok
@@ -382,10 +383,10 @@ def test_cached_values_are_read_only():
               sp.generator_span(True)[1], casson._thrice_qbar_column(sp),
               catalogs.coordinate_action(sp, 0),
               *catalogs.goeritz_symmetries(2), traces._omegaS_table(sp)]
-    arrays += [f(sp, which) for f in (traces._gf2_table,
-                                      traces._gf2_image_rows)
-               for which in ("as", "sym")]
+    arrays += [traces._gf2_table(sp, which) for which in ("as", "sym")]
     arrays += [traces._side_table(sp, side) for side in "AB"]
+    arrays += [traces._basis_traces(sp, which)
+               for which in ("as", "sym", "A", "B")]
     # built once per genus, as one tuple
     assert catalogs.goeritz_symmetries(2) is catalogs.goeritz_symmetries(2)
     assert isinstance(catalogs.goeritz_symmetries(2), tuple)

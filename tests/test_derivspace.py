@@ -31,6 +31,14 @@ def gen_matrix(sp):
     return rows.astype(np.int64, copy=False).T
 
 
+def express(sp, rows):
+    """Coefficients over all generators of each coordinate row of a stack:
+    the rows times the transform of the generators' HNF, which ``d2``
+    checks to be the identity."""
+    sp.d2()
+    return safe_matmul(rows, sp.generator_span(False)[1])
+
+
 def gen_column(sp, gen):
     """The value of one generator: its column of the generator matrix."""
     return gen_matrix(sp)[:, sp.generators.index(gen)]
@@ -113,12 +121,12 @@ def test_express_roundtrip():
     rng = np.random.default_rng(11)
     basis = sp.d2().basis
     v = rng.integers(-2, 3, size=(1, sp.d2().rank)) @ basis
-    c = sp.express_in_generators(sp.coords(v))
+    c = express(sp, sp.coords(v))
     assert np.array_equal(c @ gen_matrix(sp).T, v)
     with pytest.raises(MembershipError):
         bad = v.copy()
         bad[0, 0] += 1
-        sp.express_in_generators(sp.coords(bad))
+        express(sp, sp.coords(bad))
 
 
 def test_tree_expression_requires_dprime():
@@ -185,6 +193,20 @@ def test_filtration_is_nested():
         assert all(row in prev for row in cur.basis)
         prev = cur
     assert sp.filtration(3).rank < sp.filtration(0).rank
+
+
+@pytest.mark.parametrize("side", ["a", "b", "AB", ""])
+def test_filtration_rejects_an_unknown_side(side):
+    """Only "A" and "B" name a side, at every level; the side traces
+    reject any other too."""
+    sp = space(2)
+    for level in range(-1, 4):
+        with pytest.raises(ValueError, match="must be 'A' or 'B'"):
+            sp.filtration(level, side)
+    with pytest.raises(ValueError, match="must be 'A' or 'B'"):
+        traces._side_table(sp, side)
+    with pytest.raises(ValueError, match="must be 'A' or 'B'"):
+        traces._basis_traces(sp, side)
 
 
 def omega_gram(g):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from sympderiv.derivspace import FiltrationError, space
-from sympderiv.freelie import context
+from sympderiv.freelie import context, iota_matrix
 from sympderiv.intlin import IntegerLattice, hermite_normal_form, safe_matmul
 from sympderiv.trees import eta2
 from sympderiv import traces
-from test_derivspace import gen_matrix
+from test_derivspace import express, gen_matrix
 from test_freelie import lyndon_to_tensor
 
 
@@ -71,7 +71,7 @@ def tr_B(sp, rows):
     if not sp.filtration(0, "B").contains_rows(rows).all():
         raise FiltrationError(
             "element is not in the B-side filtration level 0")
-    return safe_matmul(rows, traces._side_table(sp, "B"))
+    return safe_matmul(rows, traces._basis_traces(sp, "B"))
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -163,7 +163,7 @@ def test_gf2_image_rows_match_a_solve_over_the_generators(g, which):
     """The image rows, read from the generator span's transform, are those
     of a solve of the domain basis over the generators."""
     sp = space(g)
-    got = traces._gf2_image_rows(sp, which)
+    got = traces._basis_traces(sp, which)
     want = gf2_image_rows_by_solve(sp, which)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -187,11 +187,11 @@ def test_image_in_omega_kernel_fails_on_an_odd_row(monkeypatch, which):
     added to it) makes the answer False."""
     sp = space(2)
     assert traces.image_in_omega_kernel(sp, which)
-    real = traces._gf2_image_rows(sp, which)
+    real = traces._basis_traces(sp, which)
     pairs = ext2_pairs(4) if which == "as" else sym2_pairs(4)
     odd = real.copy()
     odd[3, pairs.index((0, 2))] ^= 1
-    monkeypatch.setattr(traces, "_gf2_image_rows", lambda sp, which: odd)
+    monkeypatch.setattr(traces, "_basis_traces", lambda sp, which: odd)
     assert not traces.image_in_omega_kernel(sp, which)
 
 
@@ -236,6 +236,24 @@ def test_integer_kernels_sit_inside_mod2_kernels():
     assert as_rows.shape == (6, len(ext2_pairs(4))) and not as_rows.any()
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_tr_as_on_random_rows_matches_generator_coefficients(g):
+    """tr_as of random coordinate rows, some past int64, is their generator
+    coefficients mod 2 times the generator table, mod 2."""
+    sp = space(g)
+    rng = np.random.default_rng(80 + g)
+    rows = rng.integers(-5, 6, size=(6, sp.rank)).astype(object)
+    rows[0] *= 2 ** 64 + 1  # past int64, same parities
+    rows[1] *= 2 ** 64  # past int64, all even
+    rows[2] += 2 ** 63 + 1  # past int64, every parity flipped
+    want = safe_matmul(express(sp, rows) % 2,
+                       traces._gf2_table(sp, "as")) % 2
+    got = traces.tr_as(sp, rows)
+    assert got.shape == (len(rows), len(ext2_pairs(2 * g)))
+    assert np.array_equal(got, want)
+    assert got[[0, 2]].any(axis=1).all() and not got[1].any()
+
+
 def test_pair_bases():
     """The trace columns are the pairs in ``np.triu_indices`` order."""
     assert len(sym2_pairs(4)) == 10
@@ -254,6 +272,54 @@ def test_pair_bases():
         col = space(g).pair_index
         assert [col[x, y] for x, y in pairs] == list(range(len(pairs)))
         assert np.array_equal(col, col.T)
+
+
+def ambient_side_table(sp, side):
+    """Reference side trace as an (r x S^2(H')) matrix: D_2's basis times
+    the trace of the ambient basis.
+
+    The trace of e_h (x) (i-th Lyndon bracketing), ambient row
+    h * dim(L_3) + i: keep H-factors in the side Lagrangian, kill that side
+    in the Lie factor (only the Lyndon words ``avoiding`` it survive),
+    contract the first two tensor slots by omega, and symmetrize the last
+    two into S^2 of the quotient."""
+    ctx = sp.ctx
+    d3 = ctx.dim(3)
+    side_letters = ctx.kill_letters(side)
+    shift = ctx.g if side == "A" else 0
+    j = iota_matrix(ctx.g)
+    col = traces._pair_columns(ctx.g)
+    words = ctx.lyndon(3)
+    table = np.zeros((sp.ambient_dim, col.max() + 1), dtype=np.int64)
+    for h in side_letters:
+        for i in np.flatnonzero(ctx.avoiding(side)):
+            for word, c in ctx.bracketing_tensor(words[i]).items():
+                om = j[h, word[0]]
+                if om:
+                    x, y = word[1] - shift, word[2] - shift
+                    table[h * d3 + i, col[x, y]] += om * c
+    return safe_matmul(sp.d2().basis, table)
+
+
+def side_traces_match_reference(sp):
+    """Assert, on both sides, that the basis traces equal the ambient
+    reference, that each generator's table row is its coordinates times
+    the reference, and that every p (.) q row is 0; return how many sides
+    were compared."""
+    for side in "AB":
+        want = ambient_side_table(sp, side)
+        assert np.array_equal(traces._basis_traces(sp, side), want)
+        table = traces._side_table(sp, side)
+        assert np.array_equal(table, safe_matmul(sp.gen_coords().T, want))
+        assert not table[:len(sp.pairs)].any()
+    return 2
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_side_tables_match_the_ambient_reference(g):
+    """The leaf-table side traces equal those of the ambient H (x) L_3
+    basis (genus 5 in CI)."""
+    assert side_traces_match_reference(space(g)) == 2
 
 
 def side_trace_by_dicts(sp, v, side):
