@@ -102,10 +102,11 @@ def _check_dprime_index(g, seed):
 
 
 def _check_trace_surjectivity(g, seed):
-    r_as = traces.image_rank_as(sp := space(g))
-    r_sym = traces.image_rank_sym(sp)
-    e_as = traces.omega_kernel_dim_ext(g)
-    e_sym = traces.omega_kernel_dim_sym(g)
+    r_as = traces.image_rank(sp := space(g), "as")
+    r_sym = traces.image_rank(sp, "sym")
+    # the dimensions of omega's kernels on Lambda^2(H/2H) and S^2(H/2H)
+    e_as = (g - 1) * (2 * g + 1)
+    e_sym = (g + 1) * (2 * g - 1)
     in_as = traces.image_in_omega_kernel(sp, "as")
     in_sym = traces.image_in_omega_kernel(sp, "sym")
     ok = r_as == e_as and r_sym == e_sym and in_as and in_sym
@@ -116,7 +117,7 @@ def _check_trace_surjectivity(g, seed):
 
 def _check_trace_kernels(g, seed):
     sp = space(g)
-    ka = traces.ker_tr_as(sp)
+    ka = traces.kernel(sp, "as")
     ents = catalogs.johnson_catalog(sp)
     lat = catalogs.catalog_lattice(sp, ents)
     enlarged = False
@@ -125,7 +126,7 @@ def _check_trace_kernels(g, seed):
         lat = catalogs.catalog_lattice(sp, ents)
         enlarged = True
     as_equal = lat == ka
-    ks = traces.ker_tr_sym(sp)
+    ks = traces.kernel(sp, "sym")
     bl = catalogs.catalog_lattice(
         sp, catalogs.tripod_bracket_entries(sp, side=None))
     included = ks.membership(bl.basis) is not None
@@ -146,7 +147,7 @@ def _check_trace_kernels(g, seed):
 
 def _check_kernel_index(g, seed):
     sp = space(g)
-    idx = traces.ker_tr_as(sp).index(traces.ker_tr_sym(sp))
+    idx = traces.kernel(sp, "as").index(traces.kernel(sp, "sym"))
     expected = 2 ** (2 * g + comb(2 * g, 2))
     return idx == expected, {"index": str(idx), "expected": str(expected)}
 
@@ -328,7 +329,7 @@ def _check_quartic_vanishing(g, seed):
 def _double_kernel(g):
     """The intersection of ker tr_as and ker tr_A, built once per genus."""
     sp = space(g)
-    return traces.ker_tr_as(sp).intersection(traces.ker_tr_A(sp))
+    return traces.kernel(sp, "as").intersection(traces.kernel(sp, "A"))
 
 
 @cached
@@ -357,7 +358,7 @@ def _check_realizable_kernel(g, seed):
 
 def _check_realizable_sum(g, seed):
     sp, _, lat, _ = _realizable_lattices(g)
-    ka = traces.ker_tr_as(sp)
+    ka = traces.kernel(sp, "as")
     quarter_turn = len(catalogs.goeritz_symmetries(g)) - 1
     iota = catalogs.coordinate_action(sp, quarter_turn)
     total = lat.sum(safe_matmul(lat.basis, iota))
@@ -380,7 +381,7 @@ def _check_goeritz_degree1(g, seed):
 
 def _check_goeritz_kernel(g, seed):
     sp = space(g)
-    target = _double_kernel(g).intersection(traces.ker_tr_B(sp))
+    target = _double_kernel(g).intersection(traces.kernel(sp, "B"))
     lat = catalogs.goeritz_tau2_lattice(sp)
     included = target.membership(lat.basis) is not None
     equal = lat == target

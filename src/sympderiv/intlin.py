@@ -233,10 +233,15 @@ def left_kernel(m) -> np.ndarray:
     return hermite_normal_form(_assemble(rows[rank:], nrows, shift=ncols))
 
 
-def kernel_lattice(m) -> "IntegerLattice":
-    """Full integer kernel {v : m @ v == 0} as a lattice in Z^cols."""
+def kernel_lattice(m, mod2: bool = False) -> "IntegerLattice":
+    """Full integer kernel {v : m @ v == 0}, or {v : m @ v == 0 mod 2}, as a
+    lattice in Z^cols.  Mod 2 it is the first cols columns of the kernel of
+    [m | 2I], already in HNF, since v determines the rest."""
     a = as_int_matrix(m)
-    return IntegerLattice(a.shape[1], left_kernel(a.T), canonical=True)
+    n = a.shape[1]
+    if mod2:
+        a = np.hstack([a, 2 * np.eye(len(a), dtype=np.int64)])
+    return IntegerLattice(n, narrowed(left_kernel(a.T)[:, :n]), canonical=True)
 
 
 def solve_over_hnf(basis: np.ndarray, pivots, rows):
@@ -372,27 +377,19 @@ class IntegerLattice:
             raise ValueError("ambient dimension mismatch")
 
 
-# ---------------------------------------------------------------------------
-# GF(2) linear algebra on int bitsets (bit i of a row <-> column i).
-
-class GF2Matrix:
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list[int]):
-        self.rows = list(rows)
-
-    def rank(self) -> int:
-        """Rank by elimination: each pivot row clears its lowest set bit
-        from the rows left, and only the count of pivots is kept."""
-        work = [r for r in self.rows if r]
-        rank = 0
-        while work:
-            row = work.pop()
-            low = row & -row
-            work = [r ^ row if r & low else r for r in work]
-            work = [r for r in work if r]
-            rank += 1
-        return rank
+def gf2_rank(rows) -> int:
+    """GF(2) rank of rows given as int bitsets (bit i of a row is its
+    column i), by elimination: each pivot row clears its lowest set bit
+    from the rows left, and only the count of pivots is kept."""
+    work = [r for r in rows if r]
+    rank = 0
+    while work:
+        row = work.pop()
+        low = row & -row
+        work = [r ^ row if r & low else r for r in work]
+        work = [r for r in work if r]
+        rank += 1
+    return rank
 
 
 def safe_einsum(subscripts: str, *operands) -> np.ndarray:
@@ -446,6 +443,8 @@ def safe_matmul(a, b) -> np.ndarray:
     are multiplied in int64."""
     a = np.asarray(a)
     b = np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
     nnz_a, nnz_b = np.count_nonzero(a), np.count_nonzero(b)
     if (SPARSE_PRODUCT * nnz_b < b.size
             and nnz_b * len(a) < nnz_a * b.shape[1]):

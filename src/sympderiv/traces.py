@@ -7,8 +7,9 @@ tables over the pairs i < j (Lambda^2(H/2H)) and i <= j (S^2(H/2H)), tr_A
 and tr_B as integer tables over S^2(H'), in ``np.triu_indices`` order.
 ``_basis_traces`` reads each table at the generator coefficients of its
 domain's basis, the transform rows of ``DerivationSpace.generator_span``;
-stacks of D_2 coordinate rows (``DerivationSpace.coords``), the kernels,
-exact sublattices of Z^r (r = rank D_2), and the image ranks read those.
+stacks of D_2 coordinate rows (``DerivationSpace.coords``), the kernels
+(``kernel``, exact sublattices of Z^r, r = rank D_2) and the image ranks
+(``image_rank``) read those.
 The S-twisted contraction tr_omegaS goes through each generator's
 contraction, tabulated over the entries of S.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from .derivspace import DerivationSpace, FiltrationError
 from .freelie import iota_matrix
-from .intlin import (GF2Matrix, IntegerLattice, cached, kernel_lattice,
+from .intlin import (IntegerLattice, cached, gf2_rank, kernel_lattice,
                      safe_matmul)
 
 
@@ -31,14 +32,6 @@ def _pair_columns(n: int) -> np.ndarray:
     col = np.zeros((n, n), dtype=np.intp)
     col[i, j] = col[j, i] = np.arange(len(i))
     return col
-
-
-def omega_kernel_dim_sym(g: int) -> int:
-    return (g + 1) * (2 * g - 1)
-
-
-def omega_kernel_dim_ext(g: int) -> int:
-    return (g - 1) * (2 * g + 1)
 
 
 # -- the mod-2 traces --------------------------------------------------------
@@ -182,73 +175,48 @@ def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
     return out.reshape(len(out), len(s), 2 * g, 2 * g)
 
 
-# -- kernels as integer lattices -------------------------------------------
-
-def _mod2_preimage(t: np.ndarray) -> IntegerLattice:
-    """{c in Z^n : t @ c == 0 mod 2} for an integer matrix t (m x n)."""
-    m, n = t.shape
-    block = np.hstack([t, 2 * np.eye(m, dtype=np.int64)])
-    ker = kernel_lattice(block)
-    return IntegerLattice(n, ker.basis[:, :n])
-
+# -- kernels and image ranks -----------------------------------------------
 
 @cached
-def _gf2_kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
-    """The mod-2 preimage over the domain's basis: for tr_as, whose domain
-    basis is the identity, that preimage is the kernel itself."""
-    pre = _mod2_preimage(_basis_traces(sp, which).T)
+def kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
+    """The kernel of a trace inside its domain, as a sublattice of Z^r: mod
+    2, of tr_as ("as") on D_2 = Z^r and tr_sym ("sym") on D_2'; over Z, of
+    tr_A ("A") and tr_B ("B") on the side's filtration level 0; any other
+    name raises.  One kernel of the traces of the domain's basis gives the
+    kernel's coefficients over that basis, mapped back through it; Z^r's
+    basis is the identity, so for tr_as they are the kernel, in HNF."""
+    t = _traces_of(sp, which, ("as", "sym", "A", "B"))
     if which == "as":
-        return pre
-    return IntegerLattice(sp.rank, safe_matmul(pre.basis, sp.dprime2().basis))
+        return kernel_lattice(t.T, mod2=True)
+    if which == "sym":
+        basis = sp.dprime2().basis
+    else:
+        basis = sp.filtration(0, which).basis
+        t = safe_matmul(basis, t)
+    coeffs = kernel_lattice(t.T, mod2=which == "sym")
+    return IntegerLattice(sp.rank, safe_matmul(coeffs.basis, basis))
 
 
-def ker_tr_as(sp: DerivationSpace) -> IntegerLattice:
-    """Kernel of tr_as inside D_2."""
-    return _gf2_kernel(sp, "as")
+def _traces_of(sp: DerivationSpace, which: str, names) -> np.ndarray:
+    """``_basis_traces`` of a trace among the names; any other name raises."""
+    if which not in names:
+        raise ValueError(f"{which!r} is not one of the traces {names}")
+    return _basis_traces(sp, which)
 
 
-def ker_tr_sym(sp: DerivationSpace) -> IntegerLattice:
-    """Kernel of tr_sym inside D_2'."""
-    return _gf2_kernel(sp, "sym")
-
-
-@cached
-def _side_kernel(sp: DerivationSpace, side: str) -> IntegerLattice:
-    f0 = sp.filtration(0, side)
-    coeff = kernel_lattice(safe_matmul(f0.basis, _basis_traces(sp, side)).T)
-    return IntegerLattice(sp.rank, safe_matmul(coeff.basis, f0.basis))
-
-
-def ker_tr_A(sp: DerivationSpace) -> IntegerLattice:
-    """Kernel of tr_A inside filtration level 0."""
-    return _side_kernel(sp, "A")
-
-
-def ker_tr_B(sp: DerivationSpace) -> IntegerLattice:
-    return _side_kernel(sp, "B")
-
-
-# -- image ranks over GF(2) -------------------------------------------------
-
-def _image_rank(sp: DerivationSpace, which: str) -> int:
-    """GF(2) rank of the trace rows, each packed into one int."""
-    packed = np.packbits(_basis_traces(sp, which).astype(np.uint8), axis=1)
-    return GF2Matrix([int.from_bytes(r.tobytes(), "big")
-                      for r in packed]).rank()
-
-
-def image_rank_as(sp: DerivationSpace) -> int:
-    return _image_rank(sp, "as")
-
-
-def image_rank_sym(sp: DerivationSpace) -> int:
-    return _image_rank(sp, "sym")
+def image_rank(sp: DerivationSpace, which: str) -> int:
+    """GF(2) rank of the image of tr_as ("as") or tr_sym ("sym"): that of
+    the trace rows, each packed into one int."""
+    rows = _traces_of(sp, which, ("as", "sym"))
+    packed = np.packbits(rows.astype(np.uint8), axis=1)
+    return gf2_rank(int.from_bytes(r.tobytes(), "big") for r in packed)
 
 
 def image_in_omega_kernel(sp: DerivationSpace, which: str) -> bool:
     """Whether every trace row pairs evenly with the functional omega mod 2
     on S^2(H/2H) ("sym") or Lambda^2(H/2H) ("as"): J's entries at the
     pairs i <= j or i < j."""
+    rows = _traces_of(sp, which, ("as", "sym"))
     k = 1 if which == "as" else 0
     func = iota_matrix(sp.g)[np.triu_indices(sp.ctx.n, k)][:, None]
-    return not (safe_matmul(_basis_traces(sp, which), func) % 2).any()
+    return not (safe_matmul(rows, func) % 2).any()

@@ -113,7 +113,7 @@ def test_basis_tripod_counts():
 def test_realizable_catalog_genus2():
     sp = space(2)
     entries = realizable_catalog_A(sp)
-    ker = traces.ker_tr_A(sp).intersection(traces.ker_tr_as(sp))
+    ker = traces.kernel(sp, "A").intersection(traces.kernel(sp, "as"))
     lat = catalog_lattice(sp, entries)
     assert lat.rank == 13
     assert ker.rank == 16
@@ -132,7 +132,7 @@ def test_realizable_entries_are_kernel_elements():
 
 def test_johnson_catalog_spans_as_kernel():
     sp = space(2)
-    ker = traces.ker_tr_as(sp)
+    ker = traces.kernel(sp, "as")
     two = catalog_lattice(sp, johnson_catalog(sp))
     assert two.rank == 19  # two-term colors stop one short at genus 2
     three = catalog_lattice(sp, johnson_catalog(sp, three_term=True))
@@ -458,7 +458,7 @@ def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):
     # rows not yet in it reach an HNF, so the HNFs see fewer rows than the
     # stream held
     sp = space(3)
-    ker = traces.ker_tr_as(sp)
+    ker = traces.kernel(sp, "as")
     total = sum(map(len, johnson_catalog(sp)))
     reduced = []
     real = intlin.hermite_normal_form

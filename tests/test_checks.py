@@ -391,8 +391,8 @@ def test_cached_values_are_read_only():
     assert catalogs.goeritz_symmetries(2) is catalogs.goeritz_symmetries(2)
     assert isinstance(catalogs.goeritz_symmetries(2), tuple)
     lattices = [sp.d2(), sp.dprime2(), sp.ker_projection(),
-                traces.ker_tr_as(sp), traces.ker_tr_sym(sp),
-                traces.ker_tr_A(sp), traces.ker_tr_B(sp),
+                traces.kernel(sp, "as"), traces.kernel(sp, "sym"),
+                traces.kernel(sp, "A"), traces.kernel(sp, "B"),
                 checks._double_kernel(2)]
     lattices += [sp.filtration(k, side) for k in range(-1, 4) for side in "AB"]
     for a in arrays + [lat.basis for lat in lattices]:

@@ -388,8 +388,8 @@ def test_kept_bases_and_coordinates_are_int8_and_read_only(g):
     sp = space(g)
     kept = {"d2": sp.d2().basis, "gen_coords": sp.gen_coords(),
             "filtration(-1)": sp.filtration(-1).basis,
-            "ker_tr_as": traces.ker_tr_as(sp).basis,
-            "ker_tr_A": traces.ker_tr_A(sp).basis,
+            "ker_tr_as": traces.kernel(sp, "as").basis,
+            "ker_tr_A": traces.kernel(sp, "A").basis,
             "double_kernel": checks._double_kernel(g).basis}
     for name, trees in [("full", False), ("tree", True)]:
         span, trans = sp.generator_span(trees)

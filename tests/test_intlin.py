@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sympderiv import intlin
-from sympderiv.intlin import (GF2Matrix, IntegerLattice, NotSublatticeError,
+from sympderiv.intlin import (IntegerLattice, NotSublatticeError, gf2_rank,
                               hermite_normal_form, kernel_lattice, left_kernel,
                               safe_matmul, solve_over_hnf)
 
@@ -144,10 +144,10 @@ def test_lattice_equality_ignores_generator_choice():
 
 
 def test_gf2_rank():
-    assert GF2Matrix([0b101, 0b110, 0b011]).rank() == 2
-    assert GF2Matrix([0b001, 0b010, 0b100]).rank() == 3
-    assert GF2Matrix([0, 0b110, 0b110, 0]).rank() == 1
-    assert GF2Matrix([]).rank() == 0
+    assert gf2_rank([0b101, 0b110, 0b011]) == 2
+    assert gf2_rank([0b001, 0b010, 0b100]) == 3
+    assert gf2_rank([0, 0b110, 0b110, 0]) == 1
+    assert gf2_rank([]) == 0
 
 
 def test_gf2_rank_matches_sympy():
@@ -161,7 +161,48 @@ def test_gf2_rank_matches_sympy():
             rows = [sum(1 << j for j in np.flatnonzero(row)) for row in m]
             ref = DomainMatrix([[GF(2)(int(x)) for x in row] for row in m],
                                shape, GF(2)).rank()
-            assert GF2Matrix(rows).rank() == ref
+            assert gf2_rank(rows) == ref
+
+
+def test_mod2_kernel_against_sympy():
+    """{v : t @ v == 0 mod 2} for random t, some with entries past int64:
+    every basis row lies in it, so does 2Z^n, its stored basis is its HNF
+    in int8, and its index in Z^n is 2 to the GF(2) rank of t."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+    rng = np.random.default_rng(30)
+    for shape in [(1, 1), (3, 7), (8, 5), (6, 6), (4, 12)]:
+        for wide in (False, True):
+            t = random_matrix(rng, shape).astype(object)
+            if wide:
+                t[0] += 2 ** 64  # past int64, same parities
+                t[-1, -1] += 2 ** 63 + 1  # past int64, parity flipped
+            n = shape[1]
+            k = kernel_lattice(t, mod2=True)
+            assert k.ambient_dim == n
+            assert not (safe_matmul(t, k.basis.T) % 2).any()
+            assert k.contains_rows(2 * np.eye(n, dtype=np.int64)).all()
+            assert k.basis.dtype == np.int8 and IntegerLattice(n, k.basis) == k
+            rank = DomainMatrix([[GF(2)(int(x)) for x in row] for row in t],
+                                shape, GF(2)).rank()
+            whole = IntegerLattice(n, np.eye(n, dtype=np.int8), canonical=True)
+            assert whole.index(k) == 2 ** rank
+
+
+@pytest.mark.parametrize("a_shape, b_shape, sparse", [
+    ((20, 3), (10, 1), "left"), ((40, 10), (3, 20), "right"),
+    ((4, 5), (6, 3), "neither")],
+    ids=["sparse-left", "sparse-right", "einsum"])
+def test_safe_matmul_rejects_misaligned_operands(a_shape, b_shape, sparse):
+    """Operands whose inner dimensions differ raise on each path: over the
+    nonzeros of a sparse left operand, of a sparse right one, and through
+    the einsum when neither is sparse."""
+    a = np.zeros(a_shape, dtype=np.int64) + (sparse != "left")
+    b = np.zeros(b_shape, dtype=np.int64) + (sparse != "right")
+    a[0, 0] = b[0, 0] = 1
+    with pytest.raises(ValueError, match="cannot multiply"):
+        safe_matmul(a, b)
 
 
 def test_safe_matmul_wide_entries():

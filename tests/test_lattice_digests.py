@@ -35,12 +35,12 @@ def coordinate_lattices(g):
     sp = space(g)
     double = checks._double_kernel(g)
     return {
-        "ker_tr_as": traces.ker_tr_as(sp),
-        "ker_tr_sym": traces.ker_tr_sym(sp),
-        "ker_tr_A": traces.ker_tr_A(sp),
-        "ker_tr_B": traces.ker_tr_B(sp),
+        "ker_tr_as": traces.kernel(sp, "as"),
+        "ker_tr_sym": traces.kernel(sp, "sym"),
+        "ker_tr_A": traces.kernel(sp, "A"),
+        "ker_tr_B": traces.kernel(sp, "B"),
         "double_kernel": double,
-        "triple_kernel": double.intersection(traces.ker_tr_B(sp)),
+        "triple_kernel": double.intersection(traces.kernel(sp, "B")),
         "filtration_0_A": sp.filtration(0, "A"),
         "filtration_0_B": sp.filtration(0, "B"),
         "ker_projection_A": sp.ker_projection(),

@@ -77,10 +77,8 @@ def tr_B(sp, rows):
 @pytest.mark.parametrize("g", [2, 3])
 def test_mod2_images_fill_omega_kernels(g):
     sp = space(g)
-    assert traces.image_rank_sym(sp) == traces.omega_kernel_dim_sym(g) \
-        == (g + 1) * (2 * g - 1)
-    assert traces.image_rank_as(sp) == traces.omega_kernel_dim_ext(g) \
-        == (g - 1) * (2 * g + 1)
+    assert traces.image_rank(sp, "sym") == (g + 1) * (2 * g - 1)
+    assert traces.image_rank(sp, "as") == (g - 1) * (2 * g + 1)
     assert traces.image_in_omega_kernel(sp, "sym")
     assert traces.image_in_omega_kernel(sp, "as")
 
@@ -88,9 +86,22 @@ def test_mod2_images_fill_omega_kernels(g):
 def test_kernel_indices_match_image_sizes():
     sp = space(2)
     d2 = sp.filtration(-1)  # all of D_2, in its coordinates
-    assert d2.index(traces.ker_tr_as(sp)) == 2 ** traces.image_rank_as(sp)
-    assert sp.dprime2().index(traces.ker_tr_sym(sp)) \
-        == 2 ** traces.image_rank_sym(sp)
+    assert d2.index(traces.kernel(sp, "as")) \
+        == 2 ** traces.image_rank(sp, "as")
+    assert sp.dprime2().index(traces.kernel(sp, "sym")) \
+        == 2 ** traces.image_rank(sp, "sym")
+
+
+@pytest.mark.parametrize("fn, which", [
+    *((traces.kernel, w) for w in ("", "a", "b", "AB", "tr_as", "x")),
+    *((traces.image_rank, w) for w in ("A", "B", "", "x")),
+    *((traces.image_in_omega_kernel, w) for w in ("A", "B", "", "x"))],
+    ids=lambda arg: getattr(arg, "__name__", repr(arg)))
+def test_unknown_trace_names_raise(fn, which):
+    """kernel knows as, sym, A and B; image_rank and image_in_omega_kernel
+    only the mod-2 traces as and sym; any other name raises."""
+    with pytest.raises(ValueError, match="is not one of the traces"):
+        fn(space(2), which)
 
 
 def test_tr_as_on_generators():
@@ -229,9 +240,9 @@ def test_tr_A_additive():
 
 def test_integer_kernels_sit_inside_mod2_kernels():
     sp = space(2)
-    ka = traces.ker_tr_A(sp)
+    ka = traces.kernel(sp, "A")
     assert not traces.tr_A(sp, ka.basis[:6]).any()
-    kas = traces.ker_tr_as(sp)
+    kas = traces.kernel(sp, "as")
     as_rows = traces.tr_as(sp, kas.basis[:6])
     assert as_rows.shape == (6, len(ext2_pairs(4))) and not as_rows.any()
 
