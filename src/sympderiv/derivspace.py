@@ -11,8 +11,12 @@ every per-generator map reads the leaf table ``DerivationSpace.leaves``,
 and ``generators`` only names them.
 
 D_2 itself, the bracket-map kernel, is the one degree-2 lattice held in
-ambient H (x) L_3 coordinates; the bracket map is read at the Lyndon words
-of length 4 (``bracket_word_matrix``), which keeps its kernel.  Every other
+ambient H (x) L_3 coordinates.  The map is block-diagonal by the letter
+multiset of a column, each block a genus-2 block with its letters renamed
+in order, so its kernel's HNF basis is the genus-2 kernel's rows renamed
+into every set of at most 4 letters and sorted by pivot
+(``_bracket_kernel``); the map itself, read at the Lyndon words of length
+4 (``bracket_word_matrix``), is only ever built at genus 2.  Every other
 degree-2 element and lattice, D_2', the filtrations and the projection
 kernel among them (a kernel of D_2's basis read at the coordinates that
 killing A keeps), lives in Z^r, r = rank D_2, over D_2's HNF basis
@@ -114,7 +118,49 @@ class DerivationSpace:
     # -- main lattices ----------------------------------------------------
     @cached
     def _bracket_kernel(self) -> IntegerLattice:
-        return kernel_lattice(self.ctx.bracket_word_matrix())
+        """The kernel of the bracket map: the rows of the genus-2 kernel
+        whose letters are exactly 0..k-1, the templates, each renamed by
+        every increasing map of 0..k-1 into the letters, sorted by pivot.
+
+        The map keeps each column's letter multiset, its content, so it is
+        block-diagonal by content, and its kernel's HNF is the union of the
+        blocks' HNFs sorted by pivot: blocks have disjoint supports.  An
+        increasing renaming maps Lyndon words to Lyndon words and commutes
+        with standard bracketing (Reutenauer, Free Lie Algebras, ch. 5), so
+        it maps the block of a content over 0..k-1 onto the block of the
+        renamed content; it keeps the order of the columns (x, w_1, w_2,
+        w_3), as ``lyndon(3)`` is sorted, so it maps HNF rows to HNF rows.
+        A content has at most 4 letters, so every block is a renamed
+        genus-2 block, once."""
+        small, n, d = context(2), self.ctx.n, self.ctx.dim(3)
+        kernel = kernel_lattice(small.bracket_word_matrix()).basis
+        # its nonzeros row by row, and their letters (x, w_1, w_2, w_3),
+        # which every nonzero of a row shares
+        row, col = nonzeros(kernel)
+        val = kernel[row, col]
+        x, i = np.divmod(col, small.dim(3))
+        letters = np.column_stack([x, np.array(small.lyndon(3))[i]])
+        ordered = np.sort(letters, axis=1)
+        size = ordered[:, -1] + 1  # k, when the letters are 0..k-1
+        template = (np.diff(ordered, axis=1) != 0).sum(axis=1) + 1 == size
+        base = n ** np.arange(2, -1, -1)
+        place = np.zeros(n ** 3, dtype=np.intp)  # word code -> Lyndon index
+        place[np.array(self.ctx.lyndon(3)) @ base] = np.arange(d)
+        cols, vals, pivots = [], [], []
+        for k in range(2, 5):
+            sel = template & (size == k)
+            at = np.searchsorted(row[sel], row[sel])  # its row's first nonzero
+            named = np.array(list(itertools.combinations(range(n), k)))[
+                :, letters[sel]]
+            new = named[..., 0] * d + place[named[..., 1:] @ base]
+            cols.append(new.ravel())
+            vals.append(np.broadcast_to(val[sel], new.shape).ravel())
+            pivots.append(new[:, at].ravel())
+        # the row of a nonzero is the place of its pivot among the pivots
+        heads, rows = np.unique(np.concatenate(pivots), return_inverse=True)
+        basis = np.zeros((len(heads), self.ambient_dim), dtype=kernel.dtype)
+        basis[rows, np.concatenate(cols)] = np.concatenate(vals)
+        return IntegerLattice(self.ambient_dim, basis, canonical=True)
 
     def _expansions(self):
         """The generators in H (x) L_3, sparsely: keys generator *

@@ -9,7 +9,8 @@ coordinates are one exact product against those tables.  The bracket map
 H (x) L_3 -> L_4 is read instead at the Lyndon words of T_4, with no
 degree-4 table: the Lyndon-word block of the bracketings' expansions is
 unitriangular (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, 5.1), so
-that reading is injective on L_4.  Killing a Lagrangian of H is a
+that reading is injective on L_4; D_2 reads it at genus 2 only and renames
+its kernel's letters for every other genus.  Killing a Lagrangian of H is a
 selection of degree-3 Lyndon coordinates (``avoiding``), with no quotient
 alphabet.  Every array function takes stacks, one row per element.
 """
@@ -189,7 +190,9 @@ class SymplecticContext:
         Lyndon-word block of the degree-4 expansions, so it has the same
         kernel.  Words are base-n codes, shifted by one letter for x P and
         P x.  An entry sums at most two expansion terms (x w = w' x), each
-        at most 2, so the matrix is int8."""
+        at most 2, so the matrix is int8.  It keeps each column's letter
+        multiset, so it is block-diagonal by that multiset; D_2 reads it at
+        genus 2 alone (``DerivationSpace._bracket_kernel``)."""
         n, d = self.n, self.dim(3)
         terms = [(i, (a * n + b) * n + c, coeff)
                  for i, w in enumerate(self.lyndon(3))

@@ -281,6 +281,19 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
     return coeffs, solved
 
 
+def _rows_of_width(rows, width: int) -> np.ndarray:
+    """A stack of rows in Z^width as ``as_int_matrix`` reads it, an empty
+    sequence as no rows: the one width check of every lattice's rows, which
+    raises ValueError naming both widths."""
+    shape = np.shape(rows)
+    if len(shape) == 2 and shape[1] != width:
+        raise ValueError(f"rows of width {shape[1]} for a lattice in "
+                         f"Z^{width}")
+    if shape[:1] == (0,):
+        return np.zeros((0, width), dtype=np.int8)
+    return as_int_matrix(rows)
+
+
 def _pivot_cols(basis: np.ndarray) -> np.ndarray:
     """Column of the first nonzero entry of each row (rows are nonzero)."""
     if basis.size == 0:
@@ -296,12 +309,11 @@ class IntegerLattice:
 
     def __init__(self, ambient_dim: int, generators=None, canonical: bool = False):
         self.ambient_dim = ambient_dim
-        if generators is None or len(generators) == 0:
+        g = _rows_of_width([] if generators is None else generators,
+                           ambient_dim)
+        if len(g) == 0:
             basis = np.zeros((0, ambient_dim), dtype=np.int8)
         else:
-            g = as_int_matrix(generators)
-            if g.shape[1] != ambient_dim:
-                raise ValueError("generator length != ambient dimension")
             basis = g if canonical else _nonzero_rows(hermite_normal_form(g))
         # a read-only view, so that a caller's own array stays writable
         self.basis = basis.view()
@@ -312,10 +324,14 @@ class IntegerLattice:
     def rank(self) -> int:
         return self.basis.shape[0]
 
+    def _solve(self, rows):
+        return solve_over_hnf(self.basis, self._pivots,
+                              _rows_of_width(rows, self.ambient_dim))
+
     def membership(self, rows):
         """Integer coefficients of each row of a stack over the stored
         basis, or None if some row is outside."""
-        coeffs, solved = solve_over_hnf(self.basis, self._pivots, rows)
+        coeffs, solved = self._solve(rows)
         return coeffs if solved.all() else None
 
     def __contains__(self, v) -> bool:
@@ -324,7 +340,7 @@ class IntegerLattice:
 
     def contains_rows(self, rows) -> np.ndarray:
         """Boolean mask of the rows of a stack that lie in the lattice."""
-        return solve_over_hnf(self.basis, self._pivots, rows)[1]
+        return self._solve(rows)[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerLattice):
@@ -344,8 +360,8 @@ class IntegerLattice:
     def sum(self, rows) -> "IntegerLattice":
         """The span of the lattice and a stack of rows: one HNF of the
         basis stacked on them."""
-        return IntegerLattice(self.ambient_dim,
-                              np.vstack([self.basis, rows]))
+        return IntegerLattice(self.ambient_dim, np.vstack(
+            [self.basis, _rows_of_width(rows, self.ambient_dim)]))
 
     def intersection(self, other: "IntegerLattice") -> "IntegerLattice":
         """Zassenhaus: the HNF of [[A, A], [B, 0]] spans the pairs

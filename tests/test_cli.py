@@ -112,13 +112,15 @@ def test_verify_loads_neither_numpy_random_nor_openssl(g):
     """Checks draw from Python's random, so a whole run adds neither
     numpy's random module nor OpenSSL, through secrets and hashlib, to
     what importing numpy loads (numpy 1.x loads its random module on
-    import, numpy 2 only on first use).  Nor does a run load fractions."""
+    import, numpy 2 only on first use).  Nor does a run load fractions, or
+    numpy.ma, which a plain ``np.unique(x)`` imports."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
             "import numpy\n"
-            "watched = {'numpy.random', 'secrets', '_hashlib', 'fractions'}\n"
+            "watched = {'numpy.random', 'secrets', '_hashlib', 'fractions',\n"
+            "           'numpy.ma'}\n"
             "before = watched & set(sys.modules)\n"
             "from sympderiv.cli import main\n"
             f"assert main(['--all', '--genus', '{g}']) == 0\n"

@@ -66,6 +66,61 @@ def test_d2_is_the_kernel_in_lyndon_coordinates(g):
     assert ref == kernel_lattice(sp.ctx.bracket_word_matrix()) == sp.d2()
 
 
+def content_blocks(ctx):
+    """The rows and the columns of ``bracket_word_matrix`` by their letter
+    multiset, as sorted tuples: for each multiset, the indices of its rows
+    (Lyndon words of length 4) and of its columns (x, w), in order."""
+    rows, cols = {}, {}
+    for i, w in enumerate(ctx.lyndon(4)):
+        rows.setdefault(tuple(sorted(w)), []).append(i)
+    for j, (x, w) in enumerate(itertools.product(range(ctx.n), ctx.lyndon(3))):
+        cols.setdefault(tuple(sorted((x,) + w)), []).append(j)
+    return rows, cols
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_bracket_map_blocks_are_renamed_genus_2_blocks(g):
+    # the premise of D_2's build: the map keeps each column's letter
+    # multiset, and the block of a multiset is the genus-2 block of the
+    # multiset with its letters renamed in order, rows and columns in order
+    ctx, small = space(g).ctx, space(2).ctx
+    m, m2 = ctx.bracket_word_matrix(), small.bracket_word_matrix()
+    rows, cols = content_blocks(ctx)
+    rows2, cols2 = content_blocks(small)
+    columns = list(itertools.product(range(ctx.n), ctx.lyndon(3)))
+    columns2 = list(itertools.product(range(small.n), small.lyndon(3)))
+    inside = 0
+    for content, c in cols.items():
+        letters = sorted(set(content))
+        at = {a: i for i, a in enumerate(letters)}
+        renamed = tuple(at[a] for a in content)
+        r, r2, c2 = rows.get(content, []), rows2.get(renamed, []), cols2[renamed]
+        assert [tuple(letters[a] for a in small.lyndon(4)[i]) for i in r2] \
+            == [ctx.lyndon(4)[i] for i in r]
+        assert [(letters[x], tuple(letters[a] for a in w))
+                for x, w in (columns2[j] for j in c2)] == [columns[j] for j in c]
+        block = m[np.ix_(r, c)]
+        assert np.array_equal(block, m2[np.ix_(r2, c2)])
+        inside += np.count_nonzero(block)
+    assert inside == np.count_nonzero(m)
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_d2_reads_the_bracket_map_at_genus_2_only(monkeypatch, g):
+    # on a fresh space, so that nothing of the kernel is cached
+    read = []
+    word_matrix = SymplecticContext.bracket_word_matrix
+
+    def spy(self):
+        read.append(self.g)
+        return word_matrix(self)
+
+    monkeypatch.setattr(SymplecticContext, "bracket_word_matrix", spy)
+    sp = derivspace.DerivationSpace(g)
+    assert sp.d2() == space(g).d2()
+    assert read == [2]
+
+
 def test_d2_never_asks_for_degree_4_structure_constants(monkeypatch):
     # on a fresh context, so that no table is cached: building D_2 and the
     # generator coordinates asks for no bracket or table into degree 4

@@ -98,6 +98,27 @@ def test_lattice_membership_and_index():
         lat.index(full)
 
 
+LINE = IntegerLattice(3, [[1, 0, 0]])
+
+
+@pytest.mark.parametrize("call, width, ambient", [
+    (lambda: LINE.contains_rows([[0]]), 1, 3),
+    (lambda: LINE.contains_rows([[1, 0, 0, 0]]), 4, 3),
+    (lambda: LINE.membership([[1, 0]]), 2, 3),
+    (lambda: [1, 0] in LINE, 2, 3),
+    (lambda: LINE.sum([[1, 0]]), 2, 3),
+    (lambda: IntegerLattice(3, [[1, 0]]), 2, 3),
+    (lambda: IntegerLattice(3, [[1, 0]], canonical=True), 2, 3),
+    (lambda: IntegerLattice(5, np.zeros((0, 3))), 3, 5),
+], ids=["contains-narrower", "contains-wider", "membership", "in", "sum",
+        "generators", "canonical", "empty-generators"])
+def test_rows_of_another_width_raise(call, width, ambient):
+    # unchecked, a one-column stack would broadcast against the check
+    # product, and no rows of width 3 would read as the zero lattice of Z^5
+    with pytest.raises(ValueError, match=rf"width {width} .*Z\^{ambient}"):
+        call()
+
+
 def test_as_int_matrix_reads_ints_exactly_and_rejects_floats():
     # numpy reads 2^63 + 1 in a nested list as a float64, whose int64 cast
     # is wrong; the lattice keeps it exactly, in object dtype
