@@ -414,15 +414,13 @@ def goeritz_tau1_lattice(sp: DerivationSpace):
         tripods.index((0, sp.g, sp.g + 1))]
     lat = orbit_closure([seed], [_tripod_action(sp, m)
                                  for m in goeritz_symmetries(sp.g)])
-    e = np.eye(sp.ctx.n, dtype=np.int64)
     return IntegerLattice(2 * sp.g * sp.ctx.dim(2), safe_matmul(
-        lat.basis, eta1(sp.ctx, *e[np.array(tripods).T])))
+        lat.basis, eta1(sp.ctx, *np.array(tripods).T)))
 
 
 def mixed_wedge_lattice(sp: DerivationSpace):
     """Span of the degree-1 tripods with at least one leaf on each side."""
-    e = np.eye(sp.ctx.n, dtype=np.int64)
-    leaves = e[np.array(basis_tripods(sp.g, "mixed")).T]
+    leaves = np.array(basis_tripods(sp.g, "mixed")).T
     return IntegerLattice(2 * sp.g * sp.ctx.dim(2), eta1(sp.ctx, *leaves))
 
 

@@ -184,11 +184,10 @@ def _check_well_definedness(g, seed):
     # ambient IHX on every basis coloring, a block at a time: the three
     # plantings of the 4-leaf tree expand to a zero sum
     colorings = np.indices((2 * g,) * 4).reshape(4, -1).T
-    eye = np.eye(2 * g, dtype=np.int64)
     ihx_ok = 0
     for start in range(0, len(colorings), IHX_BLOCK):
         block = colorings[start:start + IHX_BLOCK]
-        p, q, r, s = eye[block.T]
+        p, q, r, s = block.T
         nonzero = (trees.eta2(ctx, p, q, r, s) + trees.eta2(ctx, q, r, p, s)
                    + trees.eta2(ctx, r, p, q, s)).any(axis=1)
         failures += [("ihx-ambient", tuple(map(int, block[i])))
@@ -218,13 +217,13 @@ def _check_well_definedness(g, seed):
 
 def _check_levine(g, seed):
     sp = space(g)
-    a, b = np.split(np.eye(2 * g, dtype=np.int64), 2)
     # one eta2 stack: the rows (a_i, b_j | b_j, b_i) for every i != j, then
-    # the rows (a_k, b_i | b_j, b_k) for every (i, j) and k != j
+    # the rows (a_k, b_i | b_j, b_k) for every (i, j) and k != j; letter
+    # a_i is i and b_i is g + i
     i, j = np.nonzero(~np.eye(g, dtype=bool))
     at, k = np.nonzero(np.arange(g) != j[:, None])
-    rows = trees.eta2(sp.ctx, a[np.r_[i, k]], b[np.r_[j, i[at]]],
-                      b[np.r_[j, j[at]]], b[np.r_[i, k]])
+    rows = trees.eta2(sp.ctx, np.r_[i, k], g + np.r_[j, i[at]],
+                      g + np.r_[j, j[at]], g + np.r_[i, k])
     # per (i, j), in loop order: the one-handle element, then the two-handle
     # elements, each the sum of the rows of k and k2, k <= k2 (both != j)
     one, by_k = np.split(rows, [len(i)])

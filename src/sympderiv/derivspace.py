@@ -8,7 +8,9 @@ Generators of D_2(H) follow the tree/symmetric-half presentation: one
 (.)-generator per basis pair P = (p,q), then one tree generator per
 unordered pair of basis pairs P <= Q.  Their format is decided here alone:
 every per-generator map reads the leaf table ``DerivationSpace.leaves``,
-and ``generators`` only names them.
+and ``generators`` only names them.  Their values in H (x) L_3 are the
+H-tree expansion of that table, from letter indices (``trees.eta2_terms``),
+with the rows of the (.)-generators halved.
 
 D_2 itself, the bracket-map kernel, is the one degree-2 lattice held in
 ambient H (x) L_3 coordinates.  The map is block-diagonal by the letter
@@ -41,7 +43,8 @@ import numpy as np
 from .freelie import context
 from .intlin import (IntegerLattice, cached, fits_int64,
                      hermite_normal_form, kernel_lattice, max_abs, narrowed,
-                     nonzeros, safe_matmul)
+                     nonzeros)
+from .trees import eta2_terms
 
 
 class MembershipError(ValueError):
@@ -99,10 +102,7 @@ class DerivationSpace:
         pairs = np.array(self.pairs)
         m = len(pairs)
         # the index of basis pair {p, q} at [p, q] and at [q, p], read-only
-        self.pair_index = np.zeros((n, n), dtype=np.intp)
-        p, q = pairs.T
-        self.pair_index[p, q] = self.pair_index[q, p] = np.arange(m)
-        self.pair_index.setflags(write=False)
+        self.pair_index = self.ctx.pair_index()
         i, j = np.triu_indices(m)  # the order of the tree generators
         self.generators: list[tuple] = (
             [("odot", p) for p in self.pairs]
@@ -165,28 +165,21 @@ class DerivationSpace:
     def _expansions(self):
         """The generators in H (x) L_3, sparsely: keys generator *
         ambient_dim + column of their nonzeros, in order, and the values.
-        eta2(a, b | c, d) = a (x) [b, [c, d]] - b (x) [a, [c, d]]
-        + c (x) [d, [a, b]] - d (x) [c, [a, b]], and p (.) q is its first two
-        terms at (p, q, p, q).  The letters of a pair increase, so [c, d]
-        and [a, b] are Lyndon words and each term is one row of
-        ``bracket_table(1, 2)`` in the block of its first letter."""
+        They are eta2 of the leaf table, each term a signed row of
+        ``bracket_table(1, 2)`` in one block (``trees.eta2_terms``), with
+        the rows of the (.)-generators halved: eta2(p, q | p, q) is twice
+        its first two terms, which are p (.) q."""
         ctx, ambient = self.ctx, self.ambient_dim
-        d3, m = ctx.dim(3), len(self.pairs)
         table = ctx.bracket_table(1, 2)
-        a, b, c, d = self.leaves.T
-        gen = np.arange(len(self.leaves))
-        ab, cd = self.pair_index[a, b], self.pair_index[c, d]
-        tree = slice(m, None)  # the last two terms of the trees only
         keys, vals = [], []
-        for at, x, y, inner, sign in (
-                (gen, a, b, cd, 1), (gen, b, a, cd, -1),
-                (gen[tree], c[tree], d[tree], ab[tree], 1),
-                (gen[tree], d[tree], c[tree], ab[tree], -1)):
-            block = table[y, inner]
-            k, col = nonzeros(block)
-            keys.append(at[k] * ambient + x[k] * d3 + col)
-            vals.append(sign * block[k, col].astype(np.int64))
-        return _summed(np.concatenate(keys), np.concatenate(vals))
+        for x, y, word, sign in eta2_terms(ctx, *self.leaves.T):
+            block = table[y, word]
+            gen, col = nonzeros(block)
+            keys.append(gen * ambient + x[gen] * ctx.dim(3) + col)
+            vals.append(sign[gen] * block[gen, col].astype(np.int64))
+        keys, vals = _summed(np.concatenate(keys), np.concatenate(vals))
+        vals[keys < len(self.pairs) * ambient] //= 2
+        return keys, vals
 
     @cached
     def gen_coords(self) -> np.ndarray:
@@ -282,10 +275,14 @@ class DerivationSpace:
     @cached
     def d2(self) -> IntegerLattice:
         """The kernel of the bracket map H (x) L_3 -> L_4, checked to be the
-        span of the generators: their coordinates span all of Z^r."""
+        span of the generators: their coordinates span all of Z^r, as the
+        HNF basis of their span is the r x r identity, r ones on the
+        diagonal and no other nonzero."""
         ker = self._bracket_kernel()
-        if not np.array_equal(self.generator_span(False)[0].basis,
-                              np.eye(ker.rank, dtype=np.int64)):
+        span = self.generator_span(False)[0].basis
+        if not (span.shape == (ker.rank, ker.rank)
+                and np.count_nonzero(span) == ker.rank
+                and (np.diagonal(span) == 1).all()):
             raise InconsistencyError(
                 "generator span differs from the bracket-map kernel")
         return ker

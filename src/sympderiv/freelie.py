@@ -125,6 +125,16 @@ class SymplecticContext:
         return len(self.lyndon(k))
 
     @cached
+    def pair_index(self) -> np.ndarray:
+        """The index in ``lyndon(2)`` of the word of letters {p, q}, p != q,
+        at [p, q] and at [q, p]; read-only.  [p, q] is the bracketing of
+        that word for p < q, and minus it for p > q."""
+        p, q = np.array(self.lyndon(2)).T
+        index = np.zeros((self.n, self.n), dtype=np.intp)
+        index[p, q] = index[q, p] = np.arange(len(p))
+        return index
+
+    @cached
     def bracketing_tensor(self, w: tuple[int, ...]) -> dict:
         """Tensor expansion of the standard bracketing of a Lyndon word."""
         if len(w) == 1:

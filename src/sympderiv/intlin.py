@@ -95,8 +95,15 @@ def cached(fn):
 
 def nonzeros(a: np.ndarray):
     """Row and column indices of the nonzeros of a 2-d array, in row-major
-    order (much faster than a 2-d ``np.nonzero``)."""
-    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
+    order (much faster than a 2-d ``np.nonzero``).  The mask of nonzeros is
+    formed a block of rows of about 2**16 entries at a time, so none the
+    size of a large array is held; ``np.flatnonzero`` of an int8 array with
+    no mask is 6x slower."""
+    width = max(1, a.shape[1])
+    step = max(1, 2 ** 16 // width)
+    flat = [np.flatnonzero(a[i:i + step] != 0) + i * width
+            for i in range(0, max(1, len(a)), step)]
+    return np.divmod(np.concatenate(flat), width)
 
 
 def hermite_normal_form(m, transform: bool = False):
@@ -168,35 +175,53 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
                 if k < ncols:
                     cols[k].add(t)
 
+    def swap_in(t):
+        """Move row t to position r."""
+        top = order[r]
+        order[r], order[pos[t]] = t, top
+        pos[top], pos[t] = pos[t], r
+
+    def make_positive(row):
+        """Negate the row if its entry in column c is negative."""
+        if row[c] < 0:
+            for k in row:
+                row[k] = -row[k]
+
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
+        if len(cols[c]) == 1:
+            # one row holds column c: at or below position r it is the
+            # pivot, with no row above to reduce; above r, c is no pivot
+            # column
+            (t,) = cols[c]
+            if pos[t] >= r:
+                swap_in(t)
+                make_positive(rows[t])
+                r += 1
+            continue
         # Euclidean reduction of column c below position r.
         while True:
             live = [t for t in cols[c] if pos[t] >= r]
             if not live:
                 break
-            piv = min(live, key=lambda t: (abs(rows[t][c]), len(rows[t]),
-                                           pos[t]))
-            if pos[piv] != r:
-                top = order[r]
-                order[r], order[pos[piv]] = piv, top
-                pos[top], pos[piv] = pos[piv], r
+            piv = live[0] if len(live) == 1 else min(
+                live, key=lambda t: (abs(rows[t][c]), len(rows[t]), pos[t]))
+            swap_in(piv)
             live.remove(piv)
             if not live:
                 break
             p = rows[piv][c]
             for t in live:
                 subtract(t, rows[t][c] // p, piv)
-            if not any(c in rows[t] for t in live):
+            # a pivot +-1 leaves no remainder
+            if p in (1, -1) or not any(c in rows[t] for t in live):
                 break
         prow = rows[order[r]]
         if c not in prow:
             continue
-        if prow[c] < 0:
-            for k in prow:
-                prow[k] = -prow[k]
+        make_positive(prow)
         p = prow[c]
         for t in [t for t in cols[c] if pos[t] < r]:
             q = rows[t][c] // p
@@ -295,10 +320,10 @@ def _rows_of_width(rows, width: int) -> np.ndarray:
 
 
 def _pivot_cols(basis: np.ndarray) -> np.ndarray:
-    """Column of the first nonzero entry of each row (rows are nonzero)."""
-    if basis.size == 0:
-        return np.zeros(len(basis), dtype=np.intp)
-    return np.argmax(basis != 0, axis=1)
+    """Column of the first nonzero entry of each row (rows are nonzero),
+    read from the nonzeros, with no mask the size of the basis."""
+    row, col = nonzeros(basis)
+    return col[np.searchsorted(row, np.arange(len(basis)))]
 
 
 class IntegerLattice:

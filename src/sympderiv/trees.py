@@ -4,15 +4,17 @@ Degree-1 trees are tripods (u,v,w); degree-2 trees are H-shaped with an
 ordered left pair and right pair; symmetric halves u (.) v are primitive
 integral generators whose double expands like the tree (u,v|u,v).
 
-These expansions are the definitions, through Lie brackets.  The generators
-are read term by term from a bracket table instead
-(``DerivationSpace._expansions``), and the catalogs, whose rows are sums of
-generator columns, from wedge coordinates (``catalogs._tree_terms``).
+Leaves are basis letters, given as equal arrays of letter indices, one
+entry per element.  A bracket of two letters is a signed Lyndon word of
+L_2 (``SymplecticContext.pair_index``), so every term of an expansion is a
+signed unit of L_2, for a tripod, or a signed row of ``bracket_table(1,
+2)``, for an H-tree (``eta2_terms``), placed in the block of its outer
+letter.  The generators of D_2 are these H-trees, summed sparsely
+(``DerivationSpace._expansions``); the catalogs, whose rows are sums of
+generator columns, read wedge coordinates instead (``catalogs._tree_terms``).
 
 Elements of H (x) L_k are flat integer vectors: block h holds the Lyndon
-coordinates of the L_k factor tensored with the basis letter h.  Every
-expansion takes equal stacks of leaf vectors and gives one row per
-element; a single element is a one-row stack.
+coordinates of the L_k factor tensored with the basis letter h.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .freelie import SymplecticContext, standard_factorization
-from .intlin import safe_einsum
 
 # in the bracket of tripods (x1,x2,x3) and (y1,y2,y3), contracting leaf i
 # against leaf j leaves the ordered pairs (x_{i+1},x_{i+2}) and
@@ -30,32 +31,47 @@ from .intlin import safe_einsum
 TREE_BRACKET_SIGN = 1
 
 
-def _hl_sum(terms) -> np.ndarray:
-    """Flat H (x) L_k rows of sum_t vec_t (x) lie_t: one exact contraction
-    over the stacked terms (int64 under its bound, else Python ints)."""
-    vecs = np.stack([v for v, _ in terms], axis=1)
-    lies = np.stack([l for _, l in terms], axis=1)
-    out = safe_einsum("mth,mtd->mhd", vecs, lies)
-    return out.reshape(len(out), vecs.shape[2] * lies.shape[2])
+def _bracket(ctx: SymplecticContext, x, y):
+    """[x, y] of two letter arrays as sign times a Lyndon word of L_2: the
+    sign of y - x (0 where x == y), in int8, and the word's index."""
+    return (np.sign(np.subtract(y, x)).astype(np.int8),
+            ctx.pair_index()[x, y])
 
 
 def eta1(ctx: SymplecticContext, u, v, w) -> np.ndarray:
-    """Tripod expansion in H (x) L_2, one row per row of the leaf stacks;
-    the cherry (x,y) reads as [y,x]."""
-    # a (x) [c,b] for the cyclic rotations (a,b,c) of (u,v,w)
-    return _hl_sum([(a, ctx.lie_bracket(1, c, 1, b))
-                    for a, b, c in ((u, v, w), (v, w, u), (w, u, v))])
+    """Tripod expansion in H (x) L_2, one int8 row per entry of the letter
+    arrays; the cherry (x,y) reads as [y,x].  Each of the three terms
+    a (x) [c,b], for the cyclic rotations (a,b,c) of (u,v,w), is a signed
+    unit, so every entry is at most 3 in absolute value."""
+    out = np.zeros((len(u), ctx.n, ctx.dim(2)), dtype=np.int8)
+    rows = np.arange(len(u))
+    for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+        sign, word = _bracket(ctx, c, b)
+        out[rows, a, word] += sign
+    return out.reshape(len(u), ctx.n * ctx.dim(2))
+
+
+def eta2_terms(ctx: SymplecticContext, a, b, c, d):
+    """The four terms of the H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a]
+    + c(x)[d,[a,b]] + d(x)[[a,b],c] of letter arrays, each as (x, y, word,
+    sign): sign times x (x) [y, w], w the Lyndon word at ``word``, which is
+    sign times row [y, word] of ``bracket_table(1, 2)`` in block x."""
+    cd_sign, cd = _bracket(ctx, c, d)
+    ab_sign, ab = _bracket(ctx, a, b)
+    return ((a, b, cd, cd_sign), (b, a, cd, -cd_sign),
+            (c, d, ab, ab_sign), (d, c, ab, -ab_sign))
 
 
 def eta2(ctx: SymplecticContext, a, b, c, d) -> np.ndarray:
-    """H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a] + c(x)[d,[a,b]] + d(x)[[a,b],c],
-    one row per row of the leaf stacks."""
-    cd = ctx.lie_bracket(1, c, 1, d)
-    ab = ctx.lie_bracket(1, a, 1, b)
-    return _hl_sum([(a, ctx.lie_bracket(1, b, 2, cd)),
-                    (b, ctx.lie_bracket(2, cd, 1, a)),
-                    (c, ctx.lie_bracket(1, d, 2, ab)),
-                    (d, ctx.lie_bracket(2, ab, 1, c))])
+    """H-tree expansion in H (x) L_3, one int8 row per entry of the letter
+    arrays (``eta2_terms``).  An entry sums at most one entry of each
+    term, each at most 2 in absolute value, so it is at most 8."""
+    table = ctx.bracket_table(1, 2)
+    out = np.zeros((len(a), ctx.n, ctx.dim(3)), dtype=np.int8)
+    rows = np.arange(len(a))
+    for x, y, word, sign in eta2_terms(ctx, a, b, c, d):
+        out[rows, x] += sign[:, None] * table[y, word]
+    return out.reshape(len(a), ctx.n * ctx.dim(3))
 
 
 # -- honest derivation-algebra oracle ------------------------------------

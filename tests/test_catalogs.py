@@ -20,9 +20,10 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
 from sympderiv.derivspace import DerivationSpace, space
 from sympderiv.freelie import context, standard_factorization
 from sympderiv.intlin import IntegerLattice, safe_matmul
-from sympderiv.trees import derivation_bracket, eta1, eta2
+from sympderiv.trees import derivation_bracket, eta1
 from test_freelie import letter_name
-from test_trees import expand_symhalf, tree_bracket, tripod_brackets
+from test_trees import (expand_symhalf, tree_bracket, tripod_brackets,
+                        vector_eta2)
 
 
 def is_symplectic(m):
@@ -59,11 +60,11 @@ def test_two_handle_image():
     a1, a2, b1, b2 = e[0], e[1], e[2], e[3]
     v = bscc_image(sp, [(a1, b1), (a2, b2)])
     expect = (expand_symhalf(ctx, a1, b1) + expand_symhalf(ctx, a2, b2)
-              + eta2(ctx, a1, b1, a2, b2))
+              + vector_eta2(ctx, a1, b1, a2, b2))
     assert np.array_equal(v, sp.coords(expect))
     # the cross tree equals minus tree(a1 b1 | b2 a2)
-    assert np.array_equal(eta2(ctx, a1, b1, a2, b2),
-                          -eta2(ctx, a1, b1, b2, a2))
+    assert np.array_equal(vector_eta2(ctx, a1, b1, a2, b2),
+                          -vector_eta2(ctx, a1, b1, b2, a2))
 
 
 def test_sheared_pair_image():
@@ -72,7 +73,8 @@ def test_sheared_pair_image():
     e = _e(ctx)
     a1, a2, b2 = e[0], e[1], e[3]
     v = bscc_image(sp, [(a1 - b2, a2)])
-    expect = (expand_symhalf(ctx, a1, a2) - eta2(ctx, a1, a2, b2, a2)
+    expect = (expand_symhalf(ctx, a1, a2)
+              - vector_eta2(ctx, a1, a2, b2, a2)
               + expand_symhalf(ctx, b2, a2))
     assert np.array_equal(v, sp.coords(expect))
 
@@ -193,7 +195,7 @@ def _johnson_reference(ctx, colors):
                 continue
             add("tree(%s,%s|%s,%s)" % tuple(
                 pretty_vector(ctx, x) for x in (u1, v1, u2, v2)),
-                eta2(ctx, *(x[None] for x in (u1, v1, u2, v2)))[0])
+                vector_eta2(ctx, *(x[None] for x in (u1, v1, u2, v2)))[0])
     return out
 
 
@@ -266,8 +268,8 @@ def lie_path_rows(sp, three_term):
     for c in catalogs._chunks(len(u)):
         yield expand_symhalf(ctx, colors[u[c]], colors[v[c]])
     for c in catalogs._chunks(len(k)):
-        yield eta2(ctx, colors[u[k[c]]], colors[v[k[c]]],
-                   colors[u[l[c]]], colors[v[l[c]]])
+        yield vector_eta2(ctx, colors[u[k[c]]], colors[v[k[c]]],
+                          colors[u[l[c]]], colors[v[l[c]]])
 
 
 def johnson_rows_match_lie_path(sp, three_term):
@@ -344,8 +346,8 @@ def test_tripod_brackets_match_lie_path_and_oracle(g):
         for (p, q), row in zip(pairs, want):
             if (p, q) not in oracle:
                 oracle[p, q] = derivation_bracket(
-                    ctx, eta1(ctx, *e[list(p), None])[0],
-                    eta1(ctx, *e[list(q), None])[0])
+                    ctx, eta1(ctx, *np.array(p)[:, None])[0],
+                    eta1(ctx, *np.array(q)[:, None])[0])
             assert np.array_equal(row, oracle[p, q])
 
 
@@ -672,8 +674,7 @@ def _naive_closure(ctx, seed_rows, mats, k):
 def tripod_images(sp):
     """E: eta1 of each basis tripod, one row each, which maps Lambda^3 H
     coordinates over ``basis_tripods`` into H (x) L_2."""
-    e = np.eye(sp.ctx.n, dtype=np.int64)
-    return eta1(sp.ctx, *e[np.array(basis_tripods(sp.g)).T])
+    return eta1(sp.ctx, *np.array(basis_tripods(sp.g)).T)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -696,8 +697,7 @@ def _goeritz_seed(sp, which):
     those coordinates to H (x) L_k."""
     ctx = sp.ctx
     if which == "tau1":
-        e = np.eye(ctx.n, dtype=np.int64)
-        seed = eta1(ctx, e[:1], e[sp.g:sp.g + 1], e[sp.g + 1:sp.g + 2])
+        seed = eta1(ctx, [0], [sp.g], [sp.g + 1])
         tripods = basis_tripods(sp.g)
         unit = np.eye(len(tripods), dtype=np.int64)[
             [tripods.index((0, sp.g, sp.g + 1))]]

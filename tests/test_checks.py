@@ -13,6 +13,7 @@ from sympderiv.derivspace import DerivationSpace, FiltrationError, space
 from sympderiv.freelie import SymplecticContext, context, iota_matrix
 from sympderiv.intlin import IntegerLattice
 from test_derivspace import express
+from test_trees import vector_eta2
 
 
 # -- per-instance references ----------------------------------------------
@@ -123,11 +124,11 @@ def levine_elements_by_loop(sp):
             if i == j:
                 continue
             ks = [k for k in range(g) if k != j]
-            one = {k: trees.eta2(sp.ctx, a[k:k + 1], b[i:i + 1], b[j:j + 1],
-                                 b[k:k + 1])[0] for k in ks}
+            one = {k: vector_eta2(sp.ctx, a[k:k + 1], b[i:i + 1],
+                                  b[j:j + 1], b[k:k + 1])[0] for k in ks}
             labels.append("one-handle, i=%d j=%d" % (i, j))
-            elements.append(trees.eta2(sp.ctx, a[i:i + 1], b[j:j + 1],
-                                       b[j:j + 1], b[i:i + 1])[0])
+            elements.append(vector_eta2(sp.ctx, a[i:i + 1], b[j:j + 1],
+                                        b[j:j + 1], b[i:i + 1])[0])
             for k in ks:
                 for k2 in ks:
                     if k2 >= k:
@@ -147,8 +148,7 @@ def test_levine_stack_failure_keeps_first_witness(monkeypatch):
     # a projection kernel holding only the first one-handle element: the
     # check reports the first element outside, after the two it checked
     sp = space(2)
-    e = np.eye(sp.ctx.n, dtype=np.int64)[:, None]  # one-row stacks
-    first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
+    first = trees.eta2(sp.ctx, [0], [3], [3], [2])  # i=0, j=1
     lat = IntegerLattice(sp.rank, sp.coords(first))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": lat)
@@ -165,8 +165,7 @@ def test_levine_raises_at_first_element_outside_domain(monkeypatch):
     # one (a two-handle element) is outside it, so tr_A of the stack raises
     sp = space(2)
     proj_kernel = sp.ker_projection()
-    e = np.eye(sp.ctx.n, dtype=np.int64)[:, None]  # one-row stacks
-    first = trees.eta2(sp.ctx, e[0], e[3], e[3], e[2])  # i=0, j=1
+    first = trees.eta2(sp.ctx, [0], [3], [3], [2])  # i=0, j=1
     lat = IntegerLattice(sp.rank, sp.coords(first))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": proj_kernel)

@@ -11,10 +11,10 @@ from sympderiv.derivspace import (InconsistencyError, MembershipError,
                                   gl_embed, space)
 from sympderiv.freelie import SymplecticContext, iota_matrix
 from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
-from sympderiv.trees import eta1, eta2
+from sympderiv.trees import eta1
 from test_catalogs import transform_rows
 from test_freelie import bracket_matrix, lyndon_projection
-from test_trees import expand_symhalf
+from test_trees import expand_symhalf, vector_eta2
 
 D2_RANK = {2: 20, 3: 105}
 D1_RANK = {2: 4, 3: 20}  # C(2g, 3)
@@ -27,7 +27,7 @@ def gen_matrix(sp):
     m = len(sp.pairs)
     a, b, c, d = np.eye(sp.ctx.n, dtype=np.int64)[sp.leaves.T]
     rows = np.vstack([expand_symhalf(sp.ctx, a[:m], b[:m]),
-                      eta2(sp.ctx, a[m:], b[m:], c[m:], d[m:])])
+                      vector_eta2(sp.ctx, a[m:], b[m:], c[m:], d[m:])])
     return rows.astype(np.int64, copy=False).T
 
 
@@ -152,9 +152,8 @@ def test_d1_rank(g):
 
 def test_d1_equals_tripod_span():
     sp = space(2)
-    e = np.eye(sp.ctx.n, dtype=np.int64)
     triples = np.array(list(itertools.combinations(range(sp.ctx.n), 3)))
-    tripods = eta1(sp.ctx, *e[triples.T])
+    tripods = eta1(sp.ctx, *triples.T)
     assert IntegerLattice(sp.ctx.n * sp.ctx.dim(2), tripods) == d1(sp)
 
 
@@ -423,7 +422,28 @@ def test_gen_coords_are_generator_coordinates(g):
     assert np.array_equal(safe_matmul(m.T, sp.d2().basis), gen_matrix(sp).T)
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("change", ["double", "off-diagonal", "drop"])
+def test_d2_rejects_a_generator_span_other_than_the_identity(monkeypatch,
+                                                            change):
+    """A generator span with a diagonal 2, an entry off the diagonal, or a
+    row short of Z^r is caught."""
+    r = space(2).rank
+    basis = np.eye(r, dtype=np.int8)
+    if change == "double":
+        basis[3, 3] = 2
+    elif change == "off-diagonal":
+        basis[3, 7] = 1
+    else:
+        basis = basis[1:]
+    monkeypatch.setattr(derivspace.DerivationSpace, "generator_span",
+                        lambda self, trees: (IntegerLattice(r, basis,
+                                                            canonical=True),
+                                             None))
+    with pytest.raises(InconsistencyError, match="generator span"):
+        derivspace.DerivationSpace(2).d2()
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_gen_coords_equal_the_dense_reference(g):
     """The sparse expansions read at D_2's pivots give what the membership
     solve of the dense generator matrix gives: the same values, stored in

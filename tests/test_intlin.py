@@ -656,6 +656,149 @@ def test_hnf_is_canonical_at_every_density(density):
     check_hnf(m, h, u)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (1, 70000), (700, 300),
+                                   (5, 4)])
+def test_nonzeros_and_pivots_across_row_blocks(shape):
+    """The nonzeros, read a block of rows at a time, are those of
+    ``np.nonzero`` in row-major order, and the pivot of each nonzero row is
+    its first nonzero, in int8, int64 and object arrays."""
+    rng = np.random.default_rng(shape[0])
+    a = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.01)
+    for m in (a.astype(np.int8), a, a.astype(object) * 2 ** 70):
+        row, col = intlin.nonzeros(m)
+        want = np.nonzero(a)
+        assert np.array_equal(row, want[0]) and np.array_equal(col, want[1])
+        rows = m[np.flatnonzero(a.any(axis=1))]
+        pivots = [int(np.flatnonzero(r != 0)[0]) for r in rows]
+        assert intlin._pivot_cols(rows).tolist() == pivots
+
+
+# -- the HNF loop against its scanning form ------------------------------------
+
+def scanning_hnf_rows(a, transform=False):
+    """``intlin._hnf_rows`` as it was before single-row columns were
+    settled without a scan: every column lists its live rows and takes the
+    pivot by ``min``, and every Euclidean pass rescans the column.  The
+    reference for the rows, their order and the transform."""
+    nrows, ncols = a.shape
+    rows = [{} for _ in range(nrows)]
+    cols = [set() for _ in range(ncols)]
+    ii, jj = intlin.nonzeros(a)
+    for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+        rows[i][j] = x
+        cols[j].add(i)
+    if transform:
+        for i in range(nrows):
+            rows[i][ncols + i] = 1
+    order = list(range(nrows))
+    pos = list(range(nrows))
+
+    def subtract(t, q, p):
+        rt = rows[t]
+        for k, x in rows[p].items():
+            if k in rt:
+                y = rt[k] - q * x
+                if y:
+                    rt[k] = y
+                else:
+                    del rt[k]
+                    if k < ncols:
+                        cols[k].discard(t)
+            else:
+                rt[k] = -q * x
+                if k < ncols:
+                    cols[k].add(t)
+
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            live = [t for t in cols[c] if pos[t] >= r]
+            if not live:
+                break
+            piv = min(live, key=lambda t: (abs(rows[t][c]), len(rows[t]),
+                                           pos[t]))
+            if pos[piv] != r:
+                top = order[r]
+                order[r], order[pos[piv]] = piv, top
+                pos[top], pos[piv] = pos[piv], r
+            live.remove(piv)
+            if not live:
+                break
+            p = rows[piv][c]
+            for t in live:
+                subtract(t, rows[t][c] // p, piv)
+            if not any(c in rows[t] for t in live):
+                break
+        prow = rows[order[r]]
+        if c not in prow:
+            continue
+        if prow[c] < 0:
+            for k in prow:
+                prow[k] = -prow[k]
+        p = prow[c]
+        for t in [t for t in cols[c] if pos[t] < r]:
+            q = rows[t][c] // p
+            if q:
+                subtract(t, q, order[r])
+        r += 1
+    return [rows[t] for t in order], r
+
+
+def assert_hnf_rows_match_scanning(m):
+    """The HNF loop gives the scanning form's rows, in order, and rank,
+    with and without the transform."""
+    for transform in (False, True):
+        got = intlin._hnf_rows(m, transform)
+        want = scanning_hnf_rows(m, transform)
+        assert got[1] == want[1]
+        assert [list(row.items()) for row in got[0]] \
+            == [list(row.items()) for row in want[0]]
+
+
+def test_single_row_columns_match_the_scanning_loop():
+    # the first matrix: columns 0, 2 and 5 held by one row below r (the
+    # non-unit 3, the negative -3, the negative unit -1), column 4 by one
+    # row above r, and columns 1 and 3 by one live row under a row above
+    m = np.array([[0, 2, 0, 5, 0, 0, 1],
+                  [3, 1, 0, 0, -4, 0, -1],
+                  [0, 0, 0, 7, 0, 0, 2],
+                  [0, 0, -3, 0, 0, 0, 1],
+                  [0, 0, 0, 0, 0, -1, 0]])
+    # the second: Euclidean passes in column 2, the pivot 4 leaving the
+    # remainder 1, then the pivot 1 clearing the column, and columns 1 and
+    # 3 held by one negative row below r, column 6 by one row above
+    m2 = np.array([[0, 0, 5, 0, 1, 0, 0],
+                   [3, 0, 7, 0, 0, 0, 2],
+                   [0, 0, 0, -2, 0, 0, 0],
+                   [0, -1, 2, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 1, 4, 0],
+                   [0, 0, 4, 0, 0, 1, 0],
+                   [0, 0, 6, 0, 0, 0, 0]])
+    for a in (m, m2):
+        assert_hnf_rows_match_scanning(a)
+        h, u = hermite_normal_form(a, transform=True)
+        check_hnf(a, h, u)
+    # single entries only, and no entry
+    assert_hnf_rows_match_scanning(np.array([[0, -2, 0], [0, 0, 0],
+                                             [-1, 0, 4]]))
+    assert_hnf_rows_match_scanning(np.zeros((3, 4), dtype=np.int64))
+
+
+def test_hnf_loop_matches_the_scanning_loop_on_sparse_inputs():
+    # many columns held by one row, and rows made dependent on each other
+    rng = np.random.default_rng(40)
+    for density in (0.05, 0.15, 0.4):
+        for shape in [(30, 40), (40, 25), (12, 12)]:
+            m = rng.integers(-3, 4, size=shape) * (rng.random(shape) < density)
+            assert_hnf_rows_match_scanning(m)
+            dependent = rng.integers(-2, 3, size=(shape[0], 6)) @ m[:6]
+            assert_hnf_rows_match_scanning(dependent)
+    assert_hnf_rows_match_scanning(
+        np.array([[1, 2 ** 61, 0, 0], [5, 2 ** 61, 1, 0], [0, 3, 7, 0]]))
+
+
 # -- pivot ties ---------------------------------------------------------------
 
 def _dependent_matrices(st):

@@ -209,9 +209,8 @@ def test_image_in_omega_kernel_fails_on_an_odd_row(monkeypatch, which):
 def test_tr_A_unit_value():
     sp = space(2)
     ctx = sp.ctx
-    e = np.eye(ctx.n, dtype=np.int64)[:, None]  # one-row stacks
     # eta2(a1, b2 | b2, b1) traces to the single class b'_2 b'_2
-    v = eta2(ctx, e[0], e[3], e[3], e[2])
+    v = eta2(ctx, [0], [3], [3], [2])
     t = traces.tr_A(sp, sp.coords(v))
     expect = np.zeros((1, len(sym2_pairs(2))), dtype=np.int64)
     expect[0, sym2_pairs(2).index((1, 1))] = 1

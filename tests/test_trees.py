@@ -1,34 +1,66 @@
 """Tripod and H-tree expansions: symmetries, IHX, and the bracket oracle.
 
-``expand_symhalf`` is the reference expansion of a symmetric half u (.) v,
-which the library reads term by term from a bracket table
-(``DerivationSpace._expansions``).  ``tree_bracket`` is the reference for
-tripod brackets with any leaves: it expands every contraction through Lie
-brackets with ``eta2`` and sums on Python ints.  ``tripod_brackets`` reads
-the same brackets from the wedge coordinates of vector leaves, through the
-library's ``_wedge``, ``_tree_terms`` and ``gen_rows``; it is the reference
-for ``catalogs.tripod_bracket_entries``, which reads basis tripods from
-their letter indices alone.
+The library expands trees of letter indices from bracket tables
+(``trees.eta1``, ``trees.eta2``).  The references here take any leaves in
+H: ``vector_eta1`` and ``vector_eta2`` are the definitions, through Lie
+brackets of Lyndon coordinates, and ``expand_symhalf`` is the reference
+expansion of a symmetric half u (.) v, which the library reads as half of
+eta2(u, v | u, v) (``DerivationSpace._expansions``).  The letter-index
+expansions must equal them on one-hot leaves.  ``tree_bracket`` is the
+reference for tripod brackets with any leaves: it expands every
+contraction through ``vector_eta2`` and sums on Python ints.
+``tripod_brackets`` reads the same brackets from the wedge coordinates of
+vector leaves, through the library's ``_wedge``, ``_tree_terms`` and
+``gen_rows``; it is the reference for ``catalogs.tripod_bracket_entries``,
+which reads basis tripods from their letter indices alone.
 """
 
 import numpy as np
 import pytest
 
+from sympderiv import trees
 from sympderiv.catalogs import _tree_terms, _wedge
 from sympderiv.derivspace import space
 from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
 from sympderiv.intlin import safe_einsum, safe_matmul
-from sympderiv.trees import (TREE_BRACKET_SIGN, _hl_sum, derivation_bracket,
-                             eta1, eta2)
+from sympderiv.trees import TREE_BRACKET_SIGN, derivation_bracket, eta1, eta2
 from test_freelie import lyndon_to_tensor
+
+
+def hl_sum(terms) -> np.ndarray:
+    """Flat H (x) L_k rows of sum_t vec_t (x) lie_t: one exact contraction
+    over the stacked terms (int64 under its bound, else Python ints)."""
+    vecs = np.stack([v for v, _ in terms], axis=1)
+    lies = np.stack([l for _, l in terms], axis=1)
+    out = safe_einsum("mth,mtd->mhd", vecs, lies)
+    return out.reshape(len(out), vecs.shape[2] * lies.shape[2])
+
+
+def vector_eta1(ctx, u, v, w):
+    """Tripod expansion of leaf stacks in H (x) L_2, one row per row; the
+    cherry (x,y) reads as [y,x]."""
+    # a (x) [c,b] for the cyclic rotations (a,b,c) of (u,v,w)
+    return hl_sum([(a, ctx.lie_bracket(1, c, 1, b))
+                   for a, b, c in ((u, v, w), (v, w, u), (w, u, v))])
+
+
+def vector_eta2(ctx, a, b, c, d):
+    """H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a] + c(x)[d,[a,b]] +
+    d(x)[[a,b],c] of leaf stacks, one row per row."""
+    cd = ctx.lie_bracket(1, c, 1, d)
+    ab = ctx.lie_bracket(1, a, 1, b)
+    return hl_sum([(a, ctx.lie_bracket(1, b, 2, cd)),
+                   (b, ctx.lie_bracket(2, cd, 1, a)),
+                   (c, ctx.lie_bracket(1, d, 2, ab)),
+                   (d, ctx.lie_bracket(2, ab, 1, c))])
 
 
 def expand_symhalf(ctx, u, v):
     """u (.) v expands to u(x)[v,[u,v]] + v(x)[[u,v],u]; its double is
     eta2(u,v|u,v).  Leaves are stacks giving one row per pair."""
     uv = ctx.lie_bracket(1, u, 1, v)
-    return _hl_sum([(u, ctx.lie_bracket(1, v, 2, uv)),
-                    (v, ctx.lie_bracket(2, uv, 1, u))])
+    return hl_sum([(u, ctx.lie_bracket(1, v, 2, uv)),
+                   (v, ctx.lie_bracket(2, uv, 1, u))])
 
 
 def tree_bracket(ctx, s, t):
@@ -40,7 +72,7 @@ def tree_bracket(ctx, s, t):
     for i in range(3):
         for j in range(3):
             w = TREE_BRACKET_SIGN * ctx.omega(s[i], t[j]).astype(object)
-            tree = eta2(ctx, s[(i + 1) % 3], s[(i + 2) % 3],
+            tree = vector_eta2(ctx, s[(i + 1) % 3], s[(i + 2) % 3],
                         t[(j + 1) % 3], t[(j + 2) % 3])
             out = out + w[:, None] * tree.astype(object)
     return out
@@ -80,18 +112,18 @@ def test_eta1_cyclic_and_antisymmetric():
     ctx = context(2)
     rng = np.random.default_rng(0)
     u, v, w = _rand_vecs(ctx, rng, 3)
-    base = eta1(ctx, u, v, w)
-    assert np.array_equal(eta1(ctx, v, w, u), base)
-    assert np.array_equal(eta1(ctx, w, u, v), base)
-    assert np.array_equal(eta1(ctx, v, u, w), -base)
+    base = vector_eta1(ctx, u, v, w)
+    assert np.array_equal(vector_eta1(ctx, v, w, u), base)
+    assert np.array_equal(vector_eta1(ctx, w, u, v), base)
+    assert np.array_equal(vector_eta1(ctx, v, u, w), -base)
 
 
 def test_eta1_multilinear():
     ctx = context(2)
     rng = np.random.default_rng(1)
     u, u2, v, w = _rand_vecs(ctx, rng, 4)
-    lhs = eta1(ctx, np.asarray(u) + 2 * np.asarray(u2), v, w)
-    rhs = eta1(ctx, u, v, w) + 2 * eta1(ctx, u2, v, w)
+    lhs = vector_eta1(ctx, np.asarray(u) + 2 * np.asarray(u2), v, w)
+    rhs = vector_eta1(ctx, u, v, w) + 2 * vector_eta1(ctx, u2, v, w)
     assert np.array_equal(lhs, rhs)
 
 
@@ -99,10 +131,10 @@ def test_eta2_pair_symmetries():
     ctx = context(2)
     rng = np.random.default_rng(2)
     a, b, c, d = _rand_vecs(ctx, rng, 4)
-    base = eta2(ctx, a, b, c, d)
-    assert np.array_equal(eta2(ctx, b, a, c, d), -base)
-    assert np.array_equal(eta2(ctx, a, b, d, c), -base)
-    assert np.array_equal(eta2(ctx, c, d, a, b), base)
+    base = vector_eta2(ctx, a, b, c, d)
+    assert np.array_equal(vector_eta2(ctx, b, a, c, d), -base)
+    assert np.array_equal(vector_eta2(ctx, a, b, d, c), -base)
+    assert np.array_equal(vector_eta2(ctx, c, d, a, b), base)
 
 
 def test_eta2_ihx():
@@ -111,8 +143,9 @@ def test_eta2_ihx():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a, b, c, d = _rand_vecs(ctx, rng, 4)
-        total = (eta2(ctx, a, b, c, d) + eta2(ctx, b, c, a, d)
-                 + eta2(ctx, c, a, b, d))
+        total = (vector_eta2(ctx, a, b, c, d)
+                 + vector_eta2(ctx, b, c, a, d)
+                 + vector_eta2(ctx, c, a, b, d))
         assert not total.any()
 
 
@@ -120,7 +153,8 @@ def test_symhalf_doubling():
     ctx = context(2)
     rng = np.random.default_rng(4)
     u, v = _rand_vecs(ctx, rng, 2)
-    assert np.array_equal(2 * expand_symhalf(ctx, u, v), eta2(ctx, u, v, u, v))
+    assert np.array_equal(2 * expand_symhalf(ctx, u, v),
+                          vector_eta2(ctx, u, v, u, v))
     # symmetric, and insensitive to negating one argument
     assert np.array_equal(expand_symhalf(ctx, v, u), expand_symhalf(ctx, u, v))
     assert np.array_equal(expand_symhalf(ctx, u, -np.asarray(v)),
@@ -134,7 +168,7 @@ def test_symhalf_polarization():
     u, v, w = _rand_vecs(ctx, rng, 3)
     lhs = (expand_symhalf(ctx, np.asarray(u) + np.asarray(v), w)
            - expand_symhalf(ctx, u, w) - expand_symhalf(ctx, v, w))
-    assert np.array_equal(lhs, eta2(ctx, u, w, v, w))
+    assert np.array_equal(lhs, vector_eta2(ctx, u, w, v, w))
 
 
 def test_tree_bracket_antisymmetric():
@@ -155,8 +189,8 @@ def test_tree_bracket_matches_derivation_oracle():
         s = tuple(_rand_vecs(ctx, rng, 3))
         t = tuple(_rand_vecs(ctx, rng, 3))
         via_trees = tree_bracket(ctx, s, t)[0]
-        via_derivations = derivation_bracket(ctx, eta1(ctx, *s)[0],
-                                             eta1(ctx, *t)[0])
+        via_derivations = derivation_bracket(ctx, vector_eta1(ctx, *s)[0],
+                                             vector_eta1(ctx, *t)[0])
         assert np.array_equal(via_trees, via_derivations)
         assert np.array_equal(table_bracket(ctx, s, t)[0], via_derivations)
 
@@ -167,8 +201,8 @@ def test_tree_bracket_on_basis_tripods_genus3():
     s = (e[0], e[1], e[3])
     t = (e[2], e[4], e[5])
     via_trees = tree_bracket(ctx, s, t)[0]
-    via_derivations = derivation_bracket(ctx, eta1(ctx, *s)[0],
-                                         eta1(ctx, *t)[0])
+    via_derivations = derivation_bracket(ctx, vector_eta1(ctx, *s)[0],
+                                         vector_eta1(ctx, *t)[0])
     assert np.array_equal(via_trees, via_derivations)
     assert np.array_equal(table_bracket(ctx, s, t)[0], via_derivations)
     assert via_trees.any()
@@ -199,7 +233,7 @@ def test_batched_expansions_match_rows(g):
     ctx = context(g)
     rng = np.random.default_rng(10 + g)
     a, b, c, d, e, f = _stacks(ctx, rng, 6, 5)
-    cases = [(eta1, (a, b, c)), (eta2, (a, b, c, d)),
+    cases = [(vector_eta1, (a, b, c)), (vector_eta2, (a, b, c, d)),
              (expand_symhalf, (a, b))]
     for fn, leaves in cases:
         rows = fn(ctx, *leaves)
@@ -251,11 +285,12 @@ def test_expansions_exact_with_leaves_near_2_20():
     for x in big:
         x[:, ::2] *= -1
     a, b, c, d, e, f = big
-    rows = eta2(ctx, a, b, c, d)
+    rows = vector_eta2(ctx, a, b, c, d)
     assert rows.dtype == object
     for i, row in enumerate(rows):
         assert _as_tensors(ctx, row) == _eta2_tensors(ctx, a[i], b[i], c[i], d[i])
-    assert np.array_equal(2 * expand_symhalf(ctx, a, b), eta2(ctx, a, b, a, b))
+    assert np.array_equal(2 * expand_symhalf(ctx, a, b),
+                          vector_eta2(ctx, a, b, a, b))
     rows = tree_bracket(ctx, (a, b, c), (d, e, f))
     for i, row in enumerate(rows):
         s, t = (a[i], b[i], c[i]), (d[i], e[i], f[i])
@@ -272,4 +307,64 @@ def test_expansions_exact_with_leaves_near_2_20():
     assert tripod_brackets(space(2), [a, b, c], [d, e, f]).dtype == object
     assert np.array_equal(table_bracket(ctx, (a, b, c), (d, e, f)), rows)
     # small leaves keep int64 (under the safe_einsum bound)
-    assert eta2(ctx, *(x % 3 for x in (a, b, c, d))).dtype == np.int64
+    assert vector_eta2(ctx, *(x % 3 for x in (a, b, c, d))).dtype == np.int64
+
+
+def _assert_letter_expansions_match(ctx, letters):
+    """eta1 of the first three and eta2 of all four letter arrays equal the
+    vector references on their one-hot leaves, in int8."""
+    e = np.eye(ctx.n, dtype=np.int64)
+    leaves = e[letters]
+    cases = [(eta1, vector_eta1, 3, ctx.dim(2)),
+             (eta2, vector_eta2, 4, ctx.dim(3))]
+    for fn, ref, k, d in cases:
+        got = fn(ctx, *letters[:k])
+        assert got.dtype == np.int8
+        assert got.shape == (letters.shape[1], ctx.n * d)
+        assert np.array_equal(got, ref(ctx, *leaves[:k]))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_letter_expansions_match_the_vector_reference_on_every_coloring(g):
+    ctx = context(g)
+    _assert_letter_expansions_match(
+        ctx, np.indices((ctx.n,) * 4).reshape(4, -1))
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_letter_expansions_match_the_vector_reference_on_random_stacks(g):
+    ctx = context(g)
+    rng = np.random.default_rng(30 + g)
+    letters = rng.integers(0, ctx.n, size=(4, 400))
+    letters[:, :5] = letters[0, :5]  # a few with every leaf equal
+    _assert_letter_expansions_match(ctx, letters)
+    _assert_letter_expansions_match(ctx, letters[:, :0])
+
+
+def test_derivation_bracket_reads_no_tree_expansion(monkeypatch):
+    """The oracle is independent of the expansions it checks: with every
+    other function of ``trees`` replaced by one that raises, it still gives
+    the bracket of two tripods."""
+    oracle = {"derivation_bracket", "derivation_letter_images",
+              "derivation_on_lyndon"}
+    called = []
+
+    def forbidden(name):
+        def fn(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(name)
+        return fn
+
+    ctx = context(2)
+    s, t = np.array([[0], [1], [3]]), np.array([[2], [0], [1]])
+    e = np.eye(ctx.n, dtype=np.int64)
+    want = tree_bracket(ctx, tuple(e[s]), tuple(e[t]))[0]
+    left, right = eta1(ctx, *s)[0], eta1(ctx, *t)[0]
+    patched = [name for name, fn in vars(trees).items()
+               if callable(fn) and getattr(fn, "__module__", None)
+               == trees.__name__ and name not in oracle]
+    assert {"eta1", "eta2", "eta2_terms", "_bracket"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(trees, name, forbidden(name))
+    assert np.array_equal(derivation_bracket(ctx, left, right), want)
+    assert called == []
