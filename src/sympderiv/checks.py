@@ -13,6 +13,7 @@ imports that module only on first use, no verify run loads either.
 Every check tests its instances as one stack (or, for the ambient IHX
 colorings, fixed blocks of one), and a failure's witness is that of the
 first failing instance in the order of a loop over them, read from a mask.
+The trace formulas of ``well-definedness`` read ``traces.CONTRACTIONS``.
 
 Statuses:
 
@@ -161,13 +162,13 @@ def _residues(ctx, quads, odots=()):
     symmetric halves, one instance per row of the leaf stacks: the 0/1
     matrix M = sum_t w_t x_t y_t^T mod 2 over the terms (x, y | u, v).
 
-    A tree (a, b, c, d) has the terms (b, c | a, d), (b, d | a, c),
-    (a, c | b, d) and (a, d | b, c), weighted w = omega(u, v); a half
+    A tree has the terms of its contractions ``traces.CONTRACTIONS``,
+    weighted w = omega(u, v) (mod 2 their signs are immaterial); a half
     u (.) v has (u, v | u, v), weighted 1 + omega(u, v).  The symmetric
     trace is M's classes of e_i e_j, i <= j; the antisymmetric one drops
     the diagonal, so it is zero when M is symmetric."""
-    terms = [t for a, b, c, d in quads
-             for t in ((b, c, a, d), (b, d, a, c), (a, c, b, d), (a, d, b, c))]
+    terms = [(t[x], t[y], t[u], t[v]) for t in quads
+             for _, u, v, x, y in traces.CONTRACTIONS]
     terms += [(u, v, u, v) for u, v in odots]
     x, y, u, v = (np.stack(side, axis=1) for side in zip(*terms))
     m, t, n = x.shape
@@ -260,7 +261,7 @@ def _check_casson_bridge(g, seed):
     mats = _draw(seed, -3, 4, (100, g, g))
     mats += np.swapaxes(mats, 1, 2)  # symmetric S
     sp = space(g)
-    f0_gens = np.flatnonzero((sp.leaves < g).any(axis=1))  # an A-leaf
+    f0_gens = np.flatnonzero(sp.on_side(sp.leaves, "A").any(axis=1))
     # every (generator, S) instance at once, generators down, S across
     units = np.eye(len(sp.generators), dtype=np.int64)[f0_gens]
     qs = traces.tr_A(sp, sp.gen_coords()[:, f0_gens].T)

@@ -81,10 +81,12 @@ def main(argv=None) -> int:
     if args.seed < 0:
         # random.Random seeds with |seed|: -1 would draw the instances of 1
         parser.error("--seed must be a non-negative int")
-    if args.json and not os.path.isdir(
-            os.path.dirname(os.path.abspath(args.json))):
+    if args.json is not None:
         # checked before any check runs, not when the certificate is written
-        parser.error("--json directory does not exist: %s" % args.json)
+        if not args.json or os.path.isdir(args.json):
+            parser.error("--json needs a file path, not %r" % args.json)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.json))):
+            parser.error("--json directory does not exist: %s" % args.json)
 
     if args.list:
         for entry in checks.ALL_CHECKS:

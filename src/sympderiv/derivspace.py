@@ -41,9 +41,9 @@ import math
 import numpy as np
 
 from .freelie import context
-from .intlin import (IntegerLattice, cached, fits_int64,
-                     hermite_normal_form, kernel_lattice, max_abs, narrowed,
-                     nonzeros)
+from .intlin import (IntegerLattice, _assemble, _hnf_rows, cached,
+                     fits_int64, hermite_normal_form, kernel_lattice, max_abs,
+                     narrowed, nonzeros)
 from .trees import eta2_terms
 
 
@@ -302,14 +302,14 @@ class DerivationSpace:
     def generator_span(self, trees: bool) -> tuple[IntegerLattice, np.ndarray]:
         """The span in Z^r of the generator columns, of the tree generators
         only if ``trees``, and the transform rows that form its HNF basis
-        from them: row i holds the coefficients of basis row i over those
-        generators."""
+        from them (row i the coefficients of basis row i over those
+        generators): the HNF loop's rank rows alone, not the dense [h | u]."""
         cols = self.gen_coords()
         if trees:
             cols = cols[:, self.tree_indices]
-        h, u = hermite_normal_form(cols.T, transform=True)
-        mask = (h != 0).any(axis=1)
-        return IntegerLattice(h.shape[1], h[mask], canonical=True), u[mask]
+        rows, rank = _hnf_rows(cols.T, transform=True)
+        h, u = np.hsplit(_assemble(rows[:rank], sum(cols.shape)), [len(cols)])
+        return IntegerLattice(len(cols), h, canonical=True), u
 
     # -- filtration by A-leaves (or B-leaves) ------------------------------
     def on_side(self, letters, side: str) -> np.ndarray:
@@ -337,9 +337,8 @@ class DerivationSpace:
         ambient coordinates h (x) w with h on B and w a Lyndon word with no
         A-letter (``SymplecticContext.avoiding``), so this is the kernel of
         D_2's basis read at those columns."""
-        ctx = self.ctx
-        on_b = np.arange(ctx.n) >= self.g
-        keep = np.outer(on_b, ctx.avoiding("A")).ravel()
+        on_b = self.on_side(np.arange(self.ctx.n), "B")
+        keep = np.outer(on_b, self.ctx.avoiding("A")).ravel()
         return kernel_lattice(self.d2().basis[:, keep].T)
 
 

@@ -1,17 +1,17 @@
 """The trace operators on the degree-2 derivation lattice.
 
 Every trace is a linear map of the generators, tabulated once per genus
-from the leaf table ``DerivationSpace.leaves`` and the Gram matrix J of
-omega: tr_as (every generator) and tr_sym (the tree generators) as 0/1
-tables over the pairs i < j (Lambda^2(H/2H)) and i <= j (S^2(H/2H)), tr_A
-and tr_B as integer tables over S^2(H'), in ``np.triu_indices`` order.
+by one rule, the contractions of a tree (``CONTRACTIONS``) on the leaf
+table ``DerivationSpace.leaves``: by |J| (omega read from the A-letter),
+tr_as and tr_sym as 0/1 tables over the pairs i < j and i <= j (Lambda^2,
+S^2 of H/2H), and tr_A and tr_B over S^2(H'), in ``np.triu_indices`` order.
 ``_basis_traces`` reads each table at the generator coefficients of its
 domain's basis, the transform rows of ``DerivationSpace.generator_span``;
 stacks of D_2 coordinate rows (``DerivationSpace.coords``), the kernels
 (``kernel``, exact sublattices of Z^r, r = rank D_2) and the image ranks
 (``image_rank``) read those.
 The S-twisted contraction tr_omegaS goes through each generator's
-contraction, tabulated over the entries of S.
+contractions by S, tabulated over the entries of S.
 """
 
 from __future__ import annotations
@@ -34,34 +34,52 @@ def _pair_columns(n: int) -> np.ndarray:
     return col
 
 
+# The four contractions of a tree (p, q | r, s) as leaf positions (sign, u,
+# v, x, y): a symmetric form F contracts it to the sum of sign F(u, v) xy,
+# F(p,s) qr - F(p,r) qs - F(q,s) pr + F(q,r) ps.
+CONTRACTIONS = ((1, 0, 3, 1, 2), (-1, 0, 2, 1, 3), (-1, 1, 3, 0, 2),
+                (1, 1, 2, 0, 3))
+
+
+def _contract(sp: DerivationSpace, forms: np.ndarray) -> np.ndarray:
+    """Every generator contracted by each symmetric 2g x 2g form of a
+    stack: int8 (forms, generators, 2g, 2g), xy's coefficient at [x, y]."""
+    leaf, k = sp.leaves.T, np.arange(len(sp.leaves))
+    out = np.zeros((len(forms), len(k), sp.ctx.n, sp.ctx.n), dtype=np.int8)
+    for sign, u, v, x, y in CONTRACTIONS:
+        out[:, k, leaf[x], leaf[y]] += sign * forms[:, leaf[u], leaf[v]]
+    return out
+
+
+@cached
+def _contraction(sp: DerivationSpace) -> np.ndarray:
+    """Every generator contracted by |J| = [[0, I], [I, 0]], omega read
+    from the A-letter: read-only int8 (generators, 2g, 2g)."""
+    return _contract(sp, np.abs(iota_matrix(sp.g)).astype(np.int8)[None])[0]
+
+
+def _classes(m: np.ndarray, k: int) -> np.ndarray:
+    """The S^2 (k = 0, i <= j) or Lambda^2 (k = 1, i < j) classes of each
+    matrix of a stack, in ``np.triu_indices`` order: m_ij + m_ji, m_ii."""
+    i, j = np.triu_indices(m.shape[-1], k)
+    return m[..., i, j] + m[..., j, i] * (i != j)
+
+
 # -- the mod-2 traces --------------------------------------------------------
 
 @cached
 def _gf2_table(sp: DerivationSpace, which: str) -> np.ndarray:
     """tr_as ("as", every generator) or tr_sym ("sym", the tree generators)
-    as a read-only 0/1 table, one row per generator.
-
-    A tree with leaves (p, q, r, s) traces to the classes of its four
-    contractions omega(p,s) qr + omega(p,r) qs + omega(q,s) pr
-    + omega(q,r) ps; tr_as drops the diagonal classes, and on p (.) q,
-    whose leaves are (p, q, p, q), it is (1 + omega(p,q)) p^q instead."""
-    j = iota_matrix(sp.g)
-    p, q, r, s = sp.leaves.T
-    w = np.stack([j[p, s], j[p, r], j[q, s], j[q, r]], axis=1) % 2
-    x = np.stack([q, q, p, p], axis=1)
-    y = np.stack([r, s, r, s], axis=1)
+    as a read-only 0/1 table, one row per generator: the Lambda^2 or S^2
+    classes of its contraction mod 2, as |J| is omega mod 2.  On p (.) q,
+    whose leaves are (p, q, p, q), tr_as is (1 + omega(p,q)) p^q instead."""
     m = len(sp.pairs)
-    if which == "as":
-        # the first contraction of p (.) q's leaves is the class of q, p
-        w[:m] = 0
-        w[:m, 0] = (1 + j[p[:m], q[:m]]) % 2
-        w[x == y] = 0
-    else:
-        w, x, y = w[m:], x[m:], y[m:]
-    col = sp.pair_index if which == "as" else _pair_columns(sp.ctx.n)
-    table = np.zeros((len(w), col.max() + 1), dtype=np.int64)
-    np.add.at(table, (np.arange(len(w))[:, None], col[x, y]), w)
-    return table % 2
+    if which != "as":
+        return _classes(_contraction(sp)[m:], 0).astype(np.int64) % 2
+    table = _classes(_contraction(sp), 1).astype(np.int64) % 2
+    p, q = sp.leaves[:m, :2].T  # p (.) q is generator k, and p^q column k
+    table[:m] = np.diag(1 + iota_matrix(sp.g)[p, q]) % 2
+    return table
 
 
 def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
@@ -75,27 +93,16 @@ def tr_as(sp: DerivationSpace, rows) -> np.ndarray:
 @cached
 def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
     """tr_A ("A") or tr_B ("B") as a read-only integer table over S^2 of
-    the other side's letters, one row per generator.
-
-    A tree (a, b | c, d) expands to a (x) [b, [c, d]] - b (x) [a, [c, d]]
-    + c (x) [d, [a, b]] - d (x) [c, [a, b]].  A term h (x) [x, [y, z]] with
-    h on the side and x, y, z off it traces to omega(h, z) xy
-    - omega(h, y) xz, and every other term to 0: so does each term of
-    p (.) q, whose leaves are (p, q, p, q)."""
-    # the terms (h, x, y, z) of every generator, one column each
-    terms = sp.leaves[:, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 2, 0, 0],
-                          [3, 3, 1, 1]]]
-    h, x, y, z = np.moveaxis(terms, 1, 0)
-    on = sp.on_side(terms, side)
-    sign = np.array([1, -1, 1, -1]) * (on[:, 0] & ~on[:, 1:].any(axis=1))
-    j = iota_matrix(sp.g)
-    col = _pair_columns(sp.g)
-    k = np.arange(len(sp.leaves))[:, None]
-    table = np.zeros((len(k), col.max() + 1), dtype=np.int64)
-    # the letters off the side are one block of g, read mod g
-    np.add.at(table, (k, col[x % sp.g, y % sp.g]), sign * j[h, z])
-    np.add.at(table, (k, col[x % sp.g, z % sp.g]), -sign * j[h, y])
-    return table
+    the other side's letters, one row per generator: the S^2 classes of
+    its contraction on those letters, negated for B.  Such an entry needs
+    both uncontracted leaves off the side, so it comes only from
+    contracting the tree's one side leaf h with an off-side leaf (two
+    off-side leaves contract to 0): the trace omega(h, z) xy
+    - omega(h, y) xz of h (x) [x, [y, z]], omega read from h, |J| on A and
+    -|J| on B.  p (.) q has no single side leaf, so its row is 0."""
+    off = ~sp.on_side(np.arange(sp.ctx.n), side)
+    table = _classes(_contraction(sp)[:, off][:, :, off], 0).astype(np.int64)
+    return table if side == "A" else -table
 
 
 def tr_A(sp: DerivationSpace, rows) -> np.ndarray:
@@ -131,25 +138,14 @@ def _basis_traces(sp: DerivationSpace, which: str) -> np.ndarray:
 def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
     """Each generator's S-twisted contraction as a linear map of S: a
     read-only int8 array (g(g+1)/2, generators * 2g * 2g) whose row holds
-    the coefficients of the entry S_ij, i <= j in ``np.triu_indices``
-    order, in every generator's 2g x 2g value.
-
-    A tree with leaves (p, q, r, t) has the terms S_pt (qr) + S_qr (pt)
-    - S_pr (qt) - S_qt (pr), each with its transpose, where S_xy counts
-    only on B-letters (S[x - g, y - g]); on the leaves (p, q, p, q) of
-    p (.) q they give twice its contraction, so those columns are halved."""
-    g = sp.g
-    n = 2 * g
-    p, q, r, t = sp.leaves.T
-    col = _pair_columns(g)
-    k = np.arange(len(sp.leaves))
-    table = np.zeros((col.max() + 1, len(k), n, n), dtype=np.int8)
-    # terms (x, y, a, b, c): c * S[a - g, b - g] at (x, y), then transposed
-    for x, y, a, b, c in [(q, r, p, t, 1), (p, t, q, r, 1),
-                          (q, t, p, r, -1), (p, r, q, t, -1)]:
-        on_b = np.minimum(a, b) >= g  # S lives on the B block only
-        np.add.at(table, (col[a[on_b] - g, b[on_b] - g], k[on_b], x[on_b],
-                          y[on_b]), c)
+    every generator's contractions, plus their transpose, by the unit
+    symmetric form of the entry S_ij, i <= j in ``np.triu_indices`` order,
+    on the B block; those of p (.) q, whose leaves (p, q, p, q) give twice
+    its contraction, are halved."""
+    g, col = sp.g, _pair_columns(sp.g)
+    units = np.zeros((col.max() + 1, 2 * g, 2 * g), dtype=np.int8)
+    units[:, g:, g:] = np.moveaxis(np.identity(len(units), np.int8)[col], 2, 0)
+    table = _contract(sp, units)
     table = table + np.swapaxes(table, 2, 3)
     table[:, :len(sp.pairs)] //= 2
     return table.reshape(len(table), -1)

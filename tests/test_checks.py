@@ -381,7 +381,8 @@ def test_cached_values_are_read_only():
               *sp._gen_columns(), sp.generator_span(False)[1],
               sp.generator_span(True)[1], casson._thrice_qbar_column(sp),
               catalogs.coordinate_action(sp, 0),
-              *catalogs.goeritz_symmetries(2), traces._omegaS_table(sp)]
+              *catalogs.goeritz_symmetries(2), traces._omegaS_table(sp),
+              traces._contraction(sp)]
     arrays += [traces._gf2_table(sp, which) for which in ("as", "sym")]
     arrays += [traces._side_table(sp, side) for side in "AB"]
     arrays += [traces._basis_traces(sp, which)

@@ -91,8 +91,11 @@ def test_seed_recorded_in_certificate(tmp_path, capsys):
     (["--all", "--max-minutes", "10"], "unrecognized arguments"),
     (["--check", "core-values", "--json", "no-such-dir/c.json"],
      "--json directory does not exist"),
+    (["--check", "core-values", "--json", "."], "--json needs a file path"),
+    (["--check", "core-values", "--json", ""], "--json needs a file path"),
 ], ids=["negative-seed", "non-int-seed", "unknown-check", "genus-1",
-        "genus-5", "nothing-selected", "unknown-option", "missing-json-dir"])
+        "genus-5", "nothing-selected", "unknown-option", "missing-json-dir",
+        "json-is-a-directory", "empty-json-path"])
 def test_usage_error_exits_2_before_any_check(argv, message, capsys,
                                              monkeypatch, tmp_path):
     def run_check(*args, **kwargs):

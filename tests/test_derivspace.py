@@ -10,7 +10,8 @@ from sympderiv import checks, derivspace, traces
 from sympderiv.derivspace import (InconsistencyError, MembershipError,
                                   gl_embed, space)
 from sympderiv.freelie import SymplecticContext, iota_matrix
-from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
+from sympderiv.intlin import (IntegerLattice, hermite_normal_form,
+                              kernel_lattice, safe_matmul)
 from sympderiv.trees import eta1
 from test_catalogs import transform_rows
 from test_freelie import bracket_matrix, lyndon_projection
@@ -196,6 +197,24 @@ def test_tree_expression_requires_dprime():
     _, full_trans = sp.generator_span(False)
     assert np.array_equal(safe_matmul(full_trans, cols.T),
                           np.eye(sp.rank, dtype=np.int64))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("trees", [False, True])
+def test_generator_span_is_the_hnf_with_its_zero_rows_dropped(g, trees):
+    """The span and transform assembled from the HNF loop's rank rows alone
+    are the nonzero rows of the dense HNF of the generator columns and
+    their transform rows, in values and dtype."""
+    sp = space(g)
+    cols = sp.gen_coords()
+    if trees:
+        cols = cols[:, sp.tree_indices]
+    h, u = hermite_normal_form(cols.T, transform=True)
+    nonzero = (h != 0).any(axis=1)
+    span, trans = sp.generator_span(trees)
+    for got, want in [(span.basis, h[nonzero]), (trans, u[nonzero])]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_classify_type():

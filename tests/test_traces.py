@@ -74,6 +74,112 @@ def tr_B(sp, rows):
     return safe_matmul(rows, traces._basis_traces(sp, "B"))
 
 
+def gf2_table_by_letters(sp, which):
+    """Reference tr_as ("as") or tr_sym ("sym") table, from the letters of
+    each generator's four contractions: a tree with leaves (p, q, r, s)
+    traces to the classes of omega(p,s) qr + omega(p,r) qs + omega(q,s) pr
+    + omega(q,r) ps; tr_as drops the diagonal classes, and on p (.) q it
+    is (1 + omega(p,q)) p^q instead."""
+    j = iota_matrix(sp.g)
+    p, q, r, s = sp.leaves.T
+    w = np.stack([j[p, s], j[p, r], j[q, s], j[q, r]], axis=1) % 2
+    x = np.stack([q, q, p, p], axis=1)
+    y = np.stack([r, s, r, s], axis=1)
+    m = len(sp.pairs)
+    if which == "as":
+        # the first contraction of p (.) q's leaves is the class of q, p
+        w[:m] = 0
+        w[:m, 0] = (1 + j[p[:m], q[:m]]) % 2
+        w[x == y] = 0
+    else:
+        w, x, y = w[m:], x[m:], y[m:]
+    col = sp.pair_index if which == "as" else traces._pair_columns(sp.ctx.n)
+    table = np.zeros((len(w), col.max() + 1), dtype=np.int64)
+    np.add.at(table, (np.arange(len(w))[:, None], col[x, y]), w)
+    return table % 2
+
+
+def side_table_by_terms(sp, side):
+    """Reference tr_A ("A") or tr_B ("B") table, from the expansion terms:
+    a tree (a, b | c, d) expands to a (x) [b, [c, d]] - b (x) [a, [c, d]]
+    + c (x) [d, [a, b]] - d (x) [c, [a, b]], and a term h (x) [x, [y, z]]
+    with h on the side and x, y, z off it traces to omega(h, z) xy
+    - omega(h, y) xz, every other term to 0."""
+    terms = sp.leaves[:, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 2, 0, 0],
+                          [3, 3, 1, 1]]]
+    h, x, y, z = np.moveaxis(terms, 1, 0)
+    on = sp.on_side(terms, side)
+    sign = np.array([1, -1, 1, -1]) * (on[:, 0] & ~on[:, 1:].any(axis=1))
+    j = iota_matrix(sp.g)
+    col = traces._pair_columns(sp.g)
+    k = np.arange(len(sp.leaves))[:, None]
+    table = np.zeros((len(k), col.max() + 1), dtype=np.int64)
+    # the letters off the side are one block of g, read mod g
+    np.add.at(table, (k, col[x % sp.g, y % sp.g]), sign * j[h, z])
+    np.add.at(table, (k, col[x % sp.g, z % sp.g]), -sign * j[h, y])
+    return table
+
+
+def omegaS_table_by_letters(sp):
+    """Reference tr_omegaS table, from the letters of each generator: a tree
+    with leaves (p, q, r, t) has the terms S_pt (qr) + S_qr (pt)
+    - S_pr (qt) - S_qt (pr), each with its transpose, where S_xy counts
+    only on B-letters; the columns of p (.) q are halved."""
+    g = sp.g
+    n = 2 * g
+    p, q, r, t = sp.leaves.T
+    col = traces._pair_columns(g)
+    k = np.arange(len(sp.leaves))
+    table = np.zeros((col.max() + 1, len(k), n, n), dtype=np.int8)
+    for x, y, a, b, c in [(q, r, p, t, 1), (p, t, q, r, 1),
+                          (q, t, p, r, -1), (p, r, q, t, -1)]:
+        on_b = np.minimum(a, b) >= g
+        np.add.at(table, (col[a[on_b] - g, b[on_b] - g], k[on_b], x[on_b],
+                          y[on_b]), c)
+    table = table + np.swapaxes(table, 2, 3)
+    table[:, :len(sp.pairs)] //= 2
+    return table.reshape(len(table), -1)
+
+
+def tables_match_letter_references(sp):
+    """Assert that tr_as, tr_sym, tr_A, tr_B and tr_omegaS, tabulated from
+    the one contraction rule, equal their letter-formula references in
+    values and dtype; return how many tables were compared."""
+    pairs = [(traces._gf2_table(sp, w), gf2_table_by_letters(sp, w))
+             for w in ("as", "sym")]
+    pairs += [(traces._side_table(sp, side), side_table_by_terms(sp, side))
+              for side in "AB"]
+    pairs.append((traces._omegaS_table(sp), omegaS_table_by_letters(sp)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    return len(pairs)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_tables_match_the_letter_formulas(g):
+    """Every trace table equals the formula read from the letters (genus 6
+    in CI)."""
+    assert tables_match_letter_references(space(g)) == 5
+
+
+def test_contraction_is_the_four_terms_of_each_tree():
+    """The cached |J| contraction of tree(a1 a2 | b1 b2), leaves
+    (0, 1 | 2, 3) at genus 2: |J|(p,s) qr - |J|(p,r) qs - |J|(q,s) pr
+    + |J|(q,r) ps = -a2 b2 - a1 b1, and of a1 (.) b1, leaves
+    (0, 2 | 0, 2), a1 b1 at [0, 2] and at [2, 0]."""
+    sp = space(2)
+    c = traces._contraction(sp)
+    assert c.dtype == np.int8 and not c.flags.writeable
+    want = np.zeros((4, 4), dtype=np.int8)
+    want[1, 3] = want[0, 2] = -1
+    assert np.array_equal(c[sp.generators.index(("tree", (0, 1), (2, 3)))],
+                          want)
+    want = np.zeros((4, 4), dtype=np.int8)
+    want[2, 0] = want[0, 2] = 1
+    assert np.array_equal(c[sp.generators.index(("odot", (0, 2)))], want)
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_mod2_images_fill_omega_kernels(g):
     sp = space(g)
