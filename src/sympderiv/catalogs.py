@@ -31,8 +31,9 @@ HNF basis, where each Goeritz symmetry acts as one r x r integer matrix,
 read from the generators with their leaves moved.  The degree-1 orbit
 closure runs in Lambda^3 H coordinates, where a symmetry acts by the
 minors of the moved tripod letters.  No element of H (x) L_k is moved by
-m (x) L_k(m).  ``catalog_lattice`` builds a catalog's span batch by batch,
-reducing only the rows not yet in the span.
+m (x) L_k(m).  ``catalog_lattice`` builds a catalog's span batch by batch:
+a sparse batch goes straight into the HNF loop, and of a dense one only the
+rows not yet in the span are reduced.
 """
 
 import itertools
@@ -42,12 +43,23 @@ import numpy as np
 from .trees import TREE_BRACKET_SIGN, eta1
 from .derivspace import DerivationSpace, gl_embed, runs
 from .freelie import iota_matrix
-from .intlin import IntegerLattice, cached, safe_einsum, safe_matmul
+from .intlin import BLOCK, IntegerLattice, cached, safe_einsum, safe_matmul
 
 
 # Johnson candidates or tripod pairs per built block: bounds the rows built
 # at once, and so the peak memory of catalog building
 CHUNK = 128
+
+# A catalog batch whose rows average fewer than SPARSE_ROW nonzeros goes
+# into the HNF loop untested (``catalog_lattice``).  The membership test
+# costs about 9 us a row at width 336, however sparse the row; the HNF loop
+# reduces a redundant row of 1-2 nonzeros in 2-4 us, but fills in the dense
+# rows of a Johnson batch.  Nonzeros per row at genus 3-5: realizable
+# catalog 1.6-2.0, tripod brackets 1.5-1.7 (1.3-2.1 per batch); Johnson
+# 9.3-14.0 (3.9-20.6 per batch).  Genus-4 spans, tested -> untested:
+# realizable 22 -> 11 ms, brackets 17 -> 10 ms, Johnson 335 -> 570 ms
+# (genus 3: 34 -> 23 ms, but its batches stay tested as at every genus).
+SPARSE_ROW = 3
 
 
 def _chunks(n):
@@ -283,10 +295,12 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
 
 def _batches(blocks, n):
     """Consecutive row blocks stacked until each stack holds at least n rows
-    (the last may hold fewer), pulling each block only when a stack needs
-    it."""
+    (the last may hold fewer, but none is empty), pulling each block only
+    when a stack needs it."""
     pending, size = [], 0
     for block in blocks:
+        if not len(block):
+            continue
         pending.append(block)
         size += len(block)
         if size >= n:
@@ -296,19 +310,31 @@ def _batches(blocks, n):
         yield np.vstack(pending)
 
 
+def _sparse(batch):
+    """Whether a batch's rows average fewer than SPARSE_ROW nonzeros."""
+    return np.count_nonzero(batch) < SPARSE_ROW * len(batch)
+
+
 def catalog_lattice(sp: DerivationSpace, blocks, chunk=256):
     """Integer span in Z^(sp.rank) of catalog rows, given as an iterable of
     row blocks, stacked at least ``chunk`` rows at a time.
 
-    Every row is pulled and tested against the span so far; only the rows
-    of a batch outside it join the span, through one lattice sum, as in
+    Every row is pulled.  A run of consecutive sparse batches (``_sparse``)
+    goes untested into one HNF loop with the span so far, each batch read
+    into it as pulled (``IntegerLattice.sum`` of an iterator), so the run
+    is never stacked.  A dense batch is tested against the span so far, and
+    only its rows outside it join the span, through one lattice sum, as in
     ``orbit_closure``.
     """
     lat = IntegerLattice(sp.rank)
-    for batch in _batches(blocks, chunk):
-        new = batch[~lat.contains_rows(batch)]
-        if len(new):
-            lat = lat.sum(new)
+    for sparse, run in itertools.groupby(_batches(blocks, chunk), _sparse):
+        if sparse:
+            lat = lat.sum(run)
+            continue
+        for batch in run:
+            new = batch[~lat.contains_rows(batch)]
+            if len(new):
+                lat = lat.sum(new)
     return lat
 
 
@@ -377,15 +403,23 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
     Semi-naive: each round moves only the frontier, the rows that entered
     the lattice in the previous round, since the images of the older part
     are already inside.  The lattice after every round, and so the number
-    of rounds, is that of moving the whole basis each time.
+    of rounds, is that of moving the whole basis each time.  The moved rows
+    are formed and tested against the lattice as many matrices at a time
+    as fit in BLOCK entries, and one matrix at a time when its moved rows
+    alone fill a block; the new rows keep their order either way.
     """
     lat = IntegerLattice(len(actions[0]), np.asarray(seed_rows))
     frontier = lat.basis
     for _ in range(max_rounds):
-        # one membership test per matrix: stacking every moved row of the
-        # round in one test held several times their size at once
-        moved = (safe_matmul(frontier, a) for a in actions)
-        frontier = np.vstack([rows[~lat.contains_rows(rows)] for rows in moved])
+        # one test per block; genus 4: tau_1 6 ms, 12 ms with a test per
+        # matrix; tau_2, whose first frontier fills a block, 32 ms, 38 ms
+        # with one test of all of a round's moved rows
+        per = max(1, BLOCK // max(1, frontier.size))
+        moved = (np.vstack([safe_matmul(frontier, a)
+                            for a in actions[i:i + per]])
+                 for i in range(0, len(actions), per))
+        frontier = np.vstack([rows[~lat.contains_rows(rows)]
+                              for rows in moved])
         if not len(frontier):
             return lat
         lat = lat.sum(frontier)

@@ -34,12 +34,17 @@ def _witness_jsonable(obj):
     return str(obj)
 
 
+def _temp_beside(path):
+    """A new temporary file in path's directory: (fd, its path)."""
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    return tempfile.mkstemp(dir=d, prefix=".certificate-")
+
+
 def _write_atomic(path, text):
     """Write text to path through a temporary file in its directory, given
     the mode a plain open would (mkstemp makes it 0600, which the replace
     keeps)."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".certificate-")
+    fd, tmp = _temp_beside(path)
     try:
         umask = os.umask(0)
         os.umask(umask)
@@ -87,6 +92,13 @@ def main(argv=None) -> int:
             parser.error("--json needs a file path, not %r" % args.json)
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.json))):
             parser.error("--json directory does not exist: %s" % args.json)
+        try:
+            fd, tmp = _temp_beside(args.json)
+        except OSError as e:
+            parser.error("--json directory cannot take the certificate: "
+                         "%s (%s)" % (args.json, e.strerror))
+        os.close(fd)
+        os.unlink(tmp)
 
     if args.list:
         for entry in checks.ALL_CHECKS:

@@ -11,10 +11,12 @@ canonical representative, so structural equality is lattice equality.
 Most lattices here are very sparse (a few nonzeros per row).  Every HNF is
 one loop (``_hnf_rows``) over rows held as sparse dicts of Python ints,
 read from the nonzeros of an input of any integer dtype, whatever its
-density; only what a caller needs is assembled densely from those rows.
-``hermite_normal_form`` assembles all of them, ``left_kernel`` only the
-transform parts of the zero rows, and ``IntegerLattice.intersection`` only
-the right halves of the rows of one Zassenhaus HNF.  The loop's pivot is
+density, or of a stream of row blocks, each read as pulled; only what a
+caller needs is assembled densely from those rows.  ``hermite_normal_form``
+assembles all of them, ``left_kernel`` only the transform parts of the
+zero rows, ``IntegerLattice.intersection`` only the right halves of the
+rows of one Zassenhaus HNF, and ``IntegerLattice.sum`` of a stream only
+the nonzero rows.  The loop's pivot is
 a row of least entry in its column and, among those, of fewest nonzeros,
 so that the many dependent rows of a catalog batch, each reduced against
 the pivot, stay sparse.
@@ -27,7 +29,9 @@ values.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -93,14 +97,20 @@ def cached(fn):
     return memo
 
 
+# Entries in a block of rows: the most in any mask ``nonzeros`` forms, and in
+# the moved rows ``catalogs.orbit_closure`` tests at once (unless one
+# matrix's alone hold more)
+BLOCK = 2 ** 16
+
+
 def nonzeros(a: np.ndarray):
     """Row and column indices of the nonzeros of a 2-d array, in row-major
     order (much faster than a 2-d ``np.nonzero``).  The mask of nonzeros is
-    formed a block of rows of about 2**16 entries at a time, so none the
+    formed a block of rows of about BLOCK entries at a time, so none the
     size of a large array is held; ``np.flatnonzero`` of an int8 array with
     no mask is 6x slower."""
     width = max(1, a.shape[1])
-    step = max(1, 2 ** 16 // width)
+    step = max(1, BLOCK // width)
     flat = [np.flatnonzero(a[i:i + step] != 0) + i * width
             for i in range(0, max(1, len(a)), step)]
     return np.divmod(np.concatenate(flat), width)
@@ -123,12 +133,16 @@ def hermite_normal_form(m, transform: bool = False):
     return w
 
 
-def _hnf_rows(a: np.ndarray, transform: bool = False):
+def _hnf_rows(a, transform: bool = False):
     """The one HNF loop: the rows of the HNF of ``a`` (any integer dtype)
-    in order, as {column: int} dicts, and the rank.  With ``transform``,
-    row i starts as a_i plus 1 in column ncols + i, so each row also holds
-    its row of the transform past column ncols; the zero rows of the HNF,
-    the last nrows - rank, then hold nothing before it.
+    in order, as {column: int} dicts, and the rank.  ``a`` is a 2-d array,
+    or an iterable of 2-d blocks of one width whose rows, stacked, are the
+    input (the first block gives the width); each block's nonzeros are
+    read into the row dicts as the block is pulled, so the blocks are never
+    stacked.  With ``transform``, row i starts as a_i plus 1 in column
+    ncols + i, so each row also holds its row of the transform past column
+    ncols; the zero rows of the HNF, the last nrows - rank, then hold
+    nothing before it.
 
     Rows are read from the nonzeros of ``a`` into dicts of Python ints, so
     no entry overflows.  Each row keeps its identity while ``order`` maps
@@ -145,13 +159,18 @@ def _hnf_rows(a: np.ndarray, transform: bool = False):
     Course in Computational Algebraic Number Theory, 2.4); only the
     transform can.
     """
-    nrows, ncols = a.shape
-    rows = [{} for _ in range(nrows)]
-    cols = [set() for _ in range(ncols)]
-    ii, jj = nonzeros(a)
-    for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
-        rows[i][j] = x
-        cols[j].add(i)
+    rows, cols = [], None
+    for block in [a] if isinstance(a, np.ndarray) else a:
+        if cols is None:
+            cols = [set() for _ in range(block.shape[1])]
+        ii, jj = nonzeros(block)
+        vals = block[ii, jj].tolist()
+        ii += len(rows)
+        rows += [{} for _ in range(len(block))]
+        for i, j, x in zip(ii.tolist(), jj.tolist(), vals):
+            rows[i][j] = x
+            cols[j].add(i)
+    nrows, ncols = len(rows), len(cols)
     if transform:
         for i in range(nrows):
             rows[i][ncols + i] = 1
@@ -383,10 +402,17 @@ class IntegerLattice:
         return f"IntegerLattice(dim={self.ambient_dim}, rank={self.rank})"
 
     def sum(self, rows) -> "IntegerLattice":
-        """The span of the lattice and a stack of rows: one HNF of the
-        basis stacked on them."""
-        return IntegerLattice(self.ambient_dim, np.vstack(
-            [self.basis, _rows_of_width(rows, self.ambient_dim)]))
+        """The span of the lattice and a stack of rows, one HNF of the basis
+        stacked on them; or of an iterator of such stacks, each read into
+        one HNF loop with the basis as it is pulled (``_hnf_rows``), so
+        that no two are held at once, and only the rank rows assembled."""
+        n = self.ambient_dim
+        if not isinstance(rows, Iterator):
+            return IntegerLattice(n, np.vstack([self.basis,
+                                                _rows_of_width(rows, n)]))
+        hnf, rank = _hnf_rows(itertools.chain(
+            [self.basis], (_rows_of_width(b, n) for b in rows)))
+        return IntegerLattice(n, _assemble(hnf[:rank], n), canonical=True)
 
     def intersection(self, other: "IntegerLattice") -> "IntegerLattice":
         """Zassenhaus: the HNF of [[A, A], [B, 0]] spans the pairs

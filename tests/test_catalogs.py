@@ -480,26 +480,44 @@ def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):
 def _target_and_rows(draw, st):
     """A random lattice of full rank r, its generators (echelon rows whose
     pivots, and so those of its HNF, are past 2^31 when the scale 2^33 is
-    drawn), and row blocks of integer combinations of them."""
+    drawn), and row blocks of integer combinations of them.  When
+    ``sparse`` is drawn, the generators are diagonal and each row a
+    multiple of one of them, so that every batch of them is sparse
+    (``catalogs._sparse``)."""
     n = draw(st.integers(2, 7))
     r = draw(st.integers(1, n))
     scale = draw(st.sampled_from([1, 2 ** 33]))
+    sparse = draw(st.booleans())
     entries = draw(st.lists(st.integers(-3, 3), min_size=n * r,
                             max_size=n * r))
     gens = np.triu(np.array(entries, dtype=np.int64).reshape(r, n), 1)
+    if sparse:
+        gens[:] = 0
     gens[np.arange(r), np.arange(r)] = scale * np.arange(1, r + 1)
     sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=r * sum(sizes),
                            max_size=r * sum(sizes)))
-    rows = np.array(coeffs, dtype=np.int64).reshape(-1, r) @ gens
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(-1, r)
+    if sparse:
+        coeffs *= np.eye(r, dtype=np.int64)[np.arange(len(coeffs)) % r]
+    rows = coeffs @ gens
     blocks = np.split(rows, np.cumsum(sizes)[:-1])
     return n, IntegerLattice(n, gens), gens, blocks
 
 
 @pytest.mark.parametrize("case", ["early", "never", "outside", "late"])
-def test_catalog_lattice_equals_ambient_span(case):
+def test_catalog_lattice_equals_ambient_span(case, monkeypatch):
+    """The span of any stream is the span of all its rows, and exactly the
+    rows of its dense batches are tested against the span so far; over the
+    examples, both sparse and dense batches are drawn."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    tested, sides = [], set()
+    real = IntegerLattice.contains_rows
+
+    def recording(self, rows):
+        tested.append(len(rows))
+        return real(self, rows)
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
     @hypothesis.given(st.data())
@@ -529,9 +547,16 @@ def test_catalog_lattice_equals_ambient_span(case):
         rows = np.vstack(blocks)
         want = IntegerLattice(n, rows)
         sp = SimpleNamespace(rank=n)
+        batches = list(catalogs._batches(blocks, chunk))
+        dense = [len(b) for b in batches if not catalogs._sparse(b)]
+        sides.update(map(catalogs._sparse, batches))
         stream = catalogs.BlockStream(blocks)
-        got = catalog_lattice(sp, stream, chunk=chunk)
+        tested.clear()
+        with monkeypatch.context() as m:
+            m.setattr(IntegerLattice, "contains_rows", recording)
+            got = catalog_lattice(sp, stream, chunk=chunk)
         assert got == want
+        assert tested == dense
         # every row is pulled, whether or not the span saturates
         assert len(stream) == len(rows)
         if case == "early":
@@ -544,6 +569,34 @@ def test_catalog_lattice_equals_ambient_span(case):
         assert catalog_lattice(sp, [rows], chunk=chunk) == want
 
     check()
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("g", [3, 4])
+@pytest.mark.parametrize("catalog", ["realizable", "brackets"])
+def test_sparse_catalogs_go_untested_into_the_hnf_loop(g, catalog,
+                                                        monkeypatch):
+    """The realizable catalog and the tripod brackets average under
+    SPARSE_ROW nonzeros per row, so their spans make no membership test:
+    each is the lattice of all its rows, read into one HNF loop."""
+    sp = space(g)
+    make = {"realizable": realizable_catalog_A,
+            "brackets": lambda sp: tripod_bracket_entries(sp, None)}[catalog]
+    rows = stacked(make(sp))
+    want = IntegerLattice(sp.rank, rows)
+    calls = []
+    real = intlin.solve_over_hnf
+
+    def recording(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(intlin, "solve_over_hnf", recording)
+    stream = make(sp)
+    got = catalog_lattice(sp, stream)
+    assert calls == []
+    assert len(stream) == len(rows)
+    assert got == want
 
 
 def test_gl_generators_generate_symplectically():
@@ -712,21 +765,39 @@ def _goeritz_seed(sp, which):
 
 @pytest.mark.parametrize("g", [2, 3])
 @pytest.mark.parametrize("which", ["tau1", "tau2"])
-def test_orbit_closure_matches_naive_closure(g, which):
+def test_orbit_closure_matches_naive_closure(g, which, monkeypatch):
     """The closure equals, mapped to H (x) L_k, a naive closure there that
-    moves the whole basis by ``transform_rows`` every round."""
+    moves the whole basis by ``transform_rows`` every round, in as many
+    rounds, whether the moved rows are tested a matrix at a time or all
+    matrices at once."""
     sp = space(g)
     ambient_seed, k, seed, actions, to_ambient = _goeritz_seed(sp, which)
     mats = goeritz_symmetries(g)
     naive, rounds = _naive_closure(sp.ctx, ambient_seed, mats, k)
     assert rounds > 1
-    lat = orbit_closure(seed, actions, max_rounds=rounds)
-    assert IntegerLattice(naive.ambient_dim,
-                          safe_matmul(lat.basis, to_ambient)) == naive
-    # the same number of rounds: one fewer is not enough
-    for limit in {1, rounds - 1}:
-        with pytest.raises(RuntimeError):
-            orbit_closure(seed, actions, max_rounds=limit)
+    tests = []
+    real = IntegerLattice.contains_rows
+
+    def recording(self, rows):
+        tests.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(IntegerLattice, "contains_rows", recording)
+    # the BLOCK of the program; one so small that every matrix's moved rows
+    # are tested alone; one so large that all matrices share one test
+    for block, per_round in ((catalogs.BLOCK, None), (1, len(actions)),
+                             (2 ** 40, 1)):
+        monkeypatch.setattr(catalogs, "BLOCK", block)
+        tests.clear()
+        lat = orbit_closure(seed, actions, max_rounds=rounds)
+        assert IntegerLattice(naive.ambient_dim,
+                              safe_matmul(lat.basis, to_ambient)) == naive
+        if per_round:
+            assert len(tests) == rounds * per_round
+        # the same number of rounds: one fewer is not enough
+        for limit in {1, rounds - 1}:
+            with pytest.raises(RuntimeError):
+                orbit_closure(seed, actions, max_rounds=limit)
 
 
 def coordinate_actions_match_reference(sp):

@@ -93,9 +93,13 @@ def test_seed_recorded_in_certificate(tmp_path, capsys):
      "--json directory does not exist"),
     (["--check", "core-values", "--json", "."], "--json needs a file path"),
     (["--check", "core-values", "--json", ""], "--json needs a file path"),
+    pytest.param(["--check", "core-values", "--json", "/proc/self/cert.json"],
+                 "--json directory cannot take the certificate",
+                 marks=pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                                          reason="no /proc")),
 ], ids=["negative-seed", "non-int-seed", "unknown-check", "genus-1",
         "genus-5", "nothing-selected", "unknown-option", "missing-json-dir",
-        "json-is-a-directory", "empty-json-path"])
+        "json-is-a-directory", "empty-json-path", "json-dir-unwritable"])
 def test_usage_error_exits_2_before_any_check(argv, message, capsys,
                                              monkeypatch, tmp_path):
     def run_check(*args, **kwargs):
