@@ -276,7 +276,8 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
     tree is bilinear in its two wedges and symmetric in them, as
     ``pair_tables`` holds tree(P, Q) at [P, Q] and at [Q, P].  So a half is
     keyed by its wedge times the sign of the wedge's first nonzero, a tree
-    by the unordered pair of its wedges' key ids, and candidates with equal
+    by the unordered pair lo <= hi of its wedges' key ids, read as one
+    integer lo * (number of ids) + hi, and candidates with equal
     keys have rows equal up to sign: the first of each key is kept, and no
     distinct row is lost.
     """
@@ -286,8 +287,9 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
     _, h, ids = np.unique(w * np.sign(first)[:, None], axis=0,
                           return_index=True, return_inverse=True)
     ids = ids.ravel()  # its shape differs across numpy 2.0.x
-    pair = np.sort(np.stack([ids[k], ids[l]], axis=1), axis=1)
-    t = np.sort(np.unique(pair, axis=0, return_index=True)[1])
+    lo, hi = np.minimum(ids[k], ids[l]), np.maximum(ids[k], ids[l])
+    t = np.sort(np.unique(lo.astype(np.int64) * len(h) + hi,
+                          return_index=True)[1])
     return BlockStream(_johnson_rows(sp, w, np.sort(h), k[t], l[t]))
 
 

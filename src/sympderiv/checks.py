@@ -36,7 +36,7 @@ import numpy as np
 
 from . import casson, catalogs, traces, trees
 from .derivspace import space
-from .intlin import IntegerLattice, cached, safe_matmul
+from .intlin import IntegerLattice, cached, left_kernel, safe_matmul
 
 VERSION = "0.1.0"
 
@@ -327,9 +327,22 @@ def _check_quartic_vanishing(g, seed):
 
 @cached
 def _double_kernel(g):
-    """The intersection of ker tr_as and ker tr_A, built once per genus."""
+    """ker tr_as & ker tr_A, built once per genus as one integer kernel on
+    tr_A's domain F_0^A, where an integer and a mod-2 condition meet.  With
+    F that domain's basis and T the traces of D_2's basis
+    (``traces._basis_traces``), the left kernel of
+    [[F T_A, F T_as mod 2], [0, 2I]] holds the (x, y) with x F T_A = 0 and
+    x F T_as = -2y; y is fixed by x, so its x parts span the coefficients
+    over F of the elements with tr_A 0 and tr_as even, and the lattice is
+    one HNF of x F."""
     sp = space(g)
-    return traces.kernel(sp, "as").intersection(traces.kernel(sp, "A"))
+    f = sp.filtration(0, "A").basis
+    t_a = safe_matmul(f, traces._basis_traces(sp, "A"))
+    t_as = safe_matmul(f, traces._basis_traces(sp, "as")) % 2
+    p = t_as.shape[1]
+    m = np.block([[t_a, t_as], [np.zeros((p, t_a.shape[1]), dtype=np.int64),
+                                2 * np.eye(p, dtype=np.int64)]])
+    return IntegerLattice(sp.rank, safe_matmul(left_kernel(m)[:, :len(f)], f))
 
 
 @cached

@@ -166,11 +166,11 @@ class DerivationSpace:
         """The generators in H (x) L_3, sparsely: keys generator *
         ambient_dim + column of their nonzeros, in order, and the values.
         They are eta2 of the leaf table, each term a signed row of
-        ``bracket_table(1, 2)`` in one block (``trees.eta2_terms``), with
+        ``letter_bracket_table`` in one block (``trees.eta2_terms``), with
         the rows of the (.)-generators halved: eta2(p, q | p, q) is twice
         its first two terms, which are p (.) q."""
         ctx, ambient = self.ctx, self.ambient_dim
-        table = ctx.bracket_table(1, 2)
+        table = ctx.letter_bracket_table()
         keys, vals = [], []
         for x, y, word, sign in eta2_terms(ctx, *self.leaves.T):
             block = table[y, word]

@@ -3,11 +3,16 @@
 Letters are 0..2g-1 with a_1..a_g = 0..g-1 and b_1..b_g = g..2g-1; Lyndon
 words use that letter order.  Degrees are capped at 4, which is all the
 degree-2 derivation theory needs.  Tensor elements are dicts from letter
-tuples to integer coefficients; they define the bracket once, in a
-structure-constant table per pair of degrees, and brackets in Lyndon
-coordinates are one exact product against those tables.  The bracket map
-H (x) L_3 -> L_4 is read instead at the Lyndon words of T_4, with no
-degree-4 table: the Lyndon-word block of the bracketings' expansions is
+tuples to integer coefficients; they define the structure constants of the
+bracket, a table per pair of degrees (``bracket_table``), and brackets in
+Lyndon coordinates are one exact product against those tables
+(``lie_bracket``, read by the oracle ``trees.derivation_bracket``).  The
+bracket of a letter with a degree-2 bracketing, which the tree expansions
+and D_2 read, is instead one table read from letter order
+(``letter_bracket_table``; Reutenauer, Free Lie Algebras, ch. 4-5, for
+the standard bracketings), with no tensor.  The bracket map
+H (x) L_3 -> L_4 is read at the Lyndon words of T_4, with no degree-4
+table: the Lyndon-word block of the bracketings' expansions is
 unitriangular (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, 5.1), so
 that reading is injective on L_4; D_2 reads it at genus 2 only and renames
 its kernel's letters for every other genus.  Killing a Lagrangian of H is a
@@ -180,6 +185,28 @@ class SymplecticContext:
                 comm = tensor_concat_commutator(tu, self.bracketing_tensor(v))
                 table[a, b] = self.tensor_to_lyndon(j + k, comm)
         return narrowed(table)
+
+    @cached
+    def letter_bracket_table(self) -> np.ndarray:
+        """[x, w] of every letter x and degree-2 Lyndon bracketing w =
+        [p, q], p < q, in degree-3 Lyndon coordinates, read from letter
+        order: +xpq if x <= p (its own standard bracketing); -pqx if
+        p < x <= q, as [[p, q], x] is pqx's; -pqx - pxq if q < x, by
+        Jacobi, [[p, q], x] = [p, [q, x]] + [[p, x], q].  The values of
+        ``bracket_table(1, 2)``, with no tensor expansion, in int8 and
+        read-only; D_2's expansions read this table and the oracle
+        ``trees.derivation_bracket`` the other."""
+        col = self.lyndon_index(3)
+        table = np.zeros((self.n, self.dim(2), self.dim(3)), dtype=np.int8)
+        for w, (p, q) in enumerate(self.lyndon(2)):
+            for x in range(self.n):
+                if x <= p:
+                    table[x, w, col[x, p, q]] = 1
+                else:
+                    table[x, w, col[p, q, x]] = -1
+                    if q < x:
+                        table[x, w, col[p, x, q]] = -1
+        return table
 
     def lie_bracket(self, j: int, x, k: int, y) -> np.ndarray:
         """Bracket L_j x L_k -> L_{j+k} in Lyndon coordinates, row by row

@@ -15,11 +15,16 @@ density, or of a stream of row blocks, each read as pulled; only what a
 caller needs is assembled densely from those rows.  ``hermite_normal_form``
 assembles all of them, ``left_kernel`` only the transform parts of the
 zero rows, ``IntegerLattice.intersection`` only the right halves of the
-rows of one Zassenhaus HNF, and ``IntegerLattice.sum`` of a stream only
-the nonzero rows.  The loop's pivot is
-a row of least entry in its column and, among those, of fewest nonzeros,
-so that the many dependent rows of a catalog batch, each reduced against
-the pivot, stay sparse.
+rows of one Zassenhaus HNF, and a lattice built from generators, or
+``IntegerLattice.sum`` of a stack or a stream, only the nonzero rows.  The
+loop's pivot is a row of least entry in its column and, among those, of
+fewest nonzeros, so that the many dependent rows of a catalog batch, each
+reduced against the pivot, stay sparse.
+
+Over GF(2) there is one elimination (``gf2_rank``), on rows packed
+into int bitsets, fully reduced.  It gives a GF(2) rank as its count of
+rows, and the HNF of a mod-2 kernel {v : m v == 0 mod 2} directly, with
+no integer HNF (``kernel_lattice``).
 
 ``safe_matmul`` multiplies over the nonzeros of an operand (the right one
 if it forms fewer terms) with fewer than 1/SPARSE_PRODUCT of its entries
@@ -262,10 +267,6 @@ def _assemble(rows, width: int, shift: int = 0) -> np.ndarray:
     return w
 
 
-def _nonzero_rows(h: np.ndarray) -> np.ndarray:
-    return h[(h != 0).any(axis=1)]
-
-
 def left_kernel(m) -> np.ndarray:
     """Basis (HNF rows) of {v : v @ m == 0}, saturated by construction:
     the transform parts of the zero rows of the HNF loop, assembled alone
@@ -279,13 +280,32 @@ def left_kernel(m) -> np.ndarray:
 
 def kernel_lattice(m, mod2: bool = False) -> "IntegerLattice":
     """Full integer kernel {v : m @ v == 0}, or {v : m @ v == 0 mod 2}, as a
-    lattice in Z^cols.  Mod 2 it is the first cols columns of the kernel of
-    [m | 2I], already in HNF, since v determines the rest."""
+    lattice in Z^cols.
+
+    Mod 2 it is read from the GF(2) elimination of m's rows
+    (``gf2_rank``), with no HNF: each reduced row R_c has its pivot c
+    at its highest set bit, and no other row holds c.  The basis has one
+    row per column: 2e_c at each pivot column c, and at every other column
+    f the row e_f plus e_c for each R_c that holds f, a vector of the GF(2)
+    kernel, as R_c meets it at f and c alone.  Those rows and 2Z^cols span
+    the preimage, of index 2^rank as the rows' determinant is.  They are
+    already its HNF: row f's first nonzero is its 1 at f, as c > f; each
+    column holds one pivot; above a pivot 1 there is no other entry, and
+    above a pivot 2 only 1s.  Bit f of R_c, read for every f at once, is
+    column c of the basis past its identity."""
     a = as_int_matrix(m)
     n = a.shape[1]
-    if mod2:
-        a = np.hstack([a, 2 * np.eye(len(a), dtype=np.int64)])
-    return IntegerLattice(n, narrowed(left_kernel(a.T)[:, :n]), canonical=True)
+    if not mod2:
+        return IntegerLattice(n, left_kernel(a.T), canonical=True)
+    reduced = gf2_rank(a)
+    size = (n + 7) // 8
+    held = np.unpackbits(
+        np.frombuffer(b"".join(r.to_bytes(size, "little") for r in reduced),
+                      dtype=np.uint8).reshape(len(reduced), size),
+        axis=1, count=n, bitorder="little")
+    basis = np.eye(n, dtype=np.int8)
+    basis[:, [r.bit_length() - 1 for r in reduced]] += held.T
+    return IntegerLattice(n, basis, canonical=True)
 
 
 def solve_over_hnf(basis: np.ndarray, pivots, rows):
@@ -355,10 +375,11 @@ class IntegerLattice:
         self.ambient_dim = ambient_dim
         g = _rows_of_width([] if generators is None else generators,
                            ambient_dim)
-        if len(g) == 0:
-            basis = np.zeros((0, ambient_dim), dtype=np.int8)
+        if canonical:
+            basis = g
         else:
-            basis = g if canonical else _nonzero_rows(hermite_normal_form(g))
+            rows, rank = _hnf_rows(g)
+            basis = _assemble(rows[:rank], ambient_dim)
         # a read-only view, so that a caller's own array stays writable
         self.basis = basis.view()
         self.basis.setflags(write=False)
@@ -402,14 +423,13 @@ class IntegerLattice:
         return f"IntegerLattice(dim={self.ambient_dim}, rank={self.rank})"
 
     def sum(self, rows) -> "IntegerLattice":
-        """The span of the lattice and a stack of rows, one HNF of the basis
-        stacked on them; or of an iterator of such stacks, each read into
-        one HNF loop with the basis as it is pulled (``_hnf_rows``), so
-        that no two are held at once, and only the rank rows assembled."""
+        """The span of the lattice and a stack of rows, or of an iterator of
+        such stacks, each read into one HNF loop with the basis as it is
+        pulled (``_hnf_rows``), so that no two are held at once, and only
+        the rank rows assembled; a stack is a stream of one block."""
         n = self.ambient_dim
         if not isinstance(rows, Iterator):
-            return IntegerLattice(n, np.vstack([self.basis,
-                                                _rows_of_width(rows, n)]))
+            rows = [rows]
         hnf, rank = _hnf_rows(itertools.chain(
             [self.basis], (_rows_of_width(b, n) for b in rows)))
         return IntegerLattice(n, _assemble(hnf[:rank], n), canonical=True)
@@ -436,27 +456,35 @@ class IntegerLattice:
             raise NotSublatticeError("not a sublattice")
         if sub.rank < self.rank:
             return math.inf
-        h = _nonzero_rows(hermite_normal_form(coeffs))
-        return math.prod(int(h[i, c]) for i, c in enumerate(_pivot_cols(h)))
+        h = IntegerLattice(self.rank, coeffs)
+        return math.prod(int(h.basis[i, c]) for i, c in enumerate(h._pivots))
 
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
 
 
-def gf2_rank(rows) -> int:
-    """GF(2) rank of rows given as int bitsets (bit i of a row is its
-    column i), by elimination: each pivot row clears its lowest set bit
-    from the rows left, and only the count of pivots is kept."""
-    work = [r for r in rows if r]
-    rank = 0
+def gf2_rank(m) -> list[int]:
+    """The one GF(2) elimination: the reduced rows of an integer matrix's
+    rows read mod 2, as int bitsets (bit c of a row is its column c), one
+    per unit of GF(2) rank, so the rank is their count.  Rows are packed
+    eight columns to a byte (``np.packbits``).  Each row taken as a pivot
+    row has its pivot at its highest set bit, which it clears from every
+    other row, those taken before it and those left; the rows left that
+    become 0 are dropped."""
+    bits = np.packbits((as_int_matrix(m) % 2).astype(np.uint8), axis=1,
+                       bitorder="little")
+    work = [r for r in (int.from_bytes(b.tobytes(), "little") for b in bits)
+            if r]
+    done = []
     while work:
         row = work.pop()
-        low = row & -row
-        work = [r ^ row if r & low else r for r in work]
+        top = 1 << (row.bit_length() - 1)
+        done = [r ^ row if r & top else r for r in done]
+        work = [r ^ row if r & top else r for r in work]
         work = [r for r in work if r]
-        rank += 1
-    return rank
+        done.append(row)
+    return done
 
 
 def safe_einsum(subscripts: str, *operands) -> np.ndarray:

@@ -178,9 +178,12 @@ def kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
     """The kernel of a trace inside its domain, as a sublattice of Z^r: mod
     2, of tr_as ("as") on D_2 = Z^r and tr_sym ("sym") on D_2'; over Z, of
     tr_A ("A") and tr_B ("B") on the side's filtration level 0; any other
-    name raises.  One kernel of the traces of the domain's basis gives the
-    kernel's coefficients over that basis, mapped back through it; Z^r's
-    basis is the identity, so for tr_as they are the kernel, in HNF."""
+    name raises.  One kernel of the traces of the domain's basis
+    (``kernel_lattice``: mod 2 read from one GF(2) elimination of the trace
+    columns, with no integer HNF) gives the kernel's coefficients over that
+    basis, mapped back through it; Z^r's basis is the identity, so for
+    tr_as they are the kernel, in HNF.  ker tr_as & ker tr_A is one kernel
+    on tr_A's domain (``checks._double_kernel``)."""
     t = _traces_of(sp, which, ("as", "sym", "A", "B"))
     if which == "as":
         return kernel_lattice(t.T, mod2=True)
@@ -201,11 +204,9 @@ def _traces_of(sp: DerivationSpace, which: str, names) -> np.ndarray:
 
 
 def image_rank(sp: DerivationSpace, which: str) -> int:
-    """GF(2) rank of the image of tr_as ("as") or tr_sym ("sym"): that of
-    the trace rows, each packed into one int."""
-    rows = _traces_of(sp, which, ("as", "sym"))
-    packed = np.packbits(rows.astype(np.uint8), axis=1)
-    return gf2_rank(int.from_bytes(r.tobytes(), "big") for r in packed)
+    """GF(2) rank of the image of tr_as ("as") or tr_sym ("sym"): the count
+    of the trace rows' reduced rows (``gf2_rank``)."""
+    return len(gf2_rank(_traces_of(sp, which, ("as", "sym"))))
 
 
 def image_in_omega_kernel(sp: DerivationSpace, which: str) -> bool:

@@ -7,11 +7,12 @@ integral generators whose double expands like the tree (u,v|u,v).
 Leaves are basis letters, given as equal arrays of letter indices, one
 entry per element.  A bracket of two letters is a signed Lyndon word of
 L_2 (``SymplecticContext.pair_index``), so every term of an expansion is a
-signed unit of L_2, for a tripod, or a signed row of ``bracket_table(1,
-2)``, for an H-tree (``eta2_terms``), placed in the block of its outer
-letter.  The generators of D_2 are these H-trees, summed sparsely
-(``DerivationSpace._expansions``); the catalogs, whose rows are sums of
-generator columns, read wedge coordinates instead (``catalogs._tree_terms``).
+signed unit of L_2, for a tripod, or a signed row of
+``SymplecticContext.letter_bracket_table``, for an H-tree (``eta2_terms``),
+placed in the block of its outer letter.  The generators of D_2 are these
+H-trees, summed sparsely (``DerivationSpace._expansions``); the catalogs,
+whose rows are sums of generator columns, read wedge coordinates instead
+(``catalogs._tree_terms``).
 
 Elements of H (x) L_k are flat integer vectors: block h holds the Lyndon
 coordinates of the L_k factor tensored with the basis letter h.
@@ -55,7 +56,8 @@ def eta2_terms(ctx: SymplecticContext, a, b, c, d):
     """The four terms of the H-tree expansion a(x)[b,[c,d]] + b(x)[[c,d],a]
     + c(x)[d,[a,b]] + d(x)[[a,b],c] of letter arrays, each as (x, y, word,
     sign): sign times x (x) [y, w], w the Lyndon word at ``word``, which is
-    sign times row [y, word] of ``bracket_table(1, 2)`` in block x."""
+    sign times row [y, word] of ``SymplecticContext.letter_bracket_table``
+    in block x."""
     cd_sign, cd = _bracket(ctx, c, d)
     ab_sign, ab = _bracket(ctx, a, b)
     return ((a, b, cd, cd_sign), (b, a, cd, -cd_sign),
@@ -65,8 +67,8 @@ def eta2_terms(ctx: SymplecticContext, a, b, c, d):
 def eta2(ctx: SymplecticContext, a, b, c, d) -> np.ndarray:
     """H-tree expansion in H (x) L_3, one int8 row per entry of the letter
     arrays (``eta2_terms``).  An entry sums at most one entry of each
-    term, each at most 2 in absolute value, so it is at most 8."""
-    table = ctx.bracket_table(1, 2)
+    term, each at most 1 in absolute value, so it is at most 4."""
+    table = ctx.letter_bracket_table()
     out = np.zeros((len(a), ctx.n, ctx.dim(3)), dtype=np.int8)
     rows = np.arange(len(a))
     for x, y, word, sign in eta2_terms(ctx, a, b, c, d):

@@ -463,13 +463,20 @@ def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):
     ker = traces.kernel(sp, "as")
     total = sum(map(len, johnson_catalog(sp)))
     reduced = []
-    real = intlin.hermite_normal_form
+    real = intlin._hnf_rows
 
-    def recording(m, transform=False):
-        reduced.append(len(m))
-        return real(m, transform)
+    def counted(blocks):
+        for block in blocks:
+            reduced.append(len(block))
+            yield block
 
-    monkeypatch.setattr(intlin, "hermite_normal_form", recording)
+    def recording(a, transform=False):
+        if isinstance(a, np.ndarray):
+            reduced.append(len(a))
+            return real(a, transform)
+        return real(counted(a), transform)
+
+    monkeypatch.setattr(intlin, "_hnf_rows", recording)
     stream = johnson_catalog(sp)
     got = catalog_lattice(sp, stream)
     assert len(stream) == total and next(stream, None) is None

@@ -372,6 +372,22 @@ def test_levine_labels_every_element_as_the_loop_does(monkeypatch):
         assert checks._check_levine(3, None)[1]["element"] == label
 
 
+def double_kernel_matches_intersection(g):
+    """The double kernel, one integer kernel on tr_A's domain, against the
+    Zassenhaus intersection of ker tr_as and ker tr_A, values and dtype.
+    Returns its rank."""
+    sp = space(g)
+    want = traces.kernel(sp, "as").intersection(traces.kernel(sp, "A"))
+    got = checks._double_kernel(g)
+    assert got == want and got.basis.dtype == want.basis.dtype
+    return got.rank
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_double_kernel_is_the_intersection_of_both_kernels(g):
+    assert double_kernel_matches_intersection(g) > 0
+
+
 def test_cached_values_are_read_only():
     """Every array that ``intlin.cached`` keeps, returned alone or in a
     tuple, and every cached lattice's basis."""

@@ -124,25 +124,36 @@ def test_d2_reads_the_bracket_map_at_genus_2_only(monkeypatch, g):
 
 def test_d2_never_asks_for_degree_4_structure_constants(monkeypatch):
     # on a fresh context, so that no table is cached: building D_2 and the
-    # generator coordinates asks for no bracket or table into degree 4
-    asked = []
+    # generator coordinates asks for no bracket or table into degree 4, and
+    # reads the letter-order table, not the tensor table that the oracle
+    # derivation_bracket reads
+    asked, tensor = [], []
     table = SymplecticContext.bracket_table
+    letter_table = SymplecticContext.letter_bracket_table
     bracket = SymplecticContext.lie_bracket
 
     def record_table(self, j, k):
         asked.append((j, k))
+        tensor.append((j, k))
         return table(self, j, k)
+
+    def record_letter_table(self):
+        asked.append((1, 2))
+        return letter_table(self)
 
     def record_bracket(self, j, x, k, y):
         asked.append((j, k))
         return bracket(self, j, x, k, y)
 
     monkeypatch.setattr(SymplecticContext, "bracket_table", record_table)
+    monkeypatch.setattr(SymplecticContext, "letter_bracket_table",
+                        record_letter_table)
     monkeypatch.setattr(SymplecticContext, "lie_bracket", record_bracket)
     monkeypatch.setattr(derivspace, "context", SymplecticContext)
     sp = derivspace.DerivationSpace(2)
     assert sp.d2().rank == sp.gen_coords().shape[0] == 20
     assert asked and max(j + k for j, k in asked) == 3
+    assert tensor == []
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -496,22 +507,20 @@ def test_kept_bases_and_coordinates_are_int8_and_read_only(g):
 
 @pytest.mark.parametrize("entry", ["first", "middle", "last"])
 def test_gen_coords_check_finds_a_wrong_table_entry(monkeypatch, entry):
-    """One nonzero of the degree-(1, 2) bracket table off by one, on a
+    """One nonzero of the letter-order bracket table off by one, on a
     fresh context: every (letter, pair) row of it is a term of some
     generator, and D_2's map does not read it, so the check product finds
     the expansions outside D_2."""
-    table = SymplecticContext.bracket_table
+    table = SymplecticContext.letter_bracket_table
 
-    def corrupt(self, j, k):
-        t = table(self, j, k)
-        if (j, k) == (1, 2):
-            t = t.copy()
-            nz = np.flatnonzero(t)
-            at = {"first": 0, "middle": len(nz) // 2, "last": -1}[entry]
-            t.flat[nz[at]] += 1
+    def corrupt(self):
+        t = table(self).copy()
+        nz = np.flatnonzero(t)
+        at = {"first": 0, "middle": len(nz) // 2, "last": -1}[entry]
+        t.flat[nz[at]] += 1
         return t
 
-    monkeypatch.setattr(SymplecticContext, "bracket_table", corrupt)
+    monkeypatch.setattr(SymplecticContext, "letter_bracket_table", corrupt)
     monkeypatch.setattr(derivspace, "context", SymplecticContext)
     with pytest.raises(InconsistencyError):
         derivspace.DerivationSpace(2).gen_coords()

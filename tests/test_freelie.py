@@ -137,6 +137,24 @@ def _commutator(x: dict, y: dict) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
+def letter_table_matches_tensor_table(g):
+    """The letter-order table of a fresh context, built first, against the
+    tensor table: values, int8 dtype and read-only flag.  Returns the
+    number of nonzeros compared."""
+    ctx = SymplecticContext(g)
+    letter = ctx.letter_bracket_table()
+    tensor = ctx.bracket_table(1, 2)
+    assert np.array_equal(letter, tensor)
+    assert letter.dtype == tensor.dtype == np.int8
+    assert not letter.flags.writeable and not tensor.flags.writeable
+    return np.count_nonzero(letter)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_letter_bracket_table_matches_the_tensor_table(g):
+    assert letter_table_matches_tensor_table(g) > 0
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_bracket_table_matches_tensor_commutator(g):
     ctx = SymplecticContext(g)  # fresh, so every table is built here

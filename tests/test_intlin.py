@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from sympderiv import intlin
-from sympderiv.intlin import (IntegerLattice, NotSublatticeError, gf2_rank,
+from sympderiv.intlin import (IntegerLattice, NotSublatticeError,
+                              as_int_matrix, gf2_rank,
                               hermite_normal_form, kernel_lattice, left_kernel,
-                              safe_matmul, solve_over_hnf)
+                              narrowed, safe_matmul, solve_over_hnf)
 
 
 def random_matrix(rng, shape, lo=-5, hi=6):
@@ -164,11 +165,35 @@ def test_lattice_equality_ignores_generator_choice():
     assert IntegerLattice(5, m) == IntegerLattice(5, doubled)
 
 
+def bit_rows(bitsets, width):
+    """0/1 rows of the given width, bit c of a bitset at column c."""
+    return np.array([[(r >> c) & 1 for c in range(width)] for r in bitsets],
+                    dtype=np.int64).reshape(len(bitsets), width)
+
+
+def gf2_rank_by_count(rows):
+    """The rank-only GF(2) elimination the reduced rows replaced, kept as
+    a reference: rows as int bitsets, each pivot row clears its lowest set
+    bit from the rows left, and only the count of pivots is kept."""
+    work = [r for r in rows if r]
+    rank = 0
+    while work:
+        row = work.pop()
+        low = row & -row
+        work = [r ^ row if r & low else r for r in work]
+        work = [r for r in work if r]
+        rank += 1
+    return rank
+
+
 def test_gf2_rank():
-    assert gf2_rank([0b101, 0b110, 0b011]) == 2
-    assert gf2_rank([0b001, 0b010, 0b100]) == 3
-    assert gf2_rank([0, 0b110, 0b110, 0]) == 1
-    assert gf2_rank([]) == 0
+    def rank(bitsets):
+        return len(gf2_rank(bit_rows(bitsets, 3)))
+
+    assert rank([0b101, 0b110, 0b011]) == 2
+    assert rank([0b001, 0b010, 0b100]) == 3
+    assert rank([0, 0b110, 0b110, 0]) == 1
+    assert rank([]) == 0
 
 
 def test_gf2_rank_matches_sympy():
@@ -179,10 +204,81 @@ def test_gf2_rank_matches_sympy():
     for shape in [(12, 30), (40, 9), (25, 25)]:
         for density in (0.1, 0.5):
             m = (rng.random(shape) < density).astype(int)
-            rows = [sum(1 << j for j in np.flatnonzero(row)) for row in m]
             ref = DomainMatrix([[GF(2)(int(x)) for x in row] for row in m],
                                shape, GF(2)).rank()
-            assert gf2_rank(rows) == ref
+            assert len(gf2_rank(m)) == ref
+
+
+def assert_reduced(reduced, m):
+    """The reduced rows of m: nonzero, with distinct pivots at their highest
+    bits, each pivot set in its own row alone, as many as m's rank by the
+    reference, and every row of m a sum of them."""
+    tops = [r.bit_length() - 1 for r in reduced]
+    assert 0 not in reduced and len(set(tops)) == len(tops)
+    for r in reduced:
+        assert sum((o >> (r.bit_length() - 1)) & 1 for o in reduced) == 1
+    rows = [sum(1 << int(c) for c in np.flatnonzero(row % 2)) for row in m]
+    assert len(reduced) == gf2_rank_by_count(rows) \
+        == gf2_rank_by_count(rows + reduced)
+
+
+def test_gf2_elimination_matches_the_rank_only_reference():
+    """Random bit rows at several densities and widths (a width of 0, and
+    widths on and off a byte's edge), and rows with entries past int64 that
+    are read mod 2."""
+    rng = np.random.default_rng(21)
+    for shape in [(0, 4), (3, 0), (1, 1), (12, 30), (40, 9), (25, 25),
+                  (9, 64), (70, 65)]:
+        for density in (0.05, 0.3, 0.5, 0.9):
+            m = (rng.random(shape) < density).astype(np.int64)
+            assert_reduced(gf2_rank(m), m)
+    wide = rng.integers(-3, 4, size=(6, 11)).astype(object)
+    wide[0] += 2 ** 64
+    wide[-1, -1] += 2 ** 63 + 1
+    assert_reduced(gf2_rank(wide), wide)
+
+
+def mod2_kernel_by_left_kernel(m):
+    """The mod-2 kernel the GF(2) elimination replaced, kept as a
+    reference: the first cols columns of the left kernel of [m | 2I]."""
+    a = as_int_matrix(m)
+    n = a.shape[1]
+    a = np.hstack([a, 2 * np.eye(len(a), dtype=np.int64)])
+    return IntegerLattice(n, narrowed(left_kernel(a.T)[:, :n]),
+                          canonical=True)
+
+
+def assert_mod2_kernel_matches_reference(m):
+    got, want = kernel_lattice(m, mod2=True), mod2_kernel_by_left_kernel(m)
+    assert got == want and got.basis.dtype == want.basis.dtype == np.int8
+    assert not got.basis.flags.writeable
+
+
+def test_mod2_kernel_matches_the_left_kernel_reference():
+    """On the hypothesis generators, small and sparse, entries past 2^62
+    included, and on matrices with no rows or no columns."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(_int_matrices(st))
+    def small(rows):
+        assert_mod2_kernel_matches_reference(_as_array(rows))
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(_sparse_matrices(st))
+    def sparse(m):
+        assert_mod2_kernel_matches_reference(m)
+
+    small()
+    sparse()
+    for shape in [(0, 5), (0, 0), (3, 0), (0, 9)]:
+        assert_mod2_kernel_matches_reference(np.zeros(shape, dtype=np.int64))
+    assert kernel_lattice(np.zeros((0, 5), dtype=np.int64), mod2=True) \
+        == IntegerLattice(5, np.eye(5, dtype=np.int8))
+    big = np.array([[2 ** 70 + 1, 3, -(2 ** 65)], [2 ** 63, 1, 1]],
+                   dtype=object)
+    assert_mod2_kernel_matches_reference(big)
 
 
 def test_mod2_kernel_against_sympy():

@@ -7,10 +7,12 @@ import pytest
 
 from sympderiv.derivspace import FiltrationError, space
 from sympderiv.freelie import context, iota_matrix
-from sympderiv.intlin import IntegerLattice, hermite_normal_form, safe_matmul
+from sympderiv.intlin import (IntegerLattice, hermite_normal_form,
+                              kernel_lattice, safe_matmul)
 from sympderiv.trees import eta2
 from sympderiv import traces
 from test_derivspace import express, gen_matrix
+from test_intlin import mod2_kernel_by_left_kernel
 from test_freelie import lyndon_to_tensor
 
 
@@ -341,6 +343,29 @@ def test_tr_A_additive():
     y = rng.integers(-2, 3, size=(1, len(basis))) @ basis
     assert np.array_equal(traces.tr_A(sp, x + y),
                           traces.tr_A(sp, x) + traces.tr_A(sp, y))
+
+
+def mod2_kernels_match_reference(sp):
+    """ker tr_as and ker tr_sym against the [m | 2I] reference: the mod-2
+    kernel of the traces of the domain's basis, values and int8 dtype, and
+    the kernel mapped back through that basis.  Returns the kernels'
+    ranks."""
+    ranks = []
+    for which, domain in (("as", sp.filtration(-1)), ("sym", sp.dprime2())):
+        t = traces._basis_traces(sp, which)
+        got = kernel_lattice(t.T, mod2=True)
+        want = mod2_kernel_by_left_kernel(t.T)
+        assert got == want and got.basis.dtype == want.basis.dtype == np.int8
+        back = IntegerLattice(sp.rank,
+                              safe_matmul(want.basis, domain.basis))
+        assert traces.kernel(sp, which) == back
+        ranks.append(back.rank)
+    return ranks
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_mod2_kernels_match_the_left_kernel_reference(g):
+    assert mod2_kernels_match_reference(space(g)) == [space(g).rank] * 2
 
 
 def test_integer_kernels_sit_inside_mod2_kernels():

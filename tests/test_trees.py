@@ -21,7 +21,8 @@ import pytest
 from sympderiv import trees
 from sympderiv.catalogs import _tree_terms, _wedge
 from sympderiv.derivspace import space
-from sympderiv.freelie import context, tensor_add, tensor_concat_commutator
+from sympderiv.freelie import (SymplecticContext, context, tensor_add,
+                               tensor_concat_commutator)
 from sympderiv.intlin import safe_einsum, safe_matmul
 from sympderiv.trees import TREE_BRACKET_SIGN, derivation_bracket, eta1, eta2
 from test_freelie import lyndon_to_tensor
@@ -343,8 +344,9 @@ def test_letter_expansions_match_the_vector_reference_on_random_stacks(g):
 
 def test_derivation_bracket_reads_no_tree_expansion(monkeypatch):
     """The oracle is independent of the expansions it checks: with every
-    other function of ``trees`` replaced by one that raises, it still gives
-    the bracket of two tripods."""
+    other function of ``trees``, and the letter-order bracket table that
+    the expansions and D_2 read, replaced by one that raises, it still
+    gives the bracket of two tripods."""
     oracle = {"derivation_bracket", "derivation_letter_images",
               "derivation_on_lyndon"}
     called = []
@@ -366,5 +368,7 @@ def test_derivation_bracket_reads_no_tree_expansion(monkeypatch):
     assert {"eta1", "eta2", "eta2_terms", "_bracket"} <= set(patched)
     for name in patched:
         monkeypatch.setattr(trees, name, forbidden(name))
+    monkeypatch.setattr(SymplecticContext, "letter_bracket_table",
+                        forbidden("letter_bracket_table"))
     assert np.array_equal(derivation_bracket(ctx, left, right), want)
     assert called == []
