@@ -2,11 +2,14 @@
 
 Every integer matrix the program keeps is ``narrowed``: int8 when every
 entry lies in [-127, 127], as almost all do, int64 when every entry fits,
-Python ints (dtype=object) otherwise.  Products never run in int8 but in
-int64, under an overflow bound (``max_abs``), widening past it; the HNF
-computes on Python ints.  Everything downstream only ever sees exact
-results.  Lattices are stored by their row-style HNF basis, the unique
-canonical representative, so structural equality is lattice equality.
+Python ints (dtype=object) otherwise.  Products never run in int8, but
+on one of three paths, each under a bound read from ``max_abs`` that keeps
+it exact (``safe_matmul``): in float64 for small operands, over the
+nonzeros of a sparse operand in int64, through ``safe_einsum`` in int32 or
+int64; past its bound each widens to Python ints.  The HNF computes on
+Python ints.  Everything downstream only ever sees exact results.
+Lattices are stored by their row-style HNF basis, the unique canonical
+representative, so structural equality is lattice equality.
 
 Most lattices here are very sparse (a few nonzeros per row).  Every HNF is
 one loop (``_hnf_rows``) over rows held as sparse dicts of Python ints,
@@ -26,10 +29,12 @@ into int bitsets, fully reduced.  It gives a GF(2) rank as its count of
 rows, and the HNF of a mod-2 kernel {v : m v == 0 mod 2} directly, with
 no integer HNF (``kernel_lattice``).
 
-``safe_matmul`` multiplies over the nonzeros of an operand (the right one
-if it forms fewer terms) with fewer than 1/SPARSE_PRODUCT of its entries
-nonzero, and through ``safe_einsum`` otherwise; both return the same
-values.
+``safe_matmul`` multiplies in float64 (BLAS) when a product has at most
+FLOAT_PRODUCT multiply-adds, float64 copies of at most BLOCK entries, and
+partial sums below 2**53; otherwise over the nonzeros of an operand (the
+right one if it forms fewer terms) with fewer than 1/SPARSE_PRODUCT of its
+entries nonzero, and through ``safe_einsum`` otherwise.  Every path
+returns the same values.
 """
 
 from __future__ import annotations
@@ -318,9 +323,13 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
     are all 0 and its coefficient is the entry of the row itself.  The
     other pivots are solved in waves: each wave takes those with no
     unsolved pivot row above them that is nonzero in their column, dividing
-    by the pivot with floor.  One product then checks every column of every
-    row, which also rejects a remainder.  Products go through
-    ``safe_matmul`` and widen under its bound.
+    by the pivot with floor.  One product then checks the open columns of
+    every row, which also rejects a remainder.  A column under a pivot 1 is
+    not open: it holds no other entry, as the rows above are reduced to 0
+    there and the rows below start further right, so y @ basis has the
+    pivot's coefficient in it, the row's own entry.  The open columns are
+    those of the other pivots and the columns without a pivot.  Products
+    go through ``safe_matmul`` and widen under its bound.
     """
     rows = np.asarray(rows)
     pivots = np.asarray(pivots, dtype=np.intp)
@@ -328,7 +337,8 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
     # a fresh array: the indexing copies the pivot columns
     coeffs = rows[:, pivots].astype(object if wide else np.int64, copy=False)
     heads = basis[np.arange(len(pivots)), pivots]
-    todo = np.flatnonzero(heads != 1)
+    unit = heads == 1
+    todo = np.flatnonzero(~unit)
     target = coeffs[:, todo]  # the row entries at the unsolved pivots
     coeffs[:, todo] = 0
     while todo.size:
@@ -340,8 +350,12 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
             coeffs = coeffs.astype(object)
         coeffs[:, todo[ready]] = rest // heads[todo[ready]]
         todo, target = todo[~ready], target[:, ~ready]
+    is_open = np.ones(basis.shape[1], dtype=bool)
+    is_open[pivots[unit]] = False
+    cols = np.flatnonzero(is_open)
     used = np.flatnonzero((coeffs != 0).any(axis=0))
-    solved = ~(safe_matmul(coeffs[:, used], basis[used]) != rows).any(axis=1)
+    solved = ~(safe_matmul(coeffs[:, used], basis[np.ix_(used, cols)])
+               != rows[:, cols]).any(axis=1)
     return coeffs, solved
 
 
@@ -515,7 +529,8 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
 
 # A left operand with fewer than 1/SPARSE_PRODUCT of its entries nonzero is
 # multiplied over its nonzeros only.  Of the products of `verify --all`,
-# 454 of 668 at genus 3 and 125 of 222 at genus 4 take that path.  It wins
+# 7 of 78 at genus 3 and 27 of 81 at genus 4 take that path, and 3 and 25
+# the right operand's; 68 and 29 run in float64 (FLOAT_PRODUCT).  It wins
 # on the large ones (genus-4 (336x336).(336x1344): 2-3 ms against 50-60 ms
 # for einsum) and loses 1.1-1.9x per call between 1/16 and 1/8 nonzero, on
 # 30 calls of about 2 ms together.  Any threshold from 1/6 to 1/32 gives the
@@ -527,19 +542,41 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
 SPARSE_PRODUCT = 8
 
 
+# A product of at most FLOAT_PRODUCT multiply-adds, whose operands and
+# result hold at most BLOCK entries each and whose partial sums stay under
+# 2**53, runs in float64 through BLAS (``safe_matmul``).  Replayed hot on a
+# 2-vCPU Xeon VM, the products of `verify --all` that float64 could take
+# ran, on the integer paths against float64: up to 2**20 multiply-adds,
+# 8.5 against 2.5 ms at genus 3 (68 products) and 1.7-2.9 against
+# 0.6-0.8 ms at genus 4 (29); from 2**20 to 2**21, 1.0 against 0.9 ms
+# (8, genus 3); from 2**21 to 2**23, 0.7 against 1.0 ms (2), where the
+# float64 copies cost more than BLAS saves.
+FLOAT_PRODUCT = 2 ** 20
+
+
 def safe_matmul(a, b) -> np.ndarray:
     """Exact integer product a @ b of two 2-d operands.
 
-    An operand with fewer than one nonzero entry in SPARSE_PRODUCT is
-    multiplied over its nonzeros only (``_sparse_matmul``): the right one,
-    as (b.T @ a.T).T, if nnz(b) rows(a) < nnz(a) cols(b) (fewer terms), else
-    the left one; other products go through ``safe_einsum``.  Every bound is
-    applied whatever the operand dtypes, so object arrays with small entries
-    are multiplied in int64."""
+    A product of at most FLOAT_PRODUCT multiply-adds whose float64 copies
+    hold at most BLOCK entries each runs in float64 when k max|a| max|b| <
+    2**53, k the inner dimension, and returns int64: every partial sum, in
+    whatever order BLAS adds, is then an integer of magnitude under 2**53,
+    which float64 holds exactly, as it does each operand entry and each
+    term.  Otherwise an operand with fewer than one nonzero entry in
+    SPARSE_PRODUCT is multiplied over its nonzeros only
+    (``_sparse_matmul``): the right one, as (b.T @ a.T).T, if
+    nnz(b) rows(a) < nnz(a) cols(b) (fewer terms), else the left one; other
+    products go through ``safe_einsum``.  Every bound is applied whatever
+    the operand dtypes, so object arrays with small entries are multiplied
+    in float64 or int64."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    (m, k), n = a.shape, b.shape[1]
+    if (m * k * n <= FLOAT_PRODUCT and max(a.size, b.size, m * n) <= BLOCK
+            and k * max_abs(a) * max_abs(b) < 2 ** 53):
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     nnz_a, nnz_b = np.count_nonzero(a), np.count_nonzero(b)
     if (SPARSE_PRODUCT * nnz_b < b.size
             and nnz_b * len(a) < nnz_a * b.shape[1]):

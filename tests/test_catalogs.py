@@ -776,48 +776,76 @@ def test_orbit_closure_matches_naive_closure(g, which, monkeypatch):
     """The closure equals, mapped to H (x) L_k, a naive closure there that
     moves the whole basis by ``transform_rows`` every round, in as many
     rounds, whether the moved rows are tested a matrix at a time or all
-    matrices at once."""
+    matrices at once, and formed by one product per tested block when its
+    matrices side by side fit in BLOCK entries, else one per matrix."""
     sp = space(g)
     ambient_seed, k, seed, actions, to_ambient = _goeritz_seed(sp, which)
     mats = goeritz_symmetries(g)
     naive, rounds = _naive_closure(sp.ctx, ambient_seed, mats, k)
     assert rounds > 1
-    tests = []
+    tests, products = [], []
     real = IntegerLattice.contains_rows
+    real_product = catalogs.safe_matmul
 
     def recording(self, rows):
         tests.append(len(rows))
         return real(self, rows)
 
+    def product(a, b):
+        products.append(b.shape)
+        return real_product(a, b)
+
     monkeypatch.setattr(IntegerLattice, "contains_rows", recording)
+    monkeypatch.setattr(catalogs, "safe_matmul", product)
+    stacked = len(actions) * actions[0].size
+    assert stacked <= catalogs.BLOCK
     # the BLOCK of the program; one so small that every matrix's moved rows
-    # are tested alone; one so large that all matrices share one test
+    # are tested alone; one so large that all matrices share one test; one
+    # just too small for one matrix, whose blocks of tested rows can still
+    # hold several matrices' moved rows
     for block, per_round in ((catalogs.BLOCK, None), (1, len(actions)),
-                             (2 ** 40, 1)):
+                             (2 ** 40, 1), (actions[0].size - 1, None)):
         monkeypatch.setattr(catalogs, "BLOCK", block)
         tests.clear()
+        products.clear()
         lat = orbit_closure(seed, actions, max_rounds=rounds)
         assert IntegerLattice(naive.ambient_dim,
                               safe_matmul(lat.basis, to_ambient)) == naive
         if per_round:
             assert len(tests) == rounds * per_round
+        assert len(products) == (len(tests) if stacked <= block
+                                 else rounds * len(actions))
         # the same number of rounds: one fewer is not enough
         for limit in {1, rounds - 1}:
             with pytest.raises(RuntimeError):
                 orbit_closure(seed, actions, max_rounds=limit)
 
 
+def test_moved_rows_keep_the_order_of_one_product_per_matrix(monkeypatch):
+    """One product with the matrices side by side gives the moved rows of
+    each matrix in turn, as one product per matrix does when they do not
+    fit in BLOCK entries."""
+    rng = np.random.default_rng(71)
+    rows = rng.integers(-3, 4, size=(4, 6))
+    actions = [rng.integers(-2, 3, size=(6, 6)).astype(np.int8)
+               for _ in range(3)]
+    want = np.vstack([rows @ a for a in actions])
+    for block in (catalogs.BLOCK, 3 * 36, 3 * 36 - 1):
+        monkeypatch.setattr(catalogs, "BLOCK", block)
+        assert np.array_equal(catalogs._moved(rows, actions), want)
+
+
 def coordinate_actions_match_reference(sp):
     """Assert that each symmetry's r x r matrix equals the reference, D_2's
     basis moved by ``transform_rows`` and read back through ``coords``, in
-    value and dtype (int64), and is read-only; return how many were
-    compared."""
+    value, is stored in int8 as every entry is at most 2, and is read-only;
+    return how many were compared."""
     mats = goeritz_symmetries(sp.g)
     actions = catalogs.coordinate_actions(sp)
     assert len(actions) == len(mats)
     for m, a in zip(mats, actions):
         want = sp.coords(transform_rows(sp.ctx, m, sp.d2().basis, 3))
-        assert a.dtype == want.dtype == np.int64
+        assert a.dtype == np.int8 and want.dtype == np.int64
         assert not a.flags.writeable
         assert np.array_equal(a, want)
     return len(actions)

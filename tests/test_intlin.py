@@ -352,8 +352,10 @@ def test_safe_matmul_int64_bound():
     assert zero[0, 0] == 0
 
 
-def test_safe_matmul_int32_tier():
-    # max|a| * max|b| * inner just below 2**31: the int32 loop, exact
+def test_safe_matmul_int32_tier(monkeypatch):
+    # max|a| * max|b| * inner just below 2**31: the int32 loop, exact (the
+    # float64 path shut, as it would take these small operands)
+    monkeypatch.setattr(intlin, "FLOAT_PRODUCT", 0)
     a = np.array([[2 ** 15, 2 ** 15]])
     below = safe_matmul(a, np.array([[2 ** 15 - 1], [2 ** 15 - 1]]))
     assert below.dtype == np.int64 and below[0, 0] == 2 ** 31 - 2 ** 16
@@ -382,6 +384,108 @@ def test_safe_matmul_bound_at_a_dtypes_minimum(monkeypatch, dtype, other):
             assert out.tolist() == (a.astype(object)
                                     @ b.astype(object)).tolist()
             assert out[0, 0] == least * other
+
+
+def _record_paths(monkeypatch):
+    """The integer paths ``safe_matmul`` calls take, "einsum" or "sparse",
+    one per call; a call that adds none ran in float64."""
+    paths = []
+    for name, label in [("safe_einsum", "einsum"),
+                        ("_sparse_matmul", "sparse")]:
+        real = getattr(intlin, name)
+
+        def recording(*args, real=real, label=label):
+            paths.append(label)
+            return real(*args)
+
+        monkeypatch.setattr(intlin, name, recording)
+    return paths
+
+
+def test_safe_matmul_float64_bound(monkeypatch):
+    """Operands whose bound k max|a| max|b| lies under 2^53 are multiplied
+    in float64, where every partial sum is an integer float64 holds; at
+    2^53 and past it they take the integer paths.  Either way the product
+    is exact, in int64."""
+    paths = _record_paths(monkeypatch)
+
+    def in_float64(a, b):
+        paths.clear()
+        out = safe_matmul(a, b)
+        assert out.dtype == np.int64 and out.shape == (len(a), b.shape[1])
+        assert out.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+        return paths == []
+
+    x = 2 ** 26
+    a = np.array([[x, -x]])
+    assert in_float64(a, np.array([[x - 1], [1 - x]]))  # 2^53 - 2^27
+    assert not in_float64(a, np.array([[x], [-x]]))  # 2^53
+    # 2^53 + 1, which a float64 sum rounds
+    ones, wide = np.array([[1, 1]]), np.array([[2 ** 53], [1]])
+    assert int((ones.astype(float) @ wide.astype(float))[0, 0]) == 2 ** 53
+    assert not in_float64(ones, wide)
+    # object operands with small entries
+    assert in_float64(np.array([[2, 3]], dtype=object),
+                      np.array([[4], [5]], dtype=object))
+    # int8's minimum, whose magnitude np.abs would wrap
+    least = np.array([[-128, -128]], dtype=np.int8)
+    c = (2 ** 53 - 1) // 256
+    assert in_float64(least, np.array([[c], [c]]))
+    assert not in_float64(least, np.array([[c + 1], [c + 1]]))
+    # empty operands
+    for shape_a, shape_b in [((0, 3), (3, 4)), ((3, 0), (0, 4)),
+                             ((3, 4), (4, 0))]:
+        assert in_float64(np.zeros(shape_a, dtype=np.int8),
+                          np.zeros(shape_b, dtype=object))
+    # past FLOAT_PRODUCT multiply-adds, or with a float64 copy past BLOCK
+    # entries (an operand or the product): the integer paths
+    n = intlin.FLOAT_PRODUCT // (64 * 128)
+    assert 64 * 128 * n == intlin.FLOAT_PRODUCT
+    assert in_float64(np.ones((64, 128), dtype=np.int8),
+                      np.ones((128, n), dtype=np.int8))
+    assert not in_float64(np.ones((64, 128), dtype=np.int8),
+                          np.ones((128, n + 1), dtype=np.int8))
+    block = intlin.BLOCK
+    assert in_float64(np.ones((1, block)), np.ones((block, 1)))
+    assert not in_float64(np.ones((1, block + 1)), np.ones((block + 1, 1)))
+    assert not in_float64(np.ones((block // 256 + 1, 1)), np.ones((1, 256)))
+
+
+def test_safe_matmul_float64_path_matches_object_product(monkeypatch):
+    """Over shapes, densities and magnitudes whose bound lies on either side
+    of 2^53, the product equals the one on Python ints, and runs in float64
+    exactly when the bound is under 2^53."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    paths = _record_paths(monkeypatch)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 12), st.integers(0, 12),
+                      st.integers(0, 12), st.floats(0.05, 1),
+                      st.integers(50, 56), st.integers(0, 56),
+                      st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def check(m, k, n, density, bits, a_bits, objects, seed):
+        # max|a| up to 2^a_bits and max|b| such that the bound is near
+        # 2^bits
+        rng = np.random.default_rng(seed)
+        top_a = 2 ** min(a_bits, bits)
+        top_b = max(1, 2 ** bits // (max(k, 1) * top_a))
+        a = rng.integers(-top_a, top_a + 1, size=(m, k))
+        b = rng.integers(-top_b, top_b + 1, size=(k, n))
+        a[rng.random(a.shape) > density] = 0
+        if a.size:
+            a.flat[rng.integers(a.size)] = top_a * rng.choice([-1, 1])
+        if objects:
+            a, b = a.astype(object), b.astype(object)
+        paths.clear()
+        out = safe_matmul(a, b)
+        assert out.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+        small = k * intlin.max_abs(a) * intlin.max_abs(b) < 2 ** 53
+        assert (paths == []) == small
+        if small:
+            assert out.dtype == np.int64
+
+    check()
 
 
 def exact_det(m):
@@ -480,6 +584,65 @@ def test_solve_over_hnf_widens_exactly():
     assert coeffs.dtype == object and solved.all()
     assert coeffs.tolist() == [[2 ** 30, -2 ** 30], [1, 1]]
     assert not solve_over_hnf(basis, [0, 1], [[2 ** 30, 1 - 2 ** 30]])[1][0]
+
+
+def test_solve_over_hnf_checks_the_open_columns():
+    """A column under a unit pivot matches by the substitution itself, so
+    only the non-unit pivot columns and the non-pivot columns are checked:
+    a row that differs from a member at one of those alone is rejected,
+    whether or not the difference is a multiple of the pivot."""
+    # pivots 1 (column 0) and 3 (column 1); columns 2 and 3 hold none
+    basis = np.array([[1, 2, 0, 5], [0, 3, 1, 7]], dtype=np.int8)
+    lat = IntegerLattice(4, basis, canonical=True)
+    member = [1, 5, 1, 12]  # (1, 1) @ basis
+    for col, step in [(1, 1), (1, 2), (1, 3), (2, 1), (3, -1), (0, 1)]:
+        row = list(member)
+        row[col] += step
+        coeffs, solved = solve_over_hnf(lat.basis, lat._pivots, [member, row])
+        assert solved.tolist() == [True, False], (col, step)
+        assert coeffs[0].tolist() == [1, 1]
+        assert lat.membership([row]) is None
+
+
+def _solve_full_check(basis, pivots, rows):
+    """Reference for ``solve_over_hnf``: substitution one pivot after
+    another on Python ints, dividing with floor, then every column of
+    every row checked."""
+    b = np.asarray(basis).astype(object)
+    r = np.asarray(rows).astype(object)
+    coeffs = np.zeros((len(r), len(pivots)), dtype=object)
+    for i, p in enumerate(pivots):
+        coeffs[:, i] = (r[:, p] - coeffs[:, :i] @ b[:i, p]) // b[i, p]
+    return coeffs, (coeffs @ b == r).all(axis=1)
+
+
+def test_solve_over_hnf_matches_the_full_check():
+    """On the hypothesis generators, small and sparse, the coefficients and
+    the mask equal those of substitution with every column checked, for
+    members and for members nudged at one column."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def check(m, seed):
+        lat = IntegerLattice(m.shape[1], m)
+        rng = np.random.default_rng(seed)
+        y = rng.integers(-3, 4, size=(8, lat.rank)).astype(object)
+        rows = y @ lat.basis.astype(object)
+        at = rng.integers(0, m.shape[1], size=4)
+        rows[np.arange(4), at] += rng.choice([-2, -1, 1, 2, 3], size=4)
+        rows = narrowed(rows)
+        coeffs, solved = solve_over_hnf(lat.basis, lat._pivots, rows)
+        want, mask = _solve_full_check(lat.basis, lat._pivots, rows)
+        assert coeffs.tolist() == want.tolist()
+        assert solved.tolist() == mask.tolist()
+        assert solved[4:].all()
+
+    seeds = st.integers(0, 2 ** 32 - 1)
+    for matrices, examples in [(_int_matrices(st).map(_as_array), 100),
+                               (_sparse_matrices(st), 25)]:
+        hypothesis.settings(max_examples=examples, deadline=None,
+                            database=None)(
+            hypothesis.given(matrices, seeds)(check))()
 
 
 def test_sum_and_intersection_agree_across_dtypes():
@@ -963,8 +1126,10 @@ def test_tie_break_moves_the_pivot_past_a_remainder():
     assert_left_kernel_saturated(sympy, m)
 
 
-def test_sparse_safe_matmul_int64_bound():
-    # a is sparse (3 nonzeros in 50): the product over its nonzeros
+def test_sparse_safe_matmul_int64_bound(monkeypatch):
+    # a is sparse (3 nonzeros in 50): the product over its nonzeros (the
+    # float64 path shut, as it would take the small products below)
+    monkeypatch.setattr(intlin, "FLOAT_PRODUCT", 0)
     a = np.zeros((10, 5), dtype=object)
     a[0, 1], a[0, 3], a[2, 4] = 2 ** 30, -2 ** 30, 3
     assert intlin.SPARSE_PRODUCT * np.count_nonzero(a) < a.size
@@ -1004,7 +1169,10 @@ def test_sparse_safe_matmul_int64_bound():
 
 
 def _record_sparse_operands(monkeypatch):
-    """Shapes of the left operands ``_sparse_matmul`` is called with."""
+    """Shapes of the left operands ``_sparse_matmul`` is called with, with
+    the float64 path shut, so that small operands take the paths under
+    test."""
+    monkeypatch.setattr(intlin, "FLOAT_PRODUCT", 0)
     shapes = []
     real = intlin._sparse_matmul
 
