@@ -408,10 +408,9 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
     the lattice in the previous round, since the images of the older part
     are already inside.  The lattice after every round, and so the number
     of rounds, is that of moving the whole basis each time.  The moved rows
-    are formed and tested against the lattice as many matrices at a time
-    as fit in BLOCK entries, and one matrix at a time when its moved rows
-    alone fill a block (``_moved``); the new rows keep their order either
-    way.
+    are tested against the lattice as many matrices at a time as fit in
+    BLOCK entries, and each block's are formed by one product (``_moved``),
+    in the order of one product per matrix.
     """
     lat = IntegerLattice(len(actions[0]), np.asarray(seed_rows))
     frontier = lat.basis
@@ -434,14 +433,12 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
 
 
 def _moved(rows, actions):
-    """The rows moved by each action in turn, stacked: one product with the
-    actions side by side when they fit in BLOCK entries, else one product
-    per action."""
-    if len(actions) * actions[0].size > BLOCK:
-        return np.vstack([safe_matmul(rows, a) for a in actions])
+    """The rows moved by each square action in turn, stacked, from one
+    product with the actions side by side."""
+    n = rows.shape[1]
     out = safe_matmul(rows, np.hstack(actions))
-    return out.reshape(len(rows), len(actions), -1).swapaxes(0, 1).reshape(
-        -1, rows.shape[1])
+    return out.reshape(len(rows), len(actions), n).swapaxes(0, 1).reshape(
+        -1, n)
 
 
 def _tripod_action(sp: DerivationSpace, m):

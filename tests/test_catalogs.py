@@ -776,8 +776,7 @@ def test_orbit_closure_matches_naive_closure(g, which, monkeypatch):
     """The closure equals, mapped to H (x) L_k, a naive closure there that
     moves the whole basis by ``transform_rows`` every round, in as many
     rounds, whether the moved rows are tested a matrix at a time or all
-    matrices at once, and formed by one product per tested block when its
-    matrices side by side fit in BLOCK entries, else one per matrix."""
+    matrices at once, and formed by one product per tested block."""
     sp = space(g)
     ambient_seed, k, seed, actions, to_ambient = _goeritz_seed(sp, which)
     mats = goeritz_symmetries(g)
@@ -797,8 +796,6 @@ def test_orbit_closure_matches_naive_closure(g, which, monkeypatch):
 
     monkeypatch.setattr(IntegerLattice, "contains_rows", recording)
     monkeypatch.setattr(catalogs, "safe_matmul", product)
-    stacked = len(actions) * actions[0].size
-    assert stacked <= catalogs.BLOCK
     # the BLOCK of the program; one so small that every matrix's moved rows
     # are tested alone; one so large that all matrices share one test; one
     # just too small for one matrix, whose blocks of tested rows can still
@@ -813,26 +810,28 @@ def test_orbit_closure_matches_naive_closure(g, which, monkeypatch):
                               safe_matmul(lat.basis, to_ambient)) == naive
         if per_round:
             assert len(tests) == rounds * per_round
-        assert len(products) == (len(tests) if stacked <= block
-                                 else rounds * len(actions))
+        assert len(products) == len(tests)
         # the same number of rounds: one fewer is not enough
         for limit in {1, rounds - 1}:
             with pytest.raises(RuntimeError):
                 orbit_closure(seed, actions, max_rounds=limit)
 
 
-def test_moved_rows_keep_the_order_of_one_product_per_matrix(monkeypatch):
+def test_moved_rows_keep_the_order_of_one_product_per_matrix():
     """One product with the matrices side by side gives the moved rows of
-    each matrix in turn, as one product per matrix does when they do not
-    fit in BLOCK entries."""
+    each matrix in turn, as one product per matrix does, also for no rows:
+    the closure of the zero lattice stops after one round."""
     rng = np.random.default_rng(71)
     rows = rng.integers(-3, 4, size=(4, 6))
     actions = [rng.integers(-2, 3, size=(6, 6)).astype(np.int8)
                for _ in range(3)]
     want = np.vstack([rows @ a for a in actions])
-    for block in (catalogs.BLOCK, 3 * 36, 3 * 36 - 1):
-        monkeypatch.setattr(catalogs, "BLOCK", block)
-        assert np.array_equal(catalogs._moved(rows, actions), want)
+    assert np.array_equal(catalogs._moved(rows, actions), want)
+    none = catalogs._moved(rows[:0], actions)
+    assert none.shape == (0, 6)
+    zero = orbit_closure(np.zeros((1, 6), dtype=np.int64), actions,
+                         max_rounds=1)
+    assert zero.basis.shape == (0, 6)
 
 
 def coordinate_actions_match_reference(sp):

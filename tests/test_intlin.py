@@ -330,8 +330,10 @@ def test_safe_matmul_wide_entries():
     assert small[0, 0] == 23
 
 
-def test_safe_matmul_int64_bound():
-    # object operands with small entries are multiplied in int64
+def test_safe_matmul_int64_bound(monkeypatch):
+    # object operands with small entries are multiplied in int64 (the
+    # float64 path shut, as it would take them)
+    monkeypatch.setattr(intlin, "FLOAT_PRODUCT", 0)
     small = safe_matmul(np.array([[2, 3]], dtype=object),
                         np.array([[4], [5]], dtype=object))
     assert small.dtype == np.int64 and small[0, 0] == 23
