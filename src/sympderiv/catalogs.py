@@ -41,10 +41,10 @@ import itertools
 import numpy as np
 
 from .trees import TREE_BRACKET_SIGN, eta1
-from .derivspace import DerivationSpace, gl_embed, runs
+from .derivspace import DerivationSpace, gl_embed
 from .freelie import iota_matrix
-from .intlin import (BLOCK, IntegerLattice, cached, narrowed, safe_einsum,
-                     safe_matmul)
+from .intlin import (BLOCK, IntegerLattice, cached, narrowed, runs,
+                     safe_einsum, safe_matmul)
 
 
 # Johnson candidates or tripod pairs per built block: bounds the rows built

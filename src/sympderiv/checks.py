@@ -263,7 +263,8 @@ def _check_casson_bridge(g, seed):
     sp = space(g)
     f0_gens = np.flatnonzero(sp.on_side(sp.leaves, "A").any(axis=1))
     # every (generator, S) instance at once, generators down, S across
-    units = np.eye(len(sp.generators), dtype=np.int64)[f0_gens]
+    units = np.zeros((len(f0_gens), len(sp.generators)), dtype=np.int8)
+    units[np.arange(len(f0_gens)), f0_gens] = 1
     qs = traces.tr_A(sp, sp.gen_coords()[:, f0_gens].T)
     lhs = casson.mu_of_coeffs(sp, units, mats)
     rhs = casson.r_pairing(mats, qs)

@@ -28,9 +28,10 @@ The span of the generator columns, of all of them or of the tree
 generators only (D_2'), and the transform rows that form its HNF basis
 from them are one cached HNF (``generator_span``).  The generator
 coefficients of a coordinate row are the row times the transform of all
-generators, as their HNF is the identity (``d2`` checks it); sums of
-generator columns are scattered from (row, generator, weight) triplets by
-``gen_rows``.
+generators, as their HNF is the identity (``d2`` checks it).  Sums of
+generator columns, from (row, generator, weight) triplets (``gen_rows``),
+and the ``gen_coords`` check product are formed by ``intlin``'s one sparse
+product, over the nonzeros of both operands.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import numpy as np
 
 from .freelie import context
 from .intlin import (IntegerLattice, _assemble, _hnf_rows, cached,
-                     fits_int64, hermite_normal_form, kernel_lattice, max_abs,
-                     narrowed, nonzeros)
+                     hermite_normal_form, kernel_lattice, narrowed, nonzeros,
+                     row_nonzeros, scatter, sparse_terms)
 from .trees import eta2_terms
 
 
@@ -79,14 +80,6 @@ def _summed(keys, vals):
     np.add.at(out, at, vals)
     nonzero = out != 0
     return keys[nonzero], out[nonzero]
-
-
-def runs(start, count):
-    """The positions start_i + k, k < count_i, of every run i in order, and
-    the run of each."""
-    owner = np.repeat(np.arange(len(count)), count)
-    first = (np.cumsum(count) - count)[owner]
-    return owner, start[owner] + np.arange(len(owner)) - first
 
 
 class DerivationSpace:
@@ -186,29 +179,19 @@ class DerivationSpace:
         """Generator values in D_2 coordinates as ``narrowed`` columns (r x
         generators): every pivot of D_2's HNF basis is 1, so they are the
         expansions' entries at the pivot columns.  Exact by the check
-        product, formed over the nonzeros of coordinates and basis (int64
-        when the most coordinates of a generator times max|coordinate| times
-        max|basis| is under 2**62, else on Python ints), which must equal
-        every expansion entry by entry."""
-        basis = self._bracket_kernel().basis
-        r, ambient = basis.shape
+        product of coordinates and basis, its terms over the nonzeros of
+        both (``intlin.sparse_terms``) summed, which must equal every
+        expansion entry by entry."""
+        ker = self._bracket_kernel()
+        r, ambient = ker.basis.shape
         keys, vals = self._expansions()
         gen, col = np.divmod(keys, ambient)
-        # the nonzeros of the basis row by row, the first of each its pivot
-        bj, bcol = nonzeros(basis)
-        bval = basis[bj, bcol]
-        start = np.searchsorted(bj, np.arange(r + 1))
         coord = np.full(ambient, -1)  # the coordinate read at a column
-        coord[bcol[start[:-1]]] = np.arange(r)
+        coord[ker._pivots] = np.arange(r)
         at = coord[col] >= 0
         cg, cj, cval = gen[at], coord[col[at]], vals[at]
-        # each nonzero coordinate times each nonzero of its basis row
-        t, nz = runs(start[cj], start[cj + 1] - start[cj])
-        bound = (int(np.bincount(cg, minlength=1).max())
-                 * max_abs(cval) * max_abs(bval))
-        dtype = np.int64 if fits_int64(bound) else object
-        pkeys, pvals = _summed(cg[t] * ambient + bcol[nz],
-                               cval.astype(dtype)[t] * bval.astype(dtype)[nz])
+        pg, pcol, pval = sparse_terms(cg, cj, cval, row_nonzeros(ker.basis))
+        pkeys, pvals = _summed(pg * ambient + pcol, pval)
         if not (np.array_equal(pkeys, keys) and np.array_equal(pvals, vals)):
             raise InconsistencyError(
                 "a generator is outside the bracket-map kernel")
@@ -246,31 +229,17 @@ class DerivationSpace:
 
     @cached
     def _gen_columns(self):
-        """The nonzeros of the generator columns, generator by generator:
-        where each generator's run starts, and the positions and values,
-        read-only."""
-        cols = self.gen_coords().T
-        gen, pos = nonzeros(cols)
-        start = np.searchsorted(gen, np.arange(len(cols) + 1))
-        return start, pos, cols[gen, pos]
+        """The nonzeros of the generator columns, generator by generator
+        (``intlin.row_nonzeros``), read-only."""
+        return row_nonzeros(self.gen_coords().T)
 
     def gen_rows(self, nrows: int, row, gen, weight) -> np.ndarray:
         """Coordinate rows i < nrows, each the sum of weight_t times
         generator column gen_t of ``gen_coords`` over the triplets t with
-        row_t = i, scattered over the nonzeros of the columns.  In int64
-        when the most triplets of one row, times max|weight| times
-        max|gen_coords()|, is under 2**62, else on Python ints."""
-        start, pos, val = self._gen_columns()
-        per_row = int(np.bincount(row, minlength=1).max())
-        bound = per_row * max_abs(weight) * max_abs(val)
-        dtype = np.int64 if fits_int64(bound) else object
-        # each triplet once per nonzero of its column
-        t, at = runs(start[gen], start[gen + 1] - start[gen])
-        r = self.rank
-        out = np.zeros((nrows, r), dtype=dtype)
-        np.add.at(out.reshape(-1), row[t] * r + pos[at],
-                  weight.astype(dtype)[t] * val[at])
-        return out
+        row_t = i: the triplets' terms over the nonzeros of the columns
+        (``intlin.sparse_terms``), scattered."""
+        return scatter((nrows, self.rank),
+                       *sparse_terms(row, gen, weight, self._gen_columns()))
 
     @cached
     def d2(self) -> IntegerLattice:

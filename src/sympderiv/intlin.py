@@ -5,9 +5,12 @@ entry lies in [-127, 127], as almost all do, int64 when every entry fits,
 Python ints (dtype=object) otherwise.  Products never run in int8, but
 on one of three paths, each under a bound read from ``max_abs`` that keeps
 it exact (``safe_matmul``): in float64 for small operands, over the
-nonzeros of a sparse operand in int64, through ``safe_einsum`` in int32 or
-int64; past its bound each widens to Python ints.  The HNF computes on
-Python ints.  Everything downstream only ever sees exact results.
+nonzeros of both operands in int64 when either is sparse, through
+``safe_einsum`` in int32 or int64; past its bound each widens to Python
+ints.  The one sparse product (``sparse_terms``, summed by ``scatter``)
+also scatters ``derivspace``'s generator columns and forms its
+``gen_coords`` check.  The HNF computes on Python ints.  Everything
+downstream only ever sees exact results.
 Lattices are stored by their row-style HNF basis, the unique canonical
 representative, so structural equality is lattice equality.
 
@@ -31,10 +34,9 @@ no integer HNF (``kernel_lattice``).
 
 ``safe_matmul`` multiplies in float64 (BLAS) when a product has at most
 FLOAT_PRODUCT multiply-adds, float64 copies of at most BLOCK entries, and
-partial sums below 2**53; otherwise over the nonzeros of an operand (the
-right one if it forms fewer terms) with fewer than 1/SPARSE_PRODUCT of its
-entries nonzero, and through ``safe_einsum`` otherwise.  Every path
-returns the same values.
+partial sums below 2**53; otherwise over the nonzeros of both operands
+when either has fewer than 1/SPARSE_PRODUCT of its entries nonzero, and
+through ``safe_einsum`` otherwise.  Every path returns the same values.
 """
 
 from __future__ import annotations
@@ -124,6 +126,22 @@ def nonzeros(a: np.ndarray):
     flat = [np.flatnonzero(a[i:i + step] != 0) + i * width
             for i in range(0, max(1, len(a)), step)]
     return np.divmod(np.concatenate(flat), width)
+
+
+def row_nonzeros(b: np.ndarray):
+    """The nonzeros of b row by row (``nonzeros``): where each row's run
+    starts, len(b) + 1 places, the last the count of all, then their
+    columns and values."""
+    row, col = nonzeros(b)
+    return np.searchsorted(row, np.arange(len(b) + 1)), col, b[row, col]
+
+
+def runs(start, count):
+    """The positions start_i + k, k < count_i, of every run i in order, and
+    the run of each."""
+    owner = np.repeat(np.arange(len(count)), count)
+    first = (np.cumsum(count) - count)[owner]
+    return owner, start[owner] + np.arange(len(owner)) - first
 
 
 def hermite_normal_form(m, transform: bool = False):
@@ -375,8 +393,8 @@ def _rows_of_width(rows, width: int) -> np.ndarray:
 def _pivot_cols(basis: np.ndarray) -> np.ndarray:
     """Column of the first nonzero entry of each row (rows are nonzero),
     read from the nonzeros, with no mask the size of the basis."""
-    row, col = nonzeros(basis)
-    return col[np.searchsorted(row, np.arange(len(basis)))]
+    start, col, _ = row_nonzeros(basis)
+    return col[start[:-1]]
 
 
 class IntegerLattice:
@@ -527,18 +545,16 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
     return np.einsum(subscripts, *(a.astype(object) for a in ops))
 
 
-# A left operand with fewer than 1/SPARSE_PRODUCT of its entries nonzero is
-# multiplied over its nonzeros only.  Of the products of `verify --all`,
-# 7 of 78 at genus 3 and 27 of 81 at genus 4 take that path, and 3 and 25
-# the right operand's; 68 and 29 run in float64 (FLOAT_PRODUCT).  It wins
-# on the large ones (genus-4 (336x336).(336x1344): 2-3 ms against 50-60 ms
-# for einsum) and loses 1.1-1.9x per call between 1/16 and 1/8 nonzero, on
-# 30 calls of about 2 ms together.  Any threshold from 1/6 to 1/32 gives the
-# same total within 3 ms (genus 3: 31-32 ms, genus 4: 74-78 ms; all einsum:
-# 46 and 836 ms); a cap of 4 or 8 on the fullest row would add 20-57 ms at
-# genus 4, so none is set.  A sparse right operand, when it forms fewer terms:
-# the check product of the genus-4 Johnson span, (304x194, 4 % nonzero) times
-# (194x1344, 0.45 %), took 2 ms over its nonzeros, 15 ms over the left's.
+# A product with either operand under 1/SPARSE_PRODUCT nonzero is formed
+# over the nonzeros of both (``sparse_terms``).  Every integer product of
+# `verify --all` is far sparser: 10 of 78 products at genus 3 and 40 of 69
+# at genus 4 take that path, the rest float64 (FLOAT_PRODUCT), and none has
+# a sparser operand past 1.7 % nonzero, so any threshold from 1/4 to 1/32
+# sends the same products.  Replayed hot on a 2-vCPU Xeon VM they took 0.8
+# and 6.5 ms, against 4.4 and 121 ms through einsum and 1.0 and 10.6 ms
+# over the nonzeros of one operand with a dense row of the other gathered
+# for each; the 1,201 integer products of genus-5 `trace-kernels`, of which
+# one lies between 1/32 and 1/16 nonzero, 0.46 s against 1.87 and 0.46 s.
 SPARSE_PRODUCT = 8
 
 
@@ -562,13 +578,12 @@ def safe_matmul(a, b) -> np.ndarray:
     2**53, k the inner dimension, and returns int64: every partial sum, in
     whatever order BLAS adds, is then an integer of magnitude under 2**53,
     which float64 holds exactly, as it does each operand entry and each
-    term.  Otherwise an operand with fewer than one nonzero entry in
-    SPARSE_PRODUCT is multiplied over its nonzeros only
-    (``_sparse_matmul``): the right one, as (b.T @ a.T).T, if
-    nnz(b) rows(a) < nnz(a) cols(b) (fewer terms), else the left one; other
-    products go through ``safe_einsum``.  Every bound is applied whatever
-    the operand dtypes, so object arrays with small entries are multiplied
-    in float64 or int64."""
+    term.  Otherwise, when either operand has fewer than one nonzero entry
+    in SPARSE_PRODUCT, the terms over the nonzeros of both operands
+    (``sparse_terms``, the same terms whichever one is sparse) are
+    scattered; other products go through ``safe_einsum``.  Every bound is
+    applied whatever the operand dtypes, so object arrays with small
+    entries are multiplied in float64 or int64."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -577,42 +592,39 @@ def safe_matmul(a, b) -> np.ndarray:
     if (m * k * n <= FLOAT_PRODUCT and max(a.size, b.size, m * n) <= BLOCK
             and k * max_abs(a) * max_abs(b) < 2 ** 53):
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    nnz_a, nnz_b = np.count_nonzero(a), np.count_nonzero(b)
-    if (SPARSE_PRODUCT * nnz_b < b.size
-            and nnz_b * len(a) < nnz_a * b.shape[1]):
-        return _sparse_matmul(b.T, a.T).T
-    if SPARSE_PRODUCT * nnz_a < a.size:
-        return _sparse_matmul(a, b)
+    if (SPARSE_PRODUCT * np.count_nonzero(a) < a.size
+            or SPARSE_PRODUCT * np.count_nonzero(b) < b.size):
+        i, j = nonzeros(a)
+        return scatter((m, n), *sparse_terms(i, j, a[i, j], row_nonzeros(b)))
     return safe_einsum("ij,jk->ik", a, b)
 
 
-def _sparse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the nonzeros a[i, j] of a, adding a[i, j] * b[j] into row
-    i: the t-th nonzero of every row at once, for t = 0, 1, ..., so each
-    step forms at most one term per output row.  (Faster here than one
-    ``np.add.reduceat`` over all terms, which also holds them all at once.)
-    Runs in int64 when the most nonzeros in one row, times max|a| times
-    max|b|, is under 2**62, else on Python ints."""
-    out_shape = (a.shape[0], b.shape[1])
-    ii, jj = nonzeros(a)
-    if ii.size == 0 or b.size == 0:
-        return np.zeros(out_shape, dtype=np.int64)
-    vals = a[ii, jj]
-    # ii is sorted: place of each nonzero within its row
-    rank = np.arange(ii.size) - np.searchsorted(ii, ii)
-    per_row = int(rank.max()) + 1
-    bound = per_row * max_abs(vals) * max(1, max_abs(b))
-    dtype = np.int64 if fits_int64(bound) else object
-    vals = vals.astype(dtype)
-    out = np.zeros(out_shape, dtype=dtype)
-    # the nonzeros grouped by place, so that a step touches its own only
-    # (a few full rows would otherwise rescan every nonzero at each step)
-    order = np.argsort(rank, kind="stable")
-    steps = np.split(order, np.searchsorted(rank[order], np.arange(1, per_row)))
-    for t, sel in enumerate(steps):
-        terms = b[jj[sel]].astype(dtype, copy=False)  # a fresh array
-        terms *= vals[sel, None]
-        if t:
-            terms += out[ii[sel]]
-        out[ii[sel]] = terms
+def sparse_terms(i, j, v, rows_of_b):
+    """The terms of sum_t v_t e_i_t (x) b[j_t], one for each nonzero
+    b[j_t, k] of row j_t of b, given by ``row_nonzeros(b)``: their rows
+    i_t, columns k and values v_t b[j_t, k].  With (i_t, j_t, v_t) the
+    nonzeros of a, they are the products of a @ b over the nonzeros of both
+    operands (Gustavson's row-by-row product, ACM TOMS 4, 1978).
+
+    The one bound rule: at most c terms meet in one output entry, c the
+    most triplets of one row i, or, if the positions (i_t, j_t) are
+    distinct, as a strict row-major order shows, the lesser of that and the
+    most nonzeros of one column of b; the values are int64 when
+    c max|v| max|b| < 2**62, so that every sum of them is exact too, else
+    Python ints.  Only the gathered v_t are cast: v may hold entries past
+    int64 that meet no nonzero of b."""
+    start, col, val = rows_of_b
+    t, at = runs(start[j], start[j + 1] - start[j])
+    c = int(np.bincount(i, minlength=1).max())
+    if c > 1 and (np.diff(i * (len(start) - 1) + j) > 0).all():
+        c = min(c, int(np.bincount(col, minlength=1).max()))
+    dtype = np.int64 if fits_int64(c * max_abs(v) * max_abs(val)) else object
+    return i[t], col[at], v[t].astype(dtype) * val[at].astype(dtype)
+
+
+def scatter(shape, i, k, terms) -> np.ndarray:
+    """The terms summed into a zero array of the 2-d ``shape`` at rows i
+    and columns k, in the terms' dtype."""
+    out = np.zeros(shape, dtype=terms.dtype)
+    np.add.at(out.reshape(-1), i * shape[1] + k, terms)
     return out

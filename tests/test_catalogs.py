@@ -422,7 +422,8 @@ def test_scatter_exact_at_int64_bound(monkeypatch):
     """Leaf entries c near 2**31 put the scatter's bound (the most triplets
     of one row, times max|weight|, times max|gen_coords()|) just under
     2**62, then at it: int64 rows, then Python ints, both equal to the Lie
-    path read in D_2 coordinates."""
+    path read in D_2 coordinates; so too a repeated triplet, against the
+    product on Python ints."""
     sp = space(2)
     ctx = sp.ctx
     a1, a2, b1, b2 = _e(ctx)
@@ -451,7 +452,19 @@ def test_scatter_exact_at_int64_bound(monkeypatch):
         s, t = (x * a1, a2, b2), (x * b1, a1, a2)
         got = tripod_brackets(sp, s, t)
         assert np.array_equal(got, sp.coords(tree_bracket(ctx, s, t)))
-    assert dtypes == [np.int64, object, np.int64, object]
+    # one (row, generator) pair twice, on the generator with the widest
+    # coordinate: the two triplets meet in every entry of the row, so they
+    # bound it together, bound 2 c max|gen_coords()|
+    cols = sp.gen_coords()
+    top = int(np.abs(cols).max())
+    gen = np.repeat(np.argmax(np.abs(cols).max(axis=0)), 2)
+    c = (2 ** 62 - 1) // (2 * top)
+    for x in (c, c + 1):
+        weight = np.array([x, x - 1])
+        got = sp.gen_rows(1, np.zeros(2, dtype=np.intp), gen, weight)
+        want = cols[:, gen].astype(object) @ weight.astype(object)
+        assert np.array_equal(got[0], want)
+    assert dtypes == [np.int64, object] * 3
 
 
 def test_catalog_lattice_tests_rows_past_saturation(monkeypatch):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sympderiv import checks, derivspace, traces
+from sympderiv import checks, derivspace, intlin, traces
 from sympderiv.derivspace import (InconsistencyError, MembershipError,
                                   gl_embed, space)
 from sympderiv.freelie import SymplecticContext, iota_matrix
@@ -542,8 +542,10 @@ def test_gen_coords_check_finds_a_wrong_basis_entry(monkeypatch):
 
 
 def test_gen_coords_check_product_past_the_bound(monkeypatch):
-    """With the bound taken as exceeded, the check product runs on Python
-    ints and gives the same coordinates."""
+    """With the bound of the sparse product (``intlin.sparse_terms``) taken
+    as exceeded, the check product runs on Python ints and gives the same
+    coordinates.  The shared tables are built first, unpatched."""
+    want = space(3).gen_coords()
     dtypes = []
     summed = derivspace._summed
 
@@ -551,9 +553,9 @@ def test_gen_coords_check_product_past_the_bound(monkeypatch):
         dtypes.append(vals.dtype)
         return summed(keys, vals)
 
-    monkeypatch.setattr(derivspace, "fits_int64", lambda bound: False)
+    monkeypatch.setattr(intlin, "fits_int64", lambda bound: False)
     monkeypatch.setattr(derivspace, "_summed", recording)
     got = derivspace.DerivationSpace(3).gen_coords()
     assert dtypes == [np.int64, object]
     assert got.dtype == np.int8
-    assert np.array_equal(got, space(3).gen_coords())
+    assert np.array_equal(got, want)

@@ -371,7 +371,8 @@ def test_safe_matmul_bound_at_a_dtypes_minimum(monkeypatch, dtype, other):
     # np.abs of a dtype's minimum wraps to the minimum itself: a bound read
     # through it takes the magnitude as 1 and runs -128 * 2^61 or -2^63 * 2
     # in int64, where both wrap to 0.  The minimum on either side, through
-    # einsum (1 x 1 operands) and over the nonzeros of a 1 x 16 row
+    # einsum (1 x 1 operands) and over the nonzeros of both operands, one
+    # of a 1 x 16 row times a 16 x 1 column
     shapes = _record_sparse_operands(monkeypatch)
     least = np.iinfo(dtype).min
     for width, path in [(1, []), (16, [(1, 16)])]:
@@ -389,11 +390,12 @@ def test_safe_matmul_bound_at_a_dtypes_minimum(monkeypatch, dtype, other):
 
 
 def _record_paths(monkeypatch):
-    """The integer paths ``safe_matmul`` calls take, "einsum" or "sparse",
-    one per call; a call that adds none ran in float64."""
+    """The integer paths ``safe_matmul`` calls take, "einsum" or "sparse"
+    (its terms over the nonzeros of both operands), one per call; a call
+    that adds none ran in float64."""
     paths = []
     for name, label in [("safe_einsum", "einsum"),
-                        ("_sparse_matmul", "sparse")]:
+                        ("sparse_terms", "sparse")]:
         real = getattr(intlin, name)
 
         def recording(*args, real=real, label=label):
@@ -1171,24 +1173,24 @@ def test_sparse_safe_matmul_int64_bound(monkeypatch):
 
 
 def _record_sparse_operands(monkeypatch):
-    """Shapes of the left operands ``_sparse_matmul`` is called with, with
-    the float64 path shut, so that small operands take the paths under
-    test."""
+    """For each call of ``sparse_terms``, the count of the left operand's
+    nonzeros it takes and the rows of the right operand, with the float64
+    path shut, so that small operands take the paths under test."""
     monkeypatch.setattr(intlin, "FLOAT_PRODUCT", 0)
     shapes = []
-    real = intlin._sparse_matmul
+    real = intlin.sparse_terms
 
-    def recording(a, b):
-        shapes.append(a.shape)
-        return real(a, b)
+    def recording(i, j, v, rows_of_b):
+        shapes.append((len(i), len(rows_of_b[0]) - 1))
+        return real(i, j, v, rows_of_b)
 
-    monkeypatch.setattr(intlin, "_sparse_matmul", recording)
+    monkeypatch.setattr(intlin, "sparse_terms", recording)
     return shapes
 
 
 def test_right_sparse_safe_matmul_int64_bound(monkeypatch):
     # a is dense, b has one nonzero in each of two columns of 40: the
-    # product over b's nonzeros, as (b.T @ a.T).T
+    # product over the nonzeros of both, every nonzero of a taken once
     shapes = _record_sparse_operands(monkeypatch)
     b = np.zeros((4, 40), dtype=np.int64)
     a = np.full((6, 4), 2 ** 31 - 1, dtype=np.int64)
@@ -1199,11 +1201,12 @@ def test_right_sparse_safe_matmul_int64_bound(monkeypatch):
     def check(a, b):
         shapes.clear()
         out = safe_matmul(a, b)
-        assert shapes == [b.T.shape]
+        assert shapes == [(np.count_nonzero(a), len(b))]
         assert np.array_equal(out, a.astype(object) @ b.astype(object))
         return out
 
-    # nonzeros per column (1) * max|a| * max|b| just below 2**62: int64
+    # nonzeros per column of b (1, fewer than a's 4 per row) * max|a| *
+    # max|b| just below 2**62: int64
     assert check(a, b).dtype == np.int64
     # at the bound: object, exact; so too past int64 itself
     assert check(np.sign(a) * 2 ** 31, np.sign(b) * 2 ** 31).dtype == object
@@ -1213,29 +1216,53 @@ def test_right_sparse_safe_matmul_int64_bound(monkeypatch):
 
 
 def test_right_sparse_safe_matmul_matches_object_product(monkeypatch):
+    """A sparse right operand times a dense or a sparse left one, with empty
+    rows and columns on either side, equals the product on Python ints;
+    the terms are formed once, over the nonzeros of both operands."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     shapes = _record_sparse_operands(monkeypatch)
 
-    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(_sparse_matrices(st), st.integers(1, 30),
                       st.sampled_from([5, 2 ** 31, 2 ** 62]),
+                      st.sampled_from([1, 0.05]), st.booleans(),
                       st.integers(0, 2 ** 32 - 1))
-    def check(b, rows, big, seed):
-        # a dense left operand, its entries up to a bound that takes the
-        # product to int64, to the 2^62 bound, or past it
+    def check(b, rows, big, density, empty, seed):
+        # a dense or sparse left operand, its entries up to a bound that
+        # takes the product to int64, to the 2^62 bound, or past it
         rng = np.random.default_rng(seed)
         a = rng.integers(-5, 6, size=(rows, b.shape[0])).astype(object)
         a[rng.random(a.shape) < 0.1] = big
+        a[rng.random(a.shape) > density] = 0
+        if empty:
+            # empty rows and columns of a, and empty columns of b
+            a[rng.random(rows) < 0.3] = 0
+            a[:, rng.random(a.shape[1]) < 0.3] = 0
+            b = b.copy()
+            b[:, rng.random(b.shape[1]) < 0.3] = 0
         shapes.clear()
         out = safe_matmul(a, b)
         want = a @ b.astype(object)
         assert np.array_equal(out, want)
-        nnz_a, nnz_b = np.count_nonzero(a), np.count_nonzero(b)
-        if nnz_b * rows < nnz_a * b.shape[1]:
-            assert shapes == [b.T.shape]
+        assert shapes == [(np.count_nonzero(a), len(b))]
 
     check()
+
+
+def test_sparse_terms_bound_counts_repeated_positions():
+    """Triplets at one position (i, j) all meet in the entries of row i,
+    however few nonzeros a column of b holds: three terms 2^62 - 1 at one
+    position sum past int64, so the column count (1) must not bound them,
+    and they are summed on Python ints."""
+    big = 2 ** 62 - 1
+    rows_of_b = intlin.row_nonzeros(np.array([[1]], dtype=np.int8))
+    for count in (1, 3):
+        i = j = np.zeros(count, dtype=np.intp)
+        v = np.full(count, big, dtype=np.int64)
+        out = intlin.scatter((1, 1), *intlin.sparse_terms(i, j, v, rows_of_b))
+        assert out.dtype == (np.int64 if count == 1 else object)
+        assert out[0, 0] == count * big
 
 
 def test_lattice_hash_agrees_with_equality_across_dtypes():
