@@ -550,11 +550,11 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
 # `verify --all` is far sparser: 10 of 78 products at genus 3 and 40 of 69
 # at genus 4 take that path, the rest float64 (FLOAT_PRODUCT), and none has
 # a sparser operand past 1.7 % nonzero, so any threshold from 1/4 to 1/32
-# sends the same products.  Replayed hot on a 2-vCPU Xeon VM they took 0.8
-# and 6.5 ms, against 4.4 and 121 ms through einsum and 1.0 and 10.6 ms
+# sends the same products.  Replayed hot on a 2-vCPU Xeon VM they took 0.9
+# and 6.0 ms, against 4.9 and 119 ms through einsum and 1.0 and 10.4 ms
 # over the nonzeros of one operand with a dense row of the other gathered
 # for each; the 1,201 integer products of genus-5 `trace-kernels`, of which
-# one lies between 1/32 and 1/16 nonzero, 0.46 s against 1.87 and 0.46 s.
+# one lies between 1/32 and 1/16 nonzero, 0.45 s against 1.99 and 0.51 s.
 SPARSE_PRODUCT = 8
 
 
@@ -606,18 +606,15 @@ def sparse_terms(i, j, v, rows_of_b):
     nonzeros of a, they are the products of a @ b over the nonzeros of both
     operands (Gustavson's row-by-row product, ACM TOMS 4, 1978).
 
-    The one bound rule: at most c terms meet in one output entry, c the
-    most triplets of one row i, or, if the positions (i_t, j_t) are
-    distinct, as a strict row-major order shows, the lesser of that and the
-    most nonzeros of one column of b; the values are int64 when
+    The one bound rule: the terms of one output entry come from triplets
+    of one row i, at most c, the most triplets of any row, whether or not
+    their positions (i_t, j_t) repeat; the values are int64 when
     c max|v| max|b| < 2**62, so that every sum of them is exact too, else
     Python ints.  Only the gathered v_t are cast: v may hold entries past
     int64 that meet no nonzero of b."""
     start, col, val = rows_of_b
     t, at = runs(start[j], start[j + 1] - start[j])
     c = int(np.bincount(i, minlength=1).max())
-    if c > 1 and (np.diff(i * (len(start) - 1) + j) > 0).all():
-        c = min(c, int(np.bincount(col, minlength=1).max()))
     dtype = np.int64 if fits_int64(c * max_abs(v) * max_abs(val)) else object
     return i[t], col[at], v[t].astype(dtype) * val[at].astype(dtype)
 

@@ -1193,9 +1193,9 @@ def test_right_sparse_safe_matmul_int64_bound(monkeypatch):
     # product over the nonzeros of both, every nonzero of a taken once
     shapes = _record_sparse_operands(monkeypatch)
     b = np.zeros((4, 40), dtype=np.int64)
-    a = np.full((6, 4), 2 ** 31 - 1, dtype=np.int64)
-    a[1] = -(2 ** 31 - 1)
-    b[0, 3], b[2, 17] = 2 ** 31 - 1, -(2 ** 31 - 1)
+    a = np.full((6, 4), 2 ** 30 - 1, dtype=np.int64)
+    a[1] = -(2 ** 30 - 1)
+    b[0, 3], b[2, 17] = 2 ** 30 - 1, -(2 ** 30 - 1)
     assert intlin.SPARSE_PRODUCT * np.count_nonzero(b) < b.size
 
     def check(a, b):
@@ -1205,11 +1205,10 @@ def test_right_sparse_safe_matmul_int64_bound(monkeypatch):
         assert np.array_equal(out, a.astype(object) @ b.astype(object))
         return out
 
-    # nonzeros per column of b (1, fewer than a's 4 per row) * max|a| *
-    # max|b| just below 2**62: int64
+    # nonzeros per row of a (4) * max|a| * max|b| just below 2**62: int64
     assert check(a, b).dtype == np.int64
     # at the bound: object, exact; so too past int64 itself
-    assert check(np.sign(a) * 2 ** 31, np.sign(b) * 2 ** 31).dtype == object
+    assert check(np.sign(a) * 2 ** 30, np.sign(b) * 2 ** 30).dtype == object
     assert check(a.astype(object) * 2 ** 40, b).dtype == object
     # a one-row stack on the left
     assert check(a[:1], b).dtype == np.int64
@@ -1248,21 +1247,6 @@ def test_right_sparse_safe_matmul_matches_object_product(monkeypatch):
         assert shapes == [(np.count_nonzero(a), len(b))]
 
     check()
-
-
-def test_sparse_terms_bound_counts_repeated_positions():
-    """Triplets at one position (i, j) all meet in the entries of row i,
-    however few nonzeros a column of b holds: three terms 2^62 - 1 at one
-    position sum past int64, so the column count (1) must not bound them,
-    and they are summed on Python ints."""
-    big = 2 ** 62 - 1
-    rows_of_b = intlin.row_nonzeros(np.array([[1]], dtype=np.int8))
-    for count in (1, 3):
-        i = j = np.zeros(count, dtype=np.intp)
-        v = np.full(count, big, dtype=np.int64)
-        out = intlin.scatter((1, 1), *intlin.sparse_terms(i, j, v, rows_of_b))
-        assert out.dtype == (np.int64 if count == 1 else object)
-        assert out[0, 0] == count * big
 
 
 def test_lattice_hash_agrees_with_equality_across_dtypes():
