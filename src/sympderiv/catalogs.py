@@ -13,10 +13,9 @@ Three catalogs are built here, all with exact integer coordinates:
   that preserve both Lagrangians (GL(g,Z) block-embedded, and the quarter
   turn iota).
 
-A catalog is its row values only: an int64 matrix with one element per
-row, or, for the Johnson catalog, the tripod brackets and the realizable
-catalog, a stream of row blocks built as they are pulled, so that the
-whole catalog is never held at once; the Johnson candidates are
+A catalog is its row values only: a stream of row blocks built as they
+are pulled (``BlockStream``), which a lattice reads block by block, so
+that no catalog or seed is ever held whole; the Johnson candidates are
 deduplicated up to sign on the wedge coordinates of their pairs, before
 any row is built.  Every degree-2 row is a signed sum
 of generator columns: eta2(a, b | c, d) depends on its leaves only through
@@ -401,8 +400,8 @@ def coordinate_actions(sp: DerivationSpace) -> list:
 
 
 def orbit_closure(seed_rows, actions, max_rounds=20):
-    """Saturate the span of seed_rows under the given integer matrices,
-    each acting on rows from the right.
+    """Saturate the span of seed_rows, a stack or a stream of row blocks,
+    under the given integer matrices, each acting on rows from the right.
 
     Semi-naive: each round moves only the frontier, the rows that entered
     the lattice in the previous round, since the images of the older part
@@ -412,7 +411,7 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
     BLOCK entries, and each block's are formed by one product (``_moved``),
     in the order of one product per matrix.
     """
-    lat = IntegerLattice(len(actions[0]), np.asarray(seed_rows))
+    lat = IntegerLattice(len(actions[0]), seed_rows)
     frontier = lat.basis
     for _ in range(max_rounds):
         # one test per block; genus 4: tau_1 6 ms, 12 ms with a test per
@@ -474,21 +473,20 @@ def mixed_wedge_lattice(sp: DerivationSpace):
 
 
 def goeritz_tau2_entries(sp: DerivationSpace):
-    """Degree-2 elements fixing both sides, one coordinate row each: the two
-    bounding-curve values, mixed-tripod brackets, and two first-round orbit
-    shifts (by the shear, the last GL(g, Z) generator, then the quarter
-    turn)."""
+    """Degree-2 elements fixing both sides, one coordinate row each, as a
+    ``BlockStream``: the two bounding-curve values, the mixed-tripod
+    brackets, and two first-round orbit shifts (by the shear, the last
+    GL(g, Z) generator, then the quarter turn)."""
     g = sp.g
     e = np.eye(2 * g, dtype=np.int64)
     a, b = e[:g], e[g:]
     *_, shear, iota = coordinate_actions(sp)
     base = bscc_image(sp, [(a[:1], b[:1])])  # a1 (.) b1
     shift = safe_matmul(base, shear) - base
-    return np.vstack([base,
-                      bscc_image(sp, [(a[:1], b[:1]), (a[1:2], b[1:2])]),
-                      *tripod_bracket_entries(sp, side="mixed"),
-                      shift,
-                      safe_matmul(shift, iota)])
+    return BlockStream(itertools.chain(
+        [base, bscc_image(sp, [(a[:1], b[:1]), (a[1:2], b[1:2])])],
+        tripod_bracket_entries(sp, side="mixed"),
+        [shift, safe_matmul(shift, iota)]))
 
 
 def goeritz_tau2_lattice(sp: DerivationSpace):

@@ -21,11 +21,11 @@ density, or of a stream of row blocks, each read as pulled; only what a
 caller needs is assembled densely from those rows.  ``hermite_normal_form``
 assembles all of them, ``left_kernel`` only the transform parts of the
 zero rows, ``IntegerLattice.intersection`` only the right halves of the
-rows of one Zassenhaus HNF, and a lattice built from generators, or
-``IntegerLattice.sum`` of a stack or a stream, only the nonzero rows.  The
-loop's pivot is a row of least entry in its column and, among those, of
-fewest nonzeros, so that the many dependent rows of a catalog batch, each
-reduced against the pivot, stay sparse.
+rows of one Zassenhaus HNF, and the ``IntegerLattice`` constructor, the
+one place where generators (a stack or a stream) become a basis, only the
+nonzero rows.  The loop's pivot is a row of least entry in its column and,
+among those, of fewest nonzeros, so that the many dependent rows of a
+catalog batch, each reduced against the pivot, stay sparse.
 
 Over GF(2) there is one elimination (``gf2_rank``), on rows packed
 into int bitsets, fully reduced.  It gives a GF(2) rank as its count of
@@ -164,13 +164,13 @@ def hermite_normal_form(m, transform: bool = False):
 def _hnf_rows(a, transform: bool = False):
     """The one HNF loop: the rows of the HNF of ``a`` (any integer dtype)
     in order, as {column: int} dicts, and the rank.  ``a`` is a 2-d array,
-    or an iterable of 2-d blocks of one width whose rows, stacked, are the
-    input (the first block gives the width); each block's nonzeros are
-    read into the row dicts as the block is pulled, so the blocks are never
-    stacked.  With ``transform``, row i starts as a_i plus 1 in column
-    ncols + i, so each row also holds its row of the transform past column
-    ncols; the zero rows of the HNF, the last nrows - rank, then hold
-    nothing before it.
+    or an iterable of 2-d blocks of one width, the first's (none, no rows),
+    whose rows, stacked, are the input; each block's nonzeros are read into
+    the row dicts as the block is pulled, so the blocks are never stacked.
+    With ``transform``, row i starts as a_i plus 1 in column ncols + i, so
+    each row also holds its row of the transform past column ncols; the
+    zero rows of the HNF, the last nrows - rank, then hold nothing before
+    it.
 
     Rows are read from the nonzeros of ``a`` into dicts of Python ints, so
     no entry overflows.  Each row keeps its identity while ``order`` maps
@@ -198,7 +198,7 @@ def _hnf_rows(a, transform: bool = False):
         for i, j, x in zip(ii.tolist(), jj.tolist(), vals):
             rows[i][j] = x
             cols[j].add(i)
-    nrows, ncols = len(rows), len(cols)
+    nrows, ncols = len(rows), len(cols or ())
     if transform:
         for i in range(nrows):
             rows[i][ncols + i] = 1
@@ -404,14 +404,18 @@ class IntegerLattice:
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, generators=None, canonical: bool = False):
+        """The span of ``generators``, one stack of rows or an iterator of
+        stacks, each width-checked and read into one HNF loop as pulled
+        (``_hnf_rows``); with ``canonical``, a stack already in HNF."""
         self.ambient_dim = ambient_dim
-        g = _rows_of_width([] if generators is None else generators,
-                           ambient_dim)
+        rows = [] if generators is None else generators
         if canonical:
-            basis = g
+            basis = _rows_of_width(rows, ambient_dim)
         else:
-            rows, rank = _hnf_rows(g)
-            basis = _assemble(rows[:rank], ambient_dim)
+            blocks = rows if isinstance(rows, Iterator) else [rows]
+            hnf, rank = _hnf_rows(_rows_of_width(b, ambient_dim)
+                                  for b in blocks)
+            basis = _assemble(hnf[:rank], ambient_dim)
         # a read-only view, so that a caller's own array stays writable
         self.basis = basis.view()
         self.basis.setflags(write=False)
@@ -456,15 +460,11 @@ class IntegerLattice:
 
     def sum(self, rows) -> "IntegerLattice":
         """The span of the lattice and a stack of rows, or of an iterator of
-        such stacks, each read into one HNF loop with the basis as it is
-        pulled (``_hnf_rows``), so that no two are held at once, and only
-        the rank rows assembled; a stack is a stream of one block."""
-        n = self.ambient_dim
+        such stacks: the lattice of the basis followed by the blocks."""
         if not isinstance(rows, Iterator):
             rows = [rows]
-        hnf, rank = _hnf_rows(itertools.chain(
-            [self.basis], (_rows_of_width(b, n) for b in rows)))
-        return IntegerLattice(n, _assemble(hnf[:rank], n), canonical=True)
+        return IntegerLattice(self.ambient_dim,
+                              itertools.chain([self.basis], rows))
 
     def intersection(self, other: "IntegerLattice") -> "IntegerLattice":
         """Zassenhaus: the HNF of [[A, A], [B, 0]] spans the pairs

@@ -767,7 +767,8 @@ def _goeritz_seed(sp, which):
     """The seed rows and the degree k of a Goeritz orbit closure in
     H (x) L_k, then what ``orbit_closure`` takes for it: the seed rows and
     the actions in the closure's own coordinates, and the matrix that maps
-    those coordinates to H (x) L_k."""
+    those coordinates to H (x) L_k.  The tau_2 seed is a stream, which a
+    lattice reads once, so it is stacked here for the repeated closures."""
     ctx = sp.ctx
     if which == "tau1":
         seed = eta1(ctx, [0], [sp.g], [sp.g + 1])
@@ -777,7 +778,9 @@ def _goeritz_seed(sp, which):
         actions = [catalogs._tripod_action(sp, m)
                    for m in goeritz_symmetries(sp.g)]
         return seed, 2, unit, actions, tripod_images(sp)
-    rows = goeritz_tau2_entries(sp)
+    stream = goeritz_tau2_entries(sp)
+    assert isinstance(stream, catalogs.BlockStream)
+    rows = np.vstack(list(stream))
     basis = sp.d2().basis
     return (safe_matmul(rows, basis), 3, rows, catalogs.coordinate_actions(sp),
             basis)

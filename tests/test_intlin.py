@@ -111,13 +111,47 @@ LINE = IntegerLattice(3, [[1, 0, 0]])
     (lambda: IntegerLattice(3, [[1, 0]]), 2, 3),
     (lambda: IntegerLattice(3, [[1, 0]], canonical=True), 2, 3),
     (lambda: IntegerLattice(5, np.zeros((0, 3))), 3, 5),
+    (lambda: IntegerLattice(3, iter([[[1, 0, 0]], [[1, 0]]])), 2, 3),
+    (lambda: LINE.sum(iter([[[0, 1, 0]], [[1, 0]]])), 2, 3),
+    (lambda: IntegerLattice(5, iter([np.zeros((0, 3))])), 3, 5),
 ], ids=["contains-narrower", "contains-wider", "membership", "in", "sum",
-        "generators", "canonical", "empty-generators"])
+        "generators", "canonical", "empty-generators", "stream-second-block",
+        "sum-stream-second-block", "empty-generators-stream"])
 def test_rows_of_another_width_raise(call, width, ambient):
     # unchecked, a one-column stack would broadcast against the check
     # product, and no rows of width 3 would read as the zero lattice of Z^5
     with pytest.raises(ValueError, match=rf"width {width} .*Z\^{ambient}"):
         call()
+
+
+def test_streamed_rows_span_the_lattice_of_their_stack():
+    """A lattice built from a stream of row blocks, and the sum of a
+    lattice and a stream, equal the lattice of the stacked rows: blocks of
+    int8, int64 and object entries past 2^62, empty blocks and an empty
+    stream included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70))
+
+    def streams(n):
+        rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4)
+        return st.tuples(st.just(n), st.lists(rows, max_size=4))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 6).flatmap(streams))
+    def check(args):
+        n, rows = args
+        stack = IntegerLattice(n, [row for block in rows for row in block])
+        blocks = [narrowed(np.array(b, dtype=object).reshape(-1, n))
+                  for b in rows]
+        assert IntegerLattice(n, iter(blocks)) == stack
+        first = IntegerLattice(n, blocks[0] if blocks else None)
+        assert first.sum(iter(blocks[1:])) == stack
+
+    check()
+    assert IntegerLattice(3, iter([])) == IntegerLattice(3)
+    assert IntegerLattice(3, iter([])).rank == 0
+    assert LINE.sum(iter([])) == LINE
 
 
 def test_as_int_matrix_reads_ints_exactly_and_rejects_floats():
