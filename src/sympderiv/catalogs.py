@@ -49,6 +49,8 @@ from .intlin import (BLOCK, IntegerLattice, cached, narrowed, runs,
 # Johnson candidates or tripod pairs per built block: bounds the rows built
 # at once, and so the peak memory of catalog building
 CHUNK = 128
+BATCH = 256  # the least rows of a catalog batch (``_batches``)
+MAX_ROUNDS = 20  # rounds before ``orbit_closure`` gives up
 
 # A catalog batch whose rows average fewer than SPARSE_ROW nonzeros goes
 # into the HNF loop untested (``catalog_lattice``).  The membership test
@@ -295,17 +297,15 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
 
 # -- lattices from catalogs ----------------------------------------------
 
-def _batches(blocks, n):
-    """Consecutive row blocks stacked until each stack holds at least n rows
-    (the last may hold fewer, but none is empty), pulling each block only
-    when a stack needs it."""
+def _batches(blocks):
+    """Consecutive row blocks stacked until each stack holds at least BATCH
+    rows (the last may hold fewer, but none is empty), pulling each block
+    only when a stack needs it."""
     pending, size = [], 0
-    for block in blocks:
-        if not len(block):
-            continue
+    for block in filter(len, blocks):
         pending.append(block)
         size += len(block)
-        if size >= n:
+        if size >= BATCH:
             yield pending[0] if len(pending) == 1 else np.vstack(pending)
             pending, size = [], 0
     if pending:
@@ -317,9 +317,9 @@ def _sparse(batch):
     return np.count_nonzero(batch) < SPARSE_ROW * len(batch)
 
 
-def catalog_lattice(sp: DerivationSpace, blocks, chunk=256):
+def catalog_lattice(sp: DerivationSpace, blocks):
     """Integer span in Z^(sp.rank) of catalog rows, given as an iterable of
-    row blocks, stacked at least ``chunk`` rows at a time.
+    row blocks, stacked at least BATCH rows at a time (``_batches``).
 
     Every row is pulled.  A run of consecutive sparse batches (``_sparse``)
     goes untested into one HNF loop with the span so far, each batch read
@@ -329,7 +329,7 @@ def catalog_lattice(sp: DerivationSpace, blocks, chunk=256):
     ``orbit_closure``.
     """
     lat = IntegerLattice(sp.rank)
-    for sparse, run in itertools.groupby(_batches(blocks, chunk), _sparse):
+    for sparse, run in itertools.groupby(_batches(blocks), _sparse):
         if sparse:
             lat = lat.sum(run)
             continue
@@ -399,7 +399,7 @@ def coordinate_actions(sp: DerivationSpace) -> list:
             for i in range(len(goeritz_symmetries(sp.g)))]
 
 
-def orbit_closure(seed_rows, actions, max_rounds=20):
+def orbit_closure(seed_rows, actions):
     """Saturate the span of seed_rows, a stack or a stream of row blocks,
     under the given integer matrices, each acting on rows from the right.
 
@@ -413,7 +413,7 @@ def orbit_closure(seed_rows, actions, max_rounds=20):
     """
     lat = IntegerLattice(len(actions[0]), seed_rows)
     frontier = lat.basis
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         # one test per block; genus 4: tau_1 6 ms, 12 ms with a test per
         # matrix; tau_2, whose first frontier fills a block, 32 ms, 38 ms
         # with one test of all of a round's moved rows.  One product per

@@ -567,14 +567,15 @@ def test_catalog_lattice_equals_ambient_span(case, monkeypatch):
         rows = np.vstack(blocks)
         want = IntegerLattice(n, rows)
         sp = SimpleNamespace(rank=n)
-        batches = list(catalogs._batches(blocks, chunk))
+        monkeypatch.setattr(catalogs, "BATCH", chunk)
+        batches = list(catalogs._batches(blocks))
         dense = [len(b) for b in batches if not catalogs._sparse(b)]
         sides.update(map(catalogs._sparse, batches))
         stream = catalogs.BlockStream(blocks)
         tested.clear()
         with monkeypatch.context() as m:
             m.setattr(IntegerLattice, "contains_rows", recording)
-            got = catalog_lattice(sp, stream, chunk=chunk)
+            got = catalog_lattice(sp, stream)
         assert got == want
         assert tested == dense
         # every row is pulled, whether or not the span saturates
@@ -586,7 +587,7 @@ def test_catalog_lattice_equals_ambient_span(case, monkeypatch):
         else:
             assert target.membership(got.basis) is None
         # all rows in one block: the same span
-        assert catalog_lattice(sp, [rows], chunk=chunk) == want
+        assert catalog_lattice(sp, [rows]) == want
 
     check()
     assert sides == {False, True}
@@ -821,7 +822,8 @@ def test_orbit_closure_matches_naive_closure(g, which, monkeypatch):
         monkeypatch.setattr(catalogs, "BLOCK", block)
         tests.clear()
         products.clear()
-        lat = orbit_closure(seed, actions, max_rounds=rounds)
+        monkeypatch.setattr(catalogs, "MAX_ROUNDS", rounds)
+        lat = orbit_closure(seed, actions)
         assert IntegerLattice(naive.ambient_dim,
                               safe_matmul(lat.basis, to_ambient)) == naive
         if per_round:
@@ -829,11 +831,12 @@ def test_orbit_closure_matches_naive_closure(g, which, monkeypatch):
         assert len(products) == len(tests)
         # the same number of rounds: one fewer is not enough
         for limit in {1, rounds - 1}:
+            monkeypatch.setattr(catalogs, "MAX_ROUNDS", limit)
             with pytest.raises(RuntimeError):
-                orbit_closure(seed, actions, max_rounds=limit)
+                orbit_closure(seed, actions)
 
 
-def test_moved_rows_keep_the_order_of_one_product_per_matrix():
+def test_moved_rows_keep_the_order_of_one_product_per_matrix(monkeypatch):
     """One product with the matrices side by side gives the moved rows of
     each matrix in turn, as one product per matrix does, also for no rows:
     the closure of the zero lattice stops after one round."""
@@ -845,8 +848,8 @@ def test_moved_rows_keep_the_order_of_one_product_per_matrix():
     assert np.array_equal(catalogs._moved(rows, actions), want)
     none = catalogs._moved(rows[:0], actions)
     assert none.shape == (0, 6)
-    zero = orbit_closure(np.zeros((1, 6), dtype=np.int64), actions,
-                         max_rounds=1)
+    monkeypatch.setattr(catalogs, "MAX_ROUNDS", 1)
+    zero = orbit_closure(np.zeros((1, 6), dtype=np.int64), actions)
     assert zero.basis.shape == (0, 6)
 
 
