@@ -151,13 +151,11 @@ def bscc_image(sp: DerivationSpace, pairs):
 
 def basis_tripods(g, side=None):
     """Triples p < q < r of letters.  side='A' keeps those with an A-leaf,
-    side='B' those with a B-leaf, side='mixed' those with both."""
+    side='mixed' those with both an A-leaf and a B-leaf."""
     out = []
     for t in itertools.combinations(range(2 * g), 3):
         n_a = sum(1 for p in t if p < g)
         if side == "A" and n_a == 0:
-            continue
-        if side == "B" and n_a == 3:
             continue
         if side == "mixed" and n_a in (0, 3):
             continue

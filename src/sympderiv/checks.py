@@ -36,7 +36,9 @@ import numpy as np
 
 from . import casson, catalogs, traces, trees
 from .derivspace import space
-from .intlin import IntegerLattice, cached, left_kernel, safe_matmul
+from .freelie import pair_columns
+from .intlin import (IntegerLattice, cached, kernel_lattice, safe_matmul,
+                     scatter)
 
 VERSION = "0.1.0"
 
@@ -130,7 +132,7 @@ def _check_trace_kernels(g, seed):
     ks = traces.kernel(sp, "sym")
     bl = catalogs.catalog_lattice(
         sp, catalogs.tripod_bracket_entries(sp, side=None))
-    included = ks.membership(bl.basis) is not None
+    included = bool(ks.contains_rows(bl.basis).all())
     sym_equal = bl == ks
     wit = {"johnson_rank": lat.rank, "ker_as_rank": ka.rank,
            "johnson_colors_enlarged": enlarged, "as_equal": as_equal,
@@ -218,13 +220,18 @@ def _check_well_definedness(g, seed):
 
 def _check_levine(g, seed):
     sp = space(g)
-    # one eta2 stack: the rows (a_i, b_j | b_j, b_i) for every i != j, then
-    # the rows (a_k, b_i | b_j, b_k) for every (i, j) and k != j; letter
-    # a_i is i and b_i is g + i
+    # one stack of trees (a | b, c | d): the rows (a_i, b_j | b_j, b_i) for
+    # every i != j, then the rows (a_k, b_i | b_j, b_k) for every (i, j) and
+    # k != j; letter a_i is i and b_i is g + i.  Each is sign(b - a)
+    # sign(d - c) times the generator tree({a, b}, {c, d})
     i, j = np.nonzero(~np.eye(g, dtype=bool))
     at, k = np.nonzero(np.arange(g) != j[:, None])
-    rows = trees.eta2(sp.ctx, np.r_[i, k], g + np.r_[j, i[at]],
-                      g + np.r_[j, j[at]], g + np.r_[i, k])
+    a, b = np.r_[i, k], g + np.r_[j, i[at]]
+    c, d = g + np.r_[j, j[at]], g + np.r_[i, k]
+    tree, _ = sp.pair_tables()
+    rows = sp.gen_rows(len(a), np.arange(len(a)),
+                       tree[sp.pair_index[a, b], sp.pair_index[c, d]],
+                       np.sign(b - a) * np.sign(d - c))
     # per (i, j), in loop order: the one-handle element, then the two-handle
     # elements, each the sum of the rows of k and k2, k <= k2 (both != j)
     one, by_k = np.split(rows, [len(i)])
@@ -234,12 +241,12 @@ def _check_levine(g, seed):
     first = np.tile(np.arange(1 + len(s)) == 0, len(i))  # the one-handle ones
     # tr_A is b'_j b'_j on a one-handle element and 2 b'_i b'_j on a
     # two-handle one, the S^2(H') basis vector b'_i b'_j being sym2[i, j]
-    sym2 = np.eye(g * (g + 1) // 2, dtype=np.int64)[traces._pair_columns(g)]
+    sym2 = np.eye(g * (g + 1) // 2, dtype=np.int64)[pair_columns(g, 0)]
     ip, jp = np.repeat(i, 1 + len(s)), np.repeat(j, 1 + len(s))
     want = np.where(first[:, None], sym2[jp, jp], 2 * sym2[ip, jp])
-    # every test on one stack, in D_2 coordinates; the witness is that of
-    # the first failing element
-    every = sp.coords(elements.reshape(len(first), -1))
+    # every test on one stack of D_2 coordinate rows; the witness is that
+    # of the first failing element
+    every = elements.reshape(len(first), -1)
     traces_A = traces.tr_A(sp, every)
     ok = (traces_A == want).all(axis=1) & want.any(axis=1)
     ok[first] &= (sp.ker_projection().contains_rows(every[first])
@@ -292,27 +299,29 @@ def _check_casson_bridge(g, seed):
 
 
 def quartic_relations(sp):
-    """The quads p < q < r < s of basis letters, and the coefficient rows of
-    the images of their e_p^e_q^e_r^e_s in the tree coordinates,
-    (pq|rs) - (pr|qs) + (ps|qr), from one scatter over ``pair_tables``."""
+    """The quads p < q < r < s of basis letters, the images of their
+    e_p^e_q^e_r^e_s in the tree generators, (pq|rs) - (pr|qs) + (ps|qr), as
+    (row, generator, weight) triplets read from ``pair_tables``, and their
+    coefficient rows, the triplets scattered."""
     quads = np.array(list(itertools.combinations(range(2 * sp.g), 4)))
     tree, _ = sp.pair_tables()
     gens = tree[sp.pair_index[quads[:, [0, 0, 0]], quads[:, [1, 2, 3]]],
                 sp.pair_index[quads[:, [2, 1, 1]], quads[:, [3, 3, 2]]]]
-    rows = np.zeros((len(quads), len(sp.generators)), dtype=np.int64)
-    np.add.at(rows, (np.arange(len(quads))[:, None], gens), [1, -1, 1])
-    return quads, rows
+    triplets = (np.arange(len(quads)).repeat(3), gens.ravel(),
+                np.tile([1, -1, 1], len(quads)))
+    return quads, triplets, scatter((len(quads), len(sp.generators)),
+                                    *triplets)
 
 
 def _check_quartic_vanishing(g, seed):
     s = _draw(seed, -3, 4, (1, g, g))
     s += np.swapaxes(s, 1, 2)  # symmetric S
     sp = space(g)
-    quads, rows = quartic_relations(sp)
+    quads, triplets, rows = quartic_relations(sp)
     expected_dim = comb(2 * g, 4)
     # every test on the whole stack; the witness is the first failing quad
     # with its first failing test
-    fails = np.stack([safe_matmul(rows, sp.gen_coords().T).any(axis=1),
+    fails = np.stack([sp.gen_rows(len(quads), *triplets).any(axis=1),
                       casson.qbar_of_coeffs(sp, rows) != 0,
                       casson.mu_of_coeffs(sp, rows, s)[:, 0] != 0], axis=1)
     if fails.any():
@@ -343,7 +352,8 @@ def _double_kernel(g):
     p = t_as.shape[1]
     m = np.block([[t_a, t_as], [np.zeros((p, t_a.shape[1]), dtype=np.int64),
                                 2 * np.eye(p, dtype=np.int64)]])
-    return IntegerLattice(sp.rank, safe_matmul(left_kernel(m)[:, :len(f)], f))
+    x = kernel_lattice(m.T).basis[:, :len(f)]
+    return IntegerLattice(sp.rank, safe_matmul(x, f))
 
 
 @cached
@@ -359,7 +369,7 @@ def _realizable_lattices(g):
 
 def _check_realizable_kernel(g, seed):
     sp, size, lat, target = _realizable_lattices(g)
-    included = target.membership(lat.basis) is not None
+    included = bool(target.contains_rows(lat.basis).all())
     equal = lat == target
     wit = {"catalog_size": size, "catalog_rank": lat.rank,
            "kernel_rank": target.rank, "included": included, "equal": equal}
@@ -397,7 +407,7 @@ def _check_goeritz_kernel(g, seed):
     sp = space(g)
     target = _double_kernel(g).intersection(traces.kernel(sp, "B"))
     lat = catalogs.goeritz_tau2_lattice(sp)
-    included = target.membership(lat.basis) is not None
+    included = bool(target.contains_rows(lat.basis).all())
     equal = lat == target
     wit = {"catalog_rank": lat.rank, "kernel_rank": target.rank,
            "included": included, "equal": equal}

@@ -21,9 +21,11 @@ into every set of at most 4 letters and sorted by pivot
 4 (``bracket_word_matrix``), is only ever built at genus 2.  Every other
 degree-2 element and lattice, D_2', the filtrations and the projection
 kernel among them (a kernel of D_2's basis read at the coordinates that
-killing A keeps), lives in Z^r, r = rank D_2, over D_2's HNF basis
-(``coords``); ``gen_coords`` reads the generators there from sparse
-expansions, with no dense ambient generator matrix.
+killing A keeps), lives in Z^r, r = rank D_2, over D_2's HNF basis;
+``gen_coords`` reads the generators there from sparse expansions, with no
+dense ambient generator matrix, and every other degree-2 element given by
+trees on basis letters enters as (row, generator, weight) triplets
+(``gen_rows``).
 The span of the generator columns, of all of them or of the tree
 generators only (D_2'), and the transform rows that form its HNF basis
 from them are one cached HNF (``generator_span``).  The generator
@@ -41,15 +43,11 @@ import math
 
 import numpy as np
 
-from .freelie import context
+from .freelie import context, pair_columns
 from .intlin import (IntegerLattice, _assemble, _hnf_rows, cached,
-                     hermite_normal_form, kernel_lattice, narrowed, nonzeros,
-                     row_nonzeros, scatter, sparse_terms)
+                     kernel_lattice, narrowed, nonzeros, row_nonzeros,
+                     scatter, sparse_terms)
 from .trees import eta2_terms
-
-
-class MembershipError(ValueError):
-    pass
 
 
 class FiltrationError(ValueError):
@@ -61,14 +59,16 @@ class InconsistencyError(RuntimeError):
 
 
 def gl_embed(g: int, p: np.ndarray) -> np.ndarray:
-    """diag(P, (P^T)^{-1}) for P in GL(g, Z)."""
-    # P is unimodular iff its HNF is the identity, and then u = P^{-1}.
-    h, u = hermite_normal_form(p, transform=True)
-    if not np.array_equal(h, np.eye(g, dtype=np.int64)):
+    """diag(P, (P^T)^{-1}) for P in GL(g, Z).  The HNF of [P | I] is
+    [UP | U], U unimodular, and its left block is I, as [I | P^{-1}] is in
+    HNF, exactly when P is unimodular (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4)."""
+    h = IntegerLattice(2 * g, np.hstack([p, np.eye(g, dtype=np.int64)])).basis
+    if not np.array_equal(h[:, :g], np.eye(g)):
         raise ValueError("matrix is not in GL(g, Z)")
     m = np.zeros((2 * g, 2 * g), dtype=np.int64)
     m[:g, :g] = p
-    m[g:, g:] = u.T
+    m[g:, g:] = h[:, g:].T
     return m
 
 
@@ -204,16 +204,6 @@ class DerivationSpace:
         """r = rank D_2, the width of every coordinate row."""
         return self.d2().rank
 
-    def coords(self, v) -> np.ndarray:
-        """D_2 coordinates of each row of a stack of elements of H (x) L_3:
-        its coefficients over D_2's HNF basis.  Every pivot of that basis is
-        1, so they are the row's entries at the pivot columns, and one check
-        product confirms them; a row outside D_2 raises."""
-        c = self.d2().membership(v)
-        if c is None:
-            raise MembershipError("element is not in D_2")
-        return c
-
     # -- rows as sums of generator columns --------------------------------
     @cached
     def pair_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -222,9 +212,7 @@ class DerivationSpace:
         generator P, at [P, P] and tree(P, Q) above the diagonal.  Both are
         read-only."""
         m = len(self.pairs)
-        tree = np.zeros((m, m), dtype=np.intp)
-        i, j = np.triu_indices(m)  # the order of the tree generators
-        tree[i, j] = tree[j, i] = m + np.arange(len(i))
+        tree = m + pair_columns(m, 0)  # in the order of the tree generators
         return tree, np.triu(tree, 1) + np.diag(np.arange(m))
 
     @cached

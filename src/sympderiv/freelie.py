@@ -133,11 +133,9 @@ class SymplecticContext:
     def pair_index(self) -> np.ndarray:
         """The index in ``lyndon(2)`` of the word of letters {p, q}, p != q,
         at [p, q] and at [q, p]; read-only.  [p, q] is the bracketing of
-        that word for p < q, and minus it for p > q."""
-        p, q = np.array(self.lyndon(2)).T
-        index = np.zeros((self.n, self.n), dtype=np.intp)
-        index[p, q] = index[q, p] = np.arange(len(p))
-        return index
+        that word for p < q, and minus it for p > q.  ``lyndon(2)`` lists
+        the pairs p < q in ``np.triu_indices`` order."""
+        return pair_columns(self.n, 1)
 
     @cached
     def bracketing_tensor(self, w: tuple[int, ...]) -> dict:
@@ -155,7 +153,7 @@ class SymplecticContext:
         plus lexicographically larger words.
         """
         rem = dict(tensor)
-        coords = np.zeros(self.dim(k), dtype=np.int64)
+        out = np.zeros(self.dim(k), dtype=np.int64)
         index = self.lyndon_index(k)
         while rem:
             w = min(rem)
@@ -163,9 +161,9 @@ class SymplecticContext:
             i = index.get(w)
             if i is None:
                 raise ValueError(f"tensor element is not in the Lie ring: {w}")
-            coords[i] += c
+            out[i] += c
             tensor_add(rem, self.bracketing_tensor(w), -c)
-        return coords
+        return out
 
     @cached
     def bracket_table(self, j: int, k: int) -> np.ndarray:
@@ -273,6 +271,16 @@ class SymplecticContext:
 @cached
 def context(genus: int) -> SymplecticContext:
     return SymplecticContext(genus)
+
+
+def pair_columns(n: int, k: int) -> np.ndarray:
+    """The index of each unordered pair {x, y} of n letters among the pairs
+    of ``np.triu_indices(n, k)`` (x < y for k = 1, x <= y for k = 0), at
+    [x, y] and at [y, x]: a symmetric n x n index matrix."""
+    i, j = np.triu_indices(n, k)
+    col = np.zeros((n, n), dtype=np.intp)
+    col[i, j] = col[j, i] = np.arange(len(i))
+    return col
 
 
 def witt_dimension(n_letters: int, k: int) -> int:

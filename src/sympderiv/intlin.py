@@ -18,14 +18,14 @@ Most lattices here are very sparse (a few nonzeros per row).  Every HNF is
 one loop (``_hnf_rows``) over rows held as sparse dicts of Python ints,
 read from the nonzeros of an input of any integer dtype, whatever its
 density, or of a stream of row blocks, each read as pulled; only what a
-caller needs is assembled densely from those rows.  ``hermite_normal_form``
-assembles all of them, ``left_kernel`` only the transform parts of the
-zero rows, ``IntegerLattice.intersection`` only the right halves of the
-rows of one Zassenhaus HNF, and the ``IntegerLattice`` constructor, the
-one place where generators (a stack or a stream) become a basis, only the
-nonzero rows.  The loop's pivot is a row of least entry in its column and,
-among those, of fewest nonzeros, so that the many dependent rows of a
-catalog batch, each reduced against the pivot, stay sparse.
+caller needs is assembled densely from those rows.  The ``IntegerLattice``
+constructor, the one place where generators (a stack or a stream) become
+a basis, assembles the nonzero rows, ``kernel_lattice`` the transform
+parts of the zero rows, and ``IntegerLattice.intersection`` the right
+halves of the rows of one Zassenhaus HNF.  The loop's pivot is a row of
+least entry in its column and, among those, of fewest nonzeros, so that
+the many dependent rows of a catalog batch, each reduced against the
+pivot, stay sparse.
 
 Over GF(2) there is one elimination (``gf2_rank``), on rows packed
 into int bitsets, fully reduced.  It gives a GF(2) rank as its count of
@@ -142,23 +142,6 @@ def runs(start, count):
     owner = np.repeat(np.arange(len(count)), count)
     first = (np.cumsum(count) - count)[owner]
     return owner, start[owner] + np.arange(len(owner)) - first
-
-
-def hermite_normal_form(m, transform: bool = False):
-    """Row-style HNF with positive pivots and reduced entries above pivots.
-
-    Returns ``hnf`` or ``(hnf, u)`` with ``u`` unimodular and ``u @ m == hnf``.
-    Rows of the result are *not* trimmed: zero rows sink to the bottom.
-    The rows of ``_hnf_rows`` assembled densely, ``hnf`` and ``u`` in one
-    dtype, the ``narrowed`` one of their entries together.
-    """
-    a = as_int_matrix(m)
-    nrows, ncols = a.shape
-    rows, _ = _hnf_rows(a, transform)
-    w = _assemble(rows, ncols + nrows if transform else ncols)
-    if transform:
-        return w[:, :ncols], w[:, ncols:]
-    return w
 
 
 def _hnf_rows(a, transform: bool = False):
@@ -290,36 +273,30 @@ def _assemble(rows, width: int, shift: int = 0) -> np.ndarray:
     return w
 
 
-def left_kernel(m) -> np.ndarray:
-    """Basis (HNF rows) of {v : v @ m == 0}, saturated by construction:
-    the transform parts of the zero rows of the HNF loop, assembled alone
-    (so never the dense [h | u]), then put in HNF.  They are rows of a
-    unimodular matrix, so that HNF has no zero row."""
-    a = as_int_matrix(m)
-    nrows, ncols = a.shape
-    rows, rank = _hnf_rows(a, transform=True)
-    return hermite_normal_form(_assemble(rows[rank:], nrows, shift=ncols))
-
-
 def kernel_lattice(m, mod2: bool = False) -> "IntegerLattice":
     """Full integer kernel {v : m @ v == 0}, or {v : m @ v == 0 mod 2}, as a
     lattice in Z^cols.
 
-    Mod 2 it is read from the GF(2) elimination of m's rows
-    (``gf2_rank``), with no HNF: each reduced row R_c has its pivot c
-    at its highest set bit, and no other row holds c.  The basis has one
-    row per column: 2e_c at each pivot column c, and at every other column
-    f the row e_f plus e_c for each R_c that holds f, a vector of the GF(2)
-    kernel, as R_c meets it at f and c alone.  Those rows and 2Z^cols span
-    the preimage, of index 2^rank as the rows' determinant is.  They are
-    already its HNF: row f's first nonzero is its 1 at f, as c > f; each
-    column holds one pivot; above a pivot 1 there is no other entry, and
-    above a pivot 2 only 1s.  Bit f of R_c, read for every f at once, is
-    column c of the basis past its identity."""
+    Over Z it is spanned by the transform parts of the zero rows of the
+    HNF loop of m.T, rows of a unimodular matrix with v @ m.T == 0, so
+    saturated; they are assembled alone, never the dense [h | u], and put
+    in HNF by the constructor.  Mod 2 it is read from the GF(2)
+    elimination of m's rows (``gf2_rank``), with no HNF: each reduced row
+    R_c has its pivot c at its highest set bit, and no other row holds c.
+    The basis has one row per column: 2e_c at each pivot column c, and at
+    every other column f the row e_f plus e_c for each R_c that holds f, a
+    vector of the GF(2) kernel, as R_c meets it at f and c alone.  Those
+    rows and 2Z^cols span the preimage, of index 2^rank as the rows'
+    determinant is.  They are already its HNF: row f's first nonzero is
+    its 1 at f, as c > f; each column holds one pivot; above a pivot 1
+    there is no other entry, and above a pivot 2 only 1s.  Bit f of R_c,
+    read for every f at once, is column c of the basis past its
+    identity."""
     a = as_int_matrix(m)
     n = a.shape[1]
     if not mod2:
-        return IntegerLattice(n, left_kernel(a.T), canonical=True)
+        rows, rank = _hnf_rows(a.T, transform=True)
+        return IntegerLattice(n, _assemble(rows[rank:], n, shift=len(a)))
     reduced = gf2_rank(a)
     size = (n + 7) // 8
     held = np.unpackbits(

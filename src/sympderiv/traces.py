@@ -7,7 +7,7 @@ tr_as and tr_sym as 0/1 tables over the pairs i < j and i <= j (Lambda^2,
 S^2 of H/2H), and tr_A and tr_B over S^2(H'), in ``np.triu_indices`` order.
 ``_basis_traces`` reads each table at the generator coefficients of its
 domain's basis, the transform rows of ``DerivationSpace.generator_span``;
-stacks of D_2 coordinate rows (``DerivationSpace.coords``), the kernels
+stacks of D_2 coordinate rows (``DerivationSpace.gen_rows``), the kernels
 (``kernel``, exact sublattices of Z^r, r = rank D_2) and the image ranks
 (``image_rank``) read those.
 The S-twisted contraction tr_omegaS goes through each generator's
@@ -19,19 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .derivspace import DerivationSpace, FiltrationError
-from .freelie import iota_matrix
+from .freelie import iota_matrix, pair_columns
 from .intlin import (IntegerLattice, cached, gf2_rank, kernel_lattice,
                      safe_matmul)
-
-
-def _pair_columns(n: int) -> np.ndarray:
-    """The column of each unordered pair {x, y} of n letters among the
-    pairs i <= j in ``np.triu_indices(n)`` order, as a symmetric n x n
-    index matrix."""
-    i, j = np.triu_indices(n)
-    col = np.zeros((n, n), dtype=np.intp)
-    col[i, j] = col[j, i] = np.arange(len(i))
-    return col
 
 
 # The four contractions of a tree (p, q | r, s) as leaf positions (sign, u,
@@ -142,7 +132,7 @@ def _omegaS_table(sp: DerivationSpace) -> np.ndarray:
     symmetric form of the entry S_ij, i <= j in ``np.triu_indices`` order,
     on the B block; those of p (.) q, whose leaves (p, q, p, q) give twice
     its contraction, are halved."""
-    g, col = sp.g, _pair_columns(sp.g)
+    g, col = sp.g, pair_columns(sp.g, 0)
     units = np.zeros((col.max() + 1, 2 * g, 2 * g), dtype=np.int8)
     units[:, g:, g:] = np.moveaxis(np.identity(len(units), np.int8)[col], 2, 0)
     table = _contract(sp, units)

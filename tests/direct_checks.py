@@ -225,9 +225,12 @@ GROUPS = {
             on_space=False),
     ],
     # ker_projection, the kernel of D_2's basis at the coordinates that
-    # killing A keeps, and tr_A
-    "levine-g5": [
+    # killing A keeps, and tr_A; then, at genus 6, the rows it reads, built
+    # from generator triplets, against the loop's elements expanded in
+    # H (x) L_3 and solved over D_2's basis (genus 2-5 run in tier-1)
+    "levine": [
         Check("levine-counterexample", 5, elements_checked=220),
+        Ref("test_checks.levine_rows_match_ambient_route", 6, 480),
     ],
     # casson-bridge selects the unit rows of the A-side generators by
     # index, in int8, and multiplies them over the nonzeros of both

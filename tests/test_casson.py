@@ -242,7 +242,7 @@ def test_qbar_denominator_and_linearity():
 
 def test_qbar_kills_quartic_relations():
     sp = space(2)
-    quads, rows = checks.quartic_relations(sp)
+    quads, _, rows = checks.quartic_relations(sp)
     assert quads.tolist() == [[0, 1, 2, 3]]
     assert casson.qbar_of_coeffs(sp, rows).tolist() == [0]
     for s_seed in range(3):
@@ -257,7 +257,7 @@ def test_mu_vanishes_at_zero_twist():
     rng = np.random.default_rng(33)
     basis = sp.d2().basis
     v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
-    c = express(sp, sp.coords(v))
+    c = express(sp, sp.d2().membership(v))
     zero = np.zeros((1, 2, 2), dtype=np.int64)
     assert casson.mu_of_coeffs(sp, c, zero).tolist() == [[0]]
 
@@ -286,7 +286,7 @@ def test_mu_matches_half_omegaS_plus_delta():
         v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
         s = rng.integers(-3, 4, size=(1, 2, 2))
         s = s + np.swapaxes(s, 1, 2)
-        c = express(sp, sp.coords(v))
+        c = express(sp, sp.d2().membership(v))
         # the composite is counted in halves
         assert np.array_equal(2 * casson.mu_of_coeffs(sp, c, s),
                               casson.half_omegaS_plus_delta(sp, c, s))
@@ -423,7 +423,7 @@ def test_flipped_mu_sign_fails_bridge_at_first_loop_witness(monkeypatch):
             continue  # no A-leaf
         unit = np.zeros(len(sp.generators), dtype=np.int64)
         unit[k] = 1
-        q = traces.tr_A(sp, sp.coords(gen_matrix(sp)[:, [k]].T))
+        q = traces.tr_A(sp, sp.d2().membership(gen_matrix(sp)[:, [k]].T))
         for s in mats:
             mu = mu_by_polynomial(sp, unit, s)
             pairing = casson.r_pairing(s[None], q)[0, 0]

@@ -11,7 +11,7 @@ import pytest
 from sympderiv import casson, catalogs, checks, traces, trees
 from sympderiv.derivspace import DerivationSpace, FiltrationError, space
 from sympderiv.freelie import SymplecticContext, context, iota_matrix
-from sympderiv.intlin import IntegerLattice
+from sympderiv.intlin import IntegerLattice, safe_matmul
 from test_derivspace import express
 from test_trees import vector_eta2
 
@@ -102,6 +102,23 @@ def well_definedness_failures_by_loop(g, seed):
     return failures
 
 
+def levine_rows_match_ambient_route(sp):
+    """The coordinate rows that tr_A reads in levine-counterexample, built
+    from generator triplets, against the ambient route: the loop's
+    elements expanded in H (x) L_3 through Lie brackets and solved over
+    D_2's basis.  Returns their count."""
+    seen = []
+    real = traces.tr_A
+    traces.tr_A = lambda sp, rows: seen.append(rows) or real(sp, rows)
+    try:
+        assert checks._check_levine(sp.g, None)[0]
+    finally:
+        traces.tr_A = real
+    _, elements = levine_elements_by_loop(sp)
+    assert np.array_equal(seen[0], sp.d2().membership(elements))
+    return len(elements)
+
+
 def quartic_relation(sp, quad):
     """Coefficient vector of the image of e_p^e_q^e_r^e_s in the tree
     coordinates: (pq|rs) - (pr|qs) + (ps|qr)."""
@@ -149,7 +166,7 @@ def test_levine_stack_failure_keeps_first_witness(monkeypatch):
     # check reports the first element outside, after the two it checked
     sp = space(2)
     first = trees.eta2(sp.ctx, [0], [3], [3], [2])  # i=0, j=1
-    lat = IntegerLattice(sp.rank, sp.coords(first))
+    lat = IntegerLattice(sp.rank, sp.d2().membership(first))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": lat)
     ok, witness = checks._check_levine(2, None)
@@ -166,7 +183,7 @@ def test_levine_raises_at_first_element_outside_domain(monkeypatch):
     sp = space(2)
     proj_kernel = sp.ker_projection()
     first = trees.eta2(sp.ctx, [0], [3], [3], [2])  # i=0, j=1
-    lat = IntegerLattice(sp.rank, sp.coords(first))
+    lat = IntegerLattice(sp.rank, sp.d2().membership(first))
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": proj_kernel)
     monkeypatch.setattr(DerivationSpace, "filtration",
@@ -199,7 +216,7 @@ def test_bridge_composite_witness_is_formatted_from_halves(monkeypatch):
     sp = space(2)
     mats = sym_matrices_by_loop(0, 2, 100)
     row = sp.d2().basis[:1]
-    coeffs = express(sp, sp.coords(row))
+    coeffs = express(sp, sp.d2().membership(row))
     mu = int(casson.mu_of_coeffs(sp, coeffs, mats[0][None])[0, 0])
     ok, witness = checks._check_casson_bridge(2, 0)
     assert not ok
@@ -316,10 +333,15 @@ def test_negative_seed_is_refused():
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_stacked_quartic_rows_match_the_per_quad_rows(g):
     sp = space(g)
-    quads, rows = checks.quartic_relations(sp)
+    quads, triplets, rows = checks.quartic_relations(sp)
     assert quads.tolist() \
         == [list(q) for q in itertools.combinations(range(2 * g), 4)]
     assert np.array_equal(rows, [quartic_relation(sp, q) for q in quads])
+    # the relation test's rows, from the triplets, are the product of the
+    # coefficient rows with the generator columns: all zero
+    got = sp.gen_rows(len(quads), *triplets)
+    assert np.array_equal(got, safe_matmul(rows, sp.gen_coords().T))
+    assert got.shape == (len(quads), sp.rank) and not got.any()
 
 
 @pytest.mark.parametrize("shift", [
@@ -340,20 +362,11 @@ def test_well_definedness_keeps_the_loop_order_of_failures(shift, monkeypatch):
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
-def test_levine_stack_matches_the_loop_elements(g, monkeypatch):
+def test_levine_stack_matches_the_loop_elements(g):
     # the coordinate rows that tr_A reads are those of the loop's elements
-    sp = space(g)
-    seen = []
-    real = traces.tr_A
-
-    def recording(sp, rows):
-        seen.append(rows)
-        return real(sp, rows)
-
-    monkeypatch.setattr(traces, "tr_A", recording)
-    assert checks._check_levine(g, None)[0]
-    _, elements = levine_elements_by_loop(sp)
-    assert np.array_equal(seen[0], sp.coords(elements))
+    assert levine_rows_match_ambient_route(space(g)) == g * (g - 1) * (
+        1 + g * (g - 1) // 2)
+    assert traces.tr_A.__module__ == "sympderiv.traces"
 
 
 def test_levine_labels_every_element_as_the_loop_does(monkeypatch):

@@ -6,15 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from sympderiv import checks, derivspace, intlin, traces
-from sympderiv.derivspace import (InconsistencyError, MembershipError,
-                                  gl_embed, space)
+from sympderiv import catalogs, checks, derivspace, intlin, traces
+from sympderiv.derivspace import InconsistencyError, gl_embed, space
 from sympderiv.freelie import SymplecticContext, iota_matrix
-from sympderiv.intlin import (IntegerLattice, hermite_normal_form,
-                              kernel_lattice, safe_matmul)
+from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
 from sympderiv.trees import eta1
 from test_catalogs import transform_rows
 from test_freelie import bracket_matrix, lyndon_projection
+from test_intlin import dense_hnf
 from test_trees import expand_symhalf, vector_eta2
 
 D2_RANK = {2: 20, 3: 105}
@@ -187,12 +186,12 @@ def test_express_roundtrip():
     rng = np.random.default_rng(11)
     basis = sp.d2().basis
     v = rng.integers(-2, 3, size=(1, sp.d2().rank)) @ basis
-    c = express(sp, sp.coords(v))
+    c = express(sp, sp.d2().membership(v))
     assert np.array_equal(c @ gen_matrix(sp).T, v)
-    with pytest.raises(MembershipError):
-        bad = v.copy()
-        bad[0, 0] += 1
-        express(sp, sp.coords(bad))
+    bad = v.copy()
+    bad[0, 0] += 1
+    assert sp.d2().membership(bad) is None
+    assert not sp.d2().contains_rows(bad).any()
 
 
 def test_tree_expression_requires_dprime():
@@ -220,7 +219,7 @@ def test_generator_span_is_the_hnf_with_its_zero_rows_dropped(g, trees):
     cols = sp.gen_coords()
     if trees:
         cols = cols[:, sp.tree_indices]
-    h, u = hermite_normal_form(cols.T, transform=True)
+    h, u = dense_hnf(cols.T, transform=True)
     nonzero = (h != 0).any(axis=1)
     span, trans = sp.generator_span(trees)
     for got, want in [(span.basis, h[nonzero]), (trans, u[nonzero])]:
@@ -326,6 +325,52 @@ def test_gl_embed_inverts_exactly():
             gl_embed(2, np.array(bad))
 
 
+def gl_embed_by_transform(g, p):
+    """diag(P, (P^T)^{-1}) from the transform u of P's HNF, u = P^{-1} when
+    that HNF is the identity; None otherwise."""
+    h, u = dense_hnf(p, transform=True)
+    if not np.array_equal(h, np.eye(g)):
+        return None
+    m = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    m[:g, :g], m[g:, g:] = p, u.T
+    return m
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_gl_embed_matches_the_transform_route(g):
+    """gl_embed, P^{-1} read from the HNF of [P | I], equals the route
+    through P's HNF transform on every generator of GL(g, Z) and on
+    products of them, and raises wherever that route finds no inverse:
+    determinant 2, singular, and a pivot of [P | I] in the right block."""
+    gens = catalogs.gl_generators(g)
+    for p in gens:
+        assert np.array_equal(gl_embed(g, p), gl_embed_by_transform(g, p))
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.integers(0, len(gens) - 1), min_size=2,
+                               max_size=12))
+    def products(word):
+        p = np.linalg.multi_dot([gens[k] for k in word])
+        m = gl_embed(g, p)
+        assert np.array_equal(m, gl_embed_by_transform(g, p))
+        assert is_symplectic(m)
+
+    products()
+    double = np.eye(g, dtype=np.int64)
+    double[-1, -1] = 2
+    singular = np.eye(g, dtype=np.int64)
+    singular[:, -1] = singular[:, 0]
+    for bad in (double, singular, np.zeros((g, g), dtype=np.int64)):
+        assert gl_embed_by_transform(g, bad) is None
+        with pytest.raises(ValueError, match="GL"):
+            gl_embed(g, bad)
+    # the HNF of [P | I] of a singular P has its last pivot in the right block
+    h = IntegerLattice(2 * g, np.hstack([singular, np.eye(g, dtype=np.int64)]))
+    assert h._pivots[-1] >= g
+
+
 def test_iota_swaps_sides():
     g = 2
     m = iota_matrix(g)
@@ -397,8 +442,8 @@ def test_every_d2_pivot_is_one(g):
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_coords_round_trip_past_int64(g):
-    """coords(c @ basis) == c, exactly, for coordinates up to and past
-    2**62, one row and stacks."""
+    """d2().membership(c @ basis) == c, exactly, for coordinates up to and
+    past 2**62, one row and stacks."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     sp = space(g)
@@ -413,20 +458,21 @@ def test_coords_round_trip_past_int64(g):
                                min_size=1, max_size=3))
     def check(rows):
         c = np.array(rows, dtype=object)
-        got = sp.coords(safe_matmul(c, basis))
+        got = sp.d2().membership(safe_matmul(c, basis))
         assert [[int(x) for x in row] for row in got] == rows
-        assert [[int(x) for x in row]
-                for row in sp.coords(safe_matmul(c[:1], basis))] == rows[:1]
+        assert [[int(x) for x in row] for row in
+                sp.d2().membership(safe_matmul(c[:1], basis))] == rows[:1]
 
     check()
 
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_coords_reject_rows_outside_d2(g):
-    """A row outside D_2 raises, never read off the pivot columns alone,
-    even when it agrees with an element of D_2 there."""
+    """A row outside D_2 is found outside, never read off the pivot columns
+    alone, even when it agrees with an element of D_2 there."""
     sp = space(g)
-    basis = sp.d2().basis
+    d2 = sp.d2()
+    basis = d2.basis
     pivots = np.argmax(basis != 0, axis=1)
     off = np.setdiff1d(np.arange(sp.ambient_dim), pivots)
     rng = np.random.default_rng(g)
@@ -434,13 +480,12 @@ def test_coords_reject_rows_outside_d2(g):
     for col in off[:: max(1, len(off) // 20)]:
         bad = v.copy()
         bad[0, col] += 1
-        with pytest.raises(MembershipError):
-            sp.coords(bad)
-        with pytest.raises(MembershipError):
-            sp.coords(np.vstack([v, bad]))
+        assert d2.membership(bad) is None
+        assert d2.membership(np.vstack([v, bad])) is None
+        assert d2.contains_rows(np.vstack([v, bad])).tolist() == [True, False]
     # twice a non-member is a non-member: D_2 is a kernel, so saturated
-    with pytest.raises(MembershipError):
-        sp.coords(2 * np.eye(sp.ambient_dim, dtype=np.int64)[off[:1]])
+    twice = 2 * np.eye(sp.ambient_dim, dtype=np.int64)[off[:1]]
+    assert d2.membership(twice) is None and twice[0] not in d2
 
 
 @pytest.mark.parametrize("g", [2, 3])

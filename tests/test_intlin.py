@@ -7,9 +7,23 @@ import pytest
 
 from sympderiv import intlin
 from sympderiv.intlin import (IntegerLattice, NotSublatticeError,
-                              as_int_matrix, gf2_rank,
-                              hermite_normal_form, kernel_lattice, left_kernel,
+                              as_int_matrix, gf2_rank, kernel_lattice,
                               narrowed, safe_matmul, solve_over_hnf)
+
+
+def dense_hnf(m, transform: bool = False):
+    """Every row of the HNF loop (``intlin._hnf_rows``), zero rows last,
+    assembled densely (``intlin._assemble``): h, or (h, u) with u @ m == h,
+    both in the one ``narrowed`` dtype of their entries together."""
+    a = as_int_matrix(m)
+    rows, _ = intlin._hnf_rows(a, transform)
+    w = intlin._assemble(rows, sum(a.shape) if transform else a.shape[1])
+    return tuple(np.hsplit(w, [a.shape[1]])) if transform else w
+
+
+def left_kernel(m):
+    """The HNF basis of {v : v @ m == 0}: ``kernel_lattice`` of m.T."""
+    return kernel_lattice(as_int_matrix(m).T).basis
 
 
 def random_matrix(rng, shape, lo=-5, hi=6):
@@ -53,7 +67,7 @@ def test_hnf_preserves_row_span():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = random_matrix(rng, (5, 7))
-        h = hermite_normal_form(m)
+        h = dense_hnf(m)
         assert IntegerLattice(7, m) == IntegerLattice(7, h)
 
 
@@ -61,7 +75,7 @@ def test_hnf_transform_is_unimodular():
     rng = np.random.default_rng(8)
     for _ in range(10):
         m = random_matrix(rng, (4, 6))
-        h, u = hermite_normal_form(m, transform=True)
+        h, u = dense_hnf(m, transform=True)
         assert np.array_equal(safe_matmul(u, np.asarray(m, dtype=object)), h)
         det = round(float(np.linalg.det(u.astype(float))))
         assert det in (1, -1)
@@ -175,7 +189,7 @@ def test_as_int_matrix_reads_ints_exactly_and_rejects_floats():
     with pytest.raises(ValueError):
         IntegerLattice(2, [[1.5, 2]])
     with pytest.raises(ValueError):
-        hermite_normal_form(np.array([[0.5, 1.0]]))
+        kernel_lattice(np.array([[0.5, 1.0]]))
 
 
 def test_lattice_sum_and_intersection():
@@ -274,11 +288,11 @@ def test_gf2_elimination_matches_the_rank_only_reference():
 
 def mod2_kernel_by_left_kernel(m):
     """The mod-2 kernel the GF(2) elimination replaced, kept as a
-    reference: the first cols columns of the left kernel of [m | 2I]."""
+    reference: the first cols columns of the integer kernel of [m | 2I]."""
     a = as_int_matrix(m)
     n = a.shape[1]
     a = np.hstack([a, 2 * np.eye(len(a), dtype=np.int64)])
-    return IntegerLattice(n, narrowed(left_kernel(a.T)[:, :n]),
+    return IntegerLattice(n, narrowed(kernel_lattice(a).basis[:, :n]),
                           canonical=True)
 
 
@@ -549,7 +563,7 @@ def check_hnf(m, h, u):
     assert np.array_equal(np.asarray(u, dtype=object) @ m, h)
     assert exact_det(u) in (1, -1)
     # an object input gives the same form
-    assert np.array_equal(h, hermite_normal_form(m))
+    assert np.array_equal(h, dense_hnf(m))
 
 
 def test_hnf_entries_past_2_31_stay_exact():
@@ -557,13 +571,13 @@ def test_hnf_entries_past_2_31_stay_exact():
     # throughout, and exact
     m = np.array([[1, 0, 2 ** 40], [0, 1, 2 ** 35],
                   [1, 1, 2 ** 40 + 2 ** 35 + 3]])
-    h, u = hermite_normal_form(m, transform=True)
+    h, u = dense_hnf(m, transform=True)
     assert h.dtype == np.int64 and h[2, 2] == 3
     check_hnf(m, h, u)
     rng = np.random.default_rng(13)
     for _ in range(10):
         m = rng.integers(-2 ** 34, 2 ** 34, size=(4, 6))
-        h, u = hermite_normal_form(m, transform=True)
+        h, u = dense_hnf(m, transform=True)
         check_hnf(m, h, u)
 
 
@@ -571,13 +585,13 @@ def test_hnf_widens_past_update_bound():
     # the second row minus 5 times the first has -2**63 in column 1, past
     # int64: the HNF stays exact on Python ints and returns object
     m = np.array([[1, 2 ** 61, 0], [5, 2 ** 61, 1], [0, 3, 7]])
-    h, u = hermite_normal_form(m, transform=True)
+    h, u = dense_hnf(m, transform=True)
     assert h.dtype == object
     check_hnf(m, h, u)
     rng = np.random.default_rng(14)
     for _ in range(5):
         m = rng.integers(-2 ** 60, 2 ** 60, size=(3, 4))
-        h, u = hermite_normal_form(m, transform=True)
+        h, u = dense_hnf(m, transform=True)
         check_hnf(m, h, u)
 
 
@@ -749,7 +763,7 @@ def sympy_row_hnf(sympy, m):
 
 
 def assert_hnf_matches_sympy(sympy, m):
-    h = hermite_normal_form(m)
+    h = dense_hnf(m)
     ours = [[int(x) for x in row] for row in h if any(row)]
     assert ours == sympy_row_hnf(sympy, m)
 
@@ -939,16 +953,16 @@ def test_hnf_is_canonical_at_every_density(density):
     rng = np.random.default_rng(18)
     for shape in [(30, 40), (40, 25), (12, 12)]:
         m = rng.integers(-4, 5, size=shape) * (rng.random(shape) < density)
-        h, u = hermite_normal_form(m, transform=True)
+        h, u = dense_hnf(m, transform=True)
         assert h.shape == m.shape and u.shape == (len(m), len(m))
         check_hnf(m, h, u)
-        assert np.array_equal(hermite_normal_form(h), h)
+        assert np.array_equal(dense_hnf(h), h)
         if m.any():
             assert_hnf_matches_sympy(sympy, h)
     # an update past 2^62 stays exact on Python ints: object h
     m = np.array([[1, 2 ** 61, 0, 0], [5, 2 ** 61, 1, 0], [0, 3, 7, 0],
                   [0, 0, 0, 0]])
-    h, u = hermite_normal_form(m, transform=True)
+    h, u = dense_hnf(m, transform=True)
     assert h.dtype == object
     check_hnf(m, h, u)
 
@@ -1075,7 +1089,7 @@ def test_single_row_columns_match_the_scanning_loop():
                    [0, 0, 6, 0, 0, 0, 0]])
     for a in (m, m2):
         assert_hnf_rows_match_scanning(a)
-        h, u = hermite_normal_form(a, transform=True)
+        h, u = dense_hnf(a, transform=True)
         check_hnf(a, h, u)
     # single entries only, and no entry
     assert_hnf_rows_match_scanning(np.array([[0, -2, 0], [0, 0, 0],
@@ -1136,7 +1150,7 @@ def test_dependent_rows_hnf_matches_sympy():
     @hypothesis.given(_dependent_matrices(hypothesis.strategies))
     def check(m):
         hypothesis.assume(m.any())
-        h, u = hermite_normal_form(m, transform=True)
+        h, u = dense_hnf(m, transform=True)
         check_hnf(m, h, u)
         assert_hnf_matches_sympy(sympy, m)
         assert_left_kernel_saturated(sympy, m)
@@ -1151,7 +1165,7 @@ def test_tie_break_moves_the_pivot_past_a_remainder():
     # then equals row 3 in column 1 on, and loses the tie there to row 3,
     # whose transform part is shorter
     m = np.array([[2, 1, 1, 1], [3, 0, 0, 0], [-2, 1, 0, 0], [0, 2, 1, 1]])
-    h, u = hermite_normal_form(m, transform=True)
+    h, u = dense_hnf(m, transform=True)
     assert h.tolist() == [[1, 0, 1, 1], [0, 1, 2, 2], [0, 0, 3, 3],
                           [0, 0, 0, 0]]
     check_hnf(m, h, u)

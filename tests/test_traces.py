@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from sympderiv.derivspace import FiltrationError, space
-from sympderiv.freelie import context, iota_matrix
-from sympderiv.intlin import (IntegerLattice, hermite_normal_form,
-                              kernel_lattice, safe_matmul)
+from sympderiv.freelie import context, iota_matrix, pair_columns
+from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
 from sympderiv.trees import eta2
 from sympderiv import traces
 from test_derivspace import express, gen_matrix
-from test_intlin import mod2_kernel_by_left_kernel
+from test_intlin import dense_hnf, mod2_kernel_by_left_kernel
 from test_freelie import lyndon_to_tensor
 
 
@@ -95,7 +94,7 @@ def gf2_table_by_letters(sp, which):
         w[x == y] = 0
     else:
         w, x, y = w[m:], x[m:], y[m:]
-    col = sp.pair_index if which == "as" else traces._pair_columns(sp.ctx.n)
+    col = sp.pair_index if which == "as" else pair_columns(sp.ctx.n, 0)
     table = np.zeros((len(w), col.max() + 1), dtype=np.int64)
     np.add.at(table, (np.arange(len(w))[:, None], col[x, y]), w)
     return table % 2
@@ -113,7 +112,7 @@ def side_table_by_terms(sp, side):
     on = sp.on_side(terms, side)
     sign = np.array([1, -1, 1, -1]) * (on[:, 0] & ~on[:, 1:].any(axis=1))
     j = iota_matrix(sp.g)
-    col = traces._pair_columns(sp.g)
+    col = pair_columns(sp.g, 0)
     k = np.arange(len(sp.leaves))[:, None]
     table = np.zeros((len(k), col.max() + 1), dtype=np.int64)
     # the letters off the side are one block of g, read mod g
@@ -130,7 +129,7 @@ def omegaS_table_by_letters(sp):
     g = sp.g
     n = 2 * g
     p, q, r, t = sp.leaves.T
-    col = traces._pair_columns(g)
+    col = pair_columns(g, 0)
     k = np.arange(len(sp.leaves))
     table = np.zeros((col.max() + 1, len(k), n, n), dtype=np.int8)
     for x, y, a, b, c in [(q, r, p, t, 1), (p, t, q, r, 1),
@@ -268,7 +267,7 @@ def gf2_image_rows_by_solve(sp, which):
         domain = sp.filtration(-1)
     else:
         domain, cols = sp.dprime2(), cols[:, sp.tree_indices]
-    h, u = hermite_normal_form(cols.T, transform=True)
+    h, u = dense_hnf(cols.T, transform=True)
     nonzero = (h != 0).any(axis=1)
     span = IntegerLattice(h.shape[1], h[nonzero], canonical=True)
     coeffs = safe_matmul(span.membership(domain.basis), u[nonzero])
@@ -319,7 +318,7 @@ def test_tr_A_unit_value():
     ctx = sp.ctx
     # eta2(a1, b2 | b2, b1) traces to the single class b'_2 b'_2
     v = eta2(ctx, [0], [3], [3], [2])
-    t = traces.tr_A(sp, sp.coords(v))
+    t = traces.tr_A(sp, sp.d2().membership(v))
     expect = np.zeros((1, len(sym2_pairs(2))), dtype=np.int64)
     expect[0, sym2_pairs(2).index((1, 1))] = 1
     assert np.array_equal(np.abs(t), expect)
@@ -328,7 +327,8 @@ def test_tr_A_unit_value():
 def test_tr_A_domain_check():
     sp = space(2)
     # b1 . b2 -- no A leaves at all
-    v = sp.coords(gen_matrix(sp)[:, [sp.generators.index(("odot", (2, 3)))]].T)
+    k = sp.generators.index(("odot", (2, 3)))
+    v = sp.d2().membership(gen_matrix(sp)[:, [k]].T)
     with pytest.raises(FiltrationError):
         traces.tr_A(sp, v)
     # B-side trace accepts it
@@ -403,10 +403,9 @@ def test_pair_bases():
     for n in (2, 4):
         for k, pairs in ((0, sym2_pairs(n)), (1, ext2_pairs(n))):
             assert list(zip(*np.triu_indices(n, k))) == pairs
-        pairs = sym2_pairs(n)
-        col = traces._pair_columns(n)
-        assert [col[x, y] for x, y in pairs] == list(range(len(pairs)))
-        assert np.array_equal(col, col.T)
+            col = pair_columns(n, k)
+            assert [col[x, y] for x, y in pairs] == list(range(len(pairs)))
+            assert np.array_equal(col, col.T)
     # the Lambda^2 columns of tr_as are the basis pairs of D_2's generators
     for g in (2, 3):
         pairs = ext2_pairs(2 * g)
@@ -429,7 +428,7 @@ def ambient_side_table(sp, side):
     side_letters = ctx.kill_letters(side)
     shift = ctx.g if side == "A" else 0
     j = iota_matrix(ctx.g)
-    col = traces._pair_columns(ctx.g)
+    col = pair_columns(ctx.g, 0)
     words = ctx.lyndon(3)
     table = np.zeros((sp.ambient_dim, col.max() + 1), dtype=np.int64)
     for h in side_letters:
@@ -502,7 +501,7 @@ def _side_f0_columns(sp, side):
 def test_side_table_matches_dict_trace_on_generators(g, side):
     sp = space(g)
     rows = _side_f0_columns(sp, side)
-    coords = sp.coords(rows)
+    coords = sp.d2().membership(rows)
     fn = traces.tr_A if side == "A" else tr_B
     stacked = fn(sp, coords)
     assert stacked.shape == (len(rows), len(sym2_pairs(g)))
@@ -537,7 +536,7 @@ def test_tr_A_stack_raises_when_any_row_is_outside():
     inside = _side_f0_columns(sp, "A")[:3]
     outside = gen_matrix(sp)[:, sp.generators.index(("odot", (2, 3)))]
     rows = np.vstack([inside, outside[None, :]])
-    coords = sp.coords(rows)
+    coords = sp.d2().membership(rows)
     traces.tr_A(sp, coords[:3])
     with pytest.raises(FiltrationError,
                        match="element is not in the A-side filtration level 0"):
