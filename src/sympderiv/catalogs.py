@@ -31,8 +31,8 @@ read from the generators with their leaves moved.  The degree-1 orbit
 closure runs in Lambda^3 H coordinates, where a symmetry acts by the
 minors of the moved tripod letters.  No element of H (x) L_k is moved by
 m (x) L_k(m).  ``catalog_lattice`` builds a catalog's span batch by batch:
-a sparse batch goes straight into the HNF loop, and of a dense one only the
-rows not yet in the span are reduced.
+a sparse batch goes straight into the HNF loop, of a dense one only the
+remainders of the rows not yet in the span.
 """
 
 import itertools
@@ -228,30 +228,6 @@ def _color_set(g, three_term=False):
     return colors
 
 
-def _johnson_candidates(g, three_term):
-    """The colors, the symplectic pairs (u[i], v[i]) of color indices with
-    omega = 1, in ``itertools.combinations`` order, and the pairs of those
-    pairs (k[i], l[i]), k < l, whose four cross omegas vanish, in row-major
-    order; every omega-test reads the Gram matrix of the colors."""
-    colors = np.array(_color_set(g, three_term))
-    gram = safe_matmul(safe_matmul(colors, iota_matrix(g)), colors.T)
-    i, j = np.triu_indices(len(colors), 1)  # itertools.combinations order
-    w = gram[i, j]
-    sympl = np.abs(w) == 1
-    u = np.where(w == 1, i, j)[sympl]
-    v = np.where(w == 1, j, i)[sympl]
-    k, l = [], []
-    for c in _chunks(len(u)):  # CHUNK values of k at a time
-        ks = np.arange(len(u))[c]
-        ok = ((gram[np.ix_(u[ks], u)] == 0) & (gram[np.ix_(u[ks], v)] == 0)
-              & (gram[np.ix_(v[ks], u)] == 0) & (gram[np.ix_(v[ks], v)] == 0)
-              & (np.arange(len(u)) > ks[:, None]))
-        kc, lc = np.nonzero(ok)
-        k.append(ks[kc])
-        l.append(lc)
-    return colors, u, v, np.concatenate(k), np.concatenate(l)
-
-
 def _johnson_rows(sp, w, h, k, l):
     """The rows of the halves over the wedges w[h], then of the trees over
     the wedge pairs (w[k], w[l]), CHUNK candidates at a time."""
@@ -272,25 +248,29 @@ def johnson_catalog(sp: DerivationSpace, three_term=False):
     any row is built, each block CHUNK kept candidates.
 
     A candidate's row depends on its colors only through the wedges w = u^v
-    of its pairs.  A half is quadratic in w, so w and -w give one row; a
-    tree is bilinear in its two wedges and symmetric in them, as
-    ``pair_tables`` holds tree(P, Q) at [P, Q] and at [Q, P].  So a half is
-    keyed by its wedge times the sign of the wedge's first nonzero, a tree
-    by the unordered pair lo <= hi of its wedges' key ids, read as one
-    integer lo * (number of ids) + hi, and candidates with equal
-    keys have rows equal up to sign: the first of each key is kept, and no
-    distinct row is lost.
+    of its pairs: a half is quadratic in w, so w and -w give one row; a
+    tree is bilinear and symmetric in its two wedges (``pair_tables``).  So
+    the symplectic pairs, in ``itertools.combinations`` order of colors,
+    fall into classes keyed by w times the sign of its first nonzero, and
+    the halves kept are those of each class's first pair h, in order.  As
+    u^v fixes the plane span{u, v}, two classes' pairs are all
+    omega-orthogonal or none, and none is orthogonal to its own class: the
+    trees kept are those of the orthogonal h_a < h_b in row-major order,
+    each its class pair's first among all pairs of pairs, losing no row.
     """
-    colors, u, v, k, l = _johnson_candidates(sp.g, three_term)
+    colors = np.array(_color_set(sp.g, three_term))
+    gram = safe_matmul(safe_matmul(colors, iota_matrix(sp.g)), colors.T)
+    i, j = np.triu_indices(len(colors), 1)  # itertools.combinations order
+    sympl = np.abs(gram[i, j]) == 1
+    i, j = i[sympl], j[sympl]
+    u, v = np.where(gram[i, j] == 1, i, j), np.where(gram[i, j] == 1, j, i)
     w = _wedge(sp, colors[u], colors[v])  # of each symplectic pair
     first = w[np.arange(len(w)), np.argmax(w != 0, axis=1)]
-    _, h, ids = np.unique(w * np.sign(first)[:, None], axis=0,
-                          return_index=True, return_inverse=True)
-    ids = ids.ravel()  # its shape differs across numpy 2.0.x
-    lo, hi = np.minimum(ids[k], ids[l]), np.maximum(ids[k], ids[l])
-    t = np.sort(np.unique(lo.astype(np.int64) * len(h) + hi,
+    h = np.sort(np.unique(w * np.sign(first)[:, None], axis=0,
                           return_index=True)[1])
-    return BlockStream(_johnson_rows(sp, w, np.sort(h), k[t], l[t]))
+    free = (gram[u[h]] == 0) & (gram[v[h]] == 0)  # colors orthogonal to h
+    a, b = np.nonzero(np.triu(free[:, u[h]] & free[:, v[h]], 1))
+    return BlockStream(_johnson_rows(sp, w, h, h[a], h[b]))
 
 
 # -- lattices from catalogs ----------------------------------------------
@@ -322,9 +302,9 @@ def catalog_lattice(sp: DerivationSpace, blocks):
     Every row is pulled.  A run of consecutive sparse batches (``_sparse``)
     goes untested into one HNF loop with the span so far, each batch read
     into it as pulled (``IntegerLattice.sum`` of an iterator), so the run
-    is never stacked.  A dense batch is tested against the span so far, and
-    only its rows outside it join the span, through one lattice sum, as in
-    ``orbit_closure``.
+    is never stacked.  Of a dense batch, only its rows outside the span so
+    far join it, through one lattice sum, as their remainders
+    (``IntegerLattice.remainders``), each zero at every unit pivot.
     """
     lat = IntegerLattice(sp.rank)
     for sparse, run in itertools.groupby(_batches(blocks), _sparse):
@@ -332,7 +312,7 @@ def catalog_lattice(sp: DerivationSpace, blocks):
             lat = lat.sum(run)
             continue
         for batch in run:
-            new = batch[~lat.contains_rows(batch)]
+            new = lat.remainders(batch)
             if len(new):
                 lat = lat.sum(new)
     return lat

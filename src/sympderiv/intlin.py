@@ -308,10 +308,12 @@ def kernel_lattice(m, mod2: bool = False) -> "IntegerLattice":
     return IntegerLattice(n, basis, canonical=True)
 
 
-def solve_over_hnf(basis: np.ndarray, pivots, rows):
+def solve_over_hnf(basis: np.ndarray, pivots, rows, remainders=False):
     """Coefficients y with y @ basis == row for each row of a stack, over
     HNF rows, and a boolean mask of the rows they solve (the coefficients
-    of the other rows are junk).
+    of the other rows are junk); with ``remainders``, also the rows it does
+    not solve, each less y @ basis, formed in the copy that masking makes,
+    in int64 unless a row or a product is wide.
 
     The rows are solved together by substitution on the pivot columns.  HNF
     reduces the entries above a pivot modulo it, so above a pivot 1 they
@@ -322,9 +324,9 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
     every row, which also rejects a remainder.  A column under a pivot 1 is
     not open: it holds no other entry, as the rows above are reduced to 0
     there and the rows below start further right, so y @ basis has the
-    pivot's coefficient in it, the row's own entry.  The open columns are
-    those of the other pivots and the columns without a pivot.  Products
-    go through ``safe_matmul`` and widen under its bound.
+    pivot's coefficient in it, the row's own entry, and a remainder 0.  The
+    open columns are those of the other pivots and the columns without a
+    pivot.  Products go through ``safe_matmul`` and widen under its bound.
     """
     rows = np.asarray(rows)
     pivots = np.asarray(pivots, dtype=np.intp)
@@ -349,9 +351,15 @@ def solve_over_hnf(basis: np.ndarray, pivots, rows):
     is_open[pivots[unit]] = False
     cols = np.flatnonzero(is_open)
     used = np.flatnonzero((coeffs != 0).any(axis=0))
-    solved = ~(safe_matmul(coeffs[:, used], basis[np.ix_(used, cols)])
-               != rows[:, cols]).any(axis=1)
-    return coeffs, solved
+    part = safe_matmul(coeffs[:, used], basis[np.ix_(used, cols)])
+    solved = ~(part != rows[:, cols]).any(axis=1)
+    if not remainders:
+        return coeffs, solved
+    exact = object if wide or part.dtype == object else np.int64
+    rest = rows[~solved].astype(exact, copy=False)
+    rest[:, pivots[unit]] = 0
+    rest[:, cols] -= part[~solved]
+    return coeffs, solved, rest
 
 
 def _rows_of_width(rows, width: int) -> np.ndarray:
@@ -388,23 +396,26 @@ class IntegerLattice:
         rows = [] if generators is None else generators
         if canonical:
             basis = _rows_of_width(rows, ambient_dim)
+            pivots = _pivot_cols(basis)
         else:
             blocks = rows if isinstance(rows, Iterator) else [rows]
             hnf, rank = _hnf_rows(_rows_of_width(b, ambient_dim)
                                   for b in blocks)
             basis = _assemble(hnf[:rank], ambient_dim)
+            pivots = [min(row) for row in hnf[:rank]]  # least columns
         # a read-only view, so that a caller's own array stays writable
         self.basis = basis.view()
         self.basis.setflags(write=False)
-        self._pivots = _pivot_cols(self.basis)
+        self._pivots = np.asarray(pivots, dtype=np.intp)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[0]
 
-    def _solve(self, rows):
+    def _solve(self, rows, remainders=False):
         return solve_over_hnf(self.basis, self._pivots,
-                              _rows_of_width(rows, self.ambient_dim))
+                              _rows_of_width(rows, self.ambient_dim),
+                              remainders)
 
     def membership(self, rows):
         """Integer coefficients of each row of a stack over the stored
@@ -419,6 +430,15 @@ class IntegerLattice:
     def contains_rows(self, rows) -> np.ndarray:
         """Boolean mask of the rows of a stack that lie in the lattice."""
         return self._solve(rows)[1]
+
+    def remainders(self, rows) -> np.ndarray:
+        """The rows of a stack outside the lattice, each less a member
+        (``solve_over_hnf``), so spanning with it what they span; over the
+        zero lattice, the nonzero rows, with no solve."""
+        if self.rank:
+            return self._solve(rows, remainders=True)[2]
+        rows = _rows_of_width(rows, self.ambient_dim)
+        return rows[rows.any(axis=1)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerLattice):

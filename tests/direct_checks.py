@@ -102,11 +102,12 @@ WANT_AT_4 = {"trace-kernels": {"johnson_rank": 336}}
 GROUPS = {
     "genus-4-skipped": [Check(cid, 4, **WANT_AT_4.get(cid, {}))
                         for cid in SKIPPED_AT_4],
-    # 788 symmetric halves and 41,478 trees, block by block, each expanded
-    # on its colors by the tests' reference through Lie brackets, compared
-    # in D_2 coordinates; then the stream deduplicated on wedge keys, row by
-    # row, against deduplicating every candidate's row by its values, at
-    # genus 4 and 5 with two-term colors; too slow for tier-1
+    # 788 symmetric halves and 41,478 trees, every candidate of the tests'
+    # enumeration, block by block, each expanded on its colors by the tests'
+    # reference through Lie brackets, compared in D_2 coordinates; then the
+    # stream built per wedge class, row by row, against deduplicating every
+    # candidate's row by its values, at genus 4 and 5 with two-term colors;
+    # too slow for tier-1
     "johnson-references": [
         Ref("test_catalogs.johnson_rows_match_lie_path", 4, 788 + 41478,
             False),
@@ -153,8 +154,10 @@ GROUPS = {
     "traces-g5": [
         Check("trace-kernels", 5, johnson_rank=825, ker_as_rank=825,
               bracket_rank=825),
-        # 74 MB with the Johnson candidates deduplicated on wedge keys,
-        # 179 MB on built rows' bytes
+        # 59.3-60.1 MB with the Johnson candidates formed per wedge class
+        # and dense batches joined as remainders, 59.7-59.9 MB with every
+        # candidate keyed on wedges (74 MB when that keying came in), 179 MB
+        # on built rows' bytes
         Peak(150),
         Check("trace-surjectivity", 5, rank_as=44, rank_sym=54),
         Check("kernel-index", 5, index=str(2 ** 55)),
@@ -173,7 +176,9 @@ GROUPS = {
     "trace-kernels-g6": [
         Check("trace-kernels", 6, johnson_rank=1716, ker_as_rank=1716,
               bracket_rank=1716),
-        # 210 MB with the Johnson candidates deduplicated on wedge keys,
+        # 140.8-141.5 MB with the Johnson candidates formed per wedge class
+        # and dense batches joined as remainders, 144.6 MB with every
+        # candidate keyed on wedges (210 MB when that keying came in),
         # 1.3 GB on built rows' bytes
         Peak(400),
     ],

@@ -18,7 +18,7 @@ from sympderiv.catalogs import (SymplecticFamilyError, basis_tripods,
                                 orbit_closure, realizable_catalog_A,
                                 tripod_bracket_entries)
 from sympderiv.derivspace import DerivationSpace, space
-from sympderiv.freelie import context, standard_factorization
+from sympderiv.freelie import context, iota_matrix, standard_factorization
 from sympderiv.intlin import IntegerLattice, safe_matmul
 from sympderiv.trees import derivation_bracket, eta1
 from test_freelie import letter_name
@@ -251,10 +251,75 @@ def _unique_blocks(blocks):
             yield vals[keep]
 
 
+def johnson_candidates(g, three_term):
+    """Reference enumeration of every Johnson candidate: the colors, the
+    symplectic pairs (u[i], v[i]) of color indices with omega = 1, in
+    ``itertools.combinations`` order, and the pairs of those pairs
+    (k[i], l[i]), k < l, whose four cross omegas vanish, in row-major
+    order; every omega-test reads the Gram matrix of the colors."""
+    colors = np.array(catalogs._color_set(g, three_term))
+    gram = safe_matmul(safe_matmul(colors, iota_matrix(g)), colors.T)
+    i, j = np.triu_indices(len(colors), 1)  # itertools.combinations order
+    w = gram[i, j]
+    sympl = np.abs(w) == 1
+    u = np.where(w == 1, i, j)[sympl]
+    v = np.where(w == 1, j, i)[sympl]
+    k, l = [], []
+    for c in catalogs._chunks(len(u)):  # CHUNK values of k at a time
+        ks = np.arange(len(u))[c]
+        ok = ((gram[np.ix_(u[ks], u)] == 0) & (gram[np.ix_(u[ks], v)] == 0)
+              & (gram[np.ix_(v[ks], u)] == 0) & (gram[np.ix_(v[ks], v)] == 0)
+              & (np.arange(len(u)) > ks[:, None]))
+        kc, lc = np.nonzero(ok)
+        k.append(ks[kc])
+        l.append(lc)
+    return colors, u, v, np.concatenate(k), np.concatenate(l)
+
+
+def deduplicated_candidates(sp, three_term):
+    """The wedges of every symplectic pair of ``johnson_candidates``, the
+    first pair of each wedge key, in order, and the first (k, l) of each
+    unordered pair of keys, in row-major order: every candidate keyed, then
+    deduplicated on its key."""
+    colors, u, v, k, l = johnson_candidates(sp.g, three_term)
+    w = catalogs._wedge(sp, colors[u], colors[v])
+    first = w[np.arange(len(w)), np.argmax(w != 0, axis=1)]
+    _, h, ids = np.unique(w * np.sign(first)[:, None], axis=0,
+                          return_index=True, return_inverse=True)
+    ids = ids.ravel()  # its shape differs across numpy 2.0.x
+    lo, hi = np.minimum(ids[k], ids[l]), np.maximum(ids[k], ids[l])
+    t = np.sort(np.unique(lo.astype(np.int64) * len(h) + hi,
+                          return_index=True)[1])
+    return w, np.sort(h), k[t], l[t]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("three_term", [False, True])
+def test_johnson_classes_match_every_candidate(g, three_term, monkeypatch):
+    """The halves and the (k, l) pairs that ``johnson_catalog`` reads per
+    wedge class are those that keying and deduplicating every candidate
+    keeps, in the same order, over the same wedges."""
+    sp = space(g)
+    got = []
+    real = catalogs._johnson_rows
+
+    def recording(*args):
+        got.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(catalogs, "_johnson_rows", recording)
+    johnson_catalog(sp, three_term)
+    (got,) = got
+    want = deduplicated_candidates(sp, three_term)
+    assert len(want[2]) > 0
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def candidate_rows(sp, three_term):
     """The rows of every Johnson candidate, before deduplication, read from
     generator columns, CHUNK at a time: the halves, then the trees."""
-    colors, u, v, k, l = catalogs._johnson_candidates(sp.g, three_term)
+    colors, u, v, k, l = johnson_candidates(sp.g, three_term)
     w = catalogs._wedge(sp, colors[u], colors[v])
     return catalogs._johnson_rows(sp, w, np.arange(len(u)), k, l)
 
@@ -264,7 +329,7 @@ def lie_path_rows(sp, three_term):
     brackets: expand_symhalf of every symplectic pair of colors, then eta2
     of every pair of those pairs."""
     ctx = sp.ctx
-    colors, u, v, k, l = catalogs._johnson_candidates(sp.g, three_term)
+    colors, u, v, k, l = johnson_candidates(sp.g, three_term)
     for c in catalogs._chunks(len(u)):
         yield expand_symhalf(ctx, colors[u[c]], colors[v[c]])
     for c in catalogs._chunks(len(k)):
@@ -291,7 +356,7 @@ def johnson_rows_match_lie_path(sp, three_term):
 @pytest.mark.parametrize("three_term", [False, True])
 def test_johnson_rows_match_lie_path(g, three_term):
     sp = space(g)
-    _, u, _, k, _ = catalogs._johnson_candidates(g, three_term)
+    _, u, _, k, _ = johnson_candidates(g, three_term)
     assert johnson_rows_match_lie_path(sp, three_term) == len(u) + len(k)
 
 
@@ -529,12 +594,12 @@ def _target_and_rows(draw, st):
 @pytest.mark.parametrize("case", ["early", "never", "outside", "late"])
 def test_catalog_lattice_equals_ambient_span(case, monkeypatch):
     """The span of any stream is the span of all its rows, and exactly the
-    rows of its dense batches are tested against the span so far; over the
+    rows of its dense batches are reduced over the span so far; over the
     examples, both sparse and dense batches are drawn."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     tested, sides = [], set()
-    real = IntegerLattice.contains_rows
+    real = IntegerLattice.remainders
 
     def recording(self, rows):
         tested.append(len(rows))
@@ -575,7 +640,7 @@ def test_catalog_lattice_equals_ambient_span(case, monkeypatch):
         stream = catalogs.BlockStream(blocks)
         tested.clear()
         with monkeypatch.context() as m:
-            m.setattr(IntegerLattice, "contains_rows", recording)
+            m.setattr(IntegerLattice, "remainders", recording)
             got = catalog_lattice(sp, stream)
         assert got == want
         assert tested == dense
@@ -619,6 +684,26 @@ def test_sparse_catalogs_go_untested_into_the_hnf_loop(g, catalog,
     assert calls == []
     assert len(stream) == len(rows)
     assert got == want
+
+
+def test_dense_batch_against_the_empty_span_makes_no_solve(monkeypatch):
+    """The first Johnson batch at genus 3 meets the zero lattice and goes
+    into the HNF loop with no ``solve_over_hnf``; every later batch, all
+    dense, makes one, and the span is the lattice of all the rows."""
+    sp = space(3)
+    batches = list(catalogs._batches(johnson_catalog(sp)))
+    assert len(batches) > 1 and not any(map(catalogs._sparse, batches))
+    calls = []
+    real = intlin.solve_over_hnf
+
+    def recording(*args, **kwargs):
+        calls.append(len(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(intlin, "solve_over_hnf", recording)
+    got = catalog_lattice(sp, johnson_catalog(sp))
+    assert calls == [len(b) for b in batches[1:]]
+    assert got == IntegerLattice(sp.rank, np.vstack(batches))
 
 
 def test_gl_generators_generate_symplectically():

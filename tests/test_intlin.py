@@ -668,6 +668,18 @@ def _solve_full_check(basis, pivots, rows):
     return coeffs, (coeffs @ b == r).all(axis=1)
 
 
+def _nudged_members(m, seed):
+    """The lattice of m's rows, and eight random members of it, the first
+    four nudged at one column each, ``narrowed``."""
+    lat = IntegerLattice(m.shape[1], m)
+    rng = np.random.default_rng(seed)
+    y = rng.integers(-3, 4, size=(8, lat.rank)).astype(object)
+    rows = y @ lat.basis.astype(object)
+    at = rng.integers(0, m.shape[1], size=4)
+    rows[np.arange(4), at] += rng.choice([-2, -1, 1, 2, 3], size=4)
+    return lat, narrowed(rows)
+
+
 def test_solve_over_hnf_matches_the_full_check():
     """On the hypothesis generators, small and sparse, the coefficients and
     the mask equal those of substitution with every column checked, for
@@ -676,13 +688,7 @@ def test_solve_over_hnf_matches_the_full_check():
     st = hypothesis.strategies
 
     def check(m, seed):
-        lat = IntegerLattice(m.shape[1], m)
-        rng = np.random.default_rng(seed)
-        y = rng.integers(-3, 4, size=(8, lat.rank)).astype(object)
-        rows = y @ lat.basis.astype(object)
-        at = rng.integers(0, m.shape[1], size=4)
-        rows[np.arange(4), at] += rng.choice([-2, -1, 1, 2, 3], size=4)
-        rows = narrowed(rows)
+        lat, rows = _nudged_members(m, seed)
         coeffs, solved = solve_over_hnf(lat.basis, lat._pivots, rows)
         want, mask = _solve_full_check(lat.basis, lat._pivots, rows)
         assert coeffs.tolist() == want.tolist()
@@ -695,6 +701,61 @@ def test_solve_over_hnf_matches_the_full_check():
         hypothesis.settings(max_examples=examples, deadline=None,
                             database=None)(
             hypothesis.given(matrices, seeds)(check))()
+
+
+def test_remainders_reduce_rows_over_the_lattice():
+    """On the hypothesis generators, small and sparse, entries past 2^31
+    and, in object arrays, past 2^62: the remainders ``solve_over_hnf``
+    forms are those of the rows the full check rejects, each row less its
+    substituted y @ basis, so a row's remainder is zero exactly when the
+    row is a member.  Each row less its remainder is a member, each
+    remainder is zero on every unit-pivot column, and the lattice and the
+    remainders span the lattice of all the rows (``_nudged_members``)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def check(m, seed):
+        lat, rows = _nudged_members(m, seed)
+        _, solved, rest = solve_over_hnf(lat.basis, lat._pivots, rows,
+                                         remainders=True)
+        want, mask = _solve_full_check(lat.basis, lat._pivots, rows)
+        full = rows.astype(object) - want @ lat.basis.astype(object)
+        assert solved.tolist() == mask.tolist()
+        assert (full.any(axis=1) == ~mask).all()
+        assert rest.tolist() == full[~mask].tolist()
+        assert lat.remainders(rows).tolist() == rest.tolist()
+        assert lat.contains_rows(rows[~mask].astype(object) - rest).all()
+        unit = lat._pivots[lat.basis[np.arange(lat.rank), lat._pivots] == 1]
+        assert not rest[:, unit].any()
+        assert lat.sum(rest) == lat.sum(rows)
+
+    seeds = st.integers(0, 2 ** 32 - 1)
+    for matrices, examples in [(_int_matrices(st).map(_as_array), 100),
+                               (_sparse_matrices(st), 25)]:
+        hypothesis.settings(max_examples=examples, deadline=None,
+                            database=None)(
+            hypothesis.given(matrices, seeds)(check))()
+
+
+def test_remainders_widen_past_int64():
+    """An int64 row past 2^62 less a small int64 product: its remainder
+    leaves int64, so it is formed on Python ints."""
+    lat = IntegerLattice(2, [[1, 1]])
+    rows = np.array([[-1, 2 ** 63 - 1], [3, 3]], dtype=np.int64)
+    rest = lat.remainders(rows)
+    assert rest.dtype == object and rest.tolist() == [[0, 2 ** 63]]
+
+
+def test_remainders_over_the_zero_lattice_make_no_solve(monkeypatch):
+    """Over the zero lattice every nonzero row is its own remainder, read
+    with no ``solve_over_hnf``."""
+    calls = []
+    monkeypatch.setattr(intlin, "solve_over_hnf",
+                        lambda *args, **kw: calls.append(args))
+    rows = np.array([[0, 2 ** 70, 1], [0, 0, 0], [3, 0, -1]], dtype=object)
+    assert IntegerLattice(3).remainders(rows).tolist() == [[0, 2 ** 70, 1],
+                                                          [3, 0, -1]]
+    assert calls == []
 
 
 def test_sum_and_intersection_agree_across_dtypes():
