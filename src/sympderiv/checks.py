@@ -99,7 +99,9 @@ def _check_d2_rank(g, seed):
 
 def _check_dprime_index(g, seed):
     sp = space(g)
-    idx = sp.filtration(-1).index(sp.dprime2())
+    whole = IntegerLattice(sp.rank, np.eye(sp.rank, dtype=np.int8),
+                           canonical=True)
+    idx = whole.index(sp.dprime2())
     expected = 2 ** comb(2 * g, 2)
     return idx == expected, {"index": str(idx), "expected": str(expected)}
 
@@ -346,7 +348,7 @@ def _double_kernel(g):
     over F of the elements with tr_A 0 and tr_as even, and the lattice is
     one HNF of x F."""
     sp = space(g)
-    f = sp.filtration(0, "A").basis
+    f = sp.filtration("A").basis
     t_a = safe_matmul(f, traces._basis_traces(sp, "A"))
     t_as = safe_matmul(f, traces._basis_traces(sp, "as")) % 2
     p = t_as.shape[1]

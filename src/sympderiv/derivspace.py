@@ -275,16 +275,9 @@ class DerivationSpace:
         return np.isin(letters, self.ctx.kill_letters(side))
 
     @cached
-    def filtration(self, level: int, side: str = "A") -> IntegerLattice:
-        """The span in Z^r of the generators with more than ``level``
-        leaves on the side; level -1 is all of D_2, Z^r itself."""
-        if not -1 <= level <= 3:
-            raise ValueError("filtration level must be in -1..3")
-        on_side = self.on_side(self.leaves, side)
-        if level == -1:
-            return IntegerLattice(self.rank, np.eye(self.rank, dtype=np.int8),
-                                  canonical=True)
-        cols = np.flatnonzero(on_side.sum(axis=1) >= level + 1)
+    def filtration(self, side: str) -> IntegerLattice:
+        """The span in Z^r of the generators with a leaf on the side."""
+        cols = np.flatnonzero(self.on_side(self.leaves, side).any(axis=1))
         return IntegerLattice(self.rank, self.gen_coords()[:, cols].T)
 
     # -- the kernel of killing A ------------------------------------------

@@ -3,14 +3,14 @@
 Every integer matrix the program keeps is ``narrowed``: int8 when every
 entry lies in [-127, 127], as almost all do, int64 when every entry fits,
 Python ints (dtype=object) otherwise.  Products never run in int8, but
-on one of three paths, each under a bound read from ``max_abs`` that keeps
-it exact (``safe_matmul``): in float64 for small operands, over the
-nonzeros of both operands in int64 when either is sparse, through
-``safe_einsum`` in int32 or int64; past its bound each widens to Python
-ints.  The one sparse product (``sparse_terms``, summed by ``scatter``)
+on one of two paths, each under a bound read from ``max_abs`` that keeps
+it exact (``safe_matmul``): in float64 for small operands, otherwise over
+the nonzeros of both operands in int64, widening to Python ints past its
+bound.  That one sparse product (``sparse_terms``, summed by ``scatter``)
 also scatters ``derivspace``'s generator columns and forms its
-``gen_coords`` check.  The HNF computes on Python ints.  Everything
-downstream only ever sees exact results.
+``gen_coords`` check.  Every other contraction (``safe_einsum``) runs in
+int64 under its bound and on Python ints past it.  The HNF computes on
+Python ints.  Everything downstream only ever sees exact results.
 Lattices are stored by their row-style HNF basis, the unique canonical
 representative, so structural equality is lattice equality.
 
@@ -34,9 +34,8 @@ no integer HNF (``kernel_lattice``).
 
 ``safe_matmul`` multiplies in float64 (BLAS) when a product has at most
 FLOAT_PRODUCT multiply-adds, float64 copies of at most BLOCK entries, and
-partial sums below 2**53; otherwise over the nonzeros of both operands
-when either has fewer than 1/SPARSE_PRODUCT of its entries nonzero, and
-through ``safe_einsum`` otherwise.  Every path returns the same values.
+partial sums below 2**53, and over the nonzeros of both operands
+otherwise.  Both paths return the same values.
 """
 
 from __future__ import annotations
@@ -520,39 +519,19 @@ def safe_einsum(subscripts: str, *operands) -> np.ndarray:
     """Exact integer einsum over explicit subscripts such as "ab,bc->ac".
 
     Runs in int64 when the product of the operands' largest entries, times
-    the number of terms summed into one output entry, is under 2**62, and
-    in int32 when it is under 2**31; each factor counts as at least 1,
-    which also keeps every entry of every operand castable.  Otherwise it
-    runs on Python ints (dtype=object).  Under the bound the product goes
-    through numpy's integer einsum loops (faster than integer matmul).
+    the number of terms summed into one output entry, is under 2**62; each
+    factor counts as at least 1, which also keeps every entry of every
+    operand castable.  Otherwise it runs on Python ints (dtype=object).
     """
     ops = [np.asarray(a) for a in operands]
     inputs, output = subscripts.split("->")
     sizes = {}
     for sub, a in zip(inputs.split(","), ops):
         sizes.update(zip(sub, a.shape))
-    if any(a.size == 0 for a in ops):
-        return np.zeros(tuple(sizes[c] for c in output), dtype=np.int64)
     bound = max(1, math.prod(n for c, n in sizes.items() if c not in output))
     bound *= math.prod(max(1, max_abs(a)) for a in ops)
-    if fits_int64(bound):
-        dtype = np.int32 if bound < 2 ** 31 else np.int64
-        out = np.einsum(subscripts, *(a.astype(dtype, copy=False) for a in ops))
-        return out.astype(np.int64, copy=False)
-    return np.einsum(subscripts, *(a.astype(object) for a in ops))
-
-
-# A product with either operand under 1/SPARSE_PRODUCT nonzero is formed
-# over the nonzeros of both (``sparse_terms``).  Every integer product of
-# `verify --all` is far sparser: 10 of 78 products at genus 3 and 40 of 69
-# at genus 4 take that path, the rest float64 (FLOAT_PRODUCT), and none has
-# a sparser operand past 1.7 % nonzero, so any threshold from 1/4 to 1/32
-# sends the same products.  Replayed hot on a 2-vCPU Xeon VM they took 0.9
-# and 6.0 ms, against 4.9 and 119 ms through einsum and 1.0 and 10.4 ms
-# over the nonzeros of one operand with a dense row of the other gathered
-# for each; the 1,201 integer products of genus-5 `trace-kernels`, of which
-# one lies between 1/32 and 1/16 nonzero, 0.45 s against 1.99 and 0.51 s.
-SPARSE_PRODUCT = 8
+    dtype = np.int64 if fits_int64(bound) else object
+    return np.einsum(subscripts, *(a.astype(dtype, copy=False) for a in ops))
 
 
 # A product of at most FLOAT_PRODUCT multiply-adds, whose operands and
@@ -575,12 +554,12 @@ def safe_matmul(a, b) -> np.ndarray:
     2**53, k the inner dimension, and returns int64: every partial sum, in
     whatever order BLAS adds, is then an integer of magnitude under 2**53,
     which float64 holds exactly, as it does each operand entry and each
-    term.  Otherwise, when either operand has fewer than one nonzero entry
-    in SPARSE_PRODUCT, the terms over the nonzeros of both operands
-    (``sparse_terms``, the same terms whichever one is sparse) are
-    scattered; other products go through ``safe_einsum``.  Every bound is
-    applied whatever the operand dtypes, so object arrays with small
-    entries are multiplied in float64 or int64."""
+    term.  Every other product is formed over the nonzeros of both
+    operands, each scanned for them once (``sparse_terms``, scattered).
+    Its one cost: a dense operand past FLOAT_PRODUCT yields one term per
+    multiply-add, all held at once.  Every bound is applied whatever the
+    operand dtypes, so object arrays with small entries are multiplied in
+    float64 or int64."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -589,11 +568,8 @@ def safe_matmul(a, b) -> np.ndarray:
     if (m * k * n <= FLOAT_PRODUCT and max(a.size, b.size, m * n) <= BLOCK
             and k * max_abs(a) * max_abs(b) < 2 ** 53):
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    if (SPARSE_PRODUCT * np.count_nonzero(a) < a.size
-            or SPARSE_PRODUCT * np.count_nonzero(b) < b.size):
-        i, j = nonzeros(a)
-        return scatter((m, n), *sparse_terms(i, j, a[i, j], row_nonzeros(b)))
-    return safe_einsum("ij,jk->ik", a, b)
+    i, j = nonzeros(a)
+    return scatter((m, n), *sparse_terms(i, j, a[i, j], row_nonzeros(b)))
 
 
 def sparse_terms(i, j, v, rows_of_b):

@@ -97,11 +97,10 @@ def _side_table(sp: DerivationSpace, side: str) -> np.ndarray:
 
 def tr_A(sp: DerivationSpace, rows) -> np.ndarray:
     """Integer rows over the S^2(H') basis {b'_i b'_j, i <= j}, one per
-    coordinate row of a stack; a row outside the A-side filtration level 0,
-    the domain, raises."""
-    if not sp.filtration(0, "A").contains_rows(rows).all():
-        raise FiltrationError(
-            "element is not in the A-side filtration level 0")
+    coordinate row of a stack; a row outside the A-side filtration, the
+    domain, raises."""
+    if not sp.filtration("A").contains_rows(rows).all():
+        raise FiltrationError("element is not in the A-side filtration")
     return safe_matmul(rows, _basis_traces(sp, "A"))
 
 
@@ -167,12 +166,13 @@ def tr_omegaS(sp: DerivationSpace, coeffs, s) -> np.ndarray:
 def kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
     """The kernel of a trace inside its domain, as a sublattice of Z^r: mod
     2, of tr_as ("as") on D_2 = Z^r and tr_sym ("sym") on D_2'; over Z, of
-    tr_A ("A") and tr_B ("B") on the side's filtration level 0; any other
-    name raises.  One kernel of the traces of the domain's basis
-    (``kernel_lattice``: mod 2 read from one GF(2) elimination of the trace
-    columns, with no integer HNF) gives the kernel's coefficients over that
-    basis, mapped back through it; Z^r's basis is the identity, so for
-    tr_as they are the kernel, in HNF.  ker tr_as & ker tr_A is one kernel
+    tr_A ("A") and tr_B ("B") on the side's filtration, the span of the
+    generators with a leaf on the side; any other name raises.  One kernel
+    of the traces of the domain's basis (``kernel_lattice``: mod 2 read
+    from one GF(2) elimination of the trace columns, with no integer HNF)
+    gives the kernel's coefficients over that basis, mapped back through
+    it; Z^r's basis is the identity, so for tr_as they are the kernel, in
+    HNF.  ker tr_as & ker tr_A is one kernel
     on tr_A's domain (``checks._double_kernel``)."""
     t = _traces_of(sp, which, ("as", "sym", "A", "B"))
     if which == "as":
@@ -180,7 +180,7 @@ def kernel(sp: DerivationSpace, which: str) -> IntegerLattice:
     if which == "sym":
         basis = sp.dprime2().basis
     else:
-        basis = sp.filtration(0, which).basis
+        basis = sp.filtration(which).basis
         t = safe_matmul(basis, t)
     coeffs = kernel_lattice(t.T, mod2=which == "sym")
     return IntegerLattice(sp.rank, safe_matmul(coeffs.basis, basis))

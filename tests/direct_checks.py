@@ -154,8 +154,10 @@ GROUPS = {
     "traces-g5": [
         Check("trace-kernels", 5, johnson_rank=825, ker_as_rank=825,
               bracket_rank=825),
-        # 59.3-60.1 MB with the Johnson candidates formed per wedge class
-        # and dense batches joined as remainders, 59.7-59.9 MB with every
+        # 59.7-60.6 MB with every product past float64 formed over the
+        # nonzeros of both operands, 59.3-60.1 MB with the Johnson
+        # candidates formed per wedge class and dense batches joined as
+        # remainders, 59.7-59.9 MB with every
         # candidate keyed on wedges (74 MB when that keying came in), 179 MB
         # on built rows' bytes
         Peak(150),
@@ -176,8 +178,10 @@ GROUPS = {
     "trace-kernels-g6": [
         Check("trace-kernels", 6, johnson_rank=1716, ker_as_rank=1716,
               bracket_rank=1716),
-        # 140.8-141.5 MB with the Johnson candidates formed per wedge class
-        # and dense batches joined as remainders, 144.6 MB with every
+        # 140.6-141.9 MB with every product past float64 formed over the
+        # nonzeros of both operands, 140.8-142.6 MB with the Johnson
+        # candidates formed per wedge class and dense batches joined as
+        # remainders, 144.6 MB with every
         # candidate keyed on wedges (210 MB when that keying came in),
         # 1.3 GB on built rows' bytes
         Peak(400),
@@ -244,12 +248,12 @@ GROUPS = {
         Check("dprime-index", 5),
         Check("casson-bridge", 5),
         Check("quartic-vanishing", 5),
-        # 67.3-68.9 MB measured, 75.2-76.0 MB with the unit rows read from
+        # 67.3-69.4 MB measured, 75.2-76.0 MB with the unit rows read from
         # an int64 identity, 82.6-82.8 MB with that identity and products
         # that gather a dense row of the other operand for every nonzero
         Peak(72),
         Check("casson-bridge", 6),
-        # 159.3-164.5 MB, 191.4-192.5 MB and 214.6-215.0 MB
+        # 158.3-164.5 MB, 191.4-192.5 MB and 214.6-215.0 MB
         Peak(176),
     ],
     # the ambient IHX test: three eta2 stacks of letter indices over all

@@ -267,7 +267,7 @@ def test_mu_matches_r_pairing_on_filtered_part():
     Casson-difference equals the r-pairing of S against the A-side trace."""
     sp = space(2)
     rng = np.random.default_rng(34)
-    basis = sp.filtration(0, "A").basis
+    basis = sp.filtration("A").basis
     for _ in range(10):
         v = rng.integers(-2, 3, size=(1, len(basis))) @ basis
         t = traces.tr_A(sp, v)

@@ -127,7 +127,7 @@ def test_realizable_entries_are_kernel_elements():
     sp = space(2)
     rows = stacked(realizable_catalog_A(sp))[:10]
     # tr_A's domain, which tr_A also checks
-    assert sp.filtration(0, "A").contains_rows(rows).all()
+    assert sp.filtration("A").contains_rows(rows).all()
     assert not traces.tr_A(sp, rows).any()
     assert not traces.tr_as(sp, rows).any()
 

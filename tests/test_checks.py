@@ -187,7 +187,7 @@ def test_levine_raises_at_first_element_outside_domain(monkeypatch):
     monkeypatch.setattr(DerivationSpace, "ker_projection",
                         lambda self, killed="A": proj_kernel)
     monkeypatch.setattr(DerivationSpace, "filtration",
-                        lambda self, k, side: lat)
+                        lambda self, side: lat)
     with pytest.raises(FiltrationError, match="A-side"):
         checks._check_levine(2, None)
 
@@ -423,7 +423,7 @@ def test_cached_values_are_read_only():
                 traces.kernel(sp, "as"), traces.kernel(sp, "sym"),
                 traces.kernel(sp, "A"), traces.kernel(sp, "B"),
                 checks._double_kernel(2)]
-    lattices += [sp.filtration(k, side) for k in range(-1, 4) for side in "AB"]
+    lattices += [sp.filtration(side) for side in "AB"]
     for a in arrays + [lat.basis for lat in lattices]:
         assert not a.flags.writeable
     # the lattice freezes a view: the caller's own array stays writable

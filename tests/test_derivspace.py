@@ -168,10 +168,15 @@ def test_d1_equals_tripod_span():
     assert IntegerLattice(sp.ctx.n * sp.ctx.dim(2), tripods) == d1(sp)
 
 
+def whole(sp):
+    """All of D_2 in its coordinates, Z^r."""
+    return IntegerLattice(sp.rank, np.eye(sp.rank, dtype=np.int8),
+                          canonical=True)
+
+
 def test_dprime_index():
     sp = space(2)
-    # all of D_2 in its coordinates, Z^r
-    assert sp.filtration(-1).index(sp.dprime2()) == 2 ** 6  # 2^{C(2g,2)}
+    assert whole(sp).index(sp.dprime2()) == 2 ** 6  # 2^{C(2g,2)}
 
 
 def test_generator_values_live_in_d2():
@@ -268,24 +273,13 @@ def test_leaf_table_reads_generator_names(g):
                                if gen[0] == "tree"]
 
 
-def test_filtration_is_nested():
-    sp = space(2)
-    prev = sp.filtration(-1)
-    for level in range(4):
-        cur = sp.filtration(level)
-        assert all(row in prev for row in cur.basis)
-        prev = cur
-    assert sp.filtration(3).rank < sp.filtration(0).rank
-
-
 @pytest.mark.parametrize("side", ["a", "b", "AB", ""])
 def test_filtration_rejects_an_unknown_side(side):
-    """Only "A" and "B" name a side, at every level; the side traces
-    reject any other too."""
+    """Only "A" and "B" name a side; the side traces reject any other
+    too."""
     sp = space(2)
-    for level in range(-1, 4):
-        with pytest.raises(ValueError, match="must be 'A' or 'B'"):
-            sp.filtration(level, side)
+    with pytest.raises(ValueError, match="must be 'A' or 'B'"):
+        sp.filtration(side)
     with pytest.raises(ValueError, match="must be 'A' or 'B'"):
         traces._side_table(sp, side)
     with pytest.raises(ValueError, match="must be 'A' or 'B'"):
@@ -537,7 +531,8 @@ def test_kept_bases_and_coordinates_are_int8_and_read_only(g):
     [-127, 127] up to genus 4, are stored in int8 and cannot be written."""
     sp = space(g)
     kept = {"d2": sp.d2().basis, "gen_coords": sp.gen_coords(),
-            "filtration(-1)": sp.filtration(-1).basis,
+            "filtration(A)": sp.filtration("A").basis,
+            "filtration(B)": sp.filtration("B").basis,
             "ker_tr_as": traces.kernel(sp, "as").basis,
             "ker_tr_A": traces.kernel(sp, "A").basis,
             "double_kernel": checks._double_kernel(g).basis}

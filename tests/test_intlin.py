@@ -8,7 +8,8 @@ import pytest
 from sympderiv import intlin
 from sympderiv.intlin import (IntegerLattice, NotSublatticeError,
                               as_int_matrix, gf2_rank, kernel_lattice,
-                              narrowed, safe_matmul, solve_over_hnf)
+                              narrowed, safe_einsum, safe_matmul,
+                              solve_over_hnf)
 
 
 def dense_hnf(m, transform: bool = False):
@@ -358,11 +359,10 @@ def test_mod2_kernel_against_sympy():
 @pytest.mark.parametrize("a_shape, b_shape, sparse", [
     ((20, 3), (10, 1), "left"), ((40, 10), (3, 20), "right"),
     ((4, 5), (6, 3), "neither")],
-    ids=["sparse-left", "sparse-right", "einsum"])
+    ids=["sparse-left", "sparse-right", "dense"])
 def test_safe_matmul_rejects_misaligned_operands(a_shape, b_shape, sparse):
-    """Operands whose inner dimensions differ raise on each path: over the
-    nonzeros of a sparse left operand, of a sparse right one, and through
-    the einsum when neither is sparse."""
+    """Operands whose inner dimensions differ raise whichever operand is
+    sparse: the left one, the right one or neither."""
     a = np.zeros(a_shape, dtype=np.int64) + (sparse != "left")
     b = np.zeros(b_shape, dtype=np.int64) + (sparse != "right")
     a[0, 0] = b[0, 0] = 1
@@ -402,35 +402,53 @@ def test_safe_matmul_int64_bound(monkeypatch):
     assert zero[0, 0] == 0
 
 
-def test_safe_matmul_int32_tier(monkeypatch):
-    # max|a| * max|b| * inner just below 2**31: the int32 loop, exact (the
-    # float64 path shut, as it would take these small operands)
-    monkeypatch.setattr(intlin, "FLOAT_PRODUCT", 0)
-    a = np.array([[2 ** 15, 2 ** 15]])
-    below = safe_matmul(a, np.array([[2 ** 15 - 1], [2 ** 15 - 1]]))
-    assert below.dtype == np.int64 and below[0, 0] == 2 ** 31 - 2 ** 16
-    # at 2**31 the sum would wrap in int32; int64 keeps it exact
-    at = safe_matmul(a, np.array([[2 ** 15], [2 ** 15]]))
-    assert at.dtype == np.int64 and at[0, 0] == 2 ** 31
+def test_safe_einsum_int64_bound():
+    """For every contraction the library takes through ``safe_einsum``,
+    with every index of size 2 and every entry of an operand alike, so that
+    each output entry is the bound itself, the terms summed times the
+    largest entries: just under 2**31 and at 2**31, where an int32 sum
+    would wrap, the result is int64 and exact; at 2**62 it is object and
+    exact.  With any one index of size 0 it is int64 and all zero."""
+    for subscripts in ["mi,ij,mj->m", "mp,mq->mpq", "t,t->t", "stk,stk->st",
+                       "rmk,mk->rm", "ma,mb->mab"]:
+        inputs, output = subscripts.split("->")
+        inputs = inputs.split(",")
+        terms = 2 ** len(set("".join(inputs)) - set(output))
+        for bound, dtype in [(2 ** 31 - 2 ** 16, np.int64),
+                             (2 ** 31, np.int64), (2 ** 62, object)]:
+            first = bound // (terms * 2 ** (len(inputs) - 1))
+            ops = [np.full((2,) * len(sub), 2 if k else first, dtype=np.int64)
+                   for k, sub in enumerate(inputs)]
+            out = safe_einsum(subscripts, *ops)
+            assert out.dtype == dtype, (subscripts, bound)
+            assert out.shape == (2,) * len(output), subscripts
+            assert (out == bound).all(), (subscripts, bound)
+        for empty in set("".join(inputs)):
+            ops = [np.ones([0 if c == empty else 2 for c in sub], dtype=np.int8)
+                   for sub in inputs]
+            out = safe_einsum(subscripts, *ops)
+            assert out.dtype == np.int64 and not out.any(), (subscripts, empty)
+            assert out.shape == tuple(0 if c == empty else 2
+                                      for c in output), (subscripts, empty)
 
 
 @pytest.mark.parametrize("dtype, other", [(np.int8, 2 ** 61), (np.int64, 2)])
 def test_safe_matmul_bound_at_a_dtypes_minimum(monkeypatch, dtype, other):
     # np.abs of a dtype's minimum wraps to the minimum itself: a bound read
     # through it takes the magnitude as 1 and runs -128 * 2^61 or -2^63 * 2
-    # in int64, where both wrap to 0.  The minimum on either side, through
-    # einsum (1 x 1 operands) and over the nonzeros of both operands, one
-    # of a 1 x 16 row times a 16 x 1 column
+    # in int64, where both wrap to 0.  The minimum on either side, over the
+    # nonzeros of both operands, of 1 x 1 operands and of a 1 x 16 row
+    # times a 16 x 1 column
     shapes = _record_sparse_operands(monkeypatch)
     least = np.iinfo(dtype).min
-    for width, path in [(1, []), (16, [(1, 16)])]:
+    for width in (1, 16):
         row = np.zeros((1, width), dtype=dtype)
         col = np.zeros((width, 1), dtype=np.int64)
         row[0, -1], col[-1, 0] = least, other
         for a, b in [(row, col), (col.T, row.T)]:
             shapes.clear()
             out = safe_matmul(a, b)
-            assert shapes == path
+            assert shapes == [(1, width)]
             assert out.dtype == object
             assert out.tolist() == (a.astype(object)
                                     @ b.astype(object)).tolist()
@@ -438,19 +456,17 @@ def test_safe_matmul_bound_at_a_dtypes_minimum(monkeypatch, dtype, other):
 
 
 def _record_paths(monkeypatch):
-    """The integer paths ``safe_matmul`` calls take, "einsum" or "sparse"
-    (its terms over the nonzeros of both operands), one per call; a call
-    that adds none ran in float64."""
+    """The integer path ``safe_matmul`` calls take, "sparse" (its terms over
+    the nonzeros of both operands), one per call; a call that adds none ran
+    in float64."""
     paths = []
-    for name, label in [("safe_einsum", "einsum"),
-                        ("sparse_terms", "sparse")]:
-        real = getattr(intlin, name)
+    real = intlin.sparse_terms
 
-        def recording(*args, real=real, label=label):
-            paths.append(label)
-            return real(*args)
+    def recording(*args):
+        paths.append("sparse")
+        return real(*args)
 
-        monkeypatch.setattr(intlin, name, recording)
+    monkeypatch.setattr(intlin, "sparse_terms", recording)
     return paths
 
 
@@ -538,6 +554,46 @@ def test_safe_matmul_float64_path_matches_object_product(monkeypatch):
             assert out.dtype == np.int64
 
     check()
+
+
+def test_safe_matmul_never_calls_safe_einsum(monkeypatch):
+    """Every product runs in float64 or over the nonzeros of both operands,
+    at every density, the float64 path open or shut, up to fully dense
+    64 x 128 times 128 x 129 operands past FLOAT_PRODUCT, with entries
+    for int64 terms and for Python ints; none reaches ``safe_einsum``."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def refused(*args):
+        raise AssertionError("safe_matmul called safe_einsum")
+
+    monkeypatch.setattr(intlin, "safe_einsum", refused)
+
+    def check(a, b):
+        out = safe_matmul(a, b)
+        assert out.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 12), st.integers(0, 12),
+                      st.integers(0, 12), st.floats(0, 1),
+                      st.sampled_from([5, 2 ** 31, 2 ** 62]), st.booleans(),
+                      st.integers(0, 2 ** 32 - 1))
+    def products(m, k, n, density, big, shut, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-big, big + 1, size=(m, k), dtype=np.int64)
+        b = rng.integers(-big, big + 1, size=(k, n), dtype=np.int64)
+        a[rng.random(a.shape) >= density] = 0
+        with monkeypatch.context() as patch:
+            if shut:
+                patch.setattr(intlin, "FLOAT_PRODUCT", 0)
+            check(a, b)
+
+    products()
+    n = intlin.FLOAT_PRODUCT // (64 * 128) + 1
+    rng = np.random.default_rng(41)
+    for top in (2 ** 20, 2 ** 31):
+        check(rng.integers(1, top, size=(64, 128)),
+              rng.integers(1, top, size=(128, n)))
 
 
 def exact_det(m):
@@ -1245,7 +1301,6 @@ def test_sparse_safe_matmul_int64_bound(monkeypatch):
     monkeypatch.setattr(intlin, "FLOAT_PRODUCT", 0)
     a = np.zeros((10, 5), dtype=object)
     a[0, 1], a[0, 3], a[2, 4] = 2 ** 30, -2 ** 30, 3
-    assert intlin.SPARSE_PRODUCT * np.count_nonzero(a) < a.size
 
     def check(b):
         out = safe_matmul(a, b)
@@ -1276,7 +1331,6 @@ def test_sparse_safe_matmul_int64_bound(monkeypatch):
     m = np.zeros((200, 60), dtype=np.int64)
     m[np.arange(200), rng.integers(0, 60, 200)] = rng.integers(1, 5, 200)
     m[[7, 150]] = rng.integers(-3, 4, size=(2, 60))
-    assert intlin.SPARSE_PRODUCT * np.count_nonzero(m) < m.size
     b = rng.integers(-50, 50, size=(60, 4))
     assert np.array_equal(safe_matmul(m, b), m @ b)
 
@@ -1305,7 +1359,6 @@ def test_right_sparse_safe_matmul_int64_bound(monkeypatch):
     a = np.full((6, 4), 2 ** 30 - 1, dtype=np.int64)
     a[1] = -(2 ** 30 - 1)
     b[0, 3], b[2, 17] = 2 ** 30 - 1, -(2 ** 30 - 1)
-    assert intlin.SPARSE_PRODUCT * np.count_nonzero(b) < b.size
 
     def check(a, b):
         shapes.clear()

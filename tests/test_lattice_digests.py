@@ -41,8 +41,8 @@ def coordinate_lattices(g):
         "ker_tr_B": traces.kernel(sp, "B"),
         "double_kernel": double,
         "triple_kernel": double.intersection(traces.kernel(sp, "B")),
-        "filtration_0_A": sp.filtration(0, "A"),
-        "filtration_0_B": sp.filtration(0, "B"),
+        "filtration_0_A": sp.filtration("A"),
+        "filtration_0_B": sp.filtration("B"),
         "ker_projection_A": sp.ker_projection(),
         "dprime2": sp.dprime2(),
         "johnson_span": catalogs.catalog_lattice(

@@ -1,11 +1,13 @@
-"""No library function that only tests call.
+"""No library function or module constant that only tests use.
 
 Every function, method and class defined in ``src/sympderiv`` must be
 referenced from ``src/sympderiv`` itself, by name, attribute or import,
-outside its own body.  The match is by name, so a method counts as
-referenced when any attribute of that name is read.  Left out: dunder
-methods, which Python calls, and the independent oracles, which exist so
-that tests can check the library against code it does not share."""
+outside its own body, and every module-level UPPER_CASE constant must be
+read there outside its own assignment; a test's patch of a constant does
+not count.  The match is by name, so a method counts as referenced when
+any attribute of that name is read.  Left out: dunder methods, which
+Python calls, and the independent oracles, which exist so that tests can
+check the library against code it does not share."""
 
 import ast
 from collections import Counter
@@ -17,10 +19,11 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def references(tree):
-    """Every name a tree reads: names, attributes and imported names."""
+    """Every name a tree reads: names other than assignment targets,
+    attributes and imported names."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
@@ -29,23 +32,37 @@ def references(tree):
     return found
 
 
+def constants(node):
+    """The UPPER_CASE names a module-level assignment binds."""
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and t.id.isupper()]
+
+
 def unreferenced(src):
     """The definitions under src with no reference outside their bodies,
-    as "module.py:line name"."""
+    and the module constants with no read outside their assignments, as
+    "module.py:line name"."""
     modules = {path.name: ast.parse(path.read_text(), str(path))
                for path in sorted(src.glob("*.py"))}
     used = sum((references(tree) for tree in modules.values()), Counter())
     out = []
     for module, tree in modules.items():
+        top = set(map(id, tree.body))
         for node in ast.walk(tree):
-            if not isinstance(node, DEFINITIONS):
+            if isinstance(node, DEFINITIONS):
+                names = [node.name]
+            elif id(node) in top:
+                names = constants(node)
+            else:
                 continue
-            name = node.name
-            if name in ORACLES or (name.startswith("__")
-                                   and name.endswith("__")):
-                continue
-            if used[name] - references(node)[name] == 0:
-                out.append("%s:%d %s" % (module, node.lineno, name))
+            for name in names:
+                if name in ORACLES or (name.startswith("__")
+                                       and name.endswith("__")):
+                    continue
+                if used[name] - references(node)[name] == 0:
+                    out.append("%s:%d %s" % (module, node.lineno, name))
     return out
 
 
@@ -56,13 +73,14 @@ def test_every_src_definition_has_a_src_reference():
 def test_a_definition_only_tests_call_is_found(tmp_path):
     (tmp_path / "a.py").write_text(
         "def used():\n    return helper()\n\n\n"
-        "def helper():\n    return 1\n\n\n"
+        "def helper():\n    return SIZE\n\n\n"
         "def only_itself(n):\n    return only_itself(n - 1) if n else 0\n\n\n"
         "class Thing:\n    def __init__(self):\n        self.x = used()\n\n"
-        "    def lonely(self):\n        return self.x\n")
+        "    def lonely(self):\n        return self.x\n\n\n"
+        "\nSIZE = 2\nDEAD: int = SIZE\nlower = 3\n")
     (tmp_path / "b.py").write_text("from .a import used\n\nused()\n")
     assert unreferenced(tmp_path) == ["a.py:9 only_itself", "a.py:13 Thing",
-                                      "a.py:17 lonely"]
+                                      "a.py:23 DEAD", "a.py:17 lonely"]
 
 
 # functools' memo decorators: every derived value is cached through

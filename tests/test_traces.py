@@ -10,7 +10,7 @@ from sympderiv.freelie import context, iota_matrix, pair_columns
 from sympderiv.intlin import IntegerLattice, kernel_lattice, safe_matmul
 from sympderiv.trees import eta2
 from sympderiv import traces
-from test_derivspace import express, gen_matrix
+from test_derivspace import express, gen_matrix, whole
 from test_intlin import dense_hnf, mod2_kernel_by_left_kernel
 from test_freelie import lyndon_to_tensor
 
@@ -69,9 +69,8 @@ def classes(row, pairs):
 
 def tr_B(sp, rows):
     """The B-side trace of a stack, as ``traces.tr_A`` is the A-side one."""
-    if not sp.filtration(0, "B").contains_rows(rows).all():
-        raise FiltrationError(
-            "element is not in the B-side filtration level 0")
+    if not sp.filtration("B").contains_rows(rows).all():
+        raise FiltrationError("element is not in the B-side filtration")
     return safe_matmul(rows, traces._basis_traces(sp, "B"))
 
 
@@ -192,8 +191,7 @@ def test_mod2_images_fill_omega_kernels(g):
 
 def test_kernel_indices_match_image_sizes():
     sp = space(2)
-    d2 = sp.filtration(-1)  # all of D_2, in its coordinates
-    assert d2.index(traces.kernel(sp, "as")) \
+    assert whole(sp).index(traces.kernel(sp, "as")) \
         == 2 ** traces.image_rank(sp, "as")
     assert sp.dprime2().index(traces.kernel(sp, "sym")) \
         == 2 ** traces.image_rank(sp, "sym")
@@ -264,7 +262,7 @@ def gf2_image_rows_by_solve(sp, which):
     coefficients mod 2 times the table, mod 2."""
     cols = sp.gen_coords()
     if which == "as":
-        domain = sp.filtration(-1)
+        domain = whole(sp)
     else:
         domain, cols = sp.dprime2(), cols[:, sp.tree_indices]
     h, u = dense_hnf(cols.T, transform=True)
@@ -338,7 +336,7 @@ def test_tr_A_domain_check():
 def test_tr_A_additive():
     sp = space(2)
     rng = np.random.default_rng(21)
-    basis = sp.filtration(0, "A").basis
+    basis = sp.filtration("A").basis
     x = rng.integers(-2, 3, size=(1, len(basis))) @ basis
     y = rng.integers(-2, 3, size=(1, len(basis))) @ basis
     assert np.array_equal(traces.tr_A(sp, x + y),
@@ -351,7 +349,7 @@ def mod2_kernels_match_reference(sp):
     the kernel mapped back through that basis.  Returns the kernels'
     ranks."""
     ranks = []
-    for which, domain in (("as", sp.filtration(-1)), ("sym", sp.dprime2())):
+    for which, domain in (("as", whole(sp)), ("sym", sp.dprime2())):
         t = traces._basis_traces(sp, which)
         got = kernel_lattice(t.T, mod2=True)
         want = mod2_kernel_by_left_kernel(t.T)
@@ -516,7 +514,7 @@ def test_side_table_matches_dict_trace_on_combinations(g, side):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     sp = space(g)
-    basis = sp.filtration(0, side).basis
+    basis = sp.filtration(side).basis
     fn = traces.tr_A if side == "A" else tr_B
 
     @hypothesis.settings(max_examples=25, deadline=None, database=None)
@@ -539,7 +537,7 @@ def test_tr_A_stack_raises_when_any_row_is_outside():
     coords = sp.d2().membership(rows)
     traces.tr_A(sp, coords[:3])
     with pytest.raises(FiltrationError,
-                       match="element is not in the A-side filtration level 0"):
+                       match="element is not in the A-side filtration"):
         traces.tr_A(sp, coords)
 
 
